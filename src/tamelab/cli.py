@@ -24,8 +24,10 @@ from typing import Optional, Sequence
 from . import iteration, ledger, verify
 from .problem import (
     PROBLEM_KEYS,
+    NeighborhoodViolation,
     ProblemConfig,
     parse_flat_config,
+    stock_remainder_terms,
 )
 
 EXPERIMENTS = ("run", "decay", "remainder-audit", "ledger", "r5-demo", "sweep")
@@ -189,32 +191,23 @@ def _svg_chart(series: Sequence[tuple[str, list[tuple[float, float]]]],
     return "\n".join(parts) + "\n"
 
 
-def emit_plot(data, path, k_values: Optional[Sequence[int]] = None) -> None:
-    """Deterministic SVG of ln ||E_i||_k vs i, one polyline per k.
-
-    Accepts an IterationTrace (data polylines over the usable steps) or a
-    sequence of DecayFits (the fitted lines over their step ranges).
-    """
+def emit_plot(trace: iteration.IterationTrace, path,
+              k_values: Optional[Sequence[int]] = None) -> None:
+    """Deterministic SVG of ln ||E_i||_k vs i over the usable steps, one
+    polyline per k."""
+    usable = trace.usable_steps()
+    if not usable:
+        raise verify.InsufficientSteps("no steps above the noise floor to plot")
+    if k_values is None:
+        k_values = range(min(2, len(trace.states[1].norms_error) - 1) + 1)
     series = []
-    if isinstance(data, iteration.IterationTrace):
-        usable = data.usable_steps()
-        if not usable:
-            raise verify.InsufficientSteps("no steps above the noise floor to plot")
-        if k_values is None:
-            k_values = range(min(2, len(data.states[1].norms_error) - 1) + 1)
-        for k in k_values:
-            pts = [(float(s.step), math.log(s.norms_error[k]))
-                   for s in data.states
-                   if s.step in usable and k < len(s.norms_error)
-                   and s.norms_error[k] > 0.0]
-            if pts:
-                series.append((f"k={k}", pts))
-    else:
-        for fit in data:
-            lo, hi = fit.steps_used
-            series.append((f"k={fit.k}", [
-                (float(lo), fit.intercept + fit.slope * lo),
-                (float(hi), fit.intercept + fit.slope * hi)]))
+    for k in k_values:
+        pts = [(float(s.step), math.log(s.norms_error[k]))
+               for s in trace.states
+               if s.step in usable and k < len(s.norms_error)
+               and s.norms_error[k] > 0.0]
+        if pts:
+            series.append((f"k={k}", pts))
     if not series:
         raise verify.InsufficientSteps("no positive norms to plot")
     _atomic_write(Path(path), _svg_chart(series, "step i", "ln ||E_i||_k"))
@@ -222,7 +215,7 @@ def emit_plot(data, path, k_values: Optional[Sequence[int]] = None) -> None:
 
 def _write_trace(trace: iteration.IterationTrace, out: Path, stem: str,
                  plot: bool) -> None:
-    _write_csv_via(iteration.trace_to_csv, trace, out / f"{stem}.csv")
+    _atomic_write(out / f"{stem}.csv", iteration.trace_to_csv(trace))
     if plot:
         emit_plot(trace, out / f"{stem}.svg")
 
@@ -255,7 +248,7 @@ def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
               file=sys.stderr)
         return 2
     fits = _decay_fits(trace)
-    _write_csv_via(verify.decay_fits_to_csv, fits, out / "decay.csv")
+    _atomic_write(out / "decay.csv", verify.decay_fits_to_csv(fits))
     _write_trace(trace, out, "trace", cfg.plot)
     ll = cfg.problem.params().lambda_ell
     for fit in fits:
@@ -265,27 +258,13 @@ def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _write_csv_via(writer, payload, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
-    try:
-        writer(payload, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _cmd_remainder_audit(cfg: ExperimentConfig, out: Path) -> int:
-    from .problem import stock_remainder_terms
     params = cfg.problem.params()
     seed = cfg.problem.seed
     reports = [verify.verify_remainder_class(term, term.bound_class, params, seed=seed)
                for term in stock_remainder_terms()]
     control = verify.misdeclared_control(params, seed=seed)
-    _write_csv_via(verify.bound_report_to_csv, reports + [control], out / "audit.csv")
+    _atomic_write(out / "audit.csv", verify.bound_report_to_csv(reports + [control]))
     for report in reports:
         print(f"class {report.bound_class.kind}: constants "
               f"{', '.join(f'{c:.3f}' for c in report.per_k_constants)} "
@@ -297,11 +276,8 @@ def _cmd_remainder_audit(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_ledger(cfg: ExperimentConfig, out: Path, write_csv: bool) -> int:
     params = cfg.problem.params()
-    cs = ledger.ConstantSet(
-        c=cfg.ledger_c, c_err=cfg.ledger_c_err, c_r=cfg.ledger_c_r,
-        c_f=params.c_f,
-        c_k=tuple(ledger.safe_leibniz(k) for k in range(params.k0 + 1)),
-        step=1)
+    cs = replace(ledger.stock_constants(params), c=cfg.ledger_c,
+                 c_err=cfg.ledger_c_err, c_r=cfg.ledger_c_r)
     rows = ledger.constant_table(cs, params, cfg.problem.n_steps)
     print(f"threshold {ledger.threshold(cs):g}")
     header = f"{'step':>4} {'C':>12} {'C_err':>12} {'C_r':>12} {'C_diff':>12} {'threshold':>12}"
@@ -324,8 +300,8 @@ def _cmd_r5_demo(cfg: ExperimentConfig, out: Path) -> int:
     params = cfg.problem.params()
     strength = cfg.problem.r5_strength if cfg.problem.r5_strength > 0 else 1.0
     report = verify.demonstrate_r5_failure(params, strength, cfg.problem.amplitude)
-    _write_csv_via(verify.decay_fits_to_csv, [report.fit_clean], out / "r5_clean.csv")
-    _write_csv_via(verify.decay_fits_to_csv, [report.fit_r5], out / "r5_with.csv")
+    _atomic_write(out / "r5_clean.csv", verify.decay_fits_to_csv([report.fit_clean]))
+    _atomic_write(out / "r5_with.csv", verify.decay_fits_to_csv([report.fit_r5]))
     if report.no_effect:
         print("no effect: the two runs are identical (strength 0?)")
     else:
@@ -341,13 +317,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     base = cfg.problem
     code = 0
     for ll in values:
-        ell = ll / base.lam
-        problem = ProblemConfig.from_mapping({
-            "kind": base.kind, "lambda": str(base.lam), "ell": repr(ell),
-            "k0": str(base.k0), "k1": str(base.k1), "C_F": repr(base.c_f),
-            "amplitude": repr(base.amplitude), "drift": repr(base.drift),
-            "r5_strength": repr(base.r5_strength), "n_points": str(base.n_points),
-            "n_steps": str(base.n_steps), "seed": str(base.seed)})
+        problem = replace(base, ell=ll / base.lam)
         try:
             problem.params().validate()
         except ValueError as exc:
@@ -360,7 +330,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
             continue
         fits = _decay_fits(trace)
         stem = f"decay_ll{ll:g}"
-        _write_csv_via(verify.decay_fits_to_csv, fits, out / f"{stem}.csv")
+        _atomic_write(out / f"{stem}.csv", verify.decay_fits_to_csv(fits))
         if cfg.plot:
             emit_plot(trace, out / f"{stem}.svg")
         print(f"lambda_ell={ll:g}: slope k=0 {fits[0].slope:+.4f} "
@@ -419,7 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_r5_demo(cfg, out)
         if args.command == "sweep":
             return _cmd_sweep(cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, NeighborhoodViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (iteration.DomainEscape, verify.InsufficientSteps,

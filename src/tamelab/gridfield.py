@@ -1,9 +1,9 @@
 """Periodic grid fields with spectral calculus.
 
-Everything lives on the flat torus [0, 2*pi)^dim, sampled on a uniform grid
-with no duplicated endpoint.  Derivatives and smoothing act in Fourier space,
-so they are exact for trigonometric polynomials the grid resolves.  C^k norms
-are running maxima of derivative sups over the grid samples.
+Everything lives on the circle [0, 2*pi), sampled on a uniform grid with no
+duplicated endpoint.  Derivatives and smoothing act in Fourier space, so they
+are exact for trigonometric polynomials the grid resolves.  C^k norms are
+running maxima of derivative sups over the grid samples.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ PERIOD = 2.0 * np.pi
 # n_points >= RESOLUTION_FACTOR * lam * (k + 1).
 RESOLUTION_FACTOR = 8
 
-# Refined grids larger than this (total samples) are refused by refine().
-MAX_REFINED_SAMPLES = 1 << 22
+# Largest grid (samples over all components) that validation accepts and
+# refine() produces.
+MAX_SAMPLES = 1 << 22
 
 # Relative floor below which spectral coefficients are treated as rounding
 # dust.  Differentiation amplifies mode m by m^order, so dust at the grid's
@@ -30,7 +31,7 @@ SPECTRAL_DUST = 1e-13
 
 
 class IncompatibleGrids(ValueError):
-    """Fields do not share dim / n_points / period."""
+    """Fields do not share n_points or component counts."""
 
 
 class ResolutionError(ValueError):
@@ -45,24 +46,20 @@ def _is_power_of_two(n: int) -> bool:
 class GridFunction:
     """A real vector-valued function sampled on a uniform periodic grid.
 
-    samples has shape (n_points,)*dim + (n_components,), row-major over the
-    grid with components in the trailing axis.  Instances are immutable; all
-    operations return new fields.
+    samples has shape (n_points, n_components), with components in the
+    trailing axis.  Instances are immutable; all operations return new fields.
     """
 
-    dim: int
     n_points: int
     n_components: int
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not _is_power_of_two(self.n_points):
             raise ValueError(f"n_points must be a power of two, got {self.n_points}")
         if self.n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {self.n_components}")
-        expected = (self.n_points,) * self.dim + (self.n_components,)
+        expected = (self.n_points, self.n_components)
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.shape != expected:
             raise ValueError(f"samples shape {arr.shape} != expected {expected}")
@@ -76,41 +73,32 @@ class GridFunction:
     def period(self) -> float:
         return PERIOD
 
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return (self.n_points,) * self.dim
-
     @classmethod
-    def from_samples(cls, samples: np.ndarray, dim: int = 1) -> "GridFunction":
+    def from_samples(cls, samples: np.ndarray) -> "GridFunction":
         arr = np.asarray(samples, dtype=np.float64)
-        if arr.ndim == dim:  # scalar field given without a component axis
-            arr = arr[..., np.newaxis]
-        return cls(dim=dim, n_points=arr.shape[0], n_components=arr.shape[-1], samples=arr)
+        if arr.ndim == 1:  # scalar field given without a component axis
+            arr = arr[:, np.newaxis]
+        return cls(n_points=arr.shape[0], n_components=arr.shape[-1], samples=arr)
 
     @classmethod
-    def constant(cls, value: float, n_points: int, dim: int = 1,
+    def constant(cls, value: float, n_points: int,
                  n_components: int = 1) -> "GridFunction":
-        shape = (n_points,) * dim + (n_components,)
-        return cls(dim, n_points, n_components, np.full(shape, float(value)))
+        return cls(n_points, n_components, np.full((n_points, n_components), float(value)))
 
     @classmethod
-    def zeros(cls, n_points: int, dim: int = 1, n_components: int = 1) -> "GridFunction":
-        return cls.constant(0.0, n_points, dim, n_components)
+    def zeros(cls, n_points: int, n_components: int = 1) -> "GridFunction":
+        return cls.constant(0.0, n_points, n_components)
 
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
-        return GridFunction(self.dim, self.n_points, self.n_components, samples)
+        return GridFunction(self.n_points, self.n_components, samples)
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.samples)))
 
-    def compatible(self, other: "GridFunction") -> bool:
-        return self.dim == other.dim and self.n_points == other.n_points
-
     def _require_compatible(self, other: "GridFunction") -> None:
-        if not self.compatible(other):
+        if self.n_points != other.n_points:
             raise IncompatibleGrids(
-                f"grids differ: dim {self.dim}/{other.dim}, "
-                f"n_points {self.n_points}/{other.n_points}")
+                f"grids differ: n_points {self.n_points}/{other.n_points}")
 
     # Convenience arithmetic (strict: equal component counts).
     def __add__(self, other: "GridFunction") -> "GridFunction":
@@ -128,12 +116,9 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def coordinates(n_points: int, dim: int = 1) -> tuple[np.ndarray, ...]:
-    """Grid coordinate arrays, one per axis, each of shape grid_shape."""
-    x = PERIOD * np.arange(n_points) / n_points
-    if dim == 1:
-        return (x,)
-    return tuple(np.meshgrid(x, x, indexing="ij"))
+def coordinates(n_points: int) -> np.ndarray:
+    """Grid coordinates x_j = 2*pi*j/n_points."""
+    return PERIOD * np.arange(n_points) / n_points
 
 
 def _mode_numbers(n_points: int) -> np.ndarray:
@@ -141,53 +126,42 @@ def _mode_numbers(n_points: int) -> np.ndarray:
     return np.fft.fftfreq(n_points, d=1.0 / n_points)
 
 
-def _axis_modes(f: GridFunction, axis: int) -> np.ndarray:
-    shape = [1] * (f.dim + 1)
-    shape[axis] = f.n_points
-    return _mode_numbers(f.n_points).reshape(shape)
-
-
-def _clean_spectrum(spec: np.ndarray, dim: int) -> np.ndarray:
-    """Zero coefficients below SPECTRAL_DUST of each component's peak."""
-    grid_axes = tuple(range(dim))
+def _clean_spectrum(f: GridFunction) -> np.ndarray:
+    """Spectrum of f with coefficients below SPECTRAL_DUST of each
+    component's peak zeroed."""
+    spec = np.fft.fft(f.samples, axis=0)
     mags = np.abs(spec)
-    peak = mags.max(axis=grid_axes, keepdims=True)
+    peak = mags.max(axis=0)
     return np.where(mags >= SPECTRAL_DUST * peak, spec, 0.0)
 
 
-def derivative(f: GridFunction, axis: int = 0, order: int = 1) -> GridFunction:
-    """Spectral partial derivative d^order/dx_axis^order.
+def _derivative_of(spec: np.ndarray, order: int) -> np.ndarray:
+    """Samples of d^order/dx^order from a spectrum: mode m times (i m)^order.
+
+    The folded Nyquist mode has no consistent odd derivative, so odd orders
+    drop it (Trefethen, Spectral Methods in MATLAB, ch. 3).
+    """
+    n = spec.shape[0]
+    mult = (1j * _mode_numbers(n)) ** order
+    if order % 2 == 1:
+        mult[n // 2] = 0.0
+    return np.fft.ifft(spec * mult[:, np.newaxis], axis=0).real
+
+
+def derivative(f: GridFunction, order: int = 1) -> GridFunction:
+    """Spectral derivative d^order/dx^order.
 
     Exact (to rounding) for trigonometric polynomials resolved by the grid;
     the caller is responsible for the field being band-limited.
     """
-    if not 0 <= axis < f.dim:
-        raise ValueError(f"axis {axis} out of range for dim {f.dim}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    spec = _clean_spectrum(np.fft.fft(f.samples, axis=axis), f.dim)
-    m = _axis_modes(f, axis)
-    mult = (1j * m) ** order
-    if order % 2 == 1:
-        # The folded Nyquist mode has no consistent odd derivative; drop it.
-        nyq = [slice(None)] * (f.dim + 1)
-        nyq[axis] = f.n_points // 2
-        mult = np.array(np.broadcast_to(mult, spec.shape))
-        mult[tuple(nyq)] = 0.0
-    out = np.fft.ifft(spec * mult, axis=axis).real
-    return f.with_samples(out)
-
-
-def gradient(f: GridFunction, order: int = 1) -> GridFunction:
-    """Stack all axis derivatives of the given order into the component axis."""
-    parts = [derivative(f, axis, order).samples for axis in range(f.dim)]
-    return GridFunction(f.dim, f.n_points, f.n_components * f.dim,
-                        np.concatenate(parts, axis=-1))
+    return f.with_samples(_derivative_of(_clean_spectrum(f), order))
 
 
 @dataclass(frozen=True)
 class NormVector:
-    """Estimated C^k sup norms: values[k] = max_{|alpha| <= k} sup |d^alpha f|."""
+    """Estimated C^k sup norms: values[k] = max_{j <= k} sup |d^j f|."""
 
     values: tuple[float, ...]
 
@@ -212,24 +186,6 @@ class NormVector:
         return len(self.values)
 
 
-def _derivative_sup(spec: np.ndarray, f: GridFunction, alpha: tuple[int, ...]) -> float:
-    """Sup over grid and components of |d^alpha f| from a cached spectrum."""
-    mult = np.ones((1,) * (f.dim + 1), dtype=complex)
-    for axis, order in enumerate(alpha):
-        if order == 0:
-            continue
-        m = _axis_modes(f, axis)
-        factor = (1j * m) ** order
-        if order % 2 == 1:
-            factor = np.array(np.broadcast_to(factor, m.shape))
-            idx = [slice(None)] * (f.dim + 1)
-            idx[axis] = f.n_points // 2
-            factor[tuple(idx)] = 0.0
-        mult = mult * factor
-    d = np.fft.ifftn(spec * mult, axes=tuple(range(f.dim))).real
-    return float(np.max(np.abs(d)))
-
-
 def ck_norm(f: GridFunction, k_max: int) -> NormVector:
     """Norms ||f||_0 .. ||f||_k_max, each the max derivative sup up to order k.
 
@@ -245,17 +201,11 @@ def ck_norm(f: GridFunction, k_max: int) -> NormVector:
             f"n_points >= {RESOLUTION_FACTOR * (k_max + 1)} "
             f"(= {RESOLUTION_FACTOR} * (k_max + 1))")
     values = [f.sup()]
-    if k_max == 0:
-        return NormVector(tuple(values))
-    spec = _clean_spectrum(np.fft.fftn(f.samples, axes=tuple(range(f.dim))), f.dim)
-    for k in range(1, k_max + 1):
-        best = values[-1]
-        if f.dim == 1:
-            best = max(best, _derivative_sup(spec, f, (k,)))
-        else:
-            for j in range(k + 1):
-                best = max(best, _derivative_sup(spec, f, (j, k - j)))
-        values.append(best)
+    if k_max > 0:
+        spec = _clean_spectrum(f)
+        for k in range(1, k_max + 1):
+            sup_k = float(np.max(np.abs(_derivative_of(spec, k))))
+            values.append(max(values[-1], sup_k))
     return NormVector(tuple(values))
 
 
@@ -267,20 +217,15 @@ def mollify(f: GridFunction, ell: float) -> GridFunction:
     """
     if not 0 < ell < PERIOD:
         raise ValueError(f"ell must lie in (0, {PERIOD:.6g}), got {ell}")
-    spec = np.fft.fftn(f.samples, axes=tuple(range(f.dim)))
-    m_sq = np.zeros((1,) * (f.dim + 1))
-    for axis in range(f.dim):
-        m_sq = m_sq + _axis_modes(f, axis) ** 2
-    out = np.fft.ifftn(spec * np.exp(-0.5 * m_sq * ell * ell),
-                       axes=tuple(range(f.dim))).real
+    spec = np.fft.fft(f.samples, axis=0)
+    m = _mode_numbers(f.n_points)[:, np.newaxis]
+    out = np.fft.ifft(spec * np.exp(-0.5 * m ** 2 * ell * ell), axis=0).real
     return f.with_samples(out)
 
 
-def oscillator(amplitude: float, frequency: int, phase: float = 0.0, axis: int = 0,
-               *, n_points: int, dim: int = 1, n_components: int = 1) -> GridFunction:
-    """amplitude * cos(frequency * x_axis + phase) as a GridFunction."""
-    if not 0 <= axis < dim:
-        raise ValueError(f"axis {axis} out of range for dim {dim}")
+def oscillator(amplitude: float, frequency: int, phase: float = 0.0,
+               *, n_points: int, n_components: int = 1) -> GridFunction:
+    """amplitude * cos(frequency * x + phase) as a GridFunction."""
     if frequency != int(frequency) or frequency < 1:
         raise ValueError(f"frequency must be a positive integer, got {frequency}")
     frequency = int(frequency)
@@ -288,10 +233,9 @@ def oscillator(amplitude: float, frequency: int, phase: float = 0.0, axis: int =
         raise ResolutionError(
             f"frequency {frequency} unresolved at n_points={n_points}: need "
             f"n_points >= {RESOLUTION_FACTOR * frequency}")
-    x = coordinates(n_points, dim)[axis]
-    values = amplitude * np.cos(frequency * x + phase)
-    samples = np.repeat(values[..., np.newaxis], n_components, axis=-1)
-    return GridFunction(dim, n_points, n_components, samples)
+    values = amplitude * np.cos(frequency * coordinates(n_points) + phase)
+    samples = np.repeat(values[:, np.newaxis], n_components, axis=-1)
+    return GridFunction(n_points, n_components, samples)
 
 
 def axpy(alpha: float, x: GridFunction, y: GridFunction) -> GridFunction:
@@ -314,37 +258,35 @@ def pointwise_mul(f: GridFunction, g: GridFunction) -> GridFunction:
         raise IncompatibleGrids(
             f"component counts differ: {f.n_components} vs {g.n_components}")
     out = f.samples * g.samples
-    return GridFunction(f.dim, f.n_points, out.shape[-1], out)
+    return GridFunction(f.n_points, out.shape[-1], out)
 
 
 def component_sum(f: GridFunction) -> GridFunction:
     """Sum over the component axis, returning a 1-component field."""
-    return GridFunction(f.dim, f.n_points, 1, f.samples.sum(axis=-1, keepdims=True))
+    return GridFunction(f.n_points, 1, f.samples.sum(axis=-1, keepdims=True))
 
 
 def component_mean(f: GridFunction) -> GridFunction:
     return scale(1.0 / f.n_components, component_sum(f))
 
 
-def random_trig_polynomial(rng: np.random.Generator, n_points: int, dim: int = 1,
+def random_trig_polynomial(rng: np.random.Generator, n_points: int,
                            n_components: int = 1, max_mode: int = 8,
                            normalize: bool = True) -> GridFunction:
     """Random low-mode trigonometric polynomial, optionally with sup norm 1.
 
-    Modes 1..max_mode per axis with uniform[-1, 1] sine/cosine coefficients;
-    low modes keep every norm grid-exact regardless of the experiment scale.
+    Modes 1..max_mode with uniform[-1, 1] sine/cosine coefficients; low modes
+    keep every norm grid-exact regardless of the experiment scale.
     """
-    coords = coordinates(n_points, dim)
-    shape = (n_points,) * dim + (n_components,)
-    samples = np.zeros(shape)
+    x = coordinates(n_points)
+    samples = np.zeros((n_points, n_components))
     for comp in range(n_components):
-        field = np.zeros((n_points,) * dim)
-        for axis in range(dim):
-            for m in range(1, max_mode + 1):
-                a, b = rng.uniform(-1.0, 1.0, size=2)
-                field = field + a * np.cos(m * coords[axis]) + b * np.sin(m * coords[axis])
-        samples[..., comp] = field
-    f = GridFunction(dim, n_points, n_components, samples)
+        field = np.zeros(n_points)
+        for m in range(1, max_mode + 1):
+            a, b = rng.uniform(-1.0, 1.0, size=2)
+            field = field + a * np.cos(m * x) + b * np.sin(m * x)
+        samples[:, comp] = field
+    f = GridFunction(n_points, n_components, samples)
     if normalize:
         s = f.sup()
         if s > 0:
@@ -361,41 +303,28 @@ def refine(f: GridFunction, factor: int) -> GridFunction:
     """
     if factor < 2 or not _is_power_of_two(factor):
         raise ValueError(f"refinement factor must be a power of two >= 2, got {factor}")
-    n_new = factor * f.n_points
-    if n_new ** f.dim * f.n_components > MAX_REFINED_SAMPLES:
-        raise ResolutionError(
-            f"refined grid too large: {n_new}^{f.dim} x {f.n_components} samples "
-            f"exceeds the {MAX_REFINED_SAMPLES} guard")
-    spec = _clean_spectrum(np.fft.fftn(f.samples, axes=tuple(range(f.dim))), f.dim)
     n = f.n_points
-    for axis in range(f.dim):
-        spec = np.fft.fftshift(spec, axes=axis)
-        pad_shape = list(spec.shape)
-        pad_shape[axis] = n_new
-        padded = np.zeros(pad_shape, dtype=complex)
-        offset = n_new // 2 - n // 2
-        block = [slice(None)] * spec.ndim
-        block[axis] = slice(offset, offset + n)
-        padded[tuple(block)] = spec
-        # Split the folded Nyquist bin between +n/2 and -n/2 so the padded
-        # spectrum stays Hermitian and interpolates the samples exactly.
-        lo = [slice(None)] * spec.ndim
-        lo[axis] = offset
-        hi = [slice(None)] * spec.ndim
-        hi[axis] = offset + n
-        padded[tuple(lo)] *= 0.5
-        padded[tuple(hi)] = padded[tuple(lo)]
-        spec = np.fft.ifftshift(padded, axes=axis)
-    out = np.fft.ifftn(spec, axes=tuple(range(f.dim))).real * factor ** f.dim
-    return GridFunction(f.dim, n_new, f.n_components, out)
+    n_new = factor * n
+    if n_new * f.n_components > MAX_SAMPLES:
+        raise ResolutionError(
+            f"refined grid too large: {n_new} x {f.n_components} samples "
+            f"exceeds the {MAX_SAMPLES} guard")
+    padded = np.zeros((n_new, f.n_components), dtype=complex)
+    offset = n_new // 2 - n // 2
+    padded[offset:offset + n] = np.fft.fftshift(_clean_spectrum(f), axes=0)
+    # Split the folded Nyquist bin between +n/2 and -n/2 so the padded
+    # spectrum stays Hermitian and interpolates the samples exactly.
+    padded[offset] *= 0.5
+    padded[offset + n] = padded[offset]
+    out = np.fft.ifft(np.fft.ifftshift(padded, axes=0), axis=0).real * factor
+    return GridFunction(n_new, f.n_components, out)
 
 
 def save_csv(f: GridFunction, path) -> None:
-    """Write `# dim,n_points,n_components` then one row per grid point."""
-    rows = f.samples.reshape(-1, f.n_components)
+    """Write `# 1,n_points,n_components` then one row per grid point."""
     with open(path, "w") as fh:
-        fh.write(f"# {f.dim},{f.n_points},{f.n_components}\n")
-        for row in rows:
+        fh.write(f"# 1,{f.n_points},{f.n_components}\n")
+        for row in f.samples:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
@@ -405,6 +334,8 @@ def load_csv(path) -> GridFunction:
         if not header.startswith("#"):
             raise ValueError(f"missing header line in {path}")
         dim, n_points, n_components = (int(v) for v in header[1:].split(","))
+        if dim != 1:
+            raise ValueError(f"{path}: grid dimension {dim} in the header; "
+                             f"only 1-D fields load")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    samples = data.reshape((n_points,) * dim + (n_components,))
-    return GridFunction(dim, n_points, n_components, samples)
+    return GridFunction(n_points, n_components, data.reshape(n_points, n_components))

@@ -123,7 +123,7 @@ def _state(instance: ProblemInstance, step_index: int, a: GridFunction) -> Itera
 def start_state(instance: ProblemInstance) -> IterationState:
     """Step 0: a = 0, r(a) = 0, so the error is the target itself."""
     p = instance.params
-    zero = GridFunction.zeros(p.n_points, instance.target.dim, instance.n_components)
+    zero = GridFunction.zeros(p.n_points, instance.n_components)
     return _state(instance, 0, zero)
 
 
@@ -163,12 +163,6 @@ def identity_residual(prev: IterationState, new: IterationState) -> float:
     """Sup distance between the definitional error and the substitution
     identity r_i(a_i) - r_(i+1)(a_(i+1)): exact algebra, so ~rounding."""
     return (new.error - (prev.r_of_a - new.r_of_a)).sup()
-
-
-def _difference_norms(prev: IterationState, new: IterationState,
-                      instance: ProblemInstance) -> NormVector:
-    order = instance.params.norm_order(new.step)
-    return ck_norm(new.a - prev.a, order)
 
 
 def _step_margins(state: IterationState, cs: ledger.ConstantSet,
@@ -234,7 +228,7 @@ def run(instance: ProblemInstance, n_steps: Optional[int] = None) -> IterationTr
             flag, escape_step = "diverged", esc.step
             break
         states.append(new)
-        diffs.append(_difference_norms(prev, new, instance))
+        diffs.append(ck_norm(new.a - prev.a, p.norm_order(new.step)))
         residuals.append(identity_residual(prev, new))
         if new.norms_error[0] < FLOOR_STOP * target_sup:
             if i < n:
@@ -256,18 +250,17 @@ def run(instance: ProblemInstance, n_steps: Optional[int] = None) -> IterationTr
     )
 
 
-def check_hypotheses(trace: IterationTrace, instance: ProblemInstance) -> HypothesisReport:
-    """Re-derive the per-step measured/allowed ratios from the trace.
+def check_hypotheses(trace: IterationTrace) -> HypothesisReport:
+    """Judge the per-step measured/allowed ratios the trace recorded.
 
     Passes when every ratio stays at or below 1, i.e. the ledger's propagated
     constants dominate every measured quantity.
     """
     if len(trace.states) < 2:
         raise ValueError("trace has no completed steps to check")
-    margins, constants = _margins_and_constants(trace.states, instance)
-    passes = all(m.worst <= 1.0 for m in margins)
-    return HypothesisReport(margins=margins, constants=constants, passes=passes,
-                            threshold=trace.threshold,
+    passes = all(m.worst <= 1.0 for m in trace.margins)
+    return HypothesisReport(margins=trace.margins, constants=trace.constants,
+                            passes=passes, threshold=trace.threshold,
                             below_threshold=trace.below_threshold)
 
 
@@ -289,9 +282,9 @@ def _csv_cell(value) -> str:
     return f"{value:.17g}"
 
 
-def trace_to_csv(trace: IterationTrace, path) -> None:
-    """One row per (step, k): norms, difference norms, identity residual and
-    the four per-step margins."""
+def trace_to_csv(trace: IterationTrace) -> str:
+    """CSV text with one row per (step, k): norms, difference norms, identity
+    residual and the four per-step margins."""
     header = ("step,k,norm_a,norm_error,norm_r,diff_norm,identity_residual,"
               "clause1_margin,clause2_margin,clause3_margin,clause4_margin")
     lines = [header]
@@ -318,5 +311,4 @@ def trace_to_csv(trace: IterationTrace, path) -> None:
                           if margins and k < len(margins.remainder) else None),
             ]
             lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

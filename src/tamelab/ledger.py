@@ -150,7 +150,7 @@ def propagate(cs: ConstantSet, params: IterationParams,
                    step=cs.step + 1)
 
 
-def threshold(cs: ConstantSet, params: Optional[IterationParams] = None) -> float:
+def threshold(cs: ConstantSet) -> float:
     """Smallest lam*ell keeping c_r/(lam ell) within the 1/(3 c_f) margin."""
     return 3.0 * cs.c_f * cs.c_r
 
@@ -179,12 +179,9 @@ def calibrate(norms_a: NormVector, norms_error: NormVector, norms_r: NormVector,
     c_err = max(norms_error[k] * ll / params.lam ** k for k in range(len(norms_error)))
     c_r = max(norms_r[k] * ll / params.lam ** k for k in range(len(norms_r)))
     floor = 1e-30  # keep the set valid when a component is identically zero
-    return ConstantSet(c=max(c, floor) * headroom,
-                       c_err=max(c_err, floor) * headroom,
-                       c_r=max(c_r, floor) * headroom,
-                       c_f=params.c_f,
-                       c_k=tuple(safe_leibniz(k) for k in range(params.k0 + 1)),
-                       step=1)
+    return replace(stock_constants(params), c=max(c, floor) * headroom,
+                   c_err=max(c_err, floor) * headroom,
+                   c_r=max(c_r, floor) * headroom)
 
 
 def constant_table(cs: ConstantSet, params: IterationParams, n_steps: int,
@@ -199,7 +196,7 @@ def constant_table(cs: ConstantSet, params: IterationParams, n_steps: int,
             "C_err": current.c_err,
             "C_r": current.c_r,
             "C_diff": difference_constant(current, params),
-            "threshold": threshold(current, params),
+            "threshold": threshold(current),
         })
         current = propagate(current, params, classes)
     return rows

@@ -16,8 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gridfield import (
+    MAX_SAMPLES,
     RESOLUTION_FACTOR,
     GridFunction,
+    component_mean,
     component_sum,
     derivative,
     mollify,
@@ -139,14 +141,14 @@ class RemainderTerm:
               lam: int, ell: float, modulation: GridFunction) -> GridFunction:
         orders = self.bound_class.arg_derivatives
         if self.bound_class.arity == 1:
-            core = a if orders[0] == 0 else derivative(a, 0, orders[0])
+            core = a if orders[0] == 0 else derivative(a, orders[0])
         else:
             if b is None:
                 b = a
-            u = a if orders[0] == 0 else derivative(a, 0, orders[0])
-            v = b if orders[1] == 0 else derivative(b, 0, orders[1])
+            u = a if orders[0] == 0 else derivative(a, orders[0])
+            v = b if orders[1] == 0 else derivative(b, orders[1])
             core = pointwise_mul(u, v)
-        core = scale(1.0 / core.n_components, component_sum(core))
+        core = component_mean(core)
         pref = self.weight * self.bound_class.prefactor(lam, ell)
         return scale(pref, pointwise_mul(modulation, core))
 
@@ -190,7 +192,7 @@ class RemainderSpec:
         return 1.0 + self.drift * (self.lam * self.ell) ** (-step)
 
     def __call__(self, a: GridFunction, step: int) -> GridFunction:
-        total = GridFunction.zeros(a.n_points, a.dim, 1)
+        total = GridFunction.zeros(a.n_points)
         for term in self.terms:
             total = total + term.apply(a, a, lam=self.lam, ell=self.ell,
                                        modulation=self.modulation)
@@ -246,6 +248,9 @@ class IterationParams:
             raise ValueError("constants C_F and C must be positive")
         if self.n_points < 2 or (self.n_points & (self.n_points - 1)) != 0:
             raise ValueError(f"n_points must be a power of two, got {self.n_points}")
+        if self.n_points > MAX_SAMPLES:
+            raise ValueError(
+                f"n_points={self.n_points} exceeds the {MAX_SAMPLES} sample cap")
         if RESOLUTION_FACTOR * self.lam > self.n_points:
             raise ValueError(
                 f"frequency {self.lam} unresolved at n_points={self.n_points}")
@@ -294,7 +299,7 @@ def _toy_inverse(center: GridFunction, c_f: float, n_components: int,
         root = np.sqrt(vals)
         stepf = 1.0 + drift * lambda_ell ** (-step)
         samples = np.repeat(root * stepf, n_components, axis=-1)
-        return GridFunction(tensor.dim, tensor.n_points, n_components, samples)
+        return GridFunction(tensor.n_points, n_components, samples)
 
     return inverse
 
@@ -312,7 +317,7 @@ def _check_right_inverse(instance: ProblemInstance, n_samples: int = 20) -> None
     rng = np.random.default_rng([p.seed, 0x5eed])
     radius = 1.0 / (3.0 * p.c_f)
     for i in range(n_samples):
-        bump = random_trig_polynomial(rng, p.n_points, dim=instance.target.dim)
+        bump = random_trig_polynomial(rng, p.n_points)
         rho = radius * rng.uniform(0.1, 0.99)
         t_prime = instance.center + scale(rho, bump)
         step = 1 + i % 3
@@ -444,6 +449,8 @@ class ProblemConfig:
             raise ValueError(f"kind must be scalar or two_component, got {cfg.kind!r}")
         if cfg.r5_strength < 0 or cfg.drift < 0 or cfg.amplitude < 0:
             raise ValueError("amplitude, drift and r5_strength must be >= 0")
+        if cfg.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
         return cfg
 
     def params(self) -> IterationParams:
@@ -479,8 +486,3 @@ def parse_flat_config(text: str) -> dict:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         mapping[key] = value
     return mapping
-
-
-def load_problem_config(path) -> ProblemConfig:
-    with open(path) as fh:
-        return ProblemConfig.from_mapping(parse_flat_config(fh.read()))

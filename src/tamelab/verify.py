@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import iteration
-from .gridfield import GridFunction, ck_norm, gradient, oscillator, refine, \
+from .gridfield import GridFunction, ck_norm, derivative, oscillator, refine, \
     random_trig_polynomial
 from .problem import (
     BoundClass,
@@ -101,12 +101,12 @@ def class_bound_rhs(bound_class: BoundClass, a: GridFunction,
         first = lambda j1: na[j1 + 1]
         second = lambda j2: nb[j2]
     elif kind == "R3":
-        na, nb = ck_norm(gradient(a), k_max), ck_norm(gradient(b), k_max)
+        na, nb = ck_norm(derivative(a), k_max), ck_norm(derivative(b), k_max)
         first = lambda j1: na[j1]
         second = lambda j2: nb[j2]
     elif kind == "R6":
-        na = ck_norm(gradient(a, bound_class.s), k_max)
-        nb = ck_norm(gradient(b, bound_class.t), k_max)
+        na = ck_norm(derivative(a, bound_class.s), k_max)
+        nb = ck_norm(derivative(b, bound_class.t), k_max)
         first = lambda j1: na[j1]
         second = lambda j2: nb[j2]
     else:
@@ -148,7 +148,7 @@ def verify_remainder_class(term: RemainderTerm, bound_class: BoundClass,
             b = (random_trig_polynomial(rng_b, params.n_points)
                  if bound_class.arity == 2 else None)
             r = term.apply(a, b, lam=lam, ell=params.ell, modulation=modulation)
-            if r.n_points != params.n_points or r.dim != a.dim:
+            if r.n_points != params.n_points:
                 raise ValueError("evaluator returned a field on the wrong grid")
             measured = ck_norm(r, k_max)
             rhs = class_bound_rhs(bound_class, a, b, lam, params.ell, k_max)
@@ -269,8 +269,9 @@ def demonstrate_r5_failure(params: IterationParams, strength: float,
                     fit_r5=fit_r5, no_effect=no_effect)
 
 
-def bound_report_to_csv(reports: Sequence[BoundReport], path) -> None:
-    """Rows `class,k,constant,lambda,stable`, one per (report, lam, k)."""
+def bound_report_to_csv(reports: Sequence[BoundReport]) -> str:
+    """CSV text with rows `class,k,constant,lambda,stable`, one per
+    (report, lam, k)."""
     lines = ["class,k,constant,lambda,stable"]
     for report in reports:
         stable = str(report.stable).lower()
@@ -278,14 +279,13 @@ def bound_report_to_csv(reports: Sequence[BoundReport], path) -> None:
             for k, value in enumerate(row):
                 lines.append(f"{report.bound_class.kind},{k},{value:.17g},"
                              f"{lam},{stable}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def decay_fits_to_csv(fits: Sequence[DecayFit], path) -> None:
+def decay_fits_to_csv(fits: Sequence[DecayFit]) -> str:
+    """CSV text with one row per fit."""
     lines = ["k,slope,intercept,r_squared,first_step,last_step"]
     for fit in fits:
         lines.append(f"{fit.k},{fit.slope:.17g},{fit.intercept:.17g},"
                      f"{fit.r_squared:.17g},{fit.steps_used[0]},{fit.steps_used[1]}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

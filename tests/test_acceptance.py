@@ -190,7 +190,7 @@ def test_criterion_8_calculus_oracles():
             for mode in (1, 7, 16):
                 for order in (1, 2):
                     f = oscillator(1.0, mode, phase=-np.pi / 2, n_points=n)
-                    d = derivative(f, 0, order)
+                    d = derivative(f, order)
                     x = 2 * np.pi * np.arange(n) / n
                     expected = mode ** order * np.sin(
                         mode * x + order * np.pi / 2)
@@ -205,7 +205,7 @@ def test_criterion_9_ledger_consistency(default_run, sweep_runs, lambda_grid_run
         runs = [default_run] + list(sweep_runs.values()) + \
             list(lambda_grid_runs.values())
         for instance, trace in runs:
-            report = iteration.check_hypotheses(trace, instance)
+            report = iteration.check_hypotheses(trace)
             assert report.passes
             assert all(m.worst <= 1.0 for m in report.margins)
         for c_f, c_r in ((1.0, 1.0), (2.0, 5.0), (0.25, 12.0)):

@@ -46,6 +46,20 @@ class TestConfigParsing:
         assert main(["run", "--config", cfg]) == 1
         assert "ell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        ("ell=0.05", "amplitude=10"),  # target outside the 1/(3 C_F) neighborhood
+        ("seed=-1",),
+        ("n_points=8388608",),         # 2^23, above the sample cap
+    ])
+    def test_bad_input_exits_one(self, overrides, tmp_path, capsys):
+        argv = ["run", "--config", str(CONFIG_DIR / "default.cfg"),
+                "--output_dir", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_precondition_checked_before_compute(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("lambda = 16", "lambda = 4096"))
         assert main(["run", "--config", cfg]) == 1
@@ -173,18 +187,6 @@ class TestEmitPlot:
         emit_plot(run(make_scalar_toy(p, 0.2)), a)
         emit_plot(run(make_scalar_toy(p, 0.2)), b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_fits_variant(self, tmp_path):
-        from tamelab.verify import fit_decay
-        p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
-                            n_steps=5, seed=7)
-        trace = run(make_scalar_toy(p, 0.2))
-        fits = [fit_decay(trace, k) for k in (0, 1)]
-        path = tmp_path / "fits.svg"
-        emit_plot(fits, path)
-        svg = path.read_text()
-        assert svg.count("<polyline") == 2
-        assert ">k=1</text>" in svg
 
 
 class TestPipelineDeterminism:

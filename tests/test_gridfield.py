@@ -48,22 +48,13 @@ class TestDerivative:
     def test_second_derivative_oracle(self):
         # oracle: analytic second derivative of sin(7x) evaluated on the grid
         f = sine(7, 256)
-        d2 = derivative(f, 0, 2)
+        d2 = derivative(f, 2)
         expected = -49.0 * np.sin(7 * grid_x(256))
         assert np.max(np.abs(d2.samples[:, 0] - expected)) < 1e-10
 
-    def test_axis_out_of_range(self):
-        with pytest.raises(ValueError, match="axis"):
-            derivative(sine(1, 64), axis=1)
+    def test_order_below_one_refused(self):
         with pytest.raises(ValueError, match="order"):
             derivative(sine(1, 64), order=0)
-
-    def test_2d_axis_derivative(self):
-        g = oscillator(1.0, 4, axis=1, n_points=64, dim=2)
-        dg = derivative(g, axis=1)
-        expected = -4.0 * np.sin(4 * grid_x(64))[None, :]
-        assert np.max(np.abs(dg.samples[:, :, 0] - expected)) < 1e-11
-        assert derivative(g, axis=0).sup() < 1e-12
 
     @given(mode=st.integers(min_value=1, max_value=30),
            order=st.integers(min_value=1, max_value=3))
@@ -73,7 +64,7 @@ class TestDerivative:
         # analytic reference itself carries argument-reduction rounding)
         n = 512
         f = oscillator(1.0, mode, phase=0.3, n_points=n)
-        d = derivative(f, 0, order)
+        d = derivative(f, order)
         x = grid_x(n)
         expected = mode ** order * np.cos(mode * x + 0.3 + order * np.pi / 2)
         assert np.max(np.abs(d.samples[:, 0] - expected)) < 1e-12 * (1 + mode ** order)
@@ -88,11 +79,6 @@ class TestCkNorm:
         norms = ck_norm(sine(16, 1024), 3)
         expected = (1.0, 16.0, 256.0, 4096.0)
         assert np.allclose(norms.values, expected, rtol=1e-9)
-
-    def test_2d_pure_mode(self):
-        g = oscillator(1.0, 4, axis=1, n_points=64, dim=2)
-        norms = ck_norm(g, 2)
-        assert np.allclose(norms.values, (1.0, 4.0, 16.0), rtol=1e-9)
 
     def test_refusal_beyond_safe_order(self):
         with pytest.raises(ResolutionError, match="n_points"):
@@ -188,10 +174,6 @@ class TestMollify:
             ratios.append(ck_norm(smooth, k + 1)[k + 1] * ell / ck_norm(f, k)[k])
         assert max(ratios) / min(ratios) < 1.2
 
-    def test_2d_constant(self):
-        f = GridFunction.constant(1.0, 32, dim=2)
-        assert (mollify(f, 0.3) - f).sup() < 1e-12
-
 
 class TestOscillator:
     def test_zero_amplitude(self):
@@ -262,16 +244,16 @@ class TestGridFunction:
 
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError, match="power of two"):
-            GridFunction(1, 100, 1, np.zeros((100, 1)))
+            GridFunction(100, 1, np.zeros((100, 1)))
         with pytest.raises(ValueError, match="shape"):
-            GridFunction(1, 64, 2, np.zeros((64, 1)))
+            GridFunction(64, 2, np.zeros((64, 1)))
         bad = np.zeros((64, 1))
         bad[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            GridFunction(1, 64, 1, bad)
+            GridFunction(64, 1, bad)
 
     def test_no_duplicated_endpoint(self):
-        (x,) = coordinates(64)
+        x = coordinates(64)
         assert x[0] == 0.0
         assert x[-1] < PERIOD
 
@@ -296,12 +278,6 @@ class TestRefine:
         with pytest.raises(ResolutionError, match="too large"):
             refine(sine(1, 2048), 4096)
 
-    def test_2d_shared_points(self):
-        rng = np.random.default_rng(6)
-        f = random_trig_polynomial(rng, 32, dim=2)
-        r = refine(f, 2)
-        assert np.max(np.abs(r.samples[::2, ::2, 0] - f.samples[:, :, 0])) < 1e-12
-
 
 class TestCsv:
     def test_roundtrip_1d(self, tmp_path):
@@ -310,16 +286,15 @@ class TestCsv:
         path = tmp_path / "f.csv"
         save_csv(f, path)
         g = load_csv(path)
-        assert g.dim == 1 and g.n_points == 64 and g.n_components == 2
+        assert g.samples.shape == (64, 2)
+        assert g.n_points == 64 and g.n_components == 2
         assert np.array_equal(f.samples, g.samples)
 
-    def test_roundtrip_2d(self, tmp_path):
-        rng = np.random.default_rng(2)
-        f = random_trig_polynomial(rng, 16, dim=2, n_components=3, normalize=False)
+    def test_rejects_non_1d_header(self, tmp_path):
         path = tmp_path / "f2.csv"
-        save_csv(f, path)
-        g = load_csv(path)
-        assert np.array_equal(f.samples, g.samples)
+        path.write_text("# 2,4,1\n" + "0.5\n" * 16)
+        with pytest.raises(ValueError, match="dimension 2"):
+            load_csv(path)
 
     def test_header_present(self, tmp_path):
         f = sine(1, 32)

@@ -218,7 +218,7 @@ class TestRun:
 
 class TestCheckHypotheses:
     def test_stock_trace_passes(self, stock_trace):
-        report = check_hypotheses(stock_trace, make_scalar_toy(params(), 0.2))
+        report = check_hypotheses(stock_trace)
         assert report.passes
         assert all(m.worst <= 1.0 for m in report.margins)
         assert report.threshold == 3.0
@@ -226,14 +226,14 @@ class TestCheckHypotheses:
     def test_zero_remainder_error_clauses_trivial(self):
         instance = no_remainder(make_scalar_toy(params(n_steps=3), 0.2))
         trace = run(instance)
-        report = check_hypotheses(trace, instance)
+        report = check_hypotheses(trace)
         for margins in report.margins:
             assert all(e <= 1e-6 for e in margins.error)
 
     def test_rejects_empty_trace(self, stock_trace):
         truncated = replace(stock_trace, states=stock_trace.states[:1])
         with pytest.raises(ValueError, match="no completed steps"):
-            check_hypotheses(truncated, make_scalar_toy(params(), 0.2))
+            check_hypotheses(truncated)
 
 
 class TestTelescoping:
@@ -257,10 +257,8 @@ class TestTelescoping:
 
 
 class TestTraceCsv:
-    def test_format_and_residual_column(self, stock_trace, tmp_path):
-        path = tmp_path / "trace.csv"
-        trace_to_csv(stock_trace, path)
-        lines = path.read_text().strip().splitlines()
+    def test_format_and_residual_column(self, stock_trace):
+        lines = trace_to_csv(stock_trace).strip().splitlines()
         header = lines[0].split(",")
         assert header == ["step", "k", "norm_a", "norm_error", "norm_r",
                           "diff_norm", "identity_residual", "clause1_margin",
@@ -273,9 +271,7 @@ class TestTraceCsv:
             if cells[0] != "0" and cells[residual_idx]:
                 assert float(cells[residual_idx]) <= 1e-9
 
-    def test_step0_margins_blank(self, stock_trace, tmp_path):
-        path = tmp_path / "trace.csv"
-        trace_to_csv(stock_trace, path)
-        first_row = path.read_text().splitlines()[1].split(",")
+    def test_step0_margins_blank(self, stock_trace):
+        first_row = trace_to_csv(stock_trace).splitlines()[1].split(",")
         assert first_row[0] == "0"
         assert first_row[7] == "" and first_row[8] == ""

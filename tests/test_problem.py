@@ -13,7 +13,6 @@ from tamelab.problem import (
     IterationParams,
     NeighborhoodViolation,
     ProblemConfig,
-    load_problem_config,
     make_scalar_toy,
     make_two_component_toy,
     make_varying_toy,
@@ -232,7 +231,7 @@ class TestTwoComponent:
         a = random_trig_polynomial(np.random.default_rng(23), 2048, n_components=2)
         r = instance.remainder(a, 1)
         assert r.n_components == 1
-        assert instance.remainder(GridFunction.zeros(2048, 1, 2), 1).sup() == 0.0
+        assert instance.remainder(GridFunction.zeros(2048, 2), 1).sup() == 0.0
 
 
 class TestParams:
@@ -297,7 +296,7 @@ class TestConfig:
         path = tmp_path / "p.cfg"
         path.write_text("lambda = 16\nell = 4\nk0 = 4\nk1 = 1\nn_steps = 3\n"
                         "n_points = 1024\nr5_strength = 0.5\n")
-        cfg = load_problem_config(path)
+        cfg = ProblemConfig.from_mapping(parse_flat_config(path.read_text()))
         instance = cfg.build()
         kinds = [b.kind for b in instance.remainder.class_tags]
         assert kinds[-1] == "R5"

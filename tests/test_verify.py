@@ -118,12 +118,10 @@ class TestVerifyRemainderClass:
         with pytest.raises(ValueError, match="n_samples"):
             verify_remainder_class(RemainderTerm(R1), R1, params(), n_samples=9)
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         report = verify_remainder_class(RemainderTerm(R2), R2, params(),
                                         n_samples=10, seed=2, k_max=1)
-        path = tmp_path / "audit.csv"
-        bound_report_to_csv([report], path)
-        lines = path.read_text().strip().splitlines()
+        lines = bound_report_to_csv([report]).strip().splitlines()
         assert lines[0] == "class,k,constant,lambda,stable"
         assert len(lines) == 1 + 3 * 2  # 3 frequencies x (k_max+1) orders
         assert lines[1].startswith("R2,0,")
@@ -163,12 +161,10 @@ class TestFitDecay:
         fit2 = fit_decay(trace, 2)
         assert abs(fit.slope - fit2.slope) <= 0.20 * abs(fit.slope)
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         trace = synthetic_trace([1.0] + [10.0 ** -i for i in range(1, 6)])
         fit = fit_decay(trace, 0)
-        path = tmp_path / "decay.csv"
-        decay_fits_to_csv([fit], path)
-        lines = path.read_text().strip().splitlines()
+        lines = decay_fits_to_csv([fit]).strip().splitlines()
         assert lines[0] == "k,slope,intercept,r_squared,first_step,last_step"
         cells = lines[1].split(",")
         assert int(cells[0]) == 0 and int(cells[4]) == 1 and int(cells[5]) == 5
