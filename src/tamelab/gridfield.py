@@ -2,12 +2,14 @@
 
 Everything lives on the circle [0, 2*pi), sampled on a uniform grid with no
 duplicated endpoint.  Derivatives and smoothing act in Fourier space, so they
-are exact for trigonometric polynomials the grid resolves.  C^k norms are
-running maxima of derivative sups over the grid samples.
+are exact for trigonometric polynomials the grid resolves.  Fields are real,
+so every transform is a real one (rfft/irfft over modes 0..n/2).  C^k norms
+are running maxima of derivative sups over the grid samples.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,31 +123,35 @@ def coordinates(n_points: int) -> np.ndarray:
     return PERIOD * np.arange(n_points) / n_points
 
 
-def _mode_numbers(n_points: int) -> np.ndarray:
-    # Integer mode numbers for period 2*pi (so d/dx multiplies mode m by i*m).
-    return np.fft.fftfreq(n_points, d=1.0 / n_points)
-
-
 def _clean_spectrum(f: GridFunction) -> np.ndarray:
-    """Spectrum of f with coefficients below SPECTRAL_DUST of each
-    component's peak zeroed."""
-    spec = np.fft.fft(f.samples, axis=0)
+    """Half spectrum (rfft modes 0..n/2) of f with coefficients below
+    SPECTRAL_DUST of each component's peak zeroed."""
+    spec = np.fft.rfft(f.samples, axis=0)
     mags = np.abs(spec)
     peak = mags.max(axis=0)
     return np.where(mags >= SPECTRAL_DUST * peak, spec, 0.0)
 
 
-def _derivative_of(spec: np.ndarray, order: int) -> np.ndarray:
-    """Samples of d^order/dx^order from a spectrum: mode m times (i m)^order.
+@functools.lru_cache(maxsize=64)
+def _derivative_multiplier(n_points: int, order: int) -> np.ndarray:
+    """(i m)^order over the rfft modes m = 0..n_points/2, read-only.
 
-    The folded Nyquist mode has no consistent odd derivative, so odd orders
-    drop it (Trefethen, Spectral Methods in MATLAB, ch. 3).
+    The Nyquist mode has no consistent odd derivative, so odd orders drop
+    it (Trefethen, Spectral Methods in MATLAB, ch. 3).
     """
-    n = spec.shape[0]
-    mult = (1j * _mode_numbers(n)) ** order
+    m = np.arange(n_points // 2 + 1, dtype=np.float64)
+    mult = (1, 1j, -1, -1j)[order % 4] * m ** order
     if order % 2 == 1:
-        mult[n // 2] = 0.0
-    return np.fft.ifft(spec * mult[:, np.newaxis], axis=0).real
+        mult[n_points // 2] = 0.0
+    mult = mult[:, np.newaxis]
+    mult.flags.writeable = False
+    return mult
+
+
+def _derivative_of(spec: np.ndarray, n_points: int, order: int) -> np.ndarray:
+    """Samples of d^order/dx^order from a half spectrum of n_points samples."""
+    return np.fft.irfft(spec * _derivative_multiplier(n_points, order),
+                        n_points, axis=0)
 
 
 def derivative(f: GridFunction, order: int = 1) -> GridFunction:
@@ -156,7 +162,7 @@ def derivative(f: GridFunction, order: int = 1) -> GridFunction:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return f.with_samples(_derivative_of(_clean_spectrum(f), order))
+    return f.with_samples(_derivative_of(_clean_spectrum(f), f.n_points, order))
 
 
 @dataclass(frozen=True)
@@ -204,7 +210,7 @@ def ck_norm(f: GridFunction, k_max: int) -> NormVector:
     if k_max > 0:
         spec = _clean_spectrum(f)
         for k in range(1, k_max + 1):
-            sup_k = float(np.max(np.abs(_derivative_of(spec, k))))
+            sup_k = float(np.max(np.abs(_derivative_of(spec, f.n_points, k))))
             values.append(max(values[-1], sup_k))
     return NormVector(tuple(values))
 
@@ -217,9 +223,9 @@ def mollify(f: GridFunction, ell: float) -> GridFunction:
     """
     if not 0 < ell < PERIOD:
         raise ValueError(f"ell must lie in (0, {PERIOD:.6g}), got {ell}")
-    spec = np.fft.fft(f.samples, axis=0)
-    m = _mode_numbers(f.n_points)[:, np.newaxis]
-    out = np.fft.ifft(spec * np.exp(-0.5 * m ** 2 * ell * ell), axis=0).real
+    spec = np.fft.rfft(f.samples, axis=0)
+    m = np.arange(f.n_points // 2 + 1)[:, np.newaxis]
+    out = np.fft.irfft(spec * np.exp(-0.5 * m ** 2 * ell * ell), f.n_points, axis=0)
     return f.with_samples(out)
 
 
@@ -276,16 +282,22 @@ def random_trig_polynomial(rng: np.random.Generator, n_points: int,
     """Random low-mode trigonometric polynomial, optionally with sup norm 1.
 
     Modes 1..max_mode with uniform[-1, 1] sine/cosine coefficients; low modes
-    keep every norm grid-exact regardless of the experiment scale.
+    keep every norm grid-exact regardless of the experiment scale.  The
+    coefficients are drawn as (component, mode, cos/sin) in that nesting
+    order, and the field is summed by one inverse real transform.
     """
-    x = coordinates(n_points)
-    samples = np.zeros((n_points, n_components))
-    for comp in range(n_components):
-        field = np.zeros(n_points)
-        for m in range(1, max_mode + 1):
-            a, b = rng.uniform(-1.0, 1.0, size=2)
-            field = field + a * np.cos(m * x) + b * np.sin(m * x)
-        samples[:, comp] = field
+    if max_mode > n_points // 2:
+        raise ResolutionError(
+            f"max_mode {max_mode} unresolved at n_points={n_points}: need "
+            f"n_points >= {2 * max_mode}")
+    coeffs = rng.uniform(-1.0, 1.0, size=(n_components, max_mode, 2))
+    # a cos(mx) + b sin(mx) is the rfft coefficient (n/2)(a - ib) at mode m;
+    # at the Nyquist mode sin vanishes on the grid and cos carries weight n.
+    spec = np.zeros((n_points // 2 + 1, n_components), dtype=complex)
+    spec[1:max_mode + 1] = (0.5 * n_points) * (coeffs[..., 0] - 1j * coeffs[..., 1]).T
+    if max_mode == n_points // 2:
+        spec[max_mode] = n_points * coeffs[:, -1, 0]
+    samples = np.fft.irfft(spec, n_points, axis=0)
     f = GridFunction(n_points, n_components, samples)
     if normalize:
         s = f.sup()
@@ -309,14 +321,13 @@ def refine(f: GridFunction, factor: int) -> GridFunction:
         raise ResolutionError(
             f"refined grid too large: {n_new} x {f.n_components} samples "
             f"exceeds the {MAX_SAMPLES} guard")
-    padded = np.zeros((n_new, f.n_components), dtype=complex)
-    offset = n_new // 2 - n // 2
-    padded[offset:offset + n] = np.fft.fftshift(_clean_spectrum(f), axes=0)
-    # Split the folded Nyquist bin between +n/2 and -n/2 so the padded
-    # spectrum stays Hermitian and interpolates the samples exactly.
-    padded[offset] *= 0.5
-    padded[offset + n] = padded[offset]
-    out = np.fft.ifft(np.fft.ifftshift(padded, axes=0), axis=0).real * factor
+    padded = np.zeros((n_new // 2 + 1, f.n_components), dtype=complex)
+    padded[:n // 2 + 1] = _clean_spectrum(f)
+    # The coarse Nyquist bin stands for the +n/2 and -n/2 modes together;
+    # halved, it becomes one interior mode whose Hermitian partner irfft
+    # supplies, so the samples are interpolated exactly.
+    padded[n // 2] *= 0.5
+    out = np.fft.irfft(padded, n_new, axis=0) * factor
     return GridFunction(n_new, f.n_components, out)
 
 

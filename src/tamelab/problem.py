@@ -17,6 +17,7 @@ import numpy as np
 
 from .gridfield import (
     MAX_SAMPLES,
+    PERIOD,
     RESOLUTION_FACTOR,
     GridFunction,
     component_mean,
@@ -124,6 +125,15 @@ def r6(s: int, t: int) -> BoundClass:
     return BoundClass("R6", s=s, t=t)
 
 
+def _derived(f: GridFunction, order: int, cache: dict) -> GridFunction:
+    """d^order f, taken from cache or computed once and stored there."""
+    if order == 0:
+        return f
+    if order not in cache:
+        cache[order] = derivative(f, order)
+    return cache[order]
+
+
 @dataclass(frozen=True)
 class RemainderTerm:
     """One modulated-cosine remainder term.
@@ -138,16 +148,21 @@ class RemainderTerm:
     weight: float = 1.0
 
     def apply(self, a: GridFunction, b: Optional[GridFunction] = None, *,
-              lam: int, ell: float, modulation: GridFunction) -> GridFunction:
+              lam: int, ell: float, modulation: GridFunction,
+              derivatives: Optional[dict[int, GridFunction]] = None) -> GridFunction:
+        """Evaluate the term; b defaults to a.
+
+        derivatives maps an order j to d^j a.  Missing orders are computed
+        and stored in it, so callers evaluating several terms at one field
+        differentiate it once per order.
+        """
+        derivatives = {} if derivatives is None else derivatives
         orders = self.bound_class.arg_derivatives
-        if self.bound_class.arity == 1:
-            core = a if orders[0] == 0 else derivative(a, orders[0])
-        else:
-            if b is None:
-                b = a
-            u = a if orders[0] == 0 else derivative(a, orders[0])
-            v = b if orders[1] == 0 else derivative(b, orders[1])
-            core = pointwise_mul(u, v)
+        core = _derived(a, orders[0], derivatives)
+        if self.bound_class.arity == 2:
+            v = (_derived(a, orders[1], derivatives) if b is None
+                 else _derived(b, orders[1], {}))
+            core = pointwise_mul(core, v)
         core = component_mean(core)
         pref = self.weight * self.bound_class.prefactor(lam, ell)
         return scale(pref, pointwise_mul(modulation, core))
@@ -193,9 +208,11 @@ class RemainderSpec:
 
     def __call__(self, a: GridFunction, step: int) -> GridFunction:
         total = GridFunction.zeros(a.n_points)
+        derivatives: dict[int, GridFunction] = {}
         for term in self.terms:
-            total = total + term.apply(a, a, lam=self.lam, ell=self.ell,
-                                       modulation=self.modulation)
+            total = total + term.apply(a, lam=self.lam, ell=self.ell,
+                                       modulation=self.modulation,
+                                       derivatives=derivatives)
         return scale(self.step_scale(step), total)
 
 
@@ -236,8 +253,8 @@ class IterationParams:
     def validate(self) -> None:
         if self.lam != int(self.lam) or self.lam < 1:
             raise ValueError(f"lambda must be a positive integer, got {self.lam}")
-        if self.ell <= 0:
-            raise ValueError(f"ell must be positive, got {self.ell}")
+        if not 0 < self.ell < PERIOD:
+            raise ValueError(f"ell must lie in (0, 2*pi), got {self.ell}")
         if self.lambda_ell <= 1:
             raise ValueError(f"lambda*ell must exceed 1, got {self.lambda_ell}")
         if self.k1 < 1 or self.k0 < self.k1:
@@ -443,6 +460,8 @@ class ProblemConfig:
                 value = converters[key](raw)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad value for {key!r}: {raw!r}") from exc
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {raw!r}")
             kwargs[attrs.get(key, key)] = value
         cfg = cls(**kwargs)
         if cfg.kind not in ("scalar", "two_component"):

@@ -135,18 +135,21 @@ def verify_remainder_class(term: RemainderTerm, bound_class: BoundClass,
     """
     if n_samples < 10:
         raise ValueError(f"need n_samples >= 10, got {n_samples}")
+    # Per-sample seeding keeps serial and parallel execution identical; the
+    # same fields are reused at every frequency.
+    fields = []
+    for idx in range(n_samples):
+        rng_a = np.random.default_rng([seed, idx, 0])
+        rng_b = np.random.default_rng([seed, idx, 1])
+        a = random_trig_polynomial(rng_a, params.n_points)
+        b = (random_trig_polynomial(rng_b, params.n_points)
+             if bound_class.arity == 2 else None)
+        fields.append((a, b))
     constants = []
     for lam in lambda_grid:
         modulation = oscillator(1.0, lam, n_points=params.n_points)
         worst = [0.0] * (k_max + 1)
-        for idx in range(n_samples):
-            # Per-sample seeding keeps serial and parallel execution identical
-            # and reuses the same fields at every frequency.
-            rng_a = np.random.default_rng([seed, idx, 0])
-            rng_b = np.random.default_rng([seed, idx, 1])
-            a = random_trig_polynomial(rng_a, params.n_points)
-            b = (random_trig_polynomial(rng_b, params.n_points)
-                 if bound_class.arity == 2 else None)
+        for a, b in fields:
             r = term.apply(a, b, lam=lam, ell=params.ell, modulation=modulation)
             if r.n_points != params.n_points:
                 raise ValueError("evaluator returned a field on the wrong grid")

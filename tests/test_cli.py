@@ -50,6 +50,13 @@ class TestConfigParsing:
         ("ell=0.05", "amplitude=10"),  # target outside the 1/(3 C_F) neighborhood
         ("seed=-1",),
         ("n_points=8388608",),         # 2^23, above the sample cap
+        ("ell=nan",),
+        ("ell=inf",),
+        ("ell=8",),                    # mollifier width must lie in (0, 2 pi)
+        ("amplitude=nan",),
+        ("C_F=nan",),
+        ("drift=inf",),
+        ("r5_strength=nan",),
     ])
     def test_bad_input_exits_one(self, overrides, tmp_path, capsys):
         argv = ["run", "--config", str(CONFIG_DIR / "default.cfg"),

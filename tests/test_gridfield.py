@@ -69,6 +69,49 @@ class TestDerivative:
         expected = mode ** order * np.cos(mode * x + 0.3 + order * np.pi / 2)
         assert np.max(np.abs(d.samples[:, 0] - expected)) < 1e-12 * (1 + mode ** order)
 
+    @pytest.mark.parametrize("order", range(1, 8))
+    def test_highest_interior_mode(self, order):
+        # mode n/2 - 1 is the last one with a +m/-m pair below Nyquist
+        n = 64
+        m = n // 2 - 1
+        x = grid_x(n)
+        f = GridFunction.from_samples(np.cos(m * x + 0.3))
+        expected = m ** order * np.cos(m * x + 0.3 + order * np.pi / 2)
+        err = np.max(np.abs(derivative(f, order).samples[:, 0] - expected))
+        assert err < 1e-12 * m ** order
+
+    @pytest.mark.parametrize("order", range(1, 8))
+    def test_nyquist_mode(self, order):
+        # cos(n/2 x) = (-1)^j on the grid: odd orders give 0 (the Nyquist
+        # mode has no consistent odd derivative), even orders the closed form
+        n = 64
+        x = grid_x(n)
+        f = GridFunction.from_samples(np.cos(n // 2 * x))
+        d = derivative(f, order).samples[:, 0]
+        if order % 2 == 1:
+            assert np.max(np.abs(d)) == 0.0
+        else:
+            expected = (-1) ** (order // 2) * (n / 2) ** order * np.cos(n // 2 * x)
+            assert np.max(np.abs(d - expected)) < 1e-12 * (n / 2) ** order
+
+
+def complex_fft_ck_norm(f, k_max):
+    """Reference C^k norms through the full complex spectrum: the same dust
+    cleaning and odd-order Nyquist rule, one ifft per order."""
+    n = f.n_points
+    spec = np.fft.fft(f.samples, axis=0)
+    mags = np.abs(spec)
+    spec = np.where(mags >= 1e-13 * mags.max(axis=0), spec, 0.0)
+    modes = np.fft.fftfreq(n, d=1.0 / n)
+    values = [f.sup()]
+    for k in range(1, k_max + 1):
+        mult = (1j * modes) ** k
+        if k % 2 == 1:
+            mult[n // 2] = 0.0
+        d = np.fft.ifft(spec * mult[:, np.newaxis], axis=0).real
+        values.append(max(values[-1], float(np.max(np.abs(d)))))
+    return values
+
 
 class TestCkNorm:
     def test_constant(self):
@@ -124,6 +167,15 @@ class TestCkNorm:
         for k in range(4):
             assert abs(fine[k] - coarse[k]) / fine[k] < 0.01
 
+    @pytest.mark.parametrize("n", [2 ** 11, 2 ** 14])
+    def test_matches_complex_fft_reference(self, n):
+        rng = np.random.default_rng(n)
+        f = random_trig_polynomial(rng, n, n_components=2)
+        got = ck_norm(f, 7).values
+        want = complex_fft_ck_norm(f, 7)
+        for k in range(8):
+            assert abs(got[k] - want[k]) <= 1e-12 * want[k]
+
 
 class TestNormVector:
     def test_rejects_decreasing(self):
@@ -139,8 +191,9 @@ class TestNormVector:
 
 class TestMollify:
     def test_unit_mass_on_constants(self):
-        f = GridFunction.constant(4.2, 128)
-        assert (mollify(f, 0.5) - f).sup() < 1e-12
+        f = GridFunction.constant(4.2, 128, n_components=2)
+        for ell in (0.05, 0.5, 2.0, 6.0):
+            assert (mollify(f, ell) - f).sup() < 1e-14
 
     def test_small_ell_limit(self):
         # oracle: multiplier exp(-ell^2/2) on mode 1
@@ -155,6 +208,16 @@ class TestMollify:
         lam, ell = 16, 0.25
         out = mollify(sine(lam, 512), ell)
         assert out.sup() == pytest.approx(np.exp(-8.0), rel=0.01)
+
+    @pytest.mark.parametrize("mode,ell", [(1, 0.5), (5, 0.25), (40, 0.05), (63, 0.03)])
+    def test_single_mode_closed_form(self, mode, ell):
+        # cos(m x + phase) -> exp(-(m ell)^2 / 2) cos(m x + phase); the
+        # tolerance covers the reference's own argument-reduction rounding
+        n = 128
+        x = grid_x(n)
+        f = GridFunction.from_samples(np.cos(mode * x + 0.7))
+        expected = np.exp(-0.5 * (mode * ell) ** 2) * np.cos(mode * x + 0.7)
+        assert np.max(np.abs(mollify(f, ell).samples[:, 0] - expected)) < 1e-12
 
     def test_ell_domain(self):
         f = sine(1, 64)
@@ -265,6 +328,16 @@ class TestRefine:
         r = refine(f, 4)
         assert np.max(np.abs(r.samples[::4, 0] - f.samples[:, 0])) < 1e-12
 
+    def test_nyquist_energy_keeps_coarse_samples(self):
+        n = 64
+        x = grid_x(n)
+        samples = np.stack([np.cos(n // 2 * x) + 0.5 * np.sin(3 * x),
+                            2.0 * np.cos(n // 2 * x) - 0.25], axis=-1)
+        f = GridFunction.from_samples(samples)
+        for factor in (2, 8):
+            r = refine(f, factor)
+            assert np.max(np.abs(r.samples[::factor] - f.samples)) < 1e-12
+
     def test_pure_mode_everywhere(self):
         f = sine(7, 128)
         r = refine(f, 4)
@@ -277,6 +350,47 @@ class TestRefine:
             refine(f, 3)
         with pytest.raises(ResolutionError, match="too large"):
             refine(sine(1, 2048), 4096)
+
+
+def loop_trig_polynomial(rng, n_points, n_components, max_mode):
+    """The explicit sum a cos(mx) + b sin(mx), drawing (a, b) per mode."""
+    x = grid_x(n_points)
+    samples = np.zeros((n_points, n_components))
+    for comp in range(n_components):
+        for m in range(1, max_mode + 1):
+            a, b = rng.uniform(-1.0, 1.0, size=2)
+            samples[:, comp] += a * np.cos(m * x) + b * np.sin(m * x)
+    return samples
+
+
+class TestRandomTrigPolynomial:
+    @pytest.mark.parametrize("n", [16, 256, 2048])
+    @pytest.mark.parametrize("n_components", [1, 3])
+    def test_matches_explicit_sum(self, n, n_components):
+        # at n = 16 the top mode 8 sits on the Nyquist bin
+        f = random_trig_polynomial(np.random.default_rng([n, 1]), n,
+                                   n_components=n_components, normalize=False)
+        want = loop_trig_polynomial(np.random.default_rng([n, 1]), n,
+                                    n_components, max_mode=8)
+        assert np.max(np.abs(f.samples - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 256, 2048])
+    def test_generator_state_after_call(self, n):
+        # seeded audits draw several fields from one stream, so the stream
+        # must advance exactly as the per-mode loop advanced it
+        rng_new, rng_loop = (np.random.default_rng(99) for _ in range(2))
+        random_trig_polynomial(rng_new, n, n_components=2, max_mode=5)
+        loop_trig_polynomial(rng_loop, n, 2, max_mode=5)
+        assert rng_new.uniform(0.1, 0.99) == rng_loop.uniform(0.1, 0.99)
+        assert np.array_equal(rng_new.random(4), rng_loop.random(4))
+
+    def test_normalized_sup_one(self):
+        f = random_trig_polynomial(np.random.default_rng(4), 256)
+        assert f.sup() == pytest.approx(1.0, abs=1e-15)
+
+    def test_unresolved_mode_refused(self):
+        with pytest.raises(ResolutionError, match="max_mode"):
+            random_trig_polynomial(np.random.default_rng(0), 8)
 
 
 class TestCsv:

@@ -275,3 +275,26 @@ class TestTraceCsv:
         first_row = trace_to_csv(stock_trace).splitlines()[1].split(",")
         assert first_row[0] == "0"
         assert first_row[7] == "" and first_row[8] == ""
+
+
+class TestTransformCount:
+    def test_default_run_transform_count(self, monkeypatch):
+        # Default config: norm orders 7 - i at states i = 0..5.  Each state
+        # takes one rfft + one irfft for the shared first derivative in the
+        # remainder, then one rfft + (7 - i) irffts for each of ||a||, ||E||
+        # and ||r||; steps 1..5 add the same for the difference norm.
+        # rfft: 6 * 4 + 5 = 29.  irfft: 6 * 1 + 3 * 27 + 20 = 107.
+        instance = make_scalar_toy(params(), 0.2)
+        calls = {}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("rfft", "irfft", "fft", "ifft", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        trace = run(instance)
+        assert trace.flag == "completed" and trace.n_steps == 5
+        assert calls == {"rfft": 29, "irfft": 107}

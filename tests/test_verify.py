@@ -114,6 +114,20 @@ class TestVerifyRemainderClass:
                                    n_samples=10, seed=10)
         assert a.constants_by_lambda != c.constants_by_lambda
 
+    def test_fields_drawn_once_per_sample(self, monkeypatch):
+        # one a and one b per sample, reused across the three frequencies
+        import tamelab.verify as verify_module
+        drawn = []
+
+        def counting(*args, **kwargs):
+            drawn.append(1)
+            return random_trig_polynomial(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "random_trig_polynomial", counting)
+        verify_remainder_class(RemainderTerm(R2), R2, params(), n_samples=10,
+                               seed=2, k_max=1)
+        assert len(drawn) == 2 * 10
+
     def test_sample_count_precondition(self):
         with pytest.raises(ValueError, match="n_samples"):
             verify_remainder_class(RemainderTerm(R1), R1, params(), n_samples=9)
