@@ -46,6 +46,7 @@ from .verify import (
     DecayBands,
     DecayFit,
     InsufficientSteps,
+    audit_classes,
     demonstrate_r5_failure,
     fit_decay,
     oracle_norm,

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import iteration, ledger, verify
+from .gridfield import ResolutionError
 from .problem import (
     PROBLEM_KEYS,
     NeighborhoodViolation,
@@ -259,11 +260,13 @@ def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_remainder_audit(cfg: ExperimentConfig, out: Path) -> int:
-    params = cfg.problem.params()
-    seed = cfg.problem.seed
-    reports = [verify.verify_remainder_class(term, term.bound_class, params, seed=seed)
-               for term in stock_remainder_terms()]
-    control = verify.misdeclared_control(params, seed=seed)
+    if cfg.problem.kind != "scalar":
+        raise ConfigError(f"remainder-audit draws scalar fields only, "
+                          f"got kind={cfg.problem.kind!r}")
+    pairs = [(term, term.bound_class) for term in stock_remainder_terms()]
+    *reports, control = verify.audit_classes(
+        pairs + [verify.MISDECLARED_CONTROL], cfg.problem.params(),
+        seed=cfg.problem.seed)
     _atomic_write(out / "audit.csv", verify.bound_report_to_csv(reports + [control]))
     for report in reports:
         print(f"class {report.bound_class.kind}: constants "
@@ -389,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_r5_demo(cfg, out)
         if args.command == "sweep":
             return _cmd_sweep(cfg, out)
-    except (ConfigError, NeighborhoodViolation) as exc:
+    except (ConfigError, NeighborhoodViolation, ResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (iteration.DomainEscape, verify.InsufficientSteps,

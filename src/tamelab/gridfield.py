@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -154,15 +155,20 @@ def _derivative_of(spec: np.ndarray, n_points: int, order: int) -> np.ndarray:
                         n_points, axis=0)
 
 
-def derivative(f: GridFunction, order: int = 1) -> GridFunction:
+def derivative(f: GridFunction, order: int = 1,
+               spectrum: Optional[np.ndarray] = None) -> GridFunction:
     """Spectral derivative d^order/dx^order.
 
     Exact (to rounding) for trigonometric polynomials resolved by the grid;
-    the caller is responsible for the field being band-limited.
+    the caller is responsible for the field being band-limited.  spectrum,
+    when given, must be _clean_spectrum(f); FieldSpectrum passes it so one
+    transform of f serves every order and norm.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return f.with_samples(_derivative_of(_clean_spectrum(f), f.n_points, order))
+    if spectrum is None:
+        spectrum = _clean_spectrum(f)
+    return f.with_samples(_derivative_of(spectrum, f.n_points, order))
 
 
 @dataclass(frozen=True)
@@ -192,12 +198,15 @@ class NormVector:
         return len(self.values)
 
 
-def ck_norm(f: GridFunction, k_max: int) -> NormVector:
+def ck_norm(f: GridFunction, k_max: int,
+            spectrum: Optional[np.ndarray] = None) -> NormVector:
     """Norms ||f||_0 .. ||f||_k_max, each the max derivative sup up to order k.
 
     Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points; experiments
     at frequency lam must additionally keep n_points >= RESOLUTION_FACTOR *
-    lam * (k_max + 1) (enforced where lam is known).
+    lam * (k_max + 1) (enforced where lam is known: IterationParams.validate
+    and verify.audit_classes).  spectrum, when given, must be
+    _clean_spectrum(f), as for derivative.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -208,11 +217,44 @@ def ck_norm(f: GridFunction, k_max: int) -> NormVector:
             f"(= {RESOLUTION_FACTOR} * (k_max + 1))")
     values = [f.sup()]
     if k_max > 0:
-        spec = _clean_spectrum(f)
+        if spectrum is None:
+            spectrum = _clean_spectrum(f)
         for k in range(1, k_max + 1):
-            sup_k = float(np.max(np.abs(_derivative_of(spec, f.n_points, k))))
+            sup_k = float(np.max(np.abs(_derivative_of(spectrum, f.n_points, k))))
             values.append(max(values[-1], sup_k))
     return NormVector(tuple(values))
+
+
+class FieldSpectrum:
+    """One field's cleaned half spectrum, taken on first use, and the
+    derivatives and C^k norms read from it.
+
+    Each derivative order is computed once and kept, so callers that
+    differentiate and norm the same field transform it once.  It keeps every
+    order asked for alive, so it should live no longer than its field's use.
+    """
+
+    def __init__(self, field: GridFunction):
+        self.field = field
+        self._spectrum: Optional[np.ndarray] = None
+        self._derivatives: dict[int, GridFunction] = {}
+
+    def spectrum(self) -> np.ndarray:
+        if self._spectrum is None:
+            self._spectrum = _clean_spectrum(self.field)
+        return self._spectrum
+
+    def derivative(self, order: int) -> GridFunction:
+        """d^order f; order 0 is the field itself."""
+        if order == 0:
+            return self.field
+        if order not in self._derivatives:
+            self._derivatives[order] = derivative(self.field, order,
+                                                  self.spectrum())
+        return self._derivatives[order]
+
+    def ck_norm(self, k_max: int) -> NormVector:
+        return ck_norm(self.field, k_max, self.spectrum() if k_max > 0 else None)
 
 
 def mollify(f: GridFunction, ell: float) -> GridFunction:

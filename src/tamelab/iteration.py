@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ledger
-from .gridfield import GridFunction, NormVector, ck_norm
+from .gridfield import FieldSpectrum, GridFunction, NormVector, ck_norm
 from .problem import DomainEscape, ProblemInstance
 
 __all__ = [
@@ -105,16 +105,20 @@ class HypothesisReport:
 
 
 def _state(instance: ProblemInstance, step_index: int, a: GridFunction) -> IterationState:
-    p = instance.params
-    r_of_a = instance.remainder(a, step_index)
+    order = instance.params.norm_order(step_index)
+    spectral_a = FieldSpectrum(a)  # one transform of a: remainder and norms
+    r_of_a = instance.remainder(a, step_index, spectral_a)
+    norms_a = spectral_a.ck_norm(order)
+    # a's spectrum and derivatives are not needed past this point; on fine
+    # grids keeping them through the other norms would raise peak memory.
+    del spectral_a
     error = instance.target - instance.bilinear(a, a, step_index) - r_of_a
-    order = p.norm_order(step_index)
     return IterationState(
         step=step_index,
         a=a,
         r_of_a=r_of_a,
         error=error,
-        norms_a=ck_norm(a, order),
+        norms_a=norms_a,
         norms_error=ck_norm(error, order),
         norms_r=ck_norm(r_of_a, order),
     )

@@ -19,10 +19,10 @@ from .gridfield import (
     MAX_SAMPLES,
     PERIOD,
     RESOLUTION_FACTOR,
+    FieldSpectrum,
     GridFunction,
     component_mean,
     component_sum,
-    derivative,
     mollify,
     oscillator,
     pointwise_mul,
@@ -125,13 +125,13 @@ def r6(s: int, t: int) -> BoundClass:
     return BoundClass("R6", s=s, t=t)
 
 
-def _derived(f: GridFunction, order: int, cache: dict) -> GridFunction:
-    """d^order f, taken from cache or computed once and stored there."""
-    if order == 0:
-        return f
-    if order not in cache:
-        cache[order] = derivative(f, order)
-    return cache[order]
+def _spectrum_of(f: GridFunction, cache: Optional[FieldSpectrum]) -> FieldSpectrum:
+    """cache when it holds f, a fresh FieldSpectrum of f when it is None."""
+    if cache is None:
+        return FieldSpectrum(f)
+    if cache.field is not f:
+        raise ValueError("derivative cache belongs to a different field")
+    return cache
 
 
 @dataclass(frozen=True)
@@ -149,20 +149,21 @@ class RemainderTerm:
 
     def apply(self, a: GridFunction, b: Optional[GridFunction] = None, *,
               lam: int, ell: float, modulation: GridFunction,
-              derivatives: Optional[dict[int, GridFunction]] = None) -> GridFunction:
+              derivatives: Optional[FieldSpectrum] = None,
+              b_derivatives: Optional[FieldSpectrum] = None) -> GridFunction:
         """Evaluate the term; b defaults to a.
 
-        derivatives maps an order j to d^j a.  Missing orders are computed
-        and stored in it, so callers evaluating several terms at one field
-        differentiate it once per order.
+        derivatives and b_derivatives are FieldSpectrum caches of a and b.
+        Orders missing from them are computed and kept there, so callers
+        evaluating several terms at the same fields differentiate each field
+        once per order.
         """
-        derivatives = {} if derivatives is None else derivatives
+        da = _spectrum_of(a, derivatives)
+        db = da if b is None else _spectrum_of(b, b_derivatives)
         orders = self.bound_class.arg_derivatives
-        core = _derived(a, orders[0], derivatives)
+        core = da.derivative(orders[0])
         if self.bound_class.arity == 2:
-            v = (_derived(a, orders[1], derivatives) if b is None
-                 else _derived(b, orders[1], {}))
-            core = pointwise_mul(core, v)
+            core = pointwise_mul(core, db.derivative(orders[1]))
         core = component_mean(core)
         pref = self.weight * self.bound_class.prefactor(lam, ell)
         return scale(pref, pointwise_mul(modulation, core))
@@ -206,9 +207,12 @@ class RemainderSpec:
     def step_scale(self, step: int) -> float:
         return 1.0 + self.drift * (self.lam * self.ell) ** (-step)
 
-    def __call__(self, a: GridFunction, step: int) -> GridFunction:
+    def __call__(self, a: GridFunction, step: int,
+                 derivatives: Optional[FieldSpectrum] = None) -> GridFunction:
+        """r_step(a).  derivatives, a FieldSpectrum of a, lets the caller
+        reuse the transform of a the terms take."""
         total = GridFunction.zeros(a.n_points)
-        derivatives: dict[int, GridFunction] = {}
+        derivatives = _spectrum_of(a, derivatives)
         for term in self.terms:
             total = total + term.apply(a, lam=self.lam, ell=self.ell,
                                        modulation=self.modulation,

@@ -14,8 +14,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import iteration
-from .gridfield import GridFunction, ck_norm, derivative, oscillator, refine, \
-    random_trig_polynomial
+from .gridfield import (
+    RESOLUTION_FACTOR,
+    FieldSpectrum,
+    GridFunction,
+    ResolutionError,
+    ck_norm,
+    oscillator,
+    random_trig_polynomial,
+    refine,
+)
 from .problem import (
     BoundClass,
     IterationParams,
@@ -75,6 +83,67 @@ class BoundReport:
         return True
 
 
+def _norm_factors(bound_class: BoundClass) -> tuple[tuple[int, int, int], ...]:
+    """(argument, derivative order, order shift) of each norm sequence the
+    class estimate pairs; argument 0 is a and 1 is b.
+
+    R4 and R5 pair ||a||_(j1+1) with ||b||_j2; every other class pairs the
+    norms of its differentiated arguments, ||d^s a||_j1 and ||d^t b||_j2.
+    """
+    if bound_class.kind in ("R4", "R5"):
+        return ((0, 0, 1), (1, 0, 0))
+    return tuple((arg, order, 0)
+                 for arg, order in enumerate(bound_class.arg_derivatives))
+
+
+def _argument_norms(fields: Sequence[FieldSpectrum],
+                    classes: Sequence[BoundClass], k_max: int) -> dict:
+    """(argument, derivative order) -> norms of that field, taken once up
+    to the highest order any of the classes reads.
+
+    A derivative is normed from its own transform, exactly as ck_norm of
+    the differentiated field, so the values do not depend on sharing."""
+    tops: dict = {}
+    for bound_class in classes:
+        for arg, order, shift in _norm_factors(bound_class):
+            tops[(arg, order)] = max(tops.get((arg, order), 0), k_max + shift)
+    norms = {}
+    for (arg, order), top in tops.items():
+        field = fields[arg]
+        norms[(arg, order)] = (field.ck_norm(top) if order == 0 else
+                               ck_norm(field.derivative(order), top)).values
+    return norms
+
+
+def _class_norms(bound_class: BoundClass, norms: dict,
+                 k_max: int) -> tuple[tuple[float, ...], ...]:
+    """The lambda-independent norm sequences the class estimate pairs, each
+    indexed by the order j it enters at."""
+    return tuple(norms[(arg, order)][shift:shift + k_max + 1]
+                 for arg, order, shift in _norm_factors(bound_class))
+
+
+def _rhs_polynomial(bound_class: BoundClass,
+                    class_norms: tuple[tuple[float, ...], ...], lam: int,
+                    ell: float, k_max: int) -> tuple[float, ...]:
+    """The lambda polynomial of the class estimate over precomputed norms:
+    arithmetic only."""
+    pref = bound_class.prefactor(lam, ell)
+    if len(class_norms) == 1:
+        (na,) = class_norms
+        return tuple(pref * sum(na[j] * lam ** (k - j) for j in range(k + 1))
+                     for k in range(k_max + 1))
+    first, second = class_norms
+    out = []
+    for k in range(k_max + 1):
+        total = 0.0
+        for j1 in range(k + 1):
+            for j2 in range(k + 1 - j1):
+                total += first[j1] * second[j2] * lam ** (k - j1 - j2)
+        out.append(pref * total)
+    return tuple(out)
+
+
 def class_bound_rhs(bound_class: BoundClass, a: GridFunction,
                     b: Optional[GridFunction], lam: int, ell: float,
                     k_max: int) -> tuple[float, ...]:
@@ -82,43 +151,78 @@ def class_bound_rhs(bound_class: BoundClass, a: GridFunction,
 
     Linear classes: pref * sum_{j<=k} ||a||_j lam^(k-j).  Bilinear classes
     pair the (possibly differentiated or order-shifted) argument norms over
-    j1 + j2 <= k.
+    j1 + j2 <= k; b defaults to a.
     """
-    pref = bound_class.prefactor(lam, ell)
-    kind = bound_class.kind
-    if kind == "R1":
-        norms = ck_norm(a, k_max)
-        return tuple(pref * sum(norms[j] * lam ** (k - j) for j in range(k + 1))
-                     for k in range(k_max + 1))
-    if b is None:
-        b = a
-    if kind == "R2":
-        na, nb = ck_norm(a, k_max), ck_norm(b, k_max)
-        first = lambda j1: na[j1]
-        second = lambda j2: nb[j2]
-    elif kind in ("R4", "R5"):
-        na, nb = ck_norm(a, k_max + 1), ck_norm(b, k_max)
-        first = lambda j1: na[j1 + 1]
-        second = lambda j2: nb[j2]
-    elif kind == "R3":
-        na, nb = ck_norm(derivative(a), k_max), ck_norm(derivative(b), k_max)
-        first = lambda j1: na[j1]
-        second = lambda j2: nb[j2]
-    elif kind == "R6":
-        na = ck_norm(derivative(a, bound_class.s), k_max)
-        nb = ck_norm(derivative(b, bound_class.t), k_max)
-        first = lambda j1: na[j1]
-        second = lambda j2: nb[j2]
-    else:
-        raise ValueError(f"unknown class kind {kind!r}")
-    out = []
-    for k in range(k_max + 1):
-        total = 0.0
-        for j1 in range(k + 1):
-            for j2 in range(k + 1 - j1):
-                total += first(j1) * second(j2) * lam ** (k - j1 - j2)
-        out.append(pref * total)
-    return tuple(out)
+    spectral_a = FieldSpectrum(a)
+    fields = (spectral_a, spectral_a if b is None else FieldSpectrum(b))
+    norms = _argument_norms(fields, [bound_class], k_max)
+    return _rhs_polynomial(bound_class, _class_norms(bound_class, norms, k_max),
+                           lam, ell, k_max)
+
+
+def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
+                  params: IterationParams, n_samples: int = 12, seed: int = 0,
+                  k_max: int = 3,
+                  lambda_grid: Sequence[int] = DEFAULT_LAMBDA_GRID,
+                  ) -> list[BoundReport]:
+    """Audit each (term, declared class) pair; one report per pair, in order.
+
+    Draws seeded low-mode fields a (and b, when some class is bilinear) with
+    sup norm 1, evaluates every term at each frequency in the grid (same
+    fields, same ell), and reports the worst measured/bound ratio per order.
+    Auditing a term against the wrong class shows up as constants that
+    drift with the frequency.
+
+    The pass is sample-major: each sample's fields are drawn, differentiated
+    and normed once for all pairs and frequencies, and only the running
+    worst ratios are kept, so one sample's fields are alive at a time.
+    Raises ResolutionError, before drawing, when the grid cannot resolve
+    norms to order k_max at the top frequency.
+    """
+    if n_samples < 10:
+        raise ValueError(f"need n_samples >= 10, got {n_samples}")
+    lambda_grid = tuple(lambda_grid)
+    needed = RESOLUTION_FACTOR * max(lambda_grid) * (k_max + 1)
+    if params.n_points < needed:
+        raise ResolutionError(
+            f"audit to order {k_max} at frequency {max(lambda_grid)} needs "
+            f"n_points >= {needed} (= {RESOLUTION_FACTOR} * lambda * "
+            f"(k_max + 1)), got {params.n_points}")
+    pairs = tuple(pairs)
+    classes = [bound_class for _, bound_class in pairs]
+    draw_b = any(bound_class.arity == 2 for bound_class in classes)
+    modulations = [oscillator(1.0, lam, n_points=params.n_points)
+                   for lam in lambda_grid]
+    worst = [[[0.0] * (k_max + 1) for _ in lambda_grid] for _ in pairs]
+    for idx in range(n_samples):
+        # Per-sample seeding keeps the fields independent of which pairs
+        # are audited together and of the sample order.
+        a = random_trig_polynomial(np.random.default_rng([seed, idx, 0]),
+                                   params.n_points)
+        b = (random_trig_polynomial(np.random.default_rng([seed, idx, 1]),
+                                    params.n_points) if draw_b else None)
+        fields = (FieldSpectrum(a), None if b is None else FieldSpectrum(b))
+        norms = _argument_norms(fields, classes, k_max)
+        for (term, bound_class), rows in zip(pairs, worst):
+            bilinear = bound_class.arity == 2
+            class_norms = _class_norms(bound_class, norms, k_max)
+            for lam, modulation, row in zip(lambda_grid, modulations, rows):
+                r = term.apply(a, b if bilinear else None, lam=lam,
+                               ell=params.ell, modulation=modulation,
+                               derivatives=fields[0],
+                               b_derivatives=fields[1] if bilinear else None)
+                if r.n_points != params.n_points:
+                    raise ValueError("evaluator returned a field on the wrong grid")
+                measured = ck_norm(r, k_max)
+                rhs = _rhs_polynomial(bound_class, class_norms, lam,
+                                      params.ell, k_max)
+                for k in range(k_max + 1):
+                    if rhs[k] > 0:
+                        row[k] = max(row[k], measured[k] / rhs[k])
+    return [BoundReport(bound_class=bound_class, lambda_grid=lambda_grid,
+                        constants_by_lambda=tuple(tuple(row) for row in rows),
+                        sample_count=n_samples, seed=seed)
+            for (_, bound_class), rows in zip(pairs, worst)]
 
 
 def verify_remainder_class(term: RemainderTerm, bound_class: BoundClass,
@@ -126,51 +230,22 @@ def verify_remainder_class(term: RemainderTerm, bound_class: BoundClass,
                            seed: int = 0, k_max: int = 3,
                            lambda_grid: Sequence[int] = DEFAULT_LAMBDA_GRID,
                            ) -> BoundReport:
-    """Audit a remainder term against a declared class.
+    """Audit one remainder term against a declared class (see audit_classes)."""
+    return audit_classes([(term, bound_class)], params, n_samples, seed,
+                         k_max, lambda_grid)[0]
 
-    Draws seeded low-mode fields with sup norm 1, evaluates the term at each
-    frequency in the grid (same fields, same ell), and reports the worst
-    measured/bound ratio per order.  Auditing a term against the wrong class
-    shows up as constants that drift with the frequency.
-    """
-    if n_samples < 10:
-        raise ValueError(f"need n_samples >= 10, got {n_samples}")
-    # Per-sample seeding keeps serial and parallel execution identical; the
-    # same fields are reused at every frequency.
-    fields = []
-    for idx in range(n_samples):
-        rng_a = np.random.default_rng([seed, idx, 0])
-        rng_b = np.random.default_rng([seed, idx, 1])
-        a = random_trig_polynomial(rng_a, params.n_points)
-        b = (random_trig_polynomial(rng_b, params.n_points)
-             if bound_class.arity == 2 else None)
-        fields.append((a, b))
-    constants = []
-    for lam in lambda_grid:
-        modulation = oscillator(1.0, lam, n_points=params.n_points)
-        worst = [0.0] * (k_max + 1)
-        for a, b in fields:
-            r = term.apply(a, b, lam=lam, ell=params.ell, modulation=modulation)
-            if r.n_points != params.n_points:
-                raise ValueError("evaluator returned a field on the wrong grid")
-            measured = ck_norm(r, k_max)
-            rhs = class_bound_rhs(bound_class, a, b, lam, params.ell, k_max)
-            for k in range(k_max + 1):
-                if rhs[k] > 0:
-                    worst[k] = max(worst[k], measured[k] / rhs[k])
-        constants.append(tuple(worst))
-    return BoundReport(bound_class=bound_class, lambda_grid=tuple(lambda_grid),
-                       constants_by_lambda=tuple(constants),
-                       sample_count=n_samples, seed=seed)
+
+# Deliberate misdeclaration: the self-interaction term audited against the
+# quadratic class, whose prefactor cannot absorb the derivative's factor of
+# lam.  Its report must come back unstable.
+MISDECLARED_CONTROL = (self_interaction_term(1.0), R2)
 
 
 def misdeclared_control(params: IterationParams, n_samples: int = 12,
                         seed: int = 0, k_max: int = 3) -> BoundReport:
-    """Deliberate misdeclaration: audit the self-interaction term against the
-    quadratic class, whose prefactor cannot absorb the derivative's factor of
-    lam.  The report must come back unstable."""
-    return verify_remainder_class(self_interaction_term(1.0), R2, params,
-                                  n_samples=n_samples, seed=seed, k_max=k_max)
+    """Audit MISDECLARED_CONTROL; the report must come back unstable."""
+    return audit_classes([MISDECLARED_CONTROL], params, n_samples, seed,
+                         k_max)[0]
 
 
 @dataclass(frozen=True)

@@ -57,15 +57,22 @@ class TestConfigParsing:
         ("C_F=nan",),
         ("drift=inf",),
         ("r5_strength=nan",),
+        # A leading subcommand runs it on its own shipped config.
+        ("remainder-audit", "n_points=1024"),   # lambda=64 at k=3 needs 2048
+        ("remainder-audit", "kind=two_component"),  # audit draws scalars only
     ])
     def test_bad_input_exits_one(self, overrides, tmp_path, capsys):
-        argv = ["run", "--config", str(CONFIG_DIR / "default.cfg"),
+        command, config, output = "run", "default.cfg", "trace.csv"
+        if overrides[0] == "remainder-audit":
+            command, config, output = overrides[0], "audit.cfg", "audit.csv"
+            overrides = overrides[1:]
+        argv = [command, "--config", str(CONFIG_DIR / config),
                 "--output_dir", str(tmp_path)]
         for item in overrides:
             argv += ["--set", item]
         assert main(argv) == 1
         assert "config error:" in capsys.readouterr().err
-        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / output).exists()
 
     def test_precondition_checked_before_compute(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("lambda = 16", "lambda = 4096"))

@@ -280,10 +280,11 @@ class TestTraceCsv:
 class TestTransformCount:
     def test_default_run_transform_count(self, monkeypatch):
         # Default config: norm orders 7 - i at states i = 0..5.  Each state
-        # takes one rfft + one irfft for the shared first derivative in the
-        # remainder, then one rfft + (7 - i) irffts for each of ||a||, ||E||
-        # and ||r||; steps 1..5 add the same for the difference norm.
-        # rfft: 6 * 4 + 5 = 29.  irfft: 6 * 1 + 3 * 27 + 20 = 107.
+        # takes one rfft of a, shared by the remainder's first derivative
+        # (one irfft) and ||a|| ((7 - i) irffts), then one rfft + (7 - i)
+        # irffts for each of ||E|| and ||r||; steps 1..5 add one rfft +
+        # (7 - i) irffts for the difference norm.
+        # rfft: 6 * 3 + 5 = 23.  irfft: 6 * 1 + 3 * 27 + 20 = 107.
         instance = make_scalar_toy(params(), 0.2)
         calls = {}
 
@@ -297,4 +298,4 @@ class TestTransformCount:
             monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         trace = run(instance)
         assert trace.flag == "completed" and trace.n_steps == 5
-        assert calls == {"rfft": 29, "irfft": 107}
+        assert calls == {"rfft": 23, "irfft": 107}

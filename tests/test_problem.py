@@ -216,6 +216,23 @@ class TestSelfInteraction:
                          pointwise_mul(modulation, pointwise_mul(derivative(a), a)))
         assert (out - expected).sup() < 1e-14
 
+    def test_derivative_caches_shared_and_checked(self):
+        from tamelab.gridfield import FieldSpectrum, oscillator
+        params = default_params()
+        term = self_interaction_term(1.0)
+        modulation = oscillator(1.0, params.lam, n_points=params.n_points)
+        a, b = (random_trig_polynomial(np.random.default_rng(seed), params.n_points)
+                for seed in (17, 18))
+        kwargs = dict(lam=params.lam, ell=params.ell, modulation=modulation)
+        da, db = FieldSpectrum(a), FieldSpectrum(b)
+        cached = term.apply(a, b, derivatives=da, b_derivatives=db, **kwargs)
+        assert np.array_equal(cached.samples, term.apply(a, b, **kwargs).samples)
+        assert da.derivative(1) is da.derivative(1)  # kept, not recomputed
+        with pytest.raises(ValueError, match="different field"):
+            term.apply(a, b, derivatives=db, **kwargs)
+        with pytest.raises(ValueError, match="different field"):
+            term.apply(a, b, b_derivatives=da, **kwargs)
+
 
 class TestTwoComponent:
     def test_right_inverse(self):

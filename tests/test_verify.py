@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tamelab.cli import load_experiment_config
 from tamelab.gridfield import (
     GridFunction,
     NormVector,
     ResolutionError,
     ck_norm,
+    derivative,
     oscillator,
     random_trig_polynomial,
 )
@@ -20,12 +23,15 @@ from tamelab.problem import (
     IterationParams,
     RemainderTerm,
     make_scalar_toy,
+    r6,
     self_interaction_term,
     stock_remainder_terms,
 )
 from tamelab.verify import (
+    MISDECLARED_CONTROL,
     DecayBands,
     InsufficientSteps,
+    audit_classes,
     bound_report_to_csv,
     decay_fits_to_csv,
     demonstrate_r5_failure,
@@ -34,6 +40,9 @@ from tamelab.verify import (
     oracle_norm,
     verify_remainder_class,
 )
+
+
+AUDIT_CFG = Path(__file__).resolve().parent.parent / "configs" / "audit.cfg"
 
 
 def params(**overrides):
@@ -139,6 +148,140 @@ class TestVerifyRemainderClass:
         assert lines[0] == "class,k,constant,lambda,stable"
         assert len(lines) == 1 + 3 * 2  # 3 frequencies x (k_max+1) orders
         assert lines[1].startswith("R2,0,")
+
+
+def audit_cfg_params():
+    return load_experiment_config(str(AUDIT_CFG), []).problem.params()
+
+
+def stock_pairs():
+    """The pairs remainder-audit runs: four stock terms plus the control."""
+    return [(term, term.bound_class) for term in stock_remainder_terms()] + [
+        MISDECLARED_CONTROL]
+
+
+def reference_rhs(bound_class, a, b, lam, ell, k_max):
+    """The class estimate with unit constant, every norm taken afresh."""
+    pref = bound_class.prefactor(lam, ell)
+    if bound_class.kind == "R1":
+        na = ck_norm(a, k_max)
+        return tuple(pref * sum(na[j] * lam ** (k - j) for j in range(k + 1))
+                     for k in range(k_max + 1))
+    if bound_class.kind in ("R4", "R5"):
+        na = ck_norm(a, k_max + 1).values[1:]
+        nb = ck_norm(b, k_max)
+    else:
+        s, t = bound_class.arg_derivatives
+        na = ck_norm(derivative(a, s) if s else a, k_max)
+        nb = ck_norm(derivative(b, t) if t else b, k_max)
+    out = []
+    for k in range(k_max + 1):
+        total = 0.0
+        for j1 in range(k + 1):
+            for j2 in range(k + 1 - j1):
+                total += na[j1] * nb[j2] * lam ** (k - j1 - j2)
+        out.append(pref * total)
+    return tuple(out)
+
+
+def reference_constants(term, bound_class, p, seed, n_samples=12, k_max=3,
+                        lambda_grid=(16, 32, 64)):
+    """Per-class reference loop: fields redrawn and every norm retaken at
+    each frequency, nothing shared between classes or frequencies."""
+    constants = []
+    for lam in lambda_grid:
+        modulation = oscillator(1.0, lam, n_points=p.n_points)
+        worst = [0.0] * (k_max + 1)
+        for idx in range(n_samples):
+            a = random_trig_polynomial(np.random.default_rng([seed, idx, 0]),
+                                       p.n_points)
+            b = (random_trig_polynomial(np.random.default_rng([seed, idx, 1]),
+                                        p.n_points)
+                 if bound_class.arity == 2 else None)
+            r = term.apply(a, b, lam=lam, ell=p.ell, modulation=modulation)
+            measured = ck_norm(r, k_max)
+            rhs = reference_rhs(bound_class, a, a if b is None else b, lam,
+                                p.ell, k_max)
+            for k in range(k_max + 1):
+                if rhs[k] > 0:
+                    worst[k] = max(worst[k], measured[k] / rhs[k])
+        constants.append(tuple(worst))
+    return tuple(constants)
+
+
+class TestAuditClasses:
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_shared_pass_equals_separate_audits(self, seed):
+        # a bilinear term audited as linear evaluates at (a, a) on its own,
+        # so it must not see the b the other pairs share
+        extra = [(RemainderTerm(r6(2, 1)), r6(2, 1)), (RemainderTerm(R2), R1)]
+        pairs = stock_pairs() + extra
+        shared = audit_classes(pairs, params(), seed=seed)
+        separate = [verify_remainder_class(term, bound_class, params(), seed=seed)
+                    for term, bound_class in stock_pairs()[:4]]
+        separate.append(misdeclared_control(params(), seed=seed))
+        separate += [verify_remainder_class(term, bound_class, params(), seed=seed)
+                     for term, bound_class in extra]
+        assert [r.bound_class for r in shared] == [c for _, c in pairs]
+        assert ([r.constants_by_lambda for r in shared]
+                == [r.constants_by_lambda for r in separate])
+        assert ([r.constants_by_lambda for r in shared]
+                == [reference_constants(term, bound_class, params(), seed)
+                    for term, bound_class in pairs])
+
+    def test_pair_order_does_not_change_reports(self):
+        pairs = stock_pairs()
+        forward = audit_classes(pairs, params(), seed=3)
+        backward = audit_classes(pairs[::-1], params(), seed=3)
+        assert ([r.constants_by_lambda for r in forward]
+                == [r.constants_by_lambda for r in backward[::-1]])
+
+    def test_fields_drawn_once_per_command(self, monkeypatch):
+        # 12 samples of a and b, shared by all five pairs; a linear class
+        # alone draws no b
+        import tamelab.verify as verify_module
+        drawn = []
+
+        def counting(*args, **kwargs):
+            drawn.append(1)
+            return random_trig_polynomial(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "random_trig_polynomial", counting)
+        p = audit_cfg_params()
+        audit_classes(stock_pairs(), p, seed=p.seed)
+        assert len(drawn) == 24
+        audit_classes([(RemainderTerm(R1), R1)], p, n_samples=10)
+        assert len(drawn) == 24 + 10
+
+    def test_resolution_rule_before_drawing(self, monkeypatch):
+        # lambda = 64 at k_max = 3 needs 8 * 64 * 4 = 2048 points
+        import tamelab.verify as verify_module
+        monkeypatch.setattr(verify_module, "random_trig_polynomial", None)
+        with pytest.raises(ResolutionError, match="n_points >= 2048"):
+            audit_classes(stock_pairs(), params(n_points=1024))
+        with pytest.raises(ResolutionError, match="n_points >= 4096"):
+            audit_classes(stock_pairs(), params(), lambda_grid=(128, 16))
+
+    def test_transform_count(self, monkeypatch):
+        # Per sample (12 at audit.cfg): a and b drawn with one irfft each.
+        # Argument norms: ||a||_4 one rfft + 4 irffts (R4 reads order k+1),
+        # ||b||_3 one rfft + 3; d/dx a and d/dx b one irfft each from those
+        # spectra, then ||da||_3 and ||db||_3 one rfft + 3 irffts each.
+        # Measured norms: 5 pairs x 3 frequencies x (one rfft + 3 irffts).
+        # rfft: 12 * (4 + 15) = 228.  irfft: 12 * (2 + 4 + 3 + 2 + 6 + 45) = 744.
+        calls = {}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("rfft", "irfft", "fft", "ifft", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        p = audit_cfg_params()
+        audit_classes(stock_pairs(), p, seed=p.seed)
+        assert calls == {"rfft": 228, "irfft": 744}
 
 
 class TestFitDecay:
