@@ -34,6 +34,8 @@ from .problem import (
 EXPERIMENTS = ("run", "decay", "remainder-audit", "ledger", "r5-demo", "sweep")
 
 LEDGER_KEYS = ("C", "C_err", "C_r")
+# The problem keys remainder-audit reads; it refuses the others.
+AUDIT_KEYS = ("kind", "ell", "n_points", "seed")
 EXTRA_KEYS = ("experiment", "output_dir", "plot", "lambda_ell") + LEDGER_KEYS
 ALL_KEYS = PROBLEM_KEYS + EXTRA_KEYS
 
@@ -49,6 +51,7 @@ class ExperimentConfig:
     """Validated union of problem keys and experiment-level keys."""
 
     problem: ProblemConfig
+    problem_keys: tuple[str, ...] = ()  # problem keys the config and --set gave
     experiment: Optional[str] = None
     output_dir: str = "./out"
     plot: bool = False
@@ -68,7 +71,7 @@ class ExperimentConfig:
             problem.params().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        kwargs = {"problem": problem}
+        kwargs = {"problem": problem, "problem_keys": tuple(problem_map)}
         if "experiment" in mapping:
             exp = mapping["experiment"]
             if exp not in EXPERIMENTS:
@@ -98,8 +101,9 @@ class ExperimentConfig:
                     value = float(mapping[key])
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r}: {mapping[key]!r}") from exc
-                if value <= 0:
-                    raise ConfigError(f"{key} must be positive")
+                if not (math.isfinite(value) and value > 0):
+                    raise ConfigError(f"{key} must be finite and positive, "
+                                      f"got {mapping[key]!r}")
                 kwargs[attr] = value
         return cls(**kwargs)
 
@@ -260,6 +264,10 @@ def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_remainder_audit(cfg: ExperimentConfig, out: Path) -> int:
+    unread = [key for key in cfg.problem_keys if key not in AUDIT_KEYS]
+    if unread:
+        raise ConfigError(f"remainder-audit does not read {unread[0]!r}; it "
+                          f"takes only {', '.join(AUDIT_KEYS)}")
     if cfg.problem.kind != "scalar":
         raise ConfigError(f"remainder-audit draws scalar fields only, "
                           f"got kind={cfg.problem.kind!r}")

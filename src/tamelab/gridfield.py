@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class GridFunction:
         return GridFunction(self.n_points, self.n_components, samples)
 
     def sup(self) -> float:
-        return float(np.max(np.abs(self.samples)))
+        return _sup(self.samples)
 
     def _require_compatible(self, other: "GridFunction") -> None:
         if self.n_points != other.n_points:
@@ -124,13 +124,19 @@ def coordinates(n_points: int) -> np.ndarray:
     return PERIOD * np.arange(n_points) / n_points
 
 
+def _sup(x: np.ndarray) -> float:
+    """max |x| without an |x| temporary.  Adding +0.0 turns a -0.0 maximum
+    into +0.0, so an all-zero field never reports (or prints) -0."""
+    return float(max(x.max(), -x.min())) + 0.0
+
+
 def _clean_spectrum(f: GridFunction) -> np.ndarray:
     """Half spectrum (rfft modes 0..n/2) of f with coefficients below
     SPECTRAL_DUST of each component's peak zeroed."""
     spec = np.fft.rfft(f.samples, axis=0)
     mags = np.abs(spec)
-    peak = mags.max(axis=0)
-    return np.where(mags >= SPECTRAL_DUST * peak, spec, 0.0)
+    spec[mags < SPECTRAL_DUST * mags.max(axis=0)] = 0.0
+    return spec
 
 
 @functools.lru_cache(maxsize=64)
@@ -199,14 +205,17 @@ class NormVector:
 
 
 def ck_norm(f: GridFunction, k_max: int,
-            spectrum: Optional[np.ndarray] = None) -> NormVector:
+            spectrum: Optional[np.ndarray] = None,
+            held: Optional[Mapping[int, GridFunction]] = None) -> NormVector:
     """Norms ||f||_0 .. ||f||_k_max, each the max derivative sup up to order k.
 
     Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points; experiments
     at frequency lam must additionally keep n_points >= RESOLUTION_FACTOR *
     lam * (k_max + 1) (enforced where lam is known: IterationParams.validate
     and verify.audit_classes).  spectrum, when given, must be
-    _clean_spectrum(f), as for derivative.
+    _clean_spectrum(f), as for derivative.  held maps orders to derivatives
+    of f already taken from that spectrum; those orders are read, not
+    recomputed, and the orders computed here are not kept.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -215,13 +224,16 @@ def ck_norm(f: GridFunction, k_max: int,
             f"k_max={k_max} not resolvable at n_points={f.n_points}: need "
             f"n_points >= {RESOLUTION_FACTOR * (k_max + 1)} "
             f"(= {RESOLUTION_FACTOR} * (k_max + 1))")
+    held = held or {}
     values = [f.sup()]
-    if k_max > 0:
-        if spectrum is None:
-            spectrum = _clean_spectrum(f)
-        for k in range(1, k_max + 1):
-            sup_k = float(np.max(np.abs(_derivative_of(spectrum, f.n_points, k))))
-            values.append(max(values[-1], sup_k))
+    for k in range(1, k_max + 1):
+        if k in held:
+            d_k = held[k].samples
+        else:
+            if spectrum is None:
+                spectrum = _clean_spectrum(f)
+            d_k = _derivative_of(spectrum, f.n_points, k)
+        values.append(max(values[-1], _sup(d_k)))
     return NormVector(tuple(values))
 
 
@@ -254,7 +266,9 @@ class FieldSpectrum:
         return self._derivatives[order]
 
     def ck_norm(self, k_max: int) -> NormVector:
-        return ck_norm(self.field, k_max, self.spectrum() if k_max > 0 else None)
+        """C^k norms of the field, reading the derivatives already kept."""
+        return ck_norm(self.field, k_max, self.spectrum() if k_max > 0 else None,
+                       self._derivatives)
 
 
 def mollify(f: GridFunction, ell: float) -> GridFunction:
@@ -287,11 +301,17 @@ def oscillator(amplitude: float, frequency: int, phase: float = 0.0,
 
 
 def axpy(alpha: float, x: GridFunction, y: GridFunction) -> GridFunction:
-    """alpha * x + y, requiring identical grids and component counts."""
+    """alpha * x + y, requiring identical grids and component counts.
+
+    alpha = +-1 skips the multiply: y + (-x) is y - x exactly."""
     x._require_compatible(y)
     if x.n_components != y.n_components:
         raise IncompatibleGrids(
             f"component counts differ: {x.n_components} vs {y.n_components}")
+    if alpha == 1.0:
+        return x.with_samples(x.samples + y.samples)
+    if alpha == -1.0:
+        return x.with_samples(y.samples - x.samples)
     return x.with_samples(alpha * x.samples + y.samples)
 
 
@@ -299,12 +319,18 @@ def scale(alpha: float, f: GridFunction) -> GridFunction:
     return f.with_samples(alpha * f.samples)
 
 
-def pointwise_mul(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Componentwise product; a 1-component factor broadcasts over the other."""
+def check_product(f: GridFunction, g: GridFunction) -> None:
+    """Raise IncompatibleGrids unless f and g can be multiplied pointwise:
+    equal grids, and equal component counts or a 1-component factor."""
     f._require_compatible(g)
     if f.n_components != g.n_components and 1 not in (f.n_components, g.n_components):
         raise IncompatibleGrids(
             f"component counts differ: {f.n_components} vs {g.n_components}")
+
+
+def pointwise_mul(f: GridFunction, g: GridFunction) -> GridFunction:
+    """Componentwise product; a 1-component factor broadcasts over the other."""
+    check_product(f, g)
     out = f.samples * g.samples
     return GridFunction(f.n_points, out.shape[-1], out)
 

@@ -125,10 +125,21 @@ def _state(instance: ProblemInstance, step_index: int, a: GridFunction) -> Itera
 
 
 def start_state(instance: ProblemInstance) -> IterationState:
-    """Step 0: a = 0, r(a) = 0, so the error is the target itself."""
+    """Step 0: a = 0, r(a) = 0, so the error is the target itself.
+
+    Assembled, not computed: T - b(0, 0) - r(0) is exactly T, and its norms
+    are the ones the instance build took, so this makes no transform."""
     p = instance.params
-    zero = GridFunction.zeros(p.n_points, instance.n_components)
-    return _state(instance, 0, zero)
+    zero_norms = NormVector((0.0,) * (p.norm_order(0) + 1))
+    return IterationState(
+        step=0,
+        a=GridFunction.zeros(p.n_points, instance.n_components),
+        r_of_a=GridFunction.zeros(p.n_points),
+        error=instance.target,
+        norms_a=zero_norms,
+        norms_error=instance.target_norms,
+        norms_r=zero_norms,
+    )
 
 
 def initial_step(instance: ProblemInstance) -> IterationState:
@@ -232,7 +243,9 @@ def run(instance: ProblemInstance, n_steps: Optional[int] = None) -> IterationTr
             flag, escape_step = "diverged", esc.step
             break
         states.append(new)
-        diffs.append(ck_norm(new.a - prev.a, p.norm_order(new.step)))
+        # a_0 = 0, so a_1 - a_0 is a_1 and its norms are already held.
+        diffs.append(new.norms_a if prev.step == 0 else
+                     ck_norm(new.a - prev.a, p.norm_order(new.step)))
         residuals.append(identity_residual(prev, new))
         if new.norms_error[0] < FLOOR_STOP * target_sup:
             if i < n:

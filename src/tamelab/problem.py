@@ -21,16 +21,20 @@ from .gridfield import (
     RESOLUTION_FACTOR,
     FieldSpectrum,
     GridFunction,
-    component_mean,
-    component_sum,
+    NormVector,
+    check_product,
+    ck_norm,
     mollify,
     oscillator,
-    pointwise_mul,
     random_trig_polynomial,
     scale,
 )
 
 RIGHT_INVERSE_TOL = 1e-10
+
+# Grid points (over all samples) the right-inverse self-check evaluates at
+# once: n_points = 2048 checks its 20 samples in one batch, 65536 one by one.
+SELF_CHECK_BATCH_POINTS = 1 << 16
 
 # (lambda-power, ell-power) of each class prefactor; R6 is (s+t, 0).
 _PREFACTOR_TABLE = {
@@ -161,12 +165,17 @@ class RemainderTerm:
         da = _spectrum_of(a, derivatives)
         db = da if b is None else _spectrum_of(b, b_derivatives)
         orders = self.bound_class.arg_derivatives
-        core = da.derivative(orders[0])
+        first = da.derivative(orders[0])
+        core = first.samples
         if self.bound_class.arity == 2:
-            core = pointwise_mul(core, db.derivative(orders[1]))
-        core = component_mean(core)
+            second = db.derivative(orders[1])
+            check_product(first, second)
+            core = core * second.samples
+        core = (1.0 / core.shape[-1]) * core.sum(axis=-1, keepdims=True)
+        modulation._require_compatible(first)
         pref = self.weight * self.bound_class.prefactor(lam, ell)
-        return scale(pref, pointwise_mul(modulation, core))
+        out = pref * (modulation.samples * core)
+        return GridFunction(first.n_points, out.shape[-1], out)
 
 
 def stock_remainder_terms() -> tuple[RemainderTerm, ...]:
@@ -299,10 +308,42 @@ class ProblemInstance:
     params: IterationParams
     n_components: int
     target_constant: float
+    target_norms: NormVector  # ||T||_0 .. ||T||_k at the step-0 norm order
 
 
-def _toy_inverse(center: GridFunction, c_f: float, n_components: int,
-                 drift: float, lambda_ell: float):
+# An array map acts pointwise on samples whose last axis is the component
+# axis; any leading axes are batch axes, and step may be an array that
+# broadcasts against them.
+ArrayMap = Callable[..., np.ndarray]
+
+
+def _toy_maps(n_components: int, drift: float,
+              lambda_ell: float) -> tuple[ArrayMap, ArrayMap]:
+    """The toy's right inverse F and bilinear map b as array maps.
+
+    F splits the 1-component tensor equally between the components and
+    takes the root; b sums the componentwise product.  Both carry the
+    step factor 1 + drift / (lam*ell)^step, so b(F(t), F(t)) = t at every
+    step.
+    """
+
+    def step_factor(step):
+        return 1.0 + drift * lambda_ell ** (-step)
+
+    def inverse_map(tensor: np.ndarray, step) -> np.ndarray:
+        out = np.sqrt(tensor / n_components) * step_factor(step)
+        return np.broadcast_to(out, out.shape[:-1] + (n_components,))
+
+    def bilinear_map(u: np.ndarray, v: np.ndarray, step) -> np.ndarray:
+        return step_factor(step) ** (-2) * (u * v).sum(axis=-1, keepdims=True)
+
+    return inverse_map, bilinear_map
+
+
+def _grid_inverse(inverse_map: ArrayMap, center: GridFunction, c_f: float,
+                  n_components: int):
+    """F on GridFunctions: refuses tensors outside the 1/C_F neighborhood of
+    the center or with a nonpositive sample, then applies inverse_map."""
     radius = 1.0 / c_f
 
     def inverse(tensor: GridFunction, step: int) -> GridFunction:
@@ -312,52 +353,67 @@ def _toy_inverse(center: GridFunction, c_f: float, n_components: int,
                 f"tensor is {distance:.6g} from the center, outside the "
                 f"1/C_F = {radius:.6g} neighborhood (step {step})",
                 step=step, measured=distance, radius=radius)
-        vals = tensor.samples / n_components
-        if np.min(vals) <= 0.0:
+        # Division by n_components is monotone, so this is the minimum of
+        # the values the map takes the root of.
+        low = np.min(tensor.samples) / n_components
+        if low <= 0.0:
             raise DomainEscape(
-                f"tensor loses positivity (min {np.min(vals):.6g}) at step {step}",
+                f"tensor loses positivity (min {low:.6g}) at step {step}",
                 step=step, measured=distance, radius=radius)
-        root = np.sqrt(vals)
-        stepf = 1.0 + drift * lambda_ell ** (-step)
-        samples = np.repeat(root * stepf, n_components, axis=-1)
-        return GridFunction(tensor.n_points, n_components, samples)
+        return GridFunction(tensor.n_points, n_components,
+                            inverse_map(tensor.samples, step))
 
     return inverse
 
 
-def _toy_bilinear(n_components: int, drift: float, lambda_ell: float):
+def _grid_bilinear(bilinear_map: ArrayMap):
+    """b on GridFunctions, with pointwise_mul's grid checks."""
+
     def bilinear(u: GridFunction, v: GridFunction, step: int) -> GridFunction:
-        stepf = 1.0 + drift * lambda_ell ** (-step)
-        return scale(stepf ** (-2), component_sum(pointwise_mul(u, v)))
+        check_product(u, v)
+        return GridFunction(u.n_points, 1, bilinear_map(u.samples, v.samples, step))
 
     return bilinear
 
 
-def _check_right_inverse(instance: ProblemInstance, n_samples: int = 20) -> None:
-    p = instance.params
-    rng = np.random.default_rng([p.seed, 0x5eed])
-    radius = 1.0 / (3.0 * p.c_f)
-    for i in range(n_samples):
-        bump = random_trig_polynomial(rng, p.n_points)
-        rho = radius * rng.uniform(0.1, 0.99)
-        t_prime = instance.center + scale(rho, bump)
-        step = 1 + i % 3
-        a = instance.inverse(t_prime, step)
-        residual = (instance.bilinear(a, a, step) - t_prime).sup()
-        if residual > RIGHT_INVERSE_TOL:
+def _check_right_inverse(params: IterationParams, center: GridFunction,
+                         inverse_map: ArrayMap, bilinear_map: ArrayMap,
+                         n_samples: int = 20) -> None:
+    """Check b(F(t), F(t)) = t on n_samples random admissible tensors.
+
+    Sample i is center + rho * bump with a unit-sup low-mode bump, rho in
+    radius * [0.1, 0.99) for the target radius 1/(3 C_F), at step
+    1 + i % 3.  Samples go through the maps in batches of at most
+    SELF_CHECK_BATCH_POINTS grid points.  Raises AssertionError naming the
+    first sample whose residual is not at or below RIGHT_INVERSE_TOL, so a
+    non-finite residual fails too.
+    """
+    rng = np.random.default_rng([params.seed, 0x5eed])
+    radius = 1.0 / (3.0 * params.c_f)
+    per_batch = max(1, SELF_CHECK_BATCH_POINTS // params.n_points)
+    for start in range(0, n_samples, per_batch):
+        count = min(per_batch, n_samples - start)
+        bumps = random_trig_polynomial(rng, params.n_points, n_components=count,
+                                       normalize=False).samples.T
+        bumps = bumps / np.abs(bumps).max(axis=1, keepdims=True)
+        rho = radius * rng.uniform(0.1, 0.99, size=(count, 1))
+        t_prime = center.samples + (rho * bumps)[..., np.newaxis]
+        steps = (1 + np.arange(start, start + count) % 3)[:, np.newaxis, np.newaxis]
+        a = inverse_map(t_prime, steps)
+        residual = np.abs(bilinear_map(a, a, steps) - t_prime).max(axis=(1, 2))
+        failed = np.flatnonzero(~(residual <= RIGHT_INVERSE_TOL))
+        if failed.size:
+            i = failed[0]
             raise AssertionError(
-                f"right-inverse residual {residual:.3e} exceeds "
-                f"{RIGHT_INVERSE_TOL} on sample {i}")
+                f"right-inverse residual {residual[i]:.3e} exceeds "
+                f"{RIGHT_INVERSE_TOL} on sample {start + i}")
 
 
-def _measure_target_constant(target: GridFunction, params: IterationParams) -> float:
-    from .gridfield import ck_norm  # local import keeps module load light
-
-    k = params.norm_order(0)
-    norms = ck_norm(target, k)
+def _measure_target_constant(target_norms: NormVector,
+                             params: IterationParams) -> float:
     c = 0.0
-    for j in range(1, k + 1):
-        c = max(c, norms[j] * params.lambda_ell / params.lam ** j)
+    for j in range(1, len(target_norms)):
+        c = max(c, target_norms[j] * params.lambda_ell / params.lam ** j)
     return c
 
 
@@ -367,10 +423,18 @@ def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
     if drift < 0:
         raise ValueError(f"drift must be >= 0, got {drift}")
     center = GridFunction.constant(1.0, params.n_points)
+    radius = 1.0 / (3.0 * params.c_f)
     wave = oscillator(t_amplitude, params.lam, phase=-math.pi / 2,
                       n_points=params.n_points)
-    target = center + mollify(wave, params.ell) if t_amplitude != 0.0 else center
-    radius = 1.0 / (3.0 * params.c_f)
+    target = center
+    if t_amplitude != 0.0:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                target = center + mollify(wave, params.ell)
+        except FloatingPointError as exc:
+            raise NeighborhoodViolation(
+                f"the target is not finite at amplitude {t_amplitude:g}; "
+                f"reduce the amplitude", measured=math.inf, radius=radius) from exc
     distance = (target - center).sup()
     if distance >= radius:
         raise NeighborhoodViolation(
@@ -379,20 +443,21 @@ def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
     modulation = oscillator(1.0, params.lam, n_points=params.n_points)
     remainder = RemainderSpec(terms=stock_remainder_terms(), lam=params.lam,
                               ell=params.ell, modulation=modulation, drift=drift)
-    instance = ProblemInstance(
+    inverse_map, bilinear_map = _toy_maps(n_components, drift, params.lambda_ell)
+    _check_right_inverse(params, center, inverse_map, bilinear_map)
+    target_norms = ck_norm(target, params.norm_order(0))
+    return ProblemInstance(
         kind=kind,
         target=target,
         center=center,
-        bilinear=_toy_bilinear(n_components, drift, params.lambda_ell),
-        inverse=_toy_inverse(center, params.c_f, n_components, drift,
-                             params.lambda_ell),
+        bilinear=_grid_bilinear(bilinear_map),
+        inverse=_grid_inverse(inverse_map, center, params.c_f, n_components),
         remainder=remainder,
         params=params,
         n_components=n_components,
-        target_constant=_measure_target_constant(target, params),
+        target_constant=_measure_target_constant(target_norms, params),
+        target_norms=target_norms,
     )
-    _check_right_inverse(instance)
-    return instance
 
 
 def make_scalar_toy(params: IterationParams, t_amplitude: float = 0.2) -> ProblemInstance:

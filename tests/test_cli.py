@@ -60,6 +60,7 @@ class TestConfigParsing:
         # A leading subcommand runs it on its own shipped config.
         ("remainder-audit", "n_points=1024"),   # lambda=64 at k=3 needs 2048
         ("remainder-audit", "kind=two_component"),  # audit draws scalars only
+        ("amplitude=1e308",),          # the mollified target overflows
     ])
     def test_bad_input_exits_one(self, overrides, tmp_path, capsys):
         command, config, output = "run", "default.cfg", "trace.csv"
@@ -119,6 +120,41 @@ class TestLedgerCommand:
         lines = (tmp_path / "ledger.csv").read_text().splitlines()
         assert lines[0] == "step,C,C_err,C_r,C_diff,threshold"
         assert float(lines[1].split(",")[5]) == 30.0
+
+
+    @pytest.mark.parametrize("item", ["C_r=nan", "C=inf", "C_err=nan"])
+    def test_non_finite_constant_exits_one(self, item, tmp_path, capsys):
+        code = main(["ledger", "--set", item, "--output_dir", str(tmp_path),
+                     "--csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and item.split("=")[0] in err
+        assert not (tmp_path / "ledger.csv").exists()
+
+
+class TestAuditKeys:
+    @pytest.mark.parametrize("item", ["drift=0.5", "lambda=16", "amplitude=0.1",
+                                      "r5_strength=2", "k0=5"])
+    def test_unread_key_refused(self, item, tmp_path, capsys):
+        code = main(["remainder-audit", "--config", str(CONFIG_DIR / "audit.cfg"),
+                     "--set", item, "--output_dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and repr(item.split("=")[0]) in err
+        assert not (tmp_path / "audit.csv").exists()
+
+    def test_unread_key_in_config_refused(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "audit.cfg").read_text() + "drift = 0.5\n"
+        code = main(["remainder-audit", "--config", write_cfg(tmp_path, text),
+                     "--output_dir", str(tmp_path)])
+        assert code == 1
+        assert "'drift'" in capsys.readouterr().err
+
+    def test_read_keys_accepted(self, tmp_path, capsys):
+        code = main(["remainder-audit", "--config", str(CONFIG_DIR / "audit.cfg"),
+                     "--set", "seed=3", "--set", "kind=scalar",
+                     "--output_dir", str(tmp_path)])
+        assert code == 0 and (tmp_path / "audit.csv").exists()
 
 
 class TestRunCommand:

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from tamelab.gridfield import (
     PERIOD,
+    SPECTRAL_DUST,
+    FieldSpectrum,
     GridFunction,
     IncompatibleGrids,
     NormVector,
@@ -14,6 +16,7 @@ from tamelab.gridfield import (
     component_sum,
     coordinates,
     derivative,
+    _clean_spectrum,
     load_csv,
     mollify,
     oscillator,
@@ -177,6 +180,40 @@ class TestCkNorm:
             assert abs(got[k] - want[k]) <= 1e-12 * want[k]
 
 
+    def test_held_orders_read_not_recomputed(self, count_fft):
+        f = random_trig_polynomial(np.random.default_rng(6), 512)
+        spectral = FieldSpectrum(f)
+        first = spectral.derivative(1)
+        calls = count_fft()
+        norms = spectral.ck_norm(5)
+        assert calls == {"irfft": 4}  # orders 2..5; order 1 is read
+        assert norms.values == ck_norm(f, 5).values
+        assert spectral.derivative(1) is first
+        assert set(spectral._derivatives) == {1}  # new orders are not kept
+
+    def test_zero_field_norms_are_positive_zero(self):
+        for f in (GridFunction.zeros(64), GridFunction.constant(-0.0, 64, 2)):
+            for value in ck_norm(f, 3).values + (f.sup(),):
+                assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
+
+class TestCleanSpectrum:
+    def test_matches_masked_reference(self):
+        # Each component is one mode plus dust relative to its own peak;
+        # the second is 1e-20 times smaller, so the floor is per component.
+        rng = np.random.default_rng(9)
+        x = grid_x(256)
+        noise = 1e-15 * rng.standard_normal((256, 2))
+        samples = np.stack([np.cos(3 * x), 1e-20 * np.cos(5 * x)], axis=1)
+        samples += noise * [1.0, 1e-20]
+        f = GridFunction.from_samples(samples)
+        spec = np.fft.rfft(f.samples, axis=0)
+        mags = np.abs(spec)
+        expected = np.where(mags >= SPECTRAL_DUST * mags.max(axis=0), spec, 0.0)
+        assert np.count_nonzero(expected, axis=0).tolist() == [1, 1]
+        assert _clean_spectrum(f).tobytes() == expected.tobytes()
+
+
 class TestNormVector:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -265,6 +302,15 @@ class TestPointwiseOps:
         f = random_trig_polynomial(rng, 128)
         g = random_trig_polynomial(rng, 128)
         assert np.array_equal(axpy(0.0, g, f).samples, f.samples)
+
+    def test_axpy_unit_alpha_bitwise(self):
+        rng = np.random.default_rng(1)
+        x = random_trig_polynomial(rng, 128, n_components=2)
+        y = random_trig_polynomial(rng, 128, n_components=2)
+        assert np.array_equal(axpy(1.0, x, y).samples, 1.0 * x.samples + y.samples)
+        assert (axpy(-1.0, x, y).samples.tobytes()
+                == (-1.0 * x.samples + y.samples).tobytes())
+        assert (y - x).samples.tobytes() == (y.samples - x.samples).tobytes()
 
     def test_sin_squared_identity(self):
         s = sine(1, 256)

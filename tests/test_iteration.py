@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from tamelab.gridfield import GridFunction, oscillator
+from tamelab.gridfield import GridFunction, ck_norm, oscillator
 from tamelab.iteration import (
     DerivativeBudgetExhausted,
+    _state,
     check_hypotheses,
     identity_residual,
     initial_step,
     run,
+    start_state,
     step,
     telescoped_remainder,
     trace_to_csv,
@@ -278,24 +280,62 @@ class TestTraceCsv:
 
 
 class TestTransformCount:
-    def test_default_run_transform_count(self, monkeypatch):
-        # Default config: norm orders 7 - i at states i = 0..5.  Each state
-        # takes one rfft of a, shared by the remainder's first derivative
-        # (one irfft) and ||a|| ((7 - i) irffts), then one rfft + (7 - i)
-        # irffts for each of ||E|| and ||r||; steps 1..5 add one rfft +
-        # (7 - i) irffts for the difference norm.
-        # rfft: 6 * 3 + 5 = 23.  irfft: 6 * 1 + 3 * 27 + 20 = 107.
+    def test_default_run_transform_count(self, count_fft):
+        # Default config: norm orders 7 - i at states i = 0..5.  State 0 is
+        # assembled from the build's target norms: no transform.  States
+        # 1..5 take one rfft of a, shared by the remainder's first
+        # derivative (one irfft) and ||a||, which reads that derivative and
+        # adds (6 - i) irffts; then one rfft + (7 - i) irffts for each of
+        # ||E|| and ||r||.  The step-1 difference is ||a_1||; steps 2..5
+        # add one rfft + (7 - i) irffts for the difference norm.
+        # rfft: 5 * 3 + 4 = 19.  irfft: 3 * 20 + 14 = 74.
         instance = make_scalar_toy(params(), 0.2)
-        calls = {}
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in ("rfft", "irfft", "fft", "ifft", "fftn", "ifftn"):
-            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        calls = count_fft()
         trace = run(instance)
         assert trace.flag == "completed" and trace.n_steps == 5
-        assert calls == {"rfft": 23, "irfft": 107}
+        assert calls == {"rfft": 19, "irfft": 74}
+
+
+# The instance families whose step 0 and step-1 difference are assembled
+# rather than computed: scalar, two-component, drifting and R5.  In those the
+# mollified wave vanishes and T == T0; at lam*ell = 4 it survives.
+FAMILIES = {
+    "scalar": lambda: make_scalar_toy(params(), 0.2),
+    "wave": lambda: make_scalar_toy(params(ell=0.125), 0.2),
+    "two_component": lambda: make_two_component_toy(params(), 0.2),
+    "drift": lambda: make_varying_toy(params(), drift=0.5),
+    "r5": lambda: with_self_interaction(make_scalar_toy(params(), 0.2), 1.0),
+}
+
+
+def same_bits(f, g):
+    return (f.samples.shape == g.samples.shape
+            and f.samples.tobytes() == g.samples.tobytes())
+
+
+class TestAssembledStart:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_step0_equals_generic_state(self, family):
+        instance = FAMILIES[family]()
+        p = instance.params
+        assembled = start_state(instance)
+        generic = _state(instance, 0,
+                         GridFunction.zeros(p.n_points, instance.n_components))
+        assert assembled.step == generic.step == 0
+        for name in ("a", "r_of_a", "error"):
+            assert same_bits(getattr(assembled, name), getattr(generic, name)), name
+        for name in ("norms_a", "norms_error", "norms_r"):
+            assert getattr(assembled, name).values == getattr(generic, name).values
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_difference_norms_equal_generic(self, family):
+        instance = FAMILIES[family]()
+        p = instance.params
+        trace = run(instance)
+        zeros = GridFunction.zeros(p.n_points, instance.n_components)
+        assert trace.diff_norms[0].values == ck_norm(
+            trace.states[1].a - zeros, p.norm_order(1)).values
+        for prev, new, diff in zip(trace.states[1:], trace.states[2:],
+                                   trace.diff_norms[1:]):
+            assert diff.values == ck_norm(new.a - prev.a,
+                                          p.norm_order(new.step)).values

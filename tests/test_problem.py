@@ -3,6 +3,7 @@ import pytest
 
 from tamelab.gridfield import GridFunction, ck_norm, random_trig_polynomial, scale
 from tamelab.problem import (
+    RIGHT_INVERSE_TOL,
     R1,
     R2,
     R3,
@@ -13,6 +14,7 @@ from tamelab.problem import (
     IterationParams,
     NeighborhoodViolation,
     ProblemConfig,
+    RemainderTerm,
     make_scalar_toy,
     make_two_component_toy,
     make_varying_toy,
@@ -20,6 +22,8 @@ from tamelab.problem import (
     r6,
     self_interaction_term,
     with_self_interaction,
+    _check_right_inverse,
+    _toy_maps,
 )
 
 
@@ -233,6 +237,51 @@ class TestSelfInteraction:
         with pytest.raises(ValueError, match="different field"):
             term.apply(a, b, b_derivatives=da, **kwargs)
 
+    @pytest.mark.parametrize("n_components", [1, 2])
+    def test_apply_matches_composed_grid_operations(self, n_components):
+        # apply builds one GridFunction; it must equal, bit for bit, the
+        # same computation written with gridfield operations.
+        from tamelab.gridfield import (
+            component_mean, derivative, oscillator, pointwise_mul)
+        params = default_params()
+        modulation = oscillator(1.0, params.lam, n_points=params.n_points)
+        a, b = (random_trig_polynomial(np.random.default_rng(seed), params.n_points,
+                                       n_components=n_components)
+                for seed in (21, 22))
+
+        def d(f, order):
+            return f if order == 0 else derivative(f, order)
+
+        for term in (RemainderTerm(R1), RemainderTerm(R2), RemainderTerm(R3),
+                     RemainderTerm(R4), self_interaction_term(0.7),
+                     RemainderTerm(r6(2, 1), weight=1.3)):
+            j = term.bound_class.arg_derivatives
+            core = d(a, j[0])
+            if term.bound_class.arity == 2:
+                core = pointwise_mul(core, d(b, j[1]))
+            pref = term.weight * term.bound_class.prefactor(params.lam, params.ell)
+            expected = scale(pref, pointwise_mul(modulation, component_mean(core)))
+            out = term.apply(a, b, lam=params.lam, ell=params.ell,
+                             modulation=modulation)
+            assert out.samples.tobytes() == expected.samples.tobytes()
+
+    def test_apply_refuses_incompatible_grids(self):
+        from tamelab.gridfield import IncompatibleGrids, oscillator
+        term = RemainderTerm(R3)
+        kwargs = dict(lam=8, ell=1.0, modulation=oscillator(1.0, 8, n_points=128))
+
+        def field(n, n_components=1):
+            return random_trig_polynomial(np.random.default_rng(n_components),
+                                          n, n_components=n_components)
+
+        with pytest.raises(IncompatibleGrids):  # a and b on different grids
+            term.apply(field(128), field(256), **kwargs)
+        with pytest.raises(IncompatibleGrids):  # 2 against 3 components
+            term.apply(field(128, 2), field(128, 3), **kwargs)
+        with pytest.raises(IncompatibleGrids):  # modulation on another grid
+            term.apply(field(256), lam=8, ell=1.0,
+                       modulation=oscillator(1.0, 8, n_points=128))
+
 
 class TestTwoComponent:
     def test_right_inverse(self):
@@ -321,3 +370,158 @@ class TestConfig:
     def test_two_component_build(self):
         cfg = ProblemConfig.from_mapping({"kind": "two_component"})
         assert cfg.build().n_components == 2
+
+
+# (builder, n_components, drift) of the four instance families.
+FAMILIES = {
+    "scalar": (lambda p: make_scalar_toy(p, 0.2), 1, 0.0),
+    "two_component": (lambda p: make_two_component_toy(p, 0.2), 2, 0.0),
+    "drift": (lambda p: make_varying_toy(p, drift=0.5), 1, 0.5),
+    "r5": (lambda p: with_self_interaction(make_scalar_toy(p, 0.2), 1.0), 1, 0.0),
+}
+
+
+class TestArrayMaps:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_wrappers_give_the_map_samples(self, family):
+        build, n_components, drift = FAMILIES[family]
+        p = default_params()
+        instance = build(p)
+        inverse_map, bilinear_map = _toy_maps(n_components, drift, p.lambda_ell)
+        t_prime = instance.center + scale(0.2, random_trig_polynomial(
+            np.random.default_rng(5), p.n_points))
+        for step in (1, 2, 3):
+            a = instance.inverse(t_prime, step)
+            expected = inverse_map(t_prime.samples, step)
+            assert a.samples.shape == expected.shape == (p.n_points, n_components)
+            assert a.samples.tobytes() == np.ascontiguousarray(expected).tobytes()
+            b = instance.bilinear(a, a, step)
+            expected = bilinear_map(a.samples, a.samples, step)
+            assert b.samples.shape == expected.shape == (p.n_points, 1)
+            assert b.samples.tobytes() == expected.tobytes()
+
+    def test_maps_batch_over_leading_axes_and_steps(self):
+        p = default_params()
+        inverse_map, bilinear_map = _toy_maps(2, 0.5, p.lambda_ell)
+        rng = np.random.default_rng(2)
+        t = 1.0 + 0.2 * rng.uniform(-1, 1, size=(3, p.n_points, 1))
+        steps = np.array([1, 2, 3])[:, np.newaxis, np.newaxis]
+        a = inverse_map(t, steps)
+        assert a.shape == (3, p.n_points, 2)
+        for i, step in enumerate((1, 2, 3)):
+            np.testing.assert_allclose(a[i], inverse_map(t[i], step),
+                                       rtol=1e-15, atol=0)
+        np.testing.assert_allclose(bilinear_map(a, a, steps), t,
+                                   rtol=1e-14, atol=0)
+
+    def test_target_norms_kept(self):
+        p = default_params()
+        instance = make_scalar_toy(p, 0.2)
+        assert instance.target_norms.values == ck_norm(
+            instance.target, p.norm_order(0)).values
+
+    def test_positivity_guard_kept(self):
+        instance = make_scalar_toy(default_params(), 0.2)
+        dip = np.ones((2048, 1))
+        dip[100] = 0.0  # distance exactly 1 = 1/C_F: inside, but not positive
+        with pytest.raises(DomainEscape, match="loses positivity"):
+            instance.inverse(GridFunction.from_samples(dip), 2)
+
+    def test_non_finite_target_is_a_neighborhood_violation(self):
+        with pytest.raises(NeighborhoodViolation, match="not finite"):
+            make_scalar_toy(default_params(), 1e308)
+
+
+class TestRightInverseSelfCheck:
+    # At n = 4096 a batch holds 65536 / 4096 = 16 samples: 20 split 16 + 4.
+    def setup_method(self):
+        self.p = default_params(n_points=4096)
+        self.center = GridFunction.constant(1.0, 4096)
+        self.inverse_map, self.bilinear_map = _toy_maps(1, 0.0,
+                                                        self.p.lambda_ell)
+
+    def check(self, inverse_map=None, bilinear_map=None):
+        _check_right_inverse(self.p, self.center,
+                             inverse_map or self.inverse_map,
+                             bilinear_map or self.bilinear_map)
+
+    def test_toy_maps_pass(self):
+        self.check()
+
+    def test_batches_split_by_grid_points(self):
+        seen = []
+
+        def spy(t, step):
+            seen.append((t.shape, step.ravel().tolist()))
+            return self.inverse_map(t, step)
+
+        self.check(inverse_map=spy)
+        assert seen == [((16, 4096, 1), [1 + i % 3 for i in range(16)]),
+                        ((4, 4096, 1), [1 + i % 3 for i in range(16, 20)])]
+
+    def test_one_sample_per_batch_at_65536(self):
+        seen = []
+
+        def spy(t, step):
+            seen.append(t.shape)
+            return self.inverse_map(t, step)
+
+        _check_right_inverse(default_params(n_points=65536),
+                             GridFunction.constant(1.0, 65536), spy,
+                             self.bilinear_map)
+        assert seen == [(1, 65536, 1)] * 20
+
+    def test_samples_admissible_and_unit_bumps(self):
+        seen = []
+
+        def spy(t, step):
+            seen.append(t - 1.0)
+            return self.inverse_map(t, step)
+
+        self.check(inverse_map=spy)
+        dev = np.abs(np.concatenate(seen)).max(axis=(1, 2))  # rho per sample
+        radius = 1.0 / 3.0
+        assert dev.shape == (20,)
+        assert np.all(dev >= 0.1 * radius) and np.all(dev < 0.99 * radius)
+
+    def test_scaled_bilinear_fails_on_first_sample(self):
+        def b(u, v, step):
+            return self.bilinear_map(u, v, step) * (1 + 1e-9)
+
+        with pytest.raises(AssertionError, match="on sample 0$"):
+            self.check(bilinear_map=b)
+
+    def test_inverse_off_on_step_3_names_sample_2(self):
+        def f(t, step):
+            out = self.inverse_map(t, step)
+            return np.where(step == 3, out * (1 + 1e-9), out)
+
+        with pytest.raises(AssertionError, match="on sample 2$"):
+            self.check(inverse_map=f)
+
+    def test_inverse_off_in_last_batch_names_sample_16(self):
+        def f(t, step):
+            out = self.inverse_map(t, step)
+            return out * (1 + 1e-9) if t.shape[0] < 16 else out
+
+        with pytest.raises(AssertionError, match="on sample 16$"):
+            self.check(inverse_map=f)
+
+    def test_nan_residual_fails(self):
+        def b(u, v, step):
+            return np.full(u.shape[:-1] + (1,), np.nan)
+
+        with pytest.raises(AssertionError,
+                           match=f"residual nan exceeds {RIGHT_INVERSE_TOL} "
+                                 f"on sample 0$"):
+            self.check(bilinear_map=b)
+
+
+class TestBuildTransformCount:
+    def test_default_build_transform_count(self, count_fft):
+        # mollify: one rfft + one irfft.  Target norms to order 7: one rfft
+        # + 7 irffts, shared with the target constant and step 0.  The
+        # self-check draws its 20 bumps in one batch: one irfft.
+        calls = count_fft()
+        make_scalar_toy(default_params(), 0.2)
+        assert calls == {"rfft": 2, "irfft": 9}

@@ -262,23 +262,14 @@ class TestAuditClasses:
         with pytest.raises(ResolutionError, match="n_points >= 4096"):
             audit_classes(stock_pairs(), params(), lambda_grid=(128, 16))
 
-    def test_transform_count(self, monkeypatch):
+    def test_transform_count(self, count_fft):
         # Per sample (12 at audit.cfg): a and b drawn with one irfft each.
         # Argument norms: ||a||_4 one rfft + 4 irffts (R4 reads order k+1),
         # ||b||_3 one rfft + 3; d/dx a and d/dx b one irfft each from those
         # spectra, then ||da||_3 and ||db||_3 one rfft + 3 irffts each.
         # Measured norms: 5 pairs x 3 frequencies x (one rfft + 3 irffts).
         # rfft: 12 * (4 + 15) = 228.  irfft: 12 * (2 + 4 + 3 + 2 + 6 + 45) = 744.
-        calls = {}
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in ("rfft", "irfft", "fft", "ifft", "fftn", "ifftn"):
-            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        calls = count_fft()
         p = audit_cfg_params()
         audit_classes(stock_pairs(), p, seed=p.seed)
         assert calls == {"rfft": 228, "irfft": 744}
