@@ -16,7 +16,6 @@ from .gridfield import (
     derivative,
     mollify,
     oscillator,
-    pointwise_mul,
 )
 from .iteration import (
     DerivativeBudgetExhausted,
@@ -27,7 +26,7 @@ from .iteration import (
     run,
     step,
 )
-from .ledger import ConstantSet, predict_budget, propagate, threshold
+from .ledger import ConstantSet, propagate, threshold
 from .problem import (
     BoundClass,
     DomainEscape,

@@ -2,11 +2,12 @@
 
 Subcommands: run | decay | remainder-audit | ledger | r5-demo | sweep.  Each
 reads `--config <path>` (flat key = value lines) with `--set key=value`
-overrides, validates strictly (unknown keys are errors), and writes its CSVs
-into --output_dir.  With --plot an SVG chart of ln ||E_i||_k vs i is emitted;
-all outputs are byte-deterministic for identical configs and seeds.
+overrides, judges every key by the KEYS table (a key the subcommand does not
+read is an error), and writes its CSVs into --output_dir.  With --plot an
+SVG chart of ln ||E_i||_k vs i is emitted; all outputs are byte-deterministic
+for identical configs and seeds.
 
-Exit codes: 0 success, 1 config/validation error, 2 numerical failure
+Exit codes: 0 success, 1 config, validation or usage error, 2 numerical failure
 (an unexpected escape from the inverse's domain, or too few usable steps).
 """
 
@@ -17,14 +18,13 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import iteration, ledger, verify
-from .gridfield import ResolutionError
+from .gridfield import MAX_SAMPLES, PERIOD, RESOLUTION_FACTOR, ResolutionError
 from .problem import (
-    PROBLEM_KEYS,
     NeighborhoodViolation,
     ProblemConfig,
     parse_flat_config,
@@ -32,12 +32,12 @@ from .problem import (
 )
 
 EXPERIMENTS = ("run", "decay", "remainder-audit", "ledger", "r5-demo", "sweep")
-
-LEDGER_KEYS = ("C", "C_err", "C_r")
-# The problem keys remainder-audit reads; it refuses the others.
-AUDIT_KEYS = ("kind", "ell", "n_points", "seed")
-EXTRA_KEYS = ("experiment", "output_dir", "plot", "lambda_ell") + LEDGER_KEYS
-ALL_KEYS = PROBLEM_KEYS + EXTRA_KEYS
+# Subcommands that run the iteration on the configured problem, and those
+# plus r5-demo, which builds its scalar instances from it.
+RUNS = ("run", "decay", "sweep")
+BUILDS = RUNS + ("r5-demo",)
+# Subcommands that read kind but take scalar fields only.
+SCALAR_ONLY = ("r5-demo", "remainder-audit")
 
 SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
@@ -47,69 +47,137 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated union of problem keys and experiment-level keys."""
+class Key:
+    """How the CLI reads one config key: the parser of its text, the
+    single-key range check and the words that describe a valid value, the
+    ProblemConfig or ExperimentConfig field it sets, and the subcommands
+    that read it.  Every other subcommand refuses the key."""
 
-    problem: ProblemConfig
-    problem_keys: tuple[str, ...] = ()  # problem keys the config and --set gave
-    experiment: Optional[str] = None
+    parse: Callable[[str], Any]
+    valid: Callable[[Any], bool]
+    expect: str
+    field: str
+    commands: tuple[str, ...]
+
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in ("true", "false", "1", "0"):
+        raise ValueError(raw)
+    return raw.lower() in ("true", "1")
+
+
+# Range checks that several keys share.  Chained with math.inf, a
+# comparison refuses nan and inf as well.
+_ANY = lambda v: True
+_AT_LEAST_ONE = lambda v: v >= 1
+_POSITIVE = lambda v: 0 < v < math.inf
+_NON_NEGATIVE = lambda v: 0 <= v < math.inf
+
+KEYS = {
+    "experiment": Key(str, _ANY, "a subcommand", "experiment", EXPERIMENTS),
+    "output_dir": Key(str, _ANY, "a path", "output_dir", EXPERIMENTS),
+    "seed": Key(int, lambda v: v >= 0, "an integer >= 0", "seed", EXPERIMENTS),
+    "kind": Key(str, lambda v: v in ("scalar", "two_component"),
+                "scalar or two_component", "kind", BUILDS + ("remainder-audit",)),
+    "lambda": Key(int, _AT_LEAST_ONE, "a positive integer", "lam",
+                  BUILDS + ("ledger",)),
+    "ell": Key(float, lambda v: 0 < v < PERIOD, "a number in (0, 2*pi)", "ell",
+               ("run", "decay", "r5-demo", "ledger", "remainder-audit")),
+    "k0": Key(int, _AT_LEAST_ONE, "an integer >= 1", "k0", BUILDS + ("ledger",)),
+    "k1": Key(int, _AT_LEAST_ONE, "an integer >= 1", "k1", BUILDS),
+    "C_F": Key(float, _POSITIVE, "finite and positive", "c_f", BUILDS + ("ledger",)),
+    "amplitude": Key(float, _NON_NEGATIVE, "finite and >= 0", "amplitude", BUILDS),
+    "drift": Key(float, _NON_NEGATIVE, "finite and >= 0", "drift", RUNS),
+    "r5_strength": Key(float, _NON_NEGATIVE, "finite and >= 0", "r5_strength",
+                       BUILDS),
+    "n_points": Key(int, lambda v: 2 <= v <= MAX_SAMPLES and v & (v - 1) == 0,
+                    f"a power of two from 2 to {MAX_SAMPLES}", "n_points",
+                    BUILDS + ("remainder-audit",)),
+    "n_steps": Key(int, _AT_LEAST_ONE, "an integer >= 1", "n_steps",
+                   BUILDS + ("ledger",)),
+    "plot": Key(_boolean, _ANY, "true, false, 1 or 0", "plot", RUNS),
+    "lambda_ell": Key(lambda raw: tuple(float(v) for v in raw.split(",")),
+                      lambda values: all(1 < v < math.inf for v in values),
+                      "a comma list of numbers above 1", "lambda_ell", ("sweep",)),
+    "C": Key(float, _POSITIVE, "finite and positive", "ledger_c", ("ledger",)),
+    "C_err": Key(float, _POSITIVE, "finite and positive", "ledger_c_err",
+                 ("ledger",)),
+    "C_r": Key(float, _POSITIVE, "finite and positive", "ledger_c_r", ("ledger",)),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The problem and the experiment-level values one subcommand reads."""
+
+    problem: ProblemConfig = ProblemConfig()
     output_dir: str = "./out"
     plot: bool = False
-    lambda_ell: tuple[float, ...] = ()
+    lambda_ell: tuple[float, ...] = (64.0, 128.0, 256.0)
     ledger_c: float = 1.0
     ledger_c_err: float = 1.0
     ledger_c_r: float = ledger.DEFAULT_REMAINDER_CONSTANT
 
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        unknown = [k for k in mapping if k not in ALL_KEYS]
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]!r}")
-        problem_map = {k: v for k, v in mapping.items() if k in PROBLEM_KEYS}
+
+def _check_across_keys(cfg: ExperimentConfig, reads: set) -> None:
+    """Checks that involve several keys, on the values after defaults.  A
+    check runs only for a subcommand that reads all of its keys."""
+    p = cfg.problem
+    k_safe = p.params().k_safe
+    too_wide = [f"{ll:g}" for ll in cfg.lambda_ell if ll / p.lam >= PERIOD]
+    for keys, ok, message in (
+        (("lambda", "ell"), p.lam * p.ell > 1,
+         f"lambda*ell must exceed 1, got {p.lam * p.ell}"),
+        (("k0", "k1"), p.k0 >= p.k1, f"need k0 >= k1, got k0={p.k0}, k1={p.k1}"),
+        (("lambda", "n_points"), RESOLUTION_FACTOR * p.lam <= p.n_points,
+         f"frequency {p.lam} unresolved at n_points={p.n_points}"),
+        (("lambda", "k1", "n_points"), k_safe >= p.k1,
+         f"grid resolves norms only to order {k_safe} at frequency {p.lam}; "
+         f"k1={p.k1} needs n_points >= {RESOLUTION_FACTOR * p.lam * (p.k1 + 1)}"),
+        (("lambda", "lambda_ell"), not too_wide,
+         f"lambda_ell {', '.join(too_wide)} gives ell >= 2*pi at lambda={p.lam}"),
+    ):
+        if not ok and reads.issuperset(keys):
+            raise ConfigError(message)
+
+
+def _config_from_mapping(command: str, mapping: dict) -> ExperimentConfig:
+    """Judge every key of mapping (raw text values) by KEYS for command."""
+    reads = [key for key, spec in KEYS.items() if command in spec.commands]
+    values = {}
+    for key, raw in mapping.items():
+        spec = KEYS.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        if command not in spec.commands:
+            raise ConfigError(f"{command} does not read {key!r}; it reads only "
+                              f"{', '.join(reads)}")
         try:
-            problem = ProblemConfig.from_mapping(problem_map)
-            problem.params().validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        kwargs = {"problem": problem, "problem_keys": tuple(problem_map)}
-        if "experiment" in mapping:
-            exp = mapping["experiment"]
-            if exp not in EXPERIMENTS:
-                raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-            kwargs["experiment"] = exp
-        if "output_dir" in mapping:
-            kwargs["output_dir"] = mapping["output_dir"]
-        if "plot" in mapping:
-            raw = str(mapping["plot"]).lower()
-            if raw not in ("true", "false", "0", "1"):
-                raise ConfigError(f"plot must be boolean, got {mapping['plot']!r}")
-            kwargs["plot"] = raw in ("true", "1")
-        if "lambda_ell" in mapping:
-            try:
-                values = tuple(float(v) for v in str(mapping["lambda_ell"]).split(","))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"lambda_ell must be a comma list of numbers, got "
-                    f"{mapping['lambda_ell']!r}") from exc
-            if not values or any(v <= 1 for v in values):
-                raise ConfigError("lambda_ell values must exceed 1")
-            kwargs["lambda_ell"] = values
-        for key, attr in (("C", "ledger_c"), ("C_err", "ledger_c_err"),
-                          ("C_r", "ledger_c_r")):
-            if key in mapping:
-                try:
-                    value = float(mapping[key])
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key!r}: {mapping[key]!r}") from exc
-                if not (math.isfinite(value) and value > 0):
-                    raise ConfigError(f"{key} must be finite and positive, "
-                                      f"got {mapping[key]!r}")
-                kwargs[attr] = value
-        return cls(**kwargs)
+            values[spec.field] = spec.parse(raw)
+            valid = spec.valid(values[spec.field])
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ConfigError(f"{key} must be {spec.expect}, got {raw!r}")
+    named = values.pop("experiment", command)
+    if named != command:
+        raise ConfigError(f"config names experiment {named!r} but subcommand "
+                          f"is {command!r}")
+    problem_fields = {f.name for f in fields(ProblemConfig)}
+    cfg = ExperimentConfig(
+        ProblemConfig(**{f: v for f, v in values.items() if f in problem_fields}),
+        **{f: v for f, v in values.items() if f not in problem_fields})
+    if command in SCALAR_ONLY and cfg.problem.kind != "scalar":
+        raise ConfigError(f"{command} takes 'kind' = scalar only, got "
+                          f"{cfg.problem.kind!r}")
+    _check_across_keys(cfg, set(reads))
+    return cfg
 
 
-def load_experiment_config(config_path: Optional[str],
+def load_experiment_config(command: str, config_path: Optional[str],
                            overrides: Sequence[str]) -> ExperimentConfig:
+    """The config file's keys, then the key=value overrides, judged for
+    command."""
     mapping: dict = {}
     if config_path is not None:
         try:
@@ -124,7 +192,7 @@ def load_experiment_config(config_path: Optional[str],
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    return ExperimentConfig.from_mapping(mapping)
+    return _config_from_mapping(command, mapping)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -264,13 +332,6 @@ def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_remainder_audit(cfg: ExperimentConfig, out: Path) -> int:
-    unread = [key for key in cfg.problem_keys if key not in AUDIT_KEYS]
-    if unread:
-        raise ConfigError(f"remainder-audit does not read {unread[0]!r}; it "
-                          f"takes only {', '.join(AUDIT_KEYS)}")
-    if cfg.problem.kind != "scalar":
-        raise ConfigError(f"remainder-audit draws scalar fields only, "
-                          f"got kind={cfg.problem.kind!r}")
     pairs = [(term, term.bound_class) for term in stock_remainder_terms()]
     *reports, control = verify.audit_classes(
         pairs + [verify.MISDECLARED_CONTROL], cfg.problem.params(),
@@ -324,16 +385,10 @@ def _cmd_r5_demo(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
-    values = cfg.lambda_ell or (64.0, 128.0, 256.0)
     base = cfg.problem
     code = 0
-    for ll in values:
-        problem = replace(base, ell=ll / base.lam)
-        try:
-            problem.params().validate()
-        except ValueError as exc:
-            raise ConfigError(f"lambda_ell={ll:g}: {exc}") from exc
-        trace = iteration.run(problem.build())
+    for ll in cfg.lambda_ell:
+        trace = iteration.run(replace(base, ell=ll / base.lam).build())
         if trace.flag == "diverged":
             print(f"lambda_ell={ll:g}: diverged at step {trace.escape_step}",
                   file=sys.stderr)
@@ -349,8 +404,17 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the config-error code, not argparse's 2, which
+    is the numerical-failure code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tamelab",
         description="Experiment runner for the corrector-iteration laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--output_dir", default=None,
                        help="output directory (default ./out or config value)")
-        p.add_argument("--plot", action="store_true", help="emit SVG charts")
+        p.add_argument("--plot", action="store_true",
+                       help=f"emit SVG charts ({', '.join(KEYS['plot'].commands)})")
         if name == "ledger":
             p.add_argument("--csv", action="store_true",
                            help="also write the table as CSV")
@@ -370,24 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # The flags join the overrides last, so the key table judges them too.
+    flags = [f"output_dir={args.output_dir}"] if args.output_dir is not None else []
+    if args.plot:
+        flags.append("plot=true")
     try:
-        cfg = load_experiment_config(args.config, args.overrides)
-        if cfg.experiment is not None and cfg.experiment != args.command:
-            raise ConfigError(
-                f"config names experiment {cfg.experiment!r} but subcommand "
-                f"is {args.command!r}")
-        replacements = {}
-        if args.output_dir is not None:
-            replacements["output_dir"] = args.output_dir
-        if args.plot:
-            replacements["plot"] = True
-        if replacements:
-            cfg = replace(cfg, **replacements)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out = Path(cfg.output_dir)
-    try:
+        cfg = load_experiment_config(args.command, args.config,
+                                     args.overrides + flags)
+        out = Path(cfg.output_dir)
         if args.command == "run":
             return _cmd_run(cfg, out)
         if args.command == "decay":

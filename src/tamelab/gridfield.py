@@ -72,10 +72,6 @@ class GridFunction:
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
-    @property
-    def period(self) -> float:
-        return PERIOD
-
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "GridFunction":
         arr = np.asarray(samples, dtype=np.float64)
@@ -211,7 +207,7 @@ def ck_norm(f: GridFunction, k_max: int,
 
     Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points; experiments
     at frequency lam must additionally keep n_points >= RESOLUTION_FACTOR *
-    lam * (k_max + 1) (enforced where lam is known: IterationParams.validate
+    lam * (k_max + 1) (enforced where lam is known: the CLI's config checks
     and verify.audit_classes).  spectrum, when given, must be
     _clean_spectrum(f), as for derivative.  held maps orders to derivatives
     of f already taken from that spectrum; those orders are read, not
@@ -328,22 +324,6 @@ def check_product(f: GridFunction, g: GridFunction) -> None:
             f"component counts differ: {f.n_components} vs {g.n_components}")
 
 
-def pointwise_mul(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Componentwise product; a 1-component factor broadcasts over the other."""
-    check_product(f, g)
-    out = f.samples * g.samples
-    return GridFunction(f.n_points, out.shape[-1], out)
-
-
-def component_sum(f: GridFunction) -> GridFunction:
-    """Sum over the component axis, returning a 1-component field."""
-    return GridFunction(f.n_points, 1, f.samples.sum(axis=-1, keepdims=True))
-
-
-def component_mean(f: GridFunction) -> GridFunction:
-    return scale(1.0 / f.n_components, component_sum(f))
-
-
 def random_trig_polynomial(rng: np.random.Generator, n_points: int,
                            n_components: int = 1, max_mode: int = 8,
                            normalize: bool = True) -> GridFunction:
@@ -397,24 +377,3 @@ def refine(f: GridFunction, factor: int) -> GridFunction:
     padded[n // 2] *= 0.5
     out = np.fft.irfft(padded, n_new, axis=0) * factor
     return GridFunction(n_new, f.n_components, out)
-
-
-def save_csv(f: GridFunction, path) -> None:
-    """Write `# 1,n_points,n_components` then one row per grid point."""
-    with open(path, "w") as fh:
-        fh.write(f"# 1,{f.n_points},{f.n_components}\n")
-        for row in f.samples:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_csv(path) -> GridFunction:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError(f"missing header line in {path}")
-        dim, n_points, n_components = (int(v) for v in header[1:].split(","))
-        if dim != 1:
-            raise ValueError(f"{path}: grid dimension {dim} in the header; "
-                             f"only 1-D fields load")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return GridFunction(n_points, n_components, data.reshape(n_points, n_components))

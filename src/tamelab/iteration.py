@@ -19,8 +19,7 @@ from .problem import DomainEscape, ProblemInstance
 __all__ = [
     "DomainEscape", "DerivativeBudgetExhausted", "IterationState",
     "StepMargins", "IterationTrace", "HypothesisReport", "initial_step",
-    "step", "run", "check_hypotheses", "identity_residual",
-    "telescoped_remainder", "trace_to_csv",
+    "step", "run", "check_hypotheses", "identity_residual", "trace_to_csv",
 ]
 
 IDENTITY_TOL = 1e-9
@@ -279,18 +278,6 @@ def check_hypotheses(trace: IterationTrace) -> HypothesisReport:
     return HypothesisReport(margins=trace.margins, constants=trace.constants,
                             passes=passes, threshold=trace.threshold,
                             below_threshold=trace.below_threshold)
-
-
-def telescoped_remainder(trace: IterationTrace, upto: int) -> GridFunction:
-    """Reconstruct r_i(a_i) at state `upto` from the first remainder and the
-    errors: summing the substitution identity over steps 2..upto collapses to
-    r_1(a_1) - sum_{j=2..upto} E_j."""
-    if not 1 <= upto <= trace.n_steps:
-        raise ValueError(f"upto must be in 1..{trace.n_steps}, got {upto}")
-    total = trace.states[1].r_of_a
-    for j in range(2, upto + 1):
-        total = total - trace.states[j].error
-    return total
 
 
 def _csv_cell(value) -> str:

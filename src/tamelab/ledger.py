@@ -21,6 +21,10 @@ STOCK_CLASSES = (R1, R2, R3, R4)
 # identify it with the per-order remainder constant at k = 0.
 DEFAULT_REMAINDER_CONSTANT = 1.0
 
+# Declared field constant C of the stock set (||a||_0 <= C); calibrate
+# replaces it with the measured one.
+FIELD_CONSTANT = 2.0
+
 # Propagated constants obey a quadratic recurrence and can exceed float range
 # within a handful of steps at small lam*ell; they saturate here instead of
 # overflowing.  A saturated constant still dominates every measured margin.
@@ -70,7 +74,7 @@ class ConstantSet:
 
 
 def stock_constants(params: IterationParams) -> ConstantSet:
-    return ConstantSet(c=params.c_field, c_err=1.0, c_r=DEFAULT_REMAINDER_CONSTANT,
+    return ConstantSet(c=FIELD_CONSTANT, c_err=1.0, c_r=DEFAULT_REMAINDER_CONSTANT,
                        c_f=params.c_f,
                        c_k=tuple(safe_leibniz(k) for k in range(params.k0 + 1)),
                        step=1)
@@ -153,18 +157,6 @@ def propagate(cs: ConstantSet, params: IterationParams,
 def threshold(cs: ConstantSet) -> float:
     """Smallest lam*ell keeping c_r/(lam ell) within the 1/(3 c_f) margin."""
     return 3.0 * cs.c_f * cs.c_r
-
-
-def predict_budget(k1: int, n_steps: int, remainder_order: int) -> int:
-    """Starting order k0 needed to still control k1 orders after n_steps,
-    losing remainder_order derivatives per step."""
-    if k1 < 1:
-        raise ValueError(f"k1 must be >= 1, got {k1}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if remainder_order < 0:
-        raise ValueError(f"remainder_order must be >= 0, got {remainder_order}")
-    return k1 + n_steps * remainder_order
 
 
 def calibrate(norms_a: NormVector, norms_error: NormVector, norms_r: NormVector,

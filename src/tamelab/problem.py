@@ -16,8 +16,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gridfield import (
-    MAX_SAMPLES,
-    PERIOD,
     RESOLUTION_FACTOR,
     FieldSpectrum,
     GridFunction,
@@ -202,10 +200,6 @@ class RemainderSpec:
     drift: float = 0.0
 
     @property
-    def varies_with_step(self) -> bool:
-        return self.drift != 0.0
-
-    @property
     def class_tags(self) -> tuple[BoundClass, ...]:
         return tuple(t.bound_class for t in self.terms)
 
@@ -236,7 +230,8 @@ class IterationParams:
     k0 is the largest controlled derivative order at step 0 and shrinks by
     one per step; k1 is the order that must survive all n_steps.  c_f is the
     declared inverse-map constant (domain radius 1/c_f, target radius
-    1/(3 c_f)); c_field seeds the ledger's field constant.
+    1/(3 c_f)).  The CLI's key table checks the ranges; an integer ell is
+    taken as a float.
     """
 
     lam: int
@@ -244,10 +239,12 @@ class IterationParams:
     k0: int
     k1: int
     c_f: float = 1.0
-    c_field: float = 2.0
     n_points: int = 2048
     n_steps: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "ell", float(self.ell))
 
     @property
     def lambda_ell(self) -> float:
@@ -262,33 +259,6 @@ class IterationParams:
         """Norm orders reported at a given step: the derivative-loss budget
         k0 - step, capped by what the grid resolves."""
         return max(0, min(self.k0 - step, self.k_safe))
-
-    def validate(self) -> None:
-        if self.lam != int(self.lam) or self.lam < 1:
-            raise ValueError(f"lambda must be a positive integer, got {self.lam}")
-        if not 0 < self.ell < PERIOD:
-            raise ValueError(f"ell must lie in (0, 2*pi), got {self.ell}")
-        if self.lambda_ell <= 1:
-            raise ValueError(f"lambda*ell must exceed 1, got {self.lambda_ell}")
-        if self.k1 < 1 or self.k0 < self.k1:
-            raise ValueError(f"need k0 >= k1 >= 1, got k0={self.k0}, k1={self.k1}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.c_f <= 0 or self.c_field <= 0:
-            raise ValueError("constants C_F and C must be positive")
-        if self.n_points < 2 or (self.n_points & (self.n_points - 1)) != 0:
-            raise ValueError(f"n_points must be a power of two, got {self.n_points}")
-        if self.n_points > MAX_SAMPLES:
-            raise ValueError(
-                f"n_points={self.n_points} exceeds the {MAX_SAMPLES} sample cap")
-        if RESOLUTION_FACTOR * self.lam > self.n_points:
-            raise ValueError(
-                f"frequency {self.lam} unresolved at n_points={self.n_points}")
-        if self.k_safe < self.k1:
-            raise ValueError(
-                f"grid resolves norms only to order {self.k_safe} at frequency "
-                f"{self.lam}; k1={self.k1} needs n_points >= "
-                f"{RESOLUTION_FACTOR * self.lam * (self.k1 + 1)}")
 
 
 @dataclass(frozen=True)
@@ -367,7 +337,7 @@ def _grid_inverse(inverse_map: ArrayMap, center: GridFunction, c_f: float,
 
 
 def _grid_bilinear(bilinear_map: ArrayMap):
-    """b on GridFunctions, with pointwise_mul's grid checks."""
+    """b on GridFunctions, with check_product's grid checks."""
 
     def bilinear(u: GridFunction, v: GridFunction, step: int) -> GridFunction:
         check_product(u, v)
@@ -419,9 +389,6 @@ def _measure_target_constant(target_norms: NormVector,
 
 def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
               n_components: int, kind: str) -> ProblemInstance:
-    params.validate()
-    if drift < 0:
-        raise ValueError(f"drift must be >= 0, got {drift}")
     center = GridFunction.constant(1.0, params.n_points)
     radius = 1.0 / (3.0 * params.c_f)
     wave = oscillator(t_amplitude, params.lam, phase=-math.pi / 2,
@@ -492,13 +459,10 @@ def with_self_interaction(instance: ProblemInstance, strength: float) -> Problem
     return replace(instance, remainder=replace(instance.remainder, terms=terms))
 
 
-PROBLEM_KEYS = ("kind", "lambda", "ell", "k0", "k1", "C_F", "amplitude",
-                "drift", "r5_strength", "n_points", "n_steps", "seed")
-
-
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Flat problem definition, loadable from a key = value config file."""
+    """Flat problem definition; the CLI fills it from a key = value config
+    file and checks it against its key table."""
 
     kind: str = "scalar"
     lam: int = 32
@@ -512,34 +476,6 @@ class ProblemConfig:
     n_points: int = 2048
     n_steps: int = 5
     seed: int = 7
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "ProblemConfig":
-        converters = {
-            "kind": str, "lambda": int, "ell": float, "k0": int, "k1": int,
-            "C_F": float, "amplitude": float, "drift": float,
-            "r5_strength": float, "n_points": int, "n_steps": int, "seed": int,
-        }
-        attrs = {"lambda": "lam", "C_F": "c_f"}
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in converters:
-                raise ValueError(f"unknown problem key {key!r}")
-            try:
-                value = converters[key](raw)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad value for {key!r}: {raw!r}") from exc
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {raw!r}")
-            kwargs[attrs.get(key, key)] = value
-        cfg = cls(**kwargs)
-        if cfg.kind not in ("scalar", "two_component"):
-            raise ValueError(f"kind must be scalar or two_component, got {cfg.kind!r}")
-        if cfg.r5_strength < 0 or cfg.drift < 0 or cfg.amplitude < 0:
-            raise ValueError("amplitude, drift and r5_strength must be >= 0")
-        if cfg.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
-        return cfg
 
     def params(self) -> IterationParams:
         return IterationParams(lam=self.lam, ell=self.ell, k0=self.k0, k1=self.k1,

@@ -241,13 +241,6 @@ def verify_remainder_class(term: RemainderTerm, bound_class: BoundClass,
 MISDECLARED_CONTROL = (self_interaction_term(1.0), R2)
 
 
-def misdeclared_control(params: IterationParams, n_samples: int = 12,
-                        seed: int = 0, k_max: int = 3) -> BoundReport:
-    """Audit MISDECLARED_CONTROL; the report must come back unstable."""
-    return audit_classes([MISDECLARED_CONTROL], params, n_samples, seed,
-                         k_max)[0]
-
-
 @dataclass(frozen=True)
 class DecayFit:
     """Least-squares line through (i, ln ||E_i||_k)."""

@@ -142,7 +142,8 @@ def test_criterion_5_remainder_class_audit():
                                                    n_samples=12, seed=11)
             reports.append(report)
             assert report.stable, term.bound_class.kind
-        control = verify.misdeclared_control(p, n_samples=12, seed=11)
+        [control] = verify.audit_classes([verify.MISDECLARED_CONTROL], p,
+                                         n_samples=12, seed=11)
         assert not control.stable
         # seeded reproducibility: identical reports on a second pass
         again = verify.verify_remainder_class(stock_remainder_terms()[0],
@@ -222,8 +223,10 @@ def test_criterion_10_pipeline_determinism(tmp_path):
             blobs = []
             for attempt in ("a", "b"):
                 out = tmp_path / f"{path.stem}-{attempt}"
+                # --plot where the subcommand plots; the others refuse it
+                plot = ["--plot"] if experiment in ("run", "decay", "sweep") else []
                 code = cli_main([experiment, "--config", str(path),
-                                 "--output_dir", str(out), "--plot"])
+                                 "--output_dir", str(out)] + plot)
                 assert code == 0, path.name
                 files = sorted(p.name for p in out.iterdir())
                 assert files, path.name

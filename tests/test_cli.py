@@ -10,7 +10,7 @@ from tamelab.cli import (
     main,
 )
 from tamelab.iteration import run
-from tamelab.problem import IterationParams, make_scalar_toy
+from tamelab.problem import IterationParams, make_scalar_toy, parse_flat_config
 from tamelab.verify import InsufficientSteps
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -86,24 +86,116 @@ class TestConfigParsing:
         assert "decay" in capsys.readouterr().err
 
     def test_set_overrides(self):
-        cfg = load_experiment_config(None, ["lambda=16", "ell=2", "k0=4",
-                                            "k1=1", "n_points=1024", "n_steps=3"])
+        cfg = load_experiment_config("run", None, [
+            "lambda=16", "ell=2", "k0=4", "k1=1", "n_points=1024", "n_steps=3"])
         assert cfg.problem.lam == 16 and cfg.problem.ell == 2.0
 
     def test_set_requires_equals(self):
         with pytest.raises(ConfigError, match="key=value"):
-            load_experiment_config(None, ["lambda"])
+            load_experiment_config("run", None, ["lambda"])
 
     def test_lambda_ell_list(self):
-        cfg = load_experiment_config(None, ["lambda_ell=64,128"])
+        cfg = load_experiment_config("sweep", None, ["lambda_ell=64,128"])
         assert cfg.lambda_ell == (64.0, 128.0)
         with pytest.raises(ConfigError, match="lambda_ell"):
-            load_experiment_config(None, ["lambda_ell=64,abc"])
+            load_experiment_config("sweep", None, ["lambda_ell=64,abc"])
 
     def test_plot_flag_values(self):
-        assert load_experiment_config(None, ["plot=true"]).plot
+        assert load_experiment_config("run", None, ["plot=true"]).plot
         with pytest.raises(ConfigError, match="plot"):
-            load_experiment_config(None, ["plot=yes"])
+            load_experiment_config("run", None, ["plot=yes"])
+
+    @pytest.mark.parametrize("argv", [["run", "--bogus"], [],
+                                      ["run", "--set"], ["no-such-command"]])
+    def test_usage_error_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+
+
+# Each subcommand with its shipped config and the file it would write.
+SHIPPED = {
+    "run": ("default.cfg", "trace.csv"),
+    "decay": ("decay.cfg", "decay.csv"),
+    "sweep": ("sweep.cfg", "decay_ll64.csv"),
+    "r5-demo": ("r5.cfg", "r5_clean.csv"),
+    "remainder-audit": ("audit.cfg", "audit.csv"),
+    "ledger": (None, "ledger.csv"),
+}
+
+
+def shipped_argv(command, tmp_path, *extra):
+    config, _ = SHIPPED[command]
+    argv = [command, "--output_dir", str(tmp_path)]
+    if config is not None:
+        argv += ["--config", str(CONFIG_DIR / config)]
+    if command == "ledger":
+        argv.append("--csv")
+    return argv + list(extra)
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("command, item", [
+        ("run", "C_r=5"),
+        ("run", "C=7"),
+        ("run", "lambda_ell=64"),
+        ("decay", "C_err=2"),
+        ("sweep", "ell=1"),
+        ("r5-demo", "drift=0.5"),
+        ("r5-demo", "kind=two_component"),  # read, but scalar only
+        ("r5-demo", "--plot"),
+        ("ledger", "r5_strength=3"),
+        ("ledger", "n_points=4096"),
+        ("ledger", "--plot"),
+        ("remainder-audit", "lambda_ell=64"),
+        ("remainder-audit", "--plot"),
+    ])
+    def test_key_not_read_exits_one(self, command, item, tmp_path, capsys):
+        extra = [item] if item.startswith("--") else ["--set", item]
+        assert main(shipped_argv(command, tmp_path, *extra)) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert repr(item.lstrip("-").split("=")[0]) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_audit_runs_at_any_ell(self, tmp_path, capsys):
+        # lambda*ell > 1 involves lambda, which the audit does not read.
+        code = main(shipped_argv("remainder-audit", tmp_path, "--set", "ell=0.02"))
+        assert code == 0 and (tmp_path / "audit.csv").exists()
+
+    def test_ledger_ignores_the_grid(self, tmp_path, capsys):
+        # lambda=1024 is unresolved at the default n_points, which the
+        # ledger does not read.
+        code = main(shipped_argv("ledger", tmp_path, "--set", "lambda=1024"))
+        assert code == 0 and (tmp_path / "ledger.csv").exists()
+
+    @pytest.mark.parametrize("command, items, message", [
+        ("remainder-audit", ["n_points=3000"], "n_points"),
+        ("ledger", ["k0=0"], "k0"),
+        ("ledger", ["ell=0.01"], "lambda*ell"),
+        ("run", ["ell=0.05", "lambda=16"], "lambda*ell"),
+        ("sweep", ["lambda_ell=64,512"], "lambda_ell 512"),  # ell = 8 at lambda 64
+    ])
+    def test_range_and_cross_key_checks(self, command, items, message, tmp_path,
+                                        capsys):
+        extra = [arg for item in items for arg in ("--set", item)]
+        assert main(shipped_argv(command, tmp_path, *extra)) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_subcommand_accepts_seed(self):
+        # the benchmark appends --set seed=<n> to every call
+        for command, (config, _) in SHIPPED.items():
+            path = None if config is None else str(CONFIG_DIR / config)
+            cfg = load_experiment_config(command, path, ["seed=3"])
+            assert cfg.problem.seed == 3
 
 
 class TestLedgerCommand:
@@ -192,7 +284,6 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["default.cfg", "decay.cfg", "audit.cfg",
                                       "r5.cfg", "sweep.cfg", "two_component.cfg"])
     def test_config_passes_own_experiment(self, name, tmp_path, capsys):
-        from tamelab.problem import parse_flat_config
         text = (CONFIG_DIR / name).read_text()
         experiment = parse_flat_config(text)["experiment"]
         code = main([experiment, "--config", str(CONFIG_DIR / name),

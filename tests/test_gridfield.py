@@ -11,19 +11,15 @@ from tamelab.gridfield import (
     NormVector,
     ResolutionError,
     axpy,
+    check_product,
     ck_norm,
-    component_mean,
-    component_sum,
     coordinates,
     derivative,
     _clean_spectrum,
-    load_csv,
     mollify,
     oscillator,
-    pointwise_mul,
     random_trig_polynomial,
     refine,
-    save_csv,
 )
 
 HYP = dict(max_examples=25, deadline=None, derandomize=True)
@@ -35,6 +31,12 @@ def grid_x(n):
 
 def sine(freq, n, amplitude=1.0):
     return oscillator(amplitude, freq, phase=-np.pi / 2, n_points=n)
+
+
+def product(f, g):
+    """Pointwise product; a 1-component factor broadcasts over the other."""
+    check_product(f, g)
+    return GridFunction.from_samples(f.samples * g.samples)
 
 
 class TestDerivative:
@@ -157,7 +159,7 @@ class TestCkNorm:
         f = random_trig_polynomial(rng, 512, normalize=False)
         g = random_trig_polynomial(rng, 512, normalize=False)
         nf, ng = ck_norm(f, 3), ck_norm(g, 3)
-        nprod = ck_norm(pointwise_mul(f, g), 3)
+        nprod = ck_norm(product(f, g), 3)
         for k in range(4):
             bound = 2 ** k * sum(comb(k, j) * nf[j] * ng[k - j] for j in range(k + 1))
             assert nprod[k] <= bound * (1 + 1e-9)
@@ -314,7 +316,7 @@ class TestPointwiseOps:
 
     def test_sin_squared_identity(self):
         s = sine(1, 256)
-        prod = pointwise_mul(s, s)
+        prod = product(s, s)
         expected = (1.0 - np.cos(2 * grid_x(256))) / 2.0
         assert np.max(np.abs(prod.samples[:, 0] - expected)) < 1e-12
 
@@ -324,25 +326,27 @@ class TestPointwiseOps:
         rng = np.random.default_rng(seed)
         f = random_trig_polynomial(rng, 128, normalize=False)
         g = random_trig_polynomial(rng, 128, normalize=False)
-        assert pointwise_mul(f, g).sup() <= f.sup() * g.sup() * (1 + 1e-12)
+        assert product(f, g).sup() <= f.sup() * g.sup() * (1 + 1e-12)
 
     def test_incompatible_grids(self):
         f, g = sine(1, 128), sine(1, 256)
         with pytest.raises(IncompatibleGrids):
             axpy(1.0, f, g)
         with pytest.raises(IncompatibleGrids):
-            pointwise_mul(f, g)
+            product(f, g)
         h = GridFunction.constant(1.0, 128, n_components=2)
         with pytest.raises(IncompatibleGrids):
             axpy(1.0, f, h)
 
     def test_component_broadcast_and_sum(self):
+        # a 1-component factor broadcasts; unequal larger counts do not
         two = GridFunction.constant(3.0, 64, n_components=2)
         one = GridFunction.constant(2.0, 64)
-        prod = pointwise_mul(one, two)
+        prod = product(one, two)
         assert prod.n_components == 2
-        assert component_sum(prod).samples[0, 0] == pytest.approx(12.0)
-        assert component_mean(prod).samples[0, 0] == pytest.approx(6.0)
+        assert prod.samples.sum(axis=-1)[0] == pytest.approx(12.0)
+        with pytest.raises(IncompatibleGrids):
+            check_product(two, GridFunction.constant(1.0, 64, n_components=3))
 
 
 class TestGridFunction:
@@ -437,27 +441,3 @@ class TestRandomTrigPolynomial:
     def test_unresolved_mode_refused(self):
         with pytest.raises(ResolutionError, match="max_mode"):
             random_trig_polynomial(np.random.default_rng(0), 8)
-
-
-class TestCsv:
-    def test_roundtrip_1d(self, tmp_path):
-        rng = np.random.default_rng(1)
-        f = random_trig_polynomial(rng, 64, n_components=2, normalize=False)
-        path = tmp_path / "f.csv"
-        save_csv(f, path)
-        g = load_csv(path)
-        assert g.samples.shape == (64, 2)
-        assert g.n_points == 64 and g.n_components == 2
-        assert np.array_equal(f.samples, g.samples)
-
-    def test_rejects_non_1d_header(self, tmp_path):
-        path = tmp_path / "f2.csv"
-        path.write_text("# 2,4,1\n" + "0.5\n" * 16)
-        with pytest.raises(ValueError, match="dimension 2"):
-            load_csv(path)
-
-    def test_header_present(self, tmp_path):
-        f = sine(1, 32)
-        path = tmp_path / "f.csv"
-        save_csv(f, path)
-        assert path.read_text().startswith("# 1,32,1\n")

@@ -12,7 +12,6 @@ from tamelab.iteration import (
     run,
     start_state,
     step,
-    telescoped_remainder,
     trace_to_csv,
 )
 from tamelab.problem import (
@@ -244,18 +243,14 @@ class TestTelescoping:
         # remainder; including E_1 in the sum (the other index reading)
         # misses by ~||E_1||, so the convention is unambiguous
         for upto in (2, 3):
-            recon = telescoped_remainder(stock_trace, upto)
+            recon = stock_trace.states[1].r_of_a
+            for j in range(2, upto + 1):
+                recon = recon - stock_trace.states[j].error
             direct = stock_trace.states[upto].r_of_a
             assert (recon - direct).sup() <= 1e-9
             wrong = recon - stock_trace.states[1].error
             gap = (wrong - direct).sup()
             assert gap > 1e-4  # the wrong reading is off by ||E_1|| ~ 8e-3
-
-    def test_bounds(self, stock_trace):
-        with pytest.raises(ValueError):
-            telescoped_remainder(stock_trace, 0)
-        with pytest.raises(ValueError):
-            telescoped_remainder(stock_trace, 99)
 
 
 class TestTraceCsv:

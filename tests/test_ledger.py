@@ -11,7 +11,6 @@ from tamelab.ledger import (
     constant_table,
     difference_constant,
     pair_count,
-    predict_budget,
     propagate,
     safe_leibniz,
     stock_constants,
@@ -104,7 +103,6 @@ class TestPropagate:
     def test_budget_for_r6_uses_max_order(self):
         from tamelab.problem import r6
         assert r6(2, 3).derivative_order == 3
-        assert predict_budget(1, 2, r6(2, 3).derivative_order) == 7
 
     @given(s=st.floats(min_value=0.1, max_value=100.0))
     @settings(**HYP)
@@ -173,24 +171,11 @@ class TestThreshold:
 
 
 class TestPredictBudget:
-    def test_formula(self):
-        assert predict_budget(2, 3, 1) == 5
-        assert predict_budget(2, 5, 0) == 2
-        assert predict_budget(1, 4, 2) == 9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            predict_budget(0, 3, 1)
-        with pytest.raises(ValueError):
-            predict_budget(1, 0, 1)
-        with pytest.raises(ValueError):
-            predict_budget(1, 1, -1)
-
     def test_budget_empirically_tight(self):
         # stock remainder consumes one derivative per step: k0 from the
         # budget runs; one less is refused up front
         k1, n_steps = 1, 3
-        k0 = predict_budget(k1, n_steps, 1)
+        k0 = k1 + n_steps * 1
         good = IterationParams(lam=16, ell=2.0, k0=k0, k1=k1, n_points=1024,
                                n_steps=n_steps, seed=7)
         trace = run(make_scalar_toy(good, 0.2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tamelab.cli import ConfigError, load_experiment_config
 from tamelab.gridfield import GridFunction, ck_norm, random_trig_polynomial, scale
 from tamelab.problem import (
     RIGHT_INVERSE_TOL,
@@ -13,7 +14,6 @@ from tamelab.problem import (
     DomainEscape,
     IterationParams,
     NeighborhoodViolation,
-    ProblemConfig,
     RemainderTerm,
     make_scalar_toy,
     make_two_component_toy,
@@ -32,6 +32,21 @@ def default_params(**overrides):
                 n_steps=5, seed=7)
     base.update(overrides)
     return IterationParams(**base)
+
+
+def product(f, g):
+    """Pointwise product; a 1-component factor broadcasts over the other."""
+    return GridFunction.from_samples(f.samples * g.samples)
+
+
+def component_mean(f):
+    return GridFunction.from_samples(
+        (1.0 / f.n_components) * f.samples.sum(axis=-1, keepdims=True))
+
+
+def load(*items):
+    """The run subcommand's config from --set items alone."""
+    return load_experiment_config("run", None, list(items))
 
 
 class TestBoundClass:
@@ -212,12 +227,12 @@ class TestSelfInteraction:
         # r5(a, a) = strength/(lam ell) cos(lam x) (da) a
         params = default_params()
         term = self_interaction_term(2.0)
-        from tamelab.gridfield import derivative, oscillator, pointwise_mul
+        from tamelab.gridfield import derivative, oscillator
         modulation = oscillator(1.0, params.lam, n_points=params.n_points)
         a = random_trig_polynomial(np.random.default_rng(17), params.n_points)
         out = term.apply(a, a, lam=params.lam, ell=params.ell, modulation=modulation)
         expected = scale(2.0 / params.lambda_ell,
-                         pointwise_mul(modulation, pointwise_mul(derivative(a), a)))
+                         product(modulation, product(derivative(a), a)))
         assert (out - expected).sup() < 1e-14
 
     def test_derivative_caches_shared_and_checked(self):
@@ -240,9 +255,8 @@ class TestSelfInteraction:
     @pytest.mark.parametrize("n_components", [1, 2])
     def test_apply_matches_composed_grid_operations(self, n_components):
         # apply builds one GridFunction; it must equal, bit for bit, the
-        # same computation written with gridfield operations.
-        from tamelab.gridfield import (
-            component_mean, derivative, oscillator, pointwise_mul)
+        # same computation written as one operation per field.
+        from tamelab.gridfield import derivative, oscillator
         params = default_params()
         modulation = oscillator(1.0, params.lam, n_points=params.n_points)
         a, b = (random_trig_polynomial(np.random.default_rng(seed), params.n_points,
@@ -258,9 +272,9 @@ class TestSelfInteraction:
             j = term.bound_class.arg_derivatives
             core = d(a, j[0])
             if term.bound_class.arity == 2:
-                core = pointwise_mul(core, d(b, j[1]))
+                core = product(core, d(b, j[1]))
             pref = term.weight * term.bound_class.prefactor(params.lam, params.ell)
-            expected = scale(pref, pointwise_mul(modulation, component_mean(core)))
+            expected = scale(pref, product(modulation, component_mean(core)))
             out = term.apply(a, b, lam=params.lam, ell=params.ell,
                              modulation=modulation)
             assert out.samples.tobytes() == expected.samples.tobytes()
@@ -302,16 +316,31 @@ class TestTwoComponent:
 
 class TestParams:
     def test_validation_errors(self):
-        with pytest.raises(ValueError, match="exceed 1"):
-            default_params(lam=1, ell=0.5, n_steps=1, k0=3, k1=1).validate()
-        with pytest.raises(ValueError, match="k0 >= k1"):
-            default_params(k0=1, k1=2).validate()
-        with pytest.raises(ValueError, match="power of two"):
-            default_params(n_points=1000).validate()
-        with pytest.raises(ValueError, match="unresolved"):
-            default_params(lam=512, n_points=1024).validate()
-        with pytest.raises(ValueError, match="resolves norms"):
-            default_params(lam=128, k1=4, n_points=2048).validate()
+        # the CLI's key table judges the ranges of the run's parameters
+        with pytest.raises(ConfigError, match="exceed 1"):
+            load("lambda=1", "ell=0.5", "n_steps=1", "k0=3", "k1=1")
+        with pytest.raises(ConfigError, match="k0 >= k1"):
+            load("k0=1", "k1=2")
+        with pytest.raises(ConfigError, match="power of two"):
+            load("n_points=1000")
+        with pytest.raises(ConfigError, match="unresolved"):
+            load("lambda=512", "n_points=1024")
+        with pytest.raises(ConfigError, match="resolves norms"):
+            load("lambda=128", "k1=4", "n_points=2048")
+
+    @pytest.mark.parametrize("build", [
+        lambda p: make_scalar_toy(p),
+        lambda p: make_varying_toy(p, drift=0.5),
+        lambda p: make_two_component_toy(p),
+    ])
+    def test_integer_ell_builds_as_float(self, build):
+        # an int lam*ell to a negative integer power raised a bare
+        # numpy ValueError in the step factor
+        as_int = IterationParams(lam=32, ell=4, k0=7, k1=2)
+        assert isinstance(as_int.ell, float) and as_int == default_params(seed=0)
+        got, want = build(as_int), build(default_params(seed=0))
+        assert got.target.samples.tobytes() == want.target.samples.tobytes()
+        assert got.target_norms == want.target_norms
 
     def test_norm_order_budget_and_cap(self):
         p = default_params()  # k_safe = 2048 // 256 - 1 = 7
@@ -325,22 +354,22 @@ class TestParams:
 
 class TestConfig:
     def test_defaults_roundtrip(self):
-        cfg = ProblemConfig.from_mapping({})
+        cfg = load().problem
         assert cfg.lam == 32 and cfg.ell == 4.0 and cfg.kind == "scalar"
         instance = cfg.build()
         assert instance.kind == "scalar"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown problem key 'lamda'"):
-            ProblemConfig.from_mapping({"lamda": "32"})
+        with pytest.raises(ConfigError, match="unknown config key 'lamda'"):
+            load("lamda=32")
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError, match="bad value"):
-            ProblemConfig.from_mapping({"lambda": "thirty-two"})
-        with pytest.raises(ValueError, match="kind"):
-            ProblemConfig.from_mapping({"kind": "tensor"})
-        with pytest.raises(ValueError, match=">= 0"):
-            ProblemConfig.from_mapping({"drift": "-1"})
+        with pytest.raises(ConfigError, match="lambda must be a positive integer"):
+            load("lambda=thirty-two")
+        with pytest.raises(ConfigError, match="kind"):
+            load("kind=tensor")
+        with pytest.raises(ConfigError, match=">= 0"):
+            load("drift=-1")
 
     def test_parse_flat_config(self):
         text = """
@@ -362,14 +391,12 @@ class TestConfig:
         path = tmp_path / "p.cfg"
         path.write_text("lambda = 16\nell = 4\nk0 = 4\nk1 = 1\nn_steps = 3\n"
                         "n_points = 1024\nr5_strength = 0.5\n")
-        cfg = ProblemConfig.from_mapping(parse_flat_config(path.read_text()))
-        instance = cfg.build()
+        instance = load_experiment_config("run", str(path), []).problem.build()
         kinds = [b.kind for b in instance.remainder.class_tags]
         assert kinds[-1] == "R5"
 
     def test_two_component_build(self):
-        cfg = ProblemConfig.from_mapping({"kind": "two_component"})
-        assert cfg.build().n_components == 2
+        assert load("kind=two_component").problem.build().n_components == 2
 
 
 # (builder, n_components, drift) of the four instance families.

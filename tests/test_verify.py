@@ -36,7 +36,6 @@ from tamelab.verify import (
     decay_fits_to_csv,
     demonstrate_r5_failure,
     fit_decay,
-    misdeclared_control,
     oracle_norm,
     verify_remainder_class,
 )
@@ -92,7 +91,8 @@ class TestVerifyRemainderClass:
             assert all(c > 0 for c in report.per_k_constants)
 
     def test_misdeclared_control_unstable_and_grows(self):
-        report = misdeclared_control(params(), n_samples=10, seed=5)
+        [report] = audit_classes([MISDECLARED_CONTROL], params(), n_samples=10,
+                                 seed=5)
         assert not report.stable
         k0_by_lambda = [row[0] for row in report.constants_by_lambda]
         assert k0_by_lambda[-1] / k0_by_lambda[0] > 2.0
@@ -151,7 +151,8 @@ class TestVerifyRemainderClass:
 
 
 def audit_cfg_params():
-    return load_experiment_config(str(AUDIT_CFG), []).problem.params()
+    return load_experiment_config("remainder-audit", str(AUDIT_CFG),
+                                  []).problem.params()
 
 
 def stock_pairs():
@@ -219,7 +220,7 @@ class TestAuditClasses:
         shared = audit_classes(pairs, params(), seed=seed)
         separate = [verify_remainder_class(term, bound_class, params(), seed=seed)
                     for term, bound_class in stock_pairs()[:4]]
-        separate.append(misdeclared_control(params(), seed=seed))
+        separate += audit_classes([MISDECLARED_CONTROL], params(), seed=seed)
         separate += [verify_remainder_class(term, bound_class, params(), seed=seed)
                      for term, bound_class in extra]
         assert [r.bound_class for r in shared] == [c for _, c in pairs]
