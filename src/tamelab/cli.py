@@ -72,6 +72,8 @@ _ANY = lambda v: True
 _AT_LEAST_ONE = lambda v: v >= 1
 _POSITIVE = lambda v: 0 < v < math.inf
 _NON_NEGATIVE = lambda v: 0 <= v < math.inf
+# The top frequency that any accepted grid resolves.
+MAX_LAMBDA = MAX_SAMPLES // RESOLUTION_FACTOR
 
 KEYS = {
     "experiment": Key(str, _ANY, "a subcommand", "experiment", EXPERIMENTS),
@@ -79,11 +81,14 @@ KEYS = {
     "seed": Key(int, lambda v: v >= 0, "an integer >= 0", "seed", EXPERIMENTS),
     "kind": Key(str, lambda v: v in ("scalar", "two_component"),
                 "scalar or two_component", "kind", BUILDS + ("remainder-audit",)),
-    "lambda": Key(int, _AT_LEAST_ONE, "a positive integer", "lam",
+    "lambda": Key(int, lambda v: 1 <= v <= MAX_LAMBDA,
+                  f"a positive integer up to {MAX_LAMBDA}", "lam",
                   BUILDS + ("ledger",)),
     "ell": Key(float, lambda v: 0 < v < PERIOD, "a number in (0, 2*pi)", "ell",
                ("run", "decay", "r5-demo", "ledger", "remainder-audit")),
-    "k0": Key(int, _AT_LEAST_ONE, "an integer >= 1", "k0", BUILDS + ("ledger",)),
+    "k0": Key(int, lambda v: 1 <= v <= ledger.MAX_ORDER,
+              f"a positive integer up to {ledger.MAX_ORDER}", "k0",
+              BUILDS + ("ledger",)),
     "k1": Key(int, _AT_LEAST_ONE, "an integer >= 1", "k1", BUILDS),
     "C_F": Key(float, _POSITIVE, "finite and positive", "c_f", BUILDS + ("ledger",)),
     "amplitude": Key(float, _NON_NEGATIVE, "finite and >= 0", "amplitude", BUILDS),
@@ -113,7 +118,8 @@ class ExperimentConfig:
     problem: ProblemConfig = ProblemConfig()
     output_dir: str = "./out"
     plot: bool = False
-    lambda_ell: tuple[float, ...] = (64.0, 128.0, 256.0)
+    # ell = lambda_ell / lambda stays below 2*pi at the default lambda = 32.
+    lambda_ell: tuple[float, ...] = (32.0, 64.0, 128.0)
     ledger_c: float = 1.0
     ledger_c_err: float = 1.0
     ledger_c_r: float = ledger.DEFAULT_REMAINDER_CONSTANT
@@ -128,12 +134,16 @@ def _check_across_keys(cfg: ExperimentConfig, reads: set) -> None:
     for keys, ok, message in (
         (("lambda", "ell"), p.lam * p.ell > 1,
          f"lambda*ell must exceed 1, got {p.lam * p.ell}"),
-        (("k0", "k1"), p.k0 >= p.k1, f"need k0 >= k1, got k0={p.k0}, k1={p.k1}"),
         (("lambda", "n_points"), RESOLUTION_FACTOR * p.lam <= p.n_points,
          f"frequency {p.lam} unresolved at n_points={p.n_points}"),
         (("lambda", "k1", "n_points"), k_safe >= p.k1,
          f"grid resolves norms only to order {k_safe} at frequency {p.lam}; "
          f"k1={p.k1} needs n_points >= {RESOLUTION_FACTOR * p.lam * (p.k1 + 1)}"),
+        # Each step spends one derivative order; iteration.run would
+        # refuse the budget only after the build.
+        (("k0", "k1", "n_steps"), p.k1 <= p.k0 - p.n_steps,
+         f"derivative budget too small: need k0 >= k1 + n_steps = "
+         f"{p.k1 + p.n_steps}, got k0={p.k0}"),
         (("lambda", "lambda_ell"), not too_wide,
          f"lambda_ell {', '.join(too_wide)} gives ell >= 2*pi at lambda={p.lam}"),
     ):

@@ -324,29 +324,39 @@ def check_product(f: GridFunction, g: GridFunction) -> None:
             f"component counts differ: {f.n_components} vs {g.n_components}")
 
 
-def random_trig_polynomial(rng: np.random.Generator, n_points: int,
-                           n_components: int = 1, max_mode: int = 8,
-                           normalize: bool = True) -> GridFunction:
-    """Random low-mode trigonometric polynomial, optionally with sup norm 1.
+def random_trig_rows(rng: np.random.Generator, n_points: int, count: int,
+                     max_mode: int = 8) -> np.ndarray:
+    """count random low-mode trigonometric polynomials as the contiguous
+    rows of a (count, n_points) array, summed by one inverse real transform.
 
-    Modes 1..max_mode with uniform[-1, 1] sine/cosine coefficients; low modes
-    keep every norm grid-exact regardless of the experiment scale.  The
-    coefficients are drawn as (component, mode, cos/sin) in that nesting
-    order, and the field is summed by one inverse real transform.
+    Modes 1..max_mode with uniform[-1, 1] sine/cosine coefficients, drawn
+    as (row, mode, cos/sin) in that nesting order, so count rows consume
+    the generator as count one-row draws do.
     """
     if max_mode > n_points // 2:
         raise ResolutionError(
             f"max_mode {max_mode} unresolved at n_points={n_points}: need "
             f"n_points >= {2 * max_mode}")
-    coeffs = rng.uniform(-1.0, 1.0, size=(n_components, max_mode, 2))
+    coeffs = rng.uniform(-1.0, 1.0, size=(count, max_mode, 2))
     # a cos(mx) + b sin(mx) is the rfft coefficient (n/2)(a - ib) at mode m;
     # at the Nyquist mode sin vanishes on the grid and cos carries weight n.
-    spec = np.zeros((n_points // 2 + 1, n_components), dtype=complex)
-    spec[1:max_mode + 1] = (0.5 * n_points) * (coeffs[..., 0] - 1j * coeffs[..., 1]).T
+    spec = np.zeros((count, n_points // 2 + 1), dtype=complex)
+    spec[:, 1:max_mode + 1] = (0.5 * n_points) * (coeffs[..., 0] - 1j * coeffs[..., 1])
     if max_mode == n_points // 2:
-        spec[max_mode] = n_points * coeffs[:, -1, 0]
-    samples = np.fft.irfft(spec, n_points, axis=0)
-    f = GridFunction(n_points, n_components, samples)
+        spec[:, max_mode] = n_points * coeffs[:, -1, 0]
+    return np.fft.irfft(spec, n_points, axis=-1)
+
+
+def random_trig_polynomial(rng: np.random.Generator, n_points: int,
+                           n_components: int = 1, max_mode: int = 8,
+                           normalize: bool = True) -> GridFunction:
+    """Random low-mode trigonometric polynomial, optionally with sup norm 1.
+
+    Each component is one random_trig_rows row; low modes keep every norm
+    grid-exact regardless of the experiment scale.
+    """
+    rows = random_trig_rows(rng, n_points, n_components, max_mode)
+    f = GridFunction(n_points, n_components, rows.T)
     if normalize:
         s = f.sup()
         if s > 0:

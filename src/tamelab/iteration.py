@@ -10,6 +10,7 @@ cross-check, recording the residual between the two at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import ledger
@@ -34,7 +35,10 @@ class DerivativeBudgetExhausted(RuntimeError):
 @dataclass(frozen=True)
 class IterationState:
     """Snapshot after step i: the iterate, its remainder, and the error
-    E = T - b(a, a) - r(a), with norms up to the step's remaining budget."""
+    E = T - b(a, a) - r(a), with norms up to the step's remaining budget.
+
+    The remainder's norms are taken on first read: the decay fits read only
+    the error's."""
 
     step: int
     a: GridFunction
@@ -42,7 +46,10 @@ class IterationState:
     error: GridFunction
     norms_a: NormVector
     norms_error: NormVector
-    norms_r: NormVector
+
+    @cached_property
+    def norms_r(self) -> NormVector:
+        return ck_norm(self.r_of_a, self.norms_a.k_max)
 
 
 @dataclass(frozen=True)
@@ -69,13 +76,14 @@ class StepMargins:
 @dataclass(frozen=True)
 class IterationTrace:
     """Full record of a run: states 0..n, per-transition difference norms,
-    identity residuals, hypothesis margins, and the propagated constants."""
+    identity residuals, hypothesis margins, and the propagated constants.
 
+    The difference norms, margins and constants are computed on first read
+    and kept, so a caller that reads only the error norms pays for none."""
+
+    instance: ProblemInstance
     states: tuple[IterationState, ...]
-    diff_norms: tuple[NormVector, ...]
     identity_residuals: tuple[float, ...]
-    margins: tuple[StepMargins, ...]
-    constants: tuple[ledger.ConstantSet, ...]
     flag: str
     escape_step: Optional[int]
     below_threshold: bool
@@ -85,6 +93,27 @@ class IterationTrace:
     @property
     def n_steps(self) -> int:
         return self.states[-1].step
+
+    @cached_property
+    def diff_norms(self) -> tuple[NormVector, ...]:
+        """||a_(i+1) - a_i|| per transition at the norm order of i+1."""
+        order = self.instance.params.norm_order
+        # a_0 = 0, so a_1 - a_0 is a_1 and its norms are already held.
+        return tuple(new.norms_a if prev.step == 0 else
+                     ck_norm(new.a - prev.a, order(new.step))
+                     for prev, new in zip(self.states, self.states[1:]))
+
+    @cached_property
+    def _ledger(self):
+        return _margins_and_constants(self.states, self.instance)
+
+    @property
+    def margins(self) -> tuple[StepMargins, ...]:
+        return self._ledger[0]
+
+    @property
+    def constants(self) -> tuple[ledger.ConstantSet, ...]:
+        return self._ledger[1]
 
     def usable_steps(self, floor_rel: float = FLOOR_FIT) -> list[int]:
         """Indices of states (step >= 1) whose error sits above the noise
@@ -119,7 +148,6 @@ def _state(instance: ProblemInstance, step_index: int, a: GridFunction) -> Itera
         error=error,
         norms_a=norms_a,
         norms_error=ck_norm(error, order),
-        norms_r=ck_norm(r_of_a, order),
     )
 
 
@@ -130,15 +158,17 @@ def start_state(instance: ProblemInstance) -> IterationState:
     are the ones the instance build took, so this makes no transform."""
     p = instance.params
     zero_norms = NormVector((0.0,) * (p.norm_order(0) + 1))
-    return IterationState(
+    state = IterationState(
         step=0,
         a=GridFunction.zeros(p.n_points, instance.n_components),
         r_of_a=GridFunction.zeros(p.n_points),
         error=instance.target,
         norms_a=zero_norms,
         norms_error=instance.target_norms,
-        norms_r=zero_norms,
     )
+    # r(0) = 0: fill the cached norms rather than transform zeros.
+    object.__setattr__(state, "norms_r", zero_norms)
+    return state
 
 
 def initial_step(instance: ProblemInstance) -> IterationState:
@@ -231,7 +261,6 @@ def run(instance: ProblemInstance, n_steps: Optional[int] = None) -> IterationTr
     target_sup = instance.target.sup()
 
     states = [start_state(instance)]
-    diffs: list[NormVector] = []
     residuals: list[float] = []
     flag, escape_step = "completed", None
     for i in range(1, n + 1):
@@ -242,22 +271,16 @@ def run(instance: ProblemInstance, n_steps: Optional[int] = None) -> IterationTr
             flag, escape_step = "diverged", esc.step
             break
         states.append(new)
-        # a_0 = 0, so a_1 - a_0 is a_1 and its norms are already held.
-        diffs.append(new.norms_a if prev.step == 0 else
-                     ck_norm(new.a - prev.a, p.norm_order(new.step)))
         residuals.append(identity_residual(prev, new))
         if new.norms_error[0] < FLOOR_STOP * target_sup:
             if i < n:
                 flag = "floor"
             break
 
-    margins, constants = _margins_and_constants(states, instance)
     return IterationTrace(
+        instance=instance,
         states=tuple(states),
-        diff_norms=tuple(diffs),
         identity_residuals=tuple(residuals),
-        margins=margins,
-        constants=constants,
         flag=flag,
         escape_step=escape_step,
         below_threshold=p.lambda_ell <= thr,

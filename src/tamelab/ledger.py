@@ -45,6 +45,11 @@ def safe_leibniz(k: int) -> float:
     return float(2 ** k * math.comb(k, k // 2))
 
 
+# Largest order whose safe_leibniz is a float (about 1.01e308); the next
+# overflows, so every ConstantSet is built for k0 <= MAX_ORDER.
+MAX_ORDER = 514
+
+
 @dataclass(frozen=True)
 class ConstantSet:
     """Constants of one inductive step.

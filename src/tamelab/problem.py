@@ -24,7 +24,7 @@ from .gridfield import (
     ck_norm,
     mollify,
     oscillator,
-    random_trig_polynomial,
+    random_trig_rows,
     scale,
 )
 
@@ -294,7 +294,8 @@ def _toy_maps(n_components: int, drift: float,
     F splits the 1-component tensor equally between the components and
     takes the root; b sums the componentwise product.  Both carry the
     step factor 1 + drift / (lam*ell)^step, so b(F(t), F(t)) = t at every
-    step.
+    step.  b adds the component slices in order, the bits (u * v).sum(-1)
+    gives, without reducing over F's broadcast component axis.
     """
 
     def step_factor(step):
@@ -305,7 +306,10 @@ def _toy_maps(n_components: int, drift: float,
         return np.broadcast_to(out, out.shape[:-1] + (n_components,))
 
     def bilinear_map(u: np.ndarray, v: np.ndarray, step) -> np.ndarray:
-        return step_factor(step) ** (-2) * (u * v).sum(axis=-1, keepdims=True)
+        total = u[..., :1] * v[..., :1]
+        for c in range(1, n_components):
+            total += u[..., c:c + 1] * v[..., c:c + 1]
+        return step_factor(step) ** (-2) * total
 
     return inverse_map, bilinear_map
 
@@ -354,29 +358,36 @@ def _check_right_inverse(params: IterationParams, center: GridFunction,
     Sample i is center + rho * bump with a unit-sup low-mode bump, rho in
     radius * [0.1, 0.99) for the target radius 1/(3 C_F), at step
     1 + i % 3.  Samples go through the maps in batches of at most
-    SELF_CHECK_BATCH_POINTS grid points.  Raises AssertionError naming the
-    first sample whose residual is not at or below RIGHT_INVERSE_TOL, so a
-    non-finite residual fails too.
+    SELF_CHECK_BATCH_POINTS grid points, one contiguous row per sample,
+    and hold the bits center + rho * random_trig_polynomial(...) gives.
+    Raises AssertionError naming the first sample whose residual is not at
+    or below RIGHT_INVERSE_TOL, so a non-finite residual fails too.
     """
     rng = np.random.default_rng([params.seed, 0x5eed])
     radius = 1.0 / (3.0 * params.c_f)
     per_batch = max(1, SELF_CHECK_BATCH_POINTS // params.n_points)
     for start in range(0, n_samples, per_batch):
         count = min(per_batch, n_samples - start)
-        bumps = random_trig_polynomial(rng, params.n_points, n_components=count,
-                                       normalize=False).samples.T
-        bumps = bumps / np.abs(bumps).max(axis=1, keepdims=True)
-        rho = radius * rng.uniform(0.1, 0.99, size=(count, 1))
-        t_prime = center.samples + (rho * bumps)[..., np.newaxis]
+        t_prime = random_trig_rows(rng, params.n_points, count)
+        t_prime *= (1.0 / _row_sups(t_prime))[:, np.newaxis]
+        t_prime *= radius * rng.uniform(0.1, 0.99, size=(count, 1))
+        t_prime += center.samples[:, 0]
+        t_prime = t_prime[..., np.newaxis]
         steps = (1 + np.arange(start, start + count) % 3)[:, np.newaxis, np.newaxis]
         a = inverse_map(t_prime, steps)
-        residual = np.abs(bilinear_map(a, a, steps) - t_prime).max(axis=(1, 2))
+        residual = _row_sups(bilinear_map(a, a, steps) - t_prime)
         failed = np.flatnonzero(~(residual <= RIGHT_INVERSE_TOL))
         if failed.size:
             i = failed[0]
             raise AssertionError(
                 f"right-inverse residual {residual[i]:.3e} exceeds "
                 f"{RIGHT_INVERSE_TOL} on sample {start + i}")
+
+
+def _row_sups(x: np.ndarray) -> np.ndarray:
+    """max |x| over every axis but the first, without an |x| temporary."""
+    axes = tuple(range(1, x.ndim))
+    return np.maximum(x.max(axis=axes), -x.min(axis=axes))
 
 
 def _measure_target_constant(target_norms: NormVector,

@@ -181,6 +181,16 @@ class TestKeyTable:
         ("ledger", ["ell=0.01"], "lambda*ell"),
         ("run", ["ell=0.05", "lambda=16"], "lambda*ell"),
         ("sweep", ["lambda_ell=64,512"], "lambda_ell 512"),  # ell = 8 at lambda 64
+        # safe_leibniz(k) overflows a float above k = 514
+        ("ledger", ["k0=600"], "k0 must be a positive integer up to 514"),
+        ("run", ["k0=600"], "k0 must be a positive integer up to 514"),
+        # one order per step: k0 = 3 cannot carry k1 = 2 through 5 steps
+        ("run", ["k0=3", "k1=2"], "need k0 >= k1 + n_steps = 7"),
+        ("r5-demo", ["k0=6"], "need k0 >= k1 + n_steps = 7"),
+        # a lambda beyond float range used to overflow in the checks
+        ("run", ["lambda=" + "1" * 400], "lambda must be a positive integer up to"),
+        ("ledger", ["lambda=" + "1" * 400], "lambda must be a positive integer up to"),
+        ("ledger", ["lambda=524289"], "up to 524288"),
     ])
     def test_range_and_cross_key_checks(self, command, items, message, tmp_path,
                                         capsys):
@@ -189,6 +199,17 @@ class TestKeyTable:
         err = capsys.readouterr().err
         assert "config error:" in err and message in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_runs_without_config(self, tmp_path, capsys):
+        # the default lambda_ell values give ell < 2*pi at the default lambda
+        assert main(["sweep", "--output_dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "decay_ll128.csv", "decay_ll32.csv", "decay_ll64.csv"]
+
+    def test_largest_bounds_accepted(self, tmp_path, capsys):
+        assert main(shipped_argv("ledger", tmp_path, "--set", "k0=514",
+                                 "--set", "lambda=524288")) == 0
+        assert main(shipped_argv("run", tmp_path / "run", "--set", "k0=514")) == 0
 
     def test_every_subcommand_accepts_seed(self):
         # the benchmark appends --set seed=<n> to every call

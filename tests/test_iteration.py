@@ -1,10 +1,15 @@
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
+from tamelab.cli import main
 from tamelab.gridfield import GridFunction, ck_norm, oscillator
 from tamelab.iteration import (
     DerivativeBudgetExhausted,
+    _margins_and_constants,
     _state,
     check_hypotheses,
     identity_residual,
@@ -21,6 +26,9 @@ from tamelab.problem import (
     make_varying_toy,
     with_self_interaction,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def params(**overrides):
@@ -280,14 +288,23 @@ class TestTransformCount:
         # assembled from the build's target norms: no transform.  States
         # 1..5 take one rfft of a, shared by the remainder's first
         # derivative (one irfft) and ||a||, which reads that derivative and
-        # adds (6 - i) irffts; then one rfft + (7 - i) irffts for each of
-        # ||E|| and ||r||.  The step-1 difference is ||a_1||; steps 2..5
-        # add one rfft + (7 - i) irffts for the difference norm.
-        # rfft: 5 * 3 + 4 = 19.  irfft: 3 * 20 + 14 = 74.
+        # adds (6 - i) irffts; then one rfft + (7 - i) irffts for ||E||.
+        # rfft: 5 * 2 = 10.  irfft: 2 * 20 = 40.
         instance = make_scalar_toy(params(), 0.2)
         calls = count_fft()
         trace = run(instance)
         assert trace.flag == "completed" and trace.n_steps == 5
+        assert calls == {"rfft": 10, "irfft": 40}
+
+    def test_written_trace_transform_count(self, count_fft):
+        # Writing every column adds, on first read, one rfft + (7 - i)
+        # irffts for ||r|| at states 1..5 and for the difference norm at
+        # steps 2..5 (the step-1 difference is ||a_1||), which is what the
+        # run computed eagerly before.  rfft: 10 + 5 + 4 = 19.  irfft:
+        # 40 + 20 + 14 = 74.
+        instance = make_scalar_toy(params(), 0.2)
+        calls = count_fft()
+        trace_to_csv(run(instance))
         assert calls == {"rfft": 19, "irfft": 74}
 
 
@@ -334,3 +351,52 @@ class TestAssembledStart:
                                    trace.diff_norms[1:]):
             assert diff.values == ck_norm(new.a - prev.a,
                                           p.norm_order(new.step)).values
+
+
+class TestLazyColumns:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_lazy_columns_equal_eager(self, family):
+        # The columns read on demand hold the bits of the ck_norm and
+        # _margins_and_constants calls that used to run inside run.
+        instance = FAMILIES[family]()
+        trace = run(instance)
+        eager = []
+        for state in trace.states:
+            norms_r = (state.norms_r if state.step == 0 else
+                       ck_norm(state.r_of_a, instance.params.norm_order(state.step)))
+            eager.append(SimpleNamespace(step=state.step, norms_a=state.norms_a,
+                                         norms_error=state.norms_error,
+                                         norms_r=norms_r))
+        margins, constants = _margins_and_constants(eager, instance)
+        assert trace.margins == margins and trace.constants == constants
+        for state, want in zip(trace.states, eager):
+            assert state.norms_r.values == want.norms_r.values
+        assert len(trace.diff_norms) == len(trace.states) - 1
+
+    def test_columns_computed_once(self, monkeypatch):
+        trace = run(make_scalar_toy(params(), 0.2))
+        first = (trace.margins, trace.diff_norms, trace.states[2].norms_r)
+        monkeypatch.setattr("tamelab.iteration.ck_norm", None)
+        monkeypatch.setattr("tamelab.ledger.propagate", None)
+        assert (trace.margins, trace.diff_norms, trace.states[2].norms_r) == first
+        assert trace.margins is first[0] and trace.diff_norms is first[1]
+
+    def test_sweep_norms_only_errors(self, monkeypatch, tmp_path):
+        # sweep reads ||E_i|| alone: iteration norms the 5 errors of each of
+        # its 3 runs (orders min(7 - i, 3) at lambda = 64) and neither a
+        # remainder nor a difference, and it never propagates the ledger.
+        normed = []
+
+        def counting(f, k_max, *args, **kwargs):
+            normed.append(k_max)
+            return ck_norm(f, k_max, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep propagated the ledger")
+
+        monkeypatch.setattr("tamelab.iteration.ck_norm", counting)
+        monkeypatch.setattr("tamelab.ledger.propagate", refuse)
+        assert main(["sweep", "--config", str(CONFIGS / "sweep.cfg"), "--plot",
+                     "--output_dir", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("decay_ll*.csv"))) == 3
+        assert normed == [3, 3, 3, 3, 2] * 3

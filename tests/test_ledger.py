@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tamelab.iteration import DerivativeBudgetExhausted, run
 from tamelab.ledger import (
     CONSTANT_CAP,
+    MAX_ORDER,
     ConstantSet,
     calibrate,
     constant_table,
@@ -222,3 +223,10 @@ class TestTableAndValidation:
         assert safe_leibniz(0) == 1.0
         assert safe_leibniz(2) == 4 * 2
         assert safe_leibniz(3) == 8 * 3
+
+    def test_max_order_is_the_last_finite_constant(self):
+        assert math.isfinite(safe_leibniz(MAX_ORDER))
+        with pytest.raises(OverflowError):
+            safe_leibniz(MAX_ORDER + 1)
+        p = IterationParams(lam=32, ell=4.0, k0=MAX_ORDER, k1=2)
+        assert len(stock_constants(p).c_k) == MAX_ORDER + 1

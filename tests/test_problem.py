@@ -5,6 +5,7 @@ from tamelab.cli import ConfigError, load_experiment_config
 from tamelab.gridfield import GridFunction, ck_norm, random_trig_polynomial, scale
 from tamelab.problem import (
     RIGHT_INVERSE_TOL,
+    SELF_CHECK_BATCH_POINTS,
     R1,
     R2,
     R3,
@@ -441,6 +442,23 @@ class TestArrayMaps:
         np.testing.assert_allclose(bilinear_map(a, a, steps), t,
                                    rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("n_components", [1, 2])
+    def test_slice_sum_matches_component_sum(self, n_components):
+        # b adds component slices; the reference reduces the product over
+        # the component axis, on F's broadcast output and on plain arrays
+        p = default_params()
+        inverse_map, bilinear_map = _toy_maps(n_components, 0.5, p.lambda_ell)
+        rng = np.random.default_rng(4)
+        steps = np.array([1, 2, 3])[:, np.newaxis, np.newaxis]
+        a = inverse_map(1.0 + 0.2 * rng.uniform(-1, 1, (3, p.n_points, 1)), steps)
+        u, v = rng.uniform(-1, 1, (2, 3, p.n_points, n_components))
+        factor = (1.0 + 0.5 * p.lambda_ell ** (-steps)) ** (-2)
+        for x, y in ((a, a), (u, v)):
+            expected = factor * (x * y).sum(axis=-1, keepdims=True)
+            got = bilinear_map(x, y, steps)
+            assert got.shape == expected.shape == (3, p.n_points, 1)
+            assert got.tobytes() == expected.tobytes()
+
     def test_target_norms_kept(self):
         p = default_params()
         instance = make_scalar_toy(p, 0.2)
@@ -510,6 +528,34 @@ class TestRightInverseSelfCheck:
         radius = 1.0 / 3.0
         assert dev.shape == (20,)
         assert np.all(dev >= 0.1 * radius) and np.all(dev < 0.99 * radius)
+
+    @pytest.mark.parametrize("n_points", [16, 2048, 4096])
+    def test_samples_are_scaled_random_trig_polynomials(self, n_points):
+        # The reference draws each bump alone with random_trig_polynomial,
+        # then the batch's radii, exactly as the batched rows consume the
+        # generator; n_points = 16 puts mode 8 on the Nyquist bin.
+        p = default_params(n_points=n_points)
+        center = GridFunction.constant(1.0, n_points)
+        seen = []
+
+        def spy(t, step):
+            seen.extend(t)
+            return self.inverse_map(t, step)
+
+        _check_right_inverse(p, center, spy, self.bilinear_map)
+        rng = np.random.default_rng([p.seed, 0x5eed])
+        per_batch = max(1, SELF_CHECK_BATCH_POINTS // n_points)
+        expected = []
+        for start in range(0, 20, per_batch):
+            count = min(per_batch, 20 - start)
+            bumps = [random_trig_polynomial(rng, n_points) for _ in range(count)]
+            rho = (1.0 / 3.0) * rng.uniform(0.1, 0.99, size=(count, 1))
+            expected += [center.samples + rho[i] * bump.samples
+                         for i, bump in enumerate(bumps)]
+        assert len(seen) == len(expected) == 20
+        for got, want in zip(seen, expected):
+            assert got.shape == want.shape == (n_points, 1)
+            assert got.tobytes() == want.tobytes()
 
     def test_scaled_bilinear_fails_on_first_sample(self):
         def b(u, v, step):

@@ -52,18 +52,18 @@ def params(**overrides):
 
 
 def synthetic_trace(errors, target_sup=1.0):
-    """Minimal trace whose states carry prescribed ||E_i||_0 values."""
+    """Minimal trace whose states carry prescribed ||E_i||_0 values.  It has
+    no instance: the fits read neither its margins nor its difference
+    norms."""
     zero = GridFunction.zeros(8)
     states = [IterationState(step=i, a=zero, r_of_a=zero, error=zero,
                              norms_a=NormVector((0.0,)),
-                             norms_error=NormVector((float(e),)),
-                             norms_r=NormVector((0.0,)))
+                             norms_error=NormVector((float(e),)))
               for i, e in enumerate(errors)]
-    return IterationTrace(states=tuple(states), diff_norms=(),
-                          identity_residuals=(), margins=(), constants=(),
-                          flag="completed", escape_step=None,
-                          below_threshold=False, threshold=3.0,
-                          target_sup=target_sup)
+    return IterationTrace(instance=None, states=tuple(states),
+                          identity_residuals=(), flag="completed",
+                          escape_step=None, below_threshold=False,
+                          threshold=3.0, target_sup=target_sup)
 
 
 class TestVerifyRemainderClass:
