@@ -427,24 +427,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tamelab",
         description="Experiment runner for the corrector-iteration laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key = value file")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config key")
-        p.add_argument("--output_dir", default=None,
-                       help="output directory (default ./out or config value)")
-        p.add_argument("--plot", action="store_true",
-                       help=f"emit SVG charts ({', '.join(KEYS['plot'].commands)})")
-        if name == "ledger":
-            p.add_argument("--csv", action="store_true",
-                           help="also write the table as CSV")
+    parser.add_argument("command", choices=EXPERIMENTS)
+    parser.add_argument("--config", default=None, help="flat key = value file")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="override a config key")
+    parser.add_argument("--output_dir", default=None,
+                        help="output directory (default ./out or config value)")
+    parser.add_argument("--plot", action="store_true",
+                        help=f"emit SVG charts ({', '.join(KEYS['plot'].commands)})")
+    parser.add_argument("--csv", action="store_true",
+                        help="also write the table as CSV (ledger)")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.csv and args.command != "ledger":
+        parser.error(f"--csv is read by ledger only, not {args.command}")
     # The flags join the overrides last, so the key table judges them too.
     flags = [f"output_dir={args.output_dir}"] if args.output_dir is not None else []
     if args.plot:

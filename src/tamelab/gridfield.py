@@ -10,6 +10,7 @@ are running maxima of derivative sups over the grid samples.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -324,27 +325,58 @@ def check_product(f: GridFunction, g: GridFunction) -> None:
             f"component counts differ: {f.n_components} vs {g.n_components}")
 
 
+@functools.lru_cache(maxsize=16)
+def _angle_tables(n_points: int,
+                  max_mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables that evaluate modes 1..max_mode on the grid by angle
+    addition.  Grid point j = q*R + r sits at x_j = phi_q + theta_r with
+    phi_q = 2*pi*q*R/n and theta_r = 2*pi*r/n, R a power of two near
+    sqrt(n_points) that divides it.  Returns cos(m phi_q) and sin(m phi_q),
+    each (n_points/R, max_mode), and [cos(m theta_r); sin(m theta_r)],
+    (2*max_mode, R).  Angles are reduced mod n before scaling, so each entry
+    is the rounded value at its exact angle.
+    """
+    block = math.gcd(n_points, 1 << (n_points.bit_length() // 2))
+    modes = np.arange(1, max_mode + 1)
+
+    def angles(steps):
+        return (PERIOD / n_points) * (np.multiply.outer(steps, modes) % n_points)
+
+    phi = angles(np.arange(0, n_points, block))
+    theta = angles(np.arange(block)).T
+    tables = (np.cos(phi), np.sin(phi), np.concatenate([np.cos(theta), np.sin(theta)]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def random_trig_rows(rng: np.random.Generator, n_points: int, count: int,
                      max_mode: int = 8) -> np.ndarray:
     """count random low-mode trigonometric polynomials as the contiguous
-    rows of a (count, n_points) array, summed by one inverse real transform.
+    rows of a (count, n_points) array.
 
     Modes 1..max_mode with uniform[-1, 1] sine/cosine coefficients, drawn
     as (row, mode, cos/sin) in that nesting order, so count rows consume
-    the generator as count one-row draws do.
+    the generator as count one-row draws do.  Each row is evaluated in grid
+    order by angle addition (see _angle_tables), as one real product
+    (n/R x 2 max_mode) @ (2 max_mode x R): 4 max_mode flops per point and
+    no transform.
     """
     if max_mode > n_points // 2:
         raise ResolutionError(
             f"max_mode {max_mode} unresolved at n_points={n_points}: need "
             f"n_points >= {2 * max_mode}")
     coeffs = rng.uniform(-1.0, 1.0, size=(count, max_mode, 2))
-    # a cos(mx) + b sin(mx) is the rfft coefficient (n/2)(a - ib) at mode m;
-    # at the Nyquist mode sin vanishes on the grid and cos carries weight n.
-    spec = np.zeros((count, n_points // 2 + 1), dtype=complex)
-    spec[:, 1:max_mode + 1] = (0.5 * n_points) * (coeffs[..., 0] - 1j * coeffs[..., 1])
-    if max_mode == n_points // 2:
-        spec[:, max_mode] = n_points * coeffs[:, -1, 0]
-    return np.fft.irfft(spec, n_points, axis=-1)
+    cos_phi, sin_phi, theta = _angle_tables(n_points, max_mode)
+    a = coeffs[:, np.newaxis, :, 0]
+    b = coeffs[:, np.newaxis, :, 1]
+    # a cos(m x) + b sin(m x) = Re[(a - ib) e^{im phi}] cos(m theta)
+    #                           - Im[(a - ib) e^{im phi}] sin(m theta).
+    # At the Nyquist mode sin(m x) vanishes on the grid; b's term there is
+    # rounding only.
+    left = np.concatenate([a * cos_phi + b * sin_phi, b * cos_phi - a * sin_phi],
+                          axis=-1)
+    return np.matmul(left, theta).reshape(count, n_points)
 
 
 def random_trig_polynomial(rng: np.random.Generator, n_points: int,

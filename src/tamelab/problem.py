@@ -295,21 +295,28 @@ def _toy_maps(n_components: int, drift: float,
     takes the root; b sums the componentwise product.  Both carry the
     step factor 1 + drift / (lam*ell)^step, so b(F(t), F(t)) = t at every
     step.  b adds the component slices in order, the bits (u * v).sum(-1)
-    gives, without reducing over F's broadcast component axis.
+    gives, without reducing over F's broadcast component axis.  The maps
+    skip dividing by one component and the step factor at drift 0, which
+    is exactly 1.0, and apply a remaining factor in place: the same bits
+    with fewer full-size temporaries.
     """
 
     def step_factor(step):
         return 1.0 + drift * lambda_ell ** (-step)
 
     def inverse_map(tensor: np.ndarray, step) -> np.ndarray:
-        out = np.sqrt(tensor / n_components) * step_factor(step)
+        out = np.sqrt(tensor if n_components == 1 else tensor / n_components)
+        if drift != 0.0:
+            out *= step_factor(step)
         return np.broadcast_to(out, out.shape[:-1] + (n_components,))
 
     def bilinear_map(u: np.ndarray, v: np.ndarray, step) -> np.ndarray:
         total = u[..., :1] * v[..., :1]
         for c in range(1, n_components):
             total += u[..., c:c + 1] * v[..., c:c + 1]
-        return step_factor(step) ** (-2) * total
+        if drift != 0.0:
+            total *= step_factor(step) ** (-2)
+        return total
 
     return inverse_map, bilinear_map
 
@@ -358,8 +365,9 @@ def _check_right_inverse(params: IterationParams, center: GridFunction,
     Sample i is center + rho * bump with a unit-sup low-mode bump, rho in
     radius * [0.1, 0.99) for the target radius 1/(3 C_F), at step
     1 + i % 3.  Samples go through the maps in batches of at most
-    SELF_CHECK_BATCH_POINTS grid points, one contiguous row per sample,
-    and hold the bits center + rho * random_trig_polynomial(...) gives.
+    SELF_CHECK_BATCH_POINTS grid points, one contiguous row per sample at
+    every grid point, and hold the bits center + rho *
+    random_trig_polynomial(...) gives.
     Raises AssertionError naming the first sample whose residual is not at
     or below RIGHT_INVERSE_TOL, so a non-finite residual fails too.
     """

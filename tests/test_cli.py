@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,6 +120,16 @@ class TestConfigParsing:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("command", ["run", "decay", "remainder-audit",
+                                         "r5-demo", "sweep"])
+    def test_csv_outside_ledger_is_a_usage_error(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(shipped_argv(command, tmp_path, "--csv"))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--csv is read by ledger only" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 # Each subcommand with its shipped config and the file it would write.
@@ -352,6 +365,35 @@ class TestEmitPlot:
 
 
 class TestPipelineDeterminism:
+    @staticmethod
+    def child(argv, threads):
+        """Run python argv in a child process with BLAS at threads threads."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+        done = subprocess.run([sys.executable, *argv], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_audit_bytes_independent_of_blas_threads(self, tmp_path):
+        # the audit's fields are drawn by a BLAS product
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            self.child(["-m", "tamelab.cli", "remainder-audit", "--config",
+                        str(CONFIG_DIR / "audit.cfg"), "--output_dir", str(out)],
+                       threads)
+            outputs.append((out / "audit.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_fine_grid_rows_independent_of_blas_threads(self):
+        # at 65536 points the product is large enough for BLAS to split
+        script = ("import hashlib, numpy as np; "
+                  "from tamelab.gridfield import random_trig_rows; "
+                  "rows = random_trig_rows(np.random.default_rng(1), 1 << 16, 4); "
+                  "print(hashlib.sha256(rows.tobytes()).hexdigest())")
+        assert self.child(["-c", script], 1) == self.child(["-c", script], 2)
+
     def test_repeated_run_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
         for out in (out1, out2):

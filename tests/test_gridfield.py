@@ -19,6 +19,7 @@ from tamelab.gridfield import (
     mollify,
     oscillator,
     random_trig_polynomial,
+    random_trig_rows,
     refine,
 )
 
@@ -411,6 +412,56 @@ def loop_trig_polynomial(rng, n_points, n_components, max_mode):
             a, b = rng.uniform(-1.0, 1.0, size=2)
             samples[:, comp] += a * np.cos(m * x) + b * np.sin(m * x)
     return samples
+
+
+def irfft_trig_rows(rng, n_points, count, max_mode=8):
+    """The rows by one inverse real transform of their spectra, and the
+    coefficients drawn: a cos(mx) + b sin(mx) is the rfft coefficient
+    (n/2)(a - ib) at mode m; at the Nyquist mode sin vanishes on the grid
+    and cos carries weight n."""
+    coeffs = rng.uniform(-1.0, 1.0, size=(count, max_mode, 2))
+    spec = np.zeros((count, n_points // 2 + 1), dtype=complex)
+    spec[:, 1:max_mode + 1] = (0.5 * n_points) * (coeffs[..., 0] - 1j * coeffs[..., 1])
+    if max_mode == n_points // 2:
+        spec[:, max_mode] = n_points * coeffs[:, -1, 0]
+    return np.fft.irfft(spec, n_points, axis=-1), coeffs
+
+
+class TestRandomTrigRows:
+    # n = 16 puts mode 8 on the Nyquist bin; at 32 and 131072 the angle
+    # tables' two blocks differ in length.
+    SIZES = [16, 32, 2048, 65536, 131072]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_inverse_transform(self, n):
+        rng, rng_ref = (np.random.default_rng([n, 2]) for _ in range(2))
+        rows = random_trig_rows(rng, n, 3)
+        want, coeffs = irfft_trig_rows(rng_ref, n, 3)
+        assert rows.shape == (3, n) and rows.flags.c_contiguous
+        size = np.abs(coeffs).sum(axis=(1, 2))
+        assert np.all(np.abs(rows - want).max(axis=1) <= 1e-14 * size)
+        # the generator advanced exactly as the transform's draw advanced it
+        assert np.array_equal(rng.random(4), rng_ref.random(4))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_row_j_is_the_polynomial_at_x_j(self, n):
+        rows = random_trig_rows(np.random.default_rng([n, 3]), n, 2)
+        coeffs = np.random.default_rng([n, 3]).uniform(-1.0, 1.0, size=(2, 8, 2))
+        j = np.arange(n)
+        for row, c in zip(rows, coeffs):
+            want = np.zeros(n)
+            for m in range(1, 9):
+                x = PERIOD * (m * j % n) / n  # m * x_j reduced exactly
+                sine = 0.0 if 2 * m == n else c[m - 1, 1] * np.sin(x)
+                want += c[m - 1, 0] * np.cos(x) + sine
+            assert np.abs(row - want).max() <= 1e-14 * np.abs(c).sum()
+
+    @pytest.mark.parametrize("n", [16, 4096, 65536])
+    def test_batched_rows_equal_one_row_draws(self, n):
+        rows = random_trig_rows(np.random.default_rng(7), n, 5)
+        rng = np.random.default_rng(7)
+        alone = [random_trig_rows(rng, n, 1)[0] for _ in range(5)]
+        assert rows.tobytes() == np.stack(alone).tobytes()
 
 
 class TestRandomTrigPolynomial:

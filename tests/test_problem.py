@@ -409,6 +409,26 @@ FAMILIES = {
 }
 
 
+def unskipped_toy_maps(n_components, drift, lambda_ell):
+    """_toy_maps as written before it skipped exact identities: it always
+    divides by n_components and always applies the step factor."""
+
+    def step_factor(step):
+        return 1.0 + drift * lambda_ell ** (-step)
+
+    def inverse_map(tensor, step):
+        out = np.sqrt(tensor / n_components) * step_factor(step)
+        return np.broadcast_to(out, out.shape[:-1] + (n_components,))
+
+    def bilinear_map(u, v, step):
+        total = u[..., :1] * v[..., :1]
+        for c in range(1, n_components):
+            total += u[..., c:c + 1] * v[..., c:c + 1]
+        return step_factor(step) ** (-2) * total
+
+    return inverse_map, bilinear_map
+
+
 class TestArrayMaps:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_wrappers_give_the_map_samples(self, family):
@@ -427,6 +447,26 @@ class TestArrayMaps:
             expected = bilinear_map(a.samples, a.samples, step)
             assert b.samples.shape == expected.shape == (p.n_points, 1)
             assert b.samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_components", [1, 2])
+    @pytest.mark.parametrize("drift", [0.0, 0.3])
+    def test_maps_keep_the_unskipped_bits(self, n_components, drift):
+        # integer steps as in iteration.run, and the self-check's
+        # (count, 1, 1) step arrays over (count, n, 1) batches
+        p = default_params()
+        new = _toy_maps(n_components, drift, p.lambda_ell)
+        old = unskipped_toy_maps(n_components, drift, p.lambda_ell)
+        rng = np.random.default_rng(6)
+        batch = 1.0 + 0.3 * rng.uniform(-1, 1, size=(4, p.n_points, 1))
+        steps = (1 + np.arange(4) % 3)[:, np.newaxis, np.newaxis]
+        cases = [(batch[0], step) for step in (1, 2, 3)] + [(batch, steps)]
+        for t, step in cases:
+            a_new, a_old = new[0](t, step), old[0](t, step)
+            assert a_new.shape == a_old.shape
+            assert a_new.tobytes() == a_old.tobytes()
+            for u in (a_old, np.ascontiguousarray(a_old)):
+                assert (new[1](u, u, step).tobytes()
+                        == old[1](u, u, step).tobytes())
 
     def test_maps_batch_over_leading_axes_and_steps(self):
         p = default_params()
@@ -594,7 +634,7 @@ class TestBuildTransformCount:
     def test_default_build_transform_count(self, count_fft):
         # mollify: one rfft + one irfft.  Target norms to order 7: one rfft
         # + 7 irffts, shared with the target constant and step 0.  The
-        # self-check draws its 20 bumps in one batch: one irfft.
+        # self-check evaluates its 20 bumps by angle addition: no transform.
         calls = count_fft()
         make_scalar_toy(default_params(), 0.2)
-        assert calls == {"rfft": 2, "irfft": 9}
+        assert calls == {"rfft": 2, "irfft": 8}

@@ -264,16 +264,17 @@ class TestAuditClasses:
             audit_classes(stock_pairs(), params(), lambda_grid=(128, 16))
 
     def test_transform_count(self, count_fft):
-        # Per sample (12 at audit.cfg): a and b drawn with one irfft each.
-        # Argument norms: ||a||_4 one rfft + 4 irffts (R4 reads order k+1),
-        # ||b||_3 one rfft + 3; d/dx a and d/dx b one irfft each from those
-        # spectra, then ||da||_3 and ||db||_3 one rfft + 3 irffts each.
-        # Measured norms: 5 pairs x 3 frequencies x (one rfft + 3 irffts).
-        # rfft: 12 * (4 + 15) = 228.  irfft: 12 * (2 + 4 + 3 + 2 + 6 + 45) = 744.
+        # Per sample (12 at audit.cfg): a and b drawn by angle addition, with
+        # no transform.  Argument norms: ||a||_4 one rfft + 4 irffts (R4
+        # reads order k+1), ||b||_3 one rfft + 3; d/dx a and d/dx b one
+        # irfft each from those spectra, then ||da||_3 and ||db||_3 one rfft
+        # + 3 irffts each.  Measured norms: 5 pairs x 3 frequencies x (one
+        # rfft + 3 irffts).
+        # rfft: 12 * (4 + 15) = 228.  irfft: 12 * (4 + 3 + 2 + 6 + 45) = 720.
         calls = count_fft()
         p = audit_cfg_params()
         audit_classes(stock_pairs(), p, seed=p.seed)
-        assert calls == {"rfft": 228, "irfft": 744}
+        assert calls == {"rfft": 228, "irfft": 720}
 
 
 class TestFitDecay:
