@@ -8,7 +8,8 @@ SVG chart of ln ||E_i||_k vs i is emitted; all outputs are byte-deterministic
 for identical configs and seeds.
 
 Exit codes: 0 success, 1 config, validation or usage error, 2 numerical failure
-(an unexpected escape from the inverse's domain, or too few usable steps).
+(an unexpected escape from the inverse's domain, a value that overflows the
+float range, or too few usable steps).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
+
+import numpy as np
 
 from . import iteration, ledger, verify
 from .gridfield import MAX_SAMPLES, PERIOD, RESOLUTION_FACTOR, ResolutionError
@@ -400,8 +403,8 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     for ll in cfg.lambda_ell:
         trace = iteration.run(replace(base, ell=ll / base.lam).build())
         if trace.flag == "diverged":
-            print(f"lambda_ell={ll:g}: diverged at step {trace.escape_step}",
-                  file=sys.stderr)
+            print(f"numerical failure: lambda_ell={ll:g} diverged at step "
+                  f"{trace.escape_step}", file=sys.stderr)
             code = 2
             continue
         fits = _decay_fits(trace)
@@ -440,6 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An overflow or an invalid value raises FloatingPointError, a numerical
+# failure: where one occurs depends on several keys at once (a drift that
+# overflows at one lambda*ell runs at a larger one), so no key range refuses it.
+@np.errstate(over="raise", invalid="raise")
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -469,7 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (iteration.DomainEscape, verify.InsufficientSteps,
-            iteration.DerivativeBudgetExhausted) as exc:
+            iteration.DerivativeBudgetExhausted, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

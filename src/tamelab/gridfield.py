@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -152,28 +152,6 @@ def _derivative_multiplier(n_points: int, order: int) -> np.ndarray:
     return mult
 
 
-def _derivative_of(spec: np.ndarray, n_points: int, order: int) -> np.ndarray:
-    """Samples of d^order/dx^order from a half spectrum of n_points samples."""
-    return np.fft.irfft(spec * _derivative_multiplier(n_points, order),
-                        n_points, axis=0)
-
-
-def derivative(f: GridFunction, order: int = 1,
-               spectrum: Optional[np.ndarray] = None) -> GridFunction:
-    """Spectral derivative d^order/dx^order.
-
-    Exact (to rounding) for trigonometric polynomials resolved by the grid;
-    the caller is responsible for the field being band-limited.  spectrum,
-    when given, must be _clean_spectrum(f); FieldSpectrum passes it so one
-    transform of f serves every order and norm.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if spectrum is None:
-        spectrum = _clean_spectrum(f)
-    return f.with_samples(_derivative_of(spectrum, f.n_points, order))
-
-
 @dataclass(frozen=True)
 class NormVector:
     """Estimated C^k sup norms: values[k] = max_{j <= k} sup |d^j f|."""
@@ -201,39 +179,6 @@ class NormVector:
         return len(self.values)
 
 
-def ck_norm(f: GridFunction, k_max: int,
-            spectrum: Optional[np.ndarray] = None,
-            held: Optional[Mapping[int, GridFunction]] = None) -> NormVector:
-    """Norms ||f||_0 .. ||f||_k_max, each the max derivative sup up to order k.
-
-    Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points; experiments
-    at frequency lam must additionally keep n_points >= RESOLUTION_FACTOR *
-    lam * (k_max + 1) (enforced where lam is known: the CLI's config checks
-    and verify.audit_classes).  spectrum, when given, must be
-    _clean_spectrum(f), as for derivative.  held maps orders to derivatives
-    of f already taken from that spectrum; those orders are read, not
-    recomputed, and the orders computed here are not kept.
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    if RESOLUTION_FACTOR * (k_max + 1) > f.n_points:
-        raise ResolutionError(
-            f"k_max={k_max} not resolvable at n_points={f.n_points}: need "
-            f"n_points >= {RESOLUTION_FACTOR * (k_max + 1)} "
-            f"(= {RESOLUTION_FACTOR} * (k_max + 1))")
-    held = held or {}
-    values = [f.sup()]
-    for k in range(1, k_max + 1):
-        if k in held:
-            d_k = held[k].samples
-        else:
-            if spectrum is None:
-                spectrum = _clean_spectrum(f)
-            d_k = _derivative_of(spectrum, f.n_points, k)
-        values.append(max(values[-1], _sup(d_k)))
-    return NormVector(tuple(values))
-
-
 class FieldSpectrum:
     """One field's cleaned half spectrum, taken on first use, and the
     derivatives and C^k norms read from it.
@@ -248,24 +193,62 @@ class FieldSpectrum:
         self._spectrum: Optional[np.ndarray] = None
         self._derivatives: dict[int, GridFunction] = {}
 
-    def spectrum(self) -> np.ndarray:
+    def _transform(self, order: int) -> np.ndarray:
+        """Samples of d^order f, computed from the spectrum."""
         if self._spectrum is None:
             self._spectrum = _clean_spectrum(self.field)
-        return self._spectrum
+        n = self.field.n_points
+        return np.fft.irfft(self._spectrum * _derivative_multiplier(n, order),
+                            n, axis=0)
 
     def derivative(self, order: int) -> GridFunction:
-        """d^order f; order 0 is the field itself."""
+        """d^order f, computed once and kept; order 0 is the field itself.
+
+        Exact (to rounding) for trigonometric polynomials resolved by the
+        grid; the caller is responsible for the field being band-limited.
+        """
         if order == 0:
             return self.field
         if order not in self._derivatives:
-            self._derivatives[order] = derivative(self.field, order,
-                                                  self.spectrum())
+            self._derivatives[order] = self.field.with_samples(self._transform(order))
         return self._derivatives[order]
 
     def ck_norm(self, k_max: int) -> NormVector:
-        """C^k norms of the field, reading the derivatives already kept."""
-        return ck_norm(self.field, k_max, self.spectrum() if k_max > 0 else None,
-                       self._derivatives)
+        """Norms ||f||_0 .. ||f||_k_max, each the max derivative sup up to
+        order k.  Orders kept by derivative are read, not recomputed; the
+        orders computed here are not kept.
+
+        Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points;
+        experiments at frequency lam must additionally keep n_points >=
+        RESOLUTION_FACTOR * lam * (k_max + 1) (enforced where lam is known:
+        the CLI's config checks and verify.audit_classes).
+        """
+        n = self.field.n_points
+        if k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {k_max}")
+        if RESOLUTION_FACTOR * (k_max + 1) > n:
+            raise ResolutionError(
+                f"k_max={k_max} not resolvable at n_points={n}: need "
+                f"n_points >= {RESOLUTION_FACTOR * (k_max + 1)} "
+                f"(= {RESOLUTION_FACTOR} * (k_max + 1))")
+        values = [self.field.sup()]
+        for k in range(1, k_max + 1):
+            held = self._derivatives.get(k)
+            d_k = self._transform(k) if held is None else held.samples
+            values.append(max(values[-1], _sup(d_k)))
+        return NormVector(tuple(values))
+
+
+def derivative(f: GridFunction, order: int = 1) -> GridFunction:
+    """Spectral derivative d^order/dx^order (see FieldSpectrum.derivative)."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return FieldSpectrum(f).derivative(order)
+
+
+def ck_norm(f: GridFunction, k_max: int) -> NormVector:
+    """Norms ||f||_0 .. ||f||_k_max (see FieldSpectrum.ck_norm)."""
+    return FieldSpectrum(f).ck_norm(k_max)
 
 
 def mollify(f: GridFunction, ell: float) -> GridFunction:
@@ -276,6 +259,8 @@ def mollify(f: GridFunction, ell: float) -> GridFunction:
     """
     if not 0 < ell < PERIOD:
         raise ValueError(f"ell must lie in (0, {PERIOD:.6g}), got {ell}")
+    # Not FieldSpectrum's cleaned spectrum: the target's bits come from
+    # smoothing every mode of this uncleaned one.
     spec = np.fft.rfft(f.samples, axis=0)
     m = np.arange(f.n_points // 2 + 1)[:, np.newaxis]
     out = np.fft.irfft(spec * np.exp(-0.5 * m ** 2 * ell * ell), f.n_points, axis=0)

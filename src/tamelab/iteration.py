@@ -135,7 +135,7 @@ class HypothesisReport:
 def _state(instance: ProblemInstance, step_index: int, a: GridFunction) -> IterationState:
     order = instance.params.norm_order(step_index)
     spectral_a = FieldSpectrum(a)  # one transform of a: remainder and norms
-    r_of_a = instance.remainder(a, step_index, spectral_a)
+    r_of_a = instance.remainder(spectral_a, step_index)
     norms_a = spectral_a.ck_norm(order)
     # a's spectrum and derivatives are not needed past this point; on fine
     # grids keeping them through the other norms would raise peak memory.
@@ -181,9 +181,9 @@ def initial_step(instance: ProblemInstance) -> IterationState:
 def step(state: IterationState, instance: ProblemInstance) -> IterationState:
     """One corrector step from state i to i+1.
 
-    Raises DomainEscape when T - r_i(a_i) leaves the inverse's neighborhood
-    (the signal that lam*ell is too small) and DerivativeBudgetExhausted when
-    no norm order would remain at i+1.
+    Raises DomainEscape, from instance.inverse, when T - r_i(a_i) leaves the
+    inverse's neighborhood (the signal that lam*ell is too small) and
+    DerivativeBudgetExhausted when no norm order would remain at i+1.
     """
     p = instance.params
     next_index = state.step + 1
@@ -191,15 +191,7 @@ def step(state: IterationState, instance: ProblemInstance) -> IterationState:
         raise DerivativeBudgetExhausted(
             f"stepping to {next_index} leaves no controlled orders "
             f"(k0 = {p.k0}); raise k0 per the budget k1 + steps * order")
-    argument = instance.target - state.r_of_a
-    distance = (argument - instance.center).sup()
-    radius = 1.0 / p.c_f
-    if distance > radius:
-        raise DomainEscape(
-            f"argument is {distance:.6g} from the center, outside the "
-            f"1/C_F = {radius:.6g} neighborhood (step {next_index})",
-            step=next_index, measured=distance, radius=radius)
-    a_next = instance.inverse(argument, next_index)
+    a_next = instance.inverse(instance.target - state.r_of_a, next_index)
     return _state(instance, next_index, a_next)
 
 

@@ -127,15 +127,6 @@ def r6(s: int, t: int) -> BoundClass:
     return BoundClass("R6", s=s, t=t)
 
 
-def _spectrum_of(f: GridFunction, cache: Optional[FieldSpectrum]) -> FieldSpectrum:
-    """cache when it holds f, a fresh FieldSpectrum of f when it is None."""
-    if cache is None:
-        return FieldSpectrum(f)
-    if cache.field is not f:
-        raise ValueError("derivative cache belongs to a different field")
-    return cache
-
-
 @dataclass(frozen=True)
 class RemainderTerm:
     """One modulated-cosine remainder term.
@@ -149,24 +140,19 @@ class RemainderTerm:
     bound_class: BoundClass
     weight: float = 1.0
 
-    def apply(self, a: GridFunction, b: Optional[GridFunction] = None, *,
-              lam: int, ell: float, modulation: GridFunction,
-              derivatives: Optional[FieldSpectrum] = None,
-              b_derivatives: Optional[FieldSpectrum] = None) -> GridFunction:
-        """Evaluate the term; b defaults to a.
+    def apply(self, a: FieldSpectrum, b: Optional[FieldSpectrum] = None, *,
+              lam: int, ell: float, modulation: GridFunction) -> GridFunction:
+        """Evaluate the term at the fields of a and b; b defaults to a.
 
-        derivatives and b_derivatives are FieldSpectrum caches of a and b.
-        Orders missing from them are computed and kept there, so callers
+        The derivative orders the term takes are kept in a and b, so callers
         evaluating several terms at the same fields differentiate each field
         once per order.
         """
-        da = _spectrum_of(a, derivatives)
-        db = da if b is None else _spectrum_of(b, b_derivatives)
         orders = self.bound_class.arg_derivatives
-        first = da.derivative(orders[0])
+        first = a.derivative(orders[0])
         core = first.samples
         if self.bound_class.arity == 2:
-            second = db.derivative(orders[1])
+            second = (a if b is None else b).derivative(orders[1])
             check_product(first, second)
             core = core * second.samples
         core = (1.0 / core.shape[-1]) * core.sum(axis=-1, keepdims=True)
@@ -210,16 +196,12 @@ class RemainderSpec:
     def step_scale(self, step: int) -> float:
         return 1.0 + self.drift * (self.lam * self.ell) ** (-step)
 
-    def __call__(self, a: GridFunction, step: int,
-                 derivatives: Optional[FieldSpectrum] = None) -> GridFunction:
-        """r_step(a).  derivatives, a FieldSpectrum of a, lets the caller
-        reuse the transform of a the terms take."""
-        total = GridFunction.zeros(a.n_points)
-        derivatives = _spectrum_of(a, derivatives)
+    def __call__(self, a: FieldSpectrum, step: int) -> GridFunction:
+        """r_step at the field of a; the terms share a's derivatives."""
+        total = GridFunction.zeros(a.field.n_points)
         for term in self.terms:
             total = total + term.apply(a, lam=self.lam, ell=self.ell,
-                                       modulation=self.modulation,
-                                       derivatives=derivatives)
+                                       modulation=self.modulation)
         return scale(self.step_scale(step), total)
 
 
@@ -266,7 +248,9 @@ class ProblemInstance:
     """An immutable (T, T0, b, F, r) package ready for the driver.
 
     bilinear and inverse take the step index so families where they change
-    from step to step stay exact right-inverse pairs at every step.
+    from step to step stay exact right-inverse pairs at every step.  inverse
+    raises DomainEscape for a tensor outside the 1/C_F neighborhood of the
+    center or with a nonpositive sample.
     """
 
     kind: str
@@ -410,6 +394,13 @@ def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
               n_components: int, kind: str) -> ProblemInstance:
     center = GridFunction.constant(1.0, params.n_points)
     radius = 1.0 / (3.0 * params.c_f)
+    # T0 = 1 lies at sup distance 1 from the nonpositive tensors, where F =
+    # sqrt is undefined; a larger target radius admits targets there.
+    if radius > 1.0:
+        raise NeighborhoodViolation(
+            f"C_F = {params.c_f:g} < 1/3: the target radius 1/(3 C_F) = "
+            f"{radius:.6g} exceeds 1, the center's distance to the nonpositive "
+            f"tensors, where F = sqrt is undefined", measured=radius, radius=1.0)
     wave = oscillator(t_amplitude, params.lam, phase=-math.pi / 2,
                       n_points=params.n_points)
     target = center

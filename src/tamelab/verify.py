@@ -197,20 +197,18 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     for idx in range(n_samples):
         # Per-sample seeding keeps the fields independent of which pairs
         # are audited together and of the sample order.
-        a = random_trig_polynomial(np.random.default_rng([seed, idx, 0]),
-                                   params.n_points)
-        b = (random_trig_polynomial(np.random.default_rng([seed, idx, 1]),
-                                    params.n_points) if draw_b else None)
-        fields = (FieldSpectrum(a), None if b is None else FieldSpectrum(b))
-        norms = _argument_norms(fields, classes, k_max)
+        a = FieldSpectrum(random_trig_polynomial(
+            np.random.default_rng([seed, idx, 0]), params.n_points))
+        b = (FieldSpectrum(random_trig_polynomial(
+            np.random.default_rng([seed, idx, 1]), params.n_points))
+             if draw_b else None)
+        norms = _argument_norms((a, b), classes, k_max)
         for (term, bound_class), rows in zip(pairs, worst):
             bilinear = bound_class.arity == 2
             class_norms = _class_norms(bound_class, norms, k_max)
             for lam, modulation, row in zip(lambda_grid, modulations, rows):
                 r = term.apply(a, b if bilinear else None, lam=lam,
-                               ell=params.ell, modulation=modulation,
-                               derivatives=fields[0],
-                               b_derivatives=fields[1] if bilinear else None)
+                               ell=params.ell, modulation=modulation)
                 if r.n_points != params.n_points:
                     raise ValueError("evaluator returned a field on the wrong grid")
                 measured = ck_norm(r, k_max)
@@ -317,8 +315,7 @@ class R5Report:
 
 
 def demonstrate_r5_failure(params: IterationParams, strength: float,
-                           t_amplitude: float = 0.2,
-                           bands: DecayBands = DecayBands()) -> R5Report:
+                           t_amplitude: float = 0.2) -> R5Report:
     """Run the scalar toy with and without the self-interaction term.
 
     The extra term differentiates the new iterate without a compensating

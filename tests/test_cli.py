@@ -1,17 +1,23 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamelab.cli import (
+    KEYS,
     ConfigError,
     emit_plot,
     load_experiment_config,
     main,
 )
+from tamelab.gridfield import PERIOD
 from tamelab.iteration import run
 from tamelab.problem import IterationParams, make_scalar_toy, parse_flat_config
 from tamelab.verify import InsufficientSteps
@@ -64,6 +70,11 @@ class TestConfigParsing:
         ("remainder-audit", "n_points=1024"),   # lambda=64 at k=3 needs 2048
         ("remainder-audit", "kind=two_component"),  # audit draws scalars only
         ("amplitude=1e308",),          # the mollified target overflows
+        # C_F < 1/3 puts nonpositive tensors, where F = sqrt is undefined,
+        # inside the target radius 1/(3 C_F).
+        ("C_F=1e-300",),
+        ("lambda=1", "ell=1.5", "amplitude=3.5", "C_F=0.25"),
+        ("lambda=1", "ell=1.5", "amplitude=3.086", "C_F=0.332"),
     ])
     def test_bad_input_exits_one(self, overrides, tmp_path, capsys):
         command, config, output = "run", "default.cfg", "trace.csv"
@@ -301,6 +312,16 @@ class TestRunCommand:
         assert "escape" in capsys.readouterr().err
         assert (tmp_path / "trace.csv").exists()  # partial trace still written
 
+    # The step-1 iterate carries the factor 1 + drift/(lam*ell): at 1e100
+    # the run escapes at step 2, at 1e140 the remainder overflows and at
+    # 1e200 the build's right-inverse self-check does.
+    @pytest.mark.parametrize("item", ["drift=1e100", "drift=1e140", "drift=1e200"])
+    def test_huge_drift_exits_two(self, item, tmp_path, capsys):
+        code = main(["run", "--config", str(CONFIG_DIR / "default.cfg"),
+                     "--set", item, "--output_dir", str(tmp_path)])
+        assert code == 2
+        assert "numerical failure:" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_three_values_three_csvs(self, tmp_path, capsys):
@@ -402,3 +423,55 @@ class TestPipelineDeterminism:
             assert code == 0
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "trace.svg").read_bytes() == (out2 / "trace.svg").read_bytes()
+
+
+def _finite(low, high, usual):
+    """Floats in [low, high], three in four of them in the usual interval."""
+    return st.integers(0, 3).flatmap(
+        lambda pick: st.floats(*usual) if pick else st.floats(low, high))
+
+
+@st.composite
+def cli_calls(draw):
+    """A subcommand and --set items for every key of the drawn set it reads.
+    Each value lies in its key's range; grid, frequency, width and budget
+    are drawn to pass most checks across keys, so most calls compute."""
+    command = draw(st.sampled_from(("run", "decay", "r5-demo", "sweep")))
+    # sweep's default lambda_ell values reach 128, so ell < 2*pi needs lambda > 20.
+    sweep = command == "sweep"
+    n_points = 2 ** draw(st.integers(10 if sweep else 4, 12))
+    lam = draw(st.integers(21 if sweep else 1, n_points // 16))
+    k1 = draw(st.integers(1, min(4, n_points // (8 * lam) - 1)))
+    n_steps = draw(st.integers(1, 6))
+    values = {
+        "kind": draw(st.sampled_from(("scalar", "two_component"))),
+        "lambda": lam,
+        "ell": draw(st.floats(1.0 / lam, PERIOD, exclude_min=True, exclude_max=True)),
+        "amplitude": draw(_finite(0.0, 1e308, (0.0, 0.3))),
+        "C_F": draw(_finite(5e-324, 1e308, (1 / 3, 4.0))),
+        "drift": draw(_finite(0.0, 1e308, (0.0, 2.0))),
+        "r5_strength": draw(_finite(0.0, 1e308, (0.0, 2.0))),
+        "n_points": n_points,
+        "n_steps": n_steps,
+        "k0": draw(st.integers(k1 + n_steps, k1 + n_steps + 3)),
+        "k1": k1,
+    }
+    return [command] + [f"--set={key}={value}" for key, value in values.items()
+                        if command in KEYS[key].commands]
+
+
+@given(argv=cli_calls())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_exit_codes_over_key_ranges(argv):
+    # Every call inside the key table's ranges returns 0, 1 with a config
+    # or usage error, or 2 with a numerical failure; it never raises.
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--output_dir", tmp])
+    message = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert "config error:" in message or "usage:" in message, (argv, message)
+    if code == 2:
+        assert "numerical failure" in message, (argv, message)

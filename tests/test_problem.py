@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from tamelab.cli import ConfigError, load_experiment_config
-from tamelab.gridfield import GridFunction, ck_norm, random_trig_polynomial, scale
+from tamelab.gridfield import (
+    FieldSpectrum,
+    GridFunction,
+    ck_norm,
+    random_trig_polynomial,
+    scale,
+)
 from tamelab.problem import (
     RIGHT_INVERSE_TOL,
     SELF_CHECK_BATCH_POINTS,
@@ -109,7 +115,7 @@ class TestScalarToy:
 
     def test_remainder_vanishes_at_zero(self):
         instance = make_scalar_toy(default_params(), 0.2)
-        zero = GridFunction.zeros(2048)
+        zero = FieldSpectrum(GridFunction.zeros(2048))
         for step in (1, 2, 5):
             assert instance.remainder(zero, step).sup() == 0.0
 
@@ -120,6 +126,15 @@ class TestScalarToy:
         with pytest.raises(NeighborhoodViolation) as err:
             make_scalar_toy(params, 0.9)
         assert err.value.measured > err.value.radius
+
+    def test_target_radius_at_most_one(self):
+        # 1/(3 C_F) may reach 1, the center's distance to the nonpositive
+        # tensors, where F = sqrt is undefined, but not exceed it.
+        make_scalar_toy(default_params(c_f=1 / 3), 0.2)  # radius exactly 1
+        for c_f in (0.332, 0.25, 1e-300):
+            with pytest.raises(NeighborhoodViolation, match="< 1/3") as err:
+                make_scalar_toy(default_params(c_f=c_f), 0.2)
+            assert err.value.measured > err.value.radius == 1.0
 
     def test_target_norm_constant_recorded(self):
         instance = make_scalar_toy(default_params(lam=16, ell=0.25, k0=3,
@@ -188,7 +203,8 @@ class TestVaryingToy:
             np.random.default_rng(4), params.n_points))
         assert np.array_equal(a.inverse(t_prime, 2).samples,
                               b.inverse(t_prime, 2).samples)
-        probe = random_trig_polynomial(np.random.default_rng(8), params.n_points)
+        probe = FieldSpectrum(random_trig_polynomial(np.random.default_rng(8),
+                                                     params.n_points))
         assert np.array_equal(a.remainder(probe, 3).samples,
                               b.remainder(probe, 3).samples)
 
@@ -204,7 +220,8 @@ class TestVaryingToy:
     def test_remainder_step_differences_decay(self):
         params = default_params()
         instance = make_varying_toy(params, drift=1.0)
-        probe = random_trig_polynomial(np.random.default_rng(13), params.n_points)
+        probe = FieldSpectrum(random_trig_polynomial(np.random.default_rng(13),
+                                                     params.n_points))
         ll = params.lambda_ell
         for i in (1, 2, 3):
             diff = (instance.remainder(probe, i + 1) - instance.remainder(probe, i)).sup()
@@ -231,13 +248,14 @@ class TestSelfInteraction:
         from tamelab.gridfield import derivative, oscillator
         modulation = oscillator(1.0, params.lam, n_points=params.n_points)
         a = random_trig_polynomial(np.random.default_rng(17), params.n_points)
-        out = term.apply(a, a, lam=params.lam, ell=params.ell, modulation=modulation)
+        out = term.apply(FieldSpectrum(a), lam=params.lam, ell=params.ell,
+                         modulation=modulation)
         expected = scale(2.0 / params.lambda_ell,
                          product(modulation, product(derivative(a), a)))
         assert (out - expected).sup() < 1e-14
 
-    def test_derivative_caches_shared_and_checked(self):
-        from tamelab.gridfield import FieldSpectrum, oscillator
+    def test_derivative_caches_shared(self):
+        from tamelab.gridfield import oscillator
         params = default_params()
         term = self_interaction_term(1.0)
         modulation = oscillator(1.0, params.lam, n_points=params.n_points)
@@ -245,13 +263,13 @@ class TestSelfInteraction:
                 for seed in (17, 18))
         kwargs = dict(lam=params.lam, ell=params.ell, modulation=modulation)
         da, db = FieldSpectrum(a), FieldSpectrum(b)
-        cached = term.apply(a, b, derivatives=da, b_derivatives=db, **kwargs)
-        assert np.array_equal(cached.samples, term.apply(a, b, **kwargs).samples)
-        assert da.derivative(1) is da.derivative(1)  # kept, not recomputed
-        with pytest.raises(ValueError, match="different field"):
-            term.apply(a, b, derivatives=db, **kwargs)
-        with pytest.raises(ValueError, match="different field"):
-            term.apply(a, b, b_derivatives=da, **kwargs)
+        first = term.apply(da, db, **kwargs)
+        kept = da.derivative(1)
+        again = term.apply(da, db, **kwargs)  # reads the kept order
+        fresh = term.apply(FieldSpectrum(a), FieldSpectrum(b), **kwargs)
+        assert np.array_equal(first.samples, fresh.samples)
+        assert np.array_equal(again.samples, fresh.samples)
+        assert da.derivative(1) is kept
 
     @pytest.mark.parametrize("n_components", [1, 2])
     def test_apply_matches_composed_grid_operations(self, n_components):
@@ -276,8 +294,8 @@ class TestSelfInteraction:
                 core = product(core, d(b, j[1]))
             pref = term.weight * term.bound_class.prefactor(params.lam, params.ell)
             expected = scale(pref, product(modulation, component_mean(core)))
-            out = term.apply(a, b, lam=params.lam, ell=params.ell,
-                             modulation=modulation)
+            out = term.apply(FieldSpectrum(a), FieldSpectrum(b), lam=params.lam,
+                             ell=params.ell, modulation=modulation)
             assert out.samples.tobytes() == expected.samples.tobytes()
 
     def test_apply_refuses_incompatible_grids(self):
@@ -286,8 +304,8 @@ class TestSelfInteraction:
         kwargs = dict(lam=8, ell=1.0, modulation=oscillator(1.0, 8, n_points=128))
 
         def field(n, n_components=1):
-            return random_trig_polynomial(np.random.default_rng(n_components),
-                                          n, n_components=n_components)
+            return FieldSpectrum(random_trig_polynomial(
+                np.random.default_rng(n_components), n, n_components=n_components))
 
         with pytest.raises(IncompatibleGrids):  # a and b on different grids
             term.apply(field(128), field(256), **kwargs)
@@ -310,9 +328,10 @@ class TestTwoComponent:
     def test_remainder_scalar_output(self):
         instance = make_two_component_toy(default_params(), 0.2)
         a = random_trig_polynomial(np.random.default_rng(23), 2048, n_components=2)
-        r = instance.remainder(a, 1)
+        r = instance.remainder(FieldSpectrum(a), 1)
         assert r.n_components == 1
-        assert instance.remainder(GridFunction.zeros(2048, 2), 1).sup() == 0.0
+        zero = FieldSpectrum(GridFunction.zeros(2048, 2))
+        assert instance.remainder(zero, 1).sup() == 0.0
 
 
 class TestParams:
