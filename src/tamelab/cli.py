@@ -1,4 +1,5 @@
 """Experiment orchestration: config files, subcommands, CSV and SVG output.
+The only module that writes files: every CSV goes through _csv.
 
 Subcommands: run | decay | remainder-audit | ledger | r5-demo | sweep.  Each
 reads `--config <path>` (flat key = value lines) with `--set key=value`
@@ -21,7 +22,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +42,8 @@ RUNS = ("run", "decay", "sweep")
 BUILDS = RUNS + ("r5-demo",)
 # Subcommands that read kind but take scalar fields only.
 SCALAR_ONLY = ("r5-demo", "remainder-audit")
+# Subcommands that fit decay rates, and the first step each fits.
+FIT_FROM = {"decay": 1, "sweep": 1, "r5-demo": verify.R5_FIT_FROM}
 
 SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
@@ -128,12 +131,14 @@ class ExperimentConfig:
     ledger_c_r: float = ledger.DEFAULT_REMAINDER_CONSTANT
 
 
-def _check_across_keys(cfg: ExperimentConfig, reads: set) -> None:
-    """Checks that involve several keys, on the values after defaults.  A
-    check runs only for a subcommand that reads all of its keys."""
+def _check_across_keys(cfg: ExperimentConfig, command: str, reads: set) -> None:
+    """Checks across keys or of a key against the subcommand, on the values
+    after defaults; each runs only where the subcommand reads all its keys."""
     p = cfg.problem
     k_safe = p.params().k_safe
     too_wide = [f"{ll:g}" for ll in cfg.lambda_ell if ll / p.lam >= PERIOD]
+    min_steps = (FIT_FROM[command] + verify.MIN_FIT_STEPS - 1
+                 if command in FIT_FROM else 1)
     for keys, ok, message in (
         (("lambda", "ell"), p.lam * p.ell > 1,
          f"lambda*ell must exceed 1, got {p.lam * p.ell}"),
@@ -149,6 +154,10 @@ def _check_across_keys(cfg: ExperimentConfig, reads: set) -> None:
          f"{p.k1 + p.n_steps}, got k0={p.k0}"),
         (("lambda", "lambda_ell"), not too_wide,
          f"lambda_ell {', '.join(too_wide)} gives ell >= 2*pi at lambda={p.lam}"),
+        # The fit would refuse too few steps only after the build and the run.
+        (("n_steps",), p.n_steps >= min_steps,
+         f"{command} fits {verify.MIN_FIT_STEPS} steps from step "
+         f"{FIT_FROM.get(command)}: n_steps must be >= {min_steps}, got {p.n_steps}"),
     ):
         if not ok and reads.issuperset(keys):
             raise ConfigError(message)
@@ -183,7 +192,7 @@ def _config_from_mapping(command: str, mapping: dict) -> ExperimentConfig:
     if command in SCALAR_ONLY and cfg.problem.kind != "scalar":
         raise ConfigError(f"{command} takes 'kind' = scalar only, got "
                           f"{cfg.problem.kind!r}")
-    _check_across_keys(cfg, set(reads))
+    _check_across_keys(cfg, command, set(reads))
     return cfg
 
 
@@ -219,6 +228,42 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: floats as %.17g, which reads back bit for bit, None as an
+    empty cell, anything else (the header's names too) by str."""
+    cell = lambda v: "" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+LEDGER_COLUMNS = ("step", "C", "C_err", "C_r", "C_diff", "threshold")
+TRACE_COLUMNS = ("step", "k", "norm_a", "norm_error", "norm_r", "diff_norm",
+                 "identity_residual", "clause1_margin", "clause2_margin",
+                 "clause3_margin", "clause4_margin")
+
+
+def _trace_rows(trace: iteration.IterationTrace):
+    """One row per (step, k); step 0 has no transition or margin cells.  The
+    norms and margins of a step all run to the order of norms_a (the field
+    margin from k = 1), and zip(strict=True) holds them to it."""
+    first, *later = trace.states
+    for k, norms in enumerate(zip(first.norms_a.values, first.norms_error.values,
+                                  first.norms_r.values, strict=True)):
+        yield (first.step, k, *norms) + (None,) * 6
+    for s, diff, residual, m in zip(later, trace.diff_norms,
+                                    trace.identity_residuals, trace.margins):
+        for k, (a, e, r, d, field, error, remainder) in enumerate(zip(
+                s.norms_a.values, s.norms_error.values, s.norms_r.values,
+                diff.values, (None,) + m.field, m.error, m.remainder, strict=True)):
+            yield (s.step, k, a, e, r, d, residual, m.field_sup, field, error,
+                   remainder)
+
+
+def _write_fits(path: Path, fits: Sequence[verify.DecayFit]) -> None:
+    _atomic_write(path, _csv(
+        ("k", "slope", "intercept", "r_squared", "first_step", "last_step"),
+        [(f.k, f.slope, f.intercept, f.r_squared, *f.steps_used) for f in fits]))
 
 
 def _svg_chart(series: Sequence[tuple[str, list[tuple[float, float]]]],
@@ -277,17 +322,19 @@ def _svg_chart(series: Sequence[tuple[str, list[tuple[float, float]]]],
     return "\n".join(parts) + "\n"
 
 
-def emit_plot(trace: iteration.IterationTrace, path,
-              k_values: Optional[Sequence[int]] = None) -> None:
+def _orders(trace: iteration.IterationTrace) -> range:
+    """The orders fitted and plotted: 0..2, capped by the step-1 norms."""
+    return range(min(2, len(trace.states[1].norms_error) - 1) + 1)
+
+
+def emit_plot(trace: iteration.IterationTrace, path) -> None:
     """Deterministic SVG of ln ||E_i||_k vs i over the usable steps, one
-    polyline per k."""
+    polyline per order in _orders."""
     usable = trace.usable_steps()
     if not usable:
         raise verify.InsufficientSteps("no steps above the noise floor to plot")
-    if k_values is None:
-        k_values = range(min(2, len(trace.states[1].norms_error) - 1) + 1)
     series = []
-    for k in k_values:
+    for k in _orders(trace):
         pts = [(float(s.step), math.log(s.norms_error[k]))
                for s in trace.states
                if s.step in usable and k < len(s.norms_error)
@@ -301,14 +348,13 @@ def emit_plot(trace: iteration.IterationTrace, path,
 
 def _write_trace(trace: iteration.IterationTrace, out: Path, stem: str,
                  plot: bool) -> None:
-    _atomic_write(out / f"{stem}.csv", iteration.trace_to_csv(trace))
+    _atomic_write(out / f"{stem}.csv", _csv(TRACE_COLUMNS, _trace_rows(trace)))
     if plot:
         emit_plot(trace, out / f"{stem}.svg")
 
 
 def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
-    instance = cfg.problem.build()
-    trace = iteration.run(instance)
+    trace = iteration.run(cfg.problem.build())
     _write_trace(trace, out, "trace", cfg.plot)
     print(f"run: {trace.n_steps} steps, flag={trace.flag}, "
           f"max identity residual {max(trace.identity_residuals):.3e}")
@@ -321,20 +367,14 @@ def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _decay_fits(trace: iteration.IterationTrace) -> list[verify.DecayFit]:
-    k_top = min(2, len(trace.states[1].norms_error) - 1)
-    return [verify.fit_decay(trace, k) for k in range(k_top + 1)]
-
-
 def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
-    instance = cfg.problem.build()
-    trace = iteration.run(instance)
+    trace = iteration.run(cfg.problem.build())
     if trace.flag == "diverged":
         print(f"numerical failure: escape at step {trace.escape_step}",
               file=sys.stderr)
         return 2
-    fits = _decay_fits(trace)
-    _atomic_write(out / "decay.csv", verify.decay_fits_to_csv(fits))
+    fits = [verify.fit_decay(trace, k) for k in _orders(trace)]
+    _write_fits(out / "decay.csv", fits)
     _write_trace(trace, out, "trace", cfg.plot)
     ll = cfg.problem.params().lambda_ell
     for fit in fits:
@@ -347,9 +387,13 @@ def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_remainder_audit(cfg: ExperimentConfig, out: Path) -> int:
     pairs = [(term, term.bound_class) for term in stock_remainder_terms()]
     *reports, control = verify.audit_classes(
-        pairs + [verify.MISDECLARED_CONTROL], cfg.problem.params(),
-        seed=cfg.problem.seed)
-    _atomic_write(out / "audit.csv", verify.bound_report_to_csv(reports + [control]))
+        pairs + [verify.MISDECLARED_CONTROL], cfg.problem.params())
+    _atomic_write(out / "audit.csv", _csv(
+        ("class", "k", "constant", "lambda", "stable"),
+        [(report.bound_class.kind, k, value, lam, "true" if report.stable else "false")
+         for report in reports + [control]
+         for lam, row in zip(report.lambda_grid, report.constants_by_lambda)
+         for k, value in enumerate(row)]))
     for report in reports:
         print(f"class {report.bound_class.kind}: constants "
               f"{', '.join(f'{c:.3f}' for c in report.per_k_constants)} "
@@ -363,20 +407,15 @@ def _cmd_ledger(cfg: ExperimentConfig, out: Path, write_csv: bool) -> int:
     params = cfg.problem.params()
     cs = replace(ledger.stock_constants(params), c=cfg.ledger_c,
                  c_err=cfg.ledger_c_err, c_r=cfg.ledger_c_r)
-    rows = ledger.constant_table(cs, params, cfg.problem.n_steps)
+    rows = [[row[c] for c in LEDGER_COLUMNS]
+            for row in ledger.constant_table(cs, params, cfg.problem.n_steps)]
     print(f"threshold {ledger.threshold(cs):g}")
-    header = f"{'step':>4} {'C':>12} {'C_err':>12} {'C_r':>12} {'C_diff':>12} {'threshold':>12}"
-    print(header)
-    for row in rows:
-        print(f"{row['step']:>4} {row['C']:>12.5g} {row['C_err']:>12.5g} "
-              f"{row['C_r']:>12.5g} {row['C_diff']:>12.5g} {row['threshold']:>12.5g}")
+    name, *names = LEDGER_COLUMNS
+    print(" ".join([f"{name:>4}"] + [f"{c:>12}" for c in names]))
+    for step, *values in rows:
+        print(" ".join([f"{step:>4}"] + [f"{v:>12.5g}" for v in values]))
     if write_csv:
-        lines = ["step,C,C_err,C_r,C_diff,threshold"]
-        for row in rows:
-            lines.append(f"{row['step']},{row['C']:.17g},{row['C_err']:.17g},"
-                         f"{row['C_r']:.17g},{row['C_diff']:.17g},"
-                         f"{row['threshold']:.17g}")
-        _atomic_write(out / "ledger.csv", "\n".join(lines) + "\n")
+        _atomic_write(out / "ledger.csv", _csv(LEDGER_COLUMNS, rows))
         print(f"wrote {out / 'ledger.csv'}")
     return 0
 
@@ -385,8 +424,8 @@ def _cmd_r5_demo(cfg: ExperimentConfig, out: Path) -> int:
     params = cfg.problem.params()
     strength = cfg.problem.r5_strength if cfg.problem.r5_strength > 0 else 1.0
     report = verify.demonstrate_r5_failure(params, strength, cfg.problem.amplitude)
-    _atomic_write(out / "r5_clean.csv", verify.decay_fits_to_csv([report.fit_clean]))
-    _atomic_write(out / "r5_with.csv", verify.decay_fits_to_csv([report.fit_r5]))
+    _write_fits(out / "r5_clean.csv", [report.fit_clean])
+    _write_fits(out / "r5_with.csv", [report.fit_r5])
     if report.no_effect:
         print("no effect: the two runs are identical (strength 0?)")
     else:
@@ -407,9 +446,9 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
                   f"{trace.escape_step}", file=sys.stderr)
             code = 2
             continue
-        fits = _decay_fits(trace)
+        fits = [verify.fit_decay(trace, k) for k in _orders(trace)]
         stem = f"decay_ll{ll:g}"
-        _atomic_write(out / f"{stem}.csv", verify.decay_fits_to_csv(fits))
+        _write_fits(out / f"{stem}.csv", fits)
         if cfg.plot:
             emit_plot(trace, out / f"{stem}.svg")
         print(f"lambda_ell={ll:g}: slope k=0 {fits[0].slope:+.4f} "
@@ -459,19 +498,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_experiment_config(args.command, args.config,
                                      args.overrides + flags)
-        out = Path(cfg.output_dir)
-        if args.command == "run":
-            return _cmd_run(cfg, out)
-        if args.command == "decay":
-            return _cmd_decay(cfg, out)
-        if args.command == "remainder-audit":
-            return _cmd_remainder_audit(cfg, out)
-        if args.command == "ledger":
-            return _cmd_ledger(cfg, out, args.csv)
-        if args.command == "r5-demo":
-            return _cmd_r5_demo(cfg, out)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, out)
+        command = {"run": _cmd_run, "decay": _cmd_decay,
+                   "remainder-audit": _cmd_remainder_audit,
+                   "ledger": lambda cfg, out: _cmd_ledger(cfg, out, args.csv),
+                   "r5-demo": _cmd_r5_demo, "sweep": _cmd_sweep}[args.command]
+        return command(cfg, Path(cfg.output_dir))
     except (ConfigError, NeighborhoodViolation, ResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -479,7 +510,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             iteration.DerivativeBudgetExhausted, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

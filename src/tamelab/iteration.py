@@ -20,7 +20,7 @@ from .problem import DomainEscape, ProblemInstance
 __all__ = [
     "DomainEscape", "DerivativeBudgetExhausted", "IterationState",
     "StepMargins", "IterationTrace", "HypothesisReport", "initial_step",
-    "step", "run", "check_hypotheses", "identity_residual", "trace_to_csv",
+    "step", "run", "check_hypotheses", "identity_residual",
 ]
 
 IDENTITY_TOL = 1e-9
@@ -115,10 +115,10 @@ class IterationTrace:
     def constants(self) -> tuple[ledger.ConstantSet, ...]:
         return self._ledger[1]
 
-    def usable_steps(self, floor_rel: float = FLOOR_FIT) -> list[int]:
+    def usable_steps(self) -> list[int]:
         """Indices of states (step >= 1) whose error sits above the noise
         floor, the only ones meaningful for rate fitting."""
-        floor = floor_rel * self.target_sup
+        floor = FLOOR_FIT * self.target_sup
         return [s.step for s in self.states
                 if s.step >= 1 and s.norms_error[0] >= floor]
 
@@ -234,7 +234,7 @@ def _margins_and_constants(states, instance):
     return tuple(margins), tuple(constants)
 
 
-def run(instance: ProblemInstance, n_steps: Optional[int] = None) -> IterationTrace:
+def run(instance: ProblemInstance) -> IterationTrace:
     """Run the iteration, recording everything needed for verification.
 
     Stops early with flag 'diverged' on DomainEscape (a partial trace, not an
@@ -242,7 +242,7 @@ def run(instance: ProblemInstance, n_steps: Optional[int] = None) -> IterationTr
     the error reaches the floating-point floor.
     """
     p = instance.params
-    n = p.n_steps if n_steps is None else n_steps
+    n = p.n_steps
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n}")
     if p.k1 > p.k0 - n:
@@ -293,41 +293,3 @@ def check_hypotheses(trace: IterationTrace) -> HypothesisReport:
     return HypothesisReport(margins=trace.margins, constants=trace.constants,
                             passes=passes, threshold=trace.threshold,
                             below_threshold=trace.below_threshold)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
-
-
-def trace_to_csv(trace: IterationTrace) -> str:
-    """CSV text with one row per (step, k): norms, difference norms, identity
-    residual and the four per-step margins."""
-    header = ("step,k,norm_a,norm_error,norm_r,diff_norm,identity_residual,"
-              "clause1_margin,clause2_margin,clause3_margin,clause4_margin")
-    lines = [header]
-    margin_by_step = {m.step: m for m in trace.margins}
-    for idx, state in enumerate(trace.states):
-        diff = trace.diff_norms[idx - 1] if 1 <= idx <= len(trace.diff_norms) else None
-        residual = (trace.identity_residuals[idx - 1]
-                    if 1 <= idx <= len(trace.identity_residuals) else None)
-        margins = margin_by_step.get(state.step)
-        for k in range(len(state.norms_a)):
-            cells = [
-                str(state.step), str(k),
-                _csv_cell(state.norms_a[k]),
-                _csv_cell(state.norms_error[k]),
-                _csv_cell(state.norms_r[k]),
-                _csv_cell(diff[k] if diff is not None and k < len(diff) else None),
-                _csv_cell(residual),
-                _csv_cell(margins.field_sup if margins else None),
-                _csv_cell(margins.field[k - 1]
-                          if margins and 1 <= k <= len(margins.field) else None),
-                _csv_cell(margins.error[k]
-                          if margins and k < len(margins.error) else None),
-                _csv_cell(margins.remainder[k]
-                          if margins and k < len(margins.remainder) else None),
-            ]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

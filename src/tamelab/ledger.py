@@ -30,6 +30,9 @@ FIELD_CONSTANT = 2.0
 # overflowing.  A saturated constant still dominates every measured margin.
 CONSTANT_CAP = 1e300
 
+# calibrate's factor on the measured constants: step-1 margins sit below 1.
+HEADROOM = 1.01
+
 # Lower clamp keeping ConstantSet valid when a family has no remainder terms
 # (the propagated error and remainder constants would be exactly zero).
 CONSTANT_FLOOR = 1e-300
@@ -165,10 +168,8 @@ def threshold(cs: ConstantSet) -> float:
 
 
 def calibrate(norms_a: NormVector, norms_error: NormVector, norms_r: NormVector,
-              params: IterationParams, target_constant: float = 0.0,
-              headroom: float = 1.01) -> ConstantSet:
-    """Constants measured off the first iterate, with a small headroom so the
-    step-1 margins sit strictly below 1."""
+              params: IterationParams, target_constant: float = 0.0) -> ConstantSet:
+    """Constants measured off the first iterate, times HEADROOM."""
     ll = params.lambda_ell
     c = max(norms_a[0], target_constant,
             max((norms_a[k] * ll / params.lam ** k for k in range(1, len(norms_a))),
@@ -176,14 +177,13 @@ def calibrate(norms_a: NormVector, norms_error: NormVector, norms_r: NormVector,
     c_err = max(norms_error[k] * ll / params.lam ** k for k in range(len(norms_error)))
     c_r = max(norms_r[k] * ll / params.lam ** k for k in range(len(norms_r)))
     floor = 1e-30  # keep the set valid when a component is identically zero
-    return replace(stock_constants(params), c=max(c, floor) * headroom,
-                   c_err=max(c_err, floor) * headroom,
-                   c_r=max(c_r, floor) * headroom)
+    return replace(stock_constants(params), c=max(c, floor) * HEADROOM,
+                   c_err=max(c_err, floor) * HEADROOM,
+                   c_r=max(c_r, floor) * HEADROOM)
 
 
-def constant_table(cs: ConstantSet, params: IterationParams, n_steps: int,
-                   classes: Optional[Iterable[BoundClass]] = None) -> list[dict]:
-    """Step-by-step table of propagated constants for reporting."""
+def constant_table(cs: ConstantSet, params: IterationParams, n_steps: int) -> list[dict]:
+    """One row per step of the stock classes' propagated constants."""
     rows = []
     current = cs
     for _ in range(n_steps):
@@ -195,5 +195,5 @@ def constant_table(cs: ConstantSet, params: IterationParams, n_steps: int,
             "C_diff": difference_constant(current, params),
             "threshold": threshold(current),
         })
-        current = propagate(current, params, classes)
+        current = propagate(current, params)
     return rows

@@ -37,6 +37,10 @@ from .problem import (
 DEFAULT_LAMBDA_GRID = (16, 32, 64)
 STABLE_FACTOR = 2.0
 ZERO_CONSTANT_TOL = 1e-14
+# Fewest usable steps a decay fit takes, and the first step the R5 demo
+# fits, past the step-1 transient.
+MIN_FIT_STEPS = 3
+R5_FIT_FROM = 2
 
 
 class InsufficientSteps(ValueError):
@@ -161,17 +165,16 @@ def class_bound_rhs(bound_class: BoundClass, a: GridFunction,
 
 
 def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
-                  params: IterationParams, n_samples: int = 12, seed: int = 0,
-                  k_max: int = 3,
+                  params: IterationParams, n_samples: int = 12, k_max: int = 3,
                   lambda_grid: Sequence[int] = DEFAULT_LAMBDA_GRID,
                   ) -> list[BoundReport]:
     """Audit each (term, declared class) pair; one report per pair, in order.
 
-    Draws seeded low-mode fields a (and b, when some class is bilinear) with
-    sup norm 1, evaluates every term at each frequency in the grid (same
-    fields, same ell), and reports the worst measured/bound ratio per order.
-    Auditing a term against the wrong class shows up as constants that
-    drift with the frequency.
+    Draws low-mode fields a (and b, when some class is bilinear) with sup
+    norm 1, seeded by params.seed, evaluates every term at each frequency in
+    the grid (same fields, same ell), and reports the worst measured/bound
+    ratio per order.  Auditing a term against the wrong class shows up as
+    constants that drift with the frequency.
 
     The pass is sample-major: each sample's fields are drawn, differentiated
     and normed once for all pairs and frequencies, and only the running
@@ -198,9 +201,9 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
         # Per-sample seeding keeps the fields independent of which pairs
         # are audited together and of the sample order.
         a = FieldSpectrum(random_trig_polynomial(
-            np.random.default_rng([seed, idx, 0]), params.n_points))
+            np.random.default_rng([params.seed, idx, 0]), params.n_points))
         b = (FieldSpectrum(random_trig_polynomial(
-            np.random.default_rng([seed, idx, 1]), params.n_points))
+            np.random.default_rng([params.seed, idx, 1]), params.n_points))
              if draw_b else None)
         norms = _argument_norms((a, b), classes, k_max)
         for (term, bound_class), rows in zip(pairs, worst):
@@ -219,18 +222,18 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
                         row[k] = max(row[k], measured[k] / rhs[k])
     return [BoundReport(bound_class=bound_class, lambda_grid=lambda_grid,
                         constants_by_lambda=tuple(tuple(row) for row in rows),
-                        sample_count=n_samples, seed=seed)
+                        sample_count=n_samples, seed=params.seed)
             for (_, bound_class), rows in zip(pairs, worst)]
 
 
 def verify_remainder_class(term: RemainderTerm, bound_class: BoundClass,
                            params: IterationParams, n_samples: int = 12,
-                           seed: int = 0, k_max: int = 3,
+                           k_max: int = 3,
                            lambda_grid: Sequence[int] = DEFAULT_LAMBDA_GRID,
                            ) -> BoundReport:
     """Audit one remainder term against a declared class (see audit_classes)."""
-    return audit_classes([(term, bound_class)], params, n_samples, seed,
-                         k_max, lambda_grid)[0]
+    return audit_classes([(term, bound_class)], params, n_samples, k_max,
+                         lambda_grid)[0]
 
 
 # Deliberate misdeclaration: the self-interaction term audited against the
@@ -249,20 +252,14 @@ class DecayFit:
     r_squared: float
     steps_used: tuple[int, int]
 
-    @property
-    def rate(self) -> float:
-        """Per-step error contraction factor implied by the fit."""
-        return float(np.exp(self.slope))
 
-
-def fit_decay(trace: iteration.IterationTrace, k: int, *,
-              floor_rel: float = iteration.FLOOR_FIT, min_step: int = 1) -> DecayFit:
+def fit_decay(trace: iteration.IterationTrace, k: int, *, min_step: int = 1) -> DecayFit:
     """Fit the decay exponent of ||E_i||_k over the usable steps.
 
-    Steps whose sup error sits below floor_rel * ||T||_0 are rounding noise
-    and excluded; fewer than 3 usable points raises InsufficientSteps.
+    Steps with sup error below FLOOR_FIT * ||T||_0 are rounding noise and
+    excluded; fewer than MIN_FIT_STEPS usable points raise InsufficientSteps.
     """
-    floor = floor_rel * trace.target_sup
+    floor = iteration.FLOOR_FIT * trace.target_sup
     xs, ys = [], []
     for state in trace.states:
         if state.step < min_step or state.step < 1:
@@ -273,9 +270,9 @@ def fit_decay(trace: iteration.IterationTrace, k: int, *,
             continue
         xs.append(float(state.step))
         ys.append(float(np.log(state.norms_error[k])))
-    if len(xs) < 3:
+    if len(xs) < MIN_FIT_STEPS:
         raise InsufficientSteps(
-            f"only {len(xs)} usable steps for k={k}; need >= 3")
+            f"only {len(xs)} usable steps for k={k}; need >= {MIN_FIT_STEPS}")
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = np.polyval([slope, intercept], xs)
     ss_res = float(np.sum((np.asarray(ys) - fitted) ** 2))
@@ -320,7 +317,7 @@ def demonstrate_r5_failure(params: IterationParams, strength: float,
 
     The extra term differentiates the new iterate without a compensating
     lam power, so its per-step gain degrades from 1/(lam*ell) toward 1/ell;
-    the report compares the post-step-2 decay slopes of both runs.
+    the report compares the decay slopes of both runs from step R5_FIT_FROM.
     """
     if strength < 0:
         raise ValueError(f"strength must be >= 0, got {strength}")
@@ -328,32 +325,10 @@ def demonstrate_r5_failure(params: IterationParams, strength: float,
     r5_instance = with_self_interaction(clean_instance, strength)
     trace_clean = iteration.run(clean_instance)
     trace_r5 = iteration.run(r5_instance)
-    fit_clean = fit_decay(trace_clean, 0, min_step=2)
-    fit_r5 = fit_decay(trace_r5, 0, min_step=2)
+    fit_clean = fit_decay(trace_clean, 0, min_step=R5_FIT_FROM)
+    fit_r5 = fit_decay(trace_r5, 0, min_step=R5_FIT_FROM)
     no_effect = (len(trace_clean.states) == len(trace_r5.states) and all(
         s1.norms_error.values == s2.norms_error.values
         for s1, s2 in zip(trace_clean.states, trace_r5.states)))
     return R5Report(strength=strength, params=params, fit_clean=fit_clean,
                     fit_r5=fit_r5, no_effect=no_effect)
-
-
-def bound_report_to_csv(reports: Sequence[BoundReport]) -> str:
-    """CSV text with rows `class,k,constant,lambda,stable`, one per
-    (report, lam, k)."""
-    lines = ["class,k,constant,lambda,stable"]
-    for report in reports:
-        stable = str(report.stable).lower()
-        for lam, row in zip(report.lambda_grid, report.constants_by_lambda):
-            for k, value in enumerate(row):
-                lines.append(f"{report.bound_class.kind},{k},{value:.17g},"
-                             f"{lam},{stable}")
-    return "\n".join(lines) + "\n"
-
-
-def decay_fits_to_csv(fits: Sequence[DecayFit]) -> str:
-    """CSV text with one row per fit."""
-    lines = ["k,slope,intercept,r_squared,first_step,last_step"]
-    for fit in fits:
-        lines.append(f"{fit.k},{fit.slope:.17g},{fit.intercept:.17g},"
-                     f"{fit.r_squared:.17g},{fit.steps_used[0]},{fit.steps_used[1]}")
-    return "\n".join(lines) + "\n"

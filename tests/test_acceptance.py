@@ -139,16 +139,16 @@ def test_criterion_5_remainder_class_audit():
         reports = []
         for term in stock_remainder_terms():
             report = verify.verify_remainder_class(term, term.bound_class, p,
-                                                   n_samples=12, seed=11)
+                                                   n_samples=12)
             reports.append(report)
             assert report.stable, term.bound_class.kind
         [control] = verify.audit_classes([verify.MISDECLARED_CONTROL], p,
-                                         n_samples=12, seed=11)
+                                         n_samples=12)
         assert not control.stable
         # seeded reproducibility: identical reports on a second pass
         again = verify.verify_remainder_class(stock_remainder_terms()[0],
                                               stock_remainder_terms()[0].bound_class,
-                                              p, n_samples=12, seed=11)
+                                              p, n_samples=12)
         assert again.constants_by_lambda == reports[0].constants_by_lambda
 
 

@@ -12,15 +12,24 @@ from hypothesis import given, settings, strategies as st
 
 from tamelab.cli import (
     KEYS,
+    TRACE_COLUMNS,
     ConfigError,
+    _csv,
+    _trace_rows,
+    _write_fits,
     emit_plot,
     load_experiment_config,
     main,
 )
 from tamelab.gridfield import PERIOD
 from tamelab.iteration import run
-from tamelab.problem import IterationParams, make_scalar_toy, parse_flat_config
-from tamelab.verify import InsufficientSteps
+from tamelab.problem import (
+    IterationParams,
+    ProblemConfig,
+    make_scalar_toy,
+    parse_flat_config,
+)
+from tamelab.verify import DecayFit, InsufficientSteps
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -224,6 +233,29 @@ class TestKeyTable:
         assert "config error:" in err and message in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, n_steps, minimum", [
+        ("decay", 2, 3), ("decay", 1, 3), ("sweep", 2, 3),
+        ("r5-demo", 3, 4), ("r5-demo", 2, 4),  # r5-demo fits from step 2
+    ])
+    def test_too_few_steps_to_fit_refused_before_build(
+            self, command, n_steps, minimum, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built an instance")
+        monkeypatch.setattr(ProblemConfig, "build", no_build)
+        monkeypatch.setattr("tamelab.verify.make_scalar_toy", no_build)
+        assert main(shipped_argv(command, tmp_path, "--set", f"n_steps={n_steps}")) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert f"n_steps must be >= {minimum}, got {n_steps}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, n_steps", [
+        ("decay", 3), ("sweep", 3), ("r5-demo", 4), ("run", 1), ("ledger", 1),
+    ])
+    def test_fewest_steps_accepted(self, command, n_steps, tmp_path, capsys):
+        assert main(shipped_argv(command, tmp_path, "--set", f"n_steps={n_steps}")) == 0
+        assert (tmp_path / SHIPPED[command][1]).exists()
+
     def test_sweep_runs_without_config(self, tmp_path, capsys):
         # the default lambda_ell values give ell < 2*pi at the default lambda
         assert main(["sweep", "--output_dir", str(tmp_path)]) == 0
@@ -360,12 +392,14 @@ class TestEmitPlot:
         assert "step i" in svg and "ln ||E_i||_k" in svg
 
     def test_single_k(self, tmp_path):
-        p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
+        # at 8 points per wavelength the grid resolves order 0 only
+        p = IterationParams(lam=32, ell=4.0, k0=7, k1=0, n_points=256,
                             n_steps=5, seed=7)
         trace = run(make_scalar_toy(p, 0.2))
         path = tmp_path / "one.svg"
-        emit_plot(trace, path, k_values=[0])
-        assert path.read_text().count("<polyline") == 1
+        emit_plot(trace, path)
+        svg = path.read_text()
+        assert svg.count("<polyline") == 1 and ">k=0</text>" in svg
 
     def test_empty_after_floor_refused(self, tmp_path):
         from dataclasses import replace
@@ -383,6 +417,96 @@ class TestEmitPlot:
         emit_plot(run(make_scalar_toy(p, 0.2)), a)
         emit_plot(run(make_scalar_toy(p, 0.2)), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def stock_trace():
+    p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
+                        n_steps=5, seed=7)
+    return run(make_scalar_toy(p, 0.2))
+
+
+class TestCsvFormat:
+    def test_cells(self):
+        # %.17g: 17 significant digits, no trailing zeros; ints and text by str
+        assert _csv(("a", "b", "c"), [(1, 0.1, None), ("x", 1 / 3, 2.0)]) == (
+            "a,b,c\n1,0.10000000000000001,\nx,0.33333333333333331,2\n")
+
+    def test_floats_read_back_bit_for_bit(self, stock_trace):
+        rows = list(_trace_rows(stock_trace))
+        lines = _csv(TRACE_COLUMNS, rows).splitlines()[1:]
+        assert len(lines) == len(rows)
+        for row, line in zip(rows, lines):
+            cells = [None if c == "" else float(c) for c in line.split(",")]
+            assert cells == list(row)
+
+
+class TestTraceCsv:
+    """The trace.csv the CLI writes, from _trace_rows through _csv."""
+
+    def test_format_and_residual_column(self, stock_trace):
+        lines = _csv(TRACE_COLUMNS, _trace_rows(stock_trace)).strip().splitlines()
+        header = lines[0].split(",")
+        assert header == ["step", "k", "norm_a", "norm_error", "norm_r",
+                          "diff_norm", "identity_residual", "clause1_margin",
+                          "clause2_margin", "clause3_margin", "clause4_margin"]
+        expected_rows = sum(len(s.norms_a) for s in stock_trace.states)
+        assert len(lines) - 1 == expected_rows
+        residual_idx = header.index("identity_residual")
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == len(header)
+            if cells[0] != "0":
+                assert cells[residual_idx] and float(cells[residual_idx]) <= 1e-9
+
+    def test_step0_margins_blank(self, tmp_path, capsys):
+        # read from the file the run writes: the step-0 rows have no
+        # transition and no margins; the step-1 row at k = 0 has no field
+        # margin, which starts at k = 1
+        assert main(["run", "--config", str(CONFIG_DIR / "default.cfg"),
+                     "--output_dir", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+        step0 = [row for row in rows if row[0] == "0"]
+        assert step0 and all(row[5:] == [""] * 6 for row in step0)
+        first = next(row for row in rows if row[0] == "1")
+        assert first[1] == "0" and first[8] == "" and "" not in first[:8] + first[9:]
+
+    def test_written_trace_transform_count(self, count_fft):
+        # Writing every column adds, on first read, one rfft + (7 - i)
+        # irffts for ||r|| at states 1..5 and for the difference norm at
+        # steps 2..5 (the step-1 difference is ||a_1||), on top of the run's
+        # rfft 10 and irfft 40.  rfft: 10 + 5 + 4 = 19.  irfft:
+        # 40 + 20 + 14 = 74.
+        p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
+                            n_steps=5, seed=7)
+        instance = make_scalar_toy(p, 0.2)
+        calls = count_fft()
+        _csv(TRACE_COLUMNS, _trace_rows(run(instance)))
+        assert calls == {"rfft": 19, "irfft": 74}
+
+
+class TestFitAndAuditCsv:
+    def test_fit_csv_export(self, tmp_path):
+        fit = DecayFit(k=0, slope=-2.302585092994046, intercept=0.1,
+                       r_squared=1.0, steps_used=(1, 5))
+        _write_fits(tmp_path / "fit.csv", [fit])
+        lines = (tmp_path / "fit.csv").read_text().splitlines()
+        assert lines[0] == "k,slope,intercept,r_squared,first_step,last_step"
+        cells = lines[1].split(",")
+        assert cells[0] == "0" and cells[4] == "1" and cells[5] == "5"
+        assert (float(cells[1]), float(cells[2]), float(cells[3])) == (
+            fit.slope, fit.intercept, fit.r_squared)
+
+    def test_audit_csv_export(self, tmp_path, capsys):
+        assert main(["remainder-audit", "--config", str(CONFIG_DIR / "audit.cfg"),
+                     "--output_dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "audit.csv").read_text().splitlines()
+        assert lines[0] == "class,k,constant,lambda,stable"
+        # 4 stock classes and the control x 3 frequencies x orders 0..3
+        assert len(lines) == 1 + 5 * 3 * 4
+        assert lines[1].startswith("R1,0,") and lines[1].endswith(",16,true")
+        assert lines[-1].startswith("R2,3,") and lines[-1].endswith(",64,false")
 
 
 class TestPipelineDeterminism:

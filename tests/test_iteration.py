@@ -17,7 +17,6 @@ from tamelab.iteration import (
     run,
     start_state,
     step,
-    trace_to_csv,
 )
 from tamelab.problem import (
     IterationParams,
@@ -261,27 +260,6 @@ class TestTelescoping:
             assert gap > 1e-4  # the wrong reading is off by ||E_1|| ~ 8e-3
 
 
-class TestTraceCsv:
-    def test_format_and_residual_column(self, stock_trace):
-        lines = trace_to_csv(stock_trace).strip().splitlines()
-        header = lines[0].split(",")
-        assert header == ["step", "k", "norm_a", "norm_error", "norm_r",
-                          "diff_norm", "identity_residual", "clause1_margin",
-                          "clause2_margin", "clause3_margin", "clause4_margin"]
-        expected_rows = sum(len(s.norms_a) for s in stock_trace.states)
-        assert len(lines) - 1 == expected_rows
-        residual_idx = header.index("identity_residual")
-        for line in lines[1:]:
-            cells = line.split(",")
-            if cells[0] != "0" and cells[residual_idx]:
-                assert float(cells[residual_idx]) <= 1e-9
-
-    def test_step0_margins_blank(self, stock_trace):
-        first_row = trace_to_csv(stock_trace).splitlines()[1].split(",")
-        assert first_row[0] == "0"
-        assert first_row[7] == "" and first_row[8] == ""
-
-
 class TestTransformCount:
     def test_default_run_transform_count(self, count_fft):
         # Default config: norm orders 7 - i at states i = 0..5.  State 0 is
@@ -295,17 +273,6 @@ class TestTransformCount:
         trace = run(instance)
         assert trace.flag == "completed" and trace.n_steps == 5
         assert calls == {"rfft": 10, "irfft": 40}
-
-    def test_written_trace_transform_count(self, count_fft):
-        # Writing every column adds, on first read, one rfft + (7 - i)
-        # irffts for ||r|| at states 1..5 and for the difference norm at
-        # steps 2..5 (the step-1 difference is ||a_1||), which is what the
-        # run computed eagerly before.  rfft: 10 + 5 + 4 = 19.  irfft:
-        # 40 + 20 + 14 = 74.
-        instance = make_scalar_toy(params(), 0.2)
-        calls = count_fft()
-        trace_to_csv(run(instance))
-        assert calls == {"rfft": 19, "irfft": 74}
 
 
 # The instance families whose step 0 and step-1 difference are assembled

@@ -33,8 +33,6 @@ from tamelab.verify import (
     DecayBands,
     InsufficientSteps,
     audit_classes,
-    bound_report_to_csv,
-    decay_fits_to_csv,
     demonstrate_r5_failure,
     fit_decay,
     oracle_norm,
@@ -70,15 +68,15 @@ def synthetic_trace(errors, target_sup=1.0):
 class TestVerifyRemainderClass:
     def test_zero_evaluator_stable(self):
         report = verify_remainder_class(RemainderTerm(R1, weight=0.0), R1,
-                                        params(), n_samples=10, seed=1)
+                                        params(seed=1), n_samples=10)
         assert all(c == 0.0 for c in report.per_k_constants)
         assert report.stable
 
     def test_linear_term_constants(self):
         # closed form: C_0 = sup|cos(lam x) a| / sup|a| ~ 1 for slow fields,
         # and each order's Leibniz growth stays below 2^k
-        report = verify_remainder_class(RemainderTerm(R1), R1, params(),
-                                        n_samples=12, seed=3)
+        report = verify_remainder_class(RemainderTerm(R1), R1, params(seed=3),
+                                        n_samples=12)
         assert 0.85 <= report.per_k_constants[0] <= 1.0 + 1e-9
         for k, c in enumerate(report.per_k_constants):
             assert c <= 2.0 ** k * (1 + 1e-9)
@@ -86,14 +84,14 @@ class TestVerifyRemainderClass:
 
     def test_all_stock_terms_stable_in_declared_class(self):
         for term in stock_remainder_terms():
-            report = verify_remainder_class(term, term.bound_class, params(),
-                                            n_samples=10, seed=5)
+            report = verify_remainder_class(term, term.bound_class,
+                                            params(seed=5), n_samples=10)
             assert report.stable, term.bound_class.kind
             assert all(c > 0 for c in report.per_k_constants)
 
     def test_misdeclared_control_unstable_and_grows(self):
-        [report] = audit_classes([MISDECLARED_CONTROL], params(), n_samples=10,
-                                 seed=5)
+        [report] = audit_classes([MISDECLARED_CONTROL], params(seed=5),
+                                 n_samples=10)
         assert not report.stable
         k0_by_lambda = [row[0] for row in report.constants_by_lambda]
         assert k0_by_lambda[-1] / k0_by_lambda[0] > 2.0
@@ -101,7 +99,7 @@ class TestVerifyRemainderClass:
 
     def test_r5_stable_in_own_class(self):
         report = verify_remainder_class(self_interaction_term(1.0), R5,
-                                        params(), n_samples=10, seed=5)
+                                        params(seed=5), n_samples=10)
         assert report.stable
 
     def test_r6_higher_derivative_class(self):
@@ -109,19 +107,20 @@ class TestVerifyRemainderClass:
         # same way: its lam^-(s+t) prefactor absorbs both gradients
         from tamelab.problem import r6
         term = RemainderTerm(r6(2, 1))
-        report = verify_remainder_class(term, r6(2, 1), params(),
-                                        n_samples=10, seed=5, k_max=2)
+        report = verify_remainder_class(term, r6(2, 1), params(seed=5),
+                                        n_samples=10, k_max=2)
         assert report.stable
         assert all(c > 0 for c in report.per_k_constants)
 
     def test_seeded_reproducibility(self):
-        a = verify_remainder_class(RemainderTerm(R3), R3, params(),
-                                   n_samples=10, seed=9)
-        b = verify_remainder_class(RemainderTerm(R3), R3, params(),
-                                   n_samples=10, seed=9)
+        a = verify_remainder_class(RemainderTerm(R3), R3, params(seed=9),
+                                   n_samples=10)
+        b = verify_remainder_class(RemainderTerm(R3), R3, params(seed=9),
+                                   n_samples=10)
         assert a.constants_by_lambda == b.constants_by_lambda
-        c = verify_remainder_class(RemainderTerm(R3), R3, params(),
-                                   n_samples=10, seed=10)
+        assert a.seed == 9
+        c = verify_remainder_class(RemainderTerm(R3), R3, params(seed=10),
+                                   n_samples=10)
         assert a.constants_by_lambda != c.constants_by_lambda
 
     def test_fields_drawn_once_per_sample(self, monkeypatch):
@@ -134,21 +133,13 @@ class TestVerifyRemainderClass:
             return random_trig_polynomial(*args, **kwargs)
 
         monkeypatch.setattr(verify_module, "random_trig_polynomial", counting)
-        verify_remainder_class(RemainderTerm(R2), R2, params(), n_samples=10,
-                               seed=2, k_max=1)
+        verify_remainder_class(RemainderTerm(R2), R2, params(seed=2),
+                               n_samples=10, k_max=1)
         assert len(drawn) == 2 * 10
 
     def test_sample_count_precondition(self):
         with pytest.raises(ValueError, match="n_samples"):
             verify_remainder_class(RemainderTerm(R1), R1, params(), n_samples=9)
-
-    def test_csv_export(self):
-        report = verify_remainder_class(RemainderTerm(R2), R2, params(),
-                                        n_samples=10, seed=2, k_max=1)
-        lines = bound_report_to_csv([report]).strip().splitlines()
-        assert lines[0] == "class,k,constant,lambda,stable"
-        assert len(lines) == 1 + 3 * 2  # 3 frequencies x (k_max+1) orders
-        assert lines[1].startswith("R2,0,")
 
 
 def audit_cfg_params():
@@ -219,23 +210,24 @@ class TestAuditClasses:
         # so it must not see the b the other pairs share
         extra = [(RemainderTerm(r6(2, 1)), r6(2, 1)), (RemainderTerm(R2), R1)]
         pairs = stock_pairs() + extra
-        shared = audit_classes(pairs, params(), seed=seed)
-        separate = [verify_remainder_class(term, bound_class, params(), seed=seed)
+        p = params(seed=seed)
+        shared = audit_classes(pairs, p)
+        separate = [verify_remainder_class(term, bound_class, p)
                     for term, bound_class in stock_pairs()[:4]]
-        separate += audit_classes([MISDECLARED_CONTROL], params(), seed=seed)
-        separate += [verify_remainder_class(term, bound_class, params(), seed=seed)
+        separate += audit_classes([MISDECLARED_CONTROL], p)
+        separate += [verify_remainder_class(term, bound_class, p)
                      for term, bound_class in extra]
         assert [r.bound_class for r in shared] == [c for _, c in pairs]
         assert ([r.constants_by_lambda for r in shared]
                 == [r.constants_by_lambda for r in separate])
         assert ([r.constants_by_lambda for r in shared]
-                == [reference_constants(term, bound_class, params(), seed)
+                == [reference_constants(term, bound_class, p, seed)
                     for term, bound_class in pairs])
 
     def test_pair_order_does_not_change_reports(self):
         pairs = stock_pairs()
-        forward = audit_classes(pairs, params(), seed=3)
-        backward = audit_classes(pairs[::-1], params(), seed=3)
+        forward = audit_classes(pairs, params(seed=3))
+        backward = audit_classes(pairs[::-1], params(seed=3))
         assert ([r.constants_by_lambda for r in forward]
                 == [r.constants_by_lambda for r in backward[::-1]])
 
@@ -251,7 +243,7 @@ class TestAuditClasses:
 
         monkeypatch.setattr(verify_module, "random_trig_polynomial", counting)
         p = audit_cfg_params()
-        audit_classes(stock_pairs(), p, seed=p.seed)
+        audit_classes(stock_pairs(), p)
         assert len(drawn) == 24
         audit_classes([(RemainderTerm(R1), R1)], p, n_samples=10)
         assert len(drawn) == 24 + 10
@@ -275,7 +267,7 @@ class TestAuditClasses:
         # rfft: 12 * (4 + 15) = 228.  irfft: 12 * (4 + 3 + 2 + 6 + 45) = 720.
         calls = count_fft()
         p = audit_cfg_params()
-        audit_classes(stock_pairs(), p, seed=p.seed)
+        audit_classes(stock_pairs(), p)
         assert calls == {"rfft": 228, "irfft": 720}
 
 
@@ -312,14 +304,6 @@ class TestFitDecay:
         assert fit.slope == pytest.approx(-math.log(p.lambda_ell), rel=0.15)
         fit2 = fit_decay(trace, 2)
         assert abs(fit.slope - fit2.slope) <= 0.20 * abs(fit.slope)
-
-    def test_csv_export(self):
-        trace = synthetic_trace([1.0] + [10.0 ** -i for i in range(1, 6)])
-        fit = fit_decay(trace, 0)
-        lines = decay_fits_to_csv([fit]).strip().splitlines()
-        assert lines[0] == "k,slope,intercept,r_squared,first_step,last_step"
-        cells = lines[1].split(",")
-        assert int(cells[0]) == 0 and int(cells[4]) == 1 and int(cells[5]) == 5
 
 
 class TestOracleNorm:
