@@ -2,8 +2,9 @@
 
 The package provides periodic grid calculus (gridfield), concrete model
 problems with tagged remainder classes (problem), the corrector-iteration
-driver (iteration), explicit constant propagation (ledger), empirical
-verification tools (verify), and a config-driven experiment CLI (cli).
+driver (iteration), the bounds and the check of a trace against them
+(ledger), empirical verification tools (verify), and a config-driven
+experiment CLI (cli).
 """
 
 from .gridfield import (
@@ -21,12 +22,11 @@ from .iteration import (
     DerivativeBudgetExhausted,
     IterationState,
     IterationTrace,
-    check_hypotheses,
     initial_step,
     run,
     step,
 )
-from .ledger import ConstantSet, propagate, threshold
+from .ledger import ConstantSet, check_hypotheses, propagate, threshold
 from .problem import (
     BoundClass,
     DomainEscape,
@@ -42,7 +42,6 @@ from .problem import (
 )
 from .verify import (
     BoundReport,
-    DecayBands,
     DecayFit,
     InsufficientSteps,
     audit_classes,

@@ -251,8 +251,9 @@ def _trace_rows(trace: iteration.IterationTrace):
     for k, norms in enumerate(zip(first.norms_a.values, first.norms_error.values,
                                   first.norms_r.values, strict=True)):
         yield (first.step, k, *norms) + (None,) * 6
+    margins, _ = ledger.margins(trace)
     for s, diff, residual, m in zip(later, trace.diff_norms,
-                                    trace.identity_residuals, trace.margins):
+                                    trace.identity_residuals, margins):
         for k, (a, e, r, d, field, error, remainder) in enumerate(zip(
                 s.norms_a.values, s.norms_error.values, s.norms_r.values,
                 diff.values, (None,) + m.field, m.error, m.remainder, strict=True)):
@@ -328,21 +329,13 @@ def _orders(trace: iteration.IterationTrace) -> range:
 
 
 def emit_plot(trace: iteration.IterationTrace, path) -> None:
-    """Deterministic SVG of ln ||E_i||_k vs i over the usable steps, one
+    """Deterministic SVG of ln ||E_i||_k vs i over trace.log_errors, one
     polyline per order in _orders."""
-    usable = trace.usable_steps()
-    if not usable:
-        raise verify.InsufficientSteps("no steps above the noise floor to plot")
-    series = []
-    for k in _orders(trace):
-        pts = [(float(s.step), math.log(s.norms_error[k]))
-               for s in trace.states
-               if s.step in usable and k < len(s.norms_error)
-               and s.norms_error[k] > 0.0]
-        if pts:
-            series.append((f"k={k}", pts))
+    series = [(f"k={k}", pts) for k in _orders(trace)
+              if (pts := trace.log_errors(k))]
     if not series:
-        raise verify.InsufficientSteps("no positive norms to plot")
+        raise verify.InsufficientSteps("no error norms above the noise floor "
+                                       "to plot")
     _atomic_write(Path(path), _svg_chart(series, "step i", "ln ||E_i||_k"))
 
 
@@ -353,6 +346,13 @@ def _write_trace(trace: iteration.IterationTrace, out: Path, stem: str,
         emit_plot(trace, out / f"{stem}.svg")
 
 
+def _print_escape(trace: iteration.IterationTrace) -> None:
+    p = trace.instance.params
+    print(f"numerical failure: escape from the inverse's domain at step "
+          f"{trace.escape_step} (lambda*ell={p.lambda_ell:g}, stock threshold="
+          f"{ledger.threshold(ledger.stock_constants(p)):g})", file=sys.stderr)
+
+
 def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     trace = iteration.run(cfg.problem.build())
     _write_trace(trace, out, "trace", cfg.plot)
@@ -360,9 +360,7 @@ def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
           f"max identity residual {max(trace.identity_residuals):.3e}")
     print(f"wrote {out / 'trace.csv'}")
     if trace.flag == "diverged":
-        print(f"numerical failure: escape from the inverse's domain at step "
-              f"{trace.escape_step} (lambda*ell={cfg.problem.params().lambda_ell:g}, "
-              f"threshold={trace.threshold:g})", file=sys.stderr)
+        _print_escape(trace)
         return 2
     return 0
 
@@ -370,8 +368,7 @@ def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
     trace = iteration.run(cfg.problem.build())
     if trace.flag == "diverged":
-        print(f"numerical failure: escape at step {trace.escape_step}",
-              file=sys.stderr)
+        _print_escape(trace)
         return 2
     fits = [verify.fit_decay(trace, k) for k in _orders(trace)]
     _write_fits(out / "decay.csv", fits)
@@ -442,8 +439,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     for ll in cfg.lambda_ell:
         trace = iteration.run(replace(base, ell=ll / base.lam).build())
         if trace.flag == "diverged":
-            print(f"numerical failure: lambda_ell={ll:g} diverged at step "
-                  f"{trace.escape_step}", file=sys.stderr)
+            _print_escape(trace)
             code = 2
             continue
         fits = [verify.fit_decay(trace, k) for k in _orders(trace)]

@@ -9,23 +9,22 @@ cross-check, recording the residual between the two at every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from . import ledger
 from .gridfield import FieldSpectrum, GridFunction, NormVector, ck_norm
 from .problem import DomainEscape, ProblemInstance
 
 __all__ = [
     "DomainEscape", "DerivativeBudgetExhausted", "IterationState",
-    "StepMargins", "IterationTrace", "HypothesisReport", "initial_step",
-    "step", "run", "check_hypotheses", "identity_residual",
+    "IterationTrace", "initial_step", "step", "run", "identity_residual",
 ]
 
 IDENTITY_TOL = 1e-9
 FLOOR_STOP = 1e-14   # stop stepping once ||E||_0 < FLOOR_STOP * ||T||_0
-FLOOR_FIT = 1e-12    # steps below FLOOR_FIT * ||T||_0 are excluded from fits
+FLOOR_FIT = 1e-12    # steps below FLOOR_FIT * ||T||_0 are left out of fits and plots
 
 
 class DerivativeBudgetExhausted(RuntimeError):
@@ -53,41 +52,18 @@ class IterationState:
 
 
 @dataclass(frozen=True)
-class StepMargins:
-    """Measured/allowed ratios for the four per-step bounds at one state.
-
-    field_sup covers ||a||_0 <= C; field[k-1] covers ||a||_k <= C lam^k/(ll)
-    for k >= 1; error[k] and remainder[k] cover the error and remainder
-    bounds at order k.  All ratios <= 1 means the ledger constants dominate.
-    """
-
-    step: int
-    field_sup: float
-    field: tuple[float, ...]
-    error: tuple[float, ...]
-    remainder: tuple[float, ...]
-
-    @property
-    def worst(self) -> float:
-        candidates = (self.field_sup,) + self.field + self.error + self.remainder
-        return max(candidates)
-
-
-@dataclass(frozen=True)
 class IterationTrace:
-    """Full record of a run: states 0..n, per-transition difference norms,
-    identity residuals, hypothesis margins, and the propagated constants.
+    """Full record of a run: states 0..n, per-transition difference norms
+    and identity residuals.
 
-    The difference norms, margins and constants are computed on first read
-    and kept, so a caller that reads only the error norms pays for none."""
+    The difference norms are computed on first read and kept, so a caller
+    that reads only the error norms pays for none."""
 
     instance: ProblemInstance
     states: tuple[IterationState, ...]
     identity_residuals: tuple[float, ...]
     flag: str
     escape_step: Optional[int]
-    below_threshold: bool
-    threshold: float
     target_sup: float
 
     @property
@@ -103,33 +79,14 @@ class IterationTrace:
                      ck_norm(new.a - prev.a, order(new.step))
                      for prev, new in zip(self.states, self.states[1:]))
 
-    @cached_property
-    def _ledger(self):
-        return _margins_and_constants(self.states, self.instance)
-
-    @property
-    def margins(self) -> tuple[StepMargins, ...]:
-        return self._ledger[0]
-
-    @property
-    def constants(self) -> tuple[ledger.ConstantSet, ...]:
-        return self._ledger[1]
-
-    def usable_steps(self) -> list[int]:
-        """Indices of states (step >= 1) whose error sits above the noise
-        floor, the only ones meaningful for rate fitting."""
+    def log_errors(self, k: int, min_step: int = 1) -> list[tuple[int, float]]:
+        """(i, ln ||E_i||_k) for the steps i >= max(min_step, 1) whose error
+        sits above the noise floor FLOOR_FIT * ||T||_0 and whose order-k
+        norm is positive: the points that decay fits and plots read."""
         floor = FLOOR_FIT * self.target_sup
-        return [s.step for s in self.states
-                if s.step >= 1 and s.norms_error[0] >= floor]
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    margins: tuple[StepMargins, ...]
-    constants: tuple[ledger.ConstantSet, ...]
-    passes: bool
-    threshold: float
-    below_threshold: bool
+        return [(s.step, math.log(s.norms_error[k])) for s in self.states[1:]
+                if s.step >= min_step and s.norms_error[0] >= floor
+                and k < len(s.norms_error) and s.norms_error[k] > 0.0]
 
 
 def _state(instance: ProblemInstance, step_index: int, a: GridFunction) -> IterationState:
@@ -201,39 +158,6 @@ def identity_residual(prev: IterationState, new: IterationState) -> float:
     return (new.error - (prev.r_of_a - new.r_of_a)).sup()
 
 
-def _step_margins(state: IterationState, cs: ledger.ConstantSet,
-                  instance: ProblemInstance) -> StepMargins:
-    p = instance.params
-    ll = p.lambda_ell
-    i = state.step
-    field_sup = state.norms_a[0] / cs.c
-    field = tuple(state.norms_a[k] / (cs.c * p.lam ** k / ll)
-                  for k in range(1, len(state.norms_a)))
-    error = tuple(state.norms_error[k] / (cs.c_err * p.lam ** k / ll ** i)
-                  for k in range(len(state.norms_error)))
-    remainder = tuple(state.norms_r[k] / (cs.c_r * p.lam ** k / ll)
-                      for k in range(len(state.norms_r)))
-    return StepMargins(step=i, field_sup=field_sup, field=field,
-                       error=error, remainder=remainder)
-
-
-def _margins_and_constants(states, instance):
-    """Calibrate constants off step 1, then propagate them alongside the
-    trace; measured/allowed ratios use the constants at the matching step."""
-    active = [s for s in states if s.step >= 1]
-    if not active:
-        return (), ()
-    first = active[0]
-    cs = ledger.calibrate(first.norms_a, first.norms_error, first.norms_r,
-                          instance.params, instance.target_constant)
-    margins, constants = [], []
-    for state in active:
-        margins.append(_step_margins(state, cs, instance))
-        constants.append(cs)
-        cs = ledger.propagate(cs, instance.params, instance.remainder.class_tags)
-    return tuple(margins), tuple(constants)
-
-
 def run(instance: ProblemInstance) -> IterationTrace:
     """Run the iteration, recording everything needed for verification.
 
@@ -249,7 +173,6 @@ def run(instance: ProblemInstance) -> IterationTrace:
         raise DerivativeBudgetExhausted(
             f"budget too small: k1={p.k1} > k0 - n_steps = {p.k0 - n}; "
             f"need k0 >= {p.k1 + n} for order-1 remainders")
-    thr = ledger.threshold(ledger.stock_constants(p))
     target_sup = instance.target.sup()
 
     states = [start_state(instance)]
@@ -275,21 +198,6 @@ def run(instance: ProblemInstance) -> IterationTrace:
         identity_residuals=tuple(residuals),
         flag=flag,
         escape_step=escape_step,
-        below_threshold=p.lambda_ell <= thr,
-        threshold=thr,
         target_sup=target_sup,
     )
 
-
-def check_hypotheses(trace: IterationTrace) -> HypothesisReport:
-    """Judge the per-step measured/allowed ratios the trace recorded.
-
-    Passes when every ratio stays at or below 1, i.e. the ledger's propagated
-    constants dominate every measured quantity.
-    """
-    if len(trace.states) < 2:
-        raise ValueError("trace has no completed steps to check")
-    passes = all(m.worst <= 1.0 for m in trace.margins)
-    return HypothesisReport(margins=trace.margins, constants=trace.constants,
-                            passes=passes, threshold=trace.threshold,
-                            below_threshold=trace.below_threshold)

@@ -1,9 +1,13 @@
-"""Explicit constant arithmetic for the corrector iteration.
+"""Explicit constant arithmetic for the corrector iteration, and the one
+place that judges measured norms against it.
 
 Every inequality the driver relies on is mechanized as one frozen formula so
 predicted constants are reproducible.  The formulas are deliberately safe
 over-estimates (counts of index pairs, worst-case Leibniz factors), never
-sharp: their job is to dominate measured margins, not to match them.
+sharp: their job is to dominate measured margins, not to match them.  The
+bounds all have the shape C lam^k / (lam ell)^p; _scaled divides a trace's
+norms by that shape, and calibration, margins and the hypothesis check read
+only its values.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .gridfield import NormVector
+from .iteration import IterationState, IterationTrace
 from .problem import BoundClass, IterationParams, R1, R2, R3, R4
 
 STOCK_CLASSES = (R1, R2, R3, R4)
@@ -167,19 +172,85 @@ def threshold(cs: ConstantSet) -> float:
     return 3.0 * cs.c_f * cs.c_r
 
 
-def calibrate(norms_a: NormVector, norms_error: NormVector, norms_r: NormVector,
-              params: IterationParams, target_constant: float = 0.0) -> ConstantSet:
-    """Constants measured off the first iterate, times HEADROOM."""
+def _scaled(norms: NormVector, params: IterationParams, power: int) -> list[float]:
+    """norms[k] (lam ell)^power / lam^k: each norm in units of the bound
+    shape lam^k / (lam ell)^power that the induction assumes."""
     ll = params.lambda_ell
-    c = max(norms_a[0], target_constant,
-            max((norms_a[k] * ll / params.lam ** k for k in range(1, len(norms_a))),
-                default=0.0))
-    c_err = max(norms_error[k] * ll / params.lam ** k for k in range(len(norms_error)))
-    c_r = max(norms_r[k] * ll / params.lam ** k for k in range(len(norms_r)))
+    return [n * ll ** power / params.lam ** k for k, n in enumerate(norms.values)]
+
+
+def calibrate(norms_a: NormVector, norms_error: NormVector, norms_r: NormVector,
+              target_norms: NormVector, params: IterationParams) -> ConstantSet:
+    """Constants measured off the first iterate and the target, times
+    HEADROOM: each is the largest scaled norm its bound covers."""
+    # ||a||_0 <= C is the sup bound; the orders k >= 1 carry the shape.
+    c = max([norms_a[0]] + _scaled(norms_a, params, 1)[1:]
+            + _scaled(target_norms, params, 1)[1:])
+    c_err = max(_scaled(norms_error, params, 1))
+    c_r = max(_scaled(norms_r, params, 1))
     floor = 1e-30  # keep the set valid when a component is identically zero
     return replace(stock_constants(params), c=max(c, floor) * HEADROOM,
                    c_err=max(c_err, floor) * HEADROOM,
                    c_r=max(c_r, floor) * HEADROOM)
+
+
+@dataclass(frozen=True)
+class StepMargins:
+    """Measured/allowed ratios for the four per-step bounds at one state.
+
+    field_sup covers ||a||_0 <= C; field[k-1] covers ||a||_k <= C lam^k/(ll)
+    for k >= 1; error[k] and remainder[k] cover the error and remainder
+    bounds at order k.  All ratios <= 1 means the ledger constants dominate.
+    """
+
+    step: int
+    field_sup: float
+    field: tuple[float, ...]
+    error: tuple[float, ...]
+    remainder: tuple[float, ...]
+
+    @property
+    def worst(self) -> float:
+        return max((self.field_sup,) + self.field + self.error + self.remainder)
+
+
+def _step_margins(state: IterationState, cs: ConstantSet,
+                  params: IterationParams) -> StepMargins:
+    ratios = lambda values, constant: tuple(v / constant for v in values)
+    return StepMargins(
+        step=state.step,
+        field_sup=state.norms_a[0] / cs.c,
+        field=ratios(_scaled(state.norms_a, params, 1)[1:], cs.c),
+        error=ratios(_scaled(state.norms_error, params, state.step), cs.c_err),
+        remainder=ratios(_scaled(state.norms_r, params, 1), cs.c_r))
+
+
+def margins(trace: IterationTrace) -> tuple[tuple[StepMargins, ...],
+                                            tuple[ConstantSet, ...]]:
+    """Calibrate constants off step 1, then propagate them alongside the
+    trace; measured/allowed ratios use the constants at the matching step."""
+    instance = trace.instance
+    params = instance.params
+    active = trace.states[1:]
+    if not active:
+        return (), ()
+    first = active[0]
+    cs = calibrate(first.norms_a, first.norms_error, first.norms_r,
+                   instance.target_norms, params)
+    step_margins, constants = [], []
+    for state in active:
+        step_margins.append(_step_margins(state, cs, params))
+        constants.append(cs)
+        cs = propagate(cs, params, instance.remainder.class_tags)
+    return tuple(step_margins), tuple(constants)
+
+
+def check_hypotheses(trace: IterationTrace) -> bool:
+    """True when every measured/allowed ratio of the trace stays at or below
+    1, i.e. the propagated constants dominate every measured quantity."""
+    if len(trace.states) < 2:
+        raise ValueError("trace has no completed steps to check")
+    return all(m.worst <= 1.0 for m in margins(trace)[0])
 
 
 def constant_table(cs: ConstantSet, params: IterationParams, n_steps: int) -> list[dict]:

@@ -261,7 +261,6 @@ class ProblemInstance:
     remainder: RemainderSpec
     params: IterationParams
     n_components: int
-    target_constant: float
     target_norms: NormVector  # ||T||_0 .. ||T||_k at the step-0 norm order
 
 
@@ -382,14 +381,6 @@ def _row_sups(x: np.ndarray) -> np.ndarray:
     return np.maximum(x.max(axis=axes), -x.min(axis=axes))
 
 
-def _measure_target_constant(target_norms: NormVector,
-                             params: IterationParams) -> float:
-    c = 0.0
-    for j in range(1, len(target_norms)):
-        c = max(c, target_norms[j] * params.lambda_ell / params.lam ** j)
-    return c
-
-
 def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
               n_components: int, kind: str) -> ProblemInstance:
     center = GridFunction.constant(1.0, params.n_points)
@@ -422,7 +413,6 @@ def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
                               ell=params.ell, modulation=modulation, drift=drift)
     inverse_map, bilinear_map = _toy_maps(n_components, drift, params.lambda_ell)
     _check_right_inverse(params, center, inverse_map, bilinear_map)
-    target_norms = ck_norm(target, params.norm_order(0))
     return ProblemInstance(
         kind=kind,
         target=target,
@@ -432,8 +422,7 @@ def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
         remainder=remainder,
         params=params,
         n_components=n_components,
-        target_constant=_measure_target_constant(target_norms, params),
-        target_norms=target_norms,
+        target_norms=ck_norm(target, params.norm_order(0)),
     )
 
 

@@ -41,21 +41,13 @@ ZERO_CONSTANT_TOL = 1e-14
 # fits, past the step-1 transient.
 MIN_FIT_STEPS = 3
 R5_FIT_FROM = 2
+# The self-interaction run has stalled when its slope magnitude falls below
+# R5_FACTOR times the clean run's.
+R5_FACTOR = 0.5
 
 
 class InsufficientSteps(ValueError):
     """Fewer usable steps than a least-squares fit needs."""
-
-
-@dataclass(frozen=True)
-class DecayBands:
-    """Acceptance knobs for rate measurements (defaults match the shipped
-    experiment suite; they are configuration, not constants of nature)."""
-
-    slope_rtol: float = 0.15       # fitted slope vs -ln(lam*ell)
-    k_uniform_rtol: float = 0.20   # pairwise slope agreement across k
-    r5_factor: float = 0.5         # stalled slope magnitude vs clean
-    clean_shift_rtol: float = 0.15 # clean-run slope drift across lam at fixed lam*ell
 
 
 @dataclass(frozen=True)
@@ -254,25 +246,16 @@ class DecayFit:
 
 
 def fit_decay(trace: iteration.IterationTrace, k: int, *, min_step: int = 1) -> DecayFit:
-    """Fit the decay exponent of ||E_i||_k over the usable steps.
-
-    Steps with sup error below FLOOR_FIT * ||T||_0 are rounding noise and
-    excluded; fewer than MIN_FIT_STEPS usable points raise InsufficientSteps.
+    """Fit the decay exponent of ||E_i||_k over the points of
+    trace.log_errors, which leaves out the steps at the noise floor; fewer
+    than MIN_FIT_STEPS points raise InsufficientSteps.
     """
-    floor = iteration.FLOOR_FIT * trace.target_sup
-    xs, ys = [], []
-    for state in trace.states:
-        if state.step < min_step or state.step < 1:
-            continue
-        if k >= len(state.norms_error):
-            continue
-        if state.norms_error[0] < floor or state.norms_error[k] <= 0.0:
-            continue
-        xs.append(float(state.step))
-        ys.append(float(np.log(state.norms_error[k])))
-    if len(xs) < MIN_FIT_STEPS:
+    points = trace.log_errors(k, min_step)
+    if len(points) < MIN_FIT_STEPS:
         raise InsufficientSteps(
-            f"only {len(xs)} usable steps for k={k}; need >= {MIN_FIT_STEPS}")
+            f"only {len(points)} usable steps for k={k}; need >= {MIN_FIT_STEPS}")
+    xs = [float(i) for i, _ in points]
+    ys = [y for _, y in points]
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = np.polyval([slope, intercept], xs)
     ss_res = float(np.sum((np.asarray(ys) - fitted) ** 2))
@@ -307,8 +290,8 @@ class R5Report:
     def slope_ratio(self) -> float:
         return abs(self.fit_r5.slope) / abs(self.fit_clean.slope)
 
-    def stalled(self, bands: DecayBands = DecayBands()) -> bool:
-        return self.slope_ratio < bands.r5_factor
+    def stalled(self) -> bool:
+        return self.slope_ratio < R5_FACTOR
 
 
 def demonstrate_r5_failure(params: IterationParams, strength: float,

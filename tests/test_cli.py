@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamelab.cli import (
+    FIT_FROM,
     KEYS,
     TRACE_COLUMNS,
     ConfigError,
@@ -29,7 +30,7 @@ from tamelab.problem import (
     make_scalar_toy,
     parse_flat_config,
 )
-from tamelab.verify import DecayFit, InsufficientSteps
+from tamelab.verify import MIN_FIT_STEPS, DecayFit, InsufficientSteps
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -566,7 +567,11 @@ def cli_calls(draw):
     n_points = 2 ** draw(st.integers(10 if sweep else 4, 12))
     lam = draw(st.integers(21 if sweep else 1, n_points // 16))
     k1 = draw(st.integers(1, min(4, n_points // (8 * lam) - 1)))
-    n_steps = draw(st.integers(1, 6))
+    # From the fewest steps the subcommand accepts, so no draw is spent on
+    # that refusal.
+    fewest = (FIT_FROM[command] + MIN_FIT_STEPS - 1 if command in FIT_FROM
+              else 1)
+    n_steps = draw(st.integers(fewest, 6))
     values = {
         "kind": draw(st.sampled_from(("scalar", "two_component"))),
         "lambda": lam,

@@ -5,13 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tamelab import ledger
 from tamelab.cli import main
 from tamelab.gridfield import GridFunction, ck_norm, oscillator
 from tamelab.iteration import (
     DerivativeBudgetExhausted,
-    _margins_and_constants,
     _state,
-    check_hypotheses,
     identity_residual,
     initial_step,
     run,
@@ -168,7 +167,7 @@ class TestRun:
         trace = run(make_scalar_toy(p, 0.2))
         assert trace.flag == "diverged"
         assert trace.escape_step is not None and trace.escape_step <= 3
-        assert trace.below_threshold
+        assert p.lambda_ell <= ledger.threshold(ledger.stock_constants(p))
         assert len(trace.states) >= 2  # partial trace retained
 
     def test_budget_precondition(self):
@@ -226,22 +225,22 @@ class TestRun:
 
 class TestCheckHypotheses:
     def test_stock_trace_passes(self, stock_trace):
-        report = check_hypotheses(stock_trace)
-        assert report.passes
-        assert all(m.worst <= 1.0 for m in report.margins)
-        assert report.threshold == 3.0
+        assert ledger.check_hypotheses(stock_trace)
+        margins, _ = ledger.margins(stock_trace)
+        assert all(m.worst <= 1.0 for m in margins)
+        p = stock_trace.instance.params
+        assert ledger.threshold(ledger.stock_constants(p)) == 3.0
 
     def test_zero_remainder_error_clauses_trivial(self):
         instance = no_remainder(make_scalar_toy(params(n_steps=3), 0.2))
         trace = run(instance)
-        report = check_hypotheses(trace)
-        for margins in report.margins:
+        for margins in ledger.margins(trace)[0]:
             assert all(e <= 1e-6 for e in margins.error)
 
     def test_rejects_empty_trace(self, stock_trace):
         truncated = replace(stock_trace, states=stock_trace.states[:1])
         with pytest.raises(ValueError, match="no completed steps"):
-            check_hypotheses(truncated)
+            ledger.check_hypotheses(truncated)
 
 
 class TestTelescoping:
@@ -323,8 +322,8 @@ class TestAssembledStart:
 class TestLazyColumns:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_lazy_columns_equal_eager(self, family):
-        # The columns read on demand hold the bits of the ck_norm and
-        # _margins_and_constants calls that used to run inside run.
+        # The columns read on demand hold the bits of the ck_norm calls that
+        # used to run inside run, and the margins read off them match.
         instance = FAMILIES[family]()
         trace = run(instance)
         eager = []
@@ -334,19 +333,18 @@ class TestLazyColumns:
             eager.append(SimpleNamespace(step=state.step, norms_a=state.norms_a,
                                          norms_error=state.norms_error,
                                          norms_r=norms_r))
-        margins, constants = _margins_and_constants(eager, instance)
-        assert trace.margins == margins and trace.constants == constants
+        assert ledger.margins(trace) == ledger.margins(
+            SimpleNamespace(instance=instance, states=eager))
         for state, want in zip(trace.states, eager):
             assert state.norms_r.values == want.norms_r.values
         assert len(trace.diff_norms) == len(trace.states) - 1
 
     def test_columns_computed_once(self, monkeypatch):
         trace = run(make_scalar_toy(params(), 0.2))
-        first = (trace.margins, trace.diff_norms, trace.states[2].norms_r)
+        first = (trace.diff_norms, trace.states[2].norms_r)
         monkeypatch.setattr("tamelab.iteration.ck_norm", None)
-        monkeypatch.setattr("tamelab.ledger.propagate", None)
-        assert (trace.margins, trace.diff_norms, trace.states[2].norms_r) == first
-        assert trace.margins is first[0] and trace.diff_norms is first[1]
+        assert (trace.diff_norms, trace.states[2].norms_r) == first
+        assert trace.diff_norms is first[0]
 
     def test_sweep_norms_only_errors(self, monkeypatch, tmp_path):
         # sweep reads ||E_i|| alone: iteration norms the 5 errors of each of

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +10,17 @@ from tamelab.ledger import (
     MAX_ORDER,
     ConstantSet,
     calibrate,
+    check_hypotheses,
     constant_table,
     difference_constant,
+    margins,
     pair_count,
     propagate,
     safe_leibniz,
     stock_constants,
     threshold,
 )
+from tamelab.gridfield import NormVector
 from tamelab.problem import IterationParams, make_scalar_toy
 
 HYP = dict(max_examples=30, deadline=None, derandomize=True)
@@ -146,12 +150,12 @@ class TestThreshold:
                               n_points=2048, n_steps=3, seed=7)
         trace = run(make_scalar_toy(low, 0.2))
         assert trace.flag == "diverged" and trace.escape_step <= 3
-        assert trace.below_threshold
+        assert low.lambda_ell <= thr
         high = IterationParams(lam=16, ell=(4 * thr) / 16, k0=7, k1=1,
                                n_points=2048, n_steps=6, seed=7)
         trace = run(make_scalar_toy(high, 0.2))
         assert trace.flag == "completed" and trace.n_steps == 6
-        assert not trace.below_threshold
+        assert not high.lambda_ell <= thr
 
     def test_escape_monotone_degradation(self):
         # escapes happen only below the threshold, and the escape step is
@@ -192,15 +196,34 @@ class TestCalibrate:
         params = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
                                  n_steps=5, seed=7)
         trace = run(make_scalar_toy(params, 0.2))
-        first = trace.margins[0]
+        first = margins(trace)[0][0]
         assert first.worst <= 1.0
         assert first.worst == pytest.approx(1 / 1.01, rel=1e-6)
 
     def test_zero_norms_still_valid(self):
-        from tamelab.gridfield import NormVector
         z = NormVector((0.0,))
-        cs = calibrate(z, z, z, params_for())
+        cs = calibrate(z, z, z, z, params_for())
         assert cs.c > 0 and cs.c_err > 0 and cs.c_r > 0
+
+
+class TestCheckHypotheses:
+    def test_error_above_its_propagated_bound_fails(self):
+        # Raise ||E_2||_0 to twice its bound C_err / (lam ell)^2 under the
+        # constants propagated to step 2 (and the higher orders with it, as
+        # the norms are nondecreasing in k): the check must turn False.
+        params = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
+                                 n_steps=5, seed=7)
+        trace = run(make_scalar_toy(params, 0.2))
+        assert check_hypotheses(trace)
+        _, constants = margins(trace)
+        second = trace.states[2]
+        bound = constants[1].c_err / params.lambda_ell ** 2
+        raised = replace(second, norms_error=NormVector(
+            tuple(max(v, 2.0 * bound) for v in second.norms_error.values)))
+        broken = replace(trace, states=trace.states[:2] + (raised,)
+                         + trace.states[3:])
+        assert margins(broken)[0][1].error[0] == pytest.approx(2.0)
+        assert not check_hypotheses(broken)
 
 
 class TestTableAndValidation:

@@ -5,10 +5,12 @@ from tamelab.cli import ConfigError, load_experiment_config
 from tamelab.gridfield import (
     FieldSpectrum,
     GridFunction,
+    NormVector,
     ck_norm,
     random_trig_polynomial,
     scale,
 )
+from tamelab.ledger import calibrate
 from tamelab.problem import (
     RIGHT_INVERSE_TOL,
     SELF_CHECK_BATCH_POINTS,
@@ -137,12 +139,18 @@ class TestScalarToy:
             assert err.value.measured > err.value.radius == 1.0
 
     def test_target_norm_constant_recorded(self):
+        # The build records the target's norms; the field constant that
+        # calibration takes from them bounds ||T||_k by C lam^k / (lam ell).
         instance = make_scalar_toy(default_params(lam=16, ell=0.25, k0=3,
                                                   k1=1, n_steps=2), 0.2)
         p = instance.params
+        assert instance.target_norms.values == ck_norm(
+            instance.target, p.norm_order(0)).values
+        zero = NormVector((0.0,))
+        target_constant = calibrate(zero, zero, zero, instance.target_norms, p).c
         norms = ck_norm(instance.target, 2)
         for k in (1, 2):
-            assert norms[k] <= instance.target_constant * p.lam ** k / p.lambda_ell * (1 + 1e-12)
+            assert norms[k] <= target_constant * p.lam ** k / p.lambda_ell * (1 + 1e-12)
 
     def test_domain_escape_outside_radius(self):
         instance = make_scalar_toy(default_params(), 0.2)

@@ -30,7 +30,7 @@ from tamelab.problem import (
 )
 from tamelab.verify import (
     MISDECLARED_CONTROL,
-    DecayBands,
+    R5_FACTOR,
     InsufficientSteps,
     audit_classes,
     demonstrate_r5_failure,
@@ -61,8 +61,7 @@ def synthetic_trace(errors, target_sup=1.0):
               for i, e in enumerate(errors)]
     return IterationTrace(instance=None, states=tuple(states),
                           identity_residuals=(), flag="completed",
-                          escape_step=None, below_threshold=False,
-                          threshold=3.0, target_sup=target_sup)
+                          escape_step=None, target_sup=target_sup)
 
 
 class TestVerifyRemainderClass:
@@ -347,7 +346,7 @@ class TestR5Demo:
         report = demonstrate_r5_failure(params(), 1.0)
         assert not report.no_effect
         assert report.stalled()
-        assert report.slope_ratio < DecayBands().r5_factor
+        assert report.slope_ratio < R5_FACTOR
         assert abs(report.fit_r5.slope) < abs(report.fit_clean.slope)
 
     def test_lambda_doubling_worsens_stall(self):
@@ -355,9 +354,8 @@ class TestR5Demo:
         doubled = demonstrate_r5_failure(params(lam=64, ell=2.0), 1.0)
         assert abs(doubled.fit_r5.slope) < abs(base.fit_r5.slope)
         clean_shift = abs(doubled.fit_clean.slope - base.fit_clean.slope)
-        assert clean_shift <= DecayBands().clean_shift_rtol * abs(base.fit_clean.slope)
+        assert clean_shift <= 0.15 * abs(base.fit_clean.slope)
 
-    def test_bands_configurable(self):
-        report = demonstrate_r5_failure(params(), 1.0)
-        strict = DecayBands(r5_factor=0.01)
-        assert not report.stalled(strict)
+    def test_stalled_at_strength_one_not_zero(self):
+        assert demonstrate_r5_failure(params(), 1.0).stalled()
+        assert not demonstrate_r5_failure(params(), 0.0).stalled()
