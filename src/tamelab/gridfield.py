@@ -33,6 +33,13 @@ MAX_SAMPLES = 1 << 22
 # fields; zeroing it keeps spectral calculus exact for the resolved band.
 SPECTRAL_DUST = 1e-13
 
+# Most real samples (over all rows) one batched transform call takes: the
+# right-inverse self-check and ck_norms split their rows into calls of at
+# most this size.  Such calls allocate and free no array of 3 MB or more,
+# whose release would move glibc's mmap threshold and with it the speed of
+# every later large transform in the process.
+BATCH_POINTS = 1 << 16
+
 
 class IncompatibleGrids(ValueError):
     """Fields do not share n_points or component counts."""
@@ -127,13 +134,25 @@ def _sup(x: np.ndarray) -> float:
     return float(max(x.max(), -x.min())) + 0.0
 
 
+def row_sups(x: np.ndarray) -> np.ndarray:
+    """max |x| over every axis but the first, without an |x| temporary;
+    zeros come out +0.0, as in _sup."""
+    axes = tuple(range(1, x.ndim))
+    return np.maximum(x.max(axis=axes), -x.min(axis=axes)) + 0.0
+
+
+def _clean(spec: np.ndarray, axis: int) -> np.ndarray:
+    """Zero, in place, the coefficients of spec below SPECTRAL_DUST of the
+    peak of their own transform along axis; returns spec."""
+    mags = np.abs(spec)
+    spec[mags < SPECTRAL_DUST * mags.max(axis=axis, keepdims=True)] = 0.0
+    return spec
+
+
 def _clean_spectrum(f: GridFunction) -> np.ndarray:
     """Half spectrum (rfft modes 0..n/2) of f with coefficients below
     SPECTRAL_DUST of each component's peak zeroed."""
-    spec = np.fft.rfft(f.samples, axis=0)
-    mags = np.abs(spec)
-    spec[mags < SPECTRAL_DUST * mags.max(axis=0)] = 0.0
-    return spec
+    return _clean(np.fft.rfft(f.samples, axis=0), axis=0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -150,6 +169,27 @@ def _derivative_multiplier(n_points: int, order: int) -> np.ndarray:
     mult = mult[:, np.newaxis]
     mult.flags.writeable = False
     return mult
+
+
+@functools.lru_cache(maxsize=8)
+def _stacked_multipliers(n_points: int, k_max: int) -> np.ndarray:
+    """Row k - 1 is _derivative_multiplier(n_points, k), k = 1..k_max;
+    read-only, (k_max, n_points/2 + 1)."""
+    mults = np.concatenate([_derivative_multiplier(n_points, k).T
+                            for k in range(1, k_max + 1)])
+    mults.flags.writeable = False
+    return mults
+
+
+def _check_orders(n_points: int, k_max: int) -> None:
+    """Refuse norm orders 0..k_max that n_points cannot resolve."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if RESOLUTION_FACTOR * (k_max + 1) > n_points:
+        raise ResolutionError(
+            f"k_max={k_max} not resolvable at n_points={n_points}: need "
+            f"n_points >= {RESOLUTION_FACTOR * (k_max + 1)} "
+            f"(= {RESOLUTION_FACTOR} * (k_max + 1))")
 
 
 @dataclass(frozen=True)
@@ -223,14 +263,7 @@ class FieldSpectrum:
         RESOLUTION_FACTOR * lam * (k_max + 1) (enforced where lam is known:
         the CLI's config checks and verify.audit_classes).
         """
-        n = self.field.n_points
-        if k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {k_max}")
-        if RESOLUTION_FACTOR * (k_max + 1) > n:
-            raise ResolutionError(
-                f"k_max={k_max} not resolvable at n_points={n}: need "
-                f"n_points >= {RESOLUTION_FACTOR * (k_max + 1)} "
-                f"(= {RESOLUTION_FACTOR} * (k_max + 1))")
+        _check_orders(self.field.n_points, k_max)
         values = [self.field.sup()]
         for k in range(1, k_max + 1):
             held = self._derivatives.get(k)
@@ -249,6 +282,43 @@ def derivative(f: GridFunction, order: int = 1) -> GridFunction:
 def ck_norm(f: GridFunction, k_max: int) -> NormVector:
     """Norms ||f||_0 .. ||f||_k_max (see FieldSpectrum.ck_norm)."""
     return FieldSpectrum(f).ck_norm(k_max)
+
+
+def norm_batch_rows(n_points: int, k_max: int) -> int:
+    """Rows ck_norms transforms per call: as many as keep the inverse of
+    every order 1..k_max at or below BATCH_POINTS samples, and at least one."""
+    return max(1, BATCH_POINTS // (n_points * max(k_max, 1)))
+
+
+def ck_norms(rows: np.ndarray, k_max: int) -> np.ndarray:
+    """Norms 0..k_max of each row of a (fields, n_points) array of
+    one-component samples: out[i] holds, bit for bit, the values of
+    ck_norm(row i as a field, k_max).
+
+    The many-field path.  Rows go through rfft in contiguous batches of
+    norm_batch_rows, are cleaned as _clean_spectrum cleans them, and every
+    order of a batch is inverted in one irfft call; a row too long for
+    that inverts its orders in calls of at most BATCH_POINTS samples.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    count, n = rows.shape
+    _check_orders(n, k_max)
+    norms = np.empty((count, k_max + 1))
+    norms[:, 0] = row_sups(rows)
+    if k_max == 0:
+        return norms
+    per_batch = norm_batch_rows(n, k_max)
+    mults = _stacked_multipliers(n, k_max)
+    for start in range(0, count, per_batch):
+        batch = slice(start, start + per_batch)
+        spec = _clean(np.fft.rfft(rows[batch], axis=-1), axis=-1)[:, np.newaxis]
+        per_call = max(1, BATCH_POINTS // (n * len(spec)))
+        for j in range(0, k_max, per_call):
+            d = np.fft.irfft(spec * mults[j:j + per_call], n, axis=-1)
+            norms[batch, 1 + j:1 + j + d.shape[1]] = row_sups(
+                d.reshape(-1, n)).reshape(d.shape[:2])
+    # ck_norm's running max: ||f||_k = max_{j <= k} sup |d^j f|.
+    return np.maximum.accumulate(norms, axis=1)
 
 
 def mollify(f: GridFunction, ell: float) -> GridFunction:

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gridfield import (
+    BATCH_POINTS,
     RESOLUTION_FACTOR,
     FieldSpectrum,
     GridFunction,
@@ -25,14 +26,11 @@ from .gridfield import (
     mollify,
     oscillator,
     random_trig_rows,
+    row_sups,
     scale,
 )
 
 RIGHT_INVERSE_TOL = 1e-10
-
-# Grid points (over all samples) the right-inverse self-check evaluates at
-# once: n_points = 2048 checks its 20 samples in one batch, 65536 one by one.
-SELF_CHECK_BATCH_POINTS = 1 << 16
 
 # (lambda-power, ell-power) of each class prefactor; R6 is (s+t, 0).
 _PREFACTOR_TABLE = {
@@ -348,37 +346,32 @@ def _check_right_inverse(params: IterationParams, center: GridFunction,
     Sample i is center + rho * bump with a unit-sup low-mode bump, rho in
     radius * [0.1, 0.99) for the target radius 1/(3 C_F), at step
     1 + i % 3.  Samples go through the maps in batches of at most
-    SELF_CHECK_BATCH_POINTS grid points, one contiguous row per sample at
-    every grid point, and hold the bits center + rho *
+    BATCH_POINTS grid points (n_points = 2048 checks its 20 samples in one
+    batch, 65536 one by one), one contiguous row per sample at every grid
+    point, and hold the bits center + rho *
     random_trig_polynomial(...) gives.
     Raises AssertionError naming the first sample whose residual is not at
     or below RIGHT_INVERSE_TOL, so a non-finite residual fails too.
     """
     rng = np.random.default_rng([params.seed, 0x5eed])
     radius = 1.0 / (3.0 * params.c_f)
-    per_batch = max(1, SELF_CHECK_BATCH_POINTS // params.n_points)
+    per_batch = max(1, BATCH_POINTS // params.n_points)
     for start in range(0, n_samples, per_batch):
         count = min(per_batch, n_samples - start)
         t_prime = random_trig_rows(rng, params.n_points, count)
-        t_prime *= (1.0 / _row_sups(t_prime))[:, np.newaxis]
+        t_prime *= (1.0 / row_sups(t_prime))[:, np.newaxis]
         t_prime *= radius * rng.uniform(0.1, 0.99, size=(count, 1))
         t_prime += center.samples[:, 0]
         t_prime = t_prime[..., np.newaxis]
         steps = (1 + np.arange(start, start + count) % 3)[:, np.newaxis, np.newaxis]
         a = inverse_map(t_prime, steps)
-        residual = _row_sups(bilinear_map(a, a, steps) - t_prime)
+        residual = row_sups(bilinear_map(a, a, steps) - t_prime)
         failed = np.flatnonzero(~(residual <= RIGHT_INVERSE_TOL))
         if failed.size:
             i = failed[0]
             raise AssertionError(
                 f"right-inverse residual {residual[i]:.3e} exceeds "
                 f"{RIGHT_INVERSE_TOL} on sample {start + i}")
-
-
-def _row_sups(x: np.ndarray) -> np.ndarray:
-    """max |x| over every axis but the first, without an |x| temporary."""
-    axes = tuple(range(1, x.ndim))
-    return np.maximum(x.max(axis=axes), -x.min(axis=axes))
 
 
 def _make_toy(params: IterationParams, t_amplitude: float, drift: float,

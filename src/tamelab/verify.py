@@ -8,6 +8,7 @@ the one term whose class bookkeeping genuinely fails.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,6 +21,8 @@ from .gridfield import (
     GridFunction,
     ResolutionError,
     ck_norm,
+    ck_norms,
+    norm_batch_rows,
     oscillator,
     random_trig_polynomial,
     refine,
@@ -171,6 +174,10 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     The pass is sample-major: each sample's fields are drawn, differentiated
     and normed once for all pairs and frequencies, and only the running
     worst ratios are kept, so one sample's fields are alive at a time.
+    The measured terms are normed by ck_norms in batches of
+    norm_batch_rows(n_points, k_max) rows, each as soon as it fills: one
+    term at a time at 65536 points.  A term that returns anything but one
+    component on the audit grid raises ValueError.
     Raises ResolutionError, before drawing, when the grid cannot resolve
     norms to order k_max at the top frequency.
     """
@@ -188,7 +195,28 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     draw_b = any(bound_class.arity == 2 for bound_class in classes)
     modulations = [oscillator(1.0, lam, n_points=params.n_points)
                    for lam in lambda_grid]
+    per_batch = norm_batch_rows(params.n_points, k_max)
     worst = [[[0.0] * (k_max + 1) for _ in lambda_grid] for _ in pairs]
+
+    def measured_fields(a, b, norms):
+        """Yield (samples, rhs, worst row) for every pair and frequency:
+        the term's one-component samples through RemainderTerm.apply, and
+        its class estimate with unit constant."""
+        for (term, bound_class), rows in zip(pairs, worst):
+            bilinear = bound_class.arity == 2
+            class_norms = _class_norms(bound_class, norms, k_max)
+            for lam, modulation, row in zip(lambda_grid, modulations, rows):
+                r = term.apply(a, b if bilinear else None, lam=lam,
+                               ell=params.ell, modulation=modulation)
+                if (r.n_points, r.n_components) != (params.n_points, 1):
+                    raise ValueError(
+                        f"term returned {r.n_components} component(s) on "
+                        f"{r.n_points} points, not one component on the "
+                        f"{params.n_points}-point audit grid")
+                yield (r.samples[:, 0],
+                       _rhs_polynomial(bound_class, class_norms, lam,
+                                       params.ell, k_max), row)
+
     for idx in range(n_samples):
         # Per-sample seeding keeps the fields independent of which pairs
         # are audited together and of the sample order.
@@ -197,21 +225,13 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
         b = (FieldSpectrum(random_trig_polynomial(
             np.random.default_rng([params.seed, idx, 1]), params.n_points))
              if draw_b else None)
-        norms = _argument_norms((a, b), classes, k_max)
-        for (term, bound_class), rows in zip(pairs, worst):
-            bilinear = bound_class.arity == 2
-            class_norms = _class_norms(bound_class, norms, k_max)
-            for lam, modulation, row in zip(lambda_grid, modulations, rows):
-                r = term.apply(a, b if bilinear else None, lam=lam,
-                               ell=params.ell, modulation=modulation)
-                if r.n_points != params.n_points:
-                    raise ValueError("evaluator returned a field on the wrong grid")
-                measured = ck_norm(r, k_max)
-                rhs = _rhs_polynomial(bound_class, class_norms, lam,
-                                      params.ell, k_max)
+        fields = measured_fields(a, b, _argument_norms((a, b), classes, k_max))
+        while batch := list(itertools.islice(fields, per_batch)):
+            measured = ck_norms(np.stack([r for r, _, _ in batch]), k_max)
+            for values, (_, rhs, row) in zip(measured.tolist(), batch):
                 for k in range(k_max + 1):
                     if rhs[k] > 0:
-                        row[k] = max(row[k], measured[k] / rhs[k])
+                        row[k] = max(row[k], values[k] / rhs[k])
     return [BoundReport(bound_class=bound_class, lambda_grid=lambda_grid,
                         constants_by_lambda=tuple(tuple(row) for row in rows),
                         sample_count=n_samples, seed=params.seed)

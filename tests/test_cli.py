@@ -482,9 +482,9 @@ class TestTraceCsv:
         p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
                             n_steps=5, seed=7)
         instance = make_scalar_toy(p, 0.2)
-        calls = count_fft()
+        log = count_fft()
         _csv(TRACE_COLUMNS, _trace_rows(run(instance)))
-        assert calls == {"rfft": 19, "irfft": 74}
+        assert log.calls == log.rows == {"rfft": 19, "irfft": 74}
 
 
 class TestFitAndAuditCsv:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamelab.gridfield import (
+    BATCH_POINTS,
     PERIOD,
     SPECTRAL_DUST,
     FieldSpectrum,
@@ -13,10 +14,12 @@ from tamelab.gridfield import (
     axpy,
     check_product,
     ck_norm,
+    ck_norms,
     coordinates,
     derivative,
     _clean_spectrum,
     mollify,
+    norm_batch_rows,
     oscillator,
     random_trig_polynomial,
     random_trig_rows,
@@ -187,9 +190,10 @@ class TestCkNorm:
         f = random_trig_polynomial(np.random.default_rng(6), 512)
         spectral = FieldSpectrum(f)
         first = spectral.derivative(1)
-        calls = count_fft()
+        log = count_fft()
         norms = spectral.ck_norm(5)
-        assert calls == {"irfft": 4}  # orders 2..5; order 1 is read
+        # orders 2..5, one irfft of one row each; order 1 is read
+        assert log.calls == log.rows == {"irfft": 4}
         assert norms.values == ck_norm(f, 5).values
         assert spectral.derivative(1) is first
         assert set(spectral._derivatives) == {1}  # new orders are not kept
@@ -215,6 +219,58 @@ class TestCleanSpectrum:
         expected = np.where(mags >= SPECTRAL_DUST * mags.max(axis=0), spec, 0.0)
         assert np.count_nonzero(expected, axis=0).tolist() == [1, 1]
         assert _clean_spectrum(f).tobytes() == expected.tobytes()
+
+
+def norm_test_rows(n, count):
+    """count rows at n points: random low-mode rows at amplitudes 1e-20 to
+    1e6, so one batch mixes very different dust floors, with an all-zero
+    row, a -0.0 row and a row whose dust cut zeroes coefficients."""
+    rng = np.random.default_rng(n + count)
+    rows = random_trig_rows(rng, n, count, max_mode=min(8, n // 2))
+    rows *= 10.0 ** rng.uniform(-20, 6, size=(count, 1))
+    x = grid_x(n)
+    rows[0] = np.cos(3 * x) + 1e-15 * rng.standard_normal(n)
+    rows[1] = 0.0
+    rows[2] = -0.0
+    return rows
+
+
+class TestCkNorms:
+    @pytest.mark.parametrize("n", [16, 2048, 65536])
+    @pytest.mark.parametrize("k_max", [0, 1, 3])
+    def test_rows_equal_ck_norm_bit_for_bit(self, n, k_max):
+        # Enough rows to fill one batch and start the next.
+        count = norm_batch_rows(n, k_max) + 3
+        rows = norm_test_rows(n, count)
+        if 8 * (k_max + 1) > n:
+            with pytest.raises(ResolutionError, match="n_points >= 32"):
+                ck_norms(rows, k_max)
+            return
+        got = ck_norms(rows, k_max)
+        assert got.shape == (count, k_max + 1)
+        for row, norms in zip(rows, got):
+            want = np.array(ck_norm(GridFunction.from_samples(row), k_max).values)
+            assert norms.tobytes() == want.tobytes()
+        assert not np.signbit(got[1:3]).any() and not got[1:3].any()
+
+    def test_dust_cut_row_is_cleaned(self):
+        rows = norm_test_rows(2048, 4)
+        spec = np.fft.rfft(rows[0])
+        kept = np.count_nonzero(_clean_spectrum(GridFunction.from_samples(rows[0])))
+        assert np.count_nonzero(spec) > kept == 1
+
+    def test_calls_stay_within_batch_points(self, count_fft):
+        # One 65536-point row is one batch; its three orders are inverted
+        # one per call, so no call exceeds BATCH_POINTS samples.
+        rows = norm_test_rows(65536, 3)
+        log = count_fft()
+        ck_norms(rows, 3)
+        assert log.calls == {"rfft": 3, "irfft": 9}
+        assert max(r * p for _, r, p in log.entries) == BATCH_POINTS
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            ck_norms(np.zeros((2, 64)), -1)
 
 
 class TestNormVector:

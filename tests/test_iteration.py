@@ -268,10 +268,10 @@ class TestTransformCount:
         # adds (6 - i) irffts; then one rfft + (7 - i) irffts for ||E||.
         # rfft: 5 * 2 = 10.  irfft: 2 * 20 = 40.
         instance = make_scalar_toy(params(), 0.2)
-        calls = count_fft()
+        log = count_fft()
         trace = run(instance)
         assert trace.flag == "completed" and trace.n_steps == 5
-        assert calls == {"rfft": 10, "irfft": 40}
+        assert log.calls == log.rows == {"rfft": 10, "irfft": 40}
 
 
 # The instance families whose step 0 and step-1 difference are assembled

@@ -3,6 +3,7 @@ import pytest
 
 from tamelab.cli import ConfigError, load_experiment_config
 from tamelab.gridfield import (
+    BATCH_POINTS,
     FieldSpectrum,
     GridFunction,
     NormVector,
@@ -13,7 +14,6 @@ from tamelab.gridfield import (
 from tamelab.ledger import calibrate
 from tamelab.problem import (
     RIGHT_INVERSE_TOL,
-    SELF_CHECK_BATCH_POINTS,
     R1,
     R2,
     R3,
@@ -611,7 +611,7 @@ class TestRightInverseSelfCheck:
 
         _check_right_inverse(p, center, spy, self.bilinear_map)
         rng = np.random.default_rng([p.seed, 0x5eed])
-        per_batch = max(1, SELF_CHECK_BATCH_POINTS // n_points)
+        per_batch = max(1, BATCH_POINTS // n_points)
         expected = []
         for start in range(0, 20, per_batch):
             count = min(per_batch, 20 - start)
@@ -662,6 +662,6 @@ class TestBuildTransformCount:
         # mollify: one rfft + one irfft.  Target norms to order 7: one rfft
         # + 7 irffts, shared with the target constant and step 0.  The
         # self-check evaluates its 20 bumps by angle addition: no transform.
-        calls = count_fft()
+        log = count_fft()
         make_scalar_toy(default_params(), 0.2)
-        assert calls == {"rfft": 2, "irfft": 8}
+        assert log.calls == log.rows == {"rfft": 2, "irfft": 8}

@@ -6,12 +6,14 @@ import pytest
 
 from tamelab.cli import load_experiment_config
 from tamelab.gridfield import (
+    BATCH_POINTS,
     FieldSpectrum,
     GridFunction,
     NormVector,
     ResolutionError,
     ck_norm,
     derivative,
+    norm_batch_rows,
     oscillator,
     random_trig_polynomial,
 )
@@ -203,7 +205,7 @@ def reference_constants(term, bound_class, p, seed, n_samples=12, k_max=3,
 
 
 class TestAuditClasses:
-    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("seed", [0, 3, 11, 42])
     def test_shared_pass_equals_separate_audits(self, seed):
         # a bilinear term audited as linear evaluates at (a, a) on its own,
         # so it must not see the b the other pairs share
@@ -222,6 +224,36 @@ class TestAuditClasses:
         assert ([r.constants_by_lambda for r in shared]
                 == [reference_constants(term, bound_class, p, seed)
                     for term, bound_class in pairs])
+
+    def test_one_row_batches_equal_per_field_reference(self):
+        # 16384 * 3 orders fill more than half of BATCH_POINTS: each batch
+        # holds one measured field.
+        p = params(n_points=16384, seed=5)
+        assert norm_batch_rows(p.n_points, 3) == 1
+        pairs = stock_pairs()[3:]
+        assert ([r.constants_by_lambda
+                 for r in audit_classes(pairs, p, n_samples=10)]
+                == [reference_constants(term, bound_class, p, 5, n_samples=10)
+                    for term, bound_class in pairs])
+
+    @pytest.mark.parametrize("shape", [(2048, 2), (1024, 1)])
+    def test_term_off_the_audit_grid_refused(self, shape):
+        class Reshaped(RemainderTerm):
+            def apply(self, a, b=None, *, lam, ell, modulation):
+                return GridFunction.from_samples(np.ones(shape))
+
+        with pytest.raises(ValueError, match="not one component on the "
+                                             "2048-point audit grid"):
+            audit_classes([(Reshaped(R1), R1)], params(), n_samples=10)
+
+    def test_transform_calls_stay_within_batch_points(self, count_fft):
+        # Freeing a transform buffer of about 3 MB or more moves glibc's
+        # mmap threshold, and with it the speed of every later 64K-point
+        # transform in the process (test_gridfield checks ck_norms at 65536).
+        log = count_fft()
+        audit_classes(stock_pairs(), audit_cfg_params())
+        assert log.entries
+        assert max(rows * points for _, rows, points in log.entries) <= BATCH_POINTS
 
     def test_pair_order_does_not_change_reports(self):
         pairs = stock_pairs()
@@ -261,13 +293,18 @@ class TestAuditClasses:
         # no transform.  Argument norms: ||a||_4 one rfft + 4 irffts (R4
         # reads order k+1), ||b||_3 one rfft + 3; d/dx a and d/dx b one
         # irfft each from those spectra, then ||da||_3 and ||db||_3 one rfft
-        # + 3 irffts each.  Measured norms: 5 pairs x 3 frequencies x (one
-        # rfft + 3 irffts).
-        # rfft: 12 * (4 + 15) = 228.  irfft: 12 * (4 + 3 + 2 + 6 + 45) = 720.
-        calls = count_fft()
+        # + 3 irffts each, one row per call.  Measured norms: 5 pairs x 3
+        # frequencies x (one rfft row + 3 irfft rows), in ck_norms batches
+        # of 65536 // (2048 * 3) = 10 rows, so 10 + 5 per sample: one rfft
+        # and one irfft call per batch.
+        # rfft rows: 12 * (4 + 15) = 228, calls: 12 * (4 + 2) = 72.
+        # irfft rows: 12 * (4 + 3 + 2 + 6 + 45) = 720, calls:
+        # 12 * (4 + 3 + 2 + 6 + 2) = 204.
+        log = count_fft()
         p = audit_cfg_params()
         audit_classes(stock_pairs(), p)
-        assert calls == {"rfft": 228, "irfft": 720}
+        assert log.calls == {"rfft": 72, "irfft": 204}
+        assert log.rows == {"rfft": 228, "irfft": 720}
 
 
 class TestFitDecay:
