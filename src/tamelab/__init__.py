@@ -31,7 +31,6 @@ from .problem import (
     BoundClass,
     DomainEscape,
     IterationParams,
-    ProblemConfig,
     ProblemInstance,
     RemainderSpec,
     RemainderTerm,

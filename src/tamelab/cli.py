@@ -1,5 +1,5 @@
 """Experiment orchestration: config files, subcommands, CSV and SVG output.
-The only module that writes files: every CSV goes through _csv.
+It alone reads configs and writes files; every CSV goes through _csv.
 
 Subcommands: run | decay | remainder-audit | ledger | r5-demo | sweep.  Each
 reads `--config <path>` (flat key = value lines) with `--set key=value`
@@ -8,9 +8,9 @@ read is an error), and writes its CSVs into --output_dir.  With --plot an
 SVG chart of ln ||E_i||_k vs i is emitted; all outputs are byte-deterministic
 for identical configs and seeds.
 
-Exit codes: 0 success, 1 config, validation or usage error, 2 numerical failure
-(an unexpected escape from the inverse's domain, a value that overflows the
-float range, or too few usable steps).
+Exit codes: 0 success, 1 config, validation, usage or write error, 2
+numerical failure (an unexpected escape from the inverse's domain, a value
+that overflows the float range, or too few usable steps).
 """
 
 from __future__ import annotations
@@ -29,10 +29,14 @@ import numpy as np
 from . import iteration, ledger, verify
 from .gridfield import MAX_SAMPLES, PERIOD, RESOLUTION_FACTOR, ResolutionError
 from .problem import (
+    IterationParams,
     NeighborhoodViolation,
-    ProblemConfig,
-    parse_flat_config,
+    ProblemInstance,
+    make_scalar_toy,
+    make_two_component_toy,
+    make_varying_toy,
     stock_remainder_terms,
+    with_self_interaction,
 )
 
 EXPERIMENTS = ("run", "decay", "remainder-audit", "ledger", "r5-demo", "sweep")
@@ -56,7 +60,7 @@ class ConfigError(ValueError):
 class Key:
     """How the CLI reads one config key: the parser of its text, the
     single-key range check and the words that describe a valid value, the
-    ProblemConfig or ExperimentConfig field it sets, and the subcommands
+    IterationParams or ExperimentConfig field it sets, and the subcommands
     that read it.  Every other subcommand refuses the key."""
 
     parse: Callable[[str], Any]
@@ -104,7 +108,9 @@ KEYS = {
     "n_points": Key(int, lambda v: 2 <= v <= MAX_SAMPLES and v & (v - 1) == 0,
                     f"a power of two from 2 to {MAX_SAMPLES}", "n_points",
                     BUILDS + ("remainder-audit",)),
-    "n_steps": Key(int, _AT_LEAST_ONE, "an integer >= 1", "n_steps",
+    # No build takes more steps (k0 <= MAX_ORDER, k1 >= 1); it caps the ledger.
+    "n_steps": Key(int, lambda v: 1 <= v < ledger.MAX_ORDER,
+                   f"an integer from 1 to {ledger.MAX_ORDER - 1}", "n_steps",
                    BUILDS + ("ledger",)),
     "plot": Key(_boolean, _ANY, "true, false, 1 or 0", "plot", RUNS),
     "lambda_ell": Key(lambda raw: tuple(float(v) for v in raw.split(",")),
@@ -119,9 +125,13 @@ KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The problem and the experiment-level values one subcommand reads."""
+    """The problem's scales and budgets, and the values only the CLI reads."""
 
-    problem: ProblemConfig = ProblemConfig()
+    problem: IterationParams = IterationParams()
+    kind: str = "scalar"
+    amplitude: float = 0.2
+    drift: float = 0.0
+    r5_strength: float = 0.0
     output_dir: str = "./out"
     plot: bool = False
     # ell = lambda_ell / lambda stays below 2*pi at the default lambda = 32.
@@ -135,7 +145,6 @@ def _check_across_keys(cfg: ExperimentConfig, command: str, reads: set) -> None:
     """Checks across keys or of a key against the subcommand, on the values
     after defaults; each runs only where the subcommand reads all its keys."""
     p = cfg.problem
-    k_safe = p.params().k_safe
     too_wide = [f"{ll:g}" for ll in cfg.lambda_ell if ll / p.lam >= PERIOD]
     min_steps = (FIT_FROM[command] + verify.MIN_FIT_STEPS - 1
                  if command in FIT_FROM else 1)
@@ -144,8 +153,8 @@ def _check_across_keys(cfg: ExperimentConfig, command: str, reads: set) -> None:
          f"lambda*ell must exceed 1, got {p.lam * p.ell}"),
         (("lambda", "n_points"), RESOLUTION_FACTOR * p.lam <= p.n_points,
          f"frequency {p.lam} unresolved at n_points={p.n_points}"),
-        (("lambda", "k1", "n_points"), k_safe >= p.k1,
-         f"grid resolves norms only to order {k_safe} at frequency {p.lam}; "
+        (("lambda", "k1", "n_points"), p.k_safe >= p.k1,
+         f"grid resolves norms only to order {p.k_safe} at frequency {p.lam}; "
          f"k1={p.k1} needs n_points >= {RESOLUTION_FACTOR * p.lam * (p.k1 + 1)}"),
         # Each step spends one derivative order; iteration.run would
         # refuse the budget only after the build.
@@ -185,15 +194,33 @@ def _config_from_mapping(command: str, mapping: dict) -> ExperimentConfig:
     if named != command:
         raise ConfigError(f"config names experiment {named!r} but subcommand "
                           f"is {command!r}")
-    problem_fields = {f.name for f in fields(ProblemConfig)}
+    problem_fields = {f.name for f in fields(IterationParams)}
     cfg = ExperimentConfig(
-        ProblemConfig(**{f: v for f, v in values.items() if f in problem_fields}),
+        IterationParams(**{f: v for f, v in values.items() if f in problem_fields}),
         **{f: v for f, v in values.items() if f not in problem_fields})
-    if command in SCALAR_ONLY and cfg.problem.kind != "scalar":
-        raise ConfigError(f"{command} takes 'kind' = scalar only, got "
-                          f"{cfg.problem.kind!r}")
+    if command in SCALAR_ONLY and cfg.kind != "scalar":
+        raise ConfigError(f"{command} takes 'kind' = scalar only, got {cfg.kind!r}")
     _check_across_keys(cfg, command, set(reads))
     return cfg
+
+
+def parse_flat_config(text: str) -> dict:
+    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+    mapping = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ValueError(f"line {lineno}: empty key or value in {raw!r}")
+        if key in mapping:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        mapping[key] = value
+    return mapping
 
 
 def load_experiment_config(command: str, config_path: Optional[str],
@@ -353,8 +380,19 @@ def _print_escape(trace: iteration.IterationTrace) -> None:
           f"{ledger.threshold(ledger.stock_constants(p)):g})", file=sys.stderr)
 
 
+def _build(cfg: ExperimentConfig, params: IterationParams) -> ProblemInstance:
+    """The configured kind at params, with its drift and self-interaction."""
+    if cfg.kind == "two_component":
+        instance = make_two_component_toy(params, cfg.amplitude, drift=cfg.drift)
+    elif cfg.drift != 0.0:
+        instance = make_varying_toy(params, cfg.drift, cfg.amplitude)
+    else:
+        instance = make_scalar_toy(params, cfg.amplitude)
+    return with_self_interaction(instance, cfg.r5_strength)
+
+
 def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
-    trace = iteration.run(cfg.problem.build())
+    trace = iteration.run(_build(cfg, cfg.problem))
     _write_trace(trace, out, "trace", cfg.plot)
     print(f"run: {trace.n_steps} steps, flag={trace.flag}, "
           f"max identity residual {max(trace.identity_residuals):.3e}")
@@ -366,14 +404,14 @@ def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
-    trace = iteration.run(cfg.problem.build())
+    trace = iteration.run(_build(cfg, cfg.problem))
     if trace.flag == "diverged":
         _print_escape(trace)
         return 2
     fits = [verify.fit_decay(trace, k) for k in _orders(trace)]
     _write_fits(out / "decay.csv", fits)
     _write_trace(trace, out, "trace", cfg.plot)
-    ll = cfg.problem.params().lambda_ell
+    ll = cfg.problem.lambda_ell
     for fit in fits:
         print(f"k={fit.k}: slope={fit.slope:+.4f} (-ln(lambda*ell)={-math.log(ll):+.4f}), "
               f"r^2={fit.r_squared:.4f}, steps {fit.steps_used[0]}..{fit.steps_used[1]}")
@@ -384,7 +422,7 @@ def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_remainder_audit(cfg: ExperimentConfig, out: Path) -> int:
     pairs = [(term, term.bound_class) for term in stock_remainder_terms()]
     *reports, control = verify.audit_classes(
-        pairs + [verify.MISDECLARED_CONTROL], cfg.problem.params())
+        pairs + [verify.MISDECLARED_CONTROL], cfg.problem)
     _atomic_write(out / "audit.csv", _csv(
         ("class", "k", "constant", "lambda", "stable"),
         [(report.bound_class.kind, k, value, lam, "true" if report.stable else "false")
@@ -401,11 +439,11 @@ def _cmd_remainder_audit(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_ledger(cfg: ExperimentConfig, out: Path, write_csv: bool) -> int:
-    params = cfg.problem.params()
+    params = cfg.problem
     cs = replace(ledger.stock_constants(params), c=cfg.ledger_c,
                  c_err=cfg.ledger_c_err, c_r=cfg.ledger_c_r)
     rows = [[row[c] for c in LEDGER_COLUMNS]
-            for row in ledger.constant_table(cs, params, cfg.problem.n_steps)]
+            for row in ledger.constant_table(cs, params, params.n_steps)]
     print(f"threshold {ledger.threshold(cs):g}")
     name, *names = LEDGER_COLUMNS
     print(" ".join([f"{name:>4}"] + [f"{c:>12}" for c in names]))
@@ -418,9 +456,8 @@ def _cmd_ledger(cfg: ExperimentConfig, out: Path, write_csv: bool) -> int:
 
 
 def _cmd_r5_demo(cfg: ExperimentConfig, out: Path) -> int:
-    params = cfg.problem.params()
-    strength = cfg.problem.r5_strength if cfg.problem.r5_strength > 0 else 1.0
-    report = verify.demonstrate_r5_failure(params, strength, cfg.problem.amplitude)
+    report = verify.demonstrate_r5_failure(cfg.problem, cfg.r5_strength,
+                                           cfg.amplitude)
     _write_fits(out / "r5_clean.csv", [report.fit_clean])
     _write_fits(out / "r5_with.csv", [report.fit_r5])
     if report.no_effect:
@@ -434,10 +471,10 @@ def _cmd_r5_demo(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
-    base = cfg.problem
     code = 0
     for ll in cfg.lambda_ell:
-        trace = iteration.run(replace(base, ell=ll / base.lam).build())
+        params = replace(cfg.problem, ell=ll / cfg.problem.lam)
+        trace = iteration.run(_build(cfg, params))
         if trace.flag == "diverged":
             _print_escape(trace)
             code = 2
@@ -498,9 +535,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    "remainder-audit": _cmd_remainder_audit,
                    "ledger": lambda cfg, out: _cmd_ledger(cfg, out, args.csv),
                    "r5-demo": _cmd_r5_demo, "sweep": _cmd_sweep}[args.command]
-        return command(cfg, Path(cfg.output_dir))
+        out = Path(cfg.output_dir)
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ConfigError(f"output_dir {cfg.output_dir!r} is not a directory")
+        return command(cfg, out)
     except (ConfigError, NeighborhoodViolation, ResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"write error: {exc}", file=sys.stderr)
         return 1
     except (iteration.DomainEscape, verify.InsufficientSteps,
             iteration.DerivativeBudgetExhausted, FloatingPointError) as exc:

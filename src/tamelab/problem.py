@@ -205,7 +205,7 @@ class RemainderSpec:
 
 @dataclass(frozen=True)
 class IterationParams:
-    """Scales and budgets of one experiment.
+    """Scales and budgets of one experiment; the defaults are the CLI's.
 
     k0 is the largest controlled derivative order at step 0 and shrinks by
     one per step; k1 is the order that must survive all n_steps.  c_f is the
@@ -214,14 +214,14 @@ class IterationParams:
     taken as a float.
     """
 
-    lam: int
-    ell: float
-    k0: int
-    k1: int
+    lam: int = 32
+    ell: float = 4.0
+    k0: int = 7
+    k1: int = 2
     c_f: float = 1.0
     n_points: int = 2048
     n_steps: int = 5
-    seed: int = 0
+    seed: int = 7
 
     def __post_init__(self):
         object.__setattr__(self, "ell", float(self.ell))
@@ -449,56 +449,3 @@ def with_self_interaction(instance: ProblemInstance, strength: float) -> Problem
         return instance
     terms = instance.remainder.terms + (self_interaction_term(strength),)
     return replace(instance, remainder=replace(instance.remainder, terms=terms))
-
-
-@dataclass(frozen=True)
-class ProblemConfig:
-    """Flat problem definition; the CLI fills it from a key = value config
-    file and checks it against its key table."""
-
-    kind: str = "scalar"
-    lam: int = 32
-    ell: float = 4.0
-    k0: int = 7
-    k1: int = 2
-    c_f: float = 1.0
-    amplitude: float = 0.2
-    drift: float = 0.0
-    r5_strength: float = 0.0
-    n_points: int = 2048
-    n_steps: int = 5
-    seed: int = 7
-
-    def params(self) -> IterationParams:
-        return IterationParams(lam=self.lam, ell=self.ell, k0=self.k0, k1=self.k1,
-                               c_f=self.c_f, n_points=self.n_points,
-                               n_steps=self.n_steps, seed=self.seed)
-
-    def build(self) -> ProblemInstance:
-        if self.kind == "two_component":
-            instance = make_two_component_toy(self.params(), self.amplitude,
-                                              drift=self.drift)
-        elif self.drift != 0.0:
-            instance = make_varying_toy(self.params(), self.drift, self.amplitude)
-        else:
-            instance = make_scalar_toy(self.params(), self.amplitude)
-        return with_self_interaction(instance, self.r5_strength)
-
-
-def parse_flat_config(text: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
-    mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ValueError(f"line {lineno}: empty key or value in {raw!r}")
-        if key in mapping:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        mapping[key] = value
-    return mapping

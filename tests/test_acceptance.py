@@ -42,14 +42,9 @@ def criterion(number, label):
     print(f"criterion {number:2d} ({label}): PASS", flush=True)
 
 
-def params(lam=32, ell=4.0, k0=7, k1=2, n_steps=5, seed=7, n_points=2048):
-    return IterationParams(lam=lam, ell=ell, k0=k0, k1=k1, c_f=1.0,
-                           n_points=n_points, n_steps=n_steps, seed=seed)
-
-
 @pytest.fixture(scope="module")
 def default_run():
-    instance = make_scalar_toy(params(), 0.2)
+    instance = make_scalar_toy(IterationParams(), 0.2)
     return instance, iteration.run(instance)
 
 
@@ -58,7 +53,7 @@ def sweep_runs():
     # lam = 64 so that lam*ell = 256 keeps ell below the domain period
     out = {}
     for ll in (64, 128, 256):
-        instance = make_scalar_toy(params(lam=64, ell=ll / 64), 0.2)
+        instance = make_scalar_toy(IterationParams(lam=64, ell=ll / 64), 0.2)
         out[ll] = (instance, iteration.run(instance))
     return out
 
@@ -68,7 +63,7 @@ def lambda_grid_runs():
     # fixed lam*ell = 64 across the frequency grid
     out = {}
     for lam in (16, 32, 64):
-        instance = make_scalar_toy(params(lam=lam, ell=64.0 / lam), 0.2)
+        instance = make_scalar_toy(IterationParams(lam=lam, ell=64.0 / lam), 0.2)
         out[lam] = (instance, iteration.run(instance))
     return out
 
@@ -76,7 +71,7 @@ def lambda_grid_runs():
 def test_criterion_1_substitution_identity():
     with criterion(1, "substitution identity on the default 5-step run"):
         start = time.perf_counter()
-        instance = make_scalar_toy(params(), 0.2)
+        instance = make_scalar_toy(IterationParams(), 0.2)
         trace = iteration.run(instance)
         elapsed = time.perf_counter() - start
         assert trace.flag == "completed" and trace.n_steps == 5
@@ -89,7 +84,7 @@ def test_criterion_2_error_decay_rate():
     with criterion(2, "error decay slope within 15% of -ln(lam*ell)"):
         start = time.perf_counter()
         for ll in (64, 128, 256):
-            instance = make_scalar_toy(params(lam=64, ell=ll / 64), 0.2)
+            instance = make_scalar_toy(IterationParams(lam=64, ell=ll / 64), 0.2)
             trace = iteration.run(instance)
             fit = verify.fit_decay(trace, 0)
             assert fit.steps_used[0] == 1 and fit.steps_used[1] <= 5
@@ -135,7 +130,7 @@ def test_criterion_4_difference_estimate(lambda_grid_runs):
 
 def test_criterion_5_remainder_class_audit():
     with criterion(5, "class audit: stock stable, misdeclared unstable"):
-        p = params(seed=11)
+        p = IterationParams(seed=11)
         reports = []
         for term in stock_remainder_terms():
             report = verify.verify_remainder_class(term, term.bound_class, p,
@@ -154,22 +149,22 @@ def test_criterion_5_remainder_class_audit():
 
 def test_criterion_6_threshold_behavior():
     with criterion(6, "domain escape below threshold, none at 4x"):
-        thr = ledger.threshold(ledger.stock_constants(params()))
+        thr = ledger.threshold(ledger.stock_constants(IterationParams()))
         assert thr == 3.0
-        low = params(lam=16, ell=(thr / 2) / 16, k1=1, n_steps=3)
+        low = IterationParams(lam=16, ell=(thr / 2) / 16, k1=1, n_steps=3)
         trace_low = iteration.run(make_scalar_toy(low, 0.2))
         assert trace_low.flag == "diverged"
         assert trace_low.escape_step is not None and trace_low.escape_step <= 3
-        high = params(lam=16, ell=(4 * thr) / 16, k1=1, n_steps=6)
+        high = IterationParams(lam=16, ell=(4 * thr) / 16, k1=1, n_steps=6)
         trace_high = iteration.run(make_scalar_toy(high, 0.2))
         assert trace_high.flag == "completed" and trace_high.n_steps == 6
 
 
 def test_criterion_7_self_interaction_stall():
     with criterion(7, "self-interaction stalls and loses with frequency"):
-        base = verify.demonstrate_r5_failure(params(lam=32, ell=4.0), 1.0)
+        base = verify.demonstrate_r5_failure(IterationParams(), 1.0)
         assert base.slope_ratio < R5_FACTOR
-        doubled = verify.demonstrate_r5_failure(params(lam=64, ell=2.0), 1.0)
+        doubled = verify.demonstrate_r5_failure(IterationParams(lam=64, ell=2.0), 1.0)
         assert abs(doubled.fit_r5.slope) < abs(base.fit_r5.slope)
         clean_gap = abs(doubled.fit_clean.slope - base.fit_clean.slope)
         assert clean_gap <= CLEAN_SHIFT_RTOL * abs(base.fit_clean.slope)
@@ -216,7 +211,7 @@ def test_criterion_9_ledger_consistency(default_run, sweep_runs, lambda_grid_run
 
 def test_criterion_10_pipeline_determinism(tmp_path):
     with criterion(10, "byte-identical outputs for every shipped config"):
-        from tamelab.problem import parse_flat_config
+        from tamelab.cli import parse_flat_config
         for path in sorted(CONFIG_DIR.glob("*.cfg")):
             experiment = parse_flat_config(path.read_text())["experiment"]
             blobs = []

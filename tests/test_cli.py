@@ -21,15 +21,11 @@ from tamelab.cli import (
     emit_plot,
     load_experiment_config,
     main,
+    parse_flat_config,
 )
 from tamelab.gridfield import PERIOD
 from tamelab.iteration import run
-from tamelab.problem import (
-    IterationParams,
-    ProblemConfig,
-    make_scalar_toy,
-    parse_flat_config,
-)
+from tamelab.problem import IterationParams, make_scalar_toy
 from tamelab.verify import MIN_FIT_STEPS, DecayFit, InsufficientSteps
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -113,6 +109,9 @@ class TestConfigParsing:
         cfg = load_experiment_config("run", None, [
             "lambda=16", "ell=2", "k0=4", "k1=1", "n_points=1024", "n_steps=3"])
         assert cfg.problem.lam == 16 and cfg.problem.ell == 2.0
+
+    def test_defaults_are_iteration_params(self):
+        assert load_experiment_config("run", None, []).problem == IterationParams()
 
     def test_set_requires_equals(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -225,6 +224,9 @@ class TestKeyTable:
         ("run", ["lambda=" + "1" * 400], "lambda must be a positive integer up to"),
         ("ledger", ["lambda=" + "1" * 400], "lambda must be a positive integer up to"),
         ("ledger", ["lambda=524289"], "up to 524288"),
+        # the ledger reads no k1, so no budget check bounds its one table
+        # row per step; no build can take more than 513 steps
+        ("ledger", ["n_steps=514"], "n_steps must be an integer from 1 to 513"),
     ])
     def test_range_and_cross_key_checks(self, command, items, message, tmp_path,
                                         capsys):
@@ -240,9 +242,7 @@ class TestKeyTable:
     ])
     def test_too_few_steps_to_fit_refused_before_build(
             self, command, n_steps, minimum, tmp_path, capsys, monkeypatch):
-        def no_build(*args, **kwargs):
-            raise AssertionError("built an instance")
-        monkeypatch.setattr(ProblemConfig, "build", no_build)
+        monkeypatch.setattr("tamelab.cli._build", no_build)
         monkeypatch.setattr("tamelab.verify.make_scalar_toy", no_build)
         assert main(shipped_argv(command, tmp_path, "--set", f"n_steps={n_steps}")) == 1
         err = capsys.readouterr().err
@@ -267,6 +267,9 @@ class TestKeyTable:
         assert main(shipped_argv("ledger", tmp_path, "--set", "k0=514",
                                  "--set", "lambda=524288")) == 0
         assert main(shipped_argv("run", tmp_path / "run", "--set", "k0=514")) == 0
+        steps = tmp_path / "steps"
+        assert main(shipped_argv("ledger", steps, "--set", "n_steps=513")) == 0
+        assert len((steps / "ledger.csv").read_text().splitlines()) == 1 + 513
 
     def test_every_subcommand_accepts_seed(self):
         # the benchmark appends --set seed=<n> to every call
@@ -274,6 +277,44 @@ class TestKeyTable:
             path = None if config is None else str(CONFIG_DIR / config)
             cfg = load_experiment_config(command, path, ["seed=3"])
             assert cfg.problem.seed == 3
+
+
+def no_build(*args, **kwargs):
+    raise AssertionError("built an instance")
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_file_in_the_path_refused_before_build(self, below, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr("tamelab.cli._build", no_build)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / below
+        assert main(["run", "--config", str(CONFIG_DIR / "default.cfg"),
+                     "--output_dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: output_dir {str(out)!r} is not a directory\n")
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["run", "ledger"])
+    def test_failed_write_is_one_line(self, command, tmp_path, capsys):
+        # A directory where the output file goes: the write fails in
+        # os.replace, after the work.
+        (tmp_path / SHIPPED[command][1] / "occupied").mkdir(parents=True)
+        assert main(shipped_argv(command, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("write error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [SHIPPED[command][1]]
+
+
+class TestR5DemoCommand:
+    def test_strength_zero_runs_at_zero(self, tmp_path, capsys):
+        assert main(shipped_argv("r5-demo", tmp_path, "--set", "r5_strength=0")) == 0
+        out = capsys.readouterr().out
+        assert "no effect: the two runs are identical (strength 0?)" in out
+        assert (tmp_path / "r5_with.csv").read_bytes() == (
+            tmp_path / "r5_clean.csv").read_bytes()
 
 
 class TestLedgerCommand:
@@ -381,8 +422,7 @@ class TestShippedConfigs:
 
 class TestEmitPlot:
     def test_polyline_count_and_legend(self, tmp_path):
-        p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
-                            n_steps=5, seed=7)
+        p = IterationParams()
         trace = run(make_scalar_toy(p, 0.2))
         path = tmp_path / "plot.svg"
         emit_plot(trace, path)
@@ -394,8 +434,7 @@ class TestEmitPlot:
 
     def test_single_k(self, tmp_path):
         # at 8 points per wavelength the grid resolves order 0 only
-        p = IterationParams(lam=32, ell=4.0, k0=7, k1=0, n_points=256,
-                            n_steps=5, seed=7)
+        p = IterationParams(k1=0, n_points=256)
         trace = run(make_scalar_toy(p, 0.2))
         path = tmp_path / "one.svg"
         emit_plot(trace, path)
@@ -404,16 +443,14 @@ class TestEmitPlot:
 
     def test_empty_after_floor_refused(self, tmp_path):
         from dataclasses import replace
-        p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
-                            n_steps=5, seed=7)
+        p = IterationParams()
         trace = run(make_scalar_toy(p, 0.2))
         empty = replace(trace, target_sup=1e300)  # floor excludes every step
         with pytest.raises(InsufficientSteps):
             emit_plot(empty, tmp_path / "none.svg")
 
     def test_byte_deterministic(self, tmp_path):
-        p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
-                            n_steps=5, seed=7)
+        p = IterationParams()
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         emit_plot(run(make_scalar_toy(p, 0.2)), a)
         emit_plot(run(make_scalar_toy(p, 0.2)), b)
@@ -422,8 +459,7 @@ class TestEmitPlot:
 
 @pytest.fixture(scope="module")
 def stock_trace():
-    p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
-                        n_steps=5, seed=7)
+    p = IterationParams()
     return run(make_scalar_toy(p, 0.2))
 
 
@@ -479,8 +515,7 @@ class TestTraceCsv:
         # steps 2..5 (the step-1 difference is ||a_1||), on top of the run's
         # rfft 10 and irfft 40.  rfft: 10 + 5 + 4 = 19.  irfft:
         # 40 + 20 + 14 = 74.
-        p = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
-                            n_steps=5, seed=7)
+        p = IterationParams()
         instance = make_scalar_toy(p, 0.2)
         log = count_fft()
         _csv(TRACE_COLUMNS, _trace_rows(run(instance)))

@@ -29,27 +29,20 @@ from tamelab.problem import (
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def params(**overrides):
-    base = dict(lam=32, ell=4.0, k0=7, k1=2, c_f=1.0, n_points=2048,
-                n_steps=5, seed=7)
-    base.update(overrides)
-    return IterationParams(**base)
-
-
 def no_remainder(instance):
     return replace(instance, remainder=replace(instance.remainder, terms=()))
 
 
 @pytest.fixture(scope="module")
 def stock_trace():
-    return run(make_scalar_toy(params(), 0.2))
+    return run(make_scalar_toy(IterationParams(), 0.2))
 
 
 class TestInitialStep:
     def test_flat_target_closed_form(self):
         # amplitude 0: a1 = 1 and E1 = -(mu + mu^2) cos(lam x) exactly,
         # since the derivative-carrying terms vanish at a constant iterate
-        p = params()
+        p = IterationParams()
         instance = make_scalar_toy(p, 0.0)
         state = initial_step(instance)
         assert (state.a - GridFunction.constant(1.0, p.n_points)).sup() < 1e-14
@@ -59,21 +52,21 @@ class TestInitialStep:
 
     def test_error_norms_equal_remainder_norms(self):
         # T = b(a1, a1) exactly, so E1 = -r1(a1): same norms, opposite sign
-        instance = make_scalar_toy(params(), 0.2)
+        instance = make_scalar_toy(IterationParams(), 0.2)
         state = initial_step(instance)
         assert state.norms_error.values == pytest.approx(
             state.norms_r.values, rel=1e-12)
         assert (state.error + state.r_of_a).sup() < 1e-13
 
     def test_zero_remainder_zero_error(self):
-        instance = no_remainder(make_scalar_toy(params(), 0.2))
+        instance = no_remainder(make_scalar_toy(IterationParams(), 0.2))
         state = initial_step(instance)
         assert state.norms_error[0] < 1e-13
 
     def test_first_error_bound(self):
         # ||E_1||_k <= C lam^k/(lam ell) at lam = 32, ell = 1/4, with the
         # constant frozen from the closed form (1 + mu)(1 + small)
-        p = params(lam=32, ell=0.25, k0=7, k1=1, n_steps=1)
+        p = IterationParams(ell=0.25, k1=1, n_steps=1)
         state = initial_step(make_scalar_toy(p, 0.2))
         for k in range(len(state.norms_error)):
             ratio = state.norms_error[k] / (p.lam ** k / p.lambda_ell)
@@ -82,7 +75,7 @@ class TestInitialStep:
 
 class TestStep:
     def test_zero_remainder_fixed_point(self):
-        instance = no_remainder(make_scalar_toy(params(), 0.2))
+        instance = no_remainder(make_scalar_toy(IterationParams(), 0.2))
         s1 = initial_step(instance)
         s2 = step(s1, instance)
         assert np.array_equal(s2.a.samples, s1.a.samples)
@@ -90,7 +83,7 @@ class TestStep:
 
     def test_contraction_band(self):
         # ||E2||/||E1|| within [0.3, 30]/(lam ell) at lam*ell = 128
-        instance = make_scalar_toy(params(n_steps=2), 0.2)
+        instance = make_scalar_toy(IterationParams(n_steps=2), 0.2)
         s1 = initial_step(instance)
         s2 = step(s1, instance)
         ratio = s2.norms_error[0] / s1.norms_error[0]
@@ -98,14 +91,14 @@ class TestStep:
         assert 0.3 / ll <= ratio <= 30.0 / ll
 
     def test_budget_exhaustion(self):
-        p = params(lam=16, ell=4.0, k0=3, k1=1, n_points=1024, n_steps=2)
+        p = IterationParams(lam=16, k0=3, k1=1, n_points=1024, n_steps=2)
         instance = make_scalar_toy(p, 0.2)
         trace = run(instance)
         with pytest.raises(DerivativeBudgetExhausted, match="k0"):
             step(trace.states[-1], instance)
 
     def test_identity_residual_tiny(self):
-        instance = make_scalar_toy(params(n_steps=2), 0.2)
+        instance = make_scalar_toy(IterationParams(n_steps=2), 0.2)
         s1 = initial_step(instance)
         s2 = step(s1, instance)
         assert identity_residual(s1, s2) <= 1e-9 * (1 + instance.target.sup())
@@ -113,7 +106,7 @@ class TestStep:
 
 class TestRun:
     def test_single_step_trace(self):
-        instance = make_scalar_toy(params(n_steps=1), 0.2)
+        instance = make_scalar_toy(IterationParams(n_steps=1), 0.2)
         trace = run(instance)
         assert len(trace.states) == 2
         assert trace.states[0].step == 0 and trace.states[1].step == 1
@@ -122,21 +115,21 @@ class TestRun:
         assert s0.norms_error[0] == pytest.approx(instance.target.sup())
 
     def test_identity_residuals_over_six_steps(self):
-        p = params(k0=8, k1=2, n_steps=6)
+        p = IterationParams(k0=8, n_steps=6)
         trace = run(make_scalar_toy(p, 0.2))
         assert trace.flag == "completed"
         limit = 1e-9 * (1 + trace.target_sup)
         assert max(trace.identity_residuals) <= limit
 
     def test_norm_budget_shrinks_per_step(self):
-        trace = run(make_scalar_toy(params(), 0.2))
-        p = params()
+        trace = run(make_scalar_toy(IterationParams(), 0.2))
+        p = IterationParams()
         for state in trace.states:
             assert state.norms_a.k_max == p.norm_order(state.step)
 
     def test_geometric_decay_band(self):
         # lam = 32, ell = 1: per-step ratios within [0.3, 3]/(lam ell)
-        p = params(ell=1.0)
+        p = IterationParams(ell=1.0)
         trace = run(make_scalar_toy(p, 0.2))
         ll = p.lambda_ell
         errs = [s.norms_error[0] for s in trace.states[1:]]
@@ -145,7 +138,7 @@ class TestRun:
 
     def test_difference_norms_single_constant(self):
         # ||a_(i+1) - a_i||_k <= C lam^k/(lam ell)^i with one modest C
-        p = params()
+        p = IterationParams()
         trace = run(make_scalar_toy(p, 0.2))
         ll = p.lambda_ell
         for i in range(1, len(trace.states) - 1):
@@ -156,14 +149,14 @@ class TestRun:
     def test_floor_stop_flag(self):
         # with no remainder the error is exactly zero from step 1, so the
         # run stops at the floating-point floor instead of stepping on
-        instance = no_remainder(make_scalar_toy(params(n_steps=4), 0.2))
+        instance = no_remainder(make_scalar_toy(IterationParams(n_steps=4), 0.2))
         trace = run(instance)
         assert trace.flag == "floor"
         assert trace.n_steps == 1
         assert trace.states[-1].norms_error[0] < 1e-14 * trace.target_sup
 
     def test_domain_escape_flags_partial_trace(self):
-        p = params(lam=16, ell=1.5 / 16, k0=7, k1=1, n_steps=3)
+        p = IterationParams(lam=16, ell=1.5 / 16, k1=1, n_steps=3)
         trace = run(make_scalar_toy(p, 0.2))
         assert trace.flag == "diverged"
         assert trace.escape_step is not None and trace.escape_step <= 3
@@ -172,11 +165,11 @@ class TestRun:
 
     def test_budget_precondition(self):
         with pytest.raises(DerivativeBudgetExhausted, match="budget"):
-            run(make_scalar_toy(params(k0=5, k1=2, n_steps=5), 0.2))
+            run(make_scalar_toy(IterationParams(k0=5), 0.2))
 
     def test_determinism_bitwise(self):
-        a = run(make_scalar_toy(params(), 0.2))
-        b = run(make_scalar_toy(params(), 0.2))
+        a = run(make_scalar_toy(IterationParams(), 0.2))
+        b = run(make_scalar_toy(IterationParams(), 0.2))
         assert len(a.states) == len(b.states)
         for s, t in zip(a.states, b.states):
             assert np.array_equal(s.a.samples, t.a.samples)
@@ -185,22 +178,22 @@ class TestRun:
         assert a.identity_residuals == b.identity_residuals
 
     def test_varying_family_identity(self):
-        trace = run(make_varying_toy(params(), drift=1.0))
+        trace = run(make_varying_toy(IterationParams(), drift=1.0))
         assert trace.flag == "completed"
         assert max(trace.identity_residuals) <= 1e-9 * (1 + trace.target_sup)
 
     def test_two_component_identity(self):
-        trace = run(make_two_component_toy(params(), 0.2))
+        trace = run(make_two_component_toy(IterationParams(), 0.2))
         assert trace.flag == "completed"
         assert max(trace.identity_residuals) <= 1e-9 * (1 + trace.target_sup)
 
     def test_drift_zero_trace_matches_stock(self, stock_trace):
-        varying = run(make_varying_toy(params(), drift=0.0))
+        varying = run(make_varying_toy(IterationParams(), drift=0.0))
         for s, t in zip(stock_trace.states, varying.states):
             assert np.array_equal(s.a.samples, t.a.samples)
 
     def test_r5_run_still_satisfies_identity(self):
-        instance = with_self_interaction(make_scalar_toy(params(), 0.2), 1.0)
+        instance = with_self_interaction(make_scalar_toy(IterationParams(), 0.2), 1.0)
         trace = run(instance)
         assert max(trace.identity_residuals) <= 1e-9 * (1 + trace.target_sup)
 
@@ -212,7 +205,7 @@ class TestRun:
     ])
     def test_identity_residual_across_parameter_grid(self, lam, ell,
                                                      amplitude, drift, r5):
-        p = params(lam=lam, ell=ell, k1=1, n_steps=4, k0=7)
+        p = IterationParams(lam=lam, ell=ell, k1=1, n_steps=4)
         if drift:
             instance = make_varying_toy(p, drift, amplitude)
         else:
@@ -232,7 +225,7 @@ class TestCheckHypotheses:
         assert ledger.threshold(ledger.stock_constants(p)) == 3.0
 
     def test_zero_remainder_error_clauses_trivial(self):
-        instance = no_remainder(make_scalar_toy(params(n_steps=3), 0.2))
+        instance = no_remainder(make_scalar_toy(IterationParams(n_steps=3), 0.2))
         trace = run(instance)
         for margins in ledger.margins(trace)[0]:
             assert all(e <= 1e-6 for e in margins.error)
@@ -267,7 +260,7 @@ class TestTransformCount:
         # derivative (one irfft) and ||a||, which reads that derivative and
         # adds (6 - i) irffts; then one rfft + (7 - i) irffts for ||E||.
         # rfft: 5 * 2 = 10.  irfft: 2 * 20 = 40.
-        instance = make_scalar_toy(params(), 0.2)
+        instance = make_scalar_toy(IterationParams(), 0.2)
         log = count_fft()
         trace = run(instance)
         assert trace.flag == "completed" and trace.n_steps == 5
@@ -278,11 +271,11 @@ class TestTransformCount:
 # rather than computed: scalar, two-component, drifting and R5.  In those the
 # mollified wave vanishes and T == T0; at lam*ell = 4 it survives.
 FAMILIES = {
-    "scalar": lambda: make_scalar_toy(params(), 0.2),
-    "wave": lambda: make_scalar_toy(params(ell=0.125), 0.2),
-    "two_component": lambda: make_two_component_toy(params(), 0.2),
-    "drift": lambda: make_varying_toy(params(), drift=0.5),
-    "r5": lambda: with_self_interaction(make_scalar_toy(params(), 0.2), 1.0),
+    "scalar": lambda: make_scalar_toy(IterationParams(), 0.2),
+    "wave": lambda: make_scalar_toy(IterationParams(ell=0.125), 0.2),
+    "two_component": lambda: make_two_component_toy(IterationParams(), 0.2),
+    "drift": lambda: make_varying_toy(IterationParams(), drift=0.5),
+    "r5": lambda: with_self_interaction(make_scalar_toy(IterationParams(), 0.2), 1.0),
 }
 
 
@@ -340,7 +333,7 @@ class TestLazyColumns:
         assert len(trace.diff_norms) == len(trace.states) - 1
 
     def test_columns_computed_once(self, monkeypatch):
-        trace = run(make_scalar_toy(params(), 0.2))
+        trace = run(make_scalar_toy(IterationParams(), 0.2))
         first = (trace.diff_norms, trace.states[2].norms_r)
         monkeypatch.setattr("tamelab.iteration.ck_norm", None)
         assert (trace.diff_norms, trace.states[2].norms_r) == first

@@ -146,13 +146,11 @@ class TestThreshold:
         # below the threshold the run escapes within 3 steps; at 4x it
         # completes 6 steps cleanly
         thr = threshold(stock_constants(params_for()))
-        low = IterationParams(lam=16, ell=(thr / 2) / 16, k0=7, k1=1,
-                              n_points=2048, n_steps=3, seed=7)
+        low = IterationParams(lam=16, ell=(thr / 2) / 16, k1=1, n_steps=3)
         trace = run(make_scalar_toy(low, 0.2))
         assert trace.flag == "diverged" and trace.escape_step <= 3
         assert low.lambda_ell <= thr
-        high = IterationParams(lam=16, ell=(4 * thr) / 16, k0=7, k1=1,
-                               n_points=2048, n_steps=6, seed=7)
+        high = IterationParams(lam=16, ell=(4 * thr) / 16, k1=1, n_steps=6)
         trace = run(make_scalar_toy(high, 0.2))
         assert trace.flag == "completed" and trace.n_steps == 6
         assert not high.lambda_ell <= thr
@@ -163,8 +161,7 @@ class TestThreshold:
         thr = threshold(stock_constants(params_for()))
         escape_steps = []
         for ll in (1.2, 1.5, 2.0, 2.5, 3.5, 6.0, 12.0):
-            p = IterationParams(lam=16, ell=ll / 16, k0=7, k1=1,
-                                n_points=2048, n_steps=6, seed=7)
+            p = IterationParams(lam=16, ell=ll / 16, k1=1, n_steps=6)
             trace = run(make_scalar_toy(p, 0.2))
             if trace.flag == "diverged":
                 assert ll < thr
@@ -182,19 +179,18 @@ class TestPredictBudget:
         k1, n_steps = 1, 3
         k0 = k1 + n_steps * 1
         good = IterationParams(lam=16, ell=2.0, k0=k0, k1=k1, n_points=1024,
-                               n_steps=n_steps, seed=7)
+                               n_steps=n_steps)
         trace = run(make_scalar_toy(good, 0.2))
         assert trace.flag == "completed"
         bad = IterationParams(lam=16, ell=2.0, k0=k0 - 1, k1=k1, n_points=1024,
-                              n_steps=n_steps, seed=7)
+                              n_steps=n_steps)
         with pytest.raises(DerivativeBudgetExhausted):
             run(make_scalar_toy(bad, 0.2))
 
 
 class TestCalibrate:
     def test_headroom_keeps_first_margins_below_one(self):
-        params = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
-                                 n_steps=5, seed=7)
+        params = IterationParams()
         trace = run(make_scalar_toy(params, 0.2))
         first = margins(trace)[0][0]
         assert first.worst <= 1.0
@@ -211,8 +207,7 @@ class TestCheckHypotheses:
         # Raise ||E_2||_0 to twice its bound C_err / (lam ell)^2 under the
         # constants propagated to step 2 (and the higher orders with it, as
         # the norms are nondecreasing in k): the check must turn False.
-        params = IterationParams(lam=32, ell=4.0, k0=7, k1=2, n_points=2048,
-                                 n_steps=5, seed=7)
+        params = IterationParams()
         trace = run(make_scalar_toy(params, 0.2))
         assert check_hypotheses(trace)
         _, constants = margins(trace)
@@ -251,5 +246,5 @@ class TestTableAndValidation:
         assert math.isfinite(safe_leibniz(MAX_ORDER))
         with pytest.raises(OverflowError):
             safe_leibniz(MAX_ORDER + 1)
-        p = IterationParams(lam=32, ell=4.0, k0=MAX_ORDER, k1=2)
+        p = IterationParams(k0=MAX_ORDER)
         assert len(stock_constants(p).c_k) == MAX_ORDER + 1

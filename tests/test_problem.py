@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tamelab.cli import ConfigError, load_experiment_config
+from tamelab.cli import ConfigError, _build, load_experiment_config, parse_flat_config
 from tamelab.gridfield import (
     BATCH_POINTS,
     FieldSpectrum,
@@ -27,20 +27,12 @@ from tamelab.problem import (
     make_scalar_toy,
     make_two_component_toy,
     make_varying_toy,
-    parse_flat_config,
     r6,
     self_interaction_term,
     with_self_interaction,
     _check_right_inverse,
     _toy_maps,
 )
-
-
-def default_params(**overrides):
-    base = dict(lam=32, ell=4.0, k0=7, k1=2, c_f=1.0, n_points=2048,
-                n_steps=5, seed=7)
-    base.update(overrides)
-    return IterationParams(**base)
 
 
 def product(f, g):
@@ -91,7 +83,7 @@ class TestBoundClass:
 
 class TestScalarToy:
     def test_zero_amplitude_exact(self):
-        instance = make_scalar_toy(default_params(), 0.0)
+        instance = make_scalar_toy(IterationParams(), 0.0)
         assert (instance.target - instance.center).sup() == 0.0
         a = instance.inverse(instance.target, 1)
         assert (a - GridFunction.constant(1.0, 2048)).sup() < 1e-14
@@ -99,7 +91,7 @@ class TestScalarToy:
 
     def test_pointwise_square_root(self):
         # degenerate unmollified case: T = 1 + 0.1 sin(x), a = sqrt(T)
-        instance = make_scalar_toy(default_params(), 0.0)
+        instance = make_scalar_toy(IterationParams(), 0.0)
         x = 2 * np.pi * np.arange(2048) / 2048
         t_prime = GridFunction.from_samples(1.0 + 0.1 * np.sin(x))
         a = instance.inverse(t_prime, 1)
@@ -107,7 +99,7 @@ class TestScalarToy:
         assert residual < 1e-12
 
     def test_right_inverse_on_random_admissible(self):
-        instance = make_scalar_toy(default_params(), 0.2)
+        instance = make_scalar_toy(IterationParams(), 0.2)
         rng = np.random.default_rng(99)
         for _ in range(20):
             bump = random_trig_polynomial(rng, 2048)
@@ -116,7 +108,7 @@ class TestScalarToy:
             assert (instance.bilinear(a, a, 1) - t_prime).sup() < 1e-10
 
     def test_remainder_vanishes_at_zero(self):
-        instance = make_scalar_toy(default_params(), 0.2)
+        instance = make_scalar_toy(IterationParams(), 0.2)
         zero = FieldSpectrum(GridFunction.zeros(2048))
         for step in (1, 2, 5):
             assert instance.remainder(zero, step).sup() == 0.0
@@ -124,7 +116,7 @@ class TestScalarToy:
     def test_neighborhood_violation_reports_measured(self):
         # at lam*ell = 1.12 the mollifier keeps ~0.53 of the wave, so
         # amplitude 0.9 leaves ||T - T0||_0 ~ 0.48 > 1/3: refused
-        params = default_params(lam=16, ell=0.07, k0=3, k1=1, n_steps=2)
+        params = IterationParams(lam=16, ell=0.07, k0=3, k1=1, n_steps=2)
         with pytest.raises(NeighborhoodViolation) as err:
             make_scalar_toy(params, 0.9)
         assert err.value.measured > err.value.radius
@@ -132,16 +124,16 @@ class TestScalarToy:
     def test_target_radius_at_most_one(self):
         # 1/(3 C_F) may reach 1, the center's distance to the nonpositive
         # tensors, where F = sqrt is undefined, but not exceed it.
-        make_scalar_toy(default_params(c_f=1 / 3), 0.2)  # radius exactly 1
+        make_scalar_toy(IterationParams(c_f=1 / 3), 0.2)  # radius exactly 1
         for c_f in (0.332, 0.25, 1e-300):
             with pytest.raises(NeighborhoodViolation, match="< 1/3") as err:
-                make_scalar_toy(default_params(c_f=c_f), 0.2)
+                make_scalar_toy(IterationParams(c_f=c_f), 0.2)
             assert err.value.measured > err.value.radius == 1.0
 
     def test_target_norm_constant_recorded(self):
         # The build records the target's norms; the field constant that
         # calibration takes from them bounds ||T||_k by C lam^k / (lam ell).
-        instance = make_scalar_toy(default_params(lam=16, ell=0.25, k0=3,
+        instance = make_scalar_toy(IterationParams(lam=16, ell=0.25, k0=3,
                                                   k1=1, n_steps=2), 0.2)
         p = instance.params
         assert instance.target_norms.values == ck_norm(
@@ -153,7 +145,7 @@ class TestScalarToy:
             assert norms[k] <= target_constant * p.lam ** k / p.lambda_ell * (1 + 1e-12)
 
     def test_domain_escape_outside_radius(self):
-        instance = make_scalar_toy(default_params(), 0.2)
+        instance = make_scalar_toy(IterationParams(), 0.2)
         far = GridFunction.constant(2.5, 2048)
         with pytest.raises(DomainEscape) as err:
             instance.inverse(far, 1)
@@ -164,7 +156,7 @@ class TestScalarToy:
         # variant, with one constant across the frequency grid
         ratios_direct, ratios_diff = [], []
         for lam in (16, 32, 64):
-            params = default_params(lam=lam, ell=64.0 / lam, k1=2)
+            params = IterationParams(lam=lam, ell=64.0 / lam)
             instance = make_scalar_toy(params, 0.2)
             rng = np.random.default_rng([lam, 5])
             worst_d, worst_l = 0.0, 0.0
@@ -196,7 +188,7 @@ class TestVaryingToy:
     def test_consecutive_inverse_drift_oracle(self):
         # drift 1, lam*ell = 100: ||F4(T) - F3(T)|| / ||F3(T)|| is
         # 1e-6 (1 - 1/100) by construction of the scaling family
-        params = default_params(lam=32, ell=100.0 / 32)
+        params = IterationParams(ell=100.0 / 32)
         instance = make_varying_toy(params, drift=1.0)
         f3 = instance.inverse(instance.target, 3)
         f4 = instance.inverse(instance.target, 4)
@@ -204,7 +196,7 @@ class TestVaryingToy:
         assert measured == pytest.approx(1e-6 * (1 - 0.01), rel=0.10)
 
     def test_drift_zero_matches_scalar_toy_bitwise(self):
-        params = default_params()
+        params = IterationParams()
         a = make_scalar_toy(params, 0.2)
         b = make_varying_toy(params, drift=0.0)
         t_prime = a.center + scale(0.1, random_trig_polynomial(
@@ -217,7 +209,7 @@ class TestVaryingToy:
                               b.remainder(probe, 3).samples)
 
     def test_step_matched_right_inverse(self):
-        params = default_params()
+        params = IterationParams()
         instance = make_varying_toy(params, drift=1.0)
         t_prime = instance.center + scale(0.2, random_trig_polynomial(
             np.random.default_rng(11), params.n_points))
@@ -226,7 +218,7 @@ class TestVaryingToy:
             assert (instance.bilinear(a, a, step) - t_prime).sup() < 1e-10
 
     def test_remainder_step_differences_decay(self):
-        params = default_params()
+        params = IterationParams()
         instance = make_varying_toy(params, drift=1.0)
         probe = FieldSpectrum(random_trig_polynomial(np.random.default_rng(13),
                                                      params.n_points))
@@ -239,11 +231,11 @@ class TestVaryingToy:
 
 class TestSelfInteraction:
     def test_strength_zero_is_identity(self):
-        instance = make_scalar_toy(default_params(), 0.2)
+        instance = make_scalar_toy(IterationParams(), 0.2)
         assert with_self_interaction(instance, 0.0) is instance
 
     def test_appends_r5_tag(self):
-        instance = make_scalar_toy(default_params(), 0.2)
+        instance = make_scalar_toy(IterationParams(), 0.2)
         augmented = with_self_interaction(instance, 1.0)
         kinds = [b.kind for b in augmented.remainder.class_tags]
         assert kinds == ["R1", "R2", "R3", "R4", "R5"]
@@ -251,7 +243,7 @@ class TestSelfInteraction:
 
     def test_term_formula(self):
         # r5(a, a) = strength/(lam ell) cos(lam x) (da) a
-        params = default_params()
+        params = IterationParams()
         term = self_interaction_term(2.0)
         from tamelab.gridfield import derivative, oscillator
         modulation = oscillator(1.0, params.lam, n_points=params.n_points)
@@ -264,7 +256,7 @@ class TestSelfInteraction:
 
     def test_derivative_caches_shared(self):
         from tamelab.gridfield import oscillator
-        params = default_params()
+        params = IterationParams()
         term = self_interaction_term(1.0)
         modulation = oscillator(1.0, params.lam, n_points=params.n_points)
         a, b = (random_trig_polynomial(np.random.default_rng(seed), params.n_points)
@@ -284,7 +276,7 @@ class TestSelfInteraction:
         # apply builds one GridFunction; it must equal, bit for bit, the
         # same computation written as one operation per field.
         from tamelab.gridfield import derivative, oscillator
-        params = default_params()
+        params = IterationParams()
         modulation = oscillator(1.0, params.lam, n_points=params.n_points)
         a, b = (random_trig_polynomial(np.random.default_rng(seed), params.n_points,
                                        n_components=n_components)
@@ -326,7 +318,7 @@ class TestSelfInteraction:
 
 class TestTwoComponent:
     def test_right_inverse(self):
-        instance = make_two_component_toy(default_params(), 0.2)
+        instance = make_two_component_toy(IterationParams(), 0.2)
         t_prime = instance.center + scale(0.25, random_trig_polynomial(
             np.random.default_rng(21), 2048))
         a = instance.inverse(t_prime, 1)
@@ -334,7 +326,7 @@ class TestTwoComponent:
         assert (instance.bilinear(a, a, 1) - t_prime).sup() < 1e-10
 
     def test_remainder_scalar_output(self):
-        instance = make_two_component_toy(default_params(), 0.2)
+        instance = make_two_component_toy(IterationParams(), 0.2)
         a = random_trig_polynomial(np.random.default_rng(23), 2048, n_components=2)
         r = instance.remainder(FieldSpectrum(a), 1)
         assert r.n_components == 1
@@ -364,28 +356,27 @@ class TestParams:
     def test_integer_ell_builds_as_float(self, build):
         # an int lam*ell to a negative integer power raised a bare
         # numpy ValueError in the step factor
-        as_int = IterationParams(lam=32, ell=4, k0=7, k1=2)
-        assert isinstance(as_int.ell, float) and as_int == default_params(seed=0)
-        got, want = build(as_int), build(default_params(seed=0))
+        as_int = IterationParams(ell=4)
+        assert isinstance(as_int.ell, float) and as_int == IterationParams()
+        got, want = build(as_int), build(IterationParams())
         assert got.target.samples.tobytes() == want.target.samples.tobytes()
         assert got.target_norms == want.target_norms
 
     def test_norm_order_budget_and_cap(self):
-        p = default_params()  # k_safe = 2048 // 256 - 1 = 7
+        p = IterationParams()  # k_safe = 2048 // 256 - 1 = 7
         assert p.k_safe == 7
         assert p.norm_order(0) == 7
         assert p.norm_order(5) == 2
-        p64 = default_params(lam=64, ell=2.0)
+        p64 = IterationParams(lam=64, ell=2.0)
         assert p64.k_safe == 3
         assert p64.norm_order(1) == 3  # capped by the grid, not the budget
 
 
 class TestConfig:
     def test_defaults_roundtrip(self):
-        cfg = load().problem
-        assert cfg.lam == 32 and cfg.ell == 4.0 and cfg.kind == "scalar"
-        instance = cfg.build()
-        assert instance.kind == "scalar"
+        cfg = load()
+        assert cfg.problem.lam == 32 and cfg.problem.ell == 4.0 and cfg.kind == "scalar"
+        assert _build(cfg, cfg.problem).kind == "scalar"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key 'lamda'"):
@@ -419,12 +410,14 @@ class TestConfig:
         path = tmp_path / "p.cfg"
         path.write_text("lambda = 16\nell = 4\nk0 = 4\nk1 = 1\nn_steps = 3\n"
                         "n_points = 1024\nr5_strength = 0.5\n")
-        instance = load_experiment_config("run", str(path), []).problem.build()
+        cfg = load_experiment_config("run", str(path), [])
+        instance = _build(cfg, cfg.problem)
         kinds = [b.kind for b in instance.remainder.class_tags]
         assert kinds[-1] == "R5"
 
     def test_two_component_build(self):
-        assert load("kind=two_component").problem.build().n_components == 2
+        cfg = load("kind=two_component")
+        assert _build(cfg, cfg.problem).n_components == 2
 
 
 # (builder, n_components, drift) of the four instance families.
@@ -460,7 +453,7 @@ class TestArrayMaps:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_wrappers_give_the_map_samples(self, family):
         build, n_components, drift = FAMILIES[family]
-        p = default_params()
+        p = IterationParams()
         instance = build(p)
         inverse_map, bilinear_map = _toy_maps(n_components, drift, p.lambda_ell)
         t_prime = instance.center + scale(0.2, random_trig_polynomial(
@@ -480,7 +473,7 @@ class TestArrayMaps:
     def test_maps_keep_the_unskipped_bits(self, n_components, drift):
         # integer steps as in iteration.run, and the self-check's
         # (count, 1, 1) step arrays over (count, n, 1) batches
-        p = default_params()
+        p = IterationParams()
         new = _toy_maps(n_components, drift, p.lambda_ell)
         old = unskipped_toy_maps(n_components, drift, p.lambda_ell)
         rng = np.random.default_rng(6)
@@ -496,7 +489,7 @@ class TestArrayMaps:
                         == old[1](u, u, step).tobytes())
 
     def test_maps_batch_over_leading_axes_and_steps(self):
-        p = default_params()
+        p = IterationParams()
         inverse_map, bilinear_map = _toy_maps(2, 0.5, p.lambda_ell)
         rng = np.random.default_rng(2)
         t = 1.0 + 0.2 * rng.uniform(-1, 1, size=(3, p.n_points, 1))
@@ -513,7 +506,7 @@ class TestArrayMaps:
     def test_slice_sum_matches_component_sum(self, n_components):
         # b adds component slices; the reference reduces the product over
         # the component axis, on F's broadcast output and on plain arrays
-        p = default_params()
+        p = IterationParams()
         inverse_map, bilinear_map = _toy_maps(n_components, 0.5, p.lambda_ell)
         rng = np.random.default_rng(4)
         steps = np.array([1, 2, 3])[:, np.newaxis, np.newaxis]
@@ -527,13 +520,13 @@ class TestArrayMaps:
             assert got.tobytes() == expected.tobytes()
 
     def test_target_norms_kept(self):
-        p = default_params()
+        p = IterationParams()
         instance = make_scalar_toy(p, 0.2)
         assert instance.target_norms.values == ck_norm(
             instance.target, p.norm_order(0)).values
 
     def test_positivity_guard_kept(self):
-        instance = make_scalar_toy(default_params(), 0.2)
+        instance = make_scalar_toy(IterationParams(), 0.2)
         dip = np.ones((2048, 1))
         dip[100] = 0.0  # distance exactly 1 = 1/C_F: inside, but not positive
         with pytest.raises(DomainEscape, match="loses positivity"):
@@ -541,13 +534,13 @@ class TestArrayMaps:
 
     def test_non_finite_target_is_a_neighborhood_violation(self):
         with pytest.raises(NeighborhoodViolation, match="not finite"):
-            make_scalar_toy(default_params(), 1e308)
+            make_scalar_toy(IterationParams(), 1e308)
 
 
 class TestRightInverseSelfCheck:
     # At n = 4096 a batch holds 65536 / 4096 = 16 samples: 20 split 16 + 4.
     def setup_method(self):
-        self.p = default_params(n_points=4096)
+        self.p = IterationParams(n_points=4096)
         self.center = GridFunction.constant(1.0, 4096)
         self.inverse_map, self.bilinear_map = _toy_maps(1, 0.0,
                                                         self.p.lambda_ell)
@@ -578,7 +571,7 @@ class TestRightInverseSelfCheck:
             seen.append(t.shape)
             return self.inverse_map(t, step)
 
-        _check_right_inverse(default_params(n_points=65536),
+        _check_right_inverse(IterationParams(n_points=65536),
                              GridFunction.constant(1.0, 65536), spy,
                              self.bilinear_map)
         assert seen == [(1, 65536, 1)] * 20
@@ -601,7 +594,7 @@ class TestRightInverseSelfCheck:
         # The reference draws each bump alone with random_trig_polynomial,
         # then the batch's radii, exactly as the batched rows consume the
         # generator; n_points = 16 puts mode 8 on the Nyquist bin.
-        p = default_params(n_points=n_points)
+        p = IterationParams(n_points=n_points)
         center = GridFunction.constant(1.0, n_points)
         seen = []
 
@@ -663,5 +656,5 @@ class TestBuildTransformCount:
         # + 7 irffts, shared with the target constant and step 0.  The
         # self-check evaluates its 20 bumps by angle addition: no transform.
         log = count_fft()
-        make_scalar_toy(default_params(), 0.2)
+        make_scalar_toy(IterationParams(), 0.2)
         assert log.calls == log.rows == {"rfft": 2, "irfft": 8}

@@ -1,5 +1,6 @@
 """The traced benchmark wraps package functions by name; every name it lists
-must still resolve, or `bench/run.py --trace 1` fails at install time."""
+must still resolve, or `bench/run.py --trace 1` fails at install time, and
+the wrapped names must see every instance build and every run once."""
 
 import importlib
 import importlib.util
@@ -7,19 +8,46 @@ from pathlib import Path
 
 import pytest
 
-RECORDER = Path(__file__).resolve().parent.parent / "bench" / "recorder.py"
+from tamelab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def layer_functions():
-    spec = importlib.util.spec_from_file_location("bench_recorder", RECORDER)
+def load_recorder():
+    spec = importlib.util.spec_from_file_location(
+        "bench_recorder", ROOT / "bench" / "recorder.py")
     recorder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(recorder)
-    return recorder.LAYER_FUNCTIONS
+    return recorder
 
 
-@pytest.mark.parametrize("metric, module, path", layer_functions())
+@pytest.mark.parametrize("metric, module, path", load_recorder().LAYER_FUNCTIONS)
 def test_wrapped_name_resolves(metric, module, path):
     owner = importlib.import_module(module)
     for attr in path.split("."):
         owner = getattr(owner, attr)
     assert callable(owner), f"{metric}: {module}.{path}"
+
+
+def test_recorder_counts_builds_and_runs(tmp_path, capsys):
+    # Every build goes through one of the three wrapped factories, so the
+    # CLI's dispatch is counted once per instance: r5-demo builds one
+    # instance and runs it twice, sweep builds and runs three.
+    config = ROOT / "configs"
+    calls = [
+        ["run", "--config", str(config / "default.cfg")],
+        ["run", "--config", str(config / "two_component.cfg")],
+        ["r5-demo", "--config", str(config / "r5.cfg")],
+        ["sweep", "--config", str(config / "sweep.cfg")],
+        ["run", "--config", str(config / "default.cfg"), "--set", "drift=0.5"],
+    ]
+    recorder = load_recorder().Recorder()
+    recorder.install()
+    try:
+        codes = [cli.main(argv + ["--output_dir", str(tmp_path / str(i))])
+                 for i, argv in enumerate(calls)]
+    finally:
+        recorder.uninstall()
+    assert codes == [0] * len(calls)
+    assert recorder.calls["problem.build"] == 7
+    assert recorder.calls["iteration.run"] == 8

@@ -45,13 +45,6 @@ from tamelab.verify import (
 AUDIT_CFG = Path(__file__).resolve().parent.parent / "configs" / "audit.cfg"
 
 
-def params(**overrides):
-    base = dict(lam=32, ell=4.0, k0=7, k1=2, c_f=1.0, n_points=2048,
-                n_steps=5, seed=7)
-    base.update(overrides)
-    return IterationParams(**base)
-
-
 def synthetic_trace(errors, target_sup=1.0):
     """Minimal trace whose states carry prescribed ||E_i||_0 values.  It has
     no instance: the fits read neither its margins nor its difference
@@ -69,14 +62,14 @@ def synthetic_trace(errors, target_sup=1.0):
 class TestVerifyRemainderClass:
     def test_zero_evaluator_stable(self):
         report = verify_remainder_class(RemainderTerm(R1, weight=0.0), R1,
-                                        params(seed=1), n_samples=10)
+                                        IterationParams(seed=1), n_samples=10)
         assert all(c == 0.0 for c in report.per_k_constants)
         assert report.stable
 
     def test_linear_term_constants(self):
         # closed form: C_0 = sup|cos(lam x) a| / sup|a| ~ 1 for slow fields,
         # and each order's Leibniz growth stays below 2^k
-        report = verify_remainder_class(RemainderTerm(R1), R1, params(seed=3),
+        report = verify_remainder_class(RemainderTerm(R1), R1, IterationParams(seed=3),
                                         n_samples=12)
         assert 0.85 <= report.per_k_constants[0] <= 1.0 + 1e-9
         for k, c in enumerate(report.per_k_constants):
@@ -86,12 +79,12 @@ class TestVerifyRemainderClass:
     def test_all_stock_terms_stable_in_declared_class(self):
         for term in stock_remainder_terms():
             report = verify_remainder_class(term, term.bound_class,
-                                            params(seed=5), n_samples=10)
+                                            IterationParams(seed=5), n_samples=10)
             assert report.stable, term.bound_class.kind
             assert all(c > 0 for c in report.per_k_constants)
 
     def test_misdeclared_control_unstable_and_grows(self):
-        [report] = audit_classes([MISDECLARED_CONTROL], params(seed=5),
+        [report] = audit_classes([MISDECLARED_CONTROL], IterationParams(seed=5),
                                  n_samples=10)
         assert not report.stable
         k0_by_lambda = [row[0] for row in report.constants_by_lambda]
@@ -100,7 +93,7 @@ class TestVerifyRemainderClass:
 
     def test_r5_stable_in_own_class(self):
         report = verify_remainder_class(self_interaction_term(1.0), R5,
-                                        params(seed=5), n_samples=10)
+                                        IterationParams(seed=5), n_samples=10)
         assert report.stable
 
     def test_r6_higher_derivative_class(self):
@@ -108,19 +101,19 @@ class TestVerifyRemainderClass:
         # same way: its lam^-(s+t) prefactor absorbs both gradients
         from tamelab.problem import r6
         term = RemainderTerm(r6(2, 1))
-        report = verify_remainder_class(term, r6(2, 1), params(seed=5),
+        report = verify_remainder_class(term, r6(2, 1), IterationParams(seed=5),
                                         n_samples=10, k_max=2)
         assert report.stable
         assert all(c > 0 for c in report.per_k_constants)
 
     def test_seeded_reproducibility(self):
-        a = verify_remainder_class(RemainderTerm(R3), R3, params(seed=9),
+        a = verify_remainder_class(RemainderTerm(R3), R3, IterationParams(seed=9),
                                    n_samples=10)
-        b = verify_remainder_class(RemainderTerm(R3), R3, params(seed=9),
+        b = verify_remainder_class(RemainderTerm(R3), R3, IterationParams(seed=9),
                                    n_samples=10)
         assert a.constants_by_lambda == b.constants_by_lambda
         assert a.seed == 9
-        c = verify_remainder_class(RemainderTerm(R3), R3, params(seed=10),
+        c = verify_remainder_class(RemainderTerm(R3), R3, IterationParams(seed=10),
                                    n_samples=10)
         assert a.constants_by_lambda != c.constants_by_lambda
 
@@ -134,18 +127,18 @@ class TestVerifyRemainderClass:
             return random_trig_polynomial(*args, **kwargs)
 
         monkeypatch.setattr(verify_module, "random_trig_polynomial", counting)
-        verify_remainder_class(RemainderTerm(R2), R2, params(seed=2),
+        verify_remainder_class(RemainderTerm(R2), R2, IterationParams(seed=2),
                                n_samples=10, k_max=1)
         assert len(drawn) == 2 * 10
 
     def test_sample_count_precondition(self):
         with pytest.raises(ValueError, match="n_samples"):
-            verify_remainder_class(RemainderTerm(R1), R1, params(), n_samples=9)
+            verify_remainder_class(RemainderTerm(R1), R1, IterationParams(),
+                                   n_samples=9)
 
 
 def audit_cfg_params():
-    return load_experiment_config("remainder-audit", str(AUDIT_CFG),
-                                  []).problem.params()
+    return load_experiment_config("remainder-audit", str(AUDIT_CFG), []).problem
 
 
 def stock_pairs():
@@ -211,7 +204,7 @@ class TestAuditClasses:
         # so it must not see the b the other pairs share
         extra = [(RemainderTerm(r6(2, 1)), r6(2, 1)), (RemainderTerm(R2), R1)]
         pairs = stock_pairs() + extra
-        p = params(seed=seed)
+        p = IterationParams(seed=seed)
         shared = audit_classes(pairs, p)
         separate = [verify_remainder_class(term, bound_class, p)
                     for term, bound_class in stock_pairs()[:4]]
@@ -228,7 +221,7 @@ class TestAuditClasses:
     def test_one_row_batches_equal_per_field_reference(self):
         # 16384 * 3 orders fill more than half of BATCH_POINTS: each batch
         # holds one measured field.
-        p = params(n_points=16384, seed=5)
+        p = IterationParams(n_points=16384, seed=5)
         assert norm_batch_rows(p.n_points, 3) == 1
         pairs = stock_pairs()[3:]
         assert ([r.constants_by_lambda
@@ -244,7 +237,7 @@ class TestAuditClasses:
 
         with pytest.raises(ValueError, match="not one component on the "
                                              "2048-point audit grid"):
-            audit_classes([(Reshaped(R1), R1)], params(), n_samples=10)
+            audit_classes([(Reshaped(R1), R1)], IterationParams(), n_samples=10)
 
     def test_transform_calls_stay_within_batch_points(self, count_fft):
         # Freeing a transform buffer of about 3 MB or more moves glibc's
@@ -257,8 +250,8 @@ class TestAuditClasses:
 
     def test_pair_order_does_not_change_reports(self):
         pairs = stock_pairs()
-        forward = audit_classes(pairs, params(seed=3))
-        backward = audit_classes(pairs[::-1], params(seed=3))
+        forward = audit_classes(pairs, IterationParams(seed=3))
+        backward = audit_classes(pairs[::-1], IterationParams(seed=3))
         assert ([r.constants_by_lambda for r in forward]
                 == [r.constants_by_lambda for r in backward[::-1]])
 
@@ -284,9 +277,9 @@ class TestAuditClasses:
         import tamelab.verify as verify_module
         monkeypatch.setattr(verify_module, "random_trig_polynomial", None)
         with pytest.raises(ResolutionError, match="n_points >= 2048"):
-            audit_classes(stock_pairs(), params(n_points=1024))
+            audit_classes(stock_pairs(), IterationParams(n_points=1024))
         with pytest.raises(ResolutionError, match="n_points >= 4096"):
-            audit_classes(stock_pairs(), params(), lambda_grid=(128, 16))
+            audit_classes(stock_pairs(), IterationParams(), lambda_grid=(128, 16))
 
     def test_transform_count(self, count_fft):
         # Per sample (12 at audit.cfg): a and b drawn by angle addition, with
@@ -334,7 +327,7 @@ class TestFitDecay:
         assert fit.slope == pytest.approx(math.log(0.2), abs=1e-9)
 
     def test_measured_decay_matches_rate(self):
-        p = params(lam=64, ell=2.0)
+        p = IterationParams(lam=64, ell=2.0)
         trace = run(make_scalar_toy(p, 0.2))
         fit = fit_decay(trace, 0)
         assert fit.slope == pytest.approx(-math.log(p.lambda_ell), rel=0.15)
@@ -375,24 +368,24 @@ class TestOracleNorm:
 
 class TestR5Demo:
     def test_strength_zero_no_effect(self):
-        report = demonstrate_r5_failure(params(), 0.0)
+        report = demonstrate_r5_failure(IterationParams(), 0.0)
         assert report.no_effect
         assert report.slope_ratio == pytest.approx(1.0)
 
     def test_stall_at_strength_one(self):
-        report = demonstrate_r5_failure(params(), 1.0)
+        report = demonstrate_r5_failure(IterationParams(), 1.0)
         assert not report.no_effect
         assert report.stalled()
         assert report.slope_ratio < R5_FACTOR
         assert abs(report.fit_r5.slope) < abs(report.fit_clean.slope)
 
     def test_lambda_doubling_worsens_stall(self):
-        base = demonstrate_r5_failure(params(lam=32, ell=4.0), 1.0)
-        doubled = demonstrate_r5_failure(params(lam=64, ell=2.0), 1.0)
+        base = demonstrate_r5_failure(IterationParams(), 1.0)
+        doubled = demonstrate_r5_failure(IterationParams(lam=64, ell=2.0), 1.0)
         assert abs(doubled.fit_r5.slope) < abs(base.fit_r5.slope)
         clean_shift = abs(doubled.fit_clean.slope - base.fit_clean.slope)
         assert clean_shift <= 0.15 * abs(base.fit_clean.slope)
 
     def test_stalled_at_strength_one_not_zero(self):
-        assert demonstrate_r5_failure(params(), 1.0).stalled()
-        assert not demonstrate_r5_failure(params(), 0.0).stalled()
+        assert demonstrate_r5_failure(IterationParams(), 1.0).stalled()
+        assert not demonstrate_r5_failure(IterationParams(), 0.0).stalled()
