@@ -442,9 +442,12 @@ def _cmd_ledger(cfg: ExperimentConfig, out: Path, write_csv: bool) -> int:
     params = cfg.problem
     cs = replace(ledger.stock_constants(params), c=cfg.ledger_c,
                  c_err=cfg.ledger_c_err, c_r=cfg.ledger_c_r)
-    rows = [[row[c] for c in LEDGER_COLUMNS]
-            for row in ledger.constant_table(cs, params, params.n_steps)]
     print(f"threshold {ledger.threshold(cs):g}")
+    rows = []
+    for _ in range(params.n_steps):
+        rows.append((cs.step, cs.c, cs.c_err, cs.c_r,
+                     ledger.difference_constant(cs, params), ledger.threshold(cs)))
+        cs = ledger.propagate(cs, params)
     name, *names = LEDGER_COLUMNS
     print(" ".join([f"{name:>4}"] + [f"{c:>12}" for c in names]))
     for step, *values in rows:
@@ -456,16 +459,25 @@ def _cmd_ledger(cfg: ExperimentConfig, out: Path, write_csv: bool) -> int:
 
 
 def _cmd_r5_demo(cfg: ExperimentConfig, out: Path) -> int:
-    report = verify.demonstrate_r5_failure(cfg.problem, cfg.r5_strength,
-                                           cfg.amplitude)
-    _write_fits(out / "r5_clean.csv", [report.fit_clean])
-    _write_fits(out / "r5_with.csv", [report.fit_r5])
-    if report.no_effect:
+    clean = _build(replace(cfg, r5_strength=0.0), cfg.problem)
+    traces = [iteration.run(clean),
+              iteration.run(with_self_interaction(clean, cfg.r5_strength))]
+    for trace in traces:
+        if trace.flag == "diverged":
+            _print_escape(trace)
+            return 2
+    fit_clean, fit_with = [verify.fit_decay(t, 0, min_step=verify.R5_FIT_FROM)
+                           for t in traces]
+    _write_fits(out / "r5_clean.csv", [fit_clean])
+    _write_fits(out / "r5_with.csv", [fit_with])
+    if [s.norms_error for s in traces[0].states] == [
+            s.norms_error for s in traces[1].states]:
         print("no effect: the two runs are identical (strength 0?)")
     else:
-        print(f"clean slope {report.fit_clean.slope:+.4f}, "
-              f"self-interaction slope {report.fit_r5.slope:+.4f}, "
-              f"ratio {report.slope_ratio:.3f}, stalled={report.stalled()}")
+        ratio = abs(fit_with.slope) / abs(fit_clean.slope)
+        print(f"clean slope {fit_clean.slope:+.4f}, "
+              f"self-interaction slope {fit_with.slope:+.4f}, "
+              f"ratio {ratio:.3f}, stalled={ratio < verify.R5_FACTOR}")
     print(f"wrote {out / 'r5_clean.csv'} and {out / 'r5_with.csv'}")
     return 0
 
@@ -515,9 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# An overflow or an invalid value raises FloatingPointError, a numerical
-# failure: where one occurs depends on several keys at once (a drift that
-# overflows at one lambda*ell runs at a larger one), so no key range refuses it.
+# An overflow or an invalid value raises FloatingPointError (OverflowError in
+# Python float powers), a numerical failure: where one occurs depends on
+# several keys at once (a drift that overflows at one lambda*ell runs at a
+# larger one), so no key range refuses it.
 @np.errstate(over="raise", invalid="raise")
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
@@ -546,7 +559,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"write error: {exc}", file=sys.stderr)
         return 1
     except (iteration.DomainEscape, verify.InsufficientSteps,
-            iteration.DerivativeBudgetExhausted, FloatingPointError) as exc:
+            iteration.DerivativeBudgetExhausted, FloatingPointError,
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

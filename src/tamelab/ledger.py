@@ -7,7 +7,8 @@ over-estimates (counts of index pairs, worst-case Leibniz factors), never
 sharp: their job is to dominate measured margins, not to match them.  The
 bounds all have the shape C lam^k / (lam ell)^p; _scaled divides a trace's
 norms by that shape, and calibration, margins and the hypothesis check read
-only its values.
+only its values.  The module computes constants and margins only; the CLI
+steps propagate to tabulate them.
 """
 
 from __future__ import annotations
@@ -251,20 +252,3 @@ def check_hypotheses(trace: IterationTrace) -> bool:
     if len(trace.states) < 2:
         raise ValueError("trace has no completed steps to check")
     return all(m.worst <= 1.0 for m in margins(trace)[0])
-
-
-def constant_table(cs: ConstantSet, params: IterationParams, n_steps: int) -> list[dict]:
-    """One row per step of the stock classes' propagated constants."""
-    rows = []
-    current = cs
-    for _ in range(n_steps):
-        rows.append({
-            "step": current.step,
-            "C": current.c,
-            "C_err": current.c_err,
-            "C_r": current.c_r,
-            "C_diff": difference_constant(current, params),
-            "threshold": threshold(current),
-        })
-        current = propagate(current, params)
-    return rows

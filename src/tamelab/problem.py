@@ -104,11 +104,6 @@ class BoundClass:
     def arity(self) -> int:
         return len(self.arg_derivatives)
 
-    @property
-    def derivative_order(self) -> int:
-        """Derivative orders consumed per step when this class is present."""
-        return max(self.arg_derivatives)
-
     def prefactor(self, lam: float, ell: float) -> float:
         lp, ep = self.prefactor_exponents
         return lam ** (-lp) * ell ** (-ep)
@@ -186,10 +181,6 @@ class RemainderSpec:
     @property
     def class_tags(self) -> tuple[BoundClass, ...]:
         return tuple(t.bound_class for t in self.terms)
-
-    @property
-    def derivative_order(self) -> int:
-        return max((t.bound_class.derivative_order for t in self.terms), default=0)
 
     def step_scale(self, step: int) -> float:
         return 1.0 + self.drift * (self.lam * self.ell) ** (-step)

@@ -1,9 +1,10 @@
-"""Empirical verification: class audits, decay fits, and failure demos.
+"""Empirical verification: class audits, decay fits and norm oracles.
 
 The measurements here are the other half of the ledger's symbolic constants:
-random smooth fields probe each remainder's declared scaling class, least
-squares extracts the per-step decay rate, and the self-interaction demo shows
-the one term whose class bookkeeping genuinely fails.
+random smooth fields probe each remainder's declared scaling class, and least
+squares extracts the per-step decay rate of a trace.  The module only
+measures; the CLI builds and runs the instances it measures, among them the
+self-interaction demo, whose class bookkeeping genuinely fails.
 """
 
 from __future__ import annotations
@@ -32,16 +33,14 @@ from .problem import (
     IterationParams,
     R2,
     RemainderTerm,
-    make_scalar_toy,
     self_interaction_term,
-    with_self_interaction,
 )
 
 DEFAULT_LAMBDA_GRID = (16, 32, 64)
 STABLE_FACTOR = 2.0
 ZERO_CONSTANT_TOL = 1e-14
-# Fewest usable steps a decay fit takes, and the first step the R5 demo
-# fits, past the step-1 transient.
+# Fewest usable steps a decay fit takes, and the first step the
+# self-interaction demo fits, past the step-1 transient.
 MIN_FIT_STEPS = 3
 R5_FIT_FROM = 2
 # The self-interaction run has stalled when its slope magnitude falls below
@@ -294,44 +293,3 @@ def oracle_norm(f: GridFunction, k: int, refinement: int = 8) -> float:
     coarse points are a subset of the refined ones)."""
     refined = refine(f, refinement)
     return ck_norm(refined, k)[k]
-
-
-@dataclass(frozen=True)
-class R5Report:
-    """Side-by-side decay of the clean run and the self-interaction run."""
-
-    strength: float
-    params: IterationParams
-    fit_clean: DecayFit
-    fit_r5: DecayFit
-    no_effect: bool
-
-    @property
-    def slope_ratio(self) -> float:
-        return abs(self.fit_r5.slope) / abs(self.fit_clean.slope)
-
-    def stalled(self) -> bool:
-        return self.slope_ratio < R5_FACTOR
-
-
-def demonstrate_r5_failure(params: IterationParams, strength: float,
-                           t_amplitude: float = 0.2) -> R5Report:
-    """Run the scalar toy with and without the self-interaction term.
-
-    The extra term differentiates the new iterate without a compensating
-    lam power, so its per-step gain degrades from 1/(lam*ell) toward 1/ell;
-    the report compares the decay slopes of both runs from step R5_FIT_FROM.
-    """
-    if strength < 0:
-        raise ValueError(f"strength must be >= 0, got {strength}")
-    clean_instance = make_scalar_toy(params, t_amplitude)
-    r5_instance = with_self_interaction(clean_instance, strength)
-    trace_clean = iteration.run(clean_instance)
-    trace_r5 = iteration.run(r5_instance)
-    fit_clean = fit_decay(trace_clean, 0, min_step=R5_FIT_FROM)
-    fit_r5 = fit_decay(trace_r5, 0, min_step=R5_FIT_FROM)
-    no_effect = (len(trace_clean.states) == len(trace_r5.states) and all(
-        s1.norms_error.values == s2.norms_error.values
-        for s1, s2 in zip(trace_clean.states, trace_r5.states)))
-    return R5Report(strength=strength, params=params, fit_clean=fit_clean,
-                    fit_r5=fit_r5, no_effect=no_effect)

@@ -1,7 +1,13 @@
+import itertools
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from tamelab.cli import main
+
+R5_CFG = Path(__file__).resolve().parent.parent / "configs" / "r5.cfg"
 
 TRANSFORMS = ("rfft", "irfft", "fft", "ifft", "fftn", "ifftn")
 
@@ -59,3 +65,23 @@ def count_fft(monkeypatch):
         return log
 
     return start
+
+
+@pytest.fixture
+def r5_demo(tmp_path, capsys):
+    """r5_demo(*items) runs r5-demo on the shipped r5.cfg with each item as
+    a --set override and returns the k = 0 slopes of r5_clean.csv and
+    r5_with.csv, and the stdout."""
+    calls = itertools.count()
+
+    def demo(*items):
+        out = tmp_path / f"r5_{next(calls)}"
+        argv = ["r5-demo", "--config", str(R5_CFG), "--output_dir", str(out)]
+        for item in items:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        clean, with_r5 = (float((out / name).read_text().splitlines()[1].split(",")[1])
+                          for name in ("r5_clean.csv", "r5_with.csv"))
+        return clean, with_r5, capsys.readouterr().out
+
+    return demo

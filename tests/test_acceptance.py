@@ -160,14 +160,14 @@ def test_criterion_6_threshold_behavior():
         assert trace_high.flag == "completed" and trace_high.n_steps == 6
 
 
-def test_criterion_7_self_interaction_stall():
+def test_criterion_7_self_interaction_stall(r5_demo):
     with criterion(7, "self-interaction stalls and loses with frequency"):
-        base = verify.demonstrate_r5_failure(IterationParams(), 1.0)
-        assert base.slope_ratio < R5_FACTOR
-        doubled = verify.demonstrate_r5_failure(IterationParams(lam=64, ell=2.0), 1.0)
-        assert abs(doubled.fit_r5.slope) < abs(base.fit_r5.slope)
-        clean_gap = abs(doubled.fit_clean.slope - base.fit_clean.slope)
-        assert clean_gap <= CLEAN_SHIFT_RTOL * abs(base.fit_clean.slope)
+        base_clean, base_r5, _ = r5_demo()
+        assert abs(base_r5) / abs(base_clean) < R5_FACTOR
+        doubled_clean, doubled_r5, _ = r5_demo("lambda=64", "ell=2")
+        assert abs(doubled_r5) < abs(base_r5)
+        clean_gap = abs(doubled_clean - base_clean)
+        assert clean_gap <= CLEAN_SHIFT_RTOL * abs(base_clean)
 
 
 def test_criterion_8_calculus_oracles():

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from tamelab.cli import (
     FIT_FROM,
     KEYS,
+    SCALAR_ONLY,
     TRACE_COLUMNS,
     ConfigError,
     _csv,
@@ -243,7 +244,6 @@ class TestKeyTable:
     def test_too_few_steps_to_fit_refused_before_build(
             self, command, n_steps, minimum, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("tamelab.cli._build", no_build)
-        monkeypatch.setattr("tamelab.verify.make_scalar_toy", no_build)
         assert main(shipped_argv(command, tmp_path, "--set", f"n_steps={n_steps}")) == 1
         err = capsys.readouterr().err
         assert "config error:" in err
@@ -316,6 +316,16 @@ class TestR5DemoCommand:
         assert (tmp_path / "r5_with.csv").read_bytes() == (
             tmp_path / "r5_clean.csv").read_bytes()
 
+    @pytest.mark.parametrize("item, step", [
+        ("ell=0.05", 2),          # lambda*ell = 1.6: both runs escape
+        ("r5_strength=45", 5),    # only the self-interaction run escapes
+    ])
+    def test_escape_exits_two_before_any_fit(self, item, step, tmp_path, capsys):
+        assert main(shipped_argv("r5-demo", tmp_path, "--set", item)) == 2
+        err = capsys.readouterr().err
+        assert f"escape from the inverse's domain at step {step}" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLedgerCommand:
     def test_threshold_printed(self, capsys):
@@ -366,6 +376,14 @@ class TestAuditKeys:
                      "--set", "seed=3", "--set", "kind=scalar",
                      "--output_dir", str(tmp_path)])
         assert code == 0 and (tmp_path / "audit.csv").exists()
+
+    @pytest.mark.parametrize("ell", ["1e-155", "1e-300"])
+    def test_overflowing_prefactor_exits_two(self, ell, tmp_path, capsys):
+        # R2's prefactor ell**-2 leaves the float range in Python arithmetic.
+        code = main(shipped_argv("remainder-audit", tmp_path, "--set", f"ell={ell}"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunCommand:
@@ -596,10 +614,16 @@ def cli_calls(draw):
     """A subcommand and --set items for every key of the drawn set it reads.
     Each value lies in its key's range; grid, frequency, width and budget
     are drawn to pass most checks across keys, so most calls compute."""
-    command = draw(st.sampled_from(("run", "decay", "r5-demo", "sweep")))
+    command = draw(st.sampled_from(("run", "decay", "r5-demo", "sweep",
+                                    "remainder-audit", "ledger")))
     # sweep's default lambda_ell values reach 128, so ell < 2*pi needs lambda > 20.
     sweep = command == "sweep"
-    n_points = 2 ** draw(st.integers(10 if sweep else 4, 12))
+    # The audit resolves its top frequency 64 to order 3 from 2048 points.
+    # It reads no lambda, so its ell is drawn as 2**e, from 4 down to the
+    # least float, 2**-1074.
+    audit = command == "remainder-audit"
+    audit_ell = st.floats(-1074.0, 2.0).map(lambda e: 2.0 ** e)
+    n_points = 2 ** draw(st.integers(10 if sweep else 11 if audit else 4, 12))
     lam = draw(st.integers(21 if sweep else 1, n_points // 16))
     k1 = draw(st.integers(1, min(4, n_points // (8 * lam) - 1)))
     # From the fewest steps the subcommand accepts, so no draw is spent on
@@ -608,9 +632,11 @@ def cli_calls(draw):
               else 1)
     n_steps = draw(st.integers(fewest, 6))
     values = {
-        "kind": draw(st.sampled_from(("scalar", "two_component"))),
+        "kind": ("scalar" if command in SCALAR_ONLY
+                 else draw(st.sampled_from(("scalar", "two_component")))),
         "lambda": lam,
-        "ell": draw(st.floats(1.0 / lam, PERIOD, exclude_min=True, exclude_max=True)),
+        "ell": draw(audit_ell if audit else st.floats(
+            1.0 / lam, PERIOD, exclude_min=True, exclude_max=True)),
         "amplitude": draw(_finite(0.0, 1e308, (0.0, 0.3))),
         "C_F": draw(_finite(5e-324, 1e308, (1 / 3, 4.0))),
         "drift": draw(_finite(0.0, 1e308, (0.0, 2.0))),
@@ -619,13 +645,17 @@ def cli_calls(draw):
         "n_steps": n_steps,
         "k0": draw(st.integers(k1 + n_steps, k1 + n_steps + 3)),
         "k1": k1,
+        "C": draw(_finite(5e-324, 1e308, (0.1, 10.0))),
+        "C_err": draw(_finite(5e-324, 1e308, (0.1, 10.0))),
+        "C_r": draw(_finite(5e-324, 1e308, (0.1, 10.0))),
     }
-    return [command] + [f"--set={key}={value}" for key, value in values.items()
-                        if command in KEYS[key].commands]
+    csv = ["--csv"] if command == "ledger" and draw(st.booleans()) else []
+    return [command] + csv + [f"--set={key}={value}" for key, value in values.items()
+                              if command in KEYS[key].commands]
 
 
 @given(argv=cli_calls())
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_cli_exit_codes_over_key_ranges(argv):
     # Every call inside the key table's ranges returns 0, 1 with a config
     # or usage error, or 2 with a numerical failure; it never raises.

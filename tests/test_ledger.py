@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamelab.cli import main
 from tamelab.iteration import DerivativeBudgetExhausted, run
 from tamelab.ledger import (
     CONSTANT_CAP,
@@ -11,7 +12,6 @@ from tamelab.ledger import (
     ConstantSet,
     calibrate,
     check_hypotheses,
-    constant_table,
     difference_constant,
     margins,
     pair_count,
@@ -104,10 +104,6 @@ class TestPropagate:
         via_r3 = propagate(unit_constants(), p, (R3,))
         via_r6 = propagate(unit_constants(), p, (r6(2, 2),))
         assert via_r6.c_err == via_r3.c_err
-
-    def test_budget_for_r6_uses_max_order(self):
-        from tamelab.problem import r6
-        assert r6(2, 3).derivative_order == 3
 
     @given(s=st.floats(min_value=0.1, max_value=100.0))
     @settings(**HYP)
@@ -222,9 +218,15 @@ class TestCheckHypotheses:
 
 
 class TestTableAndValidation:
-    def test_constant_table_rows(self):
-        p = params_for()
-        rows = constant_table(unit_constants(), p, 4)
+    def test_propagated_table_rows(self, tmp_path, capsys):
+        # the table through its one entry point, at unit constants and
+        # params_for()'s lambda*ell = 100 (the key table caps ell below 2*pi)
+        assert main(["ledger", "--csv", "--output_dir", str(tmp_path),
+                     "--set", "lambda=25", "--set", "ell=4", "--set", "k0=5",
+                     "--set", "n_steps=4"]) == 0
+        header, *lines = (tmp_path / "ledger.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), map(float, line.split(","))))
+                for line in lines]
         assert [r["step"] for r in rows] == [1, 2, 3, 4]
         assert rows[0]["C_diff"] == pytest.approx(2.02)
         assert rows[0]["threshold"] == 3.0

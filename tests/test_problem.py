@@ -70,7 +70,6 @@ class TestBoundClass:
         assert R3.arg_derivatives == (1, 1)
         assert R4.arg_derivatives == (1, 0)
         assert r6(2, 1).arg_derivatives == (2, 1)
-        assert R5.derivative_order == 1 and R2.derivative_order == 0
 
     def test_invalid_kinds(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -239,7 +238,6 @@ class TestSelfInteraction:
         augmented = with_self_interaction(instance, 1.0)
         kinds = [b.kind for b in augmented.remainder.class_tags]
         assert kinds == ["R1", "R2", "R3", "R4", "R5"]
-        assert augmented.remainder.derivative_order == 1
 
     def test_term_formula(self):
         # r5(a, a) = strength/(lam ell) cos(lam x) (da) a

@@ -2,6 +2,7 @@
 must still resolve, or `bench/run.py --trace 1` fails at install time, and
 the wrapped names must see every instance build and every run once."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -51,3 +52,28 @@ def test_recorder_counts_builds_and_runs(tmp_path, capsys):
     assert codes == [0] * len(calls)
     assert recorder.calls["problem.build"] == 7
     assert recorder.calls["iteration.run"] == 8
+
+
+
+def _name(node):
+    """The name a node mentions: bare, as an attribute or imported."""
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
+def test_layering():
+    # Only problem and the CLI build instances, only iteration and the CLI
+    # run them, and the package namespace imports nothing.
+    builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
+                "with_self_interaction"}
+    for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
+        module, nodes = path.stem, list(ast.walk(ast.parse(path.read_text())))
+        if module not in ("problem", "cli"):
+            assert not builders & {_name(n) for n in nodes}, module
+        if module not in ("iteration", "cli"):
+            assert "run" not in {_name(n.func) for n in nodes
+                                 if isinstance(n, ast.Call)}, module
+        if module == "__init__":
+            assert not any(isinstance(n, (ast.Import, ast.ImportFrom))
+                           for n in nodes)

@@ -35,7 +35,6 @@ from tamelab.verify import (
     R5_FACTOR,
     InsufficientSteps,
     audit_classes,
-    demonstrate_r5_failure,
     fit_decay,
     oracle_norm,
     verify_remainder_class,
@@ -367,25 +366,29 @@ class TestOracleNorm:
 
 
 class TestR5Demo:
-    def test_strength_zero_no_effect(self):
-        report = demonstrate_r5_failure(IterationParams(), 0.0)
-        assert report.no_effect
-        assert report.slope_ratio == pytest.approx(1.0)
+    """The self-interaction demo through its one entry point, r5-demo on the
+    shipped r5.cfg (the default scales at strength 1)."""
 
-    def test_stall_at_strength_one(self):
-        report = demonstrate_r5_failure(IterationParams(), 1.0)
-        assert not report.no_effect
-        assert report.stalled()
-        assert report.slope_ratio < R5_FACTOR
-        assert abs(report.fit_r5.slope) < abs(report.fit_clean.slope)
+    def test_strength_zero_no_effect(self, r5_demo):
+        clean, with_r5, out = r5_demo("r5_strength=0")
+        assert "no effect" in out
+        assert abs(with_r5) / abs(clean) == pytest.approx(1.0)
 
-    def test_lambda_doubling_worsens_stall(self):
-        base = demonstrate_r5_failure(IterationParams(), 1.0)
-        doubled = demonstrate_r5_failure(IterationParams(lam=64, ell=2.0), 1.0)
-        assert abs(doubled.fit_r5.slope) < abs(base.fit_r5.slope)
-        clean_shift = abs(doubled.fit_clean.slope - base.fit_clean.slope)
-        assert clean_shift <= 0.15 * abs(base.fit_clean.slope)
+    def test_stall_at_strength_one(self, r5_demo):
+        clean, with_r5, out = r5_demo()
+        assert "no effect" not in out and "stalled=True" in out
+        assert abs(with_r5) / abs(clean) < R5_FACTOR
+        assert abs(with_r5) < abs(clean)
 
-    def test_stalled_at_strength_one_not_zero(self):
-        assert demonstrate_r5_failure(IterationParams(), 1.0).stalled()
-        assert not demonstrate_r5_failure(IterationParams(), 0.0).stalled()
+    def test_lambda_doubling_worsens_stall(self, r5_demo):
+        base_clean, base_r5, _ = r5_demo()
+        doubled_clean, doubled_r5, _ = r5_demo("lambda=64", "ell=2")
+        assert abs(doubled_r5) < abs(base_r5)
+        clean_shift = abs(doubled_clean - base_clean)
+        assert clean_shift <= 0.15 * abs(base_clean)
+
+    def test_stalled_at_strength_one_not_zero(self, r5_demo):
+        clean, with_r5, out = r5_demo()
+        assert abs(with_r5) / abs(clean) < R5_FACTOR and "stalled=True" in out
+        clean, with_r5, out = r5_demo("r5_strength=0")
+        assert not abs(with_r5) / abs(clean) < R5_FACTOR
