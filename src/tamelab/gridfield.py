@@ -157,13 +157,17 @@ def _clean_spectrum(f: GridFunction) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _derivative_multiplier(n_points: int, order: int) -> np.ndarray:
-    """(i m)^order over the rfft modes m = 0..n_points/2, read-only.
+    """(i m)^order over the rfft modes m = 0..n_points/2 without the factor
+    i of odd orders: the real (-1)^(order // 2) m^order, read-only, half the
+    bytes of the complex multiplier.  Its users multiply odd orders by i,
+    which is exact (a swap of real and imaginary parts, one sign flipped),
+    so derivatives keep the bits of the complex product.
 
     The Nyquist mode has no consistent odd derivative, so odd orders drop
     it (Trefethen, Spectral Methods in MATLAB, ch. 3).
     """
     m = np.arange(n_points // 2 + 1, dtype=np.float64)
-    mult = (1, 1j, -1, -1j)[order % 4] * m ** order
+    mult = (1.0, -1.0)[order // 2 % 2] * m ** order
     if order % 2 == 1:
         mult[n_points // 2] = 0.0
     mult = mult[:, np.newaxis]
@@ -238,8 +242,10 @@ class FieldSpectrum:
         if self._spectrum is None:
             self._spectrum = _clean_spectrum(self.field)
         n = self.field.n_points
-        return np.fft.irfft(self._spectrum * _derivative_multiplier(n, order),
-                            n, axis=0)
+        product = self._spectrum * _derivative_multiplier(n, order)
+        if order % 2 == 1:
+            product *= 1j
+        return np.fft.irfft(product, n, axis=0)
 
     def derivative(self, order: int) -> GridFunction:
         """d^order f, computed once and kept; order 0 is the field itself.
@@ -314,7 +320,11 @@ def ck_norms(rows: np.ndarray, k_max: int) -> np.ndarray:
         spec = _clean(np.fft.rfft(rows[batch], axis=-1), axis=-1)[:, np.newaxis]
         per_call = max(1, BATCH_POINTS // (n * len(spec)))
         for j in range(0, k_max, per_call):
-            d = np.fft.irfft(spec * mults[j:j + per_call], n, axis=-1)
+            # Row r of the call is order j + 1 + r, so the odd orders, which
+            # take the factor i, start at row j % 2.
+            product = spec * mults[j:j + per_call]
+            product[:, j % 2::2] *= 1j
+            d = np.fft.irfft(product, n, axis=-1)
             norms[batch, 1 + j:1 + j + d.shape[1]] = row_sups(
                 d.reshape(-1, n)).reshape(d.shape[:2])
     # ck_norm's running max: ||f||_k = max_{j <= k} sup |d^j f|.

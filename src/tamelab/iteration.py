@@ -4,22 +4,23 @@ Each step solves the bilinear equation exactly for the previous remainder and
 re-evaluates the remainder at the new iterate, so the new error satisfies the
 substitution identity E_(i+1) = r_i(a_i) - r_(i+1)(a_(i+1)) up to rounding.
 The driver computes E definitionally and uses the identity purely as a
-cross-check, recording the residual between the two at every step.
+cross-check, recording the residual between the two at every step.  A run
+takes the norms it records as each step completes and keeps no field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .gridfield import FieldSpectrum, GridFunction, NormVector, ck_norm
 from .problem import DomainEscape, ProblemInstance
 
 __all__ = [
-    "DomainEscape", "DerivativeBudgetExhausted", "IterationState",
-    "IterationTrace", "initial_step", "step", "run", "identity_residual",
+    "ALL_COLUMNS", "DomainEscape", "DerivativeBudgetExhausted", "StepNorms",
+    "IterationState", "IterationTrace", "initial_step", "step", "run",
+    "identity_residual",
 ]
 
 IDENTITY_TOL = 1e-9
@@ -31,53 +32,64 @@ class DerivativeBudgetExhausted(RuntimeError):
     """The derivative-loss budget k0 cannot cover another step."""
 
 
-@dataclass(frozen=True)
-class IterationState:
-    """Snapshot after step i: the iterate, its remainder, and the error
-    E = T - b(a, a) - r(a), with norms up to the step's remaining budget.
+# The norm columns a run can record: ||a_i||, ||E_i||, ||r_i(a_i)|| and
+# ||a_i - a_(i-1)||.
+ALL_COLUMNS = ("a", "error", "r", "diff")
 
-    The remainder's norms are taken on first read: the decay fits read only
-    the error's."""
+
+@dataclass(frozen=True)
+class StepNorms:
+    """The norm row of step i, taken when the step completed, up to the
+    step's norm order: ||E_i|| (past step 0, to order 0 alone where the run
+    did not record the error column), and ||a_i||, ||r_i(a_i)|| and
+    ||a_i - a_(i-1)|| where it recorded theirs, else None.  Step 0 has no
+    difference."""
 
     step: int
+    norms_error: NormVector
+    norms_a: Optional[NormVector] = None
+    norms_r: Optional[NormVector] = None
+    norms_diff: Optional[NormVector] = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class IterationState(StepNorms):
+    """Step i with its fields: the iterate, its remainder and the error
+    E = T - b(a, a) - r(a), and the norm row taken from them when the step
+    completed.  initial_step and step return these; run holds the current
+    and the previous one only and keeps their rows."""
+
     a: GridFunction
     r_of_a: GridFunction
     error: GridFunction
-    norms_a: NormVector
-    norms_error: NormVector
 
-    @cached_property
-    def norms_r(self) -> NormVector:
-        return ck_norm(self.r_of_a, self.norms_a.k_max)
+    def row(self) -> StepNorms:
+        return StepNorms(self.step, self.norms_error, self.norms_a, self.norms_r,
+                         self.norms_diff)
 
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Full record of a run: states 0..n, per-transition difference norms
-    and identity residuals.
-
-    The difference norms are computed on first read and kept, so a caller
-    that reads only the error norms pays for none."""
+    """Record of a run: the norm rows of states 0..n, taken as each step
+    completed, with the columns the run recorded, and the identity
+    residual of each transition.  It holds no field."""
 
     instance: ProblemInstance
-    states: tuple[IterationState, ...]
+    states: tuple[StepNorms, ...]
     identity_residuals: tuple[float, ...]
     flag: str
     escape_step: Optional[int]
     target_sup: float
+    columns: tuple[str, ...]
 
     @property
     def n_steps(self) -> int:
         return self.states[-1].step
 
-    @cached_property
-    def diff_norms(self) -> tuple[NormVector, ...]:
+    @property
+    def diff_norms(self) -> tuple[Optional[NormVector], ...]:
         """||a_(i+1) - a_i|| per transition at the norm order of i+1."""
-        order = self.instance.params.norm_order
-        # a_0 = 0, so a_1 - a_0 is a_1 and its norms are already held.
-        return tuple(new.norms_a if prev.step == 0 else
-                     ck_norm(new.a - prev.a, order(new.step))
-                     for prev, new in zip(self.states, self.states[1:]))
+        return tuple(s.norms_diff for s in self.states[1:])
 
     def log_errors(self, k: int, min_step: int = 1) -> list[tuple[int, float]]:
         """(i, ln ||E_i||_k) for the steps i >= max(min_step, 1) whose error
@@ -89,53 +101,63 @@ class IterationTrace:
                 and k < len(s.norms_error) and s.norms_error[k] > 0.0]
 
 
-def _state(instance: ProblemInstance, step_index: int, a: GridFunction) -> IterationState:
+def _state(instance: ProblemInstance, step_index: int, a: GridFunction,
+           columns: Sequence[str], prev_a: Optional[GridFunction]) -> IterationState:
+    """The state at a, with the norms of columns; prev_a is the previous
+    iterate, None for a_0 = 0."""
     order = instance.params.norm_order(step_index)
+    diff = "diff" in columns and step_index >= 1
     spectral_a = FieldSpectrum(a)  # one transform of a: remainder and norms
     r_of_a = instance.remainder(spectral_a, step_index)
-    norms_a = spectral_a.ck_norm(order)
+    # a_0 = 0, so ||a_1 - a_0|| is ||a_1||.
+    norms_a = (spectral_a.ck_norm(order)
+               if "a" in columns or diff and prev_a is None else None)
     # a's spectrum and derivatives are not needed past this point; on fine
     # grids keeping them through the other norms would raise peak memory.
     del spectral_a
     error = instance.target - instance.bilinear(a, a, step_index) - r_of_a
+    norms_diff = (None if not diff else norms_a if prev_a is None
+                  else ck_norm(a - prev_a, order))
     return IterationState(
         step=step_index,
         a=a,
         r_of_a=r_of_a,
         error=error,
-        norms_a=norms_a,
-        norms_error=ck_norm(error, order),
+        norms_a=norms_a if "a" in columns else None,
+        norms_error=ck_norm(error, order if "error" in columns else 0),
+        norms_r=ck_norm(r_of_a, order) if "r" in columns else None,
+        norms_diff=norms_diff,
     )
 
 
-def start_state(instance: ProblemInstance) -> IterationState:
+def start_state(instance: ProblemInstance, columns: Sequence[str]) -> IterationState:
     """Step 0: a = 0, r(a) = 0, so the error is the target itself.
 
     Assembled, not computed: T - b(0, 0) - r(0) is exactly T, and its norms
     are the ones the instance build took, so this makes no transform."""
     p = instance.params
     zero_norms = NormVector((0.0,) * (p.norm_order(0) + 1))
-    state = IterationState(
+    return IterationState(
         step=0,
         a=GridFunction.zeros(p.n_points, instance.n_components),
         r_of_a=GridFunction.zeros(p.n_points),
         error=instance.target,
-        norms_a=zero_norms,
+        norms_a=zero_norms if "a" in columns else None,
         norms_error=instance.target_norms,
+        norms_r=zero_norms if "r" in columns else None,
     )
-    # r(0) = 0: fill the cached norms rather than transform zeros.
-    object.__setattr__(state, "norms_r", zero_norms)
-    return state
 
 
-def initial_step(instance: ProblemInstance) -> IterationState:
+def initial_step(instance: ProblemInstance, *,
+                 columns: Sequence[str] = ALL_COLUMNS) -> IterationState:
     """Step 1: a = F(T).  The bilinear part reproduces T exactly, so the
     error is minus the remainder at the first iterate and their norms agree."""
     a1 = instance.inverse(instance.target, 1)
-    return _state(instance, 1, a1)
+    return _state(instance, 1, a1, columns, None)
 
 
-def step(state: IterationState, instance: ProblemInstance) -> IterationState:
+def step(state: IterationState, instance: ProblemInstance, *,
+         columns: Sequence[str] = ALL_COLUMNS) -> IterationState:
     """One corrector step from state i to i+1.
 
     Raises DomainEscape, from instance.inverse, when T - r_i(a_i) leaves the
@@ -149,7 +171,7 @@ def step(state: IterationState, instance: ProblemInstance) -> IterationState:
             f"stepping to {next_index} leaves no controlled orders "
             f"(k0 = {p.k0}); raise k0 per the budget k1 + steps * order")
     a_next = instance.inverse(instance.target - state.r_of_a, next_index)
-    return _state(instance, next_index, a_next)
+    return _state(instance, next_index, a_next, columns, state.a)
 
 
 def identity_residual(prev: IterationState, new: IterationState) -> float:
@@ -158,13 +180,20 @@ def identity_residual(prev: IterationState, new: IterationState) -> float:
     return (new.error - (prev.r_of_a - new.r_of_a)).sup()
 
 
-def run(instance: ProblemInstance) -> IterationTrace:
-    """Run the iteration, recording everything needed for verification.
+def run(instance: ProblemInstance, *,
+        columns: Sequence[str] = ALL_COLUMNS) -> IterationTrace:
+    """Run the iteration and record, as each step completes, the norm
+    columns named in columns (of ALL_COLUMNS), ||E_i||_0 and the identity
+    residual.  Then the step's fields go: only the current and the previous
+    state are alive at a time, so memory does not grow with the steps.
 
     Stops early with flag 'diverged' on DomainEscape (a partial trace, not an
     error: sub-threshold behavior is something we measure) or 'floor' once
     the error reaches the floating-point floor.
     """
+    columns = tuple(columns)
+    if not set(columns) <= set(ALL_COLUMNS):
+        raise ValueError(f"unknown columns in {columns}; a run records {ALL_COLUMNS}")
     p = instance.params
     n = p.n_steps
     if n < 1:
@@ -175,18 +204,20 @@ def run(instance: ProblemInstance) -> IterationTrace:
             f"need k0 >= {p.k1 + n} for order-1 remainders")
     target_sup = instance.target.sup()
 
-    states = [start_state(instance)]
+    prev = start_state(instance, columns)
+    rows = [prev.row()]
     residuals: list[float] = []
     flag, escape_step = "completed", None
     for i in range(1, n + 1):
-        prev = states[-1]
         try:
-            new = initial_step(instance) if i == 1 else step(prev, instance)
+            new = (initial_step(instance, columns=columns) if i == 1
+                   else step(prev, instance, columns=columns))
         except DomainEscape as esc:
             flag, escape_step = "diverged", esc.step
             break
-        states.append(new)
+        rows.append(new.row())
         residuals.append(identity_residual(prev, new))
+        prev = new
         if new.norms_error[0] < FLOOR_STOP * target_sup:
             if i < n:
                 flag = "floor"
@@ -194,10 +225,10 @@ def run(instance: ProblemInstance) -> IterationTrace:
 
     return IterationTrace(
         instance=instance,
-        states=tuple(states),
+        states=tuple(rows),
         identity_residuals=tuple(residuals),
         flag=flag,
         escape_step=escape_step,
         target_sup=target_sup,
+        columns=columns,
     )
-

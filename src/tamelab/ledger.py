@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .gridfield import NormVector
-from .iteration import IterationState, IterationTrace
+from .iteration import IterationTrace, StepNorms
 from .problem import BoundClass, IterationParams, R1, R2, R3, R4
 
 STOCK_CLASSES = (R1, R2, R3, R4)
@@ -215,7 +215,7 @@ class StepMargins:
         return max((self.field_sup,) + self.field + self.error + self.remainder)
 
 
-def _step_margins(state: IterationState, cs: ConstantSet,
+def _step_margins(state: StepNorms, cs: ConstantSet,
                   params: IterationParams) -> StepMargins:
     ratios = lambda values, constant: tuple(v / constant for v in values)
     return StepMargins(
@@ -229,7 +229,12 @@ def _step_margins(state: IterationState, cs: ConstantSet,
 def margins(trace: IterationTrace) -> tuple[tuple[StepMargins, ...],
                                             tuple[ConstantSet, ...]]:
     """Calibrate constants off step 1, then propagate them alongside the
-    trace; measured/allowed ratios use the constants at the matching step."""
+    trace; measured/allowed ratios use the constants at the matching step.
+    The trace must have recorded the a, error and r columns."""
+    missing = [c for c in ("a", "error", "r") if c not in trace.columns]
+    if missing:
+        raise ValueError(f"margins read the a, error and r norm columns; this "
+                         f"trace did not record {', '.join(missing)}")
     instance = trace.instance
     params = instance.params
     active = trace.states[1:]

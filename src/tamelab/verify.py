@@ -178,7 +178,9 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     term at a time at 65536 points.  A term that returns anything but one
     component on the audit grid raises ValueError.
     Raises ResolutionError, before drawing, when the grid cannot resolve
-    norms to order k_max at the top frequency.
+    norms to order k_max at the top frequency, and FloatingPointError
+    naming the class, lambda and ell when a term or its norms leave the
+    float range.
     """
     if n_samples < 10:
         raise ValueError(f"need n_samples >= 10, got {n_samples}")
@@ -197,16 +199,24 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     per_batch = norm_batch_rows(params.n_points, k_max)
     worst = [[[0.0] * (k_max + 1) for _ in lambda_grid] for _ in pairs]
 
+    def out_of_range(bound_class, lam):
+        return FloatingPointError(
+            f"the class {bound_class.kind} term leaves the float range at "
+            f"lambda={lam}, ell={params.ell}")
+
     def measured_fields(a, b, norms):
-        """Yield (samples, rhs, worst row) for every pair and frequency:
-        the term's one-component samples through RemainderTerm.apply, and
-        its class estimate with unit constant."""
+        """Yield (samples, rhs, worst row, (class, lambda)) for every pair
+        and frequency: the term's one-component samples through
+        RemainderTerm.apply, and its class estimate with unit constant."""
         for (term, bound_class), rows in zip(pairs, worst):
             bilinear = bound_class.arity == 2
             class_norms = _class_norms(bound_class, norms, k_max)
             for lam, modulation, row in zip(lambda_grid, modulations, rows):
-                r = term.apply(a, b if bilinear else None, lam=lam,
-                               ell=params.ell, modulation=modulation)
+                try:
+                    r = term.apply(a, b if bilinear else None, lam=lam,
+                                   ell=params.ell, modulation=modulation)
+                except (FloatingPointError, OverflowError) as exc:
+                    raise out_of_range(bound_class, lam) from exc
                 if (r.n_points, r.n_components) != (params.n_points, 1):
                     raise ValueError(
                         f"term returned {r.n_components} component(s) on "
@@ -214,7 +224,7 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
                         f"{params.n_points}-point audit grid")
                 yield (r.samples[:, 0],
                        _rhs_polynomial(bound_class, class_norms, lam,
-                                       params.ell, k_max), row)
+                                       params.ell, k_max), row, (bound_class, lam))
 
     for idx in range(n_samples):
         # Per-sample seeding keeps the fields independent of which pairs
@@ -226,8 +236,18 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
              if draw_b else None)
         fields = measured_fields(a, b, _argument_norms((a, b), classes, k_max))
         while batch := list(itertools.islice(fields, per_batch)):
-            measured = ck_norms(np.stack([r for r, _, _ in batch]), k_max)
-            for values, (_, rhs, row) in zip(measured.tolist(), batch):
+            try:
+                measured = ck_norms(np.stack([r for r, *_ in batch]), k_max)
+            except FloatingPointError:
+                # Rows are normed independently: name the first that
+                # overflows on its own.
+                for r, _, _, label in batch:
+                    try:
+                        ck_norms(r[np.newaxis], k_max)
+                    except FloatingPointError as exc:
+                        raise out_of_range(*label) from exc
+                raise
+            for values, (_, rhs, row, _) in zip(measured.tolist(), batch):
                 for k in range(k_max + 1):
                     if rhs[k] > 0:
                         row[k] = max(row[k], values[k] / rhs[k])

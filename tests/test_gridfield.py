@@ -18,6 +18,7 @@ from tamelab.gridfield import (
     coordinates,
     derivative,
     _clean_spectrum,
+    _derivative_multiplier,
     mollify,
     norm_batch_rows,
     oscillator,
@@ -102,6 +103,26 @@ class TestDerivative:
         else:
             expected = (-1) ** (order // 2) * (n / 2) ** order * np.cos(n // 2 * x)
             assert np.max(np.abs(d - expected)) < 1e-12 * (n / 2) ** order
+
+    @pytest.mark.parametrize("n", [16, 2048, 65536])
+    def test_real_multiplier_bits_equal_complex(self, n):
+        # The cache holds the real, signed m^k, half the bytes of the
+        # complex (i m)^k, and applies i^k as a swap of real and imaginary
+        # parts: the samples are those of the complex product, bit for bit,
+        # with the Nyquist mode (present at n = 16) zeroed for odd k.
+        f = random_trig_polynomial(np.random.default_rng(n), n,
+                                   max_mode=min(8, n // 2))
+        spec = _clean_spectrum(f)
+        m = np.arange(n // 2 + 1)[:, np.newaxis]
+        field = FieldSpectrum(f)
+        for k in range(1, 10):
+            mult = (1j * m) ** k
+            if k % 2 == 1:
+                mult[n // 2] = 0.0
+            want = np.fft.irfft(spec * mult, n, axis=0)
+            assert np.array_equal(field.derivative(k).samples, want), k
+            cached = _derivative_multiplier(n, k)
+            assert cached.dtype == np.float64 and cached.nbytes == 8 * (n // 2 + 1)
 
 
 def complex_fft_ck_norm(f, k_max):

@@ -1,3 +1,5 @@
+import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -5,10 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tamelab import ledger
+from tamelab import iteration, ledger
 from tamelab.cli import main
-from tamelab.gridfield import GridFunction, ck_norm, oscillator
+from tamelab.gridfield import GridFunction, NormVector, ck_norm, oscillator
 from tamelab.iteration import (
+    ALL_COLUMNS,
     DerivativeBudgetExhausted,
     _state,
     identity_residual,
@@ -36,6 +39,15 @@ def no_remainder(instance):
 @pytest.fixture(scope="module")
 def stock_trace():
     return run(make_scalar_toy(IterationParams(), 0.2))
+
+
+def walk(instance):
+    """States 0..n_steps of a run made by hand: unlike run, which keeps
+    norm rows only, these hold their fields."""
+    states = [start_state(instance, ALL_COLUMNS), initial_step(instance)]
+    while states[-1].step < instance.params.n_steps:
+        states.append(step(states[-1], instance))
+    return states
 
 
 class TestInitialStep:
@@ -171,11 +183,12 @@ class TestRun:
         a = run(make_scalar_toy(IterationParams(), 0.2))
         b = run(make_scalar_toy(IterationParams(), 0.2))
         assert len(a.states) == len(b.states)
-        for s, t in zip(a.states, b.states):
+        assert a.states == b.states  # every recorded norm row
+        assert a.identity_residuals == b.identity_residuals
+        walked = [walk(make_scalar_toy(IterationParams(), 0.2)) for _ in range(2)]
+        for s, t in zip(*walked):
             assert np.array_equal(s.a.samples, t.a.samples)
             assert np.array_equal(s.error.samples, t.error.samples)
-            assert s.norms_error.values == t.norms_error.values
-        assert a.identity_residuals == b.identity_residuals
 
     def test_varying_family_identity(self):
         trace = run(make_varying_toy(IterationParams(), drift=1.0))
@@ -188,8 +201,10 @@ class TestRun:
         assert max(trace.identity_residuals) <= 1e-9 * (1 + trace.target_sup)
 
     def test_drift_zero_trace_matches_stock(self, stock_trace):
-        varying = run(make_varying_toy(IterationParams(), drift=0.0))
-        for s, t in zip(stock_trace.states, varying.states):
+        varying = make_varying_toy(IterationParams(), drift=0.0)
+        assert run(varying).states == stock_trace.states
+        stock = walk(make_scalar_toy(IterationParams(), 0.2))
+        for s, t in zip(stock, walk(varying), strict=True):
             assert np.array_equal(s.a.samples, t.a.samples)
 
     def test_r5_run_still_satisfies_identity(self):
@@ -237,17 +252,18 @@ class TestCheckHypotheses:
 
 
 class TestTelescoping:
-    def test_convention_resolved_numerically(self, stock_trace):
+    def test_convention_resolved_numerically(self):
         # reconstruction r_1(a_1) - sum_{j=2..i+1} E_j matches the direct
         # remainder; including E_1 in the sum (the other index reading)
         # misses by ~||E_1||, so the convention is unambiguous
+        states = walk(make_scalar_toy(IterationParams(), 0.2))
         for upto in (2, 3):
-            recon = stock_trace.states[1].r_of_a
+            recon = states[1].r_of_a
             for j in range(2, upto + 1):
-                recon = recon - stock_trace.states[j].error
-            direct = stock_trace.states[upto].r_of_a
+                recon = recon - states[j].error
+            direct = states[upto].r_of_a
             assert (recon - direct).sup() <= 1e-9
-            wrong = recon - stock_trace.states[1].error
+            wrong = recon - states[1].error
             gap = (wrong - direct).sup()
             assert gap > 1e-4  # the wrong reading is off by ||E_1|| ~ 8e-3
 
@@ -258,13 +274,25 @@ class TestTransformCount:
         # assembled from the build's target norms: no transform.  States
         # 1..5 take one rfft of a, shared by the remainder's first
         # derivative (one irfft) and ||a||, which reads that derivative and
-        # adds (6 - i) irffts; then one rfft + (7 - i) irffts for ||E||.
-        # rfft: 5 * 2 = 10.  irfft: 2 * 20 = 40.
+        # adds (6 - i) irffts; then one rfft + (7 - i) irffts each for
+        # ||E||, for ||r|| and, at steps 2..5, for the difference (the
+        # step-1 difference is ||a_1||).  rfft: 5 * 4 - 1 = 19.  irfft:
+        # 5 + 15 + 20 + 20 + 14 = 74.
         instance = make_scalar_toy(IterationParams(), 0.2)
         log = count_fft()
-        trace = run(instance)
+        trace = run(instance, columns=ALL_COLUMNS)
         assert trace.flag == "completed" and trace.n_steps == 5
-        assert log.calls == log.rows == {"rfft": 10, "irfft": 40}
+        assert log.calls == log.rows == {"rfft": 19, "irfft": 74}
+
+    def test_error_only_run_transform_count(self, count_fft):
+        # The error column alone: the rfft of a and the remainder's first
+        # derivative (one irfft), then one rfft + (7 - i) irffts for ||E||.
+        # rfft: 5 * 2 = 10.  irfft: 5 + 20 = 25.
+        instance = make_scalar_toy(IterationParams(), 0.2)
+        log = count_fft()
+        trace = run(instance, columns=("error",))
+        assert trace.flag == "completed" and trace.n_steps == 5
+        assert log.calls == log.rows == {"rfft": 10, "irfft": 25}
 
 
 # The instance families whose step 0 and step-1 difference are assembled
@@ -289,9 +317,10 @@ class TestAssembledStart:
     def test_step0_equals_generic_state(self, family):
         instance = FAMILIES[family]()
         p = instance.params
-        assembled = start_state(instance)
+        assembled = start_state(instance, ALL_COLUMNS)
         generic = _state(instance, 0,
-                         GridFunction.zeros(p.n_points, instance.n_components))
+                         GridFunction.zeros(p.n_points, instance.n_components),
+                         ALL_COLUMNS, None)
         assert assembled.step == generic.step == 0
         for name in ("a", "r_of_a", "error"):
             assert same_bits(getattr(assembled, name), getattr(generic, name)), name
@@ -303,41 +332,79 @@ class TestAssembledStart:
         instance = FAMILIES[family]()
         p = instance.params
         trace = run(instance)
+        states = walk(instance)
         zeros = GridFunction.zeros(p.n_points, instance.n_components)
         assert trace.diff_norms[0].values == ck_norm(
-            trace.states[1].a - zeros, p.norm_order(1)).values
-        for prev, new, diff in zip(trace.states[1:], trace.states[2:],
-                                   trace.diff_norms[1:]):
+            states[1].a - zeros, p.norm_order(1)).values
+        for prev, new, diff in zip(states[1:-1], states[2:], trace.diff_norms[1:],
+                                   strict=True):
             assert diff.values == ck_norm(new.a - prev.a,
                                           p.norm_order(new.step)).values
 
 
 class TestLazyColumns:
+    """The norm columns: ||r|| and the differences, once taken on first read,
+    and the others, all taken as each step completes."""
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_lazy_columns_equal_eager(self, family):
-        # The columns read on demand hold the bits of the ck_norm calls that
-        # used to run inside run, and the margins read off them match.
+        # Each column the run records holds the bits of ck_norm of the field
+        # it norms, taken from a run walked by hand, and the margins read off
+        # the trace match those read off these norms.
         instance = FAMILIES[family]()
         trace = run(instance)
         eager = []
-        for state in trace.states:
-            norms_r = (state.norms_r if state.step == 0 else
-                       ck_norm(state.r_of_a, instance.params.norm_order(state.step)))
-            eager.append(SimpleNamespace(step=state.step, norms_a=state.norms_a,
-                                         norms_error=state.norms_error,
-                                         norms_r=norms_r))
-        assert ledger.margins(trace) == ledger.margins(
-            SimpleNamespace(instance=instance, states=eager))
-        for state, want in zip(trace.states, eager):
-            assert state.norms_r.values == want.norms_r.values
+        for state in walk(instance):
+            order = instance.params.norm_order(state.step)
+            norms = lambda f: ck_norm(f, order) if state.step else NormVector(
+                (0.0,) * (order + 1))
+            eager.append(SimpleNamespace(
+                step=state.step, norms_a=norms(state.a),
+                norms_error=ck_norm(state.error, order), norms_r=norms(state.r_of_a)))
+        assert ledger.margins(trace) == ledger.margins(SimpleNamespace(
+            instance=instance, states=eager, columns=ALL_COLUMNS))
+        for row, want in zip(trace.states, eager, strict=True):
+            for name in ("norms_a", "norms_error", "norms_r"):
+                assert getattr(row, name).values == getattr(want, name).values
         assert len(trace.diff_norms) == len(trace.states) - 1
 
-    def test_columns_computed_once(self, monkeypatch):
+    def test_columns_computed_once(self, count_fft):
+        # Reading the trace after the run makes no transform: every column
+        # was taken as its step completed.
         trace = run(make_scalar_toy(IterationParams(), 0.2))
-        first = (trace.diff_norms, trace.states[2].norms_r)
-        monkeypatch.setattr("tamelab.iteration.ck_norm", None)
-        assert (trace.diff_norms, trace.states[2].norms_r) == first
-        assert trace.diff_norms is first[0]
+        log = count_fft()
+        assert None not in trace.diff_norms
+        assert None not in [s.norms_r for s in trace.states]
+        assert ledger.margins(trace)[0]
+        assert log.entries == []
+
+    def test_error_only_trace(self):
+        # The error column alone: the same ||E_i|| bits and residuals as a
+        # full run, no other column, and margins refuse it by name.
+        instance = make_scalar_toy(IterationParams(), 0.2)
+        full = run(instance)
+        errors = run(instance, columns=("error",))
+        assert errors.columns == ("error",)
+        assert [s.norms_error for s in errors.states] == [
+            s.norms_error for s in full.states]
+        assert errors.identity_residuals == full.identity_residuals
+        assert all(s.norms_a is s.norms_r is s.norms_diff is None
+                   for s in errors.states)
+        with pytest.raises(ValueError, match="did not record a, r"):
+            ledger.margins(errors)
+
+    def test_without_error_column_keeps_order_zero(self):
+        # ||E_i||_0 is part of every run: it sets the floor stop.
+        instance = make_scalar_toy(IterationParams(), 0.2)
+        full = run(instance)
+        bare = run(instance, columns=())
+        assert [s.norms_error.values for s in bare.states[1:]] == [
+            s.norms_error.values[:1] for s in full.states[1:]]
+        assert bare.identity_residuals == full.identity_residuals
+
+    def test_unknown_column_refused(self):
+        with pytest.raises(ValueError, match="unknown columns in"):
+            run(make_scalar_toy(IterationParams(), 0.2), columns=("a", "norm_r"))
 
     def test_sweep_norms_only_errors(self, monkeypatch, tmp_path):
         # sweep reads ||E_i|| alone: iteration norms the 5 errors of each of
@@ -358,3 +425,49 @@ class TestLazyColumns:
                      "--output_dir", str(tmp_path)]) == 0
         assert len(list(tmp_path.glob("decay_ll*.csv"))) == 3
         assert normed == [3, 3, 3, 3, 2] * 3
+
+
+# lam*ell = 12 at 8 points per wavelength and order: the error settles above
+# the floor, so every run takes all its steps.
+LONG_RUN = dict(lam=128, ell=12 / 128, k0=18, k1=1, n_points=8192)
+
+
+class TestMemory:
+    """A run keeps norm rows, not fields: memory does not grow with steps."""
+
+    def test_fields_of_earlier_states_released(self, monkeypatch):
+        refs = []
+
+        def tracking(make):
+            def wrapper(*args, **kwargs):
+                state = make(*args, **kwargs)
+                refs.append([weakref.ref(f) for f in (state.a, state.r_of_a,
+                                                      state.error)])
+                return state
+            return wrapper
+
+        for name in ("initial_step", "step"):
+            monkeypatch.setattr(iteration, name, tracking(getattr(iteration, name)))
+        trace = run(make_scalar_toy(IterationParams(n_steps=16, **LONG_RUN), 0.2))
+        assert trace.flag == "completed" and len(refs) == 16
+        alive = [(i, name) for i, step_refs in enumerate(refs[:-1], start=1)
+                 for name, ref in zip(("a", "r_of_a", "error"), step_refs)
+                 if ref() is not None]
+        assert alive == []
+
+    def test_traced_peak_flat_in_run_length(self):
+        # The parent design kept a, r(a) and E of every step: 3 fields more
+        # per step, 36 over the 12 extra steps.  Two fields is the allowance.
+        instances = {n: make_scalar_toy(IterationParams(n_steps=n, **LONG_RUN), 0.2)
+                     for n in (4, 16)}
+        peaks = {}
+        for n, instance in instances.items():
+            run(instance)  # fills the multiplier caches outside the trace
+            tracemalloc.start()
+            try:
+                assert run(instance).n_steps == n
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        field_bytes = 8 * LONG_RUN["n_points"]
+        assert peaks[16] - peaks[4] <= 2 * field_bytes, peaks

@@ -17,7 +17,7 @@ from tamelab.gridfield import (
     oscillator,
     random_trig_polynomial,
 )
-from tamelab.iteration import IterationState, IterationTrace, run
+from tamelab.iteration import IterationTrace, StepNorms, run
 from tamelab.problem import (
     R1,
     R2,
@@ -45,17 +45,15 @@ AUDIT_CFG = Path(__file__).resolve().parent.parent / "configs" / "audit.cfg"
 
 
 def synthetic_trace(errors, target_sup=1.0):
-    """Minimal trace whose states carry prescribed ||E_i||_0 values.  It has
-    no instance: the fits read neither its margins nor its difference
-    norms."""
-    zero = GridFunction.zeros(8)
-    states = [IterationState(step=i, a=zero, r_of_a=zero, error=zero,
-                             norms_a=NormVector((0.0,)),
-                             norms_error=NormVector((float(e),)))
+    """Minimal trace whose norm rows carry prescribed ||E_i||_0 values, the
+    error column alone.  It has no instance: the fits read neither its
+    margins nor its difference norms."""
+    states = [StepNorms(step=i, norms_error=NormVector((float(e),)))
               for i, e in enumerate(errors)]
     return IterationTrace(instance=None, states=tuple(states),
                           identity_residuals=(), flag="completed",
-                          escape_step=None, target_sup=target_sup)
+                          escape_step=None, target_sup=target_sup,
+                          columns=("error",))
 
 
 class TestVerifyRemainderClass:
