@@ -48,9 +48,6 @@ BUILDS = RUNS + ("r5-demo",)
 SCALAR_ONLY = ("r5-demo", "remainder-audit")
 # Subcommands that fit decay rates, and the first step each fits.
 FIT_FROM = {"decay": 1, "sweep": 1, "r5-demo": verify.R5_FIT_FROM}
-# The norm columns of the runs whose only output is the fits (sweep and
-# r5-demo); run and decay write trace.csv, which takes them all.
-FIT_COLUMNS = ("error",)
 
 SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
@@ -395,7 +392,7 @@ def _build(cfg: ExperimentConfig, params: IterationParams) -> ProblemInstance:
 
 
 def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
-    trace = iteration.run(_build(cfg, cfg.problem), columns=iteration.ALL_COLUMNS)
+    trace = iteration.run(_build(cfg, cfg.problem))
     _write_trace(trace, out, "trace", cfg.plot)
     print(f"run: {trace.n_steps} steps, flag={trace.flag}, "
           f"max identity residual {max(trace.identity_residuals):.3e}")
@@ -407,7 +404,7 @@ def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
-    trace = iteration.run(_build(cfg, cfg.problem), columns=iteration.ALL_COLUMNS)
+    trace = iteration.run(_build(cfg, cfg.problem))
     if trace.flag == "diverged":
         _print_escape(trace)
         return 2
@@ -463,7 +460,8 @@ def _cmd_ledger(cfg: ExperimentConfig, out: Path, write_csv: bool) -> int:
 
 def _cmd_r5_demo(cfg: ExperimentConfig, out: Path) -> int:
     clean = _build(replace(cfg, r5_strength=0.0), cfg.problem)
-    traces = [iteration.run(instance, columns=FIT_COLUMNS) for instance in
+    # Only the fits read these runs, so they record ||E_i|| alone.
+    traces = [iteration.run(instance, full=False) for instance in
               (clean, with_self_interaction(clean, cfg.r5_strength))]
     for trace in traces:
         if trace.flag == "diverged":
@@ -489,7 +487,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     code = 0
     for ll in cfg.lambda_ell:
         params = replace(cfg.problem, ell=ll / cfg.problem.lam)
-        trace = iteration.run(_build(cfg, params), columns=FIT_COLUMNS)
+        trace = iteration.run(_build(cfg, params), full=False)
         if trace.flag == "diverged":
             _print_escape(trace)
             code = 2

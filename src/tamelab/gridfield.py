@@ -159,9 +159,10 @@ def _clean_spectrum(f: GridFunction) -> np.ndarray:
 def _derivative_multiplier(n_points: int, order: int) -> np.ndarray:
     """(i m)^order over the rfft modes m = 0..n_points/2 without the factor
     i of odd orders: the real (-1)^(order // 2) m^order, read-only, half the
-    bytes of the complex multiplier.  Its users multiply odd orders by i,
-    which is exact (a swap of real and imaginary parts, one sign flipped),
-    so derivatives keep the bits of the complex product.
+    bytes of the complex multiplier.  Its users multiply an odd order's
+    product by 1j, a second complex multiply.  For a finite spectrum the
+    derivative samples equal those of the complex (i m)^order product; a
+    spectrum holding inf gives NaN samples with either, since inf * 0 is NaN.
 
     The Nyquist mode has no consistent odd derivative, so odd orders drop
     it (Trefethen, Spectral Methods in MATLAB, ch. 3).
@@ -320,8 +321,8 @@ def ck_norms(rows: np.ndarray, k_max: int) -> np.ndarray:
         spec = _clean(np.fft.rfft(rows[batch], axis=-1), axis=-1)[:, np.newaxis]
         per_call = max(1, BATCH_POINTS // (n * len(spec)))
         for j in range(0, k_max, per_call):
-            # Row r of the call is order j + 1 + r, so the odd orders, which
-            # take the factor i, start at row j % 2.
+            # Row r of the call is order j + 1 + r, so the odd orders, whose
+            # products are multiplied by 1j, start at row j % 2.
             product = spec * mults[j:j + per_call]
             product[:, j % 2::2] *= 1j
             d = np.fft.irfft(product, n, axis=-1)

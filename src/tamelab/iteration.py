@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .gridfield import FieldSpectrum, GridFunction, NormVector, ck_norm
 from .problem import DomainEscape, ProblemInstance
 
 __all__ = [
-    "ALL_COLUMNS", "DomainEscape", "DerivativeBudgetExhausted", "StepNorms",
+    "DomainEscape", "DerivativeBudgetExhausted", "StepNorms",
     "IterationState", "IterationTrace", "initial_step", "step", "run",
     "identity_residual",
 ]
@@ -32,18 +32,11 @@ class DerivativeBudgetExhausted(RuntimeError):
     """The derivative-loss budget k0 cannot cover another step."""
 
 
-# The norm columns a run can record: ||a_i||, ||E_i||, ||r_i(a_i)|| and
-# ||a_i - a_(i-1)||.
-ALL_COLUMNS = ("a", "error", "r", "diff")
-
-
 @dataclass(frozen=True)
 class StepNorms:
     """The norm row of step i, taken when the step completed, up to the
-    step's norm order: ||E_i|| (past step 0, to order 0 alone where the run
-    did not record the error column), and ||a_i||, ||r_i(a_i)|| and
-    ||a_i - a_(i-1)|| where it recorded theirs, else None.  Step 0 has no
-    difference."""
+    step's norm order: ||E_i||, and on a full run ||a_i||, ||r_i(a_i)|| and
+    ||a_i - a_(i-1)||, else None.  Step 0 has no difference."""
 
     step: int
     norms_error: NormVector
@@ -71,8 +64,8 @@ class IterationState(StepNorms):
 @dataclass(frozen=True)
 class IterationTrace:
     """Record of a run: the norm rows of states 0..n, taken as each step
-    completed, with the columns the run recorded, and the identity
-    residual of each transition.  It holds no field."""
+    completed, and the identity residual of each transition.  It holds no
+    field."""
 
     instance: ProblemInstance
     states: tuple[StepNorms, ...]
@@ -80,7 +73,6 @@ class IterationTrace:
     flag: str
     escape_step: Optional[int]
     target_sup: float
-    columns: tuple[str, ...]
 
     @property
     def n_steps(self) -> int:
@@ -102,35 +94,35 @@ class IterationTrace:
 
 
 def _state(instance: ProblemInstance, step_index: int, a: GridFunction,
-           columns: Sequence[str], prev_a: Optional[GridFunction]) -> IterationState:
-    """The state at a, with the norms of columns; prev_a is the previous
-    iterate, None for a_0 = 0."""
+           full: bool, prev_a: Optional[GridFunction]) -> IterationState:
+    """The state at a, with ||E|| and, if full, the other norms; prev_a is
+    the previous iterate, None for a_0 = 0."""
     order = instance.params.norm_order(step_index)
-    diff = "diff" in columns and step_index >= 1
     spectral_a = FieldSpectrum(a)  # one transform of a: remainder and norms
     r_of_a = instance.remainder(spectral_a, step_index)
-    # a_0 = 0, so ||a_1 - a_0|| is ||a_1||.
-    norms_a = (spectral_a.ck_norm(order)
-               if "a" in columns or diff and prev_a is None else None)
+    norms_a = spectral_a.ck_norm(order) if full else None
     # a's spectrum and derivatives are not needed past this point; on fine
     # grids keeping them through the other norms would raise peak memory.
     del spectral_a
     error = instance.target - instance.bilinear(a, a, step_index) - r_of_a
-    norms_diff = (None if not diff else norms_a if prev_a is None
-                  else ck_norm(a - prev_a, order))
+    norms_r = norms_diff = None
+    if full:
+        norms_r = ck_norm(r_of_a, order)
+        # a_0 = 0, so ||a_1 - a_0|| is ||a_1||.
+        norms_diff = norms_a if prev_a is None else ck_norm(a - prev_a, order)
     return IterationState(
         step=step_index,
         a=a,
         r_of_a=r_of_a,
         error=error,
-        norms_a=norms_a if "a" in columns else None,
-        norms_error=ck_norm(error, order if "error" in columns else 0),
-        norms_r=ck_norm(r_of_a, order) if "r" in columns else None,
+        norms_a=norms_a,
+        norms_error=ck_norm(error, order),
+        norms_r=norms_r,
         norms_diff=norms_diff,
     )
 
 
-def start_state(instance: ProblemInstance, columns: Sequence[str]) -> IterationState:
+def start_state(instance: ProblemInstance, full: bool) -> IterationState:
     """Step 0: a = 0, r(a) = 0, so the error is the target itself.
 
     Assembled, not computed: T - b(0, 0) - r(0) is exactly T, and its norms
@@ -142,22 +134,21 @@ def start_state(instance: ProblemInstance, columns: Sequence[str]) -> IterationS
         a=GridFunction.zeros(p.n_points, instance.n_components),
         r_of_a=GridFunction.zeros(p.n_points),
         error=instance.target,
-        norms_a=zero_norms if "a" in columns else None,
+        norms_a=zero_norms if full else None,
         norms_error=instance.target_norms,
-        norms_r=zero_norms if "r" in columns else None,
+        norms_r=zero_norms if full else None,
     )
 
 
-def initial_step(instance: ProblemInstance, *,
-                 columns: Sequence[str] = ALL_COLUMNS) -> IterationState:
+def initial_step(instance: ProblemInstance, *, full: bool = True) -> IterationState:
     """Step 1: a = F(T).  The bilinear part reproduces T exactly, so the
     error is minus the remainder at the first iterate and their norms agree."""
     a1 = instance.inverse(instance.target, 1)
-    return _state(instance, 1, a1, columns, None)
+    return _state(instance, 1, a1, full, None)
 
 
 def step(state: IterationState, instance: ProblemInstance, *,
-         columns: Sequence[str] = ALL_COLUMNS) -> IterationState:
+         full: bool = True) -> IterationState:
     """One corrector step from state i to i+1.
 
     Raises DomainEscape, from instance.inverse, when T - r_i(a_i) leaves the
@@ -171,7 +162,7 @@ def step(state: IterationState, instance: ProblemInstance, *,
             f"stepping to {next_index} leaves no controlled orders "
             f"(k0 = {p.k0}); raise k0 per the budget k1 + steps * order")
     a_next = instance.inverse(instance.target - state.r_of_a, next_index)
-    return _state(instance, next_index, a_next, columns, state.a)
+    return _state(instance, next_index, a_next, full, state.a)
 
 
 def identity_residual(prev: IterationState, new: IterationState) -> float:
@@ -180,20 +171,18 @@ def identity_residual(prev: IterationState, new: IterationState) -> float:
     return (new.error - (prev.r_of_a - new.r_of_a)).sup()
 
 
-def run(instance: ProblemInstance, *,
-        columns: Sequence[str] = ALL_COLUMNS) -> IterationTrace:
-    """Run the iteration and record, as each step completes, the norm
-    columns named in columns (of ALL_COLUMNS), ||E_i||_0 and the identity
-    residual.  Then the step's fields go: only the current and the previous
-    state are alive at a time, so memory does not grow with the steps.
+def run(instance: ProblemInstance, *, full: bool = True) -> IterationTrace:
+    """Run the iteration and record, as each step completes, ||E_i||, the
+    identity residual and, if full, ||a_i||, ||r_i(a_i)|| and
+    ||a_i - a_(i-1)||.  Then the step's fields go: only the current and the
+    previous state are alive at a time, so memory does not grow with the
+    steps.  Runs whose only use is a decay fit read ||E_i|| alone and pass
+    full=False.
 
     Stops early with flag 'diverged' on DomainEscape (a partial trace, not an
     error: sub-threshold behavior is something we measure) or 'floor' once
     the error reaches the floating-point floor.
     """
-    columns = tuple(columns)
-    if not set(columns) <= set(ALL_COLUMNS):
-        raise ValueError(f"unknown columns in {columns}; a run records {ALL_COLUMNS}")
     p = instance.params
     n = p.n_steps
     if n < 1:
@@ -204,14 +193,14 @@ def run(instance: ProblemInstance, *,
             f"need k0 >= {p.k1 + n} for order-1 remainders")
     target_sup = instance.target.sup()
 
-    prev = start_state(instance, columns)
+    prev = start_state(instance, full)
     rows = [prev.row()]
     residuals: list[float] = []
     flag, escape_step = "completed", None
     for i in range(1, n + 1):
         try:
-            new = (initial_step(instance, columns=columns) if i == 1
-                   else step(prev, instance, columns=columns))
+            new = (initial_step(instance, full=full) if i == 1
+                   else step(prev, instance, full=full))
         except DomainEscape as esc:
             flag, escape_step = "diverged", esc.step
             break
@@ -230,5 +219,4 @@ def run(instance: ProblemInstance, *,
         flag=flag,
         escape_step=escape_step,
         target_sup=target_sup,
-        columns=columns,
     )

@@ -230,11 +230,10 @@ def margins(trace: IterationTrace) -> tuple[tuple[StepMargins, ...],
                                             tuple[ConstantSet, ...]]:
     """Calibrate constants off step 1, then propagate them alongside the
     trace; measured/allowed ratios use the constants at the matching step.
-    The trace must have recorded the a, error and r columns."""
-    missing = [c for c in ("a", "error", "r") if c not in trace.columns]
-    if missing:
-        raise ValueError(f"margins read the a, error and r norm columns; this "
-                         f"trace did not record {', '.join(missing)}")
+    The trace must come from a full run."""
+    if trace.states[0].norms_r is None:
+        raise ValueError("margins read ||a_i|| and ||r_i(a_i)||, which only a "
+                         "full run records; this trace has ||E_i|| alone")
     instance = trace.instance
     params = instance.params
     active = trace.states[1:]

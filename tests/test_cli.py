@@ -26,7 +26,7 @@ from tamelab.cli import (
     parse_flat_config,
 )
 from tamelab.gridfield import PERIOD
-from tamelab.iteration import ALL_COLUMNS, run
+from tamelab.iteration import run
 from tamelab.problem import IterationParams, make_scalar_toy
 from tamelab.verify import MIN_FIT_STEPS, DecayFit, InsufficientSteps
 
@@ -539,7 +539,7 @@ class TestTraceCsv:
         p = IterationParams()
         instance = make_scalar_toy(p, 0.2)
         log = count_fft()
-        trace = run(instance, columns=ALL_COLUMNS)
+        trace = run(instance)
         assert log.calls == log.rows == {"rfft": 19, "irfft": 74}
         _csv(TRACE_COLUMNS, _trace_rows(trace))
         assert log.calls == {"rfft": 19, "irfft": 74}

@@ -107,9 +107,9 @@ class TestDerivative:
     @pytest.mark.parametrize("n", [16, 2048, 65536])
     def test_real_multiplier_bits_equal_complex(self, n):
         # The cache holds the real, signed m^k, half the bytes of the
-        # complex (i m)^k, and applies i^k as a swap of real and imaginary
-        # parts: the samples are those of the complex product, bit for bit,
-        # with the Nyquist mode (present at n = 16) zeroed for odd k.
+        # complex (i m)^k, and odd orders multiply the product by 1j: the
+        # samples are those of the complex product, with the Nyquist mode
+        # (present at n = 16) zeroed for odd k.
         f = random_trig_polynomial(np.random.default_rng(n), n,
                                    max_mode=min(8, n // 2))
         spec = _clean_spectrum(f)

@@ -11,7 +11,6 @@ from tamelab import iteration, ledger
 from tamelab.cli import main
 from tamelab.gridfield import GridFunction, NormVector, ck_norm, oscillator
 from tamelab.iteration import (
-    ALL_COLUMNS,
     DerivativeBudgetExhausted,
     _state,
     identity_residual,
@@ -44,7 +43,7 @@ def stock_trace():
 def walk(instance):
     """States 0..n_steps of a run made by hand: unlike run, which keeps
     norm rows only, these hold their fields."""
-    states = [start_state(instance, ALL_COLUMNS), initial_step(instance)]
+    states = [start_state(instance, True), initial_step(instance)]
     while states[-1].step < instance.params.n_steps:
         states.append(step(states[-1], instance))
     return states
@@ -280,17 +279,17 @@ class TestTransformCount:
         # 5 + 15 + 20 + 20 + 14 = 74.
         instance = make_scalar_toy(IterationParams(), 0.2)
         log = count_fft()
-        trace = run(instance, columns=ALL_COLUMNS)
+        trace = run(instance)
         assert trace.flag == "completed" and trace.n_steps == 5
         assert log.calls == log.rows == {"rfft": 19, "irfft": 74}
 
     def test_error_only_run_transform_count(self, count_fft):
-        # The error column alone: the rfft of a and the remainder's first
+        # ||E|| alone: the rfft of a and the remainder's first
         # derivative (one irfft), then one rfft + (7 - i) irffts for ||E||.
         # rfft: 5 * 2 = 10.  irfft: 5 + 20 = 25.
         instance = make_scalar_toy(IterationParams(), 0.2)
         log = count_fft()
-        trace = run(instance, columns=("error",))
+        trace = run(instance, full=False)
         assert trace.flag == "completed" and trace.n_steps == 5
         assert log.calls == log.rows == {"rfft": 10, "irfft": 25}
 
@@ -317,10 +316,10 @@ class TestAssembledStart:
     def test_step0_equals_generic_state(self, family):
         instance = FAMILIES[family]()
         p = instance.params
-        assembled = start_state(instance, ALL_COLUMNS)
+        assembled = start_state(instance, True)
         generic = _state(instance, 0,
                          GridFunction.zeros(p.n_points, instance.n_components),
-                         ALL_COLUMNS, None)
+                         True, None)
         assert assembled.step == generic.step == 0
         for name in ("a", "r_of_a", "error"):
             assert same_bits(getattr(assembled, name), getattr(generic, name)), name
@@ -362,7 +361,7 @@ class TestLazyColumns:
                 step=state.step, norms_a=norms(state.a),
                 norms_error=ck_norm(state.error, order), norms_r=norms(state.r_of_a)))
         assert ledger.margins(trace) == ledger.margins(SimpleNamespace(
-            instance=instance, states=eager, columns=ALL_COLUMNS))
+            instance=instance, states=eager))
         for row, want in zip(trace.states, eager, strict=True):
             for name in ("norms_a", "norms_error", "norms_r"):
                 assert getattr(row, name).values == getattr(want, name).values
@@ -379,32 +378,18 @@ class TestLazyColumns:
         assert log.entries == []
 
     def test_error_only_trace(self):
-        # The error column alone: the same ||E_i|| bits and residuals as a
-        # full run, no other column, and margins refuse it by name.
+        # full=False: the same ||E_i|| bits and residuals as a full run, no
+        # other norm, and margins refuse it.
         instance = make_scalar_toy(IterationParams(), 0.2)
         full = run(instance)
-        errors = run(instance, columns=("error",))
-        assert errors.columns == ("error",)
+        errors = run(instance, full=False)
         assert [s.norms_error for s in errors.states] == [
             s.norms_error for s in full.states]
         assert errors.identity_residuals == full.identity_residuals
         assert all(s.norms_a is s.norms_r is s.norms_diff is None
                    for s in errors.states)
-        with pytest.raises(ValueError, match="did not record a, r"):
+        with pytest.raises(ValueError, match="only a full run records"):
             ledger.margins(errors)
-
-    def test_without_error_column_keeps_order_zero(self):
-        # ||E_i||_0 is part of every run: it sets the floor stop.
-        instance = make_scalar_toy(IterationParams(), 0.2)
-        full = run(instance)
-        bare = run(instance, columns=())
-        assert [s.norms_error.values for s in bare.states[1:]] == [
-            s.norms_error.values[:1] for s in full.states[1:]]
-        assert bare.identity_residuals == full.identity_residuals
-
-    def test_unknown_column_refused(self):
-        with pytest.raises(ValueError, match="unknown columns in"):
-            run(make_scalar_toy(IterationParams(), 0.2), columns=("a", "norm_r"))
 
     def test_sweep_norms_only_errors(self, monkeypatch, tmp_path):
         # sweep reads ||E_i|| alone: iteration norms the 5 errors of each of

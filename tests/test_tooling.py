@@ -53,7 +53,7 @@ def test_recorder_counts_builds_and_runs(tmp_path, capsys):
     assert recorder.calls["problem.build"] == 7
     assert recorder.calls["iteration.run"] == 8
     # The recorder reads a second positional argument of run as n_steps, so
-    # the CLI passes the columns by keyword: the counts are the configs'
+    # the CLI passes full by keyword: the counts are the configs'
     # 5 steps per run, 8 runs.
     assert recorder.counters["iteration.steps_requested"] == 40
     assert isinstance(recorder.counters["iteration.steps_completed"], int)

@@ -45,15 +45,14 @@ AUDIT_CFG = Path(__file__).resolve().parent.parent / "configs" / "audit.cfg"
 
 
 def synthetic_trace(errors, target_sup=1.0):
-    """Minimal trace whose norm rows carry prescribed ||E_i||_0 values, the
-    error column alone.  It has no instance: the fits read neither its
-    margins nor its difference norms."""
+    """Minimal trace whose norm rows carry prescribed ||E_i||_0 values and
+    no other norm.  It has no instance: the fits read neither its margins
+    nor its difference norms."""
     states = [StepNorms(step=i, norms_error=NormVector((float(e),)))
               for i, e in enumerate(errors)]
     return IterationTrace(instance=None, states=tuple(states),
                           identity_residuals=(), flag="completed",
-                          escape_step=None, target_sup=target_sup,
-                          columns=("error",))
+                          escape_step=None, target_sup=target_sup)
 
 
 class TestVerifyRemainderClass:
