@@ -146,6 +146,11 @@ def _check_across_keys(cfg: ExperimentConfig, command: str, reads: set) -> None:
     after defaults; each runs only where the subcommand reads all its keys."""
     p = cfg.problem
     too_wide = [f"{ll:g}" for ll in cfg.lambda_ell if ll / p.lam >= PERIOD]
+    stems: dict = {}
+    for ll in cfg.lambda_ell:
+        stems.setdefault(_sweep_stem(ll), []).append(repr(ll))
+    shared = [f"values {', '.join(values)} share the file {stem}.csv"
+              for stem, values in stems.items() if len(values) > 1]
     min_steps = (FIT_FROM[command] + verify.MIN_FIT_STEPS - 1
                  if command in FIT_FROM else 1)
     for keys, ok, message in (
@@ -163,6 +168,8 @@ def _check_across_keys(cfg: ExperimentConfig, command: str, reads: set) -> None:
          f"{p.k1 + p.n_steps}, got k0={p.k0}"),
         (("lambda", "lambda_ell"), not too_wide,
          f"lambda_ell {', '.join(too_wide)} gives ell >= 2*pi at lambda={p.lam}"),
+        # Each value writes one file; a shared name would keep the last.
+        (("lambda_ell",), not shared, f"lambda_ell {'; '.join(shared)}"),
         # The fit would refuse too few steps only after the build and the run.
         (("n_steps",), p.n_steps >= min_steps,
          f"{command} fits {verify.MIN_FIT_STEPS} steps from step "
@@ -483,6 +490,11 @@ def _cmd_r5_demo(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+def _sweep_stem(lambda_ell: float) -> str:
+    """The name, without suffix, of the files sweep writes for lambda_ell."""
+    return f"decay_ll{lambda_ell:g}"
+
+
 def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     code = 0
     for ll in cfg.lambda_ell:
@@ -493,7 +505,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
             code = 2
             continue
         fits = [verify.fit_decay(trace, k) for k in _orders(trace)]
-        stem = f"decay_ll{ll:g}"
+        stem = _sweep_stem(ll)
         _write_fits(out / f"{stem}.csv", fits)
         if cfg.plot:
             emit_plot(trace, out / f"{stem}.svg")

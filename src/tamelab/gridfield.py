@@ -41,6 +41,10 @@ SPECTRAL_DUST = 1e-13
 BATCH_POINTS = 1 << 16
 
 
+# The ValueError message of a field holding NaN or +-inf.
+NON_FINITE = "samples contain non-finite values"
+
+
 class IncompatibleGrids(ValueError):
     """Fields do not share n_points or component counts."""
 
@@ -74,8 +78,8 @@ class GridFunction:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.shape != expected:
             raise ValueError(f"samples shape {arr.shape} != expected {expected}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples contain non-finite values")
+        if not np.isfinite(arr).all():
+            raise ValueError(NON_FINITE)
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
@@ -132,6 +136,16 @@ def _sup(x: np.ndarray) -> float:
     """max |x| without an |x| temporary.  Adding +0.0 turns a -0.0 maximum
     into +0.0, so an all-zero field never reports (or prints) -0."""
     return float(max(x.max(), -x.min())) + 0.0
+
+
+def finite_sup(x: np.ndarray) -> float:
+    """max |x| of samples no GridFunction holds, with the finiteness check
+    a GridFunction of them would make: NaN or +-inf anywhere in x makes the
+    sup non-finite, and that raises the same ValueError."""
+    s = _sup(x)
+    if not math.isfinite(s):
+        raise ValueError(NON_FINITE)
+    return s
 
 
 def row_sups(x: np.ndarray) -> np.ndarray:
@@ -207,7 +221,7 @@ class NormVector:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("NormVector needs at least the k=0 entry")
-        if any(not np.isfinite(v) or v < 0 for v in vals):
+        if any(not math.isfinite(v) or v < 0 for v in vals):
             raise ValueError(f"norms must be finite and nonnegative: {vals}")
         if any(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
             raise ValueError(f"norms must be nondecreasing in k: {vals}")
@@ -363,14 +377,20 @@ def oscillator(amplitude: float, frequency: int, phase: float = 0.0,
     return GridFunction(n_points, n_components, samples)
 
 
-def axpy(alpha: float, x: GridFunction, y: GridFunction) -> GridFunction:
-    """alpha * x + y, requiring identical grids and component counts.
-
-    alpha = +-1 skips the multiply: y + (-x) is y - x exactly."""
+def check_sum(x: GridFunction, y: GridFunction) -> None:
+    """Raise IncompatibleGrids unless x and y can be added: equal grids and
+    equal component counts."""
     x._require_compatible(y)
     if x.n_components != y.n_components:
         raise IncompatibleGrids(
             f"component counts differ: {x.n_components} vs {y.n_components}")
+
+
+def axpy(alpha: float, x: GridFunction, y: GridFunction) -> GridFunction:
+    """alpha * x + y, requiring identical grids and component counts.
+
+    alpha = +-1 skips the multiply: y + (-x) is y - x exactly."""
+    check_sum(x, y)
     if alpha == 1.0:
         return x.with_samples(x.samples + y.samples)
     if alpha == -1.0:

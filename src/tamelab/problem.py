@@ -20,14 +20,16 @@ from .gridfield import (
     RESOLUTION_FACTOR,
     FieldSpectrum,
     GridFunction,
+    IncompatibleGrids,
     NormVector,
     check_product,
+    check_sum,
     ck_norm,
+    finite_sup,
     mollify,
     oscillator,
     random_trig_rows,
     row_sups,
-    scale,
 )
 
 RIGHT_INVERSE_TOL = 1e-10
@@ -141,6 +143,13 @@ class RemainderTerm:
         evaluating several terms at the same fields differentiate each field
         once per order.
         """
+        return GridFunction.from_samples(self._samples(a, b, lam, ell, modulation))
+
+    def _samples(self, a: FieldSpectrum, b: Optional[FieldSpectrum], lam: int,
+                 ell: float, modulation: GridFunction) -> np.ndarray:
+        """apply's samples, (n_points, modulation components), unchecked for
+        finiteness: the grid checks run on the arguments, and the caller
+        checks the field it keeps."""
         orders = self.bound_class.arg_derivatives
         first = a.derivative(orders[0])
         core = first.samples
@@ -148,11 +157,11 @@ class RemainderTerm:
             second = (a if b is None else b).derivative(orders[1])
             check_product(first, second)
             core = core * second.samples
-        core = (1.0 / core.shape[-1]) * core.sum(axis=-1, keepdims=True)
+        if core.shape[-1] != 1:  # one component's mean is the core itself
+            core = (1.0 / core.shape[-1]) * core.sum(axis=-1, keepdims=True)
         modulation._require_compatible(first)
         pref = self.weight * self.bound_class.prefactor(lam, ell)
-        out = pref * (modulation.samples * core)
-        return GridFunction(first.n_points, out.shape[-1], out)
+        return pref * (modulation.samples * core)
 
 
 def stock_remainder_terms() -> tuple[RemainderTerm, ...]:
@@ -186,12 +195,20 @@ class RemainderSpec:
         return 1.0 + self.drift * (self.lam * self.ell) ** (-step)
 
     def __call__(self, a: FieldSpectrum, step: int) -> GridFunction:
-        """r_step at the field of a; the terms share a's derivatives."""
-        total = GridFunction.zeros(a.field.n_points)
+        """r_step at the field of a; the terms share a's derivatives.
+
+        The sum runs on samples, each term added as term + total to a zero
+        start, and is wrapped once, after the step scale, so the one
+        GridFunction check covers every term: a non-finite term leaves the
+        total non-finite."""
+        n = a.field.n_points
+        total = np.zeros((n, 1))
         for term in self.terms:
-            total = total + term.apply(a, lam=self.lam, ell=self.ell,
-                                       modulation=self.modulation)
-        return scale(self.step_scale(step), total)
+            out = term._samples(a, None, self.lam, self.ell, self.modulation)
+            if out.shape[-1] != 1:
+                raise IncompatibleGrids(f"component counts differ: {out.shape[-1]} vs 1")
+            total = out + total
+        return GridFunction(n, 1, self.step_scale(step) * total)
 
 
 @dataclass(frozen=True)
@@ -300,7 +317,8 @@ def _grid_inverse(inverse_map: ArrayMap, center: GridFunction, c_f: float,
     radius = 1.0 / c_f
 
     def inverse(tensor: GridFunction, step: int) -> GridFunction:
-        distance = (tensor - center).sup()
+        check_sum(center, tensor)
+        distance = finite_sup(tensor.samples - center.samples)
         if distance > radius:
             raise DomainEscape(
                 f"tensor is {distance:.6g} from the center, outside the "

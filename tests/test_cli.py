@@ -26,7 +26,7 @@ from tamelab.cli import (
     parse_flat_config,
 )
 from tamelab.gridfield import PERIOD
-from tamelab.iteration import run
+from tamelab.iteration import IDENTITY_TOL, run
 from tamelab.problem import IterationParams, make_scalar_toy
 from tamelab.verify import MIN_FIT_STEPS, DecayFit, InsufficientSteps
 
@@ -238,6 +238,20 @@ class TestKeyTable:
         assert "config error:" in err and message in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("values, message", [
+        ("64.00001,64.000011",
+         "lambda_ell values 64.00001, 64.000011 share the file decay_ll64.csv"),
+        ("64,64", "lambda_ell values 64.0, 64.0 share the file decay_ll64.csv"),
+    ])
+    def test_sweep_values_sharing_a_file_refused(self, values, message, tmp_path,
+                                                 capsys):
+        # sweep names its files by lambda_ell:g, so these values would write
+        # one file and keep the last run's fits
+        code = main(shipped_argv("sweep", tmp_path, "--set", f"lambda_ell={values}"))
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command, n_steps, minimum", [
         ("decay", 2, 3), ("decay", 1, 3), ("sweep", 2, 3),
         ("r5-demo", 3, 4), ("r5-demo", 2, 4),  # r5-demo fits from step 2
@@ -400,7 +414,7 @@ class TestRunCommand:
         idx = lines[0].split(",").index("identity_residual")
         residuals = [float(c[idx]) for c in (l.split(",") for l in lines[1:])
                      if c[idx]]
-        assert residuals and max(residuals) <= 1e-9
+        assert residuals and max(residuals) <= IDENTITY_TOL
 
     def test_subthreshold_run_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("ell = 4", "ell = 0.09"))
@@ -517,7 +531,7 @@ class TestTraceCsv:
             cells = line.split(",")
             assert len(cells) == len(header)
             if cells[0] != "0":
-                assert cells[residual_idx] and float(cells[residual_idx]) <= 1e-9
+                assert cells[residual_idx] and float(cells[residual_idx]) <= IDENTITY_TOL
 
     def test_step0_margins_blank(self, tmp_path, capsys):
         # read from the file the run writes: the step-0 rows have no

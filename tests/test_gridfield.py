@@ -305,6 +305,24 @@ class TestNormVector:
         with pytest.raises(ValueError):
             NormVector(())
 
+    @pytest.mark.parametrize("values", [
+        (np.nan,), (0.0, np.nan), (np.inf,), (1.0, np.inf), (-np.inf,),
+        (-1.0, 2.0), (0.0, -0.5), (np.float64(np.nan), 1.0),
+    ])
+    def test_rejects_non_finite_and_negative(self, values):
+        with pytest.raises(ValueError, match=r"^norms must be finite and nonnegative: "):
+            NormVector(values)
+
+    @pytest.mark.parametrize("values", [(1.0, 0.5), (0.0, 2.0, 1.0), (3.0, 3.0, 2.9)])
+    def test_rejects_decreasing_values(self, values):
+        with pytest.raises(ValueError, match=r"^norms must be nondecreasing in k: "):
+            NormVector(values)
+
+    def test_accepts_numpy_scalars_as_floats(self):
+        norms = NormVector((np.float64(0.0), np.float64(1.5), 1.5))
+        assert norms.values == (0.0, 1.5, 1.5)
+        assert all(type(v) is float for v in norms.values)
+
 
 class TestMollify:
     def test_unit_mass_on_constants(self):
@@ -442,6 +460,23 @@ class TestGridFunction:
         bad[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             GridFunction(64, 1, bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 31, 63])
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_non_finite_sample_refused(self, value, row, component):
+        # the first, a middle and the last sample of each component
+        bad = np.ones((64, 2))
+        bad[row, component] = value
+        with pytest.raises(ValueError, match="^samples contain non-finite values$"):
+            GridFunction(64, 2, bad)
+
+    def test_negative_zero_and_subnormals_accepted(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        samples = np.array([[-0.0, tiny], [-tiny, 0.0], [tiny * 3, -0.0],
+                            [1.0, -tiny]])
+        f = GridFunction(4, 2, samples)
+        assert f.samples.tobytes() == samples.tobytes()
 
     def test_no_duplicated_endpoint(self):
         x = coordinates(64)

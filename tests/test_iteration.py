@@ -9,7 +9,14 @@ import pytest
 
 from tamelab import iteration, ledger
 from tamelab.cli import main
-from tamelab.gridfield import GridFunction, NormVector, ck_norm, oscillator
+from tamelab.gridfield import (
+    FieldSpectrum,
+    GridFunction,
+    NormVector,
+    ck_norm,
+    oscillator,
+    scale,
+)
 from tamelab.iteration import (
     DerivativeBudgetExhausted,
     _state,
@@ -112,7 +119,7 @@ class TestStep:
         instance = make_scalar_toy(IterationParams(n_steps=2), 0.2)
         s1 = initial_step(instance)
         s2 = step(s1, instance)
-        assert identity_residual(s1, s2) <= 1e-9 * (1 + instance.target.sup())
+        assert identity_residual(s1, s2) <= iteration.IDENTITY_TOL * (1 + instance.target.sup())
 
 
 class TestRun:
@@ -129,7 +136,7 @@ class TestRun:
         p = IterationParams(k0=8, n_steps=6)
         trace = run(make_scalar_toy(p, 0.2))
         assert trace.flag == "completed"
-        limit = 1e-9 * (1 + trace.target_sup)
+        limit = iteration.IDENTITY_TOL * (1 + trace.target_sup)
         assert max(trace.identity_residuals) <= limit
 
     def test_norm_budget_shrinks_per_step(self):
@@ -192,12 +199,12 @@ class TestRun:
     def test_varying_family_identity(self):
         trace = run(make_varying_toy(IterationParams(), drift=1.0))
         assert trace.flag == "completed"
-        assert max(trace.identity_residuals) <= 1e-9 * (1 + trace.target_sup)
+        assert max(trace.identity_residuals) <= iteration.IDENTITY_TOL * (1 + trace.target_sup)
 
     def test_two_component_identity(self):
         trace = run(make_two_component_toy(IterationParams(), 0.2))
         assert trace.flag == "completed"
-        assert max(trace.identity_residuals) <= 1e-9 * (1 + trace.target_sup)
+        assert max(trace.identity_residuals) <= iteration.IDENTITY_TOL * (1 + trace.target_sup)
 
     def test_drift_zero_trace_matches_stock(self, stock_trace):
         varying = make_varying_toy(IterationParams(), drift=0.0)
@@ -209,7 +216,7 @@ class TestRun:
     def test_r5_run_still_satisfies_identity(self):
         instance = with_self_interaction(make_scalar_toy(IterationParams(), 0.2), 1.0)
         trace = run(instance)
-        assert max(trace.identity_residuals) <= 1e-9 * (1 + trace.target_sup)
+        assert max(trace.identity_residuals) <= iteration.IDENTITY_TOL * (1 + trace.target_sup)
 
     @pytest.mark.parametrize("lam,ell,amplitude,drift,r5", [
         (16, 0.5, 0.5, 0.0, 0.0),    # lam*ell = 8: the target keeps a bump
@@ -227,7 +234,7 @@ class TestRun:
         instance = with_self_interaction(instance, r5)
         trace = run(instance)
         assert trace.identity_residuals  # at least one completed step
-        assert max(trace.identity_residuals) <= 1e-9 * (1 + trace.target_sup)
+        assert max(trace.identity_residuals) <= iteration.IDENTITY_TOL * (1 + trace.target_sup)
 
 
 class TestCheckHypotheses:
@@ -294,6 +301,48 @@ class TestTransformCount:
         assert log.calls == log.rows == {"rfft": 10, "irfft": 25}
 
 
+@pytest.fixture
+def count_fields(monkeypatch):
+    """count_fields() starts counting GridFunction constructions and
+    returns the live list, one n_points per field."""
+
+    def start():
+        made = []
+        check = GridFunction.__post_init__
+
+        def counted(self):
+            made.append(self.n_points)
+            check(self)
+
+        monkeypatch.setattr(GridFunction, "__post_init__", counted)
+        return made
+
+    return start
+
+
+class TestFieldCount:
+    """GridFunctions made per default run (5 steps).  State 0 holds two
+    zero fields.  Each step then wraps a = F(tensor), the first derivative
+    that a's spectrum keeps, b(a, a), r(a) and E.  From step 2 on it adds
+    the inverse's tensor T - r and, on a full run, a - a_prev for its
+    norms.  The remainder's terms and partial sums, E's and the residual's
+    differences and the inverse's distance stay sample arrays."""
+
+    def test_default_run_field_count(self, count_fields):
+        # 2 + 5 + 4 * 7
+        instance = make_scalar_toy(IterationParams(), 0.2)
+        made = count_fields()
+        assert run(instance).n_steps == 5
+        assert len(made) == 35
+
+    def test_error_only_run_field_count(self, count_fields):
+        # 2 + 5 + 4 * 6
+        instance = make_scalar_toy(IterationParams(), 0.2)
+        made = count_fields()
+        assert run(instance, full=False).n_steps == 5
+        assert len(made) == 31
+
+
 # The instance families whose step 0 and step-1 difference are assembled
 # rather than computed: scalar, two-component, drifting and R5.  In those the
 # mollified wave vanishes and T == T0; at lam*ell = 4 it survives.
@@ -339,6 +388,48 @@ class TestAssembledStart:
                                    strict=True):
             assert diff.values == ck_norm(new.a - prev.a,
                                           p.norm_order(new.step)).values
+
+
+def chained_remainder(spec, a, step):
+    """r_step(a) as a chain of GridFunctions: a zero field, one field per
+    term and per partial sum, then the scaled sum; each term's core is the
+    component mean, also of one component."""
+    spectral = FieldSpectrum(a)
+    total = GridFunction.zeros(a.n_points)
+    for term in spec.terms:
+        orders = term.bound_class.arg_derivatives
+        first = spectral.derivative(orders[0])
+        core = first.samples
+        if term.bound_class.arity == 2:
+            core = core * spectral.derivative(orders[1]).samples
+        core = (1.0 / core.shape[-1]) * core.sum(axis=-1, keepdims=True)
+        pref = term.weight * term.bound_class.prefactor(spec.lam, spec.ell)
+        total = total + GridFunction.from_samples(pref * (spec.modulation.samples * core))
+    return scale(spec.step_scale(step), total)
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fields_equal_grid_function_chain(self, family):
+        # Steps 1..5 of a walked run hold, bit for bit, the a, r(a) and E a
+        # chain of GridFunctions gives, and the identity residual is the
+        # sup of that chain's E - (r_prev - r).
+        instance = FAMILIES[family]()
+        states = walk(instance)
+        r_prev = GridFunction.zeros(instance.params.n_points)
+        for prev, new in zip(states, states[1:]):
+            tensor = instance.target if new.step == 1 else instance.target - r_prev
+            a = instance.inverse(tensor, new.step)
+            r = chained_remainder(instance.remainder, a, new.step)
+            error = instance.target - instance.bilinear(a, a, new.step) - r
+            for name, want in (("a", a), ("r_of_a", r), ("error", error)):
+                got = getattr(new, name)
+                assert np.array_equal(got.samples, want.samples), (new.step, name)
+                assert same_bits(got, want), (new.step, name)
+                assert got.n_components == want.n_components
+            assert identity_residual(prev, new) == (error - (r_prev - r)).sup()
+            r_prev = r
+        assert new.step == 5
 
 
 class TestLazyColumns:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from tamelab.gridfield import (
     BATCH_POINTS,
     FieldSpectrum,
     GridFunction,
+    IncompatibleGrids,
     NormVector,
     ck_norm,
     random_trig_polynomial,
     scale,
 )
+from tamelab.iteration import initial_step
 from tamelab.ledger import calibrate
 from tamelab.problem import (
     RIGHT_INVERSE_TOL,
@@ -31,6 +35,7 @@ from tamelab.problem import (
     self_interaction_term,
     with_self_interaction,
     _check_right_inverse,
+    _grid_inverse,
     _toy_maps,
 )
 
@@ -285,7 +290,8 @@ class TestSelfInteraction:
 
         for term in (RemainderTerm(R1), RemainderTerm(R2), RemainderTerm(R3),
                      RemainderTerm(R4), self_interaction_term(0.7),
-                     RemainderTerm(r6(2, 1), weight=1.3)):
+                     RemainderTerm(r6(2, 1), weight=1.3), RemainderTerm(r6(1, 1)),
+                     RemainderTerm(r6(1, 3), weight=-0.4)):
             j = term.bound_class.arg_derivatives
             core = d(a, j[0])
             if term.bound_class.arity == 2:
@@ -295,6 +301,7 @@ class TestSelfInteraction:
             out = term.apply(FieldSpectrum(a), FieldSpectrum(b), lam=params.lam,
                              ell=params.ell, modulation=modulation)
             assert out.samples.tobytes() == expected.samples.tobytes()
+            assert out.n_components == expected.n_components == 1
 
     def test_apply_refuses_incompatible_grids(self):
         from tamelab.gridfield import IncompatibleGrids, oscillator
@@ -533,6 +540,69 @@ class TestArrayMaps:
     def test_non_finite_target_is_a_neighborhood_violation(self):
         with pytest.raises(NeighborhoodViolation, match="not finite"):
             make_scalar_toy(IterationParams(), 1e308)
+
+
+class TestKeptChecks:
+    """The grid, component and finiteness checks of the fields the step
+    computes on samples: each raises the error and message it raised when
+    every intermediate was a GridFunction."""
+
+    @pytest.mark.parametrize("tensor, message", [
+        (GridFunction.constant(1.1, 1024), "grids differ: n_points 2048/1024"),
+        (GridFunction.constant(1.1, 2048, n_components=2),
+         "component counts differ: 1 vs 2"),
+    ])
+    def test_inverse_refuses_tensor_off_the_grid(self, tensor, message):
+        instance = make_scalar_toy(IterationParams(), 0.2)
+        with pytest.raises(IncompatibleGrids, match=f"^{message}$"):
+            instance.inverse(tensor, 1)
+
+    def test_inverse_refuses_non_finite_distance(self):
+        # finite samples whose distance to the center overflows; the toy's
+        # center 1 cannot make one, so this inverse is centered at -1e308
+        inverse = _grid_inverse(lambda t, step: np.sqrt(t),
+                                GridFunction.constant(-1e308, 64), 1.0, 1)
+        tensor = GridFunction.constant(1e308, 64)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^samples contain non-finite values$"):
+                inverse(tensor, 1)
+
+    @pytest.mark.parametrize("u, v, message", [
+        (GridFunction.constant(1.0, 2048), GridFunction.constant(1.0, 1024),
+         "grids differ: n_points 2048/1024"),
+        (GridFunction.constant(1.0, 2048, n_components=2),
+         GridFunction.constant(1.0, 2048, n_components=3),
+         "component counts differ: 2 vs 3"),
+    ])
+    def test_bilinear_refuses_factors_off_the_grid(self, u, v, message):
+        instance = make_two_component_toy(IterationParams(), 0.2)
+        with pytest.raises(IncompatibleGrids, match=f"^{message}$"):
+            instance.bilinear(u, v, 1)
+
+    def test_remainder_refuses_a_term_of_two_components(self):
+        from tamelab.gridfield import oscillator
+        instance = make_scalar_toy(IterationParams(), 0.2)
+        spec = replace(instance.remainder, modulation=oscillator(
+            1.0, 32, n_points=2048, n_components=2))
+        a = FieldSpectrum(instance.inverse(instance.target, 1))
+        with pytest.raises(IncompatibleGrids, match="^component counts differ: 2 vs 1$"):
+            spec(a, 1)
+
+    @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_non_finite_term_refused_by_remainder(self, weight, position):
+        # Under numpy's default errstate a term of infinite weight returns
+        # inf (or NaN) samples without a floating-point error; the remainder
+        # refuses them wherever the term sits among the stock terms.
+        instance = make_scalar_toy(IterationParams(), 0.2)
+        terms = list(instance.remainder.terms)
+        terms.insert(position, RemainderTerm(R1, weight=weight))
+        spec = replace(instance.remainder, terms=tuple(terms))
+        a = FieldSpectrum(instance.inverse(instance.target, 1))
+        with pytest.raises(ValueError, match="^samples contain non-finite values$"):
+            spec(a, 1)
+        with pytest.raises(ValueError, match="^samples contain non-finite values$"):
+            initial_step(replace(instance, remainder=spec))
 
 
 class TestRightInverseSelfCheck:
