@@ -33,6 +33,11 @@ from .gridfield import (
 )
 
 RIGHT_INVERSE_TOL = 1e-10
+# The right-inverse self-check calls its maps on at most this many grid
+# points, one row or more: a 2^13-point float64 array is 64 KiB, below
+# glibc's default 128 KiB mmap threshold, so the maps' temporaries come from
+# the heap instead of being mapped and page-faulted in on every call.
+MAP_CALL_POINTS = 1 << 13
 
 # (lambda-power, ell-power) of each class prefactor; R6 is (s+t, 0).
 _PREFACTOR_TABLE = {
@@ -354,17 +359,21 @@ def _check_right_inverse(params: IterationParams, center: GridFunction,
 
     Sample i is center + rho * bump with a unit-sup low-mode bump, rho in
     radius * [0.1, 0.99) for the target radius 1/(3 C_F), at step
-    1 + i % 3.  Samples go through the maps in batches of at most
-    BATCH_POINTS grid points (n_points = 2048 checks its 20 samples in one
-    batch, 65536 one by one), one contiguous row per sample at every grid
-    point, and hold the bits center + rho *
-    random_trig_polynomial(...) gives.
+    1 + i % 3.  Samples are drawn in batches of at most BATCH_POINTS grid
+    points (n_points = 2048 draws its 20 samples in one batch, 65536 one by
+    one), one contiguous row per sample at every grid point, and hold the
+    bits center + rho * random_trig_polynomial(...) gives.  The maps and
+    the residual then run on consecutive rows of a batch, at most
+    MAP_CALL_POINTS grid points per call and at least one row: 2048 checks
+    its 20 samples in five calls of four rows, 8192 and finer one row per
+    call.
     Raises AssertionError naming the first sample whose residual is not at
     or below RIGHT_INVERSE_TOL, so a non-finite residual fails too.
     """
     rng = np.random.default_rng([params.seed, 0x5eed])
     radius = 1.0 / (3.0 * params.c_f)
     per_batch = max(1, BATCH_POINTS // params.n_points)
+    per_call = max(1, MAP_CALL_POINTS // params.n_points)
     for start in range(0, n_samples, per_batch):
         count = min(per_batch, n_samples - start)
         t_prime = random_trig_rows(rng, params.n_points, count)
@@ -372,15 +381,17 @@ def _check_right_inverse(params: IterationParams, center: GridFunction,
         t_prime *= radius * rng.uniform(0.1, 0.99, size=(count, 1))
         t_prime += center.samples[:, 0]
         t_prime = t_prime[..., np.newaxis]
-        steps = (1 + np.arange(start, start + count) % 3)[:, np.newaxis, np.newaxis]
-        a = inverse_map(t_prime, steps)
-        residual = row_sups(bilinear_map(a, a, steps) - t_prime)
-        failed = np.flatnonzero(~(residual <= RIGHT_INVERSE_TOL))
-        if failed.size:
-            i = failed[0]
-            raise AssertionError(
-                f"right-inverse residual {residual[i]:.3e} exceeds "
-                f"{RIGHT_INVERSE_TOL} on sample {start + i}")
+        for first in range(start, start + count, per_call):
+            rows = t_prime[first - start:first - start + per_call]
+            steps = (1 + np.arange(first, first + len(rows)) % 3).reshape(-1, 1, 1)
+            a = inverse_map(rows, steps)
+            residual = row_sups(bilinear_map(a, a, steps) - rows)
+            failed = np.flatnonzero(~(residual <= RIGHT_INVERSE_TOL))
+            if failed.size:
+                i = failed[0]
+                raise AssertionError(
+                    f"right-inverse residual {residual[i]:.3e} exceeds "
+                    f"{RIGHT_INVERSE_TOL} on sample {first + i}")
 
 
 def _make_toy(params: IterationParams, t_amplitude: float, drift: float,

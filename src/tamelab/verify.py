@@ -10,6 +10,7 @@ self-interaction demo, whose class bookkeeping genuinely fails.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -288,19 +289,31 @@ def fit_decay(trace: iteration.IterationTrace, k: int, *, min_step: int = 1) -> 
     """Fit the decay exponent of ||E_i||_k over the points of
     trace.log_errors, which leaves out the steps at the noise floor; fewer
     than MIN_FIT_STEPS points raise InsufficientSteps.
+
+    The line is the closed-form least-squares fit over centred sums, each
+    added by math.fsum: slope = Sxy / Sxx and intercept =
+    mean(y) - slope * mean(x).  The steps are distinct, so Sxx > 0.  The
+    sums take y from the first point's value, so a constant run has
+    ss_tot = 0 exactly; fsum(ys) / n can miss a constant y by an ulp.
     """
     points = trace.log_errors(k, min_step)
     if len(points) < MIN_FIT_STEPS:
         raise InsufficientSteps(
             f"only {len(points)} usable steps for k={k}; need >= {MIN_FIT_STEPS}")
     xs = [float(i) for i, _ in points]
-    ys = [y for _, y in points]
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = np.polyval([slope, intercept], xs)
-    ss_res = float(np.sum((np.asarray(ys) - fitted) ** 2))
-    ss_tot = float(np.sum((np.asarray(ys) - np.mean(ys)) ** 2))
+    y0 = points[0][1]
+    ys = [y - y0 for _, y in points]
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    dys = [y - y_mean for y in ys]
+    slope = (math.fsum(dx * dy for dx, dy in zip(dxs, dys))
+             / math.fsum(dx * dx for dx in dxs))
+    intercept = y_mean - slope * x_mean  # of the line through (x, y - y0)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum(dy * dy for dy in dys)
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return DecayFit(k=k, slope=float(slope), intercept=float(intercept),
+    return DecayFit(k=k, slope=slope, intercept=y0 + intercept,
                     r_squared=min(1.0, r_squared),
                     steps_used=(int(xs[0]), int(xs[-1])))
 

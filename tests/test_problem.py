@@ -606,7 +606,8 @@ class TestKeptChecks:
 
 
 class TestRightInverseSelfCheck:
-    # At n = 4096 a batch holds 65536 / 4096 = 16 samples: 20 split 16 + 4.
+    # At n = 4096 a draw holds 65536 / 4096 = 16 samples: 20 split 16 + 4.
+    # A map call holds 8192 / 4096 = 2 of them.
     def setup_method(self):
         self.p = IterationParams(n_points=4096)
         self.center = GridFunction.constant(1.0, 4096)
@@ -617,6 +618,20 @@ class TestRightInverseSelfCheck:
         _check_right_inverse(self.p, self.center,
                              inverse_map or self.inverse_map,
                              bilinear_map or self.bilinear_map)
+
+    def inverse_off_on(self, samples):
+        """The inverse map, off by 1e-9 on the given samples, which it finds
+        by counting the rows of the calls so far."""
+        done = []
+
+        def f(t, step):
+            out = self.inverse_map(t, step)
+            index = sum(done) + np.arange(t.shape[0])
+            done.append(t.shape[0])
+            off = np.isin(index, samples)[:, np.newaxis, np.newaxis]
+            return np.where(off, out * (1 + 1e-9), out)
+
+        return f
 
     def test_toy_maps_pass(self):
         self.check()
@@ -629,8 +644,26 @@ class TestRightInverseSelfCheck:
             return self.inverse_map(t, step)
 
         self.check(inverse_map=spy)
-        assert seen == [((16, 4096, 1), [1 + i % 3 for i in range(16)]),
-                        ((4, 4096, 1), [1 + i % 3 for i in range(16, 20)])]
+        assert seen == [((2, 4096, 1), [1 + i % 3 for i in range(j, j + 2)])
+                        for j in range(0, 20, 2)]
+
+    def test_map_calls_stay_within_2_13_points_at_2048(self):
+        seen = []
+
+        def inverse_spy(t, step):
+            seen.append(("inverse", t.shape))
+            return self.inverse_map(t, step)
+
+        def bilinear_spy(u, v, step):
+            seen.append(("bilinear", u.shape))
+            return self.bilinear_map(u, v, step)
+
+        _check_right_inverse(IterationParams(n_points=2048),
+                             GridFunction.constant(1.0, 2048), inverse_spy,
+                             bilinear_spy)
+        assert max(rows * points for _, (rows, points, _) in seen) <= 2 ** 13
+        assert sum(rows for name, (rows, _, _) in seen if name == "inverse") == 20
+        assert [name for name, _ in seen] == ["inverse", "bilinear"] * 5
 
     def test_one_sample_per_batch_at_65536(self):
         seen = []
@@ -701,12 +734,12 @@ class TestRightInverseSelfCheck:
             self.check(inverse_map=f)
 
     def test_inverse_off_in_last_batch_names_sample_16(self):
-        def f(t, step):
-            out = self.inverse_map(t, step)
-            return out * (1 + 1e-9) if t.shape[0] < 16 else out
-
         with pytest.raises(AssertionError, match="on sample 16$"):
-            self.check(inverse_map=f)
+            self.check(inverse_map=self.inverse_off_on(range(16, 20)))
+
+    def test_inverse_off_on_sample_19_names_it(self):
+        with pytest.raises(AssertionError, match="on sample 19$"):
+            self.check(inverse_map=self.inverse_off_on([19]))
 
     def test_nan_residual_fails(self):
         def b(u, v, step):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tamelab.cli import load_experiment_config
 from tamelab.gridfield import (
@@ -31,6 +32,7 @@ from tamelab.problem import (
     stock_remainder_terms,
 )
 from tamelab.verify import (
+    MIN_FIT_STEPS,
     MISDECLARED_CONTROL,
     R5_FACTOR,
     InsufficientSteps,
@@ -329,6 +331,74 @@ class TestFitDecay:
         assert fit.slope == pytest.approx(-math.log(p.lambda_ell), rel=0.15)
         fit2 = fit_decay(trace, 2)
         assert abs(fit.slope - fit2.slope) <= 0.20 * abs(fit.slope)
+
+
+def polyfit_reference(points):
+    """slope, intercept and r^2 of the points as np.polyfit and np.polyval
+    fit them, with fit_decay's r^2 rules: 1.0 at ss_tot = 0, clamped to
+    [0, 1]."""
+    xs = np.array([float(i) for i, _ in points])
+    ys = np.array([y for _, y in points])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    ss_res = float(np.sum((ys - np.polyval([slope, intercept], xs)) ** 2))
+    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
+    return float(slope), float(intercept), min(1.0, r_squared)
+
+
+def log_error_run(min_step, log_errors):
+    """A trace whose steps min_step, min_step + 1, ... carry ln ||E_i||_0 =
+    log_errors, with no noise floor; the steps before min_step read 1.0."""
+    return synthetic_trace([1.0] * min_step + [math.exp(y) for y in log_errors],
+                           target_sup=0.0)
+
+
+class TestClosedFormFit:
+    # The noise is at least 2%: at slope 0, r^2 is a ratio of sums of
+    # squared noise, which rounding each residual moves by about
+    # eps * |y| / noise, so a smaller noise leaves r^2 ill-conditioned.
+    @given(min_step=st.integers(min_value=1, max_value=10),
+           n_steps=st.integers(min_value=MIN_FIT_STEPS, max_value=40),
+           slope=st.floats(min_value=-12.0, max_value=0.0),
+           intercept=st.floats(min_value=-30.0, max_value=30.0),
+           noise=st.floats(min_value=0.02, max_value=0.2),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_matches_polyfit(self, min_step, n_steps, slope, intercept, noise,
+                             seed):
+        steps = np.arange(min_step, min_step + n_steps)
+        ys = (intercept + slope * steps
+              + noise * np.random.default_rng(seed).standard_normal(n_steps))
+        trace = log_error_run(min_step, ys)
+        fit = fit_decay(trace, 0, min_step=min_step)
+        want_slope, want_intercept, want_r2 = polyfit_reference(
+            trace.log_errors(0, min_step))
+        assert abs(fit.slope - want_slope) <= 1e-12 * (1 + abs(want_slope))
+        assert abs(fit.intercept - want_intercept) <= 1e-12 * (1 + abs(want_intercept))
+        assert abs(fit.r_squared - want_r2) <= 1e-12
+        assert fit.steps_used == (min_step, min_step + n_steps - 1)
+
+    # Every ln ||E_i|| is the same, so ss_tot is exactly 0.  A mean taken as
+    # fsum(ys) / n misses about one constant in ten by an ulp (0.9 over 7
+    # steps, for one), which leaves ss_tot = ss_res > 0 and r^2 = 0.
+    @given(min_step=st.integers(min_value=1, max_value=10),
+           n_steps=st.integers(min_value=MIN_FIT_STEPS, max_value=40),
+           log_error=st.floats(min_value=-700.0, max_value=0.0))
+    @example(min_step=1, n_steps=7, log_error=math.log(0.9))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_constant_run_has_unit_r_squared(self, min_step, n_steps, log_error):
+        fit = fit_decay(log_error_run(min_step, [log_error] * n_steps), 0,
+                        min_step=min_step)
+        assert (fit.slope, fit.r_squared) == (0.0, 1.0)
+        assert fit.intercept == math.log(math.exp(log_error))
+        assert fit.steps_used == (min_step, min_step + n_steps - 1)
+
+    def test_one_step_short_raises(self):
+        errors = [1.0, 0.5] + [0.1 ** i for i in range(MIN_FIT_STEPS - 1)]
+        with pytest.raises(InsufficientSteps,
+                           match=f"^only {MIN_FIT_STEPS - 1} usable steps for "
+                                 f"k=0; need >= {MIN_FIT_STEPS}$"):
+            fit_decay(synthetic_trace(errors), 0, min_step=2)
 
 
 class TestOracleNorm:
