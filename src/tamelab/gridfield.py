@@ -192,10 +192,14 @@ def _derivative_multiplier(n_points: int, order: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _stacked_multipliers(n_points: int, k_max: int) -> np.ndarray:
-    """Row k - 1 is _derivative_multiplier(n_points, k), k = 1..k_max;
-    read-only, (k_max, n_points/2 + 1)."""
-    mults = np.concatenate([_derivative_multiplier(n_points, k).T
-                            for k in range(1, k_max + 1)])
+    """Row k - 1 is the complex (i m)^k, k = 1..k_max: _derivative_multiplier
+    (n_points, k) with an odd order's factor i; read-only, (k_max, n_points/2
+    + 1).  It spares ck_norms the odd orders' *= 1j and numpy's buffered
+    real-to-complex cast; the products differ only in the sign of zeros."""
+    mults = np.empty((k_max, n_points // 2 + 1), dtype=complex)
+    for k in range(1, k_max + 1):
+        real = _derivative_multiplier(n_points, k)[:, 0]
+        mults[k - 1] = real * 1j if k % 2 else real
     mults.flags.writeable = False
     return mults
 
@@ -335,11 +339,7 @@ def ck_norms(rows: np.ndarray, k_max: int) -> np.ndarray:
         spec = _clean(np.fft.rfft(rows[batch], axis=-1), axis=-1)[:, np.newaxis]
         per_call = max(1, BATCH_POINTS // (n * len(spec)))
         for j in range(0, k_max, per_call):
-            # Row r of the call is order j + 1 + r, so the odd orders, whose
-            # products are multiplied by 1j, start at row j % 2.
-            product = spec * mults[j:j + per_call]
-            product[:, j % 2::2] *= 1j
-            d = np.fft.irfft(product, n, axis=-1)
+            d = np.fft.irfft(spec * mults[j:j + per_call], n, axis=-1)
             norms[batch, 1 + j:1 + j + d.shape[1]] = row_sups(
                 d.reshape(-1, n)).reshape(d.shape[:2])
     # ck_norm's running max: ||f||_k = max_{j <= k} sup |d^j f|.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -148,13 +148,17 @@ class RemainderTerm:
         evaluating several terms at the same fields differentiate each field
         once per order.
         """
-        return GridFunction.from_samples(self._samples(a, b, lam, ell, modulation))
+        return GridFunction.from_samples(
+            self._samples(a, b, (lam,), ell, modulation.samples[np.newaxis])[0])
 
-    def _samples(self, a: FieldSpectrum, b: Optional[FieldSpectrum], lam: int,
-                 ell: float, modulation: GridFunction) -> np.ndarray:
-        """apply's samples, (n_points, modulation components), unchecked for
-        finiteness: the grid checks run on the arguments, and the caller
-        checks the field it keeps."""
+    def _samples(self, a: FieldSpectrum, b: Optional[FieldSpectrum],
+                 lams: Sequence[int], ell: float,
+                 modulations: np.ndarray) -> np.ndarray:
+        """The term at each frequency lams[i] under the modulation samples
+        modulations[i], (len(lams), n_points, components): the core is taken
+        once and broadcast against the stack.  Unchecked for finiteness: the
+        grid checks run on the arguments, and the caller checks the samples
+        it keeps."""
         orders = self.bound_class.arg_derivatives
         first = a.derivative(orders[0])
         core = first.samples
@@ -164,9 +168,13 @@ class RemainderTerm:
             core = core * second.samples
         if core.shape[-1] != 1:  # one component's mean is the core itself
             core = (1.0 / core.shape[-1]) * core.sum(axis=-1, keepdims=True)
-        modulation._require_compatible(first)
-        pref = self.weight * self.bound_class.prefactor(lam, ell)
-        return pref * (modulation.samples * core)
+        if modulations.shape[-2] != first.n_points:
+            raise IncompatibleGrids(f"grids differ: n_points "
+                                    f"{modulations.shape[-2]}/{first.n_points}")
+        out = modulations * core[np.newaxis]
+        for i, lam in enumerate(lams):
+            out[i] *= self.weight * self.bound_class.prefactor(lam, ell)
+        return out
 
 
 def stock_remainder_terms() -> tuple[RemainderTerm, ...]:
@@ -209,7 +217,8 @@ class RemainderSpec:
         n = a.field.n_points
         total = np.zeros((n, 1))
         for term in self.terms:
-            out = term._samples(a, None, self.lam, self.ell, self.modulation)
+            out = term._samples(a, None, (self.lam,), self.ell,
+                                self.modulation.samples[np.newaxis])[0]
             if out.shape[-1] != 1:
                 raise IncompatibleGrids(f"component counts differ: {out.shape[-1]} vs 1")
             total = out + total

@@ -9,7 +9,6 @@ self-interaction demo, whose class bookkeeping genuinely fails.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,13 +17,14 @@ import numpy as np
 
 from . import iteration
 from .gridfield import (
+    BATCH_POINTS,
+    NON_FINITE,
     RESOLUTION_FACTOR,
     FieldSpectrum,
     GridFunction,
     ResolutionError,
     ck_norm,
     ck_norms,
-    norm_batch_rows,
     oscillator,
     random_trig_polynomial,
     refine,
@@ -95,68 +95,74 @@ def _norm_factors(bound_class: BoundClass) -> tuple[tuple[int, int, int], ...]:
                  for arg, order in enumerate(bound_class.arg_derivatives))
 
 
+def _argument_rows(classes: Sequence[BoundClass],
+                   k_max: int) -> tuple[list[tuple[int, int]], int]:
+    """The (argument, derivative order) of every field the class estimates
+    read, in first-use order, and the highest norm order any of them reads."""
+    factors = [factor for bound_class in classes
+               for factor in _norm_factors(bound_class)]
+    return (list(dict.fromkeys((arg, order) for arg, order, _ in factors)),
+            k_max + max(shift for *_, shift in factors))
+
+
 def _argument_norms(fields: Sequence[FieldSpectrum],
-                    classes: Sequence[BoundClass], k_max: int) -> dict:
-    """(argument, derivative order) -> norms of that field, taken once up
-    to the highest order any of the classes reads.
-
-    A derivative is normed from its own transform, exactly as ck_norm of
-    the differentiated field, so the values do not depend on sharing."""
-    tops: dict = {}
-    for bound_class in classes:
-        for arg, order, shift in _norm_factors(bound_class):
-            tops[(arg, order)] = max(tops.get((arg, order), 0), k_max + shift)
-    norms = {}
-    for (arg, order), top in tops.items():
-        field = fields[arg]
-        norms[(arg, order)] = (field.ck_norm(top) if order == 0 else
-                               ck_norm(field.derivative(order), top)).values
-    return norms
+                    keys: Sequence[tuple[int, int]], top: int) -> np.ndarray:
+    """Norms 0..top of each (argument, derivative order) field in keys,
+    (len(keys), top + 1), in one ck_norms call: ck_norm's values, the
+    largest over a field's components.  Derivatives stay in fields."""
+    rows = [fields[arg].derivative(order).samples.T for arg, order in keys]
+    starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
+    return np.maximum.reduceat(ck_norms(np.concatenate(rows), top), starts)
 
 
-def _class_norms(bound_class: BoundClass, norms: dict,
-                 k_max: int) -> tuple[tuple[float, ...], ...]:
-    """The lambda-independent norm sequences the class estimate pairs, each
-    indexed by the order j it enters at."""
-    return tuple(norms[(arg, order)][shift:shift + k_max + 1]
-                 for arg, order, shift in _norm_factors(bound_class))
+def _class_estimates(bound_class: BoundClass, norms: np.ndarray,
+                     keys: Sequence[tuple[int, int]],
+                     lambda_grid: Sequence[int], ell: float,
+                     k_max: int) -> np.ndarray:
+    """The class estimate with unit constant, (samples, lambdas, k_max + 1),
+    from the argument norms (samples, len(keys), top + 1).
 
-
-def _rhs_polynomial(bound_class: BoundClass,
-                    class_norms: tuple[tuple[float, ...], ...], lam: int,
-                    ell: float, k_max: int) -> tuple[float, ...]:
-    """The lambda polynomial of the class estimate over precomputed norms:
-    arithmetic only."""
-    pref = bound_class.prefactor(lam, ell)
-    if len(class_norms) == 1:
-        (na,) = class_norms
-        return tuple(pref * sum(na[j] * lam ** (k - j) for j in range(k + 1))
-                     for k in range(k_max + 1))
-    first, second = class_norms
-    out = []
-    for k in range(k_max + 1):
-        total = 0.0
-        for j1 in range(k + 1):
-            for j2 in range(k + 1 - j1):
-                total += first[j1] * second[j2] * lam ** (k - j1 - j2)
-        out.append(pref * total)
-    return tuple(out)
+    Linear classes: pref * sum_{j<=k} ||a||_j lam^(k-j).  Bilinear classes:
+    pref * sum ||a||_j1 ||b||_j2 lam^(k-j1-j2) over j1 + j2 <= k, j1 outer.
+    Every sample and frequency takes the float operations of a Python loop
+    over one of them, in its order, with overflow to inf; a prefactor
+    ell**-p out of the float range raises OverflowError.
+    """
+    factors = [norms[:, keys.index((arg, order)), shift:shift + k_max + 1]
+               for arg, order, shift in _norm_factors(bound_class)]
+    if len(factors) == 1:
+        # Each ||a||_j is paired with a 1.0, which multiplies exactly.
+        factors.append(np.ones_like(factors[0]))
+        products = [[(j, 0) for j in range(k + 1)] for k in range(k_max + 1)]
+    else:
+        products = [[(j1, j2) for j1 in range(k + 1) for j2 in range(k + 1 - j1)]
+                    for k in range(k_max + 1)]
+    first, second = factors
+    prefs = np.array([bound_class.prefactor(lam, ell) for lam in lambda_grid])
+    powers = np.array([[float(lam ** p) for lam in lambda_grid]
+                       for p in range(k_max + 1)])  # [p][lam]
+    out = np.empty((len(norms), len(lambda_grid), k_max + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, terms in enumerate(products):
+            total = 0.0
+            for j1, j2 in terms:
+                norm_product = (first[:, j1] * second[:, j2])[:, np.newaxis]
+                total = total + norm_product * powers[k - j1 - j2]
+            out[:, :, k] = prefs * total
+    return out
 
 
 def class_bound_rhs(bound_class: BoundClass, a: GridFunction,
                     b: Optional[GridFunction], lam: int, ell: float,
                     k_max: int) -> tuple[float, ...]:
-    """Right-hand side of the class estimate with unit constant.
-
-    Linear classes: pref * sum_{j<=k} ||a||_j lam^(k-j).  Bilinear classes
-    pair the (possibly differentiated or order-shifted) argument norms over
-    j1 + j2 <= k; b defaults to a.
-    """
+    """Right-hand side of the class estimate with unit constant (see
+    _class_estimates); b defaults to a."""
     spectral_a = FieldSpectrum(a)
     fields = (spectral_a, spectral_a if b is None else FieldSpectrum(b))
-    norms = _argument_norms(fields, [bound_class], k_max)
-    return _rhs_polynomial(bound_class, _class_norms(bound_class, norms, k_max),
-                           lam, ell, k_max)
+    keys, top = _argument_rows([bound_class], k_max)
+    norms = _argument_norms(fields, keys, top)[np.newaxis]
+    return tuple(_class_estimates(bound_class, norms, keys, (lam,), ell,
+                                  k_max)[0, 0].tolist())
 
 
 def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
@@ -171,91 +177,116 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     ratio per order.  Auditing a term against the wrong class shows up as
     constants that drift with the frequency.
 
-    The pass is sample-major: each sample's fields are drawn, differentiated
-    and normed once for all pairs and frequencies, and only the running
-    worst ratios are kept, so one sample's fields are alive at a time.
-    The measured terms are normed by ck_norms in batches of
-    norm_batch_rows(n_points, k_max) rows, each as soon as it fills: one
-    term at a time at 65536 points.  A term that returns anything but one
-    component on the audit grid raises ValueError.
-    Raises ResolutionError, before drawing, when the grid cannot resolve
-    norms to order k_max at the top frequency, and FloatingPointError
-    naming the class, lambda and ell when a term or its norms leave the
-    float range.
+    The pass is sample-major, so one sample's fields are alive at a time.
+    Per sample, one ck_norms call norms a, b and the derivatives the
+    classes read, each pair's term is evaluated once over the frequency
+    grid, and one ck_norms call norms the terms of as many pairs as fit
+    BATCH_POINTS samples (at least one).  The class estimates and the worst
+    ratios are then computed for all samples at once.
+
+    A term that is not one component on the audit grid at each frequency
+    raises ValueError, and one with non-finite samples ValueError(
+    NON_FINITE).  Raises ResolutionError, before drawing, when the grid
+    cannot resolve norms to order k_max at the top frequency, and
+    FloatingPointError naming the class, lambda and ell of the first term,
+    in pair and frequency order, that leaves the float range or whose norms
+    do.
     """
     if n_samples < 10:
         raise ValueError(f"need n_samples >= 10, got {n_samples}")
     lambda_grid = tuple(lambda_grid)
+    n = params.n_points
     needed = RESOLUTION_FACTOR * max(lambda_grid) * (k_max + 1)
-    if params.n_points < needed:
+    if n < needed:
         raise ResolutionError(
             f"audit to order {k_max} at frequency {max(lambda_grid)} needs "
             f"n_points >= {needed} (= {RESOLUTION_FACTOR} * lambda * "
-            f"(k_max + 1)), got {params.n_points}")
+            f"(k_max + 1)), got {n}")
     pairs = tuple(pairs)
+    if not pairs:
+        return []
     classes = [bound_class for _, bound_class in pairs]
     draw_b = any(bound_class.arity == 2 for bound_class in classes)
-    modulations = [oscillator(1.0, lam, n_points=params.n_points)
-                   for lam in lambda_grid]
-    per_batch = norm_batch_rows(params.n_points, k_max)
-    worst = [[[0.0] * (k_max + 1) for _ in lambda_grid] for _ in pairs]
+    keys, top = _argument_rows(classes, k_max)
+    modulations = np.stack([oscillator(1.0, lam, n_points=n).samples
+                            for lam in lambda_grid])
+    lams = len(lambda_grid)
+    per_call = max(1, BATCH_POINTS // (n * lams))
+    rows = np.empty((min(per_call, len(pairs)) * lams, n))
+    argument_norms = np.empty((n_samples, len(keys), top + 1))
+    measured = np.empty((n_samples, len(pairs) * lams, k_max + 1))
+    labels = [(bound_class, lam) for bound_class in classes for lam in lambda_grid]
 
     def out_of_range(bound_class, lam):
         return FloatingPointError(
             f"the class {bound_class.kind} term leaves the float range at "
             f"lambda={lam}, ell={params.ell}")
 
-    def measured_fields(a, b, norms):
-        """Yield (samples, rhs, worst row, (class, lambda)) for every pair
-        and frequency: the term's one-component samples through
-        RemainderTerm.apply, and its class estimate with unit constant."""
-        for (term, bound_class), rows in zip(pairs, worst):
-            bilinear = bound_class.arity == 2
-            class_norms = _class_norms(bound_class, norms, k_max)
-            for lam, modulation, row in zip(lambda_grid, modulations, rows):
+    def evaluate(term, bound_class, a, b, out):
+        """Write the term at every frequency into out, (lambdas, n_points);
+        an overflow names the first frequency that overflows on its own."""
+        b = b if bound_class.arity == 2 else None
+        try:
+            r = term._samples(a, b, lambda_grid, params.ell, modulations)
+        except (FloatingPointError, OverflowError):
+            for i, lam in enumerate(lambda_grid):
                 try:
-                    r = term.apply(a, b if bilinear else None, lam=lam,
-                                   ell=params.ell, modulation=modulation)
+                    term._samples(a, b, (lam,), params.ell, modulations[i:i + 1])
                 except (FloatingPointError, OverflowError) as exc:
                     raise out_of_range(bound_class, lam) from exc
-                if (r.n_points, r.n_components) != (params.n_points, 1):
-                    raise ValueError(
-                        f"term returned {r.n_components} component(s) on "
-                        f"{r.n_points} points, not one component on the "
-                        f"{params.n_points}-point audit grid")
-                yield (r.samples[:, 0],
-                       _rhs_polynomial(bound_class, class_norms, lam,
-                                       params.ell, k_max), row, (bound_class, lam))
+            raise
+        if np.shape(r) != (lams, n, 1):
+            raise ValueError(f"term returned shape {np.shape(r)}, not one "
+                             f"component on the {n}-point audit grid")
+        out[:] = r[..., 0]
+
+    def norm(block, block_labels):
+        """ck_norms of the rows of block; an overflow names the first row
+        that overflows on its own."""
+        try:
+            values = ck_norms(block, k_max)
+        except FloatingPointError:
+            for row, label in zip(block, block_labels):
+                try:
+                    ck_norms(row[np.newaxis], k_max)
+                except FloatingPointError as exc:
+                    raise out_of_range(*label) from exc
+            raise
+        finite = np.isfinite(values)
+        if not finite[:, 0].all():
+            raise ValueError(NON_FINITE)
+        if not finite.all():
+            bad = np.flatnonzero(~finite.all(axis=1))[0]
+            raise out_of_range(*block_labels[bad])
+        return values
 
     for idx in range(n_samples):
         # Per-sample seeding keeps the fields independent of which pairs
         # are audited together and of the sample order.
         a = FieldSpectrum(random_trig_polynomial(
-            np.random.default_rng([params.seed, idx, 0]), params.n_points))
+            np.random.default_rng([params.seed, idx, 0]), n))
         b = (FieldSpectrum(random_trig_polynomial(
-            np.random.default_rng([params.seed, idx, 1]), params.n_points))
+            np.random.default_rng([params.seed, idx, 1]), n))
              if draw_b else None)
-        fields = measured_fields(a, b, _argument_norms((a, b), classes, k_max))
-        while batch := list(itertools.islice(fields, per_batch)):
-            try:
-                measured = ck_norms(np.stack([r for r, *_ in batch]), k_max)
-            except FloatingPointError:
-                # Rows are normed independently: name the first that
-                # overflows on its own.
-                for r, _, _, label in batch:
-                    try:
-                        ck_norms(r[np.newaxis], k_max)
-                    except FloatingPointError as exc:
-                        raise out_of_range(*label) from exc
-                raise
-            for values, (_, rhs, row, _) in zip(measured.tolist(), batch):
-                for k in range(k_max + 1):
-                    if rhs[k] > 0:
-                        row[k] = max(row[k], values[k] / rhs[k])
+        argument_norms[idx] = _argument_norms((a, b), keys, top)
+        for start in range(0, len(pairs), per_call):
+            group = pairs[start:start + per_call]
+            for (term, bound_class), out in zip(group, rows.reshape(-1, lams, n)):
+                evaluate(term, bound_class, a, b, out)
+            done = slice(start * lams, (start + len(group)) * lams)
+            measured[idx, done] = norm(rows[:len(group) * lams], labels[done])
+    estimates = np.concatenate(
+        [_class_estimates(bound_class, argument_norms, keys, lambda_grid,
+                          params.ell, k_max)
+         for bound_class in classes], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.divide(measured, estimates, out=np.zeros_like(measured),
+                           where=estimates > 0)
+    worst = ratios.max(axis=0).reshape(len(pairs), lams, k_max + 1)
     return [BoundReport(bound_class=bound_class, lambda_grid=lambda_grid,
-                        constants_by_lambda=tuple(tuple(row) for row in rows),
+                        constants_by_lambda=tuple(map(tuple, table)),
                         sample_count=n_samples, seed=params.seed)
-            for (_, bound_class), rows in zip(pairs, worst)]
+            for bound_class, table in zip(classes, worst.tolist())]
 
 
 def verify_remainder_class(term: RemainderTerm, bound_class: BoundClass,

@@ -78,13 +78,17 @@ def test_layering():
     # Only problem and the CLI build instances, only iteration and the CLI
     # run them, and the package namespace imports nothing.  No module names
     # polyfit, polyval or numpy's linalg: the decay fits are closed-form,
-    # and a first LAPACK call leaves about 1 MB resident.
+    # and a first LAPACK call leaves about 1 MB resident.  Only gridfield
+    # names numpy's fft, so every transform takes the one spectral path and
+    # batching stays in ck_norms.
     builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
                 "with_self_interaction"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
         module, nodes = path.stem, list(ast.walk(ast.parse(path.read_text())))
         names = {_name(n) for n in nodes}.union(*map(_dotted_parts, nodes))
         assert not {"polyfit", "polyval", "linalg"} & names, module
+        if module != "gridfield":
+            assert "fft" not in names, module
         if module not in ("problem", "cli"):
             assert not builders & names, module
         if module not in ("iteration", "cli"):

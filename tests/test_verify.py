@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tamelab.cli import load_experiment_config
+from tamelab.cli import load_experiment_config, main
 from tamelab.gridfield import (
     BATCH_POINTS,
     FieldSpectrum,
+    NON_FINITE,
     GridFunction,
     NormVector,
     ResolutionError,
@@ -23,6 +25,7 @@ from tamelab.problem import (
     R1,
     R2,
     R3,
+    R4,
     R5,
     IterationParams,
     RemainderTerm,
@@ -37,6 +40,7 @@ from tamelab.verify import (
     R5_FACTOR,
     InsufficientSteps,
     audit_classes,
+    class_bound_rhs,
     fit_decay,
     oracle_norm,
     verify_remainder_class,
@@ -230,12 +234,59 @@ class TestAuditClasses:
     @pytest.mark.parametrize("shape", [(2048, 2), (1024, 1)])
     def test_term_off_the_audit_grid_refused(self, shape):
         class Reshaped(RemainderTerm):
-            def apply(self, a, b=None, *, lam, ell, modulation):
-                return GridFunction.from_samples(np.ones(shape))
+            def _samples(self, a, b, lams, ell, modulations):
+                return np.ones((len(lams),) + shape)
 
         with pytest.raises(ValueError, match="not one component on the "
                                              "2048-point audit grid"):
             audit_classes([(Reshaped(R1), R1)], IterationParams(), n_samples=10)
+
+    def test_non_finite_term_refused(self):
+        # Outside the CLI's errstate nothing raises while the term or its
+        # norms are computed; the k = 0 norm of the NaN row is NaN.
+        class WithNan(RemainderTerm):
+            def _samples(self, a, b, lams, ell, modulations):
+                out = super()._samples(a, b, lams, ell, modulations)
+                out[-1, 7] = np.nan
+                return out
+
+        pairs = stock_pairs()[:2] + [(WithNan(R1), R1)]
+        with pytest.raises(ValueError, match=f"^{NON_FINITE}$"):
+            audit_classes(pairs, IterationParams(), n_samples=10)
+
+    def test_overflowing_norms_name_their_pair(self):
+        # At ell = 1e-154 the R2 term is finite and its norms overflow.  At
+        # 16384 points each pair is normed in its own ck_norms call, after
+        # R1's.
+        p = IterationParams(n_points=16384, ell=1e-154)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError,
+                               match=r"^the class R2 term leaves the float range "
+                                     r"at lambda=16, ell=1e-154$"):
+                audit_classes(stock_pairs(), p, n_samples=10)
+
+    def test_shipped_audit_output_is_pinned(self, tmp_path):
+        # remainder-audit on audit.cfg, byte for byte: batching over pairs,
+        # frequencies and samples must not move a constant by one ulp.
+        assert main(["remainder-audit", "--config", str(AUDIT_CFG),
+                     "--output_dir", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "audit.csv").read_bytes()).hexdigest() == (
+            "c7086113212857528660be4c59766e40821d7e3a70a782ca1c7ca8e118de8abe")
+
+    # At amplitude 1e160 the bilinear products leave the float range: they
+    # go to inf, as in the Python float loop, also where numpy raises.
+    @pytest.mark.parametrize("amplitude", [1.0, 1e160])
+    @pytest.mark.parametrize("bound_class", [R1, R2, R3, R4, R5, r6(2, 1)])
+    def test_class_bound_rhs_equals_reference(self, bound_class, amplitude):
+        p = IterationParams(seed=4)
+        a, b = (amplitude * random_trig_polynomial(np.random.default_rng([4, i]),
+                                                   p.n_points)
+                for i in range(2))
+        for lam in (16, 64):
+            with np.errstate(over="raise", invalid="raise"):
+                got = class_bound_rhs(bound_class, a, b, lam, p.ell, 3)
+            assert got == reference_rhs(bound_class, a, b, lam, p.ell, 3)
+        assert (math.inf in got) == (amplitude > 1 and bound_class != R1)
 
     def test_transform_calls_stay_within_batch_points(self, count_fft):
         # Freeing a transform buffer of about 3 MB or more moves glibc's
@@ -281,21 +332,20 @@ class TestAuditClasses:
 
     def test_transform_count(self, count_fft):
         # Per sample (12 at audit.cfg): a and b drawn by angle addition, with
-        # no transform.  Argument norms: ||a||_4 one rfft + 4 irffts (R4
-        # reads order k+1), ||b||_3 one rfft + 3; d/dx a and d/dx b one
-        # irfft each from those spectra, then ||da||_3 and ||db||_3 one rfft
-        # + 3 irffts each, one row per call.  Measured norms: 5 pairs x 3
-        # frequencies x (one rfft row + 3 irfft rows), in ck_norms batches
-        # of 65536 // (2048 * 3) = 10 rows, so 10 + 5 per sample: one rfft
-        # and one irfft call per batch.
-        # rfft rows: 12 * (4 + 15) = 228, calls: 12 * (4 + 2) = 72.
-        # irfft rows: 12 * (4 + 3 + 2 + 6 + 45) = 720, calls:
-        # 12 * (4 + 3 + 2 + 6 + 2) = 204.
+        # no transform.  d/dx a and d/dx b: one rfft and one irfft each.
+        # Argument norms: a, b, da and db in one ck_norms call at order 4
+        # (R4 reads ||a||_(k+1)), a batch of 65536 // (2048 * 4) = 8 rows:
+        # one rfft of 4 rows and one irfft of 4 x 4 rows.  Measured norms:
+        # 5 pairs x 3 frequencies = 15 rows in one ck_norms call at order 3,
+        # in batches of 65536 // (2048 * 3) = 10 and 5 rows: one rfft and
+        # one irfft per batch, of 10 x 3 and 5 x 3 rows.
+        # rfft rows: 12 * (2 + 4 + 15) = 252, calls: 12 * (2 + 1 + 2) = 60.
+        # irfft rows: 12 * (2 + 16 + 45) = 756, calls: 12 * (2 + 1 + 2) = 60.
         log = count_fft()
         p = audit_cfg_params()
         audit_classes(stock_pairs(), p)
-        assert log.calls == {"rfft": 72, "irfft": 204}
-        assert log.rows == {"rfft": 228, "irfft": 720}
+        assert log.calls == {"rfft": 60, "irfft": 60}
+        assert log.rows == {"rfft": 252, "irfft": 756}
 
 
 class TestFitDecay:
