@@ -106,7 +106,8 @@ def _state(instance: ProblemInstance, step_index: int, a: GridFunction,
     del spectral_a
     # E = (T - b(a, a)) - r(a), subtracted on samples and wrapped once: its
     # check covers both differences.
-    e = instance.target.samples - instance.bilinear(a, a, step_index).samples
+    e = instance.target.samples - instance.bilinear_map(a.samples, a.samples,
+                                                        step_index)
     e -= r_of_a.samples
     error = r_of_a.with_samples(e)
     norms_r = norms_diff = None
@@ -147,7 +148,7 @@ def start_state(instance: ProblemInstance, full: bool) -> IterationState:
 def initial_step(instance: ProblemInstance, *, full: bool = True) -> IterationState:
     """Step 1: a = F(T).  The bilinear part reproduces T exactly, so the
     error is minus the remainder at the first iterate and their norms agree."""
-    a1 = instance.inverse(instance.target, 1)
+    a1 = instance.inverse(instance.target.samples, 1)
     return _state(instance, 1, a1, full, None)
 
 
@@ -165,7 +166,8 @@ def step(state: IterationState, instance: ProblemInstance, *,
         raise DerivativeBudgetExhausted(
             f"stepping to {next_index} leaves no controlled orders "
             f"(k0 = {p.k0}); raise k0 per the budget k1 + steps * order")
-    a_next = instance.inverse(instance.target - state.r_of_a, next_index)
+    a_next = instance.inverse(instance.target.samples - state.r_of_a.samples,
+                              next_index)
     return _state(instance, next_index, a_next, full, state.a)
 
 

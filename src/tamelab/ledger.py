@@ -169,8 +169,9 @@ def propagate(cs: ConstantSet, params: IterationParams,
 
 
 def threshold(cs: ConstantSet) -> float:
-    """Smallest lam*ell keeping c_r/(lam ell) within the 1/(3 c_f) margin."""
-    return 3.0 * cs.c_f * cs.c_r
+    """Smallest lam*ell keeping c_r/(lam ell) within the 1/(3 c_f) margin,
+    saturated at CONSTANT_CAP like the propagated constants."""
+    return min(3.0 * cs.c_f * cs.c_r, CONSTANT_CAP)
 
 
 def _scaled(norms: NormVector, params: IterationParams, power: int) -> list[float]:

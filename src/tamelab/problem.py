@@ -23,7 +23,6 @@ from .gridfield import (
     IncompatibleGrids,
     NormVector,
     check_product,
-    check_sum,
     ck_norm,
     finite_sup,
     mollify,
@@ -263,31 +262,61 @@ class IterationParams:
         return max(0, min(self.k0 - step, self.k_safe))
 
 
+# An array map acts pointwise on samples whose last axis is the component
+# axis; any leading axes are batch axes, and step may be an array that
+# broadcasts against them.
+ArrayMap = Callable[..., np.ndarray]
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """An immutable (T, T0, b, F, r) package ready for the driver.
 
-    bilinear and inverse take the step index so families where they change
-    from step to step stay exact right-inverse pairs at every step.  inverse
-    raises DomainEscape for a tensor outside the 1/C_F neighborhood of the
-    center or with a nonpositive sample.
+    bilinear_map and inverse_map are the array maps the build's right-inverse
+    self-check verified.  They take the step index so families where they
+    change from step to step stay exact right-inverse pairs at every step.
+    inverse applies inverse_map to the samples of a tensor inside the domain
+    of F.
     """
 
     kind: str
     target: GridFunction
     center: GridFunction
-    bilinear: Callable[[GridFunction, GridFunction, int], GridFunction]
-    inverse: Callable[[GridFunction, int], GridFunction]
+    bilinear_map: ArrayMap
+    inverse_map: ArrayMap
     remainder: RemainderSpec
     params: IterationParams
     n_components: int
     target_norms: NormVector  # ||T||_0 .. ||T||_k at the step-0 norm order
 
+    def inverse(self, tensor: np.ndarray, step: int) -> GridFunction:
+        """F(tensor) at step, for tensor samples on the center's grid.
 
-# An array map acts pointwise on samples whose last axis is the component
-# axis; any leading axes are batch axes, and step may be an array that
-# broadcasts against them.
-ArrayMap = Callable[..., np.ndarray]
+        Raises DomainEscape for a tensor outside the 1/C_F neighborhood of
+        the center or with a nonpositive sample."""
+        center = self.center
+        if tensor.shape[0] != center.n_points:
+            raise IncompatibleGrids(
+                f"grids differ: n_points {center.n_points}/{tensor.shape[0]}")
+        if tensor.shape[1:] != (center.n_components,):
+            raise IncompatibleGrids(f"component counts differ: "
+                                    f"{center.n_components} vs {tensor.shape[-1]}")
+        radius = 1.0 / self.params.c_f
+        distance = finite_sup(tensor - center.samples)
+        if distance > radius:
+            raise DomainEscape(
+                f"tensor is {distance:.6g} from the center, outside the "
+                f"1/C_F = {radius:.6g} neighborhood (step {step})",
+                step=step, measured=distance, radius=radius)
+        # Division by n_components is monotone, so this is the minimum of
+        # the values the map takes the root of.
+        low = np.min(tensor) / self.n_components
+        if low <= 0.0:
+            raise DomainEscape(
+                f"tensor loses positivity (min {low:.6g}) at step {step}",
+                step=step, measured=distance, radius=radius)
+        return GridFunction(center.n_points, self.n_components,
+                            self.inverse_map(tensor, step))
 
 
 def _toy_maps(n_components: int, drift: float,
@@ -322,43 +351,6 @@ def _toy_maps(n_components: int, drift: float,
         return total
 
     return inverse_map, bilinear_map
-
-
-def _grid_inverse(inverse_map: ArrayMap, center: GridFunction, c_f: float,
-                  n_components: int):
-    """F on GridFunctions: refuses tensors outside the 1/C_F neighborhood of
-    the center or with a nonpositive sample, then applies inverse_map."""
-    radius = 1.0 / c_f
-
-    def inverse(tensor: GridFunction, step: int) -> GridFunction:
-        check_sum(center, tensor)
-        distance = finite_sup(tensor.samples - center.samples)
-        if distance > radius:
-            raise DomainEscape(
-                f"tensor is {distance:.6g} from the center, outside the "
-                f"1/C_F = {radius:.6g} neighborhood (step {step})",
-                step=step, measured=distance, radius=radius)
-        # Division by n_components is monotone, so this is the minimum of
-        # the values the map takes the root of.
-        low = np.min(tensor.samples) / n_components
-        if low <= 0.0:
-            raise DomainEscape(
-                f"tensor loses positivity (min {low:.6g}) at step {step}",
-                step=step, measured=distance, radius=radius)
-        return GridFunction(tensor.n_points, n_components,
-                            inverse_map(tensor.samples, step))
-
-    return inverse
-
-
-def _grid_bilinear(bilinear_map: ArrayMap):
-    """b on GridFunctions, with check_product's grid checks."""
-
-    def bilinear(u: GridFunction, v: GridFunction, step: int) -> GridFunction:
-        check_product(u, v)
-        return GridFunction(u.n_points, 1, bilinear_map(u.samples, v.samples, step))
-
-    return bilinear
 
 
 def _check_right_inverse(params: IterationParams, center: GridFunction,
@@ -439,8 +431,8 @@ def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
         kind=kind,
         target=target,
         center=center,
-        bilinear=_grid_bilinear(bilinear_map),
-        inverse=_grid_inverse(inverse_map, center, params.c_f, n_components),
+        bilinear_map=bilinear_map,
+        inverse_map=inverse_map,
         remainder=remainder,
         params=params,
         n_components=n_components,

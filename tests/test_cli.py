@@ -27,6 +27,7 @@ from tamelab.cli import (
 )
 from tamelab.gridfield import PERIOD
 from tamelab.iteration import IDENTITY_TOL, run
+from tamelab.ledger import CONSTANT_CAP
 from tamelab.problem import IterationParams, make_scalar_toy
 from tamelab.verify import MIN_FIT_STEPS, DecayFit, InsufficientSteps
 
@@ -357,6 +358,16 @@ class TestLedgerCommand:
         assert lines[0] == "step,C,C_err,C_r,C_diff,threshold"
         assert float(lines[1].split(",")[5]) == 30.0
 
+    def test_threshold_saturates_at_the_cap(self, tmp_path, capsys):
+        # 3 C_F C_r overflows at C_F = 1e308; the threshold saturates at
+        # CONSTANT_CAP like every propagated constant.
+        code = main(["ledger", "--set", "C_F=1e308", "--output_dir",
+                     str(tmp_path), "--csv"])
+        assert code == 0
+        assert "threshold 1e+300\n" in capsys.readouterr().out
+        rows = (tmp_path / "ledger.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert all(float(row.split(",")[5]) == CONSTANT_CAP for row in rows)
 
     @pytest.mark.parametrize("item", ["C_r=nan", "C=inf", "C_err=nan"])
     def test_non_finite_constant_exits_one(self, item, tmp_path, capsys):

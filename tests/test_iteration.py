@@ -323,24 +323,24 @@ def count_fields(monkeypatch):
 class TestFieldCount:
     """GridFunctions made per default run (5 steps).  State 0 holds two
     zero fields.  Each step then wraps a = F(tensor), the first derivative
-    that a's spectrum keeps, b(a, a), r(a) and E.  From step 2 on it adds
-    the inverse's tensor T - r and, on a full run, a - a_prev for its
-    norms.  The remainder's terms and partial sums, E's and the residual's
-    differences and the inverse's distance stay sample arrays."""
+    that a's spectrum keeps, r(a) and E.  From step 2 on a full run adds
+    a - a_prev for its norms.  The remainder's terms and partial sums,
+    b(a, a), the inverse's tensor T - r and distance, and E's and the
+    residual's differences stay sample arrays."""
 
     def test_default_run_field_count(self, count_fields):
-        # 2 + 5 + 4 * 7
+        # 2 + 4 + 4 * 5
         instance = make_scalar_toy(IterationParams(), 0.2)
         made = count_fields()
         assert run(instance).n_steps == 5
-        assert len(made) == 35
+        assert len(made) == 26
 
     def test_error_only_run_field_count(self, count_fields):
-        # 2 + 5 + 4 * 6
+        # 2 + 4 + 4 * 4
         instance = make_scalar_toy(IterationParams(), 0.2)
         made = count_fields()
         assert run(instance, full=False).n_steps == 5
-        assert len(made) == 31
+        assert len(made) == 22
 
 
 # The instance families whose step 0 and step-1 difference are assembled
@@ -419,9 +419,11 @@ class TestArrayPath:
         r_prev = GridFunction.zeros(instance.params.n_points)
         for prev, new in zip(states, states[1:]):
             tensor = instance.target if new.step == 1 else instance.target - r_prev
-            a = instance.inverse(tensor, new.step)
+            a = instance.inverse(tensor.samples, new.step)
             r = chained_remainder(instance.remainder, a, new.step)
-            error = instance.target - instance.bilinear(a, a, new.step) - r
+            b = GridFunction.from_samples(
+                instance.bilinear_map(a.samples, a.samples, new.step))
+            error = instance.target - b - r
             for name, want in (("a", a), ("r_of_a", r), ("error", error)):
                 got = getattr(new, name)
                 assert np.array_equal(got.samples, want.samples), (new.step, name)

@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from tamelab import problem
 from tamelab.cli import ConfigError, _build, load_experiment_config, parse_flat_config
 from tamelab.gridfield import (
     BATCH_POINTS,
@@ -11,6 +13,7 @@ from tamelab.gridfield import (
     IncompatibleGrids,
     NormVector,
     ck_norm,
+    finite_sup,
     random_trig_polynomial,
     scale,
 )
@@ -35,14 +38,21 @@ from tamelab.problem import (
     self_interaction_term,
     with_self_interaction,
     _check_right_inverse,
-    _grid_inverse,
     _toy_maps,
 )
+
+
+HYP = dict(max_examples=60, deadline=None, derandomize=True)
 
 
 def product(f, g):
     """Pointwise product; a 1-component factor broadcasts over the other."""
     return GridFunction.from_samples(f.samples * g.samples)
+
+
+def residual(instance, a, t, step):
+    """sup |b(a, a) - t| on the instance's bilinear map."""
+    return finite_sup(instance.bilinear_map(a.samples, a.samples, step) - t.samples)
 
 
 def component_mean(f):
@@ -89,18 +99,17 @@ class TestScalarToy:
     def test_zero_amplitude_exact(self):
         instance = make_scalar_toy(IterationParams(), 0.0)
         assert (instance.target - instance.center).sup() == 0.0
-        a = instance.inverse(instance.target, 1)
+        a = instance.inverse(instance.target.samples, 1)
         assert (a - GridFunction.constant(1.0, 2048)).sup() < 1e-14
-        assert (instance.bilinear(a, a, 1) - instance.target).sup() < 1e-14
+        assert residual(instance, a, instance.target, 1) < 1e-14
 
     def test_pointwise_square_root(self):
         # degenerate unmollified case: T = 1 + 0.1 sin(x), a = sqrt(T)
         instance = make_scalar_toy(IterationParams(), 0.0)
         x = 2 * np.pi * np.arange(2048) / 2048
         t_prime = GridFunction.from_samples(1.0 + 0.1 * np.sin(x))
-        a = instance.inverse(t_prime, 1)
-        residual = (instance.bilinear(a, a, 1) - t_prime).sup()
-        assert residual < 1e-12
+        a = instance.inverse(t_prime.samples, 1)
+        assert residual(instance, a, t_prime, 1) < 1e-12
 
     def test_right_inverse_on_random_admissible(self):
         instance = make_scalar_toy(IterationParams(), 0.2)
@@ -108,8 +117,8 @@ class TestScalarToy:
         for _ in range(20):
             bump = random_trig_polynomial(rng, 2048)
             t_prime = instance.center + scale(0.3 * rng.uniform(0.1, 1.0), bump)
-            a = instance.inverse(t_prime, 1)
-            assert (instance.bilinear(a, a, 1) - t_prime).sup() < 1e-10
+            a = instance.inverse(t_prime.samples, 1)
+            assert residual(instance, a, t_prime, 1) < 1e-10
 
     def test_remainder_vanishes_at_zero(self):
         instance = make_scalar_toy(IterationParams(), 0.2)
@@ -152,7 +161,7 @@ class TestScalarToy:
         instance = make_scalar_toy(IterationParams(), 0.2)
         far = GridFunction.constant(2.5, 2048)
         with pytest.raises(DomainEscape) as err:
-            instance.inverse(far, 1)
+            instance.inverse(far.samples, 1)
         assert err.value.measured == pytest.approx(1.5)
 
     def test_f_bounds_single_constant_across_lambda(self):
@@ -169,8 +178,8 @@ class TestScalarToy:
                 b2 = random_trig_polynomial(rng, params.n_points)
                 t1 = instance.center + scale(0.3 * rng.uniform(0.1, 1.0), b1)
                 t2 = instance.center + scale(0.3 * rng.uniform(0.1, 1.0), b2)
-                f1 = instance.inverse(t1, 1)
-                f2 = instance.inverse(t2, 1)
+                f1 = instance.inverse(t1.samples, 1)
+                f2 = instance.inverse(t2.samples, 1)
                 k_max = 2
                 nf, nt = ck_norm(f1, k_max), ck_norm(t1, k_max)
                 ndiff_f = ck_norm(f1 - f2, k_max)
@@ -194,8 +203,8 @@ class TestVaryingToy:
         # 1e-6 (1 - 1/100) by construction of the scaling family
         params = IterationParams(ell=100.0 / 32)
         instance = make_varying_toy(params, drift=1.0)
-        f3 = instance.inverse(instance.target, 3)
-        f4 = instance.inverse(instance.target, 4)
+        f3 = instance.inverse(instance.target.samples, 3)
+        f4 = instance.inverse(instance.target.samples, 4)
         measured = (f4 - f3).sup() / f3.sup()
         assert measured == pytest.approx(1e-6 * (1 - 0.01), rel=0.10)
 
@@ -205,8 +214,8 @@ class TestVaryingToy:
         b = make_varying_toy(params, drift=0.0)
         t_prime = a.center + scale(0.1, random_trig_polynomial(
             np.random.default_rng(4), params.n_points))
-        assert np.array_equal(a.inverse(t_prime, 2).samples,
-                              b.inverse(t_prime, 2).samples)
+        assert np.array_equal(a.inverse(t_prime.samples, 2).samples,
+                              b.inverse(t_prime.samples, 2).samples)
         probe = FieldSpectrum(random_trig_polynomial(np.random.default_rng(8),
                                                      params.n_points))
         assert np.array_equal(a.remainder(probe, 3).samples,
@@ -218,8 +227,8 @@ class TestVaryingToy:
         t_prime = instance.center + scale(0.2, random_trig_polynomial(
             np.random.default_rng(11), params.n_points))
         for step in (1, 2, 4):
-            a = instance.inverse(t_prime, step)
-            assert (instance.bilinear(a, a, step) - t_prime).sup() < 1e-10
+            a = instance.inverse(t_prime.samples, step)
+            assert residual(instance, a, t_prime, step) < 1e-10
 
     def test_remainder_step_differences_decay(self):
         params = IterationParams()
@@ -326,9 +335,9 @@ class TestTwoComponent:
         instance = make_two_component_toy(IterationParams(), 0.2)
         t_prime = instance.center + scale(0.25, random_trig_polynomial(
             np.random.default_rng(21), 2048))
-        a = instance.inverse(t_prime, 1)
+        a = instance.inverse(t_prime.samples, 1)
         assert a.n_components == 2
-        assert (instance.bilinear(a, a, 1) - t_prime).sup() < 1e-10
+        assert residual(instance, a, t_prime, 1) < 1e-10
 
     def test_remainder_scalar_output(self):
         instance = make_two_component_toy(IterationParams(), 0.2)
@@ -464,14 +473,14 @@ class TestArrayMaps:
         t_prime = instance.center + scale(0.2, random_trig_polynomial(
             np.random.default_rng(5), p.n_points))
         for step in (1, 2, 3):
-            a = instance.inverse(t_prime, step)
+            a = instance.inverse(t_prime.samples, step)
             expected = inverse_map(t_prime.samples, step)
             assert a.samples.shape == expected.shape == (p.n_points, n_components)
             assert a.samples.tobytes() == np.ascontiguousarray(expected).tobytes()
-            b = instance.bilinear(a, a, step)
+            b = instance.bilinear_map(a.samples, a.samples, step)
             expected = bilinear_map(a.samples, a.samples, step)
-            assert b.samples.shape == expected.shape == (p.n_points, 1)
-            assert b.samples.tobytes() == expected.tobytes()
+            assert b.shape == expected.shape == (p.n_points, 1)
+            assert b.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n_components", [1, 2])
     @pytest.mark.parametrize("drift", [0.0, 0.3])
@@ -535,7 +544,7 @@ class TestArrayMaps:
         dip = np.ones((2048, 1))
         dip[100] = 0.0  # distance exactly 1 = 1/C_F: inside, but not positive
         with pytest.raises(DomainEscape, match="loses positivity"):
-            instance.inverse(GridFunction.from_samples(dip), 2)
+            instance.inverse(dip, 2)
 
     def test_non_finite_target_is_a_neighborhood_violation(self):
         with pytest.raises(NeighborhoodViolation, match="not finite"):
@@ -555,36 +564,24 @@ class TestKeptChecks:
     def test_inverse_refuses_tensor_off_the_grid(self, tensor, message):
         instance = make_scalar_toy(IterationParams(), 0.2)
         with pytest.raises(IncompatibleGrids, match=f"^{message}$"):
-            instance.inverse(tensor, 1)
+            instance.inverse(tensor.samples, 1)
 
     def test_inverse_refuses_non_finite_distance(self):
         # finite samples whose distance to the center overflows; the toy's
-        # center 1 cannot make one, so this inverse is centered at -1e308
-        inverse = _grid_inverse(lambda t, step: np.sqrt(t),
-                                GridFunction.constant(-1e308, 64), 1.0, 1)
-        tensor = GridFunction.constant(1e308, 64)
+        # center 1 cannot make one, so this instance is centered at -1e308
+        instance = replace(make_scalar_toy(IterationParams(), 0.2),
+                           center=GridFunction.constant(-1e308, 64))
+        tensor = np.full((64, 1), 1e308)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="^samples contain non-finite values$"):
-                inverse(tensor, 1)
-
-    @pytest.mark.parametrize("u, v, message", [
-        (GridFunction.constant(1.0, 2048), GridFunction.constant(1.0, 1024),
-         "grids differ: n_points 2048/1024"),
-        (GridFunction.constant(1.0, 2048, n_components=2),
-         GridFunction.constant(1.0, 2048, n_components=3),
-         "component counts differ: 2 vs 3"),
-    ])
-    def test_bilinear_refuses_factors_off_the_grid(self, u, v, message):
-        instance = make_two_component_toy(IterationParams(), 0.2)
-        with pytest.raises(IncompatibleGrids, match=f"^{message}$"):
-            instance.bilinear(u, v, 1)
+                instance.inverse(tensor, 1)
 
     def test_remainder_refuses_a_term_of_two_components(self):
         from tamelab.gridfield import oscillator
         instance = make_scalar_toy(IterationParams(), 0.2)
         spec = replace(instance.remainder, modulation=oscillator(
             1.0, 32, n_points=2048, n_components=2))
-        a = FieldSpectrum(instance.inverse(instance.target, 1))
+        a = FieldSpectrum(instance.inverse(instance.target.samples, 1))
         with pytest.raises(IncompatibleGrids, match="^component counts differ: 2 vs 1$"):
             spec(a, 1)
 
@@ -598,11 +595,58 @@ class TestKeptChecks:
         terms = list(instance.remainder.terms)
         terms.insert(position, RemainderTerm(R1, weight=weight))
         spec = replace(instance.remainder, terms=tuple(terms))
-        a = FieldSpectrum(instance.inverse(instance.target, 1))
+        a = FieldSpectrum(instance.inverse(instance.target.samples, 1))
         with pytest.raises(ValueError, match="^samples contain non-finite values$"):
             spec(a, 1)
         with pytest.raises(ValueError, match="^samples contain non-finite values$"):
             initial_step(replace(instance, remainder=spec))
+
+
+class TestOneDomainCheck:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_instance_carries_the_checked_maps(self, family, monkeypatch):
+        checked = []
+        check = problem._check_right_inverse
+
+        def spy(params, center, inverse_map, bilinear_map, *args):
+            checked.append((inverse_map, bilinear_map))
+            check(params, center, inverse_map, bilinear_map, *args)
+
+        monkeypatch.setattr(problem, "_check_right_inverse", spy)
+        instance = FAMILIES[family][0](IterationParams())
+        assert len(checked) == 1
+        assert instance.inverse_map is checked[0][0]
+        assert instance.bilinear_map is checked[0][1]
+
+    @given(c_f=st.floats(1 / 3, 8.0), n_components=st.sampled_from([1, 2]),
+           shift=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1),
+           dip=st.one_of(st.none(), st.floats(-0.5, 0.5)), step=st.integers(1, 5))
+    # A dip to 0 at distance exactly 1/C_F, and one to -0.5 inside: each
+    # escapes on positivity alone.
+    @example(c_f=1.0, n_components=1, shift=0.5, seed=3, dip=0.0, step=2)
+    @example(c_f=0.5, n_components=2, shift=0.0, seed=0, dip=-0.5, step=1)
+    @settings(**HYP)
+    def test_inverse_escapes_exactly_outside_the_domain(self, c_f, n_components,
+                                                        shift, seed, dip, step):
+        # The tensor is the center plus a low-mode bump of sup shift / C_F,
+        # with one sample optionally set to dip.
+        build = make_scalar_toy if n_components == 1 else make_two_component_toy
+        instance = build(IterationParams(lam=8, c_f=c_f, n_points=256), 0.2)
+        bump = random_trig_polynomial(np.random.default_rng(seed), 256)
+        tensor = instance.center.samples + (shift / c_f) * bump.samples
+        if dip is not None:
+            tensor[17] = dip
+        distance = np.abs(tensor - 1.0).max()
+        if distance > 1.0 / c_f or tensor.min() / n_components <= 0.0:
+            with pytest.raises(DomainEscape) as err:
+                instance.inverse(tensor, step)
+            assert (err.value.step, err.value.measured, err.value.radius) == (
+                step, distance, 1.0 / c_f)
+        else:
+            got = instance.inverse(tensor, step).samples
+            want = np.ascontiguousarray(instance.inverse_map(tensor, step))
+            assert got.shape == want.shape == (256, n_components)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRightInverseSelfCheck:

@@ -80,7 +80,8 @@ def test_layering():
     # polyfit, polyval or numpy's linalg: the decay fits are closed-form,
     # and a first LAPACK call leaves about 1 MB resident.  Only gridfield
     # names numpy's fft, so every transform takes the one spectral path and
-    # batching stays in ck_norms.
+    # batching stays in ck_norms.  Only problem raises DomainEscape, so the
+    # domain of F is checked in one place.
     builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
                 "with_self_interaction"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
@@ -89,6 +90,10 @@ def test_layering():
         assert not {"polyfit", "polyval", "linalg"} & names, module
         if module != "gridfield":
             assert "fft" not in names, module
+        if module != "problem":
+            raised = {_name(getattr(n.exc, "func", n.exc)) for n in nodes
+                      if isinstance(n, ast.Raise) and n.exc is not None}
+            assert "DomainEscape" not in raised, module
         if module not in ("problem", "cli"):
             assert not builders & names, module
         if module not in ("iteration", "cli"):
