@@ -434,6 +434,91 @@ class TestArrayPath:
         assert new.step == 5
 
 
+def two_column_run(instance):
+    """The two-component toy stepped on the pair itself: a = (u1, u2), two
+    equal 1-D fields sqrt(t/2) with the step factor, b(a, a) = u1 u1 + u2 u2
+    over the factor squared, each term's core the mean 0.5 (c1 + c2) of the
+    two fields' cores, and a's norms the max over the pair.  Returns the
+    norm rows, the identity residuals, the flag and the escape step."""
+    p, spec = instance.params, instance.remainder
+    flat = lambda f: f.samples.reshape(-1)
+    norms = lambda x, order: ck_norm(GridFunction.from_samples(x), order).values
+    pair_norms = lambda pair, order: tuple(map(max, *(norms(u, order) for u in pair)))
+    factor = lambda i: 1.0 + spec.drift * p.lambda_ell ** (-i)
+    target, modulation = flat(instance.target), flat(spec.modulation)
+
+    def remainder(pair, i):
+        spectra = [FieldSpectrum(GridFunction.from_samples(u)) for u in pair]
+        total = np.zeros(p.n_points)
+        for term in spec.terms:
+            orders = term.bound_class.arg_derivatives
+            cores = []
+            for s in spectra:
+                core = flat(s.derivative(orders[0]))
+                if len(orders) == 2:
+                    core = core * flat(s.derivative(orders[1]))
+                cores.append(core)
+            out = modulation * (0.5 * (cores[0] + cores[1]))
+            out *= term.weight * term.bound_class.prefactor(spec.lam, spec.ell)
+            total = out + total
+        return spec.step_scale(i) * total
+
+    zeros = (0.0,) * (p.norm_order(0) + 1)
+    rows = [(0, instance.target_norms.values, zeros, zeros, None)]
+    residuals, flag, escape = [], "completed", None
+    r_prev, a_prev = np.zeros(p.n_points), None
+    for i in range(1, p.n_steps + 1):
+        tensor = target if i == 1 else target - r_prev
+        if np.max(np.abs(tensor - 1.0)) > 1.0 / p.c_f or tensor.min() / 2 <= 0.0:
+            flag, escape = "diverged", i
+            break
+        u = np.sqrt(tensor / 2) * factor(i)
+        pair = (u.copy(), u.copy())
+        order = p.norm_order(i)
+        r = remainder(pair, i)
+        b = pair[0] * pair[0]
+        b += pair[1] * pair[1]
+        b *= factor(i) ** (-2)
+        e = target - b
+        e -= r
+        norms_a = pair_norms(pair, order)
+        diff = norms_a if a_prev is None else pair_norms(
+            [x - y for x, y in zip(pair, a_prev)], order)
+        rows.append((i, norms(e, order), norms_a, norms(r, order), diff))
+        residuals.append(float(np.max(np.abs(e - (r_prev - r)))))
+        r_prev, a_prev = r, pair
+        if rows[-1][1][0] < iteration.FLOOR_STOP * instance.target_norms[0]:
+            if i < p.n_steps:
+                flag = "floor"
+            break
+    return rows, tuple(residuals), flag, escape
+
+
+class TestTwoColumnReference:
+    @pytest.mark.parametrize("params,drift,r5", [
+        (IterationParams(), 0.0, 0.0),
+        (IterationParams(), 0.0, 1.0),
+        (IterationParams(), 0.5, 0.0),
+        (IterationParams(), 0.5, 1.0),
+        (IterationParams(lam=64, ell=0.125, n_points=8192, seed=3), 0.25, 1.0),
+    ])
+    def test_toy_steps_the_pair(self, params, drift, r5):
+        # The two-component toy's trace equals, bit for bit, the trace of
+        # its pair stepped column by column: the norm rows, the identity
+        # residuals, the flag and the escape step.
+        instance = with_self_interaction(
+            make_two_component_toy(params, 0.2, drift=drift), r5)
+        trace = run(instance)
+        rows, residuals, flag, escape = two_column_run(instance)
+        got = [(s.step, s.norms_error.values, s.norms_a.values, s.norms_r.values,
+                None if s.norms_diff is None else s.norms_diff.values)
+               for s in trace.states]
+        assert got == rows
+        assert trace.identity_residuals == residuals
+        assert (trace.flag, trace.escape_step) == (flag, escape)
+        assert (flag == "diverged") == (params.lam == 64)
+
+
 class TestLazyColumns:
     """The norm columns: ||r|| and the differences, once taken on first read,
     and the others, all taken as each step completes."""
