@@ -23,8 +23,7 @@ PERIOD = 2.0 * np.pi
 # n_points >= RESOLUTION_FACTOR * lam * (k + 1).
 RESOLUTION_FACTOR = 8
 
-# Largest grid (samples over all components) that validation accepts and
-# refine() produces.
+# Largest grid that validation accepts and refine() produces.
 MAX_SAMPLES = 1 << 22
 
 # Relative floor below which spectral coefficients are treated as rounding
@@ -46,7 +45,7 @@ NON_FINITE = "samples contain non-finite values"
 
 
 class IncompatibleGrids(ValueError):
-    """Fields do not share n_points or component counts."""
+    """Fields do not share n_points."""
 
 
 class ResolutionError(ValueError):
@@ -59,22 +58,19 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """A real vector-valued function sampled on a uniform periodic grid.
+    """A real function sampled on a uniform periodic grid.
 
-    samples has shape (n_points, n_components), with components in the
-    trailing axis.  Instances are immutable; all operations return new fields.
+    samples has shape (n_points,).  Instances are immutable; all operations
+    return new fields.
     """
 
     n_points: int
-    n_components: int
     samples: np.ndarray
 
     def __post_init__(self):
         if not _is_power_of_two(self.n_points):
             raise ValueError(f"n_points must be a power of two, got {self.n_points}")
-        if self.n_components < 1:
-            raise ValueError(f"n_components must be >= 1, got {self.n_components}")
-        expected = (self.n_points, self.n_components)
+        expected = (self.n_points,)
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.shape != expected:
             raise ValueError(f"samples shape {arr.shape} != expected {expected}")
@@ -87,31 +83,23 @@ class GridFunction:
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "GridFunction":
         arr = np.asarray(samples, dtype=np.float64)
-        if arr.ndim == 1:  # scalar field given without a component axis
-            arr = arr[:, np.newaxis]
-        return cls(n_points=arr.shape[0], n_components=arr.shape[-1], samples=arr)
+        return cls(n_points=len(arr), samples=arr)
 
     @classmethod
-    def constant(cls, value: float, n_points: int,
-                 n_components: int = 1) -> "GridFunction":
-        return cls(n_points, n_components, np.full((n_points, n_components), float(value)))
+    def constant(cls, value: float, n_points: int) -> "GridFunction":
+        return cls(n_points, np.full(n_points, float(value)))
 
     @classmethod
-    def zeros(cls, n_points: int, n_components: int = 1) -> "GridFunction":
-        return cls.constant(0.0, n_points, n_components)
+    def zeros(cls, n_points: int) -> "GridFunction":
+        return cls.constant(0.0, n_points)
 
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
-        return GridFunction(self.n_points, self.n_components, samples)
+        return GridFunction(self.n_points, samples)
 
     def sup(self) -> float:
         return _sup(self.samples)
 
-    def _require_compatible(self, other: "GridFunction") -> None:
-        if self.n_points != other.n_points:
-            raise IncompatibleGrids(
-                f"grids differ: n_points {self.n_points}/{other.n_points}")
-
-    # Convenience arithmetic (strict: equal component counts).
+    # Convenience arithmetic (strict: equal grids).
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return axpy(1.0, other, self)
 
@@ -149,24 +137,23 @@ def finite_sup(x: np.ndarray) -> float:
 
 
 def row_sups(x: np.ndarray) -> np.ndarray:
-    """max |x| over every axis but the first, without an |x| temporary;
-    zeros come out +0.0, as in _sup."""
-    axes = tuple(range(1, x.ndim))
-    return np.maximum(x.max(axis=axes), -x.min(axis=axes)) + 0.0
+    """max |x| along the last axis, without an |x| temporary; zeros come
+    out +0.0, as in _sup."""
+    return np.maximum(x.max(axis=-1), -x.min(axis=-1)) + 0.0
 
 
-def _clean(spec: np.ndarray, axis: int) -> np.ndarray:
+def _clean(spec: np.ndarray) -> np.ndarray:
     """Zero, in place, the coefficients of spec below SPECTRAL_DUST of the
-    peak of their own transform along axis; returns spec."""
+    peak of their own transform along the last axis; returns spec."""
     mags = np.abs(spec)
-    spec[mags < SPECTRAL_DUST * mags.max(axis=axis, keepdims=True)] = 0.0
+    spec[mags < SPECTRAL_DUST * mags.max(axis=-1, keepdims=True)] = 0.0
     return spec
 
 
 def _clean_spectrum(f: GridFunction) -> np.ndarray:
     """Half spectrum (rfft modes 0..n/2) of f with coefficients below
-    SPECTRAL_DUST of each component's peak zeroed."""
-    return _clean(np.fft.rfft(f.samples, axis=0), axis=0)
+    SPECTRAL_DUST of its peak zeroed."""
+    return _clean(np.fft.rfft(f.samples))
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,7 +172,6 @@ def _derivative_multiplier(n_points: int, order: int) -> np.ndarray:
     mult = (1.0, -1.0)[order // 2 % 2] * m ** order
     if order % 2 == 1:
         mult[n_points // 2] = 0.0
-    mult = mult[:, np.newaxis]
     mult.flags.writeable = False
     return mult
 
@@ -198,7 +184,7 @@ def _stacked_multipliers(n_points: int, k_max: int) -> np.ndarray:
     real-to-complex cast; the products differ only in the sign of zeros."""
     mults = np.empty((k_max, n_points // 2 + 1), dtype=complex)
     for k in range(1, k_max + 1):
-        real = _derivative_multiplier(n_points, k)[:, 0]
+        real = _derivative_multiplier(n_points, k)
         mults[k - 1] = real * 1j if k % 2 else real
     mults.flags.writeable = False
     return mults
@@ -264,7 +250,7 @@ class FieldSpectrum:
         product = self._spectrum * _derivative_multiplier(n, order)
         if order % 2 == 1:
             product *= 1j
-        return np.fft.irfft(product, n, axis=0)
+        return np.fft.irfft(product, n)
 
     def derivative(self, order: int) -> GridFunction:
         """d^order f, computed once and kept; order 0 is the field itself.
@@ -316,9 +302,9 @@ def norm_batch_rows(n_points: int, k_max: int) -> int:
 
 
 def ck_norms(rows: np.ndarray, k_max: int) -> np.ndarray:
-    """Norms 0..k_max of each row of a (fields, n_points) array of
-    one-component samples: out[i] holds, bit for bit, the values of
-    ck_norm(row i as a field, k_max).
+    """Norms 0..k_max of each row of a (fields, n_points) array of samples:
+    out[i] holds, bit for bit, the values of ck_norm(row i as a field,
+    k_max).
 
     The many-field path.  Rows go through rfft in contiguous batches of
     norm_batch_rows, are cleaned as _clean_spectrum cleans them, and every
@@ -336,12 +322,11 @@ def ck_norms(rows: np.ndarray, k_max: int) -> np.ndarray:
     mults = _stacked_multipliers(n, k_max)
     for start in range(0, count, per_batch):
         batch = slice(start, start + per_batch)
-        spec = _clean(np.fft.rfft(rows[batch], axis=-1), axis=-1)[:, np.newaxis]
+        spec = _clean(np.fft.rfft(rows[batch], axis=-1))[:, np.newaxis]
         per_call = max(1, BATCH_POINTS // (n * len(spec)))
         for j in range(0, k_max, per_call):
             d = np.fft.irfft(spec * mults[j:j + per_call], n, axis=-1)
-            norms[batch, 1 + j:1 + j + d.shape[1]] = row_sups(
-                d.reshape(-1, n)).reshape(d.shape[:2])
+            norms[batch, 1 + j:1 + j + d.shape[1]] = row_sups(d)
     # ck_norm's running max: ||f||_k = max_{j <= k} sup |d^j f|.
     return np.maximum.accumulate(norms, axis=1)
 
@@ -356,14 +341,14 @@ def mollify(f: GridFunction, ell: float) -> GridFunction:
         raise ValueError(f"ell must lie in (0, {PERIOD:.6g}), got {ell}")
     # Not FieldSpectrum's cleaned spectrum: the target's bits come from
     # smoothing every mode of this uncleaned one.
-    spec = np.fft.rfft(f.samples, axis=0)
-    m = np.arange(f.n_points // 2 + 1)[:, np.newaxis]
-    out = np.fft.irfft(spec * np.exp(-0.5 * m ** 2 * ell * ell), f.n_points, axis=0)
+    spec = np.fft.rfft(f.samples)
+    m = np.arange(f.n_points // 2 + 1)
+    out = np.fft.irfft(spec * np.exp(-0.5 * m ** 2 * ell * ell), f.n_points)
     return f.with_samples(out)
 
 
 def oscillator(amplitude: float, frequency: int, phase: float = 0.0,
-               *, n_points: int, n_components: int = 1) -> GridFunction:
+               *, n_points: int) -> GridFunction:
     """amplitude * cos(frequency * x + phase) as a GridFunction."""
     if frequency != int(frequency) or frequency < 1:
         raise ValueError(f"frequency must be a positive integer, got {frequency}")
@@ -373,24 +358,21 @@ def oscillator(amplitude: float, frequency: int, phase: float = 0.0,
             f"frequency {frequency} unresolved at n_points={n_points}: need "
             f"n_points >= {RESOLUTION_FACTOR * frequency}")
     values = amplitude * np.cos(frequency * coordinates(n_points) + phase)
-    samples = np.repeat(values[:, np.newaxis], n_components, axis=-1)
-    return GridFunction(n_points, n_components, samples)
+    return GridFunction(n_points, values)
 
 
-def check_sum(x: GridFunction, y: GridFunction) -> None:
-    """Raise IncompatibleGrids unless x and y can be added: equal grids and
-    equal component counts."""
-    x._require_compatible(y)
-    if x.n_components != y.n_components:
-        raise IncompatibleGrids(
-            f"component counts differ: {x.n_components} vs {y.n_components}")
+def check_grids(x: GridFunction, y: GridFunction) -> None:
+    """Raise IncompatibleGrids unless x and y share a grid, as sums and
+    pointwise products need."""
+    if x.n_points != y.n_points:
+        raise IncompatibleGrids(f"grids differ: n_points {x.n_points}/{y.n_points}")
 
 
 def axpy(alpha: float, x: GridFunction, y: GridFunction) -> GridFunction:
-    """alpha * x + y, requiring identical grids and component counts.
+    """alpha * x + y, requiring identical grids.
 
     alpha = +-1 skips the multiply: y + (-x) is y - x exactly."""
-    check_sum(x, y)
+    check_grids(x, y)
     if alpha == 1.0:
         return x.with_samples(x.samples + y.samples)
     if alpha == -1.0:
@@ -400,15 +382,6 @@ def axpy(alpha: float, x: GridFunction, y: GridFunction) -> GridFunction:
 
 def scale(alpha: float, f: GridFunction) -> GridFunction:
     return f.with_samples(alpha * f.samples)
-
-
-def check_product(f: GridFunction, g: GridFunction) -> None:
-    """Raise IncompatibleGrids unless f and g can be multiplied pointwise:
-    equal grids, and equal component counts or a 1-component factor."""
-    f._require_compatible(g)
-    if f.n_components != g.n_components and 1 not in (f.n_components, g.n_components):
-        raise IncompatibleGrids(
-            f"component counts differ: {f.n_components} vs {g.n_components}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -466,15 +439,13 @@ def random_trig_rows(rng: np.random.Generator, n_points: int, count: int,
 
 
 def random_trig_polynomial(rng: np.random.Generator, n_points: int,
-                           n_components: int = 1, max_mode: int = 8,
-                           normalize: bool = True) -> GridFunction:
+                           max_mode: int = 8, normalize: bool = True) -> GridFunction:
     """Random low-mode trigonometric polynomial, optionally with sup norm 1.
 
-    Each component is one random_trig_rows row; low modes keep every norm
-    grid-exact regardless of the experiment scale.
+    It is one random_trig_rows row; low modes keep every norm grid-exact
+    regardless of the experiment scale.
     """
-    rows = random_trig_rows(rng, n_points, n_components, max_mode)
-    f = GridFunction(n_points, n_components, rows.T)
+    f = GridFunction(n_points, random_trig_rows(rng, n_points, 1, max_mode)[0])
     if normalize:
         s = f.sup()
         if s > 0:
@@ -493,15 +464,15 @@ def refine(f: GridFunction, factor: int) -> GridFunction:
         raise ValueError(f"refinement factor must be a power of two >= 2, got {factor}")
     n = f.n_points
     n_new = factor * n
-    if n_new * f.n_components > MAX_SAMPLES:
+    if n_new > MAX_SAMPLES:
         raise ResolutionError(
-            f"refined grid too large: {n_new} x {f.n_components} samples "
-            f"exceeds the {MAX_SAMPLES} guard")
-    padded = np.zeros((n_new // 2 + 1, f.n_components), dtype=complex)
+            f"refined grid too large: {n_new} samples exceeds the "
+            f"{MAX_SAMPLES} guard")
+    padded = np.zeros(n_new // 2 + 1, dtype=complex)
     padded[:n // 2 + 1] = _clean_spectrum(f)
     # The coarse Nyquist bin stands for the +n/2 and -n/2 modes together;
     # halved, it becomes one interior mode whose Hermitian partner irfft
     # supplies, so the samples are interpolated exactly.
     padded[n // 2] *= 0.5
-    out = np.fft.irfft(padded, n_new, axis=0) * factor
-    return GridFunction(n_new, f.n_components, out)
+    out = np.fft.irfft(padded, n_new) * factor
+    return GridFunction(n_new, out)

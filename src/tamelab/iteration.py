@@ -136,7 +136,7 @@ def start_state(instance: ProblemInstance, full: bool) -> IterationState:
     zero_norms = NormVector((0.0,) * (p.norm_order(0) + 1))
     return IterationState(
         step=0,
-        a=GridFunction.zeros(p.n_points, instance.n_components),
+        a=GridFunction.zeros(p.n_points),
         r_of_a=GridFunction.zeros(p.n_points),
         error=instance.target,
         norms_a=zero_norms if full else None,

@@ -22,7 +22,7 @@ from .gridfield import (
     GridFunction,
     IncompatibleGrids,
     NormVector,
-    check_product,
+    check_grids,
     ck_norm,
     finite_sup,
     mollify,
@@ -131,7 +131,7 @@ class RemainderTerm:
     """One modulated-cosine remainder term.
 
     Evaluates weight * prefactor(lam, ell) * cos(lam x) * core, where the core
-    is the component mean of the (derivative-applied) arguments.  The cos
+    is the (derivative-applied) argument or the product of the two.  The cos
     modulation contributes lambda^(k - j1 - j2) under differentiation, which
     is exactly the shape of the declared class bound.
     """
@@ -154,23 +154,21 @@ class RemainderTerm:
                  lams: Sequence[int], ell: float,
                  modulations: np.ndarray) -> np.ndarray:
         """The term at each frequency lams[i] under the modulation samples
-        modulations[i], (len(lams), n_points, components): the core is taken
-        once and broadcast against the stack.  Unchecked for finiteness: the
-        grid checks run on the arguments, and the caller checks the samples
-        it keeps."""
+        modulations[i], (len(lams), n_points): the core is taken once and
+        broadcast against the stack.  Unchecked for finiteness: the grid
+        checks run on the arguments, and the caller checks the samples it
+        keeps."""
         orders = self.bound_class.arg_derivatives
         first = a.derivative(orders[0])
         core = first.samples
         if self.bound_class.arity == 2:
             second = (a if b is None else b).derivative(orders[1])
-            check_product(first, second)
+            check_grids(first, second)
             core = core * second.samples
-        if core.shape[-1] != 1:  # one component's mean is the core itself
-            core = (1.0 / core.shape[-1]) * core.sum(axis=-1, keepdims=True)
-        if modulations.shape[-2] != first.n_points:
+        if modulations.shape[-1] != first.n_points:
             raise IncompatibleGrids(f"grids differ: n_points "
-                                    f"{modulations.shape[-2]}/{first.n_points}")
-        out = modulations * core[np.newaxis]
+                                    f"{modulations.shape[-1]}/{first.n_points}")
+        out = modulations * core
         for i, lam in enumerate(lams):
             out[i] *= self.weight * self.bound_class.prefactor(lam, ell)
         return out
@@ -214,14 +212,12 @@ class RemainderSpec:
         GridFunction check covers every term: a non-finite term leaves the
         total non-finite."""
         n = a.field.n_points
-        total = np.zeros((n, 1))
+        total = np.zeros(n)
         for term in self.terms:
             out = term._samples(a, None, (self.lam,), self.ell,
                                 self.modulation.samples[np.newaxis])[0]
-            if out.shape[-1] != 1:
-                raise IncompatibleGrids(f"component counts differ: {out.shape[-1]} vs 1")
             total = out + total
-        return GridFunction(n, 1, self.step_scale(step) * total)
+        return GridFunction(n, self.step_scale(step) * total)
 
 
 @dataclass(frozen=True)
@@ -262,9 +258,9 @@ class IterationParams:
         return max(0, min(self.k0 - step, self.k_safe))
 
 
-# An array map acts pointwise on samples whose last axis is the component
-# axis; any leading axes are batch axes, and step may be an array that
-# broadcasts against them.
+# An array map acts pointwise on samples whose last axis is the grid axis;
+# any leading axes are batch axes, and step may be an array that broadcasts
+# against them.
 ArrayMap = Callable[..., np.ndarray]
 
 
@@ -279,14 +275,12 @@ class ProblemInstance:
     of F.
     """
 
-    kind: str
     target: GridFunction
     center: GridFunction
     bilinear_map: ArrayMap
     inverse_map: ArrayMap
     remainder: RemainderSpec
     params: IterationParams
-    n_components: int
     target_norms: NormVector  # ||T||_0 .. ||T||_k at the step-0 norm order
 
     def inverse(self, tensor: np.ndarray, step: int) -> GridFunction:
@@ -298,9 +292,6 @@ class ProblemInstance:
         if tensor.shape[0] != center.n_points:
             raise IncompatibleGrids(
                 f"grids differ: n_points {center.n_points}/{tensor.shape[0]}")
-        if tensor.shape[1:] != (center.n_components,):
-            raise IncompatibleGrids(f"component counts differ: "
-                                    f"{center.n_components} vs {tensor.shape[-1]}")
         radius = 1.0 / self.params.c_f
         distance = finite_sup(tensor - center.samples)
         if distance > radius:
@@ -308,44 +299,44 @@ class ProblemInstance:
                 f"tensor is {distance:.6g} from the center, outside the "
                 f"1/C_F = {radius:.6g} neighborhood (step {step})",
                 step=step, measured=distance, radius=radius)
-        # Division by n_components is monotone, so this is the minimum of
-        # the values the map takes the root of.
-        low = np.min(tensor) / self.n_components
+        low = np.min(tensor)
         if low <= 0.0:
             raise DomainEscape(
                 f"tensor loses positivity (min {low:.6g}) at step {step}",
                 step=step, measured=distance, radius=radius)
-        return GridFunction(center.n_points, self.n_components,
-                            self.inverse_map(tensor, step))
+        return GridFunction(center.n_points, self.inverse_map(tensor, step))
 
 
-def _toy_maps(n_components: int, drift: float,
+def _toy_maps(copies: int, drift: float,
               lambda_ell: float) -> tuple[ArrayMap, ArrayMap]:
-    """The toy's right inverse F and bilinear map b as array maps.
+    """The toy's right inverse F(t) = sqrt(t / copies) and bilinear map
+    b(u, v) = copies * u v as array maps.
 
-    F splits the 1-component tensor equally between the components and
-    takes the root; b sums the componentwise product.  Both carry the
-    step factor 1 + drift / (lam*ell)^step, so b(F(t), F(t)) = t at every
-    step.  b adds the component slices in order, the bits (u * v).sum(-1)
-    gives, without reducing over F's broadcast component axis.  The maps
-    skip dividing by one component and the step factor at drift 0, which
-    is exactly 1.0, and apply a remaining factor in place: the same bits
-    with fewer full-size temporaries.
+    At copies > 1 they stand for F mapping t to copies equal components
+    sqrt(t / copies) and b summing the componentwise products.  F's image
+    is the diagonal, so the instance holds the common component: its sup
+    norms are the tuple's, copies * u v is bit for bit the sum of the
+    copies' products, and each remainder term's core is bit for bit the
+    mean of the copies' cores.  Both maps carry the step factor
+    1 + drift / (lam*ell)^step, so b(F(t), F(t)) = t at every step.  They
+    skip the factor copies at 1 and the step factor at drift 0, each
+    exactly 1.0, and apply a remaining factor in place: the same bits with
+    fewer full-size temporaries.
     """
 
     def step_factor(step):
         return 1.0 + drift * lambda_ell ** (-step)
 
     def inverse_map(tensor: np.ndarray, step) -> np.ndarray:
-        out = np.sqrt(tensor if n_components == 1 else tensor / n_components)
+        out = np.sqrt(tensor if copies == 1 else tensor / copies)
         if drift != 0.0:
             out *= step_factor(step)
-        return np.broadcast_to(out, out.shape[:-1] + (n_components,))
+        return out
 
     def bilinear_map(u: np.ndarray, v: np.ndarray, step) -> np.ndarray:
-        total = u[..., :1] * v[..., :1]
-        for c in range(1, n_components):
-            total += u[..., c:c + 1] * v[..., c:c + 1]
+        total = u * v
+        if copies != 1:
+            total *= copies
         if drift != 0.0:
             total *= step_factor(step) ** (-2)
         return total
@@ -354,16 +345,16 @@ def _toy_maps(n_components: int, drift: float,
 
 
 def _check_right_inverse(params: IterationParams, center: GridFunction,
-                         inverse_map: ArrayMap, bilinear_map: ArrayMap,
-                         n_samples: int = 20) -> None:
+                         radius: float, inverse_map: ArrayMap,
+                         bilinear_map: ArrayMap, n_samples: int = 20) -> None:
     """Check b(F(t), F(t)) = t on n_samples random admissible tensors.
 
     Sample i is center + rho * bump with a unit-sup low-mode bump, rho in
-    radius * [0.1, 0.99) for the target radius 1/(3 C_F), at step
-    1 + i % 3.  Samples are drawn in batches of at most BATCH_POINTS grid
-    points (n_points = 2048 draws its 20 samples in one batch, 65536 one by
-    one), one contiguous row per sample at every grid point, and hold the
-    bits center + rho * random_trig_polynomial(...) gives.  The maps and
+    radius * [0.1, 0.99) for the given target radius, at step 1 + i % 3.
+    Samples are drawn in batches of at most BATCH_POINTS grid points
+    (n_points = 2048 draws its 20 samples in one batch, 65536 one by one),
+    one contiguous row per sample at every grid point, and hold the bits
+    center + rho * random_trig_polynomial(...) gives.  The maps and
     the residual then run on consecutive rows of a batch, at most
     MAP_CALL_POINTS grid points per call and at least one row: 2048 checks
     its 20 samples in five calls of four rows, 8192 and finer one row per
@@ -372,7 +363,6 @@ def _check_right_inverse(params: IterationParams, center: GridFunction,
     or below RIGHT_INVERSE_TOL, so a non-finite residual fails too.
     """
     rng = np.random.default_rng([params.seed, 0x5eed])
-    radius = 1.0 / (3.0 * params.c_f)
     per_batch = max(1, BATCH_POINTS // params.n_points)
     per_call = max(1, MAP_CALL_POINTS // params.n_points)
     for start in range(0, n_samples, per_batch):
@@ -380,11 +370,10 @@ def _check_right_inverse(params: IterationParams, center: GridFunction,
         t_prime = random_trig_rows(rng, params.n_points, count)
         t_prime *= (1.0 / row_sups(t_prime))[:, np.newaxis]
         t_prime *= radius * rng.uniform(0.1, 0.99, size=(count, 1))
-        t_prime += center.samples[:, 0]
-        t_prime = t_prime[..., np.newaxis]
+        t_prime += center.samples
         for first in range(start, start + count, per_call):
             rows = t_prime[first - start:first - start + per_call]
-            steps = (1 + np.arange(first, first + len(rows)) % 3).reshape(-1, 1, 1)
+            steps = (1 + np.arange(first, first + len(rows)) % 3).reshape(-1, 1)
             a = inverse_map(rows, steps)
             residual = row_sups(bilinear_map(a, a, steps) - rows)
             failed = np.flatnonzero(~(residual <= RIGHT_INVERSE_TOL))
@@ -396,9 +385,11 @@ def _check_right_inverse(params: IterationParams, center: GridFunction,
 
 
 def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
-              n_components: int, kind: str) -> ProblemInstance:
+              copies: int) -> ProblemInstance:
     center = GridFunction.constant(1.0, params.n_points)
-    radius = 1.0 / (3.0 * params.c_f)
+    # The target radius 1/(3 C_F), which 1.0 / (3.0 * C_F) rounds to 0 once
+    # 3 C_F overflows; 1/3/C_F stays positive for every finite C_F.
+    radius = 1.0 / 3.0 / params.c_f
     # T0 = 1 lies at sup distance 1 from the nonpositive tensors, where F =
     # sqrt is undefined; a larger target radius admits targets there.
     if radius > 1.0:
@@ -425,17 +416,15 @@ def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
     modulation = oscillator(1.0, params.lam, n_points=params.n_points)
     remainder = RemainderSpec(terms=stock_remainder_terms(), lam=params.lam,
                               ell=params.ell, modulation=modulation, drift=drift)
-    inverse_map, bilinear_map = _toy_maps(n_components, drift, params.lambda_ell)
-    _check_right_inverse(params, center, inverse_map, bilinear_map)
+    inverse_map, bilinear_map = _toy_maps(copies, drift, params.lambda_ell)
+    _check_right_inverse(params, center, radius, inverse_map, bilinear_map)
     return ProblemInstance(
-        kind=kind,
         target=target,
         center=center,
         bilinear_map=bilinear_map,
         inverse_map=inverse_map,
         remainder=remainder,
         params=params,
-        n_components=n_components,
         target_norms=ck_norm(target, params.norm_order(0)),
     )
 
@@ -443,7 +432,7 @@ def _make_toy(params: IterationParams, t_amplitude: float, drift: float,
 def make_scalar_toy(params: IterationParams, t_amplitude: float = 0.2) -> ProblemInstance:
     """Scalar toy: b(a, a) = a^2, F = sqrt near T0 = 1, stock remainder
     r1 + r2 + r3 + r4 modulated by cos(lam x)."""
-    return _make_toy(params, t_amplitude, drift=0.0, n_components=1, kind="scalar")
+    return _make_toy(params, t_amplitude, drift=0.0, copies=1)
 
 
 def make_varying_toy(params: IterationParams, drift: float,
@@ -451,15 +440,15 @@ def make_varying_toy(params: IterationParams, drift: float,
     """Step-varying family: the inverse gains a factor 1 + drift/(lam*ell)^i
     (with the bilinear map compensating, so each step stays an exact
     right-inverse pair) and the remainder drifts at the same decaying rate."""
-    return _make_toy(params, t_amplitude, drift=drift, n_components=1, kind="scalar")
+    return _make_toy(params, t_amplitude, drift=drift, copies=1)
 
 
 def make_two_component_toy(params: IterationParams, t_amplitude: float = 0.2,
                            drift: float = 0.0) -> ProblemInstance:
     """Two-component variant: b(a, a) = a1^2 + a2^2 with F splitting the
-    tensor equally between components."""
-    return _make_toy(params, t_amplitude, drift=drift, n_components=2,
-                     kind="two_component")
+    tensor equally between components, held as the common component a1 = a2
+    (see _toy_maps)."""
+    return _make_toy(params, t_amplitude, drift=drift, copies=2)
 
 
 def with_self_interaction(instance: ProblemInstance, strength: float) -> ProblemInstance:

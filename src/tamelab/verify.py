@@ -108,11 +108,10 @@ def _argument_rows(classes: Sequence[BoundClass],
 def _argument_norms(fields: Sequence[FieldSpectrum],
                     keys: Sequence[tuple[int, int]], top: int) -> np.ndarray:
     """Norms 0..top of each (argument, derivative order) field in keys,
-    (len(keys), top + 1), in one ck_norms call: ck_norm's values, the
-    largest over a field's components.  Derivatives stay in fields."""
-    rows = [fields[arg].derivative(order).samples.T for arg, order in keys]
-    starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
-    return np.maximum.reduceat(ck_norms(np.concatenate(rows), top), starts)
+    (len(keys), top + 1), in one ck_norms call: ck_norm's values.
+    Derivatives stay in fields."""
+    return ck_norms(np.stack([fields[arg].derivative(order).samples
+                              for arg, order in keys]), top)
 
 
 def _class_estimates(bound_class: BoundClass, norms: np.ndarray,
@@ -184,8 +183,8 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     BATCH_POINTS samples (at least one).  The class estimates and the worst
     ratios are then computed for all samples at once.
 
-    A term that is not one component on the audit grid at each frequency
-    raises ValueError, and one with non-finite samples ValueError(
+    A term that is not one field on the audit grid at each frequency raises
+    ValueError, and one with non-finite samples ValueError(
     NON_FINITE).  Raises ResolutionError, before drawing, when the grid
     cannot resolve norms to order k_max at the top frequency, and
     FloatingPointError naming the class, lambda and ell of the first term,
@@ -235,10 +234,10 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
                 except (FloatingPointError, OverflowError) as exc:
                     raise out_of_range(bound_class, lam) from exc
             raise
-        if np.shape(r) != (lams, n, 1):
+        if np.shape(r) != (lams, n):
             raise ValueError(f"term returned shape {np.shape(r)}, not one "
-                             f"component on the {n}-point audit grid")
-        out[:] = r[..., 0]
+                             f"field per frequency on the {n}-point audit grid")
+        out[:] = r
 
     def norm(block, block_labels):
         """ck_norms of the rows of block; an overflow names the first row

@@ -444,6 +444,19 @@ class TestRunCommand:
         assert code == 2
         assert "numerical failure:" in capsys.readouterr().err
 
+    # 3 C_F overflows above about 6e307; the target radius 1/3/C_F stays
+    # positive up to the largest float, so the build succeeds and the run
+    # escapes at step 2, as at 5e307, where 3 C_F is finite.
+    @pytest.mark.parametrize("c_f", ["5e307", "1e308", "1.797e308"])
+    def test_largest_c_f_builds_and_escapes(self, c_f, tmp_path, capsys):
+        code = main(["run", "--config", str(CONFIG_DIR / "default.cfg"),
+                     "--set", f"C_F={c_f}", "--output_dir", str(tmp_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "run: 1 steps, flag=diverged" in out
+        assert err.startswith("numerical failure: escape from the inverse's "
+                              "domain at step 2 ")
+
 
 class TestSweepCommand:
     def test_three_values_three_csvs(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from tamelab.gridfield import (
     NormVector,
     ResolutionError,
     axpy,
-    check_product,
+    check_grids,
     ck_norm,
     ck_norms,
     coordinates,
@@ -39,8 +39,8 @@ def sine(freq, n, amplitude=1.0):
 
 
 def product(f, g):
-    """Pointwise product; a 1-component factor broadcasts over the other."""
-    check_product(f, g)
+    """Pointwise product of two fields on one grid."""
+    check_grids(f, g)
     return GridFunction.from_samples(f.samples * g.samples)
 
 
@@ -49,7 +49,7 @@ class TestDerivative:
         f = sine(1, 256)
         d = derivative(f)
         expected = np.cos(grid_x(256))
-        assert np.max(np.abs(d.samples[:, 0] - expected)) < 1e-12
+        assert np.max(np.abs(d.samples - expected)) < 1e-12
 
     def test_constant_derivative_vanishes(self):
         f = GridFunction.constant(3.0, 128)
@@ -60,7 +60,7 @@ class TestDerivative:
         f = sine(7, 256)
         d2 = derivative(f, 2)
         expected = -49.0 * np.sin(7 * grid_x(256))
-        assert np.max(np.abs(d2.samples[:, 0] - expected)) < 1e-10
+        assert np.max(np.abs(d2.samples - expected)) < 1e-10
 
     def test_order_below_one_refused(self):
         with pytest.raises(ValueError, match="order"):
@@ -77,7 +77,7 @@ class TestDerivative:
         d = derivative(f, order)
         x = grid_x(n)
         expected = mode ** order * np.cos(mode * x + 0.3 + order * np.pi / 2)
-        assert np.max(np.abs(d.samples[:, 0] - expected)) < 1e-12 * (1 + mode ** order)
+        assert np.max(np.abs(d.samples - expected)) < 1e-12 * (1 + mode ** order)
 
     @pytest.mark.parametrize("order", range(1, 8))
     def test_highest_interior_mode(self, order):
@@ -87,7 +87,7 @@ class TestDerivative:
         x = grid_x(n)
         f = GridFunction.from_samples(np.cos(m * x + 0.3))
         expected = m ** order * np.cos(m * x + 0.3 + order * np.pi / 2)
-        err = np.max(np.abs(derivative(f, order).samples[:, 0] - expected))
+        err = np.max(np.abs(derivative(f, order).samples - expected))
         assert err < 1e-12 * m ** order
 
     @pytest.mark.parametrize("order", range(1, 8))
@@ -97,7 +97,7 @@ class TestDerivative:
         n = 64
         x = grid_x(n)
         f = GridFunction.from_samples(np.cos(n // 2 * x))
-        d = derivative(f, order).samples[:, 0]
+        d = derivative(f, order).samples
         if order % 2 == 1:
             assert np.max(np.abs(d)) == 0.0
         else:
@@ -113,13 +113,13 @@ class TestDerivative:
         f = random_trig_polynomial(np.random.default_rng(n), n,
                                    max_mode=min(8, n // 2))
         spec = _clean_spectrum(f)
-        m = np.arange(n // 2 + 1)[:, np.newaxis]
+        m = np.arange(n // 2 + 1)
         field = FieldSpectrum(f)
         for k in range(1, 10):
             mult = (1j * m) ** k
             if k % 2 == 1:
                 mult[n // 2] = 0.0
-            want = np.fft.irfft(spec * mult, n, axis=0)
+            want = np.fft.irfft(spec * mult, n)
             assert np.array_equal(field.derivative(k).samples, want), k
             cached = _derivative_multiplier(n, k)
             assert cached.dtype == np.float64 and cached.nbytes == 8 * (n // 2 + 1)
@@ -129,16 +129,16 @@ def complex_fft_ck_norm(f, k_max):
     """Reference C^k norms through the full complex spectrum: the same dust
     cleaning and odd-order Nyquist rule, one ifft per order."""
     n = f.n_points
-    spec = np.fft.fft(f.samples, axis=0)
+    spec = np.fft.fft(f.samples)
     mags = np.abs(spec)
-    spec = np.where(mags >= 1e-13 * mags.max(axis=0), spec, 0.0)
+    spec = np.where(mags >= 1e-13 * mags.max(), spec, 0.0)
     modes = np.fft.fftfreq(n, d=1.0 / n)
     values = [f.sup()]
     for k in range(1, k_max + 1):
         mult = (1j * modes) ** k
         if k % 2 == 1:
             mult[n // 2] = 0.0
-        d = np.fft.ifft(spec * mult[:, np.newaxis], axis=0).real
+        d = np.fft.ifft(spec * mult).real
         values.append(max(values[-1], float(np.max(np.abs(d)))))
     return values
 
@@ -157,13 +157,12 @@ class TestCkNorm:
         with pytest.raises(ResolutionError, match="n_points"):
             ck_norm(sine(1, 64), 8)
 
-    def test_monotone_and_component_max(self):
+    def test_monotone_and_sup(self):
         rng = np.random.default_rng(3)
-        f = random_trig_polynomial(rng, 256, n_components=3, normalize=False)
+        f = random_trig_polynomial(rng, 256, normalize=False)
         norms = ck_norm(f, 4)
         assert all(norms[k + 1] >= norms[k] for k in range(4))
-        comp_sups = [np.max(np.abs(f.samples[..., c])) for c in range(3)]
-        assert norms[0] == pytest.approx(max(comp_sups), abs=0.0)
+        assert norms[0] == np.max(np.abs(f.samples))
 
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))
     @settings(**HYP)
@@ -200,7 +199,7 @@ class TestCkNorm:
     @pytest.mark.parametrize("n", [2 ** 11, 2 ** 14])
     def test_matches_complex_fft_reference(self, n):
         rng = np.random.default_rng(n)
-        f = random_trig_polynomial(rng, n, n_components=2)
+        f = random_trig_polynomial(rng, n)
         got = ck_norm(f, 7).values
         want = complex_fft_ck_norm(f, 7)
         for k in range(8):
@@ -220,25 +219,24 @@ class TestCkNorm:
         assert set(spectral._derivatives) == {1}  # new orders are not kept
 
     def test_zero_field_norms_are_positive_zero(self):
-        for f in (GridFunction.zeros(64), GridFunction.constant(-0.0, 64, 2)):
+        for f in (GridFunction.zeros(64), GridFunction.constant(-0.0, 64)):
             for value in ck_norm(f, 3).values + (f.sup(),):
                 assert value == 0.0 and np.copysign(1.0, value) == 1.0
 
 
 class TestCleanSpectrum:
-    def test_matches_masked_reference(self):
-        # Each component is one mode plus dust relative to its own peak;
-        # the second is 1e-20 times smaller, so the floor is per component.
+    @pytest.mark.parametrize("mode,size", [(3, 1.0), (5, 1e-20)])
+    def test_matches_masked_reference(self, mode, size):
+        # One mode plus dust relative to the field's own peak; at size
+        # 1e-20 a floor of SPECTRAL_DUST itself would zero the mode too.
         rng = np.random.default_rng(9)
         x = grid_x(256)
-        noise = 1e-15 * rng.standard_normal((256, 2))
-        samples = np.stack([np.cos(3 * x), 1e-20 * np.cos(5 * x)], axis=1)
-        samples += noise * [1.0, 1e-20]
-        f = GridFunction.from_samples(samples)
-        spec = np.fft.rfft(f.samples, axis=0)
+        f = GridFunction.from_samples(
+            size * (np.cos(mode * x) + 1e-15 * rng.standard_normal(256)))
+        spec = np.fft.rfft(f.samples)
         mags = np.abs(spec)
-        expected = np.where(mags >= SPECTRAL_DUST * mags.max(axis=0), spec, 0.0)
-        assert np.count_nonzero(expected, axis=0).tolist() == [1, 1]
+        expected = np.where(mags >= SPECTRAL_DUST * mags.max(), spec, 0.0)
+        assert np.count_nonzero(expected) == 1
         assert _clean_spectrum(f).tobytes() == expected.tobytes()
 
 
@@ -326,7 +324,7 @@ class TestNormVector:
 
 class TestMollify:
     def test_unit_mass_on_constants(self):
-        f = GridFunction.constant(4.2, 128, n_components=2)
+        f = GridFunction.constant(4.2, 128)
         for ell in (0.05, 0.5, 2.0, 6.0):
             assert (mollify(f, ell) - f).sup() < 1e-14
 
@@ -352,7 +350,7 @@ class TestMollify:
         x = grid_x(n)
         f = GridFunction.from_samples(np.cos(mode * x + 0.7))
         expected = np.exp(-0.5 * (mode * ell) ** 2) * np.cos(mode * x + 0.7)
-        assert np.max(np.abs(mollify(f, ell).samples[:, 0] - expected)) < 1e-12
+        assert np.max(np.abs(mollify(f, ell).samples - expected)) < 1e-12
 
     def test_ell_domain(self):
         f = sine(1, 64)
@@ -385,7 +383,7 @@ class TestOscillator:
         # 2 cos(16x + pi/2) = -2 sin(16x)
         f = oscillator(2.0, 16, phase=np.pi / 2, n_points=512)
         expected = -2.0 * np.sin(16 * grid_x(512))
-        assert np.max(np.abs(f.samples[:, 0] - expected)) < 1e-12
+        assert np.max(np.abs(f.samples - expected)) < 1e-12
 
     def test_unresolved_frequency_refused(self):
         with pytest.raises(ResolutionError, match="unresolved"):
@@ -403,8 +401,8 @@ class TestPointwiseOps:
 
     def test_axpy_unit_alpha_bitwise(self):
         rng = np.random.default_rng(1)
-        x = random_trig_polynomial(rng, 128, n_components=2)
-        y = random_trig_polynomial(rng, 128, n_components=2)
+        x = random_trig_polynomial(rng, 128)
+        y = random_trig_polynomial(rng, 128)
         assert np.array_equal(axpy(1.0, x, y).samples, 1.0 * x.samples + y.samples)
         assert (axpy(-1.0, x, y).samples.tobytes()
                 == (-1.0 * x.samples + y.samples).tobytes())
@@ -414,7 +412,7 @@ class TestPointwiseOps:
         s = sine(1, 256)
         prod = product(s, s)
         expected = (1.0 - np.cos(2 * grid_x(256))) / 2.0
-        assert np.max(np.abs(prod.samples[:, 0] - expected)) < 1e-12
+        assert np.max(np.abs(prod.samples - expected)) < 1e-12
 
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))
     @settings(**HYP)
@@ -428,54 +426,40 @@ class TestPointwiseOps:
         f, g = sine(1, 128), sine(1, 256)
         with pytest.raises(IncompatibleGrids):
             axpy(1.0, f, g)
-        with pytest.raises(IncompatibleGrids):
+        with pytest.raises(IncompatibleGrids, match="^grids differ: n_points 128/256$"):
             product(f, g)
-        h = GridFunction.constant(1.0, 128, n_components=2)
-        with pytest.raises(IncompatibleGrids):
-            axpy(1.0, f, h)
-
-    def test_component_broadcast_and_sum(self):
-        # a 1-component factor broadcasts; unequal larger counts do not
-        two = GridFunction.constant(3.0, 64, n_components=2)
-        one = GridFunction.constant(2.0, 64)
-        prod = product(one, two)
-        assert prod.n_components == 2
-        assert prod.samples.sum(axis=-1)[0] == pytest.approx(12.0)
-        with pytest.raises(IncompatibleGrids):
-            check_product(two, GridFunction.constant(1.0, 64, n_components=3))
 
 
 class TestGridFunction:
     def test_immutable_samples(self):
         f = sine(1, 64)
         with pytest.raises(ValueError):
-            f.samples[0, 0] = 99.0
+            f.samples[0] = 99.0
 
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError, match="power of two"):
-            GridFunction(100, 1, np.zeros((100, 1)))
-        with pytest.raises(ValueError, match="shape"):
-            GridFunction(64, 2, np.zeros((64, 1)))
-        bad = np.zeros((64, 1))
+            GridFunction(100, np.zeros(100))
+        for samples in (np.zeros((64, 1)), np.zeros(32)):
+            with pytest.raises(ValueError, match="shape"):
+                GridFunction(64, samples)
+        bad = np.zeros(64)
         bad[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            GridFunction(64, 1, bad)
+            GridFunction(64, bad)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [0, 31, 63])
-    @pytest.mark.parametrize("component", [0, 1])
-    def test_non_finite_sample_refused(self, value, row, component):
-        # the first, a middle and the last sample of each component
-        bad = np.ones((64, 2))
-        bad[row, component] = value
+    def test_non_finite_sample_refused(self, value, row):
+        # the first, a middle and the last sample
+        bad = np.ones(64)
+        bad[row] = value
         with pytest.raises(ValueError, match="^samples contain non-finite values$"):
-            GridFunction(64, 2, bad)
+            GridFunction(64, bad)
 
     def test_negative_zero_and_subnormals_accepted(self):
         tiny = np.finfo(np.float64).smallest_subnormal
-        samples = np.array([[-0.0, tiny], [-tiny, 0.0], [tiny * 3, -0.0],
-                            [1.0, -tiny]])
-        f = GridFunction(4, 2, samples)
+        samples = np.array([-0.0, tiny, -tiny, 0.0, tiny * 3, -0.0, 1.0, -tiny])
+        f = GridFunction(8, samples)
         assert f.samples.tobytes() == samples.tobytes()
 
     def test_no_duplicated_endpoint(self):
@@ -489,23 +473,23 @@ class TestRefine:
         rng = np.random.default_rng(5)
         f = random_trig_polynomial(rng, 128)
         r = refine(f, 4)
-        assert np.max(np.abs(r.samples[::4, 0] - f.samples[:, 0])) < 1e-12
+        assert np.max(np.abs(r.samples[::4] - f.samples)) < 1e-12
 
     def test_nyquist_energy_keeps_coarse_samples(self):
         n = 64
         x = grid_x(n)
-        samples = np.stack([np.cos(n // 2 * x) + 0.5 * np.sin(3 * x),
-                            2.0 * np.cos(n // 2 * x) - 0.25], axis=-1)
-        f = GridFunction.from_samples(samples)
-        for factor in (2, 8):
-            r = refine(f, factor)
-            assert np.max(np.abs(r.samples[::factor] - f.samples)) < 1e-12
+        for samples in (np.cos(n // 2 * x) + 0.5 * np.sin(3 * x),
+                        2.0 * np.cos(n // 2 * x) - 0.25):
+            f = GridFunction.from_samples(samples)
+            for factor in (2, 8):
+                r = refine(f, factor)
+                assert np.max(np.abs(r.samples[::factor] - f.samples)) < 1e-12
 
     def test_pure_mode_everywhere(self):
         f = sine(7, 128)
         r = refine(f, 4)
         expected = np.sin(7 * grid_x(512))
-        assert np.max(np.abs(r.samples[:, 0] - expected)) < 1e-12
+        assert np.max(np.abs(r.samples - expected)) < 1e-12
 
     def test_guards(self):
         f = sine(1, 128)
@@ -515,14 +499,13 @@ class TestRefine:
             refine(sine(1, 2048), 4096)
 
 
-def loop_trig_polynomial(rng, n_points, n_components, max_mode):
+def loop_trig_polynomial(rng, n_points, max_mode):
     """The explicit sum a cos(mx) + b sin(mx), drawing (a, b) per mode."""
     x = grid_x(n_points)
-    samples = np.zeros((n_points, n_components))
-    for comp in range(n_components):
-        for m in range(1, max_mode + 1):
-            a, b = rng.uniform(-1.0, 1.0, size=2)
-            samples[:, comp] += a * np.cos(m * x) + b * np.sin(m * x)
+    samples = np.zeros(n_points)
+    for m in range(1, max_mode + 1):
+        a, b = rng.uniform(-1.0, 1.0, size=2)
+        samples += a * np.cos(m * x) + b * np.sin(m * x)
     return samples
 
 
@@ -578,22 +561,24 @@ class TestRandomTrigRows:
 
 class TestRandomTrigPolynomial:
     @pytest.mark.parametrize("n", [16, 256, 2048])
-    @pytest.mark.parametrize("n_components", [1, 3])
-    def test_matches_explicit_sum(self, n, n_components):
-        # at n = 16 the top mode 8 sits on the Nyquist bin
-        f = random_trig_polynomial(np.random.default_rng([n, 1]), n,
-                                   n_components=n_components, normalize=False)
-        want = loop_trig_polynomial(np.random.default_rng([n, 1]), n,
-                                    n_components, max_mode=8)
-        assert np.max(np.abs(f.samples - want)) < 1e-12
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_matches_explicit_sum(self, n, count):
+        # at n = 16 the top mode 8 sits on the Nyquist bin; count fields
+        # drawn from one stream match count loop draws
+        rng, rng_loop = (np.random.default_rng([n, 1]) for _ in range(2))
+        for _ in range(count):
+            f = random_trig_polynomial(rng, n, normalize=False)
+            want = loop_trig_polynomial(rng_loop, n, max_mode=8)
+            assert np.max(np.abs(f.samples - want)) < 1e-12
 
     @pytest.mark.parametrize("n", [16, 256, 2048])
     def test_generator_state_after_call(self, n):
         # seeded audits draw several fields from one stream, so the stream
         # must advance exactly as the per-mode loop advanced it
         rng_new, rng_loop = (np.random.default_rng(99) for _ in range(2))
-        random_trig_polynomial(rng_new, n, n_components=2, max_mode=5)
-        loop_trig_polynomial(rng_loop, n, 2, max_mode=5)
+        for _ in range(2):
+            random_trig_polynomial(rng_new, n, max_mode=5)
+            loop_trig_polynomial(rng_loop, n, max_mode=5)
         assert rng_new.uniform(0.1, 0.99) == rng_loop.uniform(0.1, 0.99)
         assert np.array_equal(rng_new.random(4), rng_loop.random(4))
 

@@ -367,7 +367,7 @@ class TestAssembledStart:
         p = instance.params
         assembled = start_state(instance, True)
         generic = _state(instance, 0,
-                         GridFunction.zeros(p.n_points, instance.n_components),
+                         GridFunction.zeros(p.n_points),
                          True, None)
         assert assembled.step == generic.step == 0
         for name in ("a", "r_of_a", "error"):
@@ -381,7 +381,7 @@ class TestAssembledStart:
         p = instance.params
         trace = run(instance)
         states = walk(instance)
-        zeros = GridFunction.zeros(p.n_points, instance.n_components)
+        zeros = GridFunction.zeros(p.n_points)
         assert trace.diff_norms[0].values == ck_norm(
             states[1].a - zeros, p.norm_order(1)).values
         for prev, new, diff in zip(states[1:-1], states[2:], trace.diff_norms[1:],
@@ -392,8 +392,7 @@ class TestAssembledStart:
 
 def chained_remainder(spec, a, step):
     """r_step(a) as a chain of GridFunctions: a zero field, one field per
-    term and per partial sum, then the scaled sum; each term's core is the
-    component mean, also of one component."""
+    term and per partial sum, then the scaled sum."""
     spectral = FieldSpectrum(a)
     total = GridFunction.zeros(a.n_points)
     for term in spec.terms:
@@ -402,7 +401,6 @@ def chained_remainder(spec, a, step):
         core = first.samples
         if term.bound_class.arity == 2:
             core = core * spectral.derivative(orders[1]).samples
-        core = (1.0 / core.shape[-1]) * core.sum(axis=-1, keepdims=True)
         pref = term.weight * term.bound_class.prefactor(spec.lam, spec.ell)
         total = total + GridFunction.from_samples(pref * (spec.modulation.samples * core))
     return scale(spec.step_scale(step), total)
@@ -428,7 +426,6 @@ class TestArrayPath:
                 got = getattr(new, name)
                 assert np.array_equal(got.samples, want.samples), (new.step, name)
                 assert same_bits(got, want), (new.step, name)
-                assert got.n_components == want.n_components
             assert identity_residual(prev, new) == (error - (r_prev - r)).sup()
             r_prev = r
         assert new.step == 5

@@ -46,18 +46,13 @@ HYP = dict(max_examples=60, deadline=None, derandomize=True)
 
 
 def product(f, g):
-    """Pointwise product; a 1-component factor broadcasts over the other."""
+    """Pointwise product of two fields on one grid."""
     return GridFunction.from_samples(f.samples * g.samples)
 
 
 def residual(instance, a, t, step):
     """sup |b(a, a) - t| on the instance's bilinear map."""
     return finite_sup(instance.bilinear_map(a.samples, a.samples, step) - t.samples)
-
-
-def component_mean(f):
-    return GridFunction.from_samples(
-        (1.0 / f.n_components) * f.samples.sum(axis=-1, keepdims=True))
 
 
 def load(*items):
@@ -283,15 +278,13 @@ class TestSelfInteraction:
         assert np.array_equal(again.samples, fresh.samples)
         assert da.derivative(1) is kept
 
-    @pytest.mark.parametrize("n_components", [1, 2])
-    def test_apply_matches_composed_grid_operations(self, n_components):
+    def test_apply_matches_composed_grid_operations(self):
         # apply builds one GridFunction; it must equal, bit for bit, the
         # same computation written as one operation per field.
         from tamelab.gridfield import derivative, oscillator
         params = IterationParams()
         modulation = oscillator(1.0, params.lam, n_points=params.n_points)
-        a, b = (random_trig_polynomial(np.random.default_rng(seed), params.n_points,
-                                       n_components=n_components)
+        a, b = (random_trig_polynomial(np.random.default_rng(seed), params.n_points)
                 for seed in (21, 22))
 
         def d(f, order):
@@ -306,25 +299,21 @@ class TestSelfInteraction:
             if term.bound_class.arity == 2:
                 core = product(core, d(b, j[1]))
             pref = term.weight * term.bound_class.prefactor(params.lam, params.ell)
-            expected = scale(pref, product(modulation, component_mean(core)))
+            expected = scale(pref, product(modulation, core))
             out = term.apply(FieldSpectrum(a), FieldSpectrum(b), lam=params.lam,
                              ell=params.ell, modulation=modulation)
             assert out.samples.tobytes() == expected.samples.tobytes()
-            assert out.n_components == expected.n_components == 1
 
     def test_apply_refuses_incompatible_grids(self):
         from tamelab.gridfield import IncompatibleGrids, oscillator
         term = RemainderTerm(R3)
         kwargs = dict(lam=8, ell=1.0, modulation=oscillator(1.0, 8, n_points=128))
 
-        def field(n, n_components=1):
-            return FieldSpectrum(random_trig_polynomial(
-                np.random.default_rng(n_components), n, n_components=n_components))
+        def field(n):
+            return FieldSpectrum(random_trig_polynomial(np.random.default_rng(1), n))
 
         with pytest.raises(IncompatibleGrids):  # a and b on different grids
             term.apply(field(128), field(256), **kwargs)
-        with pytest.raises(IncompatibleGrids):  # 2 against 3 components
-            term.apply(field(128, 2), field(128, 3), **kwargs)
         with pytest.raises(IncompatibleGrids):  # modulation on another grid
             term.apply(field(256), lam=8, ell=1.0,
                        modulation=oscillator(1.0, 8, n_points=128))
@@ -332,20 +321,14 @@ class TestSelfInteraction:
 
 class TestTwoComponent:
     def test_right_inverse(self):
+        # The instance holds the common component sqrt(t/2) of F's pair,
+        # and b(a, a) = 2 a^2 sums the pair's squares.
         instance = make_two_component_toy(IterationParams(), 0.2)
         t_prime = instance.center + scale(0.25, random_trig_polynomial(
             np.random.default_rng(21), 2048))
         a = instance.inverse(t_prime.samples, 1)
-        assert a.n_components == 2
+        assert a.samples.tobytes() == np.sqrt(t_prime.samples / 2).tobytes()
         assert residual(instance, a, t_prime, 1) < 1e-10
-
-    def test_remainder_scalar_output(self):
-        instance = make_two_component_toy(IterationParams(), 0.2)
-        a = random_trig_polynomial(np.random.default_rng(23), 2048, n_components=2)
-        r = instance.remainder(FieldSpectrum(a), 1)
-        assert r.n_components == 1
-        zero = FieldSpectrum(GridFunction.zeros(2048, 2))
-        assert instance.remainder(zero, 1).sup() == 0.0
 
 
 class TestParams:
@@ -390,7 +373,8 @@ class TestConfig:
     def test_defaults_roundtrip(self):
         cfg = load()
         assert cfg.problem.lam == 32 and cfg.problem.ell == 4.0 and cfg.kind == "scalar"
-        assert _build(cfg, cfg.problem).kind == "scalar"
+        instance = _build(cfg, cfg.problem)
+        assert instance.inverse_map(np.array([4.0]), 1).tolist() == [2.0]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key 'lamda'"):
@@ -431,10 +415,12 @@ class TestConfig:
 
     def test_two_component_build(self):
         cfg = load("kind=two_component")
-        assert _build(cfg, cfg.problem).n_components == 2
+        instance = _build(cfg, cfg.problem)
+        assert instance.inverse_map(np.array([8.0]), 1).tolist() == [2.0]
+        assert instance.bilinear_map(np.array([2.0]), np.array([2.0]), 1).tolist() == [8.0]
 
 
-# (builder, n_components, drift) of the four instance families.
+# (builder, copies, drift) of the four instance families.
 FAMILIES = {
     "scalar": (lambda p: make_scalar_toy(p, 0.2), 1, 0.0),
     "two_component": (lambda p: make_two_component_toy(p, 0.2), 2, 0.0),
@@ -443,21 +429,21 @@ FAMILIES = {
 }
 
 
-def unskipped_toy_maps(n_components, drift, lambda_ell):
-    """_toy_maps as written before it skipped exact identities: it always
-    divides by n_components and always applies the step factor."""
+def unskipped_toy_maps(copies, drift, lambda_ell):
+    """_toy_maps as written before it skipped exact identities and held the
+    common component: F always divides by copies and applies the step
+    factor, and b adds the products of the copies one by one."""
 
     def step_factor(step):
         return 1.0 + drift * lambda_ell ** (-step)
 
     def inverse_map(tensor, step):
-        out = np.sqrt(tensor / n_components) * step_factor(step)
-        return np.broadcast_to(out, out.shape[:-1] + (n_components,))
+        return np.sqrt(tensor / copies) * step_factor(step)
 
     def bilinear_map(u, v, step):
-        total = u[..., :1] * v[..., :1]
-        for c in range(1, n_components):
-            total += u[..., c:c + 1] * v[..., c:c + 1]
+        total = u * v
+        for _ in range(1, copies):
+            total += u * v
         return step_factor(step) ** (-2) * total
 
     return inverse_map, bilinear_map
@@ -466,72 +452,57 @@ def unskipped_toy_maps(n_components, drift, lambda_ell):
 class TestArrayMaps:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_wrappers_give_the_map_samples(self, family):
-        build, n_components, drift = FAMILIES[family]
+        build, copies, drift = FAMILIES[family]
         p = IterationParams()
         instance = build(p)
-        inverse_map, bilinear_map = _toy_maps(n_components, drift, p.lambda_ell)
+        inverse_map, bilinear_map = _toy_maps(copies, drift, p.lambda_ell)
         t_prime = instance.center + scale(0.2, random_trig_polynomial(
             np.random.default_rng(5), p.n_points))
         for step in (1, 2, 3):
             a = instance.inverse(t_prime.samples, step)
             expected = inverse_map(t_prime.samples, step)
-            assert a.samples.shape == expected.shape == (p.n_points, n_components)
-            assert a.samples.tobytes() == np.ascontiguousarray(expected).tobytes()
+            assert a.samples.shape == expected.shape == (p.n_points,)
+            assert a.samples.tobytes() == expected.tobytes()
             b = instance.bilinear_map(a.samples, a.samples, step)
             expected = bilinear_map(a.samples, a.samples, step)
-            assert b.shape == expected.shape == (p.n_points, 1)
+            assert b.shape == expected.shape == (p.n_points,)
             assert b.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n_components", [1, 2])
+    @pytest.mark.parametrize("copies", [1, 2])
     @pytest.mark.parametrize("drift", [0.0, 0.3])
-    def test_maps_keep_the_unskipped_bits(self, n_components, drift):
-        # integer steps as in iteration.run, and the self-check's
-        # (count, 1, 1) step arrays over (count, n, 1) batches
+    def test_maps_keep_the_unskipped_bits(self, copies, drift):
+        # integer steps as in iteration.run, and the self-check's (count, 1)
+        # step arrays over (count, n) batches; b also on plain arrays
         p = IterationParams()
-        new = _toy_maps(n_components, drift, p.lambda_ell)
-        old = unskipped_toy_maps(n_components, drift, p.lambda_ell)
+        new = _toy_maps(copies, drift, p.lambda_ell)
+        old = unskipped_toy_maps(copies, drift, p.lambda_ell)
         rng = np.random.default_rng(6)
-        batch = 1.0 + 0.3 * rng.uniform(-1, 1, size=(4, p.n_points, 1))
-        steps = (1 + np.arange(4) % 3)[:, np.newaxis, np.newaxis]
+        batch = 1.0 + 0.3 * rng.uniform(-1, 1, size=(4, p.n_points))
+        u, v = rng.uniform(-1, 1, size=(2, 4, p.n_points))
+        steps = (1 + np.arange(4) % 3)[:, np.newaxis]
         cases = [(batch[0], step) for step in (1, 2, 3)] + [(batch, steps)]
         for t, step in cases:
             a_new, a_old = new[0](t, step), old[0](t, step)
             assert a_new.shape == a_old.shape
             assert a_new.tobytes() == a_old.tobytes()
-            for u in (a_old, np.ascontiguousarray(a_old)):
-                assert (new[1](u, u, step).tobytes()
-                        == old[1](u, u, step).tobytes())
+            plain = (u, v) if t.ndim == 2 else (u[0], v[0])
+            for x, y in ((a_old, a_old), plain):
+                assert (new[1](x, y, step).tobytes()
+                        == old[1](x, y, step).tobytes())
 
     def test_maps_batch_over_leading_axes_and_steps(self):
         p = IterationParams()
         inverse_map, bilinear_map = _toy_maps(2, 0.5, p.lambda_ell)
         rng = np.random.default_rng(2)
-        t = 1.0 + 0.2 * rng.uniform(-1, 1, size=(3, p.n_points, 1))
-        steps = np.array([1, 2, 3])[:, np.newaxis, np.newaxis]
+        t = 1.0 + 0.2 * rng.uniform(-1, 1, size=(3, p.n_points))
+        steps = np.array([1, 2, 3])[:, np.newaxis]
         a = inverse_map(t, steps)
-        assert a.shape == (3, p.n_points, 2)
+        assert a.shape == (3, p.n_points)
         for i, step in enumerate((1, 2, 3)):
             np.testing.assert_allclose(a[i], inverse_map(t[i], step),
                                        rtol=1e-15, atol=0)
         np.testing.assert_allclose(bilinear_map(a, a, steps), t,
                                    rtol=1e-14, atol=0)
-
-    @pytest.mark.parametrize("n_components", [1, 2])
-    def test_slice_sum_matches_component_sum(self, n_components):
-        # b adds component slices; the reference reduces the product over
-        # the component axis, on F's broadcast output and on plain arrays
-        p = IterationParams()
-        inverse_map, bilinear_map = _toy_maps(n_components, 0.5, p.lambda_ell)
-        rng = np.random.default_rng(4)
-        steps = np.array([1, 2, 3])[:, np.newaxis, np.newaxis]
-        a = inverse_map(1.0 + 0.2 * rng.uniform(-1, 1, (3, p.n_points, 1)), steps)
-        u, v = rng.uniform(-1, 1, (2, 3, p.n_points, n_components))
-        factor = (1.0 + 0.5 * p.lambda_ell ** (-steps)) ** (-2)
-        for x, y in ((a, a), (u, v)):
-            expected = factor * (x * y).sum(axis=-1, keepdims=True)
-            got = bilinear_map(x, y, steps)
-            assert got.shape == expected.shape == (3, p.n_points, 1)
-            assert got.tobytes() == expected.tobytes()
 
     def test_target_norms_kept(self):
         p = IterationParams()
@@ -541,7 +512,7 @@ class TestArrayMaps:
 
     def test_positivity_guard_kept(self):
         instance = make_scalar_toy(IterationParams(), 0.2)
-        dip = np.ones((2048, 1))
+        dip = np.ones(2048)
         dip[100] = 0.0  # distance exactly 1 = 1/C_F: inside, but not positive
         with pytest.raises(DomainEscape, match="loses positivity"):
             instance.inverse(dip, 2)
@@ -552,38 +523,24 @@ class TestArrayMaps:
 
 
 class TestKeptChecks:
-    """The grid, component and finiteness checks of the fields the step
-    computes on samples: each raises the error and message it raised when
-    every intermediate was a GridFunction."""
+    """The grid and finiteness checks of the fields the step computes on
+    samples: each raises the error and message it raised when every
+    intermediate was a GridFunction."""
 
-    @pytest.mark.parametrize("tensor, message", [
-        (GridFunction.constant(1.1, 1024), "grids differ: n_points 2048/1024"),
-        (GridFunction.constant(1.1, 2048, n_components=2),
-         "component counts differ: 1 vs 2"),
-    ])
-    def test_inverse_refuses_tensor_off_the_grid(self, tensor, message):
+    def test_inverse_refuses_tensor_off_the_grid(self):
         instance = make_scalar_toy(IterationParams(), 0.2)
-        with pytest.raises(IncompatibleGrids, match=f"^{message}$"):
-            instance.inverse(tensor.samples, 1)
+        with pytest.raises(IncompatibleGrids, match="^grids differ: n_points 2048/1024$"):
+            instance.inverse(GridFunction.constant(1.1, 1024).samples, 1)
 
     def test_inverse_refuses_non_finite_distance(self):
         # finite samples whose distance to the center overflows; the toy's
         # center 1 cannot make one, so this instance is centered at -1e308
         instance = replace(make_scalar_toy(IterationParams(), 0.2),
                            center=GridFunction.constant(-1e308, 64))
-        tensor = np.full((64, 1), 1e308)
+        tensor = np.full(64, 1e308)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="^samples contain non-finite values$"):
                 instance.inverse(tensor, 1)
-
-    def test_remainder_refuses_a_term_of_two_components(self):
-        from tamelab.gridfield import oscillator
-        instance = make_scalar_toy(IterationParams(), 0.2)
-        spec = replace(instance.remainder, modulation=oscillator(
-            1.0, 32, n_points=2048, n_components=2))
-        a = FieldSpectrum(instance.inverse(instance.target.samples, 1))
-        with pytest.raises(IncompatibleGrids, match="^component counts differ: 2 vs 1$"):
-            spec(a, 1)
 
     @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("position", [0, 2, 4])
@@ -608,9 +565,9 @@ class TestOneDomainCheck:
         checked = []
         check = problem._check_right_inverse
 
-        def spy(params, center, inverse_map, bilinear_map, *args):
+        def spy(params, center, radius, inverse_map, bilinear_map, *args):
             checked.append((inverse_map, bilinear_map))
-            check(params, center, inverse_map, bilinear_map, *args)
+            check(params, center, radius, inverse_map, bilinear_map, *args)
 
         monkeypatch.setattr(problem, "_check_right_inverse", spy)
         instance = FAMILIES[family][0](IterationParams())
@@ -618,34 +575,34 @@ class TestOneDomainCheck:
         assert instance.inverse_map is checked[0][0]
         assert instance.bilinear_map is checked[0][1]
 
-    @given(c_f=st.floats(1 / 3, 8.0), n_components=st.sampled_from([1, 2]),
+    @given(c_f=st.floats(1 / 3, 8.0), copies=st.sampled_from([1, 2]),
            shift=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1),
            dip=st.one_of(st.none(), st.floats(-0.5, 0.5)), step=st.integers(1, 5))
     # A dip to 0 at distance exactly 1/C_F, and one to -0.5 inside: each
     # escapes on positivity alone.
-    @example(c_f=1.0, n_components=1, shift=0.5, seed=3, dip=0.0, step=2)
-    @example(c_f=0.5, n_components=2, shift=0.0, seed=0, dip=-0.5, step=1)
+    @example(c_f=1.0, copies=1, shift=0.5, seed=3, dip=0.0, step=2)
+    @example(c_f=0.5, copies=2, shift=0.0, seed=0, dip=-0.5, step=1)
     @settings(**HYP)
-    def test_inverse_escapes_exactly_outside_the_domain(self, c_f, n_components,
+    def test_inverse_escapes_exactly_outside_the_domain(self, c_f, copies,
                                                         shift, seed, dip, step):
         # The tensor is the center plus a low-mode bump of sup shift / C_F,
         # with one sample optionally set to dip.
-        build = make_scalar_toy if n_components == 1 else make_two_component_toy
+        build = make_scalar_toy if copies == 1 else make_two_component_toy
         instance = build(IterationParams(lam=8, c_f=c_f, n_points=256), 0.2)
         bump = random_trig_polynomial(np.random.default_rng(seed), 256)
         tensor = instance.center.samples + (shift / c_f) * bump.samples
         if dip is not None:
             tensor[17] = dip
         distance = np.abs(tensor - 1.0).max()
-        if distance > 1.0 / c_f or tensor.min() / n_components <= 0.0:
+        if distance > 1.0 / c_f or tensor.min() <= 0.0:
             with pytest.raises(DomainEscape) as err:
                 instance.inverse(tensor, step)
             assert (err.value.step, err.value.measured, err.value.radius) == (
                 step, distance, 1.0 / c_f)
         else:
             got = instance.inverse(tensor, step).samples
-            want = np.ascontiguousarray(instance.inverse_map(tensor, step))
-            assert got.shape == want.shape == (256, n_components)
+            want = instance.inverse_map(tensor, step)
+            assert got.shape == want.shape == (256,)
             assert got.tobytes() == want.tobytes()
 
 
@@ -659,7 +616,7 @@ class TestRightInverseSelfCheck:
                                                         self.p.lambda_ell)
 
     def check(self, inverse_map=None, bilinear_map=None):
-        _check_right_inverse(self.p, self.center,
+        _check_right_inverse(self.p, self.center, 1.0 / 3.0,
                              inverse_map or self.inverse_map,
                              bilinear_map or self.bilinear_map)
 
@@ -672,7 +629,7 @@ class TestRightInverseSelfCheck:
             out = self.inverse_map(t, step)
             index = sum(done) + np.arange(t.shape[0])
             done.append(t.shape[0])
-            off = np.isin(index, samples)[:, np.newaxis, np.newaxis]
+            off = np.isin(index, samples)[:, np.newaxis]
             return np.where(off, out * (1 + 1e-9), out)
 
         return f
@@ -688,7 +645,7 @@ class TestRightInverseSelfCheck:
             return self.inverse_map(t, step)
 
         self.check(inverse_map=spy)
-        assert seen == [((2, 4096, 1), [1 + i % 3 for i in range(j, j + 2)])
+        assert seen == [((2, 4096), [1 + i % 3 for i in range(j, j + 2)])
                         for j in range(0, 20, 2)]
 
     def test_map_calls_stay_within_2_13_points_at_2048(self):
@@ -703,10 +660,10 @@ class TestRightInverseSelfCheck:
             return self.bilinear_map(u, v, step)
 
         _check_right_inverse(IterationParams(n_points=2048),
-                             GridFunction.constant(1.0, 2048), inverse_spy,
-                             bilinear_spy)
-        assert max(rows * points for _, (rows, points, _) in seen) <= 2 ** 13
-        assert sum(rows for name, (rows, _, _) in seen if name == "inverse") == 20
+                             GridFunction.constant(1.0, 2048), 1.0 / 3.0,
+                             inverse_spy, bilinear_spy)
+        assert max(rows * points for _, (rows, points) in seen) <= 2 ** 13
+        assert sum(rows for name, (rows, _) in seen if name == "inverse") == 20
         assert [name for name, _ in seen] == ["inverse", "bilinear"] * 5
 
     def test_one_sample_per_batch_at_65536(self):
@@ -717,9 +674,9 @@ class TestRightInverseSelfCheck:
             return self.inverse_map(t, step)
 
         _check_right_inverse(IterationParams(n_points=65536),
-                             GridFunction.constant(1.0, 65536), spy,
+                             GridFunction.constant(1.0, 65536), 1.0 / 3.0, spy,
                              self.bilinear_map)
-        assert seen == [(1, 65536, 1)] * 20
+        assert seen == [(1, 65536)] * 20
 
     def test_samples_admissible_and_unit_bumps(self):
         seen = []
@@ -729,7 +686,7 @@ class TestRightInverseSelfCheck:
             return self.inverse_map(t, step)
 
         self.check(inverse_map=spy)
-        dev = np.abs(np.concatenate(seen)).max(axis=(1, 2))  # rho per sample
+        dev = np.abs(np.concatenate(seen)).max(axis=1)  # rho per sample
         radius = 1.0 / 3.0
         assert dev.shape == (20,)
         assert np.all(dev >= 0.1 * radius) and np.all(dev < 0.99 * radius)
@@ -747,7 +704,7 @@ class TestRightInverseSelfCheck:
             seen.extend(t)
             return self.inverse_map(t, step)
 
-        _check_right_inverse(p, center, spy, self.bilinear_map)
+        _check_right_inverse(p, center, 1.0 / 3.0, spy, self.bilinear_map)
         rng = np.random.default_rng([p.seed, 0x5eed])
         per_batch = max(1, BATCH_POINTS // n_points)
         expected = []
@@ -759,7 +716,7 @@ class TestRightInverseSelfCheck:
                          for i, bump in enumerate(bumps)]
         assert len(seen) == len(expected) == 20
         for got, want in zip(seen, expected):
-            assert got.shape == want.shape == (n_points, 1)
+            assert got.shape == want.shape == (n_points,)
             assert got.tobytes() == want.tobytes()
 
     def test_scaled_bilinear_fails_on_first_sample(self):
@@ -787,7 +744,7 @@ class TestRightInverseSelfCheck:
 
     def test_nan_residual_fails(self):
         def b(u, v, step):
-            return np.full(u.shape[:-1] + (1,), np.nan)
+            return np.full(u.shape, np.nan)
 
         with pytest.raises(AssertionError,
                            match=f"residual nan exceeds {RIGHT_INVERSE_TOL} "

@@ -81,11 +81,14 @@ def test_layering():
     # and a first LAPACK call leaves about 1 MB resident.  Only gridfield
     # names numpy's fft, so every transform takes the one spectral path and
     # batching stays in ck_norms.  Only problem raises DomainEscape, so the
-    # domain of F is checked in one place.
+    # domain of F is checked in one place.  No line names n_components:
+    # every field is one 1-D sample array.
     builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
                 "with_self_interaction"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
-        module, nodes = path.stem, list(ast.walk(ast.parse(path.read_text())))
+        source = path.read_text()
+        assert "n_components" not in source, path.stem
+        module, nodes = path.stem, list(ast.walk(ast.parse(source)))
         names = {_name(n) for n in nodes}.union(*map(_dotted_parts, nodes))
         assert not {"polyfit", "polyval", "linalg"} & names, module
         if module != "gridfield":
