@@ -157,12 +157,19 @@ class TestCkNorm:
         with pytest.raises(ResolutionError, match="n_points"):
             ck_norm(sine(1, 64), 8)
 
-    def test_monotone_and_sup(self):
+    def test_monotone_and_component_max(self):
+        # Three fields from one stream stand for the former three columns:
+        # each norm vector is monotone and starts at its field's sup, and
+        # the largest of those is the sup over all their samples.
         rng = np.random.default_rng(3)
-        f = random_trig_polynomial(rng, 256, normalize=False)
-        norms = ck_norm(f, 4)
-        assert all(norms[k + 1] >= norms[k] for k in range(4))
-        assert norms[0] == np.max(np.abs(f.samples))
+        fields = [random_trig_polynomial(rng, 256, normalize=False) for _ in range(3)]
+        zeroth = []
+        for f in fields:
+            norms = ck_norm(f, 4)
+            assert all(norms[k + 1] >= norms[k] for k in range(4))
+            assert norms[0] == np.max(np.abs(f.samples))
+            zeroth.append(norms[0])
+        assert max(zeroth) == np.max(np.abs(np.stack([f.samples for f in fields])))
 
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))
     @settings(**HYP)
@@ -225,19 +232,20 @@ class TestCkNorm:
 
 
 class TestCleanSpectrum:
-    @pytest.mark.parametrize("mode,size", [(3, 1.0), (5, 1e-20)])
-    def test_matches_masked_reference(self, mode, size):
-        # One mode plus dust relative to the field's own peak; at size
-        # 1e-20 a floor of SPECTRAL_DUST itself would zero the mode too.
+    def test_matches_masked_reference(self):
+        # Each field is one mode plus dust relative to its own peak; the
+        # second is 1e-20 times smaller, where a floor of SPECTRAL_DUST
+        # itself would zero the mode too.
         rng = np.random.default_rng(9)
         x = grid_x(256)
-        f = GridFunction.from_samples(
-            size * (np.cos(mode * x) + 1e-15 * rng.standard_normal(256)))
-        spec = np.fft.rfft(f.samples)
-        mags = np.abs(spec)
-        expected = np.where(mags >= SPECTRAL_DUST * mags.max(), spec, 0.0)
-        assert np.count_nonzero(expected) == 1
-        assert _clean_spectrum(f).tobytes() == expected.tobytes()
+        for mode, size in ((3, 1.0), (5, 1e-20)):
+            f = GridFunction.from_samples(
+                size * (np.cos(mode * x) + 1e-15 * rng.standard_normal(256)))
+            spec = np.fft.rfft(f.samples)
+            mags = np.abs(spec)
+            expected = np.where(mags >= SPECTRAL_DUST * mags.max(), spec, 0.0)
+            assert np.count_nonzero(expected) == 1
+            assert _clean_spectrum(f).tobytes() == expected.tobytes()
 
 
 def norm_test_rows(n, count):
@@ -449,12 +457,13 @@ class TestGridFunction:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [0, 31, 63])
-    def test_non_finite_sample_refused(self, value, row):
-        # the first, a middle and the last sample
-        bad = np.ones(64)
-        bad[row] = value
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_non_finite_sample_refused(self, value, row, half):
+        # the first, a middle and the last sample of each half of the grid
+        bad = np.ones(128)
+        bad[64 * half + row] = value
         with pytest.raises(ValueError, match="^samples contain non-finite values$"):
-            GridFunction(64, bad)
+            GridFunction(128, bad)
 
     def test_negative_zero_and_subnormals_accepted(self):
         tiny = np.finfo(np.float64).smallest_subnormal

@@ -50,6 +50,13 @@ def product(f, g):
     return GridFunction.from_samples(f.samples * g.samples)
 
 
+def component_mean(cores):
+    """The mean of copies of a term core, taken as the sum over the copies'
+    axis, as a field whose copies are stacked columns would reduce it."""
+    stacked = np.stack([core.samples for core in cores], axis=-1)
+    return GridFunction.from_samples((1.0 / len(cores)) * stacked.sum(axis=-1))
+
+
 def residual(instance, a, t, step):
     """sup |b(a, a) - t| on the instance's bilinear map."""
     return finite_sup(instance.bilinear_map(a.samples, a.samples, step) - t.samples)
@@ -278,9 +285,12 @@ class TestSelfInteraction:
         assert np.array_equal(again.samples, fresh.samples)
         assert da.derivative(1) is kept
 
-    def test_apply_matches_composed_grid_operations(self):
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_apply_matches_composed_grid_operations(self, copies):
         # apply builds one GridFunction; it must equal, bit for bit, the
-        # same computation written as one operation per field.
+        # same computation written as one operation per field.  At copies
+        # 2 the reference is the former two-component field (a, a): the
+        # mean of the copies' cores is the common component's core.
         from tamelab.gridfield import derivative, oscillator
         params = IterationParams()
         modulation = oscillator(1.0, params.lam, n_points=params.n_points)
@@ -299,7 +309,8 @@ class TestSelfInteraction:
             if term.bound_class.arity == 2:
                 core = product(core, d(b, j[1]))
             pref = term.weight * term.bound_class.prefactor(params.lam, params.ell)
-            expected = scale(pref, product(modulation, core))
+            expected = scale(pref, product(modulation,
+                                           component_mean([core] * copies)))
             out = term.apply(FieldSpectrum(a), FieldSpectrum(b), lam=params.lam,
                              ell=params.ell, modulation=modulation)
             assert out.samples.tobytes() == expected.samples.tobytes()
@@ -329,6 +340,18 @@ class TestTwoComponent:
         a = instance.inverse(t_prime.samples, 1)
         assert a.samples.tobytes() == np.sqrt(t_prime.samples / 2).tobytes()
         assert residual(instance, a, t_prime, 1) < 1e-10
+
+    def test_remainder_scalar_output(self):
+        # r at the common component is one field: the mean over the pair of
+        # equal cores, which is the scalar toy's remainder at that component.
+        instance = make_two_component_toy(IterationParams(), 0.2)
+        a = random_trig_polynomial(np.random.default_rng(23), 2048)
+        r = instance.remainder(FieldSpectrum(a), 1)
+        assert r.samples.shape == (2048,)
+        scalar = make_scalar_toy(IterationParams(), 0.2).remainder(FieldSpectrum(a), 1)
+        assert r.samples.tobytes() == scalar.samples.tobytes()
+        zero = FieldSpectrum(GridFunction.zeros(2048))
+        assert instance.remainder(zero, 1).sup() == 0.0
 
 
 class TestParams:
@@ -504,6 +527,23 @@ class TestArrayMaps:
         np.testing.assert_allclose(bilinear_map(a, a, steps), t,
                                    rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_slice_sum_matches_component_sum(self, copies):
+        # b = copies * u v; the reference stacks the copies' products on a
+        # last axis and reduces it, on F's output and on plain arrays
+        p = IterationParams()
+        inverse_map, bilinear_map = _toy_maps(copies, 0.5, p.lambda_ell)
+        rng = np.random.default_rng(4)
+        steps = np.array([1, 2, 3])[:, np.newaxis]
+        a = inverse_map(1.0 + 0.2 * rng.uniform(-1, 1, (3, p.n_points)), steps)
+        u, v = rng.uniform(-1, 1, (2, 3, p.n_points))
+        factor = (1.0 + 0.5 * p.lambda_ell ** (-steps)) ** (-2)
+        for x, y in ((a, a), (u, v)):
+            expected = factor * np.stack([x * y] * copies, axis=-1).sum(axis=-1)
+            got = bilinear_map(x, y, steps)
+            assert got.shape == expected.shape == (3, p.n_points)
+            assert got.tobytes() == expected.tobytes()
+
     def test_target_norms_kept(self):
         p = IterationParams()
         instance = make_scalar_toy(p, 0.2)
@@ -527,10 +567,13 @@ class TestKeptChecks:
     samples: each raises the error and message it raised when every
     intermediate was a GridFunction."""
 
-    def test_inverse_refuses_tensor_off_the_grid(self):
+    @pytest.mark.parametrize("tensor, message", [
+        (GridFunction.constant(1.1, 1024), "grids differ: n_points 2048/1024"),
+    ])
+    def test_inverse_refuses_tensor_off_the_grid(self, tensor, message):
         instance = make_scalar_toy(IterationParams(), 0.2)
-        with pytest.raises(IncompatibleGrids, match="^grids differ: n_points 2048/1024$"):
-            instance.inverse(GridFunction.constant(1.1, 1024).samples, 1)
+        with pytest.raises(IncompatibleGrids, match=f"^{message}$"):
+            instance.inverse(tensor.samples, 1)
 
     def test_inverse_refuses_non_finite_distance(self):
         # finite samples whose distance to the center overflows; the toy's
