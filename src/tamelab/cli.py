@@ -16,6 +16,7 @@ that overflows the float range, or too few usable steps).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -523,7 +524,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  parse_args keeps no state between
+    calls, and building the parser costs a few tenths of a millisecond,
+    mostly help formatting in add_argument."""
     parser = _Parser(
         prog="tamelab",
         description="Experiment runner for the corrector-iteration laboratory")

@@ -33,11 +33,18 @@ MAX_SAMPLES = 1 << 22
 SPECTRAL_DUST = 1e-13
 
 # Most real samples (over all rows) one batched transform call takes: the
-# right-inverse self-check and ck_norms split their rows into calls of at
-# most this size.  Such calls allocate and free no array of 3 MB or more,
-# whose release would move glibc's mmap threshold and with it the speed of
-# every later large transform in the process.
+# right-inverse self-check, ck_norms and FieldSpectrum.ck_norm split their
+# rows into calls of at most this size.  Such calls allocate and free no
+# array of 3 MB or more, whose release would move glibc's mmap threshold
+# and with it the speed of every later large transform in the process.
 BATCH_POINTS = 1 << 16
+
+# Most output points one BLAS product of random_trig_rows computes.  A
+# 65536-point row in one product is a 256 x 256 x 16 gemm, which OpenBLAS
+# splits over worker threads: with default threads on a 2-vCPU host it took
+# about 360 us, and four times the CPU time, where the capped products take
+# about 100 us.  The bits do not change.
+MATMUL_POINTS = 1 << 13
 
 
 # The ValueError message of a field holding NaN or +-inf.
@@ -142,18 +149,14 @@ def row_sups(x: np.ndarray) -> np.ndarray:
     return np.maximum(x.max(axis=-1), -x.min(axis=-1)) + 0.0
 
 
-def _clean(spec: np.ndarray) -> np.ndarray:
-    """Zero, in place, the coefficients of spec below SPECTRAL_DUST of the
-    peak of their own transform along the last axis; returns spec."""
+def clean_spectra(samples: np.ndarray) -> np.ndarray:
+    """Half spectra (rfft modes 0..n/2 along the last axis) of samples, one
+    field or a (fields, n_points) stack, with the coefficients below
+    SPECTRAL_DUST of the peak of their own row zeroed."""
+    spec = np.fft.rfft(samples, axis=-1)
     mags = np.abs(spec)
     spec[mags < SPECTRAL_DUST * mags.max(axis=-1, keepdims=True)] = 0.0
     return spec
-
-
-def _clean_spectrum(f: GridFunction) -> np.ndarray:
-    """Half spectrum (rfft modes 0..n/2) of f with coefficients below
-    SPECTRAL_DUST of its peak zeroed."""
-    return _clean(np.fft.rfft(f.samples))
 
 
 @functools.lru_cache(maxsize=64)
@@ -176,18 +179,32 @@ def _derivative_multiplier(n_points: int, order: int) -> np.ndarray:
     return mult
 
 
-@functools.lru_cache(maxsize=8)
-def _stacked_multipliers(n_points: int, k_max: int) -> np.ndarray:
+# One complex derivative multiplier block per grid size (see _order_block).
+_ORDER_BLOCKS: dict[int, np.ndarray] = {}
+
+
+def _order_block(n_points: int, k_max: int) -> np.ndarray:
     """Row k - 1 is the complex (i m)^k, k = 1..k_max: _derivative_multiplier
     (n_points, k) with an odd order's factor i; read-only, (k_max, n_points/2
-    + 1).  It spares ck_norms the odd orders' *= 1j and numpy's buffered
-    real-to-complex cast; the products differ only in the sign of zeros."""
-    mults = np.empty((k_max, n_points // 2 + 1), dtype=complex)
-    for k in range(1, k_max + 1):
-        real = _derivative_multiplier(n_points, k)
-        mults[k - 1] = real * 1j if k % 2 else real
-    mults.flags.writeable = False
-    return mults
+    + 1).  It spares the stacked inverses the odd orders' *= 1j and numpy's
+    buffered real-to-complex cast; the products differ only in the sign of
+    zeros, which no sup reads.
+
+    The cache holds one block per n_points, rebuilt taller when an order
+    above its top is asked for, and returns a view of its first k_max rows:
+    it grows with the highest order asked, not with the number of distinct
+    k_max.
+    """
+    block = _ORDER_BLOCKS.get(n_points)
+    if block is None or len(block) < k_max:
+        block = np.empty((k_max, n_points // 2 + 1), dtype=complex)
+        for k in range(1, k_max + 1):
+            # Uncached: the block holds these orders from now on.
+            real = _derivative_multiplier.__wrapped__(n_points, k)
+            block[k - 1] = real * 1j if k % 2 else real
+        block.flags.writeable = False
+        _ORDER_BLOCKS[n_points] = block
+    return block[:k_max]
 
 
 def _check_orders(n_points: int, k_max: int) -> None:
@@ -242,12 +259,17 @@ class FieldSpectrum:
         self._spectrum: Optional[np.ndarray] = None
         self._derivatives: dict[int, GridFunction] = {}
 
-    def _transform(self, order: int) -> np.ndarray:
-        """Samples of d^order f, computed from the spectrum."""
+    def spectrum(self) -> np.ndarray:
+        """The field's clean_spectra, taken on first use and kept; read-only."""
         if self._spectrum is None:
-            self._spectrum = _clean_spectrum(self.field)
+            self._spectrum = clean_spectra(self.field.samples)
+            self._spectrum.flags.writeable = False
+        return self._spectrum
+
+    def _transform(self, order: int) -> np.ndarray:
+        """Samples of d^order f, computed from the spectrum in one irfft."""
         n = self.field.n_points
-        product = self._spectrum * _derivative_multiplier(n, order)
+        product = self.spectrum() * _derivative_multiplier(n, order)
         if order % 2 == 1:
             product *= 1j
         return np.fft.irfft(product, n)
@@ -269,17 +291,37 @@ class FieldSpectrum:
         order k.  Orders kept by derivative are read, not recomputed; the
         orders computed here are not kept.
 
+        The missing orders up to BATCH_POINTS // n_points, as many as one
+        call of at most BATCH_POINTS samples takes, are inverted in one
+        irfft against _order_block's rows, when there are two or more of
+        them; each other order takes its own irfft through the real
+        multiplier.  So a 2048-point field takes one call for up to 32
+        orders, and a 65536-point field one call per order.  The sups are
+        those of the one-order-per-call path bit for bit.
+
         Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points;
         experiments at frequency lam must additionally keep n_points >=
         RESOLUTION_FACTOR * lam * (k_max + 1) (enforced where lam is known:
         the CLI's config checks and verify.audit_classes).
         """
-        _check_orders(self.field.n_points, k_max)
+        n = self.field.n_points
+        _check_orders(n, k_max)
+        sups = {k: _sup(d.samples) for k, d in self._derivatives.items()
+                if k <= k_max}
+        missing = [k for k in range(1, k_max + 1) if k not in sups]
+        stacked = [k for k in missing if k <= BATCH_POINTS // n]
+        if len(stacked) > 1:
+            mults = _order_block(n, stacked[-1])[stacked[0] - 1:]
+            if len(mults) > len(stacked):  # a kept order lies among them
+                mults = mults[np.subtract(stacked, stacked[0])]
+            d = np.fft.irfft(self.spectrum() * mults, n, axis=-1)
+            sups.update(zip(stacked, row_sups(d).tolist()))
+        for k in missing:
+            if k not in sups:
+                sups[k] = _sup(self._transform(k))
         values = [self.field.sup()]
         for k in range(1, k_max + 1):
-            held = self._derivatives.get(k)
-            d_k = self._transform(k) if held is None else held.samples
-            values.append(max(values[-1], _sup(d_k)))
+            values.append(max(values[-1], sups[k]))
         return NormVector(tuple(values))
 
 
@@ -301,15 +343,17 @@ def norm_batch_rows(n_points: int, k_max: int) -> int:
     return max(1, BATCH_POINTS // (n_points * max(k_max, 1)))
 
 
-def ck_norms(rows: np.ndarray, k_max: int) -> np.ndarray:
+def ck_norms(rows: np.ndarray, k_max: int,
+             spectra: Optional[np.ndarray] = None) -> np.ndarray:
     """Norms 0..k_max of each row of a (fields, n_points) array of samples:
     out[i] holds, bit for bit, the values of ck_norm(row i as a field,
-    k_max).
+    k_max).  spectra, when given, holds the rows' clean_spectra, which are
+    then read instead of taken again.
 
-    The many-field path.  Rows go through rfft in contiguous batches of
-    norm_batch_rows, are cleaned as _clean_spectrum cleans them, and every
-    order of a batch is inverted in one irfft call; a row too long for
-    that inverts its orders in calls of at most BATCH_POINTS samples.
+    The many-field path.  Rows go through clean_spectra in contiguous
+    batches of norm_batch_rows, and every order of a batch is inverted in
+    one irfft call; a row too long for that inverts its orders in calls of
+    at most BATCH_POINTS samples.
     """
     rows = np.asarray(rows, dtype=np.float64)
     count, n = rows.shape
@@ -319,10 +363,11 @@ def ck_norms(rows: np.ndarray, k_max: int) -> np.ndarray:
     if k_max == 0:
         return norms
     per_batch = norm_batch_rows(n, k_max)
-    mults = _stacked_multipliers(n, k_max)
+    mults = _order_block(n, k_max)
     for start in range(0, count, per_batch):
         batch = slice(start, start + per_batch)
-        spec = _clean(np.fft.rfft(rows[batch], axis=-1))[:, np.newaxis]
+        spec = clean_spectra(rows[batch]) if spectra is None else spectra[batch]
+        spec = spec[:, np.newaxis]
         per_call = max(1, BATCH_POINTS // (n * len(spec)))
         for j in range(0, k_max, per_call):
             d = np.fft.irfft(spec * mults[j:j + per_call], n, axis=-1)
@@ -339,8 +384,8 @@ def mollify(f: GridFunction, ell: float) -> GridFunction:
     """
     if not 0 < ell < PERIOD:
         raise ValueError(f"ell must lie in (0, {PERIOD:.6g}), got {ell}")
-    # Not FieldSpectrum's cleaned spectrum: the target's bits come from
-    # smoothing every mode of this uncleaned one.
+    # Not clean_spectra: the target's bits come from smoothing every mode
+    # of this uncleaned spectrum.
     spec = np.fft.rfft(f.samples)
     m = np.arange(f.n_points // 2 + 1)
     out = np.fft.irfft(spec * np.exp(-0.5 * m ** 2 * ell * ell), f.n_points)
@@ -417,9 +462,10 @@ def random_trig_rows(rng: np.random.Generator, n_points: int, count: int,
     Modes 1..max_mode with uniform[-1, 1] sine/cosine coefficients, drawn
     as (row, mode, cos/sin) in that nesting order, so count rows consume
     the generator as count one-row draws do.  Each row is evaluated in grid
-    order by angle addition (see _angle_tables), as one real product
-    (n/R x 2 max_mode) @ (2 max_mode x R): 4 max_mode flops per point and
-    no transform.
+    order by angle addition (see _angle_tables), as the real product
+    (n/R x 2 max_mode) @ (2 max_mode x R), taken in stacked blocks of at
+    most MATMUL_POINTS outputs: 4 max_mode flops per point and no
+    transform.
     """
     if max_mode > n_points // 2:
         raise ResolutionError(
@@ -435,7 +481,9 @@ def random_trig_rows(rng: np.random.Generator, n_points: int, count: int,
     # rounding only.
     left = np.concatenate([a * cos_phi + b * sin_phi, b * cos_phi - a * sin_phi],
                           axis=-1)
-    return np.matmul(left, theta).reshape(count, n_points)
+    per_block = min(len(cos_phi), max(1, MATMUL_POINTS // theta.shape[1]))
+    blocks = left.reshape(count, -1, per_block, 2 * max_mode)
+    return np.matmul(blocks, theta).reshape(count, n_points)
 
 
 def random_trig_polynomial(rng: np.random.Generator, n_points: int,
@@ -469,7 +517,7 @@ def refine(f: GridFunction, factor: int) -> GridFunction:
             f"refined grid too large: {n_new} samples exceeds the "
             f"{MAX_SAMPLES} guard")
     padded = np.zeros(n_new // 2 + 1, dtype=complex)
-    padded[:n // 2 + 1] = _clean_spectrum(f)
+    padded[:n // 2 + 1] = clean_spectra(f.samples)
     # The coarse Nyquist bin stands for the +n/2 and -n/2 modes together;
     # halved, it becomes one interior mode whose Hermitian partner irfft
     # supplies, so the samples are interpolated exactly.

@@ -25,6 +25,7 @@ from .gridfield import (
     ResolutionError,
     ck_norm,
     ck_norms,
+    clean_spectra,
     oscillator,
     random_trig_polynomial,
     refine,
@@ -109,9 +110,17 @@ def _argument_norms(fields: Sequence[FieldSpectrum],
                     keys: Sequence[tuple[int, int]], top: int) -> np.ndarray:
     """Norms 0..top of each (argument, derivative order) field in keys,
     (len(keys), top + 1), in one ck_norms call: ck_norm's values.
-    Derivatives stay in fields."""
-    return ck_norms(np.stack([fields[arg].derivative(order).samples
-                              for arg, order in keys]), top)
+    Derivatives stay in fields.  An argument's spectrum is the one its
+    FieldSpectrum holds; the derivatives' spectra are taken in one call."""
+    rows = np.stack([fields[arg].derivative(order).samples for arg, order in keys])
+    spectra = np.empty((len(keys), rows.shape[1] // 2 + 1), dtype=complex)
+    derived = np.array([order > 0 for _, order in keys])
+    if derived.any():
+        spectra[derived] = clean_spectra(rows[derived])
+    for row, (arg, order) in enumerate(keys):
+        if not order:
+            spectra[row] = fields[arg].spectrum()
+    return ck_norms(rows, top, spectra)
 
 
 def _class_estimates(bound_class: BoundClass, norms: np.ndarray,
@@ -178,9 +187,9 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
 
     The pass is sample-major, so one sample's fields are alive at a time.
     Per sample, one ck_norms call norms a, b and the derivatives the
-    classes read, each pair's term is evaluated once over the frequency
-    grid, and one ck_norms call norms the terms of as many pairs as fit
-    BATCH_POINTS samples (at least one).  The class estimates and the worst
+    classes read, from the spectra a and b already hold, each pair's term
+    is evaluated once over the frequency grid, and one ck_norms call norms
+    the terms of as many pairs as fit BATCH_POINTS samples (at least one).  The class estimates and the worst
     ratios are then computed for all samples at once.
 
     A term that is not one field on the audit grid at each frequency raises

@@ -18,6 +18,7 @@ from tamelab.cli import (
     TRACE_COLUMNS,
     ConfigError,
     _csv,
+    build_parser,
     _trace_rows,
     _write_fits,
     emit_plot,
@@ -143,6 +144,23 @@ class TestConfigParsing:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--help"])
         assert exc.value.code == 0
+
+    def test_reused_parser_keeps_no_flags(self, tmp_path):
+        # One parser serves every main call of the process; a call's
+        # --plot, --csv and --set must not reach the next call.
+        assert build_parser() is build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(shipped_argv("run", first, "--plot", "--set", "n_steps=4")) == 0
+        assert main(shipped_argv("run", second)) == 0
+        assert sorted(p.name for p in first.iterdir()) == ["trace.csv", "trace.svg"]
+        assert [p.name for p in second.iterdir()] == ["trace.csv"]
+        last_steps = [(out / "trace.csv").read_text().splitlines()[-1].split(",")[0]
+                      for out in (first, second)]
+        assert last_steps == ["4", "5"]
+        assert main(shipped_argv("ledger", tmp_path / "csv")) == 0
+        assert main(["ledger", "--output_dir", str(tmp_path / "bare")]) == 0
+        assert (tmp_path / "csv" / "ledger.csv").exists()
+        assert not (tmp_path / "bare").exists()
 
     @pytest.mark.parametrize("command", ["run", "decay", "remainder-audit",
                                          "r5-demo", "sweep"])
@@ -571,16 +589,19 @@ class TestTraceCsv:
         assert first[1] == "0" and first[8] == "" and "" not in first[:8] + first[9:]
 
     def test_written_trace_transform_count(self, count_fft):
-        # The run takes every column as its steps complete: rfft 19 and
-        # irfft 74, as test_iteration's TestTransformCount counts them.
-        # Writing the trace then reads the rows and transforms nothing.
+        # The run takes every column as its steps complete: rfft 19 calls
+        # and rows, irfft 24 calls of 74 rows, as test_iteration's
+        # TestTransformCount counts them.  Writing the trace then reads the
+        # rows and transforms nothing.
         p = IterationParams()
         instance = make_scalar_toy(p, 0.2)
         log = count_fft()
         trace = run(instance)
-        assert log.calls == log.rows == {"rfft": 19, "irfft": 74}
+        assert log.calls == {"rfft": 19, "irfft": 24}
+        assert log.rows == {"rfft": 19, "irfft": 74}
         _csv(TRACE_COLUMNS, _trace_rows(trace))
-        assert log.calls == {"rfft": 19, "irfft": 74}
+        assert log.calls == {"rfft": 19, "irfft": 24}
+        assert log.rows == {"rfft": 19, "irfft": 74}
 
 
 class TestFitAndAuditCsv:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,10 @@ from tamelab.gridfield import (
     check_grids,
     ck_norm,
     ck_norms,
+    clean_spectra,
     coordinates,
     derivative,
-    _clean_spectrum,
+    _angle_tables,
     _derivative_multiplier,
     mollify,
     norm_batch_rows,
@@ -112,7 +115,7 @@ class TestDerivative:
         # (present at n = 16) zeroed for odd k.
         f = random_trig_polynomial(np.random.default_rng(n), n,
                                    max_mode=min(8, n // 2))
-        spec = _clean_spectrum(f)
+        spec = clean_spectra(f.samples)
         m = np.arange(n // 2 + 1)
         field = FieldSpectrum(f)
         for k in range(1, 10):
@@ -141,6 +144,32 @@ def complex_fft_ck_norm(f, k_max):
         d = np.fft.ifft(spec * mult).real
         values.append(max(values[-1], float(np.max(np.abs(d)))))
     return values
+
+
+def resolved_top_order(n):
+    """The top norm order n points resolve, n/8 - 1.  Above 2048 points it
+    is capped at the top order whose multiplier (n/2)^k is finite: every
+    higher order's derivative is NaN, a sweep to n/8 - 1 would take
+    thousands of full-length transforms, and on those grids ck_norm takes
+    every order above the eighth one per call anyway."""
+    top = n // 8 - 1
+    return top if n <= 2048 else min(top, int(1023 // math.log2(n // 2)))
+
+
+def one_order_per_call_ck_norm(f, k_max):
+    """Reference C^k norms: one irfft per order of the cleaned spectrum
+    times the real multiplier, times 1j for odd orders, with the running
+    max of Python floats."""
+    n = f.n_points
+    spec = clean_spectra(f.samples)
+    values = [f.sup()]
+    for k in range(1, k_max + 1):
+        product = spec * _derivative_multiplier(n, k)
+        if k % 2 == 1:
+            product *= 1j
+        d = np.fft.irfft(product, n)
+        values.append(max(values[-1], float(max(d.max(), -d.min())) + 0.0))
+    return tuple(values)
 
 
 class TestCkNorm:
@@ -219,11 +248,29 @@ class TestCkNorm:
         first = spectral.derivative(1)
         log = count_fft()
         norms = spectral.ck_norm(5)
-        # orders 2..5, one irfft of one row each; order 1 is read
-        assert log.calls == log.rows == {"irfft": 4}
+        # orders 2..5 in one irfft of four rows; order 1 is read
+        assert log.calls == {"irfft": 1}
+        assert log.rows == {"irfft": 4}
         assert norms.values == ck_norm(f, 5).values
         assert spectral.derivative(1) is first
         assert set(spectral._derivatives) == {1}  # new orders are not kept
+
+    @pytest.mark.parametrize("n", [512, 2048, 8192, 32768, 65536])
+    @pytest.mark.parametrize("held", [(), (1,), (2, 5)])
+    def test_stacked_orders_equal_one_order_per_call(self, n, held):
+        # Norms to the grid's top order, read with the orders in held kept
+        # by derivative first, equal bit for bit those of one irfft per
+        # order through the real multiplier.
+        f = random_trig_polynomial(np.random.default_rng(n), n, normalize=False)
+        k_max = resolved_top_order(n)
+        spectral = FieldSpectrum(f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in held:
+                spectral.derivative(k)
+            got = spectral.ck_norm(k_max).values
+            want = one_order_per_call_ck_norm(f, k_max)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert set(spectral._derivatives) == set(held)
 
     def test_zero_field_norms_are_positive_zero(self):
         for f in (GridFunction.zeros(64), GridFunction.constant(-0.0, 64)):
@@ -245,7 +292,7 @@ class TestCleanSpectrum:
             mags = np.abs(spec)
             expected = np.where(mags >= SPECTRAL_DUST * mags.max(), spec, 0.0)
             assert np.count_nonzero(expected) == 1
-            assert _clean_spectrum(f).tobytes() == expected.tobytes()
+            assert clean_spectra(f.samples).tobytes() == expected.tobytes()
 
 
 def norm_test_rows(n, count):
@@ -283,7 +330,7 @@ class TestCkNorms:
     def test_dust_cut_row_is_cleaned(self):
         rows = norm_test_rows(2048, 4)
         spec = np.fft.rfft(rows[0])
-        kept = np.count_nonzero(_clean_spectrum(GridFunction.from_samples(rows[0])))
+        kept = np.count_nonzero(clean_spectra(rows[0]))
         assert np.count_nonzero(spec) > kept == 1
 
     def test_calls_stay_within_batch_points(self, count_fft):
@@ -559,6 +606,20 @@ class TestRandomTrigRows:
                 sine = 0.0 if 2 * m == n else c[m - 1, 1] * np.sin(x)
                 want += c[m - 1, 0] * np.cos(x) + sine
             assert np.abs(row - want).max() <= 1e-14 * np.abs(c).sum()
+
+    @pytest.mark.parametrize("n", [2 ** 11, 2 ** 14, 2 ** 16, 2 ** 17, 2 ** 20])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_blocked_products_equal_one_matmul(self, n, count):
+        # Products capped at MATMUL_POINTS outputs give the bits of one
+        # unchunked product per row.
+        rows = random_trig_rows(np.random.default_rng([n, count]), n, count)
+        coeffs = np.random.default_rng([n, count]).uniform(-1.0, 1.0, size=(count, 8, 2))
+        cos_phi, sin_phi, theta = _angle_tables(n, 8)
+        a, b = coeffs[:, np.newaxis, :, 0], coeffs[:, np.newaxis, :, 1]
+        left = np.concatenate([a * cos_phi + b * sin_phi, b * cos_phi - a * sin_phi],
+                              axis=-1)
+        want = np.matmul(left, theta).reshape(count, n)
+        assert rows.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [16, 4096, 65536])
     def test_batched_rows_equal_one_row_draws(self, n):

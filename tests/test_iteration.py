@@ -10,6 +10,7 @@ import pytest
 from tamelab import iteration, ledger
 from tamelab.cli import main
 from tamelab.gridfield import (
+    BATCH_POINTS,
     FieldSpectrum,
     GridFunction,
     NormVector,
@@ -280,25 +281,45 @@ class TestTransformCount:
         # assembled from the build's target norms: no transform.  States
         # 1..5 take one rfft of a, shared by the remainder's first
         # derivative (one irfft) and ||a||, which reads that derivative and
-        # adds (6 - i) irffts; then one rfft + (7 - i) irffts each for
-        # ||E||, for ||r|| and, at steps 2..5, for the difference (the
-        # step-1 difference is ||a_1||).  rfft: 5 * 4 - 1 = 19.  irfft:
-        # 5 + 15 + 20 + 20 + 14 = 74.
+        # inverts its other (6 - i) orders; then one rfft and (7 - i)
+        # inverted orders each for ||E||, for ||r|| and, at steps 2..5, for
+        # the difference (the step-1 difference is ||a_1||).  At 2048
+        # points one irfft call takes all the orders a norm inverts.
+        # rfft: 5 * 4 - 1 = 19 calls of one row.  irfft rows:
+        # 5 + 15 + 20 + 20 + 14 = 74, in 5 + 5 + 5 + 5 + 4 = 24 calls.
         instance = make_scalar_toy(IterationParams(), 0.2)
         log = count_fft()
         trace = run(instance)
         assert trace.flag == "completed" and trace.n_steps == 5
-        assert log.calls == log.rows == {"rfft": 19, "irfft": 74}
+        assert log.calls == {"rfft": 19, "irfft": 24}
+        assert log.rows == {"rfft": 19, "irfft": 74}
 
     def test_error_only_run_transform_count(self, count_fft):
         # ||E|| alone: the rfft of a and the remainder's first
-        # derivative (one irfft), then one rfft + (7 - i) irffts for ||E||.
-        # rfft: 5 * 2 = 10.  irfft: 5 + 20 = 25.
+        # derivative (one irfft), then one rfft and one irfft of (7 - i)
+        # rows for ||E||.  rfft: 5 * 2 = 10 calls of one row.  irfft rows:
+        # 5 + 20 = 25, in 5 + 5 = 10 calls.
         instance = make_scalar_toy(IterationParams(), 0.2)
         log = count_fft()
         trace = run(instance, full=False)
         assert trace.flag == "completed" and trace.n_steps == 5
-        assert log.calls == log.rows == {"rfft": 10, "irfft": 25}
+        assert log.calls == {"rfft": 10, "irfft": 10}
+        assert log.rows == {"rfft": 10, "irfft": 25}
+
+    @pytest.mark.parametrize("full, overrides", [
+        (True, {}), (False, {}),
+        (True, dict(lam=1024, ell=0.125, n_points=65536))],
+        ids=["default", "error_only", "65536_points"])
+    def test_calls_stay_within_batch_points(self, count_fft, full, overrides):
+        # Build and run: no transform call takes more than BATCH_POINTS
+        # samples, and a 65536-point grid inverts one order per call.
+        params = replace(IterationParams(), **overrides)
+        log = count_fft()
+        trace = run(make_scalar_toy(params, 0.2), full=full)
+        assert trace.flag == "completed" and trace.n_steps == 5
+        assert max(rows * points for _, rows, points in log.entries) <= BATCH_POINTS
+        if params.n_points == 65536:
+            assert {rows for name, rows, _ in log.entries if name == "irfft"} == {1}
 
 
 @pytest.fixture

@@ -335,17 +335,18 @@ class TestAuditClasses:
         # no transform.  d/dx a and d/dx b: one rfft and one irfft each.
         # Argument norms: a, b, da and db in one ck_norms call at order 4
         # (R4 reads ||a||_(k+1)), a batch of 65536 // (2048 * 4) = 8 rows:
-        # one rfft of 4 rows and one irfft of 4 x 4 rows.  Measured norms:
+        # a and b read the spectra their derivatives took, so one rfft of
+        # da and db (2 rows) and one irfft of 4 x 4 rows.  Measured norms:
         # 5 pairs x 3 frequencies = 15 rows in one ck_norms call at order 3,
         # in batches of 65536 // (2048 * 3) = 10 and 5 rows: one rfft and
         # one irfft per batch, of 10 x 3 and 5 x 3 rows.
-        # rfft rows: 12 * (2 + 4 + 15) = 252, calls: 12 * (2 + 1 + 2) = 60.
+        # rfft rows: 12 * (2 + 2 + 15) = 228, calls: 12 * (2 + 1 + 2) = 60.
         # irfft rows: 12 * (2 + 16 + 45) = 756, calls: 12 * (2 + 1 + 2) = 60.
         log = count_fft()
         p = audit_cfg_params()
         audit_classes(stock_pairs(), p)
         assert log.calls == {"rfft": 60, "irfft": 60}
-        assert log.rows == {"rfft": 252, "irfft": 756}
+        assert log.rows == {"rfft": 228, "irfft": 756}
 
 
 class TestFitDecay:
