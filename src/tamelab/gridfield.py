@@ -37,6 +37,8 @@ SPECTRAL_DUST = 1e-13
 # rows into calls of at most this size.  Such calls allocate and free no
 # array of 3 MB or more, whose release would move glibc's mmap threshold
 # and with it the speed of every later large transform in the process.
+# It also sizes the transform workspace (_workspace): one row's half
+# spectrum and inverse, so grids up to this size reuse it.
 BATCH_POINTS = 1 << 16
 
 # Most output points one BLAS product of random_trig_rows computes.  A
@@ -207,6 +209,17 @@ def _order_block(n_points: int, k_max: int) -> np.ndarray:
     return block[:k_max]
 
 
+@functools.cache
+def _workspace() -> tuple[np.ndarray, np.ndarray]:
+    """The transform workspace: a complex half spectrum and a real inverse
+    of one BATCH_POINTS-point row, made on first use and never freed or
+    regrown.  A transform of n_points <= BATCH_POINTS takes its product in
+    the first n_points // 2 + 1 entries of the one; the other receives its
+    output when only its sup is read.  No view of either leaves this module,
+    and the next transform overwrites both, so they are not thread-safe."""
+    return np.empty(BATCH_POINTS // 2 + 1, dtype=complex), np.empty(BATCH_POINTS)
+
+
 def _check_orders(n_points: int, k_max: int) -> None:
     """Refuse norm orders 0..k_max that n_points cannot resolve."""
     if k_max < 0:
@@ -266,13 +279,19 @@ class FieldSpectrum:
             self._spectrum.flags.writeable = False
         return self._spectrum
 
-    def _transform(self, order: int) -> np.ndarray:
-        """Samples of d^order f, computed from the spectrum in one irfft."""
+    def _transform(self, order: int, keep: bool = True) -> np.ndarray:
+        """Samples of d^order f, computed from the spectrum in one irfft: a
+        fresh array when kept, else the workspace's, valid until the next
+        transform.  Up to BATCH_POINTS points the product is the workspace's."""
         n = self.field.n_points
-        product = self.spectrum() * _derivative_multiplier(n, order)
+        spec = out = None
+        if n <= BATCH_POINTS:
+            spec, out = _workspace()
+            spec, out = spec[:n // 2 + 1], None if keep else out[:n]
+        product = np.multiply(self.spectrum(), _derivative_multiplier(n, order), out=spec)
         if order % 2 == 1:
             product *= 1j
-        return np.fft.irfft(product, n)
+        return np.fft.irfft(product, n, out=out)
 
     def derivative(self, order: int) -> GridFunction:
         """d^order f, computed once and kept; order 0 is the field itself.
@@ -295,9 +314,12 @@ class FieldSpectrum:
         call of at most BATCH_POINTS samples takes, are inverted in one
         irfft against _order_block's rows, when there are two or more of
         them; each other order takes its own irfft through the real
-        multiplier.  So a 2048-point field takes one call for up to 32
-        orders, and a 65536-point field one call per order.  The sups are
-        those of the one-order-per-call path bit for bit.
+        multiplier, in the transform workspace up to BATCH_POINTS points,
+        its sup read before the next order overwrites it.  So a 2048-point
+        field takes one call for up to 32 orders, and a 65536-point field
+        one call per order and no fresh array.  The sups are those of the
+        one-order-per-call path bit for bit, and the running max keeps a
+        NaN sup, so a derivative that overflowed raises ValueError.
 
         Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points;
         experiments at frequency lam must additionally keep n_points >=
@@ -318,11 +340,9 @@ class FieldSpectrum:
             sups.update(zip(stacked, row_sups(d).tolist()))
         for k in missing:
             if k not in sups:
-                sups[k] = _sup(self._transform(k))
-        values = [self.field.sup()]
-        for k in range(1, k_max + 1):
-            values.append(max(values[-1], sups[k]))
-        return NormVector(tuple(values))
+                sups[k] = _sup(self._transform(k, keep=False))
+        values = [self.field.sup()] + [sups[k] for k in range(1, k_max + 1)]
+        return NormVector(tuple(np.maximum.accumulate(values).tolist()))
 
 
 def derivative(f: GridFunction, order: int = 1) -> GridFunction:

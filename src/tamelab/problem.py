@@ -207,16 +207,18 @@ class RemainderSpec:
     def __call__(self, a: FieldSpectrum, step: int) -> GridFunction:
         """r_step at the field of a; the terms share a's derivatives.
 
-        The sum runs on samples, each term added as term + total to a zero
-        start, and is wrapped once, after the step scale, so the one
-        GridFunction check covers every term: a non-finite term leaves the
-        total non-finite."""
+        The sum runs on samples from a zero start, each term's fresh array
+        taking the total in place (out += total, the bits of term + total),
+        so no sum array is allocated per term.  It is wrapped once, after
+        the step scale, so the one GridFunction check covers every term: a
+        non-finite term leaves the total non-finite."""
         n = a.field.n_points
         total = np.zeros(n)
         for term in self.terms:
             out = term._samples(a, None, (self.lam,), self.ell,
                                 self.modulation.samples[np.newaxis])[0]
-            total = out + total
+            out += total
+            total = out
         return GridFunction(n, self.step_scale(step) * total)
 
 

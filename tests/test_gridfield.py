@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tamelab.gridfield import (
     derivative,
     _angle_tables,
     _derivative_multiplier,
+    _workspace,
     mollify,
     norm_batch_rows,
     oscillator,
@@ -147,13 +149,13 @@ def complex_fft_ck_norm(f, k_max):
 
 
 def resolved_top_order(n):
-    """The top norm order n points resolve, n/8 - 1.  Above 2048 points it
-    is capped at the top order whose multiplier (n/2)^k is finite: every
-    higher order's derivative is NaN, a sweep to n/8 - 1 would take
-    thousands of full-length transforms, and on those grids ck_norm takes
-    every order above the eighth one per call anyway."""
-    top = n // 8 - 1
-    return top if n <= 2048 else min(top, int(1023 // math.log2(n // 2)))
+    """The top norm order n points resolve, n/8 - 1, capped at the top order
+    whose multiplier (n/2)^k is finite: every higher order's derivative is
+    NaN, which ck_norm refuses (test_overflowed_orders_raise), and above
+    2048 points a sweep to n/8 - 1 would take thousands of full-length
+    transforms, where ck_norm takes every order above the eighth one per
+    call anyway."""
+    return min(n // 8 - 1, int(1023 // math.log2(n // 2)))
 
 
 def one_order_per_call_ck_norm(f, k_max):
@@ -272,10 +274,87 @@ class TestCkNorm:
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert set(spectral._derivatives) == set(held)
 
+    @pytest.mark.parametrize("n, k_max", [(2048, 120), (65536, 72)])
+    def test_overflowed_orders_raise(self, n, k_max):
+        # Past the order where (n/2)^k overflows, every derivative is NaN
+        # (0 * inf at the dust-cut modes).  The running max keeps the NaN,
+        # so the norms fail NormVector's finiteness check instead of going
+        # flat, and ck_norms returns NaN for the same orders.  At 65536
+        # points those orders go through the transform workspace.
+        f = random_trig_polynomial(np.random.default_rng(n), n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                ck_norm(f, k_max)
+            rows = ck_norms(f.samples[np.newaxis], k_max)[0]
+        top = resolved_top_order(n)
+        assert np.isfinite(rows[:top + 1]).all() and np.isnan(rows[top + 1:]).all()
+
     def test_zero_field_norms_are_positive_zero(self):
         for f in (GridFunction.zeros(64), GridFunction.constant(-0.0, 64)):
             for value in ck_norm(f, 3).values + (f.sup(),):
                 assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
+
+def kept_first_derivative_reference(f):
+    """d f from a fresh product and a fresh irfft, as FieldSpectrum
+    computes it: the real multiplier, then the factor 1j."""
+    product = clean_spectra(f.samples) * _derivative_multiplier(f.n_points, 1)
+    product *= 1j
+    return np.fft.irfft(product, f.n_points)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("n", [2048, 65536])
+    def test_kept_derivative_is_not_a_workspace_view(self, n):
+        # A kept derivative, taken before and after norms of its own field
+        # and of another, keeps its bits and owns its samples.  ck_norm(1)
+        # of a fresh field takes one order per call, through the workspace
+        # at both sizes; ck_norm(6) does at 65536 points.
+        rng = np.random.default_rng(n)
+        f, g = (random_trig_polynomial(rng, n) for _ in range(2))
+        want = kept_first_derivative_reference(f).tobytes()
+        spectral = FieldSpectrum(f)
+        before = spectral.derivative(1)
+        for k in (6, 1):
+            spectral.ck_norm(k)
+            FieldSpectrum(g).ck_norm(k)
+            FieldSpectrum(f).ck_norm(k)
+        later = FieldSpectrum(f)
+        later.ck_norm(6)
+        after = later.derivative(1)
+        FieldSpectrum(g).ck_norm(1)
+        for kept in (before, after):
+            assert kept.samples.tobytes() == want
+            for buffer in _workspace():
+                assert not np.shares_memory(kept.samples, buffer)
+
+    def test_buffers_never_regrow(self):
+        spec, samples = _workspace()
+        assert spec.shape == (BATCH_POINTS // 2 + 1,)
+        assert samples.shape == (BATCH_POINTS,)
+        for n in (2048, 32768, 65536):
+            f = random_trig_polynomial(np.random.default_rng(n), n)
+            FieldSpectrum(f).ck_norm(1)
+            FieldSpectrum(f).ck_norm(6)
+            now = _workspace()
+            assert now[0] is spec and now[1] is samples
+
+    def test_one_order_norms_allocate_no_row(self):
+        # After a warm-up, norms of a 65536-point field whose spectrum is
+        # taken allocate no 512 KiB product or output per order: pocketfft's
+        # own scratch stays, about 130 KiB, where fresh arrays peak near
+        # 1 MiB.  tracemalloc sees numpy's data allocations, independent of
+        # the allocator's history in the process.
+        f = random_trig_polynomial(np.random.default_rng(5), 65536)
+        spectral = FieldSpectrum(f)
+        spectral.ck_norm(6)
+        tracemalloc.start()
+        try:
+            spectral.ck_norm(6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024
 
 
 class TestCleanSpectrum:

@@ -315,6 +315,26 @@ class TestSelfInteraction:
                              ell=params.ell, modulation=modulation)
             assert out.samples.tobytes() == expected.samples.tobytes()
 
+    @pytest.mark.parametrize("n", [2048, 65536])
+    def test_remainder_sum_matches_term_plus_total(self, n):
+        # The in-place sum equals, bit for bit, a left-to-right term + total
+        # from a zero start, scaled once by the step scale.
+        from tamelab.gridfield import oscillator
+        from tamelab.problem import RemainderSpec, stock_remainder_terms
+        lam, ell = 32, 4.0
+        terms = stock_remainder_terms() + (self_interaction_term(0.7),)
+        modulation = oscillator(1.0, lam, n_points=n)
+        spec = RemainderSpec(terms=terms, lam=lam, ell=ell,
+                             modulation=modulation, drift=0.5)
+        a = random_trig_polynomial(np.random.default_rng(n), n)
+        total = np.zeros(n)
+        for term in terms:
+            total = term.apply(FieldSpectrum(a), lam=lam, ell=ell,
+                               modulation=modulation).samples + total
+        for step in (0, 2):
+            got = spec(FieldSpectrum(a), step)
+            assert got.samples.tobytes() == (spec.step_scale(step) * total).tobytes()
+
     def test_apply_refuses_incompatible_grids(self):
         from tamelab.gridfield import IncompatibleGrids, oscillator
         term = RemainderTerm(R3)
