@@ -213,10 +213,11 @@ def _order_block(n_points: int, k_max: int) -> np.ndarray:
 def _workspace() -> tuple[np.ndarray, np.ndarray]:
     """The transform workspace: a complex half spectrum and a real inverse
     of one BATCH_POINTS-point row, made on first use and never freed or
-    regrown.  A transform of n_points <= BATCH_POINTS takes its product in
-    the first n_points // 2 + 1 entries of the one; the other receives its
-    output when only its sup is read.  No view of either leaves this module,
-    and the next transform overwrites both, so they are not thread-safe."""
+    regrown.  A transform of n_points <= BATCH_POINTS whose sup alone is
+    read takes its product in the first n_points // 2 + 1 entries of the
+    one and its output in the first n_points of the other.  No view of
+    either leaves this module, and the next such transform overwrites
+    both, so they are not thread-safe."""
     return np.empty(BATCH_POINTS // 2 + 1, dtype=complex), np.empty(BATCH_POINTS)
 
 
@@ -281,13 +282,13 @@ class FieldSpectrum:
 
     def _transform(self, order: int, keep: bool = True) -> np.ndarray:
         """Samples of d^order f, computed from the spectrum in one irfft: a
-        fresh array when kept, else the workspace's, valid until the next
-        transform.  Up to BATCH_POINTS points the product is the workspace's."""
+        fresh product and array when kept, else, up to BATCH_POINTS points,
+        the workspace's, valid until the next transform."""
         n = self.field.n_points
         spec = out = None
-        if n <= BATCH_POINTS:
+        if not keep and n <= BATCH_POINTS:
             spec, out = _workspace()
-            spec, out = spec[:n // 2 + 1], None if keep else out[:n]
+            spec, out = spec[:n // 2 + 1], out[:n]
         product = np.multiply(self.spectrum(), _derivative_multiplier(n, order), out=spec)
         if order % 2 == 1:
             product *= 1j

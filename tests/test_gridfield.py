@@ -328,6 +328,17 @@ class TestWorkspace:
             for buffer in _workspace():
                 assert not np.shares_memory(kept.samples, buffer)
 
+    @pytest.mark.parametrize("n", [2048, 65536])
+    def test_kept_derivative_leaves_workspace_alone(self, n):
+        # A kept derivative takes a fresh product and a fresh output, so it
+        # reads and writes no shared buffer; only norm-only transforms do.
+        f = random_trig_polynomial(np.random.default_rng(n), n)
+        FieldSpectrum(f).ck_norm(1)
+        before = [buffer.tobytes() for buffer in _workspace()]
+        FieldSpectrum(f).derivative(1)
+        FieldSpectrum(f).derivative(2)
+        assert [buffer.tobytes() for buffer in _workspace()] == before
+
     def test_buffers_never_regrow(self):
         spec, samples = _workspace()
         assert spec.shape == (BATCH_POINTS // 2 + 1,)
