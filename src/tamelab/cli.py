@@ -154,6 +154,8 @@ def _check_across_keys(cfg: ExperimentConfig, command: str, reads: set) -> None:
               for stem, values in stems.items() if len(values) > 1]
     min_steps = (FIT_FROM[command] + verify.MIN_FIT_STEPS - 1
                  if command in FIT_FROM else 1)
+    # The top order at which (n_points/2)^k, a derivative multiplier, is finite.
+    top = 1023 // max(1, p.n_points.bit_length() - 2)
     for keys, ok, message in (
         (("lambda", "ell"), p.lam * p.ell > 1,
          f"lambda*ell must exceed 1, got {p.lam * p.ell}"),
@@ -162,6 +164,10 @@ def _check_across_keys(cfg: ExperimentConfig, command: str, reads: set) -> None:
         (("lambda", "k1", "n_points"), p.k_safe >= p.k1,
          f"grid resolves norms only to order {p.k_safe} at frequency {p.lam}; "
          f"k1={p.k1} needs n_points >= {RESOLUTION_FACTOR * p.lam * (p.k1 + 1)}"),
+        # The build's target norms would overflow only after the build.
+        (("lambda", "k0", "n_points"), p.norm_order(0) <= top,
+         f"norm order {p.norm_order(0)} overflows at n_points={p.n_points}: the "
+         f"derivative multiplier (n_points/2)^k is finite only up to order {top}"),
         # Each step spends one derivative order; iteration.run would
         # refuse the budget only after the build.
         (("k0", "k1", "n_steps"), p.k1 <= p.k0 - p.n_steps,

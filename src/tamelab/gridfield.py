@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +33,8 @@ MAX_SAMPLES = 1 << 22
 SPECTRAL_DUST = 1e-13
 
 # Most real samples (over all rows) one batched transform call takes: the
-# right-inverse self-check, ck_norms and FieldSpectrum.ck_norm split their
-# rows into calls of at most this size.  Such calls allocate and free no
+# right-inverse self-check and the norms (_order_sups) split their rows
+# into calls of at most this size.  Such calls allocate and free no
 # array of 3 MB or more, whose release would move glibc's mmap threshold
 # and with it the speed of every later large transform in the process.
 # It also sizes the transform workspace (_workspace): one row's half
@@ -161,64 +161,87 @@ def clean_spectra(samples: np.ndarray) -> np.ndarray:
     return spec
 
 
-@functools.lru_cache(maxsize=64)
-def _derivative_multiplier(n_points: int, order: int) -> np.ndarray:
-    """(i m)^order over the rfft modes m = 0..n_points/2 without the factor
-    i of odd orders: the real (-1)^(order // 2) m^order, read-only, half the
-    bytes of the complex multiplier.  Its users multiply an odd order's
-    product by 1j, a second complex multiply.  For a finite spectrum the
-    derivative samples equal those of the complex (i m)^order product; a
-    spectrum holding inf gives NaN samples with either, since inf * 0 is NaN.
-
-    The Nyquist mode has no consistent odd derivative, so odd orders drop
-    it (Trefethen, Spectral Methods in MATLAB, ch. 3).
-    """
-    m = np.arange(n_points // 2 + 1, dtype=np.float64)
-    mult = (1.0, -1.0)[order // 2 % 2] * m ** order
-    if order % 2 == 1:
-        mult[n_points // 2] = 0.0
-    mult.flags.writeable = False
-    return mult
-
-
-# One complex derivative multiplier block per grid size (see _order_block).
+# One derivative multiplier block per grid size (see _order_block).
 _ORDER_BLOCKS: dict[int, np.ndarray] = {}
 
 
 def _order_block(n_points: int, k_max: int) -> np.ndarray:
-    """Row k - 1 is the complex (i m)^k, k = 1..k_max: _derivative_multiplier
-    (n_points, k) with an odd order's factor i; read-only, (k_max, n_points/2
-    + 1).  It spares the stacked inverses the odd orders' *= 1j and numpy's
-    buffered real-to-complex cast; the products differ only in the sign of
-    zeros, which no sup reads.
+    """Row k - 1 is the derivative multiplier of order k = 1..k_max over the
+    rfft modes m = 0..n_points/2; read-only.  Odd orders drop the Nyquist
+    mode, which has no consistent odd derivative (Trefethen, Spectral
+    Methods in MATLAB, ch. 3).  Grids that stack orders in one call (2 *
+    n_points <= BATCH_POINTS) hold the complex (i m)^k, which spares the
+    products numpy's buffered real-to-complex cast; larger grids hold the
+    real (-1)^(k // 2) m^k, half the bytes, and _derivative_spectra
+    multiplies odd products by 1j.  Both give the same samples up to the
+    sign of zeros, and NaN samples from a spectrum holding inf.
 
-    The cache holds one block per n_points, rebuilt taller when an order
-    above its top is asked for, and returns a view of its first k_max rows:
-    it grows with the highest order asked, not with the number of distinct
-    k_max.
+    One block per n_points, rebuilt taller when a higher order is asked
+    for, so it grows with the top order asked, not with the distinct k_max.
     """
     block = _ORDER_BLOCKS.get(n_points)
     if block is None or len(block) < k_max:
-        block = np.empty((k_max, n_points // 2 + 1), dtype=complex)
+        stacks = 2 * n_points <= BATCH_POINTS
+        m = np.arange(n_points // 2 + 1, dtype=np.float64)
+        block = np.empty((k_max, len(m)), dtype=complex if stacks else np.float64)
         for k in range(1, k_max + 1):
-            # Uncached: the block holds these orders from now on.
-            real = _derivative_multiplier.__wrapped__(n_points, k)
-            block[k - 1] = real * 1j if k % 2 else real
+            row = (1.0, -1.0)[k // 2 % 2] * m ** k
+            if k % 2 == 1:
+                row[-1] = 0.0
+            block[k - 1] = row * 1j if stacks and k % 2 == 1 else row
         block.flags.writeable = False
         _ORDER_BLOCKS[n_points] = block
     return block[:k_max]
+
+
+def _derivative_spectra(spectra: np.ndarray, n_points: int, orders: Sequence[int],
+                        out: Optional[np.ndarray] = None, top: int = 0) -> np.ndarray:
+    """The half spectra of the derivatives of the given orders, ascending,
+    of a (rows, n_points/2 + 1) stack of clean_spectra: (rows, len(orders),
+    n_points/2 + 1), in out when given.  The one reader of _order_block; a
+    caller that goes on to higher orders passes the highest as top, so the
+    cache is built to it at once, not one row per call."""
+    mults = _order_block(n_points, max(top, orders[-1]))[orders[0] - 1:orders[-1]]
+    if len(mults) > len(orders):  # a run with a gap
+        mults = mults[np.subtract(orders, orders[0])]
+    product = np.multiply(spectra[:, np.newaxis], mults, out=out)
+    if mults.dtype != complex:
+        for j, k in enumerate(orders):
+            if k % 2 == 1:
+                product[:, j] *= 1j
+    return product
 
 
 @functools.cache
 def _workspace() -> tuple[np.ndarray, np.ndarray]:
     """The transform workspace: a complex half spectrum and a real inverse
     of one BATCH_POINTS-point row, made on first use and never freed or
-    regrown.  A transform of n_points <= BATCH_POINTS whose sup alone is
-    read takes its product in the first n_points // 2 + 1 entries of the
-    one and its output in the first n_points of the other.  No view of
-    either leaves this module, and the next such transform overwrites
-    both, so they are not thread-safe."""
+    regrown, for _order_sups' calls of one row and one order.  No view of
+    either leaves this module, and each such call overwrites both, so they
+    are not thread-safe."""
     return np.empty(BATCH_POINTS // 2 + 1, dtype=complex), np.empty(BATCH_POINTS)
+
+
+def _order_sups(spectra: np.ndarray, n_points: int, orders: Sequence[int]) -> np.ndarray:
+    """sup |d^k f|, (rows, len(orders)), for each row f of a stack of
+    clean_spectra and each of the ascending orders, inverted in runs of
+    BATCH_POINTS // (n_points * rows) orders, and at least one, per irfft.
+    A call of one row and one order takes the transform workspace; every
+    other call takes a fresh product and output."""
+    rows = len(spectra)
+    sups = np.empty((rows, len(orders)))
+    per_call = max(1, BATCH_POINTS // (n_points * rows))
+    for j in range(0, len(orders), per_call):
+        run = orders[j:j + per_call]
+        product = out = None
+        if rows == len(run) == 1 and n_points <= BATCH_POINTS:
+            product, out = _workspace()
+            product = product[:n_points // 2 + 1].reshape(1, 1, -1)
+            out = out[:n_points].reshape(1, 1, -1)
+        product = _derivative_spectra(spectra, n_points, run, product, orders[-1])
+        d = np.fft.irfft(product, n_points, axis=-1, out=out)
+        sups[:, j:j + len(run)] = row_sups(d)
+    return sups
 
 
 def _check_orders(n_points: int, k_max: int) -> None:
@@ -280,20 +303,6 @@ class FieldSpectrum:
             self._spectrum.flags.writeable = False
         return self._spectrum
 
-    def _transform(self, order: int, keep: bool = True) -> np.ndarray:
-        """Samples of d^order f, computed from the spectrum in one irfft: a
-        fresh product and array when kept, else, up to BATCH_POINTS points,
-        the workspace's, valid until the next transform."""
-        n = self.field.n_points
-        spec = out = None
-        if not keep and n <= BATCH_POINTS:
-            spec, out = _workspace()
-            spec, out = spec[:n // 2 + 1], out[:n]
-        product = np.multiply(self.spectrum(), _derivative_multiplier(n, order), out=spec)
-        if order % 2 == 1:
-            product *= 1j
-        return np.fft.irfft(product, n, out=out)
-
     def derivative(self, order: int) -> GridFunction:
         """d^order f, computed once and kept; order 0 is the field itself.
 
@@ -303,7 +312,10 @@ class FieldSpectrum:
         if order == 0:
             return self.field
         if order not in self._derivatives:
-            self._derivatives[order] = self.field.with_samples(self._transform(order))
+            n = self.field.n_points
+            spectra = _derivative_spectra(self.spectrum()[np.newaxis], n, (order,))
+            samples = np.fft.irfft(spectra[0, 0], n)
+            self._derivatives[order] = self.field.with_samples(samples)
         return self._derivatives[order]
 
     def ck_norm(self, k_max: int) -> NormVector:
@@ -311,16 +323,9 @@ class FieldSpectrum:
         order k.  Orders kept by derivative are read, not recomputed; the
         orders computed here are not kept.
 
-        The missing orders up to BATCH_POINTS // n_points, as many as one
-        call of at most BATCH_POINTS samples takes, are inverted in one
-        irfft against _order_block's rows, when there are two or more of
-        them; each other order takes its own irfft through the real
-        multiplier, in the transform workspace up to BATCH_POINTS points,
-        its sup read before the next order overwrites it.  So a 2048-point
-        field takes one call for up to 32 orders, and a 65536-point field
-        one call per order and no fresh array.  The sups are those of the
-        one-order-per-call path bit for bit, and the running max keeps a
-        NaN sup, so a derivative that overflowed raises ValueError.
+        The missing orders go to _order_sups as one row (one irfft for up to
+        32 orders at 2048 points, one per order at 65536).  The running max
+        keeps a NaN sup, so a derivative that overflowed raises ValueError.
 
         Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points;
         experiments at frequency lam must additionally keep n_points >=
@@ -332,16 +337,9 @@ class FieldSpectrum:
         sups = {k: _sup(d.samples) for k, d in self._derivatives.items()
                 if k <= k_max}
         missing = [k for k in range(1, k_max + 1) if k not in sups]
-        stacked = [k for k in missing if k <= BATCH_POINTS // n]
-        if len(stacked) > 1:
-            mults = _order_block(n, stacked[-1])[stacked[0] - 1:]
-            if len(mults) > len(stacked):  # a kept order lies among them
-                mults = mults[np.subtract(stacked, stacked[0])]
-            d = np.fft.irfft(self.spectrum() * mults, n, axis=-1)
-            sups.update(zip(stacked, row_sups(d).tolist()))
-        for k in missing:
-            if k not in sups:
-                sups[k] = _sup(self._transform(k, keep=False))
+        if missing:
+            found = _order_sups(self.spectrum()[np.newaxis], n, missing)
+            sups.update(zip(missing, found[0].tolist()))
         values = [self.field.sup()] + [sups[k] for k in range(1, k_max + 1)]
         return NormVector(tuple(np.maximum.accumulate(values).tolist()))
 
@@ -372,9 +370,9 @@ def ck_norms(rows: np.ndarray, k_max: int,
     then read instead of taken again.
 
     The many-field path.  Rows go through clean_spectra in contiguous
-    batches of norm_batch_rows, and every order of a batch is inverted in
-    one irfft call; a row too long for that inverts its orders in calls of
-    at most BATCH_POINTS samples.
+    batches of norm_batch_rows, and each batch's orders through
+    _order_sups: one irfft call for every order of a batch, or, for a row
+    too long for that, calls of at most BATCH_POINTS samples.
     """
     rows = np.asarray(rows, dtype=np.float64)
     count, n = rows.shape
@@ -384,15 +382,10 @@ def ck_norms(rows: np.ndarray, k_max: int,
     if k_max == 0:
         return norms
     per_batch = norm_batch_rows(n, k_max)
-    mults = _order_block(n, k_max)
     for start in range(0, count, per_batch):
         batch = slice(start, start + per_batch)
         spec = clean_spectra(rows[batch]) if spectra is None else spectra[batch]
-        spec = spec[:, np.newaxis]
-        per_call = max(1, BATCH_POINTS // (n * len(spec)))
-        for j in range(0, k_max, per_call):
-            d = np.fft.irfft(spec * mults[j:j + per_call], n, axis=-1)
-            norms[batch, 1 + j:1 + j + d.shape[1]] = row_sups(d)
+        norms[batch, 1:] = _order_sups(spec, n, range(1, k_max + 1))
     # ck_norm's running max: ||f||_k = max_{j <= k} sup |d^j f|.
     return np.maximum.accumulate(norms, axis=1)
 

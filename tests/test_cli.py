@@ -305,6 +305,27 @@ class TestKeyTable:
         assert main(shipped_argv("ledger", steps, "--set", "n_steps=513")) == 0
         assert len((steps / "ledger.csv").read_text().splitlines()) == 1 + 513
 
+    @pytest.mark.parametrize("k0, code", [(102, 0), (103, 1)])
+    def test_norm_order_needs_a_finite_multiplier(self, k0, code, tmp_path, capsys):
+        # (n/2)^k is finite up to order 102 at 2048 points; at lambda = 1
+        # the grid resolves order 255, so the step-0 norm order is k0.
+        assert main(shipped_argv("run", tmp_path, "--set", "lambda=1", "--set", "k1=1",
+                                 "--set", "n_steps=1", "--set", f"k0={k0}")) == code
+        err = capsys.readouterr().err
+        assert ("config error: norm order 103 overflows at n_points=2048: the "
+                "derivative multiplier (n_points/2)^k is finite only up to order "
+                "102\n" if code else "") == err
+
+    def test_overflowing_norm_order_refused_before_build(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr("tamelab.cli._build", no_build)
+        assert main(shipped_argv("run", tmp_path, "--set", "n_points=4194304",
+                                 "--set", "lambda=1", "--set", "k0=514")) == 1
+        err = capsys.readouterr().err
+        assert "config error: norm order 514 overflows" in err
+        assert "finite only up to order 48" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_every_subcommand_accepts_seed(self):
         # the benchmark appends --set seed=<n> to every call
         for command, (config, _) in SHIPPED.items():

@@ -1,10 +1,13 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamelab import gridfield
+from tamelab.cli import main
 from tamelab.gridfield import (
     BATCH_POINTS,
     PERIOD,
@@ -21,8 +24,9 @@ from tamelab.gridfield import (
     clean_spectra,
     coordinates,
     derivative,
+    _ORDER_BLOCKS,
     _angle_tables,
-    _derivative_multiplier,
+    _order_block,
     _workspace,
     mollify,
     norm_batch_rows,
@@ -34,6 +38,8 @@ from tamelab.gridfield import (
 
 HYP = dict(max_examples=25, deadline=None, derandomize=True)
 
+DEFAULT_CFG = str(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
+
 
 def grid_x(n):
     return PERIOD * np.arange(n) / n
@@ -41,6 +47,17 @@ def grid_x(n):
 
 def sine(freq, n, amplitude=1.0):
     return oscillator(amplitude, freq, phase=-np.pi / 2, n_points=n)
+
+
+def real_multiplier(n, order):
+    """(i m)^order over the rfft modes without the factor i of odd orders:
+    the real (-1)^(order // 2) m^order, with the Nyquist mode zeroed for
+    odd orders."""
+    m = np.arange(n // 2 + 1, dtype=np.float64)
+    mult = (1.0, -1.0)[order // 2 % 2] * m ** order
+    if order % 2 == 1:
+        mult[n // 2] = 0.0
+    return mult
 
 
 def product(f, g):
@@ -111,10 +128,11 @@ class TestDerivative:
 
     @pytest.mark.parametrize("n", [16, 2048, 65536])
     def test_real_multiplier_bits_equal_complex(self, n):
-        # The cache holds the real, signed m^k, half the bytes of the
-        # complex (i m)^k, and odd orders multiply the product by 1j: the
-        # samples are those of the complex product, with the Nyquist mode
-        # (present at n = 16) zeroed for odd k.
+        # Grids that stack orders cache the complex (i m)^k; 65536 points
+        # cache the real, signed m^k, half the bytes, and multiply odd
+        # products by 1j.  Either way the samples are those of the complex
+        # product, with the Nyquist mode (present at n = 16) zeroed for
+        # odd k.
         f = random_trig_polynomial(np.random.default_rng(n), n,
                                    max_mode=min(8, n // 2))
         spec = clean_spectra(f.samples)
@@ -126,8 +144,28 @@ class TestDerivative:
                 mult[n // 2] = 0.0
             want = np.fft.irfft(spec * mult, n)
             assert np.array_equal(field.derivative(k).samples, want), k
-            cached = _derivative_multiplier(n, k)
-            assert cached.dtype == np.float64 and cached.nbytes == 8 * (n // 2 + 1)
+        cached = _order_block(n, 9)
+        assert cached.shape == (9, n // 2 + 1)
+        assert cached.dtype == (complex if n < 65536 else np.float64)
+
+
+class TestMultiplierCache:
+    def test_one_block_per_grid_after_runs(self, tmp_path, capsys):
+        # A default run and the 65536-point run leave one block per grid:
+        # complex where orders stack, real where one order takes a call.
+        # The other functools caches of the module hold no multiplier.
+        _ORDER_BLOCKS.clear()
+        assert main(["run", "--config", DEFAULT_CFG, "--output_dir",
+                     str(tmp_path / "small")]) == 0
+        assert main(["run", "--config", DEFAULT_CFG, "--set", "lambda=1024",
+                     "--set", "ell=0.125", "--set", "n_points=65536",
+                     "--output_dir", str(tmp_path / "fine")]) == 0
+        blocks = {n: (b.shape, b.dtype, b.nbytes) for n, b in _ORDER_BLOCKS.items()}
+        assert blocks == {2048: ((7, 1025), np.dtype(complex), 114800),
+                          65536: ((7, 32769), np.dtype(np.float64), 1835064)}
+        cached = {name for name, obj in vars(gridfield).items()
+                  if hasattr(obj, "cache_info")}
+        assert cached == {"_angle_tables", "_workspace"}
 
 
 def complex_fft_ck_norm(f, k_max):
@@ -166,7 +204,7 @@ def one_order_per_call_ck_norm(f, k_max):
     spec = clean_spectra(f.samples)
     values = [f.sup()]
     for k in range(1, k_max + 1):
-        product = spec * _derivative_multiplier(n, k)
+        product = spec * real_multiplier(n, k)
         if k % 2 == 1:
             product *= 1j
         d = np.fft.irfft(product, n)
@@ -296,9 +334,9 @@ class TestCkNorm:
 
 
 def kept_first_derivative_reference(f):
-    """d f from a fresh product and a fresh irfft, as FieldSpectrum
-    computes it: the real multiplier, then the factor 1j."""
-    product = clean_spectra(f.samples) * _derivative_multiplier(f.n_points, 1)
+    """d f from a fresh product and a fresh irfft of the real multiplier,
+    then the factor 1j, independent of the module's multiplier cache."""
+    product = clean_spectra(f.samples) * real_multiplier(f.n_points, 1)
     product *= 1j
     return np.fft.irfft(product, f.n_points)
 
@@ -349,6 +387,12 @@ class TestWorkspace:
             FieldSpectrum(f).ck_norm(6)
             now = _workspace()
             assert now[0] is spec and now[1] is samples
+        # ck_norms of one 65536-point row takes one order per call in the
+        # workspace, which holds the last order's derivative after it.
+        ck_norms(f.samples[np.newaxis], 3)
+        now = _workspace()
+        assert now[0] is spec and now[1] is samples
+        assert np.array_equal(samples, derivative(f, 3).samples)
 
     def test_one_order_norms_allocate_no_row(self):
         # After a warm-up, norms of a 65536-point field whose spectrum is
@@ -400,10 +444,12 @@ def norm_test_rows(n, count):
 
 
 class TestCkNorms:
-    @pytest.mark.parametrize("n", [16, 2048, 65536])
+    @pytest.mark.parametrize("n", [16, 2048, 32768, 65536])
     @pytest.mark.parametrize("k_max", [0, 1, 3])
     def test_rows_equal_ck_norm_bit_for_bit(self, n, k_max):
-        # Enough rows to fill one batch and start the next.
+        # Enough rows to fill one batch and start the next.  ck_norm reads
+        # the held orders and inverts the rest, so with (2, 5) held it
+        # inverts orders 1 and 3, one call with a gap at 32768 points.
         count = norm_batch_rows(n, k_max) + 3
         rows = norm_test_rows(n, count)
         if 8 * (k_max + 1) > n:
@@ -413,8 +459,12 @@ class TestCkNorms:
         got = ck_norms(rows, k_max)
         assert got.shape == (count, k_max + 1)
         for row, norms in zip(rows, got):
-            want = np.array(ck_norm(GridFunction.from_samples(row), k_max).values)
-            assert norms.tobytes() == want.tobytes()
+            for held in ((), (1,), (2, 5)) if k_max else ((),):
+                spectral = FieldSpectrum(GridFunction.from_samples(row))
+                for k in held:
+                    spectral.derivative(k)
+                want = np.array(spectral.ck_norm(k_max).values)
+                assert norms.tobytes() == want.tobytes(), held
         assert not np.signbit(got[1:3]).any() and not got[1:3].any()
 
     def test_dust_cut_row_is_cleaned(self):

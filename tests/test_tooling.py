@@ -83,7 +83,9 @@ def test_layering():
     # batching stays in ck_norms.  Only problem raises DomainEscape, so the
     # domain of F is checked in one place.  No line names n_components:
     # every field is one 1-D sample array.  Only gridfield names its
-    # transform workspace, so no view of it escapes the module.
+    # transform workspace, so no view of it escapes the module, and its
+    # derivative kernel; inside it only _derivative_spectra reads the
+    # multiplier cache, so the multiplier form is known in one place.
     builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
                 "with_self_interaction"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
@@ -93,7 +95,13 @@ def test_layering():
         names = {_name(n) for n in nodes}.union(*map(_dotted_parts, nodes))
         assert not {"polyfit", "polyval", "linalg"} & names, module
         if module != "gridfield":
-            assert not {"fft", "_workspace"} & names, module
+            assert not {"fft", "_workspace", "_order_block", "_derivative_spectra",
+                        "_order_sups"} & names, module
+        else:
+            callers = {f.name for f in nodes if isinstance(f, ast.FunctionDef)
+                       and "_order_block" in {_name(n.func) for n in ast.walk(f)
+                                              if isinstance(n, ast.Call)}}
+            assert callers == {"_derivative_spectra"}, callers
         if module != "problem":
             raised = {_name(getattr(n.exc, "func", n.exc)) for n in nodes
                       if isinstance(n, ast.Raise) and n.exc is not None}
