@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import iteration, ledger, verify
+from . import gridfield, iteration, ledger, verify
 from .gridfield import MAX_SAMPLES, PERIOD, RESOLUTION_FACTOR, ResolutionError
 from .problem import (
     IterationParams,
@@ -154,8 +154,7 @@ def _check_across_keys(cfg: ExperimentConfig, command: str, reads: set) -> None:
               for stem, values in stems.items() if len(values) > 1]
     min_steps = (FIT_FROM[command] + verify.MIN_FIT_STEPS - 1
                  if command in FIT_FROM else 1)
-    # The top order at which (n_points/2)^k, a derivative multiplier, is finite.
-    top = 1023 // max(1, p.n_points.bit_length() - 2)
+    top = gridfield.top_finite_order(p.n_points)
     for keys, ok, message in (
         (("lambda", "ell"), p.lam * p.ell > 1,
          f"lambda*ell must exceed 1, got {p.lam * p.ell}"),

@@ -161,6 +161,11 @@ def clean_spectra(samples: np.ndarray) -> np.ndarray:
     return spec
 
 
+def top_finite_order(n_points: int) -> int:
+    """The top derivative order whose multiplier (n_points/2)^k is finite."""
+    return 1023 // max(1, n_points.bit_length() - 2)
+
+
 # One derivative multiplier block per grid size (see _order_block).
 _ORDER_BLOCKS: dict[int, np.ndarray] = {}
 
@@ -178,9 +183,13 @@ def _order_block(n_points: int, k_max: int) -> np.ndarray:
 
     One block per n_points, rebuilt taller when a higher order is asked
     for, so it grows with the top order asked, not with the distinct k_max.
+    The rebuild refuses an order above top_finite_order before it allocates.
     """
     block = _ORDER_BLOCKS.get(n_points)
     if block is None or len(block) < k_max:
+        if k_max > (top := top_finite_order(n_points)):
+            raise ResolutionError(f"derivative order {k_max} overflows at n_points="
+                                  f"{n_points}: (n_points/2)^k is finite to order {top}")
         stacks = 2 * n_points <= BATCH_POINTS
         m = np.arange(n_points // 2 + 1, dtype=np.float64)
         block = np.empty((k_max, len(m)), dtype=complex if stacks else np.float64)

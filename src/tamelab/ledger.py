@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .gridfield import NormVector
 from .iteration import IterationTrace, StepNorms
-from .problem import BoundClass, IterationParams, R1, R2, R3, R4
-
-STOCK_CLASSES = (R1, R2, R3, R4)
+from .problem import STOCK_CLASSES, BoundClass, IterationParams
 
 # Declared uniform bound on ||r(a)||_0 * (lam ell) for the stock family; we
 # identify it with the per-order remainder constant at k = 0.
@@ -141,7 +139,7 @@ def _remainder_contribution(kind: str, k: int, c_k: float, c: float,
 
 
 def propagate(cs: ConstantSet, params: IterationParams,
-              classes: Optional[Iterable[BoundClass]] = None) -> ConstantSet:
+              classes: Iterable[BoundClass] = STOCK_CLASSES) -> ConstantSet:
     """Advance the constants one inductive step.
 
     Deterministic closed-form arithmetic: the difference constant feeds the
@@ -151,7 +149,7 @@ def propagate(cs: ConstantSet, params: IterationParams,
     """
     if params.lambda_ell <= 1:
         raise ValueError(f"lambda*ell must exceed 1, got {params.lambda_ell}")
-    kinds = tuple(b.kind for b in (classes if classes is not None else STOCK_CLASSES))
+    kinds = tuple(b.kind for b in classes)
     mu = 1.0 / params.lambda_ell
     c_diff = difference_constant(cs, params)
     c_next = min(cs.c_f * (cs.c + cs.c_r + 1.0), CONSTANT_CAP)

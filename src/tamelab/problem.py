@@ -10,7 +10,7 @@ F = sqrt, which keeps every class constant computable in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,25 +38,6 @@ RIGHT_INVERSE_TOL = 1e-10
 # the heap instead of being mapped and page-faulted in on every call.
 MAP_CALL_POINTS = 1 << 13
 
-# (lambda-power, ell-power) of each class prefactor; R6 is (s+t, 0).
-_PREFACTOR_TABLE = {
-    "R1": (1, 1),
-    "R2": (2, 2),
-    "R3": (2, 0),
-    "R4": (2, 1),
-    "R5": (1, 1),
-}
-
-# Derivative orders applied to the arguments before the bilinear/linear core.
-_ARG_DERIVATIVES = {
-    "R1": (0,),
-    "R2": (0, 0),
-    "R3": (1, 1),
-    "R4": (1, 0),
-    "R5": (1, 0),
-}
-
-
 class DomainEscape(RuntimeError):
     """The inverse map was asked for a tensor outside its neighborhood."""
 
@@ -79,32 +60,13 @@ class NeighborhoodViolation(ValueError):
 
 @dataclass(frozen=True)
 class BoundClass:
-    """Scaling class of a remainder term: prefactor powers plus which
-    arguments carry derivatives.  s, t are meaningful for R6 only."""
+    """Scaling class of a remainder term: the prefactor lam^(-p) ell^(-q) as
+    (p, q), and the derivative order applied to each argument before the
+    bilinear or linear core."""
 
     kind: str
-    s: int = 0
-    t: int = 0
-    prefactor_exponents: tuple[int, int] = field(init=False)
-
-    def __post_init__(self):
-        if self.kind == "R6":
-            if self.s < 1 or self.t < 1:
-                raise ValueError(f"R6 requires s, t >= 1, got s={self.s}, t={self.t}")
-            exponents = (self.s + self.t, 0)
-        elif self.kind in _PREFACTOR_TABLE:
-            if self.s or self.t:
-                raise ValueError(f"s, t apply to R6 only, not {self.kind}")
-            exponents = _PREFACTOR_TABLE[self.kind]
-        else:
-            raise ValueError(f"unknown bound class kind {self.kind!r}")
-        object.__setattr__(self, "prefactor_exponents", exponents)
-
-    @property
-    def arg_derivatives(self) -> tuple[int, ...]:
-        if self.kind == "R6":
-            return (self.s, self.t)
-        return _ARG_DERIVATIVES[self.kind]
+    prefactor_exponents: tuple[int, int]
+    arg_derivatives: tuple[int, ...]
 
     @property
     def arity(self) -> int:
@@ -115,15 +77,21 @@ class BoundClass:
         return lam ** (-lp) * ell ** (-ep)
 
 
-R1 = BoundClass("R1")
-R2 = BoundClass("R2")
-R3 = BoundClass("R3")
-R4 = BoundClass("R4")
-R5 = BoundClass("R5")
+R1 = BoundClass("R1", (1, 1), (0,))
+R2 = BoundClass("R2", (2, 2), (0, 0))
+R3 = BoundClass("R3", (2, 0), (1, 1))
+R4 = BoundClass("R4", (2, 1), (1, 0))
+R5 = BoundClass("R5", (1, 1), (1, 0))
+
+# The classes of the stock remainder r1 + r2 + r3 + r4.
+STOCK_CLASSES = (R1, R2, R3, R4)
 
 
 def r6(s: int, t: int) -> BoundClass:
-    return BoundClass("R6", s=s, t=t)
+    """The class of lam^-(s+t) d^s a d^t b."""
+    if s < 1 or t < 1:
+        raise ValueError(f"R6 requires s, t >= 1, got s={s}, t={t}")
+    return BoundClass("R6", (s + t, 0), (s, t))
 
 
 @dataclass(frozen=True)
@@ -175,11 +143,16 @@ class RemainderTerm:
 
 
 def stock_remainder_terms() -> tuple[RemainderTerm, ...]:
-    return (RemainderTerm(R1), RemainderTerm(R2), RemainderTerm(R3), RemainderTerm(R4))
+    return tuple(RemainderTerm(bound_class) for bound_class in STOCK_CLASSES)
 
 
 def self_interaction_term(strength: float) -> RemainderTerm:
     return RemainderTerm(R5, weight=strength)
+
+
+def drift_factor(drift: float, lambda_ell: float, step):
+    """The step-varying family's factor 1 + drift / (lam*ell)^step."""
+    return 1.0 + drift * lambda_ell ** (-step)
 
 
 @dataclass(frozen=True)
@@ -202,7 +175,7 @@ class RemainderSpec:
         return tuple(t.bound_class for t in self.terms)
 
     def step_scale(self, step: int) -> float:
-        return 1.0 + self.drift * (self.lam * self.ell) ** (-step)
+        return drift_factor(self.drift, self.lam * self.ell, step)
 
     def __call__(self, a: FieldSpectrum, step: int) -> GridFunction:
         """r_step at the field of a; the terms share a's derivatives.
@@ -326,13 +299,10 @@ def _toy_maps(copies: int, drift: float,
     fewer full-size temporaries.
     """
 
-    def step_factor(step):
-        return 1.0 + drift * lambda_ell ** (-step)
-
     def inverse_map(tensor: np.ndarray, step) -> np.ndarray:
         out = np.sqrt(tensor if copies == 1 else tensor / copies)
         if drift != 0.0:
-            out *= step_factor(step)
+            out *= drift_factor(drift, lambda_ell, step)
         return out
 
     def bilinear_map(u: np.ndarray, v: np.ndarray, step) -> np.ndarray:
@@ -340,7 +310,7 @@ def _toy_maps(copies: int, drift: float,
         if copies != 1:
             total *= copies
         if drift != 0.0:
-            total *= step_factor(step) ** (-2)
+            total *= drift_factor(drift, lambda_ell, step) ** (-2)
         return total
 
     return inverse_map, bilinear_map

@@ -34,6 +34,7 @@ from tamelab.gridfield import (
     random_trig_polynomial,
     random_trig_rows,
     refine,
+    top_finite_order,
 )
 
 HYP = dict(max_examples=25, deadline=None, derandomize=True)
@@ -188,11 +189,10 @@ def complex_fft_ck_norm(f, k_max):
 
 def resolved_top_order(n):
     """The top norm order n points resolve, n/8 - 1, capped at the top order
-    whose multiplier (n/2)^k is finite: every higher order's derivative is
-    NaN, which ck_norm refuses (test_overflowed_orders_raise), and above
-    2048 points a sweep to n/8 - 1 would take thousands of full-length
-    transforms, where ck_norm takes every order above the eighth one per
-    call anyway."""
+    whose multiplier (n/2)^k is finite: ck_norm refuses every higher order
+    (test_overflowed_orders_raise), and above 2048 points a sweep to n/8 - 1
+    would take thousands of full-length transforms, where ck_norm takes
+    every order above the eighth one per call anyway."""
     return min(n // 8 - 1, int(1023 // math.log2(n // 2)))
 
 
@@ -312,20 +312,28 @@ class TestCkNorm:
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert set(spectral._derivatives) == set(held)
 
-    @pytest.mark.parametrize("n, k_max", [(2048, 120), (65536, 72)])
+    @pytest.mark.parametrize("n, k_max", [(2048, 120), (65536, 72), (65536, 200)])
     def test_overflowed_orders_raise(self, n, k_max):
-        # Past the order where (n/2)^k overflows, every derivative is NaN
-        # (0 * inf at the dust-cut modes).  The running max keeps the NaN,
-        # so the norms fail NormVector's finiteness check instead of going
-        # flat, and ck_norms returns NaN for the same orders.  At 65536
-        # points those orders go through the transform workspace.
+        # Past the order where (n/2)^k overflows, every derivative would be
+        # NaN (0 * inf at the dust-cut modes).  ck_norm, ck_norms and
+        # derivative refuse such an order before the multiplier block is
+        # built: no block, no overflow warning (warnings fail the suite).
+        # At 65536 points the orders go through the transform workspace.
+        # The norms up to the top finite order stay finite.
         f = random_trig_polynomial(np.random.default_rng(n), n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="finite"):
-                ck_norm(f, k_max)
-            rows = ck_norms(f.samples[np.newaxis], k_max)[0]
-        top = resolved_top_order(n)
-        assert np.isfinite(rows[:top + 1]).all() and np.isnan(rows[top + 1:]).all()
+        top = top_finite_order(n)
+        assert top == resolved_top_order(n)
+        tracemalloc.start()
+        try:
+            for call in (ck_norm, lambda f, k: ck_norms(f.samples[np.newaxis], k),
+                         lambda f, k: FieldSpectrum(f).derivative(k)):
+                with pytest.raises(ResolutionError, match=f"finite to order {top}$"):
+                    call(f, k_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert np.isfinite(ck_norms(f.samples[np.newaxis], top)).all()
 
     def test_zero_field_norms_are_positive_zero(self):
         for f in (GridFunction.zeros(64), GridFunction.constant(-0.0, 64)):

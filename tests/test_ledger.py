@@ -89,6 +89,11 @@ class TestPropagate:
         with pytest.raises(ValueError, match="exceed 1"):
             propagate(unit_constants(), params_for(2, 0.5, k0=2, n_points=64))
 
+    def test_refuses_a_kind_without_formula(self):
+        from tamelab.problem import BoundClass
+        with pytest.raises(ValueError, match="unknown class kind 'R9'"):
+            propagate(unit_constants(), params_for(), (BoundClass("R9", (1, 1), (0,)),))
+
     def test_r5_injects_lambda_factor(self):
         from tamelab.problem import R1, R5
         p = params_for(lam=100, ell=1.0, n_points=1024)

@@ -88,13 +88,12 @@ class TestBoundClass:
         assert R4.arg_derivatives == (1, 0)
         assert r6(2, 1).arg_derivatives == (2, 1)
 
-    def test_invalid_kinds(self):
-        with pytest.raises(ValueError, match="unknown"):
-            BoundClass("R9")
-        with pytest.raises(ValueError, match="R6"):
-            BoundClass("R6", s=0, t=1)
-        with pytest.raises(ValueError, match="R6 only"):
-            BoundClass("R1", s=1)
+    def test_plain_records(self):
+        # A class is its three fields; r6 refuses a zero derivative order.
+        assert BoundClass("R2", (2, 2), (0, 0)) == R2
+        for s, t in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="R6 requires s, t >= 1"):
+                r6(s, t)
 
 
 class TestScalarToy:
