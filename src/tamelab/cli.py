@@ -386,11 +386,15 @@ def _write_trace(trace: iteration.IterationTrace, out: Path, stem: str,
         emit_plot(trace, out / f"{stem}.svg")
 
 
-def _print_escape(trace: iteration.IterationTrace) -> None:
+def _escaped(trace: iteration.IterationTrace) -> bool:
+    """Whether the run diverged; if so, report its escape on stderr."""
+    if trace.flag != "diverged":
+        return False
     p = trace.instance.params
     print(f"numerical failure: escape from the inverse's domain at step "
           f"{trace.escape_step} (lambda*ell={p.lambda_ell:g}, stock threshold="
           f"{ledger.threshold(ledger.stock_constants(p)):g})", file=sys.stderr)
+    return True
 
 
 def _build(cfg: ExperimentConfig, params: IterationParams) -> ProblemInstance:
@@ -410,16 +414,14 @@ def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     print(f"run: {trace.n_steps} steps, flag={trace.flag}, "
           f"max identity residual {max(trace.identity_residuals):.3e}")
     print(f"wrote {out / 'trace.csv'}")
-    if trace.flag == "diverged":
-        _print_escape(trace)
+    if _escaped(trace):
         return 2
     return 0
 
 
 def _cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
     trace = iteration.run(_build(cfg, cfg.problem))
-    if trace.flag == "diverged":
-        _print_escape(trace)
+    if _escaped(trace):
         return 2
     fits = [verify.fit_decay(trace, k) for k in _orders(trace)]
     _write_fits(out / "decay.csv", fits)
@@ -476,10 +478,8 @@ def _cmd_r5_demo(cfg: ExperimentConfig, out: Path) -> int:
     # Only the fits read these runs, so they record ||E_i|| alone.
     traces = [iteration.run(instance, full=False) for instance in
               (clean, with_self_interaction(clean, cfg.r5_strength))]
-    for trace in traces:
-        if trace.flag == "diverged":
-            _print_escape(trace)
-            return 2
+    if any(map(_escaped, traces)):
+        return 2
     fit_clean, fit_with = [verify.fit_decay(t, 0, min_step=verify.R5_FIT_FROM)
                            for t in traces]
     _write_fits(out / "r5_clean.csv", [fit_clean])
@@ -506,8 +506,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     for ll in cfg.lambda_ell:
         params = replace(cfg.problem, ell=ll / cfg.problem.lam)
         trace = iteration.run(_build(cfg, params), full=False)
-        if trace.flag == "diverged":
-            _print_escape(trace)
+        if _escaped(trace):
             code = 2
             continue
         fits = [verify.fit_decay(trace, k) for k in _orders(trace)]

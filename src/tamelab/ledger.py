@@ -104,37 +104,26 @@ def difference_constant(cs: ConstantSet, params: IterationParams) -> float:
                CONSTANT_CAP)
 
 
-def _error_contribution(kind: str, k: int, c_k: float, c: float, c_diff: float,
-                        mu: float, lam: float) -> float:
-    """Per-class coefficient of lam^k/(lam ell)^(i+1) in the next error,
-    obtained by feeding the difference bound through the class estimate."""
+def _class_coefficients(kind: str, k: int, c_k: float, c: float, c_diff: float,
+                        c_next: float, mu: float, lam: float) -> tuple[float, float]:
+    """One class's coefficients at order k: of lam^k/(lam ell)^(i+1) in the
+    next error, from feeding the difference bound through the class
+    estimate, and of lam^k/(lam ell) in ||r(a)||_k given ||a||_j <=
+    c_next lam^j."""
     n_k = pair_count(k)
     if kind == "R1":
-        return c_k * (k + 1) * c_diff
-    if kind == "R2":
-        return 2.0 * c_k * c * c_diff * n_k * mu
-    if kind in ("R3", "R6"):
-        return 2.0 * c_k * c * c_diff * n_k
-    if kind == "R4":
-        return c_k * c * c_diff * n_k * (1.0 + mu)
+        return c_k * (k + 1) * c_diff, c_k * (k + 1) * c_next
     if kind == "R5":
         # Self interaction: the derivative on the difference argument leaves
         # a bare factor lam that no prefactor absorbs.
-        return c_k * c * c_diff * n_k * lam
-    raise ValueError(f"unknown class kind {kind!r}")
-
-
-def _remainder_contribution(kind: str, k: int, c_k: float, c: float,
-                            mu: float, lam: float) -> float:
-    """Per-class coefficient of lam^k/(lam ell) in ||r(a)||_k given
-    ||a||_j <= c lam^j."""
-    n_k = pair_count(k)
-    if kind == "R1":
-        return c_k * (k + 1) * c
-    if kind in ("R2", "R3", "R4", "R6"):
-        return c_k * n_k * c * c * mu
-    if kind == "R5":
-        return c_k * n_k * c * c * lam
+        return c_k * c * c_diff * n_k * lam, c_k * n_k * c_next * c_next * lam
+    remainder = c_k * n_k * c_next * c_next * mu
+    if kind == "R2":
+        return 2.0 * c_k * c * c_diff * n_k * mu, remainder
+    if kind in ("R3", "R6"):
+        return 2.0 * c_k * c * c_diff * n_k, remainder
+    if kind == "R4":
+        return c_k * c * c_diff * n_k * (1.0 + mu), remainder
     raise ValueError(f"unknown class kind {kind!r}")
 
 
@@ -153,14 +142,11 @@ def propagate(cs: ConstantSet, params: IterationParams,
     mu = 1.0 / params.lambda_ell
     c_diff = difference_constant(cs, params)
     c_next = min(cs.c_f * (cs.c + cs.c_r + 1.0), CONSTANT_CAP)
-    c_err_next = max(
-        sum(_error_contribution(kind, k, cs.c_k[k], cs.c, c_diff, mu, params.lam)
-            for kind in kinds)
-        for k in range(len(cs.c_k)))
-    c_r_next = max(
-        sum(_remainder_contribution(kind, k, cs.c_k[k], c_next, mu, params.lam)
-            for kind in kinds)
-        for k in range(len(cs.c_k)))
+    by_order = [[_class_coefficients(kind, k, c_k, cs.c, c_diff, c_next, mu,
+                                     params.lam) for kind in kinds]
+                for k, c_k in enumerate(cs.c_k)]
+    c_err_next = max(sum(err for err, _ in row) for row in by_order)
+    c_r_next = max(sum(rem for _, rem in row) for row in by_order)
     clamp = lambda v: min(max(v, CONSTANT_FLOOR), CONSTANT_CAP)
     return replace(cs, c=c_next, c_err=clamp(c_err_next), c_r=clamp(c_r_next),
                    step=cs.step + 1)

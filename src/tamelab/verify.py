@@ -87,10 +87,11 @@ def _norm_factors(bound_class: BoundClass) -> tuple[tuple[int, int, int], ...]:
     """(argument, derivative order, order shift) of each norm sequence the
     class estimate pairs; argument 0 is a and 1 is b.
 
-    R4 and R5 pair ||a||_(j1+1) with ||b||_j2; every other class pairs the
-    norms of its differentiated arguments, ||d^s a||_j1 and ||d^t b||_j2.
+    A class that differentiates a once and b not at all (R4, R5) pairs
+    ||a||_(j1+1) with ||b||_j2; every other class pairs the norms of its
+    differentiated arguments, ||d^s a||_j1 and ||d^t b||_j2.
     """
-    if bound_class.kind in ("R4", "R5"):
+    if bound_class.arg_derivatives == (1, 0):
         return ((0, 0, 1), (1, 0, 0))
     return tuple((arg, order, 0)
                  for arg, order in enumerate(bound_class.arg_derivatives))
@@ -189,16 +190,18 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     Per sample, one ck_norms call norms a, b and the derivatives the
     classes read, from the spectra a and b already hold, each pair's term
     is evaluated once over the frequency grid, and one ck_norms call norms
-    the terms of as many pairs as fit BATCH_POINTS samples (at least one).  The class estimates and the worst
-    ratios are then computed for all samples at once.
+    the terms of as many pairs as fit BATCH_POINTS samples (at least one).
+    The class estimates and the worst ratios are then computed for all
+    samples at once.
 
     A term that is not one field on the audit grid at each frequency raises
-    ValueError, and one with non-finite samples ValueError(
-    NON_FINITE).  Raises ResolutionError, before drawing, when the grid
-    cannot resolve norms to order k_max at the top frequency, and
-    FloatingPointError naming the class, lambda and ell of the first term,
-    in pair and frequency order, that leaves the float range or whose norms
-    do.
+    ValueError.  Raises ResolutionError, before drawing, when the grid
+    cannot resolve norms to order k_max at the top frequency.  Terms and
+    their norms are computed with overflow to inf, whatever the caller's
+    np.errstate, and judged by their values: of the first term, in pair and
+    frequency order, with a non-finite norm, a NaN sup raises ValueError(
+    NON_FINITE), and any other value FloatingPointError naming its class,
+    lambda and ell, as leaving the float range.  Nothing is computed twice.
     """
     if n_samples < 10:
         raise ValueError(f"need n_samples >= 10, got {n_samples}")
@@ -231,41 +234,31 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
             f"lambda={lam}, ell={params.ell}")
 
     def evaluate(term, bound_class, a, b, out):
-        """Write the term at every frequency into out, (lambdas, n_points);
-        an overflow names the first frequency that overflows on its own."""
+        """Write the term at every frequency into out, (lambdas, n_points),
+        overflowing to inf.  A prefactor ell**-q out of the Python float
+        range raises OverflowError at every frequency alike: inf at each."""
         b = b if bound_class.arity == 2 else None
         try:
-            r = term._samples(a, b, lambda_grid, params.ell, modulations)
-        except (FloatingPointError, OverflowError):
-            for i, lam in enumerate(lambda_grid):
-                try:
-                    term._samples(a, b, (lam,), params.ell, modulations[i:i + 1])
-                except (FloatingPointError, OverflowError) as exc:
-                    raise out_of_range(bound_class, lam) from exc
-            raise
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = term._samples(a, b, lambda_grid, params.ell, modulations)
+        except OverflowError:
+            out[:] = math.inf
+            return
         if np.shape(r) != (lams, n):
             raise ValueError(f"term returned shape {np.shape(r)}, not one "
                              f"field per frequency on the {n}-point audit grid")
         out[:] = r
 
     def norm(block, block_labels):
-        """ck_norms of the rows of block; an overflow names the first row
-        that overflows on its own."""
-        try:
+        """ck_norms of the rows of block, overflow to inf; the first row with
+        a non-finite norm is named, or, with a NaN sup, refused."""
+        with np.errstate(over="ignore", invalid="ignore"):
             values = ck_norms(block, k_max)
-        except FloatingPointError:
-            for row, label in zip(block, block_labels):
-                try:
-                    ck_norms(row[np.newaxis], k_max)
-                except FloatingPointError as exc:
-                    raise out_of_range(*label) from exc
-            raise
-        finite = np.isfinite(values)
-        if not finite[:, 0].all():
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size and np.isnan(values[bad[0], 0]):
             raise ValueError(NON_FINITE)
-        if not finite.all():
-            bad = np.flatnonzero(~finite.all(axis=1))[0]
-            raise out_of_range(*block_labels[bad])
+        if bad.size:
+            raise out_of_range(*block_labels[bad[0]])
         return values
 
     for idx in range(n_samples):

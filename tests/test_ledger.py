@@ -8,8 +8,10 @@ from tamelab.cli import main
 from tamelab.iteration import DerivativeBudgetExhausted, run
 from tamelab.ledger import (
     CONSTANT_CAP,
+    CONSTANT_FLOOR,
     MAX_ORDER,
     ConstantSet,
+    _class_coefficients,
     calibrate,
     check_hypotheses,
     difference_constant,
@@ -21,7 +23,17 @@ from tamelab.ledger import (
     threshold,
 )
 from tamelab.gridfield import NormVector
-from tamelab.problem import IterationParams, make_scalar_toy
+from tamelab.problem import (
+    R1,
+    R2,
+    R3,
+    R4,
+    R5,
+    STOCK_CLASSES,
+    IterationParams,
+    make_scalar_toy,
+    r6,
+)
 
 HYP = dict(max_examples=30, deadline=None, derandomize=True)
 
@@ -129,6 +141,83 @@ class TestPropagate:
         p = params_for()
         nxt = propagate(cs, p)
         assert nxt.c >= cs.c and nxt.c_r >= 0 and nxt.c_err > 0
+
+
+def reference_error(kind, k, c_k, c, c_diff, mu, lam):
+    """Coefficient of lam^k/(lam ell)^(i+1) in the next error, one formula
+    per kind, as written before error and remainder shared a function."""
+    n_k = pair_count(k)
+    if kind == "R1":
+        return c_k * (k + 1) * c_diff
+    if kind == "R2":
+        return 2.0 * c_k * c * c_diff * n_k * mu
+    if kind in ("R3", "R6"):
+        return 2.0 * c_k * c * c_diff * n_k
+    if kind == "R4":
+        return c_k * c * c_diff * n_k * (1.0 + mu)
+    if kind == "R5":
+        return c_k * c * c_diff * n_k * lam
+    raise ValueError(kind)
+
+
+def reference_remainder(kind, k, c_k, c, mu, lam):
+    """Coefficient of lam^k/(lam ell) in ||r(a)||_k, one formula per kind."""
+    n_k = pair_count(k)
+    if kind == "R1":
+        return c_k * (k + 1) * c
+    if kind in ("R2", "R3", "R4", "R6"):
+        return c_k * n_k * c * c * mu
+    if kind == "R5":
+        return c_k * n_k * c * c * lam
+    raise ValueError(kind)
+
+
+def reference_step(cs, p, classes):
+    """(c_err, c_r) after one step: each formula summed over the classes at
+    every order, then maximized over the orders, then clamped."""
+    kinds = [b.kind for b in classes]
+    mu = 1.0 / p.lambda_ell
+    c_diff = difference_constant(cs, p)
+    c_next = min(cs.c_f * (cs.c + cs.c_r + 1.0), CONSTANT_CAP)
+    orders = range(len(cs.c_k))
+    c_err = max(sum(reference_error(kind, k, cs.c_k[k], cs.c, c_diff, mu, p.lam)
+                    for kind in kinds) for k in orders)
+    c_r = max(sum(reference_remainder(kind, k, cs.c_k[k], c_next, mu, p.lam)
+                  for kind in kinds) for k in orders)
+    clamp = lambda v: min(max(v, CONSTANT_FLOOR), CONSTANT_CAP)
+    return clamp(c_err), clamp(c_r)
+
+
+class TestClassCoefficients:
+    # Every class alone and the stock mix, at lambda*ell = 1.5, 4 and 128,
+    # with the default order budget and the largest one.  Frequencies and
+    # constants that are not powers of two make a reordered product round
+    # differently.
+    @pytest.mark.parametrize("classes", [(R1,), (R2,), (R3,), (R4,), (R5,),
+                                         (r6(2, 1),), STOCK_CLASSES],
+                             ids=["R1", "R2", "R3", "R4", "R5", "R6", "stock"])
+    @pytest.mark.parametrize("lam, ell", [(3, 0.5), (5, 0.8), (12, 128 / 12)])
+    @pytest.mark.parametrize("k0", [7, MAX_ORDER])
+    def test_propagate_keeps_the_per_kind_formulas_bits(self, classes, lam,
+                                                         ell, k0):
+        p = IterationParams(lam=lam, ell=ell, k0=k0, c_f=1.7)
+        cs = replace(stock_constants(p), c=1.1, c_err=0.7, c_r=1.3)
+        mu = 1.0 / p.lambda_ell
+        for _ in range(3):
+            nxt = propagate(cs, p, classes)
+            assert ([v.hex() for v in (nxt.c_err, nxt.c_r)]
+                    == [v.hex() for v in reference_step(cs, p, classes)])
+            # The maximum over orders reads one order; compare them all.
+            c_diff = difference_constant(cs, p)
+            c_next = min(cs.c_f * (cs.c + cs.c_r + 1.0), CONSTANT_CAP)
+            for kind in {b.kind for b in classes}:
+                for k, c_k in enumerate(cs.c_k):
+                    got = _class_coefficients(kind, k, c_k, cs.c, c_diff, c_next,
+                                              mu, p.lam)
+                    want = (reference_error(kind, k, c_k, cs.c, c_diff, mu, p.lam),
+                            reference_remainder(kind, k, c_k, c_next, mu, p.lam))
+                    assert [v.hex() for v in got] == [v.hex() for v in want]
+            cs = nxt
 
 
 class TestThreshold:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tamelab import verify
 from tamelab.cli import load_experiment_config, main
 from tamelab.gridfield import (
     BATCH_POINTS,
@@ -27,6 +28,7 @@ from tamelab.problem import (
     R3,
     R4,
     R5,
+    BoundClass,
     IterationParams,
     RemainderTerm,
     make_scalar_toy,
@@ -264,6 +266,58 @@ class TestAuditClasses:
                                match=r"^the class R2 term leaves the float range "
                                      r"at lambda=16, ell=1e-154$"):
                 audit_classes(stock_pairs(), p, n_samples=10)
+
+    @pytest.mark.parametrize("errstate", [{}, dict(over="raise"),
+                                          dict(over="raise", invalid="raise")])
+    @pytest.mark.parametrize("later", ["scaled samples", "prefactor"])
+    def test_shared_batch_names_the_first_pair(self, later, errstate):
+        # At 2048 points both pairs share one norm batch.  R2's norms
+        # overflow at ell = 1e-154, and so does the later pair's term: its
+        # samples times 1e300, or its prefactor ell**-3 in Python floats.
+        # The first pair is named, whatever the caller's errstate.
+        class Scaled(RemainderTerm):
+            def _samples(self, *args):
+                return super()._samples(*args) * 1e300
+
+        steep = BoundClass("R7", (1, 3), (0,))
+        pairs = [(RemainderTerm(R2), R2),
+                 (Scaled(R1), R1) if later == "scaled samples"
+                 else (RemainderTerm(steep), steep)]
+        p = IterationParams(ell=1e-154)
+        with np.errstate(**errstate):
+            with pytest.raises(FloatingPointError,
+                               match=r"^the class R2 term leaves the float range "
+                                     r"at lambda=16, ell=1e-154$"):
+                audit_classes(pairs, p, n_samples=10)
+
+    # The R2 pair fails: its norms overflow at 1e-154, its prefactor at
+    # 1e-155.  Each term evaluated up to its batch takes one call over the
+    # three frequencies.  ck_norms takes one call for a, b and their
+    # derivatives, then one per batch of pairs up to the failing one.
+    @pytest.mark.parametrize("n_points, ell, terms, rows", [
+        (16384, 1e-154, 2, [4, 3, 3]), (16384, 1e-155, 2, [4, 3, 3]),
+        (2048, 1e-154, 5, [4, 15]), (2048, 1e-155, 5, [4, 15])])
+    def test_overflowing_audit_computes_nothing_twice(self, monkeypatch, n_points,
+                                                      ell, terms, rows):
+        lams_per_call, rows_per_call = [], []
+        samples, norms = RemainderTerm._samples, verify.ck_norms
+
+        def spy_samples(self, a, b, lams, *args):
+            lams_per_call.append(len(lams))
+            return samples(self, a, b, lams, *args)
+
+        def spy_norms(block, *args):
+            rows_per_call.append(len(block))
+            return norms(block, *args)
+
+        monkeypatch.setattr(RemainderTerm, "_samples", spy_samples)
+        monkeypatch.setattr(verify, "ck_norms", spy_norms)
+        p = IterationParams(n_points=n_points, ell=ell)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match="class R2 term"):
+                audit_classes(stock_pairs(), p, n_samples=10)
+        assert lams_per_call == [3] * terms
+        assert rows_per_call == rows
 
     def test_shipped_audit_output_is_pinned(self, tmp_path):
         # remainder-audit on audit.cfg, byte for byte: batching over pairs,
