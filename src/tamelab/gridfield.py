@@ -34,11 +34,12 @@ SPECTRAL_DUST = 1e-13
 
 # Most real samples (over all rows) one batched transform call takes: the
 # right-inverse self-check and the norms (_order_sups) split their rows
-# into calls of at most this size.  Such calls allocate and free no
-# array of 3 MB or more, whose release would move glibc's mmap threshold
-# and with it the speed of every later large transform in the process.
-# It also sizes the transform workspace (_workspace): one row's half
-# spectrum and inverse, so grids up to this size reuse it.
+# into calls of at most this size, and the class audit's chunks of samples
+# hold as many samples as keep their terms within it.  Such calls allocate
+# and free no array of 3 MB or more, whose release would move glibc's mmap
+# threshold and with it the speed of every later large transform in the
+# process.  It also sizes the transform workspace (_workspace), which
+# every norm call up to this size reuses.
 BATCH_POINTS = 1 << 16
 
 # Most output points one BLAS product of random_trig_rows computes.  A
@@ -153,9 +154,15 @@ def row_sups(x: np.ndarray) -> np.ndarray:
 
 def clean_spectra(samples: np.ndarray) -> np.ndarray:
     """Half spectra (rfft modes 0..n/2 along the last axis) of samples, one
-    field or a (fields, n_points) stack, with the coefficients below
-    SPECTRAL_DUST of the peak of their own row zeroed."""
-    spec = np.fft.rfft(samples, axis=-1)
+    field or a stack of them, (..., n_points), with the coefficients below
+    SPECTRAL_DUST of the peak of their own row zeroed.  The rows go through
+    rfft calls of at most BATCH_POINTS samples, and at least one row."""
+    n = samples.shape[-1]
+    spec = np.empty(samples.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    rows, out = samples.reshape(-1, n), spec.reshape(-1, n // 2 + 1)
+    per_call = max(1, BATCH_POINTS // n)
+    for batch in (slice(i, i + per_call) for i in range(0, len(rows), per_call)):
+        np.fft.rfft(rows[batch], axis=-1, out=out[batch])
     mags = np.abs(spec)
     spec[mags < SPECTRAL_DUST * mags.max(axis=-1, keepdims=True)] = 0.0
     return spec
@@ -221,32 +228,44 @@ def _derivative_spectra(spectra: np.ndarray, n_points: int, orders: Sequence[int
     return product
 
 
+def derivative_rows(spectra: np.ndarray, n_points: int, order: int) -> np.ndarray:
+    """d^order of each row of a (rows, n_points/2 + 1) stack of
+    clean_spectra, (rows, n_points), from one product and one irfft call:
+    the kernel of FieldSpectrum.derivative, for one row or a stack."""
+    product = _derivative_spectra(spectra, n_points, (order,))[:, 0]
+    return np.fft.irfft(product, n_points, axis=-1)
+
+
 @functools.cache
 def _workspace() -> tuple[np.ndarray, np.ndarray]:
-    """The transform workspace: a complex half spectrum and a real inverse
-    of one BATCH_POINTS-point row, made on first use and never freed or
-    regrown, for _order_sups' calls of one row and one order.  No view of
-    either leaves this module, and each such call overwrites both, so they
-    are not thread-safe."""
-    return np.empty(BATCH_POINTS // 2 + 1, dtype=complex), np.empty(BATCH_POINTS)
+    """The transform workspace: the half spectra and the inverses of
+    BATCH_POINTS samples, in rows of 2 * RESOLUTION_FACTOR points or more
+    (the smallest grid that norms an order), made on first use and never
+    freed or regrown, for _order_sups' calls of at most BATCH_POINTS
+    samples.  No view of either leaves this module, and each such call
+    overwrites both, so they are not thread-safe."""
+    half = BATCH_POINTS // 2 + BATCH_POINTS // (2 * RESOLUTION_FACTOR)
+    return np.empty(half, dtype=complex), np.empty(BATCH_POINTS)
 
 
 def _order_sups(spectra: np.ndarray, n_points: int, orders: Sequence[int]) -> np.ndarray:
     """sup |d^k f|, (rows, len(orders)), for each row f of a stack of
     clean_spectra and each of the ascending orders, inverted in runs of
     BATCH_POINTS // (n_points * rows) orders, and at least one, per irfft.
-    A call of one row and one order takes the transform workspace; every
-    other call takes a fresh product and output."""
+    A call of at most BATCH_POINTS samples takes the transform workspace,
+    so it faults in no fresh pages; a larger one (one order of a row over
+    BATCH_POINTS points) takes a fresh product and output."""
     rows = len(spectra)
     sups = np.empty((rows, len(orders)))
     per_call = max(1, BATCH_POINTS // (n_points * rows))
     for j in range(0, len(orders), per_call):
         run = orders[j:j + per_call]
         product = out = None
-        if rows == len(run) == 1 and n_points <= BATCH_POINTS:
+        if rows * len(run) * n_points <= BATCH_POINTS:
             product, out = _workspace()
-            product = product[:n_points // 2 + 1].reshape(1, 1, -1)
-            out = out[:n_points].reshape(1, 1, -1)
+            product = product[:rows * len(run) * (n_points // 2 + 1)]
+            product = product.reshape(rows, len(run), -1)
+            out = out[:rows * len(run) * n_points].reshape(rows, len(run), -1)
         product = _derivative_spectra(spectra, n_points, run, product, orders[-1])
         d = np.fft.irfft(product, n_points, axis=-1, out=out)
         sups[:, j:j + len(run)] = row_sups(d)
@@ -321,9 +340,8 @@ class FieldSpectrum:
         if order == 0:
             return self.field
         if order not in self._derivatives:
-            n = self.field.n_points
-            spectra = _derivative_spectra(self.spectrum()[np.newaxis], n, (order,))
-            samples = np.fft.irfft(spectra[0, 0], n)
+            samples = derivative_rows(self.spectrum()[np.newaxis],
+                                      self.field.n_points, order)[0]
             self._derivatives[order] = self.field.with_samples(samples)
         return self._derivatives[order]
 

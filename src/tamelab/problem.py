@@ -122,10 +122,12 @@ class RemainderTerm:
                  lams: Sequence[int], ell: float,
                  modulations: np.ndarray) -> np.ndarray:
         """The term at each frequency lams[i] under the modulation samples
-        modulations[i], (len(lams), n_points): the core is taken once and
-        broadcast against the stack.  Unchecked for finiteness: the grid
-        checks run on the arguments, and the caller checks the samples it
-        keeps."""
+        modulations[i], (..., len(lams), n_points): the core is taken once
+        and broadcast against the stack.  a and b may hold one field or a
+        stack of them, whose derivatives' samples are (..., n_points); one
+        field gives (len(lams), n_points), in the same float operations.
+        Unchecked for finiteness: the grid checks run on the arguments, and
+        the caller checks the samples it keeps."""
         orders = self.bound_class.arg_derivatives
         first = a.derivative(orders[0])
         core = first.samples
@@ -136,9 +138,9 @@ class RemainderTerm:
         if modulations.shape[-1] != first.n_points:
             raise IncompatibleGrids(f"grids differ: n_points "
                                     f"{modulations.shape[-1]}/{first.n_points}")
-        out = modulations * core
+        out = modulations * core[..., np.newaxis, :]
         for i, lam in enumerate(lams):
-            out[i] *= self.weight * self.bound_class.prefactor(lam, ell)
+            out[..., i, :] *= self.weight * self.bound_class.prefactor(lam, ell)
         return out
 
 

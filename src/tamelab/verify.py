@@ -20,12 +20,12 @@ from .gridfield import (
     BATCH_POINTS,
     NON_FINITE,
     RESOLUTION_FACTOR,
-    FieldSpectrum,
     GridFunction,
     ResolutionError,
     ck_norm,
     ck_norms,
     clean_spectra,
+    derivative_rows,
     oscillator,
     random_trig_polynomial,
     refine,
@@ -66,19 +66,16 @@ class BoundReport:
 
     @property
     def per_k_constants(self) -> tuple[float, ...]:
-        return tuple(max(row[k] for row in self.constants_by_lambda)
-                     for k in range(len(self.constants_by_lambda[0])))
+        return tuple(map(max, zip(*self.constants_by_lambda)))
 
     @property
     def stable(self) -> bool:
         """Recomputed on access: every order's constants stay within a factor
         STABLE_FACTOR across the frequency grid (all-zero counts as stable)."""
-        for k in range(len(self.constants_by_lambda[0])):
-            column = [row[k] for row in self.constants_by_lambda]
+        for column in zip(*self.constants_by_lambda):
             hi, lo = max(column), min(column)
-            if hi <= ZERO_CONSTANT_TOL:
-                continue
-            if lo <= ZERO_CONSTANT_TOL or hi / lo > STABLE_FACTOR:
+            if hi > ZERO_CONSTANT_TOL and (lo <= ZERO_CONSTANT_TOL
+                                           or hi / lo > STABLE_FACTOR):
                 return False
         return True
 
@@ -107,21 +104,35 @@ def _argument_rows(classes: Sequence[BoundClass],
             k_max + max(shift for *_, shift in factors))
 
 
-def _argument_norms(fields: Sequence[FieldSpectrum],
-                    keys: Sequence[tuple[int, int]], top: int) -> np.ndarray:
-    """Norms 0..top of each (argument, derivative order) field in keys,
-    (len(keys), top + 1), in one ck_norms call: ck_norm's values.
-    Derivatives stay in fields.  An argument's spectrum is the one its
-    FieldSpectrum holds; the derivatives' spectra are taken in one call."""
-    rows = np.stack([fields[arg].derivative(order).samples for arg, order in keys])
-    spectra = np.empty((len(keys), rows.shape[1] // 2 + 1), dtype=complex)
-    derived = np.array([order > 0 for _, order in keys])
-    if derived.any():
-        spectra[derived] = clean_spectra(rows[derived])
-    for row, (arg, order) in enumerate(keys):
-        if not order:
-            spectra[row] = fields[arg].spectrum()
-    return ck_norms(rows, top, spectra)
+class _Rows:
+    """One argument's fields over a chunk of samples, (chunk, n_points), and
+    their derivatives, each taken once: a term reads it as a FieldSpectrum."""
+
+    def __init__(self, samples: np.ndarray, spectra: Optional[np.ndarray] = None):
+        self.samples, self.spectra, self.n_points = samples, spectra, samples.shape[-1]
+        self._derivatives: dict[int, _Rows] = {}
+
+    def derivative(self, order: int) -> "_Rows":
+        if order and order not in self._derivatives:
+            self._derivatives[order] = _Rows(
+                derivative_rows(self.spectra, self.n_points, order))
+        return self._derivatives[order] if order else self
+
+
+def _chunk_arguments(drawn: np.ndarray, keys: Sequence[tuple[int, int]],
+                     top: int) -> tuple[list[_Rows], np.ndarray]:
+    """The arguments of a chunk, drawn (arguments, chunk, n_points), and the
+    norms 0..top of each (argument, order) field in keys, (chunk, len(keys),
+    top + 1), ck_norm's values, from one ck_norms and two clean_spectra calls."""
+    args = [_Rows(*pair) for pair in zip(drawn, clean_spectra(drawn))]
+    rows = np.stack([args[arg].derivative(order).samples for arg, order in keys], 1)
+    spectra = np.stack([args[arg].spectra for arg, _ in keys], 1)
+    derived = [row for row, (_, order) in enumerate(keys) if order]
+    if derived:
+        spectra[:, derived] = clean_spectra(rows[:, derived])
+    norms = ck_norms(rows.reshape(-1, rows.shape[-1]), top,
+                     spectra.reshape(-1, spectra.shape[-1]))
+    return args, norms.reshape(len(rows), len(keys), top + 1)
 
 
 def _class_estimates(bound_class: BoundClass, norms: np.ndarray,
@@ -139,13 +150,11 @@ def _class_estimates(bound_class: BoundClass, norms: np.ndarray,
     """
     factors = [norms[:, keys.index((arg, order)), shift:shift + k_max + 1]
                for arg, order, shift in _norm_factors(bound_class)]
-    if len(factors) == 1:
-        # Each ||a||_j is paired with a 1.0, which multiplies exactly.
+    linear = len(factors) == 1
+    if linear:  # each ||a||_j is paired with a 1.0, which multiplies exactly
         factors.append(np.ones_like(factors[0]))
-        products = [[(j, 0) for j in range(k + 1)] for k in range(k_max + 1)]
-    else:
-        products = [[(j1, j2) for j1 in range(k + 1) for j2 in range(k + 1 - j1)]
-                    for k in range(k_max + 1)]
+    products = [[(j1, j2) for j1 in range(k + 1)
+                 for j2 in range(1 if linear else k + 1 - j1)] for k in range(k_max + 1)]
     first, second = factors
     prefs = np.array([bound_class.prefactor(lam, ell) for lam in lambda_grid])
     powers = np.array([[float(lam ** p) for lam in lambda_grid]
@@ -165,13 +174,11 @@ def class_bound_rhs(bound_class: BoundClass, a: GridFunction,
                     b: Optional[GridFunction], lam: int, ell: float,
                     k_max: int) -> tuple[float, ...]:
     """Right-hand side of the class estimate with unit constant (see
-    _class_estimates); b defaults to a."""
-    spectral_a = FieldSpectrum(a)
-    fields = (spectral_a, spectral_a if b is None else FieldSpectrum(b))
+    _class_estimates), by the audit's chunk code on one sample; b defaults to a."""
     keys, top = _argument_rows([bound_class], k_max)
-    norms = _argument_norms(fields, keys, top)[np.newaxis]
-    return tuple(_class_estimates(bound_class, norms, keys, (lam,), ell,
-                                  k_max)[0, 0].tolist())
+    drawn = np.stack([a.samples, (a if b is None else b).samples])[:, np.newaxis]
+    return tuple(_class_estimates(bound_class, _chunk_arguments(drawn, keys, top)[1],
+                                  keys, (lam,), ell, k_max)[0, 0].tolist())
 
 
 def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
@@ -181,27 +188,27 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     """Audit each (term, declared class) pair; one report per pair, in order.
 
     Draws low-mode fields a (and b, when some class is bilinear) with sup
-    norm 1, seeded by params.seed, evaluates every term at each frequency in
-    the grid (same fields, same ell), and reports the worst measured/bound
-    ratio per order.  Auditing a term against the wrong class shows up as
-    constants that drift with the frequency.
+    norm 1, seeded by params.seed and the sample, evaluates every term at
+    each frequency in the grid (same fields, same ell), and reports the
+    worst measured/bound ratio per order.  Auditing a term against the
+    wrong class shows up as constants that drift with the frequency.
 
-    The pass is sample-major, so one sample's fields are alive at a time.
-    Per sample, one ck_norms call norms a, b and the derivatives the
-    classes read, from the spectra a and b already hold, each pair's term
-    is evaluated once over the frequency grid, and one ck_norms call norms
-    the terms of as many pairs as fit BATCH_POINTS samples (at least one).
-    The class estimates and the worst ratios are then computed for all
-    samples at once.
+    The pass goes over chunks of as many samples as keep samples x pairs x
+    frequencies x n_points within BATCH_POINTS (at least one; 2 at 2048
+    points, 1 from 4096).  Per chunk (see _chunk_arguments), each term is
+    evaluated once over the chunk and the frequency grid, and one ck_norms
+    call norms the terms of as many pairs as fit BATCH_POINTS samples (at
+    least one).  The estimates and worst ratios are then taken at once.
 
     A term that is not one field on the audit grid at each frequency raises
     ValueError.  Raises ResolutionError, before drawing, when the grid
     cannot resolve norms to order k_max at the top frequency.  Terms and
     their norms are computed with overflow to inf, whatever the caller's
-    np.errstate, and judged by their values: of the first term, in pair and
-    frequency order, with a non-finite norm, a NaN sup raises ValueError(
-    NON_FINITE), and any other value FloatingPointError naming its class,
-    lambda and ell, as leaving the float range.  Nothing is computed twice.
+    np.errstate, and judged by their values: of the first term, in sample,
+    pair and frequency order, with a non-finite norm, a NaN sup raises
+    ValueError(NON_FINITE), and any other value FloatingPointError naming
+    its class, lambda and ell, as leaving the float range.  Nothing is
+    computed twice.
     """
     if n_samples < 10:
         raise ValueError(f"need n_samples >= 10, got {n_samples}")
@@ -223,59 +230,52 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
                             for lam in lambda_grid])
     lams = len(lambda_grid)
     per_call = max(1, BATCH_POINTS // (n * lams))
-    rows = np.empty((min(per_call, len(pairs)) * lams, n))
+    chunk = max(1, per_call // len(pairs))
+    rows = np.empty((chunk, min(per_call, len(pairs)), lams, n))
     argument_norms = np.empty((n_samples, len(keys), top + 1))
     measured = np.empty((n_samples, len(pairs) * lams, k_max + 1))
-    labels = [(bound_class, lam) for bound_class in classes for lam in lambda_grid]
 
-    def out_of_range(bound_class, lam):
-        return FloatingPointError(
-            f"the class {bound_class.kind} term leaves the float range at "
-            f"lambda={lam}, ell={params.ell}")
-
-    def evaluate(term, bound_class, a, b, out):
-        """Write the term at every frequency into out, (lambdas, n_points),
-        overflowing to inf.  A prefactor ell**-q out of the Python float
-        range raises OverflowError at every frequency alike: inf at each."""
-        b = b if bound_class.arity == 2 else None
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = term._samples(a, b, lambda_grid, params.ell, modulations)
-        except OverflowError:
-            out[:] = math.inf
-            return
-        if np.shape(r) != (lams, n):
-            raise ValueError(f"term returned shape {np.shape(r)}, not one "
-                             f"field per frequency on the {n}-point audit grid")
-        out[:] = r
-
-    def norm(block, block_labels):
-        """ck_norms of the rows of block, overflow to inf; the first row with
-        a non-finite norm is named, or, with a NaN sup, refused."""
+    def measure(group, block, a, b=None):
+        """group's terms written into block, (samples, len(group), lambdas,
+        n_points), and their norms, (samples, len(group) x lambdas, k_max +
+        1), overflowing to inf, as does a prefactor ell**-q out of the float
+        range.  The first non-finite norm is named, or refused if NaN."""
+        for (term, bound_class), out in zip(group, block.swapaxes(0, 1)):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    r = term._samples(a, b if bound_class.arity == 2 else None,
+                                      lambda_grid, params.ell, modulations)
+            except OverflowError:
+                out[:] = math.inf
+                continue
+            if np.shape(r) != out.shape:
+                raise ValueError(f"term returned shape {np.shape(r)}, not one "
+                                 f"field per frequency on the {n}-point audit grid")
+            out[:] = r
         with np.errstate(over="ignore", invalid="ignore"):
-            values = ck_norms(block, k_max)
+            values = ck_norms(block.reshape(-1, n), k_max)
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size and np.isnan(values[bad[0], 0]):
             raise ValueError(NON_FINITE)
         if bad.size:
-            raise out_of_range(*block_labels[bad[0]])
-        return values
+            pair, lam = divmod(bad[0] % (len(group) * lams), lams)
+            raise FloatingPointError(
+                f"the class {group[pair][1].kind} term leaves the float range "
+                f"at lambda={lambda_grid[lam]}, ell={params.ell}")
+        return values.reshape(len(block), -1, k_max + 1)
 
-    for idx in range(n_samples):
-        # Per-sample seeding keeps the fields independent of which pairs
-        # are audited together and of the sample order.
-        a = FieldSpectrum(random_trig_polynomial(
-            np.random.default_rng([params.seed, idx, 0]), n))
-        b = (FieldSpectrum(random_trig_polynomial(
-            np.random.default_rng([params.seed, idx, 1]), n))
-             if draw_b else None)
-        argument_norms[idx] = _argument_norms((a, b), keys, top)
+    for first in range(0, n_samples, chunk):
+        done = range(first, min(first + chunk, n_samples))
+        # Seeding per sample keeps the fields independent of pairs and chunks.
+        args, argument_norms[first:done.stop] = _chunk_arguments(np.stack([[
+            random_trig_polynomial(np.random.default_rng([params.seed, idx, arg]),
+                                   n).samples for idx in done]
+            for arg in range(1 + draw_b)]), keys, top)
         for start in range(0, len(pairs), per_call):
             group = pairs[start:start + per_call]
-            for (term, bound_class), out in zip(group, rows.reshape(-1, lams, n)):
-                evaluate(term, bound_class, a, b, out)
-            done = slice(start * lams, (start + len(group)) * lams)
-            measured[idx, done] = norm(rows[:len(group) * lams], labels[done])
+            measured[first:done.stop, start * lams:(start + len(group)) * lams] = (
+                measure(group, rows[:len(done), :len(group)], *args))
+        del args  # so that two chunks' fields are never alive at once
     estimates = np.concatenate(
         [_class_estimates(bound_class, argument_norms, keys, lambda_grid,
                           params.ell, k_max)

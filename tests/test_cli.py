@@ -508,6 +508,18 @@ class TestSweepCommand:
             slope = float(path.read_text().splitlines()[1].split(",")[1])
             assert abs(slope - (-math.log(ll))) <= 0.15 * math.log(ll)
 
+    def test_escaped_value_skipped_others_written(self, tmp_path, capsys):
+        # lambda_ell = 1.6 leaves the inverse's domain at step 2: sweep
+        # names the escape, writes no file for it, still runs and writes
+        # the other values, and then exits 2.
+        code = main(["sweep", "--config", str(CONFIG_DIR / "sweep.cfg"),
+                     "--set", "lambda_ell=1.6,64", "--output_dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "escape from the inverse's domain at step 2 (lambda*ell=1.6" in err
+        assert (tmp_path / "decay_ll64.csv").exists()
+        assert not list(tmp_path.glob("decay_ll1.6.*"))
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["default.cfg", "decay.cfg", "audit.cfg",

@@ -11,6 +11,7 @@ from tamelab.cli import main
 from tamelab.gridfield import (
     BATCH_POINTS,
     PERIOD,
+    RESOLUTION_FACTOR,
     SPECTRAL_DUST,
     FieldSpectrum,
     GridFunction,
@@ -387,7 +388,7 @@ class TestWorkspace:
 
     def test_buffers_never_regrow(self):
         spec, samples = _workspace()
-        assert spec.shape == (BATCH_POINTS // 2 + 1,)
+        assert spec.shape == (BATCH_POINTS // 2 + BATCH_POINTS // (2 * RESOLUTION_FACTOR),)
         assert samples.shape == (BATCH_POINTS,)
         for n in (2048, 32768, 65536):
             f = random_trig_polynomial(np.random.default_rng(n), n)
@@ -418,6 +419,29 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 256 * 1024
+
+
+    @pytest.mark.parametrize("n, count, k_max", [(2048, 8, 4), (2048, 10, 3),
+                                                 (16, 4096, 1)])
+    def test_stacked_norms_take_the_workspace(self, n, count, k_max):
+        # Each call inverts BATCH_POINTS samples, or fewer, in the workspace:
+        # no fresh product and output, whose pages the allocator can hand
+        # back and fault in again on every call.  Fresh arrays peak at 0.96
+        # to 1.3 MiB here; the workspace leaves 130 to 230 KiB.  16 points
+        # is the smallest grid that norms an order.
+        rows = random_trig_rows(np.random.default_rng(n), n, count, max_mode=1)
+        spectra = clean_spectra(rows)
+        want = ck_norms(rows, k_max, spectra)
+        tracemalloc.start()
+        try:
+            got = ck_norms(rows, k_max, spectra)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.stack([ck_norm(GridFunction.from_samples(row),
+                                                  k_max).values for row in rows]).tobytes()
+        assert peak <= 384 * 1024
 
 
 class TestCleanSpectrum:

@@ -90,6 +90,8 @@ def test_layering():
     # only problem constructs a BoundClass, so every class is declared there.
     # Only problem and ledger hold a class kind as a string, so the records
     # and the ledger's formula are the only places that read a kind's name.
+    # verify constructs no FieldSpectrum: the audit and class_bound_rhs
+    # share the chunk path for argument norms.
     builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
                 "with_self_interaction"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
@@ -115,6 +117,9 @@ def test_layering():
         if module not in ("problem", "ledger"):
             constants = {n.value for n in nodes if isinstance(n, ast.Constant)}
             assert not {f"R{i}" for i in range(1, 7)} & constants, module
+        if module == "verify":
+            assert "FieldSpectrum" not in {_name(n.func) for n in nodes
+                                           if isinstance(n, ast.Call)}
         if module not in ("problem", "cli"):
             assert not builders & names, module
         if module not in ("iteration", "cli"):

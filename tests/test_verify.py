@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,30 +203,41 @@ def reference_constants(term, bound_class, p, seed, n_samples=12, k_max=3,
 
 
 class TestAuditClasses:
-    @pytest.mark.parametrize("seed", [0, 3, 11, 42])
-    def test_shared_pass_equals_separate_audits(self, seed):
+    # At 2048 points a chunk holds 1 sample of the 7 mixed pairs, 2 of the
+    # 5 stock pairs and 3 of the 3 linear ones: with 11 or 13 samples the
+    # last chunk holds one.  Linear classes alone draw no b.
+    @pytest.mark.parametrize("seed, n_samples, pair_list", [
+        *(pytest.param(seed, 12, "mixed", id=str(seed)) for seed in (0, 3, 11, 42)),
+        pytest.param(3, 11, "stock", id="11-samples"),
+        pytest.param(7, 13, "stock", id="13-samples"),
+        pytest.param(5, 13, "linear", id="linear-only")])
+    def test_shared_pass_equals_separate_audits(self, seed, n_samples, pair_list):
         # a bilinear term audited as linear evaluates at (a, a) on its own,
         # so it must not see the b the other pairs share
         extra = [(RemainderTerm(r6(2, 1)), r6(2, 1)), (RemainderTerm(R2), R1)]
-        pairs = stock_pairs() + extra
+        pairs = {"mixed": stock_pairs() + extra, "stock": stock_pairs(),
+                 "linear": [(RemainderTerm(R1), R1), extra[1],
+                            (self_interaction_term(2.0), R1)]}[pair_list]
         p = IterationParams(seed=seed)
-        shared = audit_classes(pairs, p)
-        separate = [verify_remainder_class(term, bound_class, p)
-                    for term, bound_class in stock_pairs()[:4]]
-        separate += audit_classes([MISDECLARED_CONTROL], p)
-        separate += [verify_remainder_class(term, bound_class, p)
-                     for term, bound_class in extra]
+        shared = audit_classes(pairs, p, n_samples)
+        separate = [verify_remainder_class(term, bound_class, p, n_samples)
+                    for term, bound_class in pairs[:4]]
+        separate += audit_classes(pairs[4:5], p, n_samples)
+        separate += [verify_remainder_class(term, bound_class, p, n_samples)
+                     for term, bound_class in pairs[5:]]
         assert [r.bound_class for r in shared] == [c for _, c in pairs]
         assert ([r.constants_by_lambda for r in shared]
                 == [r.constants_by_lambda for r in separate])
         assert ([r.constants_by_lambda for r in shared]
-                == [reference_constants(term, bound_class, p, seed)
+                == [reference_constants(term, bound_class, p, seed, n_samples)
                     for term, bound_class in pairs])
 
-    def test_one_row_batches_equal_per_field_reference(self):
+    @pytest.mark.parametrize("n_points", [16384, 65536])
+    def test_one_row_batches_equal_per_field_reference(self, n_points):
         # 16384 * 3 orders fill more than half of BATCH_POINTS: each batch
-        # holds one measured field.
-        p = IterationParams(n_points=16384, seed=5)
+        # holds one measured field, and each chunk one sample.  At 65536 a
+        # term's three frequencies take three BATCH_POINTS rows.
+        p = IterationParams(n_points=n_points, seed=5)
         assert norm_batch_rows(p.n_points, 3) == 1
         pairs = stock_pairs()[3:]
         assert ([r.constants_by_lambda
@@ -249,7 +261,7 @@ class TestAuditClasses:
         class WithNan(RemainderTerm):
             def _samples(self, a, b, lams, ell, modulations):
                 out = super()._samples(a, b, lams, ell, modulations)
-                out[-1, 7] = np.nan
+                out[..., -1, 7] = np.nan
                 return out
 
         pairs = stock_pairs()[:2] + [(WithNan(R1), R1)]
@@ -292,11 +304,13 @@ class TestAuditClasses:
 
     # The R2 pair fails: its norms overflow at 1e-154, its prefactor at
     # 1e-155.  Each term evaluated up to its batch takes one call over the
-    # three frequencies.  ck_norms takes one call for a, b and their
-    # derivatives, then one per batch of pairs up to the failing one.
+    # chunk's samples and the three frequencies.  ck_norms takes one call
+    # for the chunk's a, b and their derivatives, then one per batch of
+    # pairs up to the failing one.  The first chunk holds one sample at
+    # 16384 points and two at 2048.
     @pytest.mark.parametrize("n_points, ell, terms, rows", [
         (16384, 1e-154, 2, [4, 3, 3]), (16384, 1e-155, 2, [4, 3, 3]),
-        (2048, 1e-154, 5, [4, 15]), (2048, 1e-155, 5, [4, 15])])
+        (2048, 1e-154, 5, [8, 30]), (2048, 1e-155, 5, [8, 30])])
     def test_overflowing_audit_computes_nothing_twice(self, monkeypatch, n_points,
                                                       ell, terms, rows):
         lams_per_call, rows_per_call = [], []
@@ -346,10 +360,29 @@ class TestAuditClasses:
         # Freeing a transform buffer of about 3 MB or more moves glibc's
         # mmap threshold, and with it the speed of every later 64K-point
         # transform in the process (test_gridfield checks ck_norms at 65536).
-        log = count_fft()
-        audit_classes(stock_pairs(), audit_cfg_params())
-        assert log.entries
-        assert max(rows * points for _, rows, points in log.entries) <= BATCH_POINTS
+        # From 4096 points a chunk holds one sample, and from 8192 its pairs
+        # are split over norm calls.
+        for p in (audit_cfg_params(), IterationParams(n_points=16384),
+                  IterationParams(n_points=65536)):
+            log = count_fft()
+            audit_classes(stock_pairs(), p, n_samples=10)
+            assert log.entries
+            assert max(rows * points for _, rows, points in log.entries) <= BATCH_POINTS
+
+    def test_audit_peak_memory_at_65536(self):
+        # One audit at 65536 points peaks at 12.58 MiB of numpy data: a chunk
+        # is one sample there, and its terms take a 1.5 MB buffer, three
+        # frequencies of one pair.  A buffer for all five pairs would take
+        # 7.9 MB.  The warm-up builds the caches first.
+        p = IterationParams(n_points=65536)
+        audit_classes(stock_pairs(), p, n_samples=10)
+        tracemalloc.start()
+        try:
+            audit_classes(stock_pairs(), p, n_samples=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * 2**20
 
     def test_pair_order_does_not_change_reports(self):
         pairs = stock_pairs()
@@ -385,21 +418,22 @@ class TestAuditClasses:
             audit_classes(stock_pairs(), IterationParams(), lambda_grid=(128, 16))
 
     def test_transform_count(self, count_fft):
-        # Per sample (12 at audit.cfg): a and b drawn by angle addition, with
-        # no transform.  d/dx a and d/dx b: one rfft and one irfft each.
-        # Argument norms: a, b, da and db in one ck_norms call at order 4
-        # (R4 reads ||a||_(k+1)), a batch of 65536 // (2048 * 4) = 8 rows:
-        # a and b read the spectra their derivatives took, so one rfft of
-        # da and db (2 rows) and one irfft of 4 x 4 rows.  Measured norms:
-        # 5 pairs x 3 frequencies = 15 rows in one ck_norms call at order 3,
-        # in batches of 65536 // (2048 * 3) = 10 and 5 rows: one rfft and
-        # one irfft per batch, of 10 x 3 and 5 x 3 rows.
-        # rfft rows: 12 * (2 + 2 + 15) = 228, calls: 12 * (2 + 1 + 2) = 60.
-        # irfft rows: 12 * (2 + 16 + 45) = 756, calls: 12 * (2 + 1 + 2) = 60.
+        # 12 samples at audit.cfg, in 6 chunks of 2 (2 x 5 pairs x 3
+        # frequencies x 2048 points fit BATCH_POINTS).  Per chunk: a and b
+        # drawn by angle addition, with no transform, and their spectra in
+        # one rfft of 4 rows.  d/dx a and d/dx b: one irfft of 2 rows each.
+        # Argument norms: a, b, da and db of both samples in one ck_norms
+        # call at order 4 (R4 reads ||a||_(k+1)), a batch of 65536 // (2048
+        # * 4) = 8 rows: a and b read their spectra, so one rfft of da and db
+        # (4 rows) and one irfft of 8 x 4 rows.  Measured norms: 2 samples x
+        # 15 rows in one ck_norms call at order 3, in batches of 65536 //
+        # (2048 * 3) = 10 rows: one rfft and one irfft of 10 x 3 rows each.
+        # rfft rows: 6 * (4 + 4 + 30) = 228, calls: 6 * (1 + 1 + 3) = 30.
+        # irfft rows: 6 * (4 + 32 + 90) = 756, calls: 6 * (2 + 1 + 3) = 36.
         log = count_fft()
         p = audit_cfg_params()
         audit_classes(stock_pairs(), p)
-        assert log.calls == {"rfft": 60, "irfft": 60}
+        assert log.calls == {"rfft": 30, "irfft": 36}
         assert log.rows == {"rfft": 228, "irfft": 756}
 
 
