@@ -116,9 +116,6 @@ class GridFunction:
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         return axpy(-1.0, other, self)
 
-    def __neg__(self) -> "GridFunction":
-        return self.with_samples(-self.samples)
-
     def __mul__(self, alpha: float) -> "GridFunction":
         return scale(alpha, self)
 
@@ -228,14 +225,6 @@ def _derivative_spectra(spectra: np.ndarray, n_points: int, orders: Sequence[int
     return product
 
 
-def derivative_rows(spectra: np.ndarray, n_points: int, order: int) -> np.ndarray:
-    """d^order of each row of a (rows, n_points/2 + 1) stack of
-    clean_spectra, (rows, n_points), from one product and one irfft call:
-    the kernel of FieldSpectrum.derivative, for one row or a stack."""
-    product = _derivative_spectra(spectra, n_points, (order,))[:, 0]
-    return np.fft.irfft(product, n_points, axis=-1)
-
-
 @functools.cache
 def _workspace() -> tuple[np.ndarray, np.ndarray]:
     """The transform workspace: the half spectra and the inverses of
@@ -311,44 +300,64 @@ class NormVector:
 
 
 class FieldSpectrum:
-    """One field's cleaned half spectrum, taken on first use, and the
-    derivatives and C^k norms read from it.
+    """The cleaned half spectra of one field or a stack of them, (...,
+    n_points), and the derivatives and C^k norms read from them.
 
+    samples is a GridFunction, read as its samples, or a sample array.  The
+    spectra are given (clean_spectra of samples; the holder makes the given
+    array read-only) or taken on first use.
     Each derivative order is computed once and kept, so callers that
-    differentiate and norm the same field transform it once.  It keeps every
-    order asked for alive, so it should live no longer than its field's use.
+    differentiate and norm the same fields transform them once.  It keeps
+    every order asked for alive, so it should live no longer than its
+    fields' use.
     """
 
-    def __init__(self, field: GridFunction):
-        self.field = field
-        self._spectrum: Optional[np.ndarray] = None
-        self._derivatives: dict[int, GridFunction] = {}
+    def __init__(self, samples: GridFunction | np.ndarray,
+                 spectrum: Optional[np.ndarray] = None):
+        if isinstance(samples, GridFunction):
+            samples = samples.samples
+        self.samples, self.n_points = samples, samples.shape[-1]
+        if spectrum is not None:
+            spectrum.flags.writeable = False
+        self._spectrum = spectrum
+        self._derivatives: dict[int, np.ndarray] = {}
 
     def spectrum(self) -> np.ndarray:
-        """The field's clean_spectra, taken on first use and kept; read-only."""
+        """The samples' clean_spectra, given or taken on first use and kept;
+        read-only."""
         if self._spectrum is None:
-            self._spectrum = clean_spectra(self.field.samples)
+            self._spectrum = clean_spectra(self.samples)
             self._spectrum.flags.writeable = False
         return self._spectrum
 
-    def derivative(self, order: int) -> GridFunction:
-        """d^order f, computed once and kept; order 0 is the field itself.
+    def derivative(self, order: int) -> np.ndarray:
+        """The samples of d^order of every row, computed once and kept,
+        read-only; order 0 is the samples themselves, as given, and a
+        negative order raises ValueError.  Each order takes one product and
+        one irfft call for the whole stack.
 
         Exact (to rounding) for trigonometric polynomials resolved by the
-        grid; the caller is responsible for the field being band-limited.
+        grid; the caller is responsible for the fields being band-limited,
+        and for checking the finiteness of what it keeps.
         """
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         if order == 0:
-            return self.field
+            return self.samples
         if order not in self._derivatives:
-            samples = derivative_rows(self.spectrum()[np.newaxis],
-                                      self.field.n_points, order)[0]
-            self._derivatives[order] = self.field.with_samples(samples)
+            spec = self.spectrum()
+            product = _derivative_spectra(spec.reshape(-1, spec.shape[-1]),
+                                          self.n_points, (order,))[:, 0]
+            d = np.fft.irfft(product, self.n_points, axis=-1).reshape(self.samples.shape)
+            d.flags.writeable = False
+            self._derivatives[order] = d
         return self._derivatives[order]
 
     def ck_norm(self, k_max: int) -> NormVector:
-        """Norms ||f||_0 .. ||f||_k_max, each the max derivative sup up to
-        order k.  Orders kept by derivative are read, not recomputed; the
-        orders computed here are not kept.
+        """Norms ||f||_0 .. ||f||_k_max of one field, each the max
+        derivative sup up to order k; a stack raises ValueError (ck_norms
+        norms stacks).  Orders kept by derivative are read, not recomputed;
+        the orders computed here are not kept.
 
         The missing orders go to _order_sups as one row (one irfft for up to
         32 orders at 2048 points, one per order at 65536).  The running max
@@ -359,15 +368,17 @@ class FieldSpectrum:
         RESOLUTION_FACTOR * lam * (k_max + 1) (enforced where lam is known:
         the CLI's config checks and verify.audit_classes).
         """
-        n = self.field.n_points
+        if self.samples.ndim != 1:
+            raise ValueError(f"ck_norm norms one field, not a stack of shape "
+                             f"{self.samples.shape}; use ck_norms")
+        n = self.n_points
         _check_orders(n, k_max)
-        sups = {k: _sup(d.samples) for k, d in self._derivatives.items()
-                if k <= k_max}
+        sups = {k: _sup(d) for k, d in self._derivatives.items() if k <= k_max}
         missing = [k for k in range(1, k_max + 1) if k not in sups]
         if missing:
             found = _order_sups(self.spectrum()[np.newaxis], n, missing)
             sups.update(zip(missing, found[0].tolist()))
-        values = [self.field.sup()] + [sups[k] for k in range(1, k_max + 1)]
+        values = [_sup(self.samples)] + [sups[k] for k in range(1, k_max + 1)]
         return NormVector(tuple(np.maximum.accumulate(values).tolist()))
 
 
@@ -375,7 +386,7 @@ def derivative(f: GridFunction, order: int = 1) -> GridFunction:
     """Spectral derivative d^order/dx^order (see FieldSpectrum.derivative)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return FieldSpectrum(f).derivative(order)
+    return f.with_samples(FieldSpectrum(f).derivative(order))
 
 
 def ck_norm(f: GridFunction, k_max: int) -> NormVector:
@@ -447,9 +458,9 @@ def oscillator(amplitude: float, frequency: int, phase: float = 0.0,
     return GridFunction(n_points, values)
 
 
-def check_grids(x: GridFunction, y: GridFunction) -> None:
-    """Raise IncompatibleGrids unless x and y share a grid, as sums and
-    pointwise products need."""
+def check_grids(x, y) -> None:
+    """Raise IncompatibleGrids unless x and y, fields or FieldSpectrum
+    holders, share a grid, as sums and pointwise products need."""
     if x.n_points != y.n_points:
         raise IncompatibleGrids(f"grids differ: n_points {x.n_points}/{y.n_points}")
 

@@ -129,15 +129,14 @@ class RemainderTerm:
         Unchecked for finiteness: the grid checks run on the arguments, and
         the caller checks the samples it keeps."""
         orders = self.bound_class.arg_derivatives
-        first = a.derivative(orders[0])
-        core = first.samples
+        core = a.derivative(orders[0])
         if self.bound_class.arity == 2:
-            second = (a if b is None else b).derivative(orders[1])
-            check_grids(first, second)
-            core = core * second.samples
-        if modulations.shape[-1] != first.n_points:
+            other = a if b is None else b
+            check_grids(a, other)
+            core = core * other.derivative(orders[1])
+        if modulations.shape[-1] != a.n_points:
             raise IncompatibleGrids(f"grids differ: n_points "
-                                    f"{modulations.shape[-1]}/{first.n_points}")
+                                    f"{modulations.shape[-1]}/{a.n_points}")
         out = modulations * core[..., np.newaxis, :]
         for i, lam in enumerate(lams):
             out[..., i, :] *= self.weight * self.bound_class.prefactor(lam, ell)
@@ -187,7 +186,7 @@ class RemainderSpec:
         so no sum array is allocated per term.  It is wrapped once, after
         the step scale, so the one GridFunction check covers every term: a
         non-finite term leaves the total non-finite."""
-        n = a.field.n_points
+        n = a.n_points
         total = np.zeros(n)
         for term in self.terms:
             out = term._samples(a, None, (self.lam,), self.ell,

@@ -20,12 +20,12 @@ from .gridfield import (
     BATCH_POINTS,
     NON_FINITE,
     RESOLUTION_FACTOR,
+    FieldSpectrum,
     GridFunction,
     ResolutionError,
     ck_norm,
     ck_norms,
     clean_spectra,
-    derivative_rows,
     oscillator,
     random_trig_polynomial,
     refine,
@@ -104,29 +104,15 @@ def _argument_rows(classes: Sequence[BoundClass],
             k_max + max(shift for *_, shift in factors))
 
 
-class _Rows:
-    """One argument's fields over a chunk of samples, (chunk, n_points), and
-    their derivatives, each taken once: a term reads it as a FieldSpectrum."""
-
-    def __init__(self, samples: np.ndarray, spectra: Optional[np.ndarray] = None):
-        self.samples, self.spectra, self.n_points = samples, spectra, samples.shape[-1]
-        self._derivatives: dict[int, _Rows] = {}
-
-    def derivative(self, order: int) -> "_Rows":
-        if order and order not in self._derivatives:
-            self._derivatives[order] = _Rows(
-                derivative_rows(self.spectra, self.n_points, order))
-        return self._derivatives[order] if order else self
-
-
 def _chunk_arguments(drawn: np.ndarray, keys: Sequence[tuple[int, int]],
-                     top: int) -> tuple[list[_Rows], np.ndarray]:
-    """The arguments of a chunk, drawn (arguments, chunk, n_points), and the
-    norms 0..top of each (argument, order) field in keys, (chunk, len(keys),
-    top + 1), ck_norm's values, from one ck_norms and two clean_spectra calls."""
-    args = [_Rows(*pair) for pair in zip(drawn, clean_spectra(drawn))]
-    rows = np.stack([args[arg].derivative(order).samples for arg, order in keys], 1)
-    spectra = np.stack([args[arg].spectra for arg, _ in keys], 1)
+                     top: int) -> tuple[list[FieldSpectrum], np.ndarray]:
+    """The arguments of a chunk, drawn (arguments, chunk, n_points), each
+    held with its spectra as the terms read it, and the norms 0..top of
+    each (argument, order) field in keys, (chunk, len(keys), top + 1),
+    ck_norm's values, from one ck_norms and two clean_spectra calls."""
+    args = [FieldSpectrum(*pair) for pair in zip(drawn, clean_spectra(drawn))]
+    rows = np.stack([args[arg].derivative(order) for arg, order in keys], 1)
+    spectra = np.stack([args[arg].spectrum() for arg, _ in keys], 1)
     derived = [row for row, (_, order) in enumerate(keys) if order]
     if derived:
         spectra[:, derived] = clean_spectra(rows[:, derived])

@@ -145,7 +145,7 @@ class TestDerivative:
             if k % 2 == 1:
                 mult[n // 2] = 0.0
             want = np.fft.irfft(spec * mult, n)
-            assert np.array_equal(field.derivative(k).samples, want), k
+            assert np.array_equal(field.derivative(k), want), k
         cached = _order_block(n, 9)
         assert cached.shape == (9, n // 2 + 1)
         assert cached.dtype == (complex if n < 65536 else np.float64)
@@ -371,9 +371,9 @@ class TestWorkspace:
         after = later.derivative(1)
         FieldSpectrum(g).ck_norm(1)
         for kept in (before, after):
-            assert kept.samples.tobytes() == want
+            assert kept.tobytes() == want
             for buffer in _workspace():
-                assert not np.shares_memory(kept.samples, buffer)
+                assert not np.shares_memory(kept, buffer)
 
     @pytest.mark.parametrize("n", [2048, 65536])
     def test_kept_derivative_leaves_workspace_alone(self, n):
@@ -459,6 +459,55 @@ class TestCleanSpectrum:
             expected = np.where(mags >= SPECTRAL_DUST * mags.max(), spec, 0.0)
             assert np.count_nonzero(expected) == 1
             assert clean_spectra(f.samples).tobytes() == expected.tobytes()
+
+
+class TestStackedHolder:
+    @pytest.mark.parametrize("n", [2048, 65536])
+    @pytest.mark.parametrize("given", [True, False])
+    def test_stack_equals_each_rows_holder(self, n, given):
+        # A (2, 3, n) stack, its spectra given from one clean_spectra call
+        # over the whole stack (as the class audit passes them) or taken on
+        # first use (one rfft call at 2048 points, one per row at 65536),
+        # holds each row's own spectrum and derivatives bit for bit.
+        stack = random_trig_rows(np.random.default_rng(n), n, 6).reshape(2, 3, n)
+        spectral = FieldSpectrum(stack, clean_spectra(stack) if given else None)
+        assert spectral.n_points == n
+        assert spectral.derivative(0) is stack
+        for i, j in np.ndindex(2, 3):
+            row = FieldSpectrum(GridFunction.from_samples(stack[i, j]))
+            assert spectral.spectrum()[i, j].tobytes() == row.spectrum().tobytes()
+            for k in (1, 2, 3):
+                assert spectral.derivative(k).shape == (2, 3, n)
+                assert (spectral.derivative(k)[i, j].tobytes()
+                        == row.derivative(k).tobytes()), (i, j, k)
+
+    @pytest.mark.parametrize("given", [True, False])
+    def test_kept_orders_are_read_only_and_returned_by_identity(self, given):
+        # A given spectrum is kept read-only as a taken one is, also when it
+        # is a row view of a larger output, as the class audit passes it.
+        stack = random_trig_rows(np.random.default_rng(3), 512, 4)
+        spectrum = clean_spectra(stack[np.newaxis])[0] if given else None
+        spectral = FieldSpectrum(stack, spectrum)
+        kept = [spectral.derivative(k) for k in (1, 2, 3)]
+        assert all(a is b for a, b in zip(kept, map(spectral.derivative, (1, 2, 3))))
+        for array in kept + [spectral.spectrum()]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+        assert given is (spectral.spectrum() is spectrum)
+
+    def test_negative_order_is_refused_before_the_multiplier_cache(self):
+        field = random_trig_polynomial(np.random.default_rng(5), 64)
+        before = {n: block.shape for n, block in gridfield._ORDER_BLOCKS.items()}
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            FieldSpectrum(field).derivative(-1)
+        assert {n: b.shape for n, b in gridfield._ORDER_BLOCKS.items()} == before
+
+    def test_ck_norm_refuses_a_stack(self):
+        stack = random_trig_rows(np.random.default_rng(4), 512, 2)
+        with pytest.raises(ValueError, match="use ck_norms$"):
+            FieldSpectrum(stack).ck_norm(2)
+        assert list(FieldSpectrum(stack[0]).ck_norm(2).values) == ck_norms(stack, 2)[0].tolist()
 
 
 def norm_test_rows(n, count):

@@ -343,25 +343,25 @@ def count_fields(monkeypatch):
 
 class TestFieldCount:
     """GridFunctions made per default run (5 steps).  State 0 holds two
-    zero fields.  Each step then wraps a = F(tensor), the first derivative
-    that a's spectrum keeps, r(a) and E.  From step 2 on a full run adds
-    a - a_prev for its norms.  The remainder's terms and partial sums,
-    b(a, a), the inverse's tensor T - r and distance, and E's and the
-    residual's differences stay sample arrays."""
+    zero fields.  Each step then wraps a = F(tensor), r(a) and E.  From
+    step 2 on a full run adds a - a_prev for its norms.  The derivatives
+    a's spectrum keeps, the remainder's terms and partial sums, b(a, a),
+    the inverse's tensor T - r and distance, and E's and the residual's
+    differences stay sample arrays."""
 
     def test_default_run_field_count(self, count_fields):
-        # 2 + 4 + 4 * 5
+        # 2 + 3 * 5 + 4
         instance = make_scalar_toy(IterationParams(), 0.2)
         made = count_fields()
         assert run(instance).n_steps == 5
-        assert len(made) == 26
+        assert len(made) == 21
 
     def test_error_only_run_field_count(self, count_fields):
-        # 2 + 4 + 4 * 4
+        # 2 + 3 * 5
         instance = make_scalar_toy(IterationParams(), 0.2)
         made = count_fields()
         assert run(instance, full=False).n_steps == 5
-        assert len(made) == 22
+        assert len(made) == 17
 
 
 # The instance families whose step 0 and step-1 difference are assembled
@@ -418,10 +418,9 @@ def chained_remainder(spec, a, step):
     total = GridFunction.zeros(a.n_points)
     for term in spec.terms:
         orders = term.bound_class.arg_derivatives
-        first = spectral.derivative(orders[0])
-        core = first.samples
+        core = spectral.derivative(orders[0])
         if term.bound_class.arity == 2:
-            core = core * spectral.derivative(orders[1]).samples
+            core = core * spectral.derivative(orders[1])
         pref = term.weight * term.bound_class.prefactor(spec.lam, spec.ell)
         total = total + GridFunction.from_samples(pref * (spec.modulation.samples * core))
     return scale(spec.step_scale(step), total)
@@ -472,9 +471,9 @@ def two_column_run(instance):
             orders = term.bound_class.arg_derivatives
             cores = []
             for s in spectra:
-                core = flat(s.derivative(orders[0]))
+                core = s.derivative(orders[0])
                 if len(orders) == 2:
-                    core = core * flat(s.derivative(orders[1]))
+                    core = core * s.derivative(orders[1])
                 cores.append(core)
             out = modulation * (0.5 * (cores[0] + cores[1]))
             out *= term.weight * term.bound_class.prefactor(spec.lam, spec.ell)

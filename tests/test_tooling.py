@@ -74,6 +74,13 @@ def _dotted_parts(node):
     return set(name.split(".")) if name else set()
 
 
+def _callers(nodes, name):
+    """The names of the functions among nodes that call name."""
+    return {f.name for f in nodes if isinstance(f, ast.FunctionDef)
+            and name in {_name(n.func) for n in ast.walk(f)
+                         if isinstance(n, ast.Call)}}
+
+
 def test_layering():
     # Only problem and the CLI build instances, only iteration and the CLI
     # run them, and the package namespace imports nothing.  No module names
@@ -90,8 +97,9 @@ def test_layering():
     # only problem constructs a BoundClass, so every class is declared there.
     # Only problem and ledger hold a class kind as a string, so the records
     # and the ledger's formula are the only places that read a kind's name.
-    # verify constructs no FieldSpectrum: the audit and class_bound_rhs
-    # share the chunk path for argument norms.
+    # In verify, audit_classes and class_bound_rhs both call
+    # _chunk_arguments, so the audit and the one-sample estimate share the
+    # chunk path for argument norms.
     builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
                 "with_self_interaction"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
@@ -104,9 +112,7 @@ def test_layering():
             assert not {"fft", "_workspace", "_order_block", "_derivative_spectra",
                         "_order_sups", "bit_length"} & names, module
         else:
-            callers = {f.name for f in nodes if isinstance(f, ast.FunctionDef)
-                       and "_order_block" in {_name(n.func) for n in ast.walk(f)
-                                              if isinstance(n, ast.Call)}}
+            callers = _callers(nodes, "_order_block")
             assert callers == {"_derivative_spectra"}, callers
         if module != "problem":
             raised = {_name(getattr(n.exc, "func", n.exc)) for n in nodes
@@ -118,8 +124,8 @@ def test_layering():
             constants = {n.value for n in nodes if isinstance(n, ast.Constant)}
             assert not {f"R{i}" for i in range(1, 7)} & constants, module
         if module == "verify":
-            assert "FieldSpectrum" not in {_name(n.func) for n in nodes
-                                           if isinstance(n, ast.Call)}
+            callers = _callers(nodes, "_chunk_arguments")
+            assert callers == {"audit_classes", "class_bound_rhs"}, callers
         if module not in ("problem", "cli"):
             assert not builders & names, module
         if module not in ("iteration", "cli"):
