@@ -33,9 +33,9 @@ MAX_SAMPLES = 1 << 22
 SPECTRAL_DUST = 1e-13
 
 # Most real samples (over all rows) one batched transform call takes: the
-# right-inverse self-check and the norms (_order_sups) split their rows
-# into calls of at most this size, and the class audit's chunks of samples
-# hold as many samples as keep their terms within it.  Such calls allocate
+# right-inverse self-check and FieldSpectrum.norms split their rows into
+# calls of at most this size, and the class audit's chunks of samples hold
+# as many samples as keep their terms within it.  Such calls allocate
 # and free no array of 3 MB or more, whose release would move glibc's mmap
 # threshold and with it the speed of every later large transform in the
 # process.  It also sizes the transform workspace (_workspace), which
@@ -145,8 +145,9 @@ def finite_sup(x: np.ndarray) -> float:
 
 def row_sups(x: np.ndarray) -> np.ndarray:
     """max |x| along the last axis, without an |x| temporary; zeros come
-    out +0.0, as in _sup."""
-    return np.maximum(x.max(axis=-1), -x.min(axis=-1)) + 0.0
+    out +0.0, as in _sup.  The ufunc reductions skip ndarray.max's Python
+    wrapper, about 1.5 us per call on the one-field norms path."""
+    return np.maximum(np.maximum.reduce(x, axis=-1), -np.minimum.reduce(x, axis=-1)) + 0.0
 
 
 def clean_spectra(samples: np.ndarray) -> np.ndarray:
@@ -241,6 +242,8 @@ def _order_sups(spectra: np.ndarray, n_points: int, orders: Sequence[int]) -> np
     """sup |d^k f|, (rows, len(orders)), for each row f of a stack of
     clean_spectra and each of the ascending orders, inverted in runs of
     BATCH_POINTS // (n_points * rows) orders, and at least one, per irfft.
+    FieldSpectrum.norms passes batches of rows whose every order fits one
+    such call, or one row.
     A call of at most BATCH_POINTS samples takes the transform workspace,
     so it faults in no fresh pages; a larger one (one order of a row over
     BATCH_POINTS points) takes a fresh product and output."""
@@ -301,7 +304,9 @@ class NormVector:
 
 class FieldSpectrum:
     """The cleaned half spectra of one field or a stack of them, (...,
-    n_points), and the derivatives and C^k norms read from them.
+    n_points), and the derivatives and C^k norms read from them: norms is
+    the one norm method, for one field or a stack, and ck_norm its
+    validated view of one field.
 
     samples is a GridFunction, read as its samples, or a sample array.  The
     spectra are given (clean_spectra of samples; the holder makes the given
@@ -353,33 +358,53 @@ class FieldSpectrum:
             self._derivatives[order] = d
         return self._derivatives[order]
 
-    def ck_norm(self, k_max: int) -> NormVector:
-        """Norms ||f||_0 .. ||f||_k_max of one field, each the max
-        derivative sup up to order k; a stack raises ValueError (ck_norms
-        norms stacks).  Orders kept by derivative are read, not recomputed;
-        the orders computed here are not kept.
+    def norms(self, k_max: int) -> np.ndarray:
+        """Norms ||f||_0 .. ||f||_k_max of every row f, (..., k_max + 1),
+        each the running max of the derivative sups up to order k,
+        unvalidated: a non-finite sup stays in it, and a NaN one spreads to
+        every higher order.  Orders kept by derivative are read, not
+        recomputed; the orders computed here are not kept.
 
-        The missing orders go to _order_sups as one row (one irfft for up to
-        32 orders at 2048 points, one per order at 65536).  The running max
-        keeps a NaN sup, so a derivative that overflowed raises ValueError.
+        The missing orders go to _order_sups in batches of as many rows as
+        keep their inverse within BATCH_POINTS samples, and at least one:
+        one irfft for up to 32 orders of a 2048-point field, one per order
+        at 65536.  Each batch reads the holder's spectra.  When the stack
+        takes more than one batch and holds none, each batch takes its own
+        spectra and drops them, so no spectrum of the whole stack is made.
 
         Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points;
         experiments at frequency lam must additionally keep n_points >=
         RESOLUTION_FACTOR * lam * (k_max + 1) (enforced where lam is known:
         the CLI's config checks and verify.audit_classes).
         """
-        if self.samples.ndim != 1:
-            raise ValueError(f"ck_norm norms one field, not a stack of shape "
-                             f"{self.samples.shape}; use ck_norms")
         n = self.n_points
         _check_orders(n, k_max)
-        sups = {k: _sup(d) for k, d in self._derivatives.items() if k <= k_max}
-        missing = [k for k in range(1, k_max + 1) if k not in sups]
+        rows = self.samples.reshape(-1, n)
+        norms = np.empty((len(rows), k_max + 1))
+        norms[:, 0] = row_sups(rows)
+        for k, d in self._derivatives.items():
+            if k <= k_max:
+                norms[:, k] = row_sups(d.reshape(-1, n))
+        missing = [k for k in range(1, k_max + 1) if k not in self._derivatives]
         if missing:
-            found = _order_sups(self.spectrum()[np.newaxis], n, missing)
-            sups.update(zip(missing, found[0].tolist()))
-        values = [_sup(self.samples)] + [sups[k] for k in range(1, k_max + 1)]
-        return NormVector(tuple(np.maximum.accumulate(values).tolist()))
+            per_batch = max(1, BATCH_POINTS // (n * len(missing)))
+            spectra = (None if self._spectrum is None and per_batch < len(rows)
+                       else self.spectrum().reshape(-1, n // 2 + 1))
+            for start in range(0, len(rows), per_batch):
+                batch = slice(start, start + per_batch)
+                spec = clean_spectra(rows[batch]) if spectra is None else spectra[batch]
+                norms[batch, missing] = _order_sups(spec, n, missing)
+        return np.maximum.accumulate(norms, axis=1).reshape(
+            self.samples.shape[:-1] + (k_max + 1,))
+
+    def ck_norm(self, k_max: int) -> NormVector:
+        """The norms of one field as a NormVector, which raises ValueError
+        for a non-finite one, as from a derivative that overflowed; a stack
+        raises ValueError (its rows are normed by norms)."""
+        if self.samples.ndim != 1:
+            raise ValueError(f"ck_norm norms one field, not a stack of shape "
+                             f"{self.samples.shape}; use norms")
+        return NormVector(tuple(self.norms(k_max).tolist()))
 
 
 def derivative(f: GridFunction, order: int = 1) -> GridFunction:
@@ -392,40 +417,6 @@ def derivative(f: GridFunction, order: int = 1) -> GridFunction:
 def ck_norm(f: GridFunction, k_max: int) -> NormVector:
     """Norms ||f||_0 .. ||f||_k_max (see FieldSpectrum.ck_norm)."""
     return FieldSpectrum(f).ck_norm(k_max)
-
-
-def norm_batch_rows(n_points: int, k_max: int) -> int:
-    """Rows ck_norms transforms per call: as many as keep the inverse of
-    every order 1..k_max at or below BATCH_POINTS samples, and at least one."""
-    return max(1, BATCH_POINTS // (n_points * max(k_max, 1)))
-
-
-def ck_norms(rows: np.ndarray, k_max: int,
-             spectra: Optional[np.ndarray] = None) -> np.ndarray:
-    """Norms 0..k_max of each row of a (fields, n_points) array of samples:
-    out[i] holds, bit for bit, the values of ck_norm(row i as a field,
-    k_max).  spectra, when given, holds the rows' clean_spectra, which are
-    then read instead of taken again.
-
-    The many-field path.  Rows go through clean_spectra in contiguous
-    batches of norm_batch_rows, and each batch's orders through
-    _order_sups: one irfft call for every order of a batch, or, for a row
-    too long for that, calls of at most BATCH_POINTS samples.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    count, n = rows.shape
-    _check_orders(n, k_max)
-    norms = np.empty((count, k_max + 1))
-    norms[:, 0] = row_sups(rows)
-    if k_max == 0:
-        return norms
-    per_batch = norm_batch_rows(n, k_max)
-    for start in range(0, count, per_batch):
-        batch = slice(start, start + per_batch)
-        spec = clean_spectra(rows[batch]) if spectra is None else spectra[batch]
-        norms[batch, 1:] = _order_sups(spec, n, range(1, k_max + 1))
-    # ck_norm's running max: ||f||_k = max_{j <= k} sup |d^j f|.
-    return np.maximum.accumulate(norms, axis=1)
 
 
 def mollify(f: GridFunction, ell: float) -> GridFunction:

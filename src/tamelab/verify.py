@@ -24,7 +24,6 @@ from .gridfield import (
     GridFunction,
     ResolutionError,
     ck_norm,
-    ck_norms,
     clean_spectra,
     oscillator,
     random_trig_polynomial,
@@ -109,16 +108,15 @@ def _chunk_arguments(drawn: np.ndarray, keys: Sequence[tuple[int, int]],
     """The arguments of a chunk, drawn (arguments, chunk, n_points), each
     held with its spectra as the terms read it, and the norms 0..top of
     each (argument, order) field in keys, (chunk, len(keys), top + 1),
-    ck_norm's values, from one ck_norms and two clean_spectra calls."""
+    ck_norm's values, from one FieldSpectrum.norms and two clean_spectra
+    calls."""
     args = [FieldSpectrum(*pair) for pair in zip(drawn, clean_spectra(drawn))]
     rows = np.stack([args[arg].derivative(order) for arg, order in keys], 1)
     spectra = np.stack([args[arg].spectrum() for arg, _ in keys], 1)
     derived = [row for row, (_, order) in enumerate(keys) if order]
     if derived:
         spectra[:, derived] = clean_spectra(rows[:, derived])
-    norms = ck_norms(rows.reshape(-1, rows.shape[-1]), top,
-                     spectra.reshape(-1, spectra.shape[-1]))
-    return args, norms.reshape(len(rows), len(keys), top + 1)
+    return args, FieldSpectrum(rows, spectra).norms(top)
 
 
 def _class_estimates(bound_class: BoundClass, norms: np.ndarray,
@@ -182,9 +180,10 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     The pass goes over chunks of as many samples as keep samples x pairs x
     frequencies x n_points within BATCH_POINTS (at least one; 2 at 2048
     points, 1 from 4096).  Per chunk (see _chunk_arguments), each term is
-    evaluated once over the chunk and the frequency grid, and one ck_norms
-    call norms the terms of as many pairs as fit BATCH_POINTS samples (at
-    least one).  The estimates and worst ratios are then taken at once.
+    evaluated once over the chunk and the frequency grid, and one
+    FieldSpectrum.norms call norms the terms of as many pairs as fit
+    BATCH_POINTS samples (at least one).  The estimates and worst ratios
+    are then taken at once.
 
     A term that is not one field on the audit grid at each frequency raises
     ValueError.  Raises ResolutionError, before drawing, when the grid
@@ -239,7 +238,7 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
                                  f"field per frequency on the {n}-point audit grid")
             out[:] = r
         with np.errstate(over="ignore", invalid="ignore"):
-            values = ck_norms(block.reshape(-1, n), k_max)
+            values = FieldSpectrum(block).norms(k_max).reshape(-1, k_max + 1)
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size and np.isnan(values[bad[0], 0]):
             raise ValueError(NON_FINITE)

@@ -21,7 +21,6 @@ from tamelab.gridfield import (
     axpy,
     check_grids,
     ck_norm,
-    ck_norms,
     clean_spectra,
     coordinates,
     derivative,
@@ -30,7 +29,6 @@ from tamelab.gridfield import (
     _order_block,
     _workspace,
     mollify,
-    norm_batch_rows,
     oscillator,
     random_trig_polynomial,
     random_trig_rows,
@@ -316,8 +314,8 @@ class TestCkNorm:
     @pytest.mark.parametrize("n, k_max", [(2048, 120), (65536, 72), (65536, 200)])
     def test_overflowed_orders_raise(self, n, k_max):
         # Past the order where (n/2)^k overflows, every derivative would be
-        # NaN (0 * inf at the dust-cut modes).  ck_norm, ck_norms and
-        # derivative refuse such an order before the multiplier block is
+        # NaN (0 * inf at the dust-cut modes).  ck_norm, norms of a stack
+        # and derivative refuse such an order before the multiplier block is
         # built: no block, no overflow warning (warnings fail the suite).
         # At 65536 points the orders go through the transform workspace.
         # The norms up to the top finite order stay finite.
@@ -326,7 +324,7 @@ class TestCkNorm:
         assert top == resolved_top_order(n)
         tracemalloc.start()
         try:
-            for call in (ck_norm, lambda f, k: ck_norms(f.samples[np.newaxis], k),
+            for call in (ck_norm, lambda f, k: FieldSpectrum(f.samples[np.newaxis]).norms(k),
                          lambda f, k: FieldSpectrum(f).derivative(k)):
                 with pytest.raises(ResolutionError, match=f"finite to order {top}$"):
                     call(f, k_max)
@@ -334,7 +332,7 @@ class TestCkNorm:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
-        assert np.isfinite(ck_norms(f.samples[np.newaxis], top)).all()
+        assert np.isfinite(FieldSpectrum(f.samples[np.newaxis]).norms(top)).all()
 
     def test_zero_field_norms_are_positive_zero(self):
         for f in (GridFunction.zeros(64), GridFunction.constant(-0.0, 64)):
@@ -396,9 +394,9 @@ class TestWorkspace:
             FieldSpectrum(f).ck_norm(6)
             now = _workspace()
             assert now[0] is spec and now[1] is samples
-        # ck_norms of one 65536-point row takes one order per call in the
-        # workspace, which holds the last order's derivative after it.
-        ck_norms(f.samples[np.newaxis], 3)
+        # norms of a stack of one 65536-point row take one order per call in
+        # the workspace, which holds the last order's derivative after it.
+        FieldSpectrum(f.samples[np.newaxis]).norms(3)
         now = _workspace()
         assert now[0] is spec and now[1] is samples
         assert np.array_equal(samples, derivative(f, 3).samples)
@@ -431,10 +429,10 @@ class TestWorkspace:
         # is the smallest grid that norms an order.
         rows = random_trig_rows(np.random.default_rng(n), n, count, max_mode=1)
         spectra = clean_spectra(rows)
-        want = ck_norms(rows, k_max, spectra)
+        want = FieldSpectrum(rows, spectra).norms(k_max)
         tracemalloc.start()
         try:
-            got = ck_norms(rows, k_max, spectra)
+            got = FieldSpectrum(rows, spectra).norms(k_max)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -505,9 +503,10 @@ class TestStackedHolder:
 
     def test_ck_norm_refuses_a_stack(self):
         stack = random_trig_rows(np.random.default_rng(4), 512, 2)
-        with pytest.raises(ValueError, match="use ck_norms$"):
+        with pytest.raises(ValueError, match="use norms$"):
             FieldSpectrum(stack).ck_norm(2)
-        assert list(FieldSpectrum(stack[0]).ck_norm(2).values) == ck_norms(stack, 2)[0].tolist()
+        assert list(FieldSpectrum(stack[0]).ck_norm(2).values) == (
+            FieldSpectrum(stack).norms(2)[0].tolist())
 
 
 def norm_test_rows(n, count):
@@ -527,17 +526,25 @@ def norm_test_rows(n, count):
 class TestCkNorms:
     @pytest.mark.parametrize("n", [16, 2048, 32768, 65536])
     @pytest.mark.parametrize("k_max", [0, 1, 3])
-    def test_rows_equal_ck_norm_bit_for_bit(self, n, k_max):
-        # Enough rows to fill one batch and start the next.  ck_norm reads
-        # the held orders and inverts the rest, so with (2, 5) held it
-        # inverts orders 1 and 3, one call with a gap at 32768 points.
-        count = norm_batch_rows(n, k_max) + 3
+    def test_rows_equal_ck_norm_bit_for_bit(self, n, k_max, count_fft):
+        # Enough rows to fill one batch and start the next: norms batches
+        # as many rows as keep their inverse within BATCH_POINTS samples, and
+        # a stack with no spectra takes each batch's spectra in one rfft
+        # call.  ck_norm reads the held orders and inverts the rest, so with
+        # (2, 5) held it inverts orders 1 and 3, one call with a gap at
+        # 32768 points.
+        per_batch = max(1, BATCH_POINTS // (n * max(k_max, 1)))
+        count = per_batch + 3
         rows = norm_test_rows(n, count)
         if 8 * (k_max + 1) > n:
             with pytest.raises(ResolutionError, match="n_points >= 32"):
-                ck_norms(rows, k_max)
+                FieldSpectrum(rows).norms(k_max)
             return
-        got = ck_norms(rows, k_max)
+        log = count_fft()
+        got = FieldSpectrum(rows).norms(k_max)
+        batches = [len(rows[i:i + per_batch]) for i in range(0, count, per_batch)]
+        assert [r for name, r, _ in log.entries if name == "rfft"] == (
+            batches if k_max else [])
         assert got.shape == (count, k_max + 1)
         for row, norms in zip(rows, got):
             for held in ((), (1,), (2, 5)) if k_max else ((),):
@@ -559,13 +566,72 @@ class TestCkNorms:
         # one per call, so no call exceeds BATCH_POINTS samples.
         rows = norm_test_rows(65536, 3)
         log = count_fft()
-        ck_norms(rows, 3)
+        FieldSpectrum(rows).norms(3)
         assert log.calls == {"rfft": 3, "irfft": 9}
         assert max(r * p for _, r, p in log.entries) == BATCH_POINTS
 
     def test_negative_order_refused(self):
         with pytest.raises(ValueError, match="k_max must be >= 0"):
-            ck_norms(np.zeros((2, 64)), -1)
+            FieldSpectrum(np.zeros((2, 64))).norms(-1)
+
+
+class TestNorms:
+    @pytest.mark.parametrize("n", [2048, 65536])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["1", "3", "2x3"])
+    @pytest.mark.parametrize("given", [True, False], ids=["given", "taken"])
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "fresh"])
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_equal_one_order_per_call_reference(self, n, shape, given, kept, k_max):
+        # One field or a stack, its spectra given or taken, its first order
+        # kept by derivative or not: norms holds, bit for bit, one irfft per
+        # order of each row's cleaned spectrum and the running max.
+        count = math.prod(shape)
+        stack = norm_test_rows(n, max(count, 3))[:count].reshape(shape + (n,))
+        spectral = FieldSpectrum(stack, clean_spectra(stack) if given else None)
+        if kept:
+            spectral.derivative(1)
+        got = spectral.norms(k_max)
+        want = [one_order_per_call_ck_norm(GridFunction.from_samples(row), k_max)
+                for row in stack.reshape(-1, n)]
+        assert got.shape == shape + (k_max + 1,)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert set(spectral._derivatives) == ({1} if kept else set())
+        if not shape:
+            assert spectral.ck_norm(k_max) == NormVector(tuple(got.tolist()))
+
+    def test_batches_count_the_missing_orders(self, count_fft):
+        # With order 1 kept, norms(3) inverts two orders per row, so a batch
+        # holds 65536 // (2048 * 2) = 16 rows of 2048 points, and reads the
+        # spectra the derivative took: two irfft calls over 19 rows, and no
+        # rfft.
+        rows = norm_test_rows(2048, 19)
+        spectral = FieldSpectrum(rows)
+        spectral.derivative(1)
+        log = count_fft()
+        got = spectral.norms(3)
+        assert [(name, r) for name, r, _ in log.entries] == [("irfft", 32), ("irfft", 6)]
+        assert got.tobytes() == FieldSpectrum(rows).norms(3).tobytes()
+
+    def test_nan_sup_stays_nan(self):
+        # A NaN sample makes its row's spectrum NaN, and a NaN mode in a
+        # given spectrum makes every derivative of its row NaN, while the
+        # samples' sup stays finite.  The running max keeps each NaN at its
+        # order and above, the other rows keep their values, and ck_norm
+        # refuses such a field.
+        rows = norm_test_rows(2048, 3)
+        rows[1, 7] = np.nan
+        spectra = clean_spectra(rows)
+        spectra[2, 3] = np.nan
+        want = one_order_per_call_ck_norm(GridFunction.from_samples(rows[0]), 3)
+        taken, given = FieldSpectrum(rows).norms(3), FieldSpectrum(rows, spectra).norms(3)
+        for got in (taken, given):
+            assert np.isnan(got[1]).all()
+            assert got[0].tobytes() == np.array(want).tobytes()
+        assert np.isfinite(given[2, 0]) and np.isnan(given[2, 1:]).all()
+        with pytest.raises(ValueError, match="^norms must be finite and nonnegative"):
+            FieldSpectrum(rows[1]).ck_norm(3)
+        with pytest.raises(ValueError, match="^norms must be finite and nonnegative"):
+            FieldSpectrum(rows[2], spectra[2]).ck_norm(3)
 
 
 class TestNormVector:

@@ -312,7 +312,8 @@ class TestTransformCount:
         ids=["default", "error_only", "65536_points"])
     def test_calls_stay_within_batch_points(self, count_fft, full, overrides):
         # Build and run: no transform call takes more than BATCH_POINTS
-        # samples, and a 65536-point grid inverts one order per call.
+        # samples, and a 65536-point grid inverts one order per call, in
+        # the calls of the fine-grid benchmark operation.
         params = replace(IterationParams(), **overrides)
         log = count_fft()
         trace = run(make_scalar_toy(params, 0.2), full=full)
@@ -320,6 +321,7 @@ class TestTransformCount:
         assert max(rows * points for _, rows, points in log.entries) <= BATCH_POINTS
         if params.n_points == 65536:
             assert {rows for name, rows, _ in log.entries if name == "irfft"} == {1}
+            assert log.calls == {"rfft": 21, "irfft": 82}
 
 
 @pytest.fixture

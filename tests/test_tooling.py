@@ -87,19 +87,21 @@ def test_layering():
     # polyfit, polyval or numpy's linalg: the decay fits are closed-form,
     # and a first LAPACK call leaves about 1 MB resident.  Only gridfield
     # names numpy's fft, so every transform takes the one spectral path and
-    # batching stays in ck_norms.  Only problem raises DomainEscape, so the
-    # domain of F is checked in one place.  No line names n_components:
-    # every field is one 1-D sample array.  Only gridfield names its
-    # transform workspace, so no view of it escapes the module, and its
-    # derivative kernel; inside it only _derivative_spectra reads the
-    # multiplier cache, so the multiplier form is known in one place.  Only
-    # gridfield names bit_length, where the finite-order rule lives, and
-    # only problem constructs a BoundClass, so every class is declared there.
-    # Only problem and ledger hold a class kind as a string, so the records
-    # and the ledger's formula are the only places that read a kind's name.
-    # In verify, audit_classes and class_bound_rhs both call
-    # _chunk_arguments, so the audit and the one-sample estimate share the
-    # chunk path for argument norms.
+    # batching stays in gridfield.  No module defines or names ck_norms or
+    # norm_batch_rows: FieldSpectrum.norms is the one norm method for a
+    # field or a stack, and holds the batch rule.  Only problem raises
+    # DomainEscape, so the domain of F is checked in one place.  No line
+    # names n_components: every field is one 1-D sample array.  Only
+    # gridfield names its transform workspace, so no view of it escapes the
+    # module, and its derivative kernel; inside it only _derivative_spectra
+    # reads the multiplier cache, so the multiplier form is known in one
+    # place.  Only gridfield names bit_length, where the finite-order rule
+    # lives, and only problem constructs a BoundClass, so every class is
+    # declared there.  Only problem and ledger hold a class kind as a
+    # string, so the records and the ledger's formula are the only places
+    # that read a kind's name.  In verify, audit_classes and class_bound_rhs
+    # both call _chunk_arguments, so the audit and the one-sample estimate
+    # share the chunk path for argument norms.
     builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
                 "with_self_interaction"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
@@ -108,6 +110,9 @@ def test_layering():
         module, nodes = path.stem, list(ast.walk(ast.parse(source)))
         names = {_name(n) for n in nodes}.union(*map(_dotted_parts, nodes))
         assert not {"polyfit", "polyval", "linalg"} & names, module
+        defined = {n.name for n in nodes
+                   if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert not {"ck_norms", "norm_batch_rows"} & (names | defined), module
         if module != "gridfield":
             assert not {"fft", "_workspace", "_order_block", "_derivative_spectra",
                         "_order_sups", "bit_length"} & names, module

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tamelab import verify
 from tamelab.cli import load_experiment_config, main
 from tamelab.gridfield import (
     BATCH_POINTS,
@@ -18,7 +17,6 @@ from tamelab.gridfield import (
     ResolutionError,
     ck_norm,
     derivative,
-    norm_batch_rows,
     oscillator,
     random_trig_polynomial,
 )
@@ -236,9 +234,10 @@ class TestAuditClasses:
     def test_one_row_batches_equal_per_field_reference(self, n_points):
         # 16384 * 3 orders fill more than half of BATCH_POINTS: each batch
         # holds one measured field, and each chunk one sample.  At 65536 a
-        # term's three frequencies take three BATCH_POINTS rows.
+        # term's three frequencies take three BATCH_POINTS rows.  The rows
+        # per batch follow FieldSpectrum.norms' rule for three orders.
         p = IterationParams(n_points=n_points, seed=5)
-        assert norm_batch_rows(p.n_points, 3) == 1
+        assert max(1, BATCH_POINTS // (p.n_points * 3)) == 1
         pairs = stock_pairs()[3:]
         assert ([r.constants_by_lambda
                  for r in audit_classes(pairs, p, n_samples=10)]
@@ -270,7 +269,7 @@ class TestAuditClasses:
 
     def test_overflowing_norms_name_their_pair(self):
         # At ell = 1e-154 the R2 term is finite and its norms overflow.  At
-        # 16384 points each pair is normed in its own ck_norms call, after
+        # 16384 points each pair is normed in its own norms call, after
         # R1's.
         p = IterationParams(n_points=16384, ell=1e-154)
         with np.errstate(over="raise", invalid="raise"):
@@ -304,7 +303,7 @@ class TestAuditClasses:
 
     # The R2 pair fails: its norms overflow at 1e-154, its prefactor at
     # 1e-155.  Each term evaluated up to its batch takes one call over the
-    # chunk's samples and the three frequencies.  ck_norms takes one call
+    # chunk's samples and the three frequencies.  norms takes one call
     # for the chunk's a, b and their derivatives, then one per batch of
     # pairs up to the failing one.  The first chunk holds one sample at
     # 16384 points and two at 2048.
@@ -314,18 +313,18 @@ class TestAuditClasses:
     def test_overflowing_audit_computes_nothing_twice(self, monkeypatch, n_points,
                                                       ell, terms, rows):
         lams_per_call, rows_per_call = [], []
-        samples, norms = RemainderTerm._samples, verify.ck_norms
+        samples, norms = RemainderTerm._samples, FieldSpectrum.norms
 
         def spy_samples(self, a, b, lams, *args):
             lams_per_call.append(len(lams))
             return samples(self, a, b, lams, *args)
 
-        def spy_norms(block, *args):
-            rows_per_call.append(len(block))
-            return norms(block, *args)
+        def spy_norms(self, k_max):
+            rows_per_call.append(self.samples[..., 0].size)
+            return norms(self, k_max)
 
         monkeypatch.setattr(RemainderTerm, "_samples", spy_samples)
-        monkeypatch.setattr(verify, "ck_norms", spy_norms)
+        monkeypatch.setattr(FieldSpectrum, "norms", spy_norms)
         p = IterationParams(n_points=n_points, ell=ell)
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(FloatingPointError, match="class R2 term"):
@@ -359,7 +358,7 @@ class TestAuditClasses:
     def test_transform_calls_stay_within_batch_points(self, count_fft):
         # Freeing a transform buffer of about 3 MB or more moves glibc's
         # mmap threshold, and with it the speed of every later 64K-point
-        # transform in the process (test_gridfield checks ck_norms at 65536).
+        # transform in the process (test_gridfield checks norms at 65536).
         # From 4096 points a chunk holds one sample, and from 8192 its pairs
         # are split over norm calls.
         for p in (audit_cfg_params(), IterationParams(n_points=16384),
@@ -422,11 +421,11 @@ class TestAuditClasses:
         # frequencies x 2048 points fit BATCH_POINTS).  Per chunk: a and b
         # drawn by angle addition, with no transform, and their spectra in
         # one rfft of 4 rows.  d/dx a and d/dx b: one irfft of 2 rows each.
-        # Argument norms: a, b, da and db of both samples in one ck_norms
+        # Argument norms: a, b, da and db of both samples in one norms
         # call at order 4 (R4 reads ||a||_(k+1)), a batch of 65536 // (2048
         # * 4) = 8 rows: a and b read their spectra, so one rfft of da and db
         # (4 rows) and one irfft of 8 x 4 rows.  Measured norms: 2 samples x
-        # 15 rows in one ck_norms call at order 3, in batches of 65536 //
+        # 15 rows in one norms call at order 3, in batches of 65536 //
         # (2048 * 3) = 10 rows: one rfft and one irfft of 10 x 3 rows each.
         # rfft rows: 6 * (4 + 4 + 30) = 228, calls: 6 * (1 + 1 + 3) = 30.
         # irfft rows: 6 * (4 + 32 + 90) = 756, calls: 6 * (2 + 1 + 3) = 36.
