@@ -34,15 +34,16 @@ SPECTRAL_DUST = 1e-13
 
 # Most real samples (over all rows) one batched transform call takes: the
 # right-inverse self-check and FieldSpectrum.norms split their rows into
-# calls of at most this size, and the class audit's chunks of samples hold
-# as many samples as keep their terms within it.  Such calls allocate
-# and free no array of 3 MB or more, whose release would move glibc's mmap
-# threshold and with it the speed of every later large transform in the
-# process.  It also sizes the transform workspace (_workspace), which
-# every norm call up to this size reuses.
+# calls of at most this size, and so do the class audit's norm calls,
+# whose chunks of samples hold terms of up to three times this many samples
+# (verify.TERM_BLOCK_BYTES).  Such calls allocate and free no array of 3 MB
+# or more, whose release would move glibc's mmap threshold and with it the
+# speed of every later large transform in the process.  It also sizes the
+# transform workspace (_workspace), which every norm call up to this size
+# reuses.
 BATCH_POINTS = 1 << 16
 
-# Most output points one BLAS product of random_trig_rows computes.  A
+# Most output points one BLAS product of trig_rows computes.  A
 # 65536-point row in one product is a 256 x 256 x 16 gemm, which OpenBLAS
 # splits over worker threads: with default threads on a 2-vCPU host it took
 # about 360 us, and four times the CPU time, where the capped products take
@@ -497,27 +498,37 @@ def _angle_tables(n_points: int,
     return tables
 
 
-def random_trig_rows(rng: np.random.Generator, n_points: int, count: int,
-                     max_mode: int = 8) -> np.ndarray:
-    """count random low-mode trigonometric polynomials as the contiguous
-    rows of a (count, n_points) array.
+def trig_coefficients(rng: np.random.Generator, count: int = 1,
+                      max_mode: int = 8) -> np.ndarray:
+    """count rows of uniform[-1, 1] coefficients of modes 1..max_mode,
+    (count, max_mode, 2), cosine then sine, drawn as (row, mode, cos/sin)
+    in that nesting order by one uniform call, so count rows consume the
+    generator as count one-row draws do."""
+    return rng.uniform(-1.0, 1.0, size=(count, max_mode, 2))
 
-    Modes 1..max_mode with uniform[-1, 1] sine/cosine coefficients, drawn
-    as (row, mode, cos/sin) in that nesting order, so count rows consume
-    the generator as count one-row draws do.  Each row is evaluated in grid
-    order by angle addition (see _angle_tables), as the real product
-    (n/R x 2 max_mode) @ (2 max_mode x R), taken in stacked blocks of at
-    most MATMUL_POINTS outputs: 4 max_mode flops per point and no
-    transform.
+
+def trig_rows(coefficients: np.ndarray, n_points: int,
+              normalize: bool = False) -> np.ndarray:
+    """The trigonometric polynomials sum_m c[m, 0] cos(m x) + c[m, 1] sin(m x)
+    of a (count, max_mode, 2) stack of trig_coefficients, as the contiguous
+    rows of a (count, n_points) array; the one reader of _angle_tables.
+
+    Each row is evaluated in grid order by angle addition (see
+    _angle_tables), as the real product (n/R x 2 max_mode) @ (2 max_mode x
+    R), taken in stacked blocks of at most MATMUL_POINTS outputs: 4
+    max_mode flops per point and no transform.  A row's bits do not depend
+    on the rows stacked with it.  With normalize, one row_sups pass scales
+    every row of nonzero sup s by 1/s, the float operations of one field's
+    scale(1.0 / s, f), and leaves a zero row as it is, without a warning.
     """
+    count, max_mode = coefficients.shape[:2]
     if max_mode > n_points // 2:
         raise ResolutionError(
             f"max_mode {max_mode} unresolved at n_points={n_points}: need "
             f"n_points >= {2 * max_mode}")
-    coeffs = rng.uniform(-1.0, 1.0, size=(count, max_mode, 2))
     cos_phi, sin_phi, theta = _angle_tables(n_points, max_mode)
-    a = coeffs[:, np.newaxis, :, 0]
-    b = coeffs[:, np.newaxis, :, 1]
+    a = coefficients[:, np.newaxis, :, 0]
+    b = coefficients[:, np.newaxis, :, 1]
     # a cos(m x) + b sin(m x) = Re[(a - ib) e^{im phi}] cos(m theta)
     #                           - Im[(a - ib) e^{im phi}] sin(m theta).
     # At the Nyquist mode sin(m x) vanishes on the grid; b's term there is
@@ -526,22 +537,25 @@ def random_trig_rows(rng: np.random.Generator, n_points: int, count: int,
                           axis=-1)
     per_block = min(len(cos_phi), max(1, MATMUL_POINTS // theta.shape[1]))
     blocks = left.reshape(count, -1, per_block, 2 * max_mode)
-    return np.matmul(blocks, theta).reshape(count, n_points)
+    rows = np.matmul(blocks, theta).reshape(count, n_points)
+    if normalize:
+        sups = row_sups(rows)
+        rows *= np.divide(1.0, sups, out=np.ones_like(sups),
+                          where=sups > 0)[:, np.newaxis]
+    return rows
 
 
 def random_trig_polynomial(rng: np.random.Generator, n_points: int,
                            max_mode: int = 8, normalize: bool = True) -> GridFunction:
     """Random low-mode trigonometric polynomial, optionally with sup norm 1.
 
-    It is one random_trig_rows row; low modes keep every norm grid-exact
-    regardless of the experiment scale.
+    It is the one trig_rows row of one trig_coefficients draw; low modes
+    keep every norm grid-exact regardless of the experiment scale.  The
+    class audit and the right-inverse self-check draw the same rows in
+    stacks, through the same two functions.
     """
-    f = GridFunction(n_points, random_trig_rows(rng, n_points, 1, max_mode)[0])
-    if normalize:
-        s = f.sup()
-        if s > 0:
-            f = scale(1.0 / s, f)
-    return f
+    return GridFunction(n_points, trig_rows(trig_coefficients(rng, 1, max_mode),
+                                            n_points, normalize)[0])
 
 
 def refine(f: GridFunction, factor: int) -> GridFunction:

@@ -27,8 +27,9 @@ from .gridfield import (
     finite_sup,
     mollify,
     oscillator,
-    random_trig_rows,
     row_sups,
+    trig_coefficients,
+    trig_rows,
 )
 
 RIGHT_INVERSE_TOL = 1e-10
@@ -340,8 +341,8 @@ def _check_right_inverse(params: IterationParams, center: GridFunction,
     per_call = max(1, MAP_CALL_POINTS // params.n_points)
     for start in range(0, n_samples, per_batch):
         count = min(per_batch, n_samples - start)
-        t_prime = random_trig_rows(rng, params.n_points, count)
-        t_prime *= (1.0 / row_sups(t_prime))[:, np.newaxis]
+        t_prime = trig_rows(trig_coefficients(rng, count), params.n_points,
+                            normalize=True)
         t_prime *= radius * rng.uniform(0.1, 0.99, size=(count, 1))
         t_prime += center.samples
         for first in range(start, start + count, per_call):

@@ -26,8 +26,9 @@ from .gridfield import (
     ck_norm,
     clean_spectra,
     oscillator,
-    random_trig_polynomial,
     refine,
+    trig_coefficients,
+    trig_rows,
 )
 from .problem import (
     BoundClass,
@@ -47,6 +48,14 @@ R5_FIT_FROM = 2
 # The self-interaction run has stalled when its slope magnitude falls below
 # R5_FACTOR times the clean run's.
 R5_FACTOR = 0.5
+# Most bytes of terms one class-audit chunk holds: its samples x pairs x
+# frequencies x n_points float64 samples stay within 1.5 MiB (3 *
+# BATCH_POINTS samples), and a chunk holds at least one sample: 6 samples
+# of the five shipped pairs at 2048 points, 3 at 4096 and 1 from 8192.
+# Larger chunks take fewer calls, but one chunk of all 12 shipped samples
+# held 2.95 MB of terms, whose release moves glibc's mmap threshold for the
+# rest of the process (see gridfield.BATCH_POINTS).
+TERM_BLOCK_BYTES = 3 << 19
 
 
 class InsufficientSteps(ValueError):
@@ -165,6 +174,20 @@ def class_bound_rhs(bound_class: BoundClass, a: GridFunction,
                                   keys, (lam,), ell, k_max)[0, 0].tolist())
 
 
+def _draw_arguments(seed: int, samples: range, arguments: int,
+                    n_points: int) -> np.ndarray:
+    """The unit-sup fields of the given samples, (arguments, samples,
+    n_points), from one angle-addition product.  Argument arg of sample idx
+    is the row of its own generator's one draw, default_rng([seed, idx,
+    arg]), so it holds the bits of random_trig_polynomial on that generator
+    whatever the pairs and the chunk."""
+    coefficients = np.concatenate([
+        trig_coefficients(np.random.default_rng([seed, idx, arg]))
+        for arg in range(arguments) for idx in samples])
+    return trig_rows(coefficients, n_points, normalize=True).reshape(
+        arguments, len(samples), n_points)
+
+
 def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
                   params: IterationParams, n_samples: int = 12, k_max: int = 3,
                   lambda_grid: Sequence[int] = DEFAULT_LAMBDA_GRID,
@@ -177,13 +200,16 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     worst measured/bound ratio per order.  Auditing a term against the
     wrong class shows up as constants that drift with the frequency.
 
-    The pass goes over chunks of as many samples as keep samples x pairs x
-    frequencies x n_points within BATCH_POINTS (at least one; 2 at 2048
-    points, 1 from 4096).  Per chunk (see _chunk_arguments), each term is
-    evaluated once over the chunk and the frequency grid, and one
-    FieldSpectrum.norms call norms the terms of as many pairs as fit
-    BATCH_POINTS samples (at least one).  The estimates and worst ratios
-    are then taken at once.
+    The pass goes over chunks of as many samples as keep their terms, samples
+    x pairs x frequencies x n_points, within TERM_BLOCK_BYTES (at least
+    one; 6 at 2048 points and five pairs, 3 at 4096, 1 from 8192).  Per
+    chunk, one angle-addition product draws the a and b rows (see
+    _draw_arguments), _chunk_arguments norms them, each term is evaluated
+    once over the chunk and the frequency grid, and one FieldSpectrum.norms
+    call norms the chunk's terms of as many pairs as keep one sample's terms
+    within BATCH_POINTS samples (at least one: the five shipped pairs up to
+    4096 points, two at 8192, one from 16384), in batches within
+    BATCH_POINTS.  The estimates and worst ratios are then taken at once.
 
     A term that is not one field on the audit grid at each frequency raises
     ValueError.  Raises ResolutionError, before drawing, when the grid
@@ -215,7 +241,7 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
                             for lam in lambda_grid])
     lams = len(lambda_grid)
     per_call = max(1, BATCH_POINTS // (n * lams))
-    chunk = max(1, per_call // len(pairs))
+    chunk = max(1, TERM_BLOCK_BYTES // (8 * n * lams * len(pairs)))
     rows = np.empty((chunk, min(per_call, len(pairs)), lams, n))
     argument_norms = np.empty((n_samples, len(keys), top + 1))
     measured = np.empty((n_samples, len(pairs) * lams, k_max + 1))
@@ -251,11 +277,8 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
 
     for first in range(0, n_samples, chunk):
         done = range(first, min(first + chunk, n_samples))
-        # Seeding per sample keeps the fields independent of pairs and chunks.
-        args, argument_norms[first:done.stop] = _chunk_arguments(np.stack([[
-            random_trig_polynomial(np.random.default_rng([params.seed, idx, arg]),
-                                   n).samples for idx in done]
-            for arg in range(1 + draw_b)]), keys, top)
+        args, argument_norms[first:done.stop] = _chunk_arguments(
+            _draw_arguments(params.seed, done, 1 + draw_b, n), keys, top)
         for start in range(0, len(pairs), per_call):
             group = pairs[start:start + per_call]
             measured[first:done.stop, start * lams:(start + len(group)) * lams] = (

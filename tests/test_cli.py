@@ -685,8 +685,9 @@ class TestPipelineDeterminism:
     def test_fine_grid_rows_independent_of_blas_threads(self):
         # at 65536 points the product is large enough for BLAS to split
         script = ("import hashlib, numpy as np; "
-                  "from tamelab.gridfield import random_trig_rows; "
-                  "rows = random_trig_rows(np.random.default_rng(1), 1 << 16, 4); "
+                  "from tamelab.gridfield import trig_coefficients, trig_rows; "
+                  "rows = trig_rows(trig_coefficients(np.random.default_rng(1), 4), "
+                  "1 << 16); "
                   "print(hashlib.sha256(rows.tobytes()).hexdigest())")
         assert self.child(["-c", script], 1) == self.child(["-c", script], 2)
 

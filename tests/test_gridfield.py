@@ -31,9 +31,10 @@ from tamelab.gridfield import (
     mollify,
     oscillator,
     random_trig_polynomial,
-    random_trig_rows,
     refine,
     top_finite_order,
+    trig_coefficients,
+    trig_rows,
 )
 
 HYP = dict(max_examples=25, deadline=None, derandomize=True)
@@ -427,7 +428,8 @@ class TestWorkspace:
         # back and fault in again on every call.  Fresh arrays peak at 0.96
         # to 1.3 MiB here; the workspace leaves 130 to 230 KiB.  16 points
         # is the smallest grid that norms an order.
-        rows = random_trig_rows(np.random.default_rng(n), n, count, max_mode=1)
+        rows = trig_rows(trig_coefficients(np.random.default_rng(n), count,
+                                           max_mode=1), n)
         spectra = clean_spectra(rows)
         want = FieldSpectrum(rows, spectra).norms(k_max)
         tracemalloc.start()
@@ -467,7 +469,8 @@ class TestStackedHolder:
         # over the whole stack (as the class audit passes them) or taken on
         # first use (one rfft call at 2048 points, one per row at 65536),
         # holds each row's own spectrum and derivatives bit for bit.
-        stack = random_trig_rows(np.random.default_rng(n), n, 6).reshape(2, 3, n)
+        stack = trig_rows(trig_coefficients(np.random.default_rng(n), 6),
+                          n).reshape(2, 3, n)
         spectral = FieldSpectrum(stack, clean_spectra(stack) if given else None)
         assert spectral.n_points == n
         assert spectral.derivative(0) is stack
@@ -483,7 +486,7 @@ class TestStackedHolder:
     def test_kept_orders_are_read_only_and_returned_by_identity(self, given):
         # A given spectrum is kept read-only as a taken one is, also when it
         # is a row view of a larger output, as the class audit passes it.
-        stack = random_trig_rows(np.random.default_rng(3), 512, 4)
+        stack = trig_rows(trig_coefficients(np.random.default_rng(3), 4), 512)
         spectrum = clean_spectra(stack[np.newaxis])[0] if given else None
         spectral = FieldSpectrum(stack, spectrum)
         kept = [spectral.derivative(k) for k in (1, 2, 3)]
@@ -502,7 +505,7 @@ class TestStackedHolder:
         assert {n: b.shape for n, b in gridfield._ORDER_BLOCKS.items()} == before
 
     def test_ck_norm_refuses_a_stack(self):
-        stack = random_trig_rows(np.random.default_rng(4), 512, 2)
+        stack = trig_rows(trig_coefficients(np.random.default_rng(4), 2), 512)
         with pytest.raises(ValueError, match="use norms$"):
             FieldSpectrum(stack).ck_norm(2)
         assert list(FieldSpectrum(stack[0]).ck_norm(2).values) == (
@@ -514,7 +517,7 @@ def norm_test_rows(n, count):
     1e6, so one batch mixes very different dust floors, with an all-zero
     row, a -0.0 row and a row whose dust cut zeroes coefficients."""
     rng = np.random.default_rng(n + count)
-    rows = random_trig_rows(rng, n, count, max_mode=min(8, n // 2))
+    rows = trig_rows(trig_coefficients(rng, count, max_mode=min(8, n // 2)), n)
     rows *= 10.0 ** rng.uniform(-20, 6, size=(count, 1))
     x = grid_x(n)
     rows[0] = np.cos(3 * x) + 1e-15 * rng.standard_normal(n)
@@ -873,7 +876,7 @@ class TestRandomTrigRows:
     @pytest.mark.parametrize("n", SIZES)
     def test_matches_inverse_transform(self, n):
         rng, rng_ref = (np.random.default_rng([n, 2]) for _ in range(2))
-        rows = random_trig_rows(rng, n, 3)
+        rows = trig_rows(trig_coefficients(rng, 3), n)
         want, coeffs = irfft_trig_rows(rng_ref, n, 3)
         assert rows.shape == (3, n) and rows.flags.c_contiguous
         size = np.abs(coeffs).sum(axis=(1, 2))
@@ -883,7 +886,7 @@ class TestRandomTrigRows:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_row_j_is_the_polynomial_at_x_j(self, n):
-        rows = random_trig_rows(np.random.default_rng([n, 3]), n, 2)
+        rows = trig_rows(trig_coefficients(np.random.default_rng([n, 3]), 2), n)
         coeffs = np.random.default_rng([n, 3]).uniform(-1.0, 1.0, size=(2, 8, 2))
         j = np.arange(n)
         for row, c in zip(rows, coeffs):
@@ -899,7 +902,7 @@ class TestRandomTrigRows:
     def test_blocked_products_equal_one_matmul(self, n, count):
         # Products capped at MATMUL_POINTS outputs give the bits of one
         # unchunked product per row.
-        rows = random_trig_rows(np.random.default_rng([n, count]), n, count)
+        rows = trig_rows(trig_coefficients(np.random.default_rng([n, count]), count), n)
         coeffs = np.random.default_rng([n, count]).uniform(-1.0, 1.0, size=(count, 8, 2))
         cos_phi, sin_phi, theta = _angle_tables(n, 8)
         a, b = coeffs[:, np.newaxis, :, 0], coeffs[:, np.newaxis, :, 1]
@@ -910,10 +913,25 @@ class TestRandomTrigRows:
 
     @pytest.mark.parametrize("n", [16, 4096, 65536])
     def test_batched_rows_equal_one_row_draws(self, n):
-        rows = random_trig_rows(np.random.default_rng(7), n, 5)
+        rows = trig_rows(trig_coefficients(np.random.default_rng(7), 5), n)
         rng = np.random.default_rng(7)
-        alone = [random_trig_rows(rng, n, 1)[0] for _ in range(5)]
+        alone = [trig_rows(trig_coefficients(rng), n)[0] for _ in range(5)]
         assert rows.tobytes() == np.stack(alone).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 2048])
+    def test_normalized_zero_row_stays_zero(self, n):
+        # The s > 0 rule of random_trig_polynomial: a zero row is left as it
+        # is, with no division, warning or floating-point error, and the
+        # other rows hold the bits of their one-field draws.
+        coefficients = trig_coefficients(np.random.default_rng(2), 3)
+        coefficients[1] = 0.0
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rows = trig_rows(coefficients, n, normalize=True)
+        assert not rows[1].any()
+        rng = np.random.default_rng(2)
+        fields = [random_trig_polynomial(rng, n) for _ in range(3)]
+        for i in (0, 2):
+            assert rows[i].tobytes() == fields[i].samples.tobytes()
 
 
 class TestRandomTrigPolynomial:

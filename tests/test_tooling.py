@@ -101,7 +101,11 @@ def test_layering():
     # string, so the records and the ledger's formula are the only places
     # that read a kind's name.  In verify, audit_classes and class_bound_rhs
     # both call _chunk_arguments, so the audit and the one-sample estimate
-    # share the chunk path for argument norms.
+    # share the chunk path for argument norms, and no line names
+    # random_trig_polynomial: the audit draws each chunk through
+    # trig_coefficients and trig_rows.  Inside gridfield only trig_rows
+    # reads the angle tables, so the self-check, the audit and
+    # random_trig_polynomial evaluate their rows in one place.
     builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
                 "with_self_interaction"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
@@ -119,6 +123,8 @@ def test_layering():
         else:
             callers = _callers(nodes, "_order_block")
             assert callers == {"_derivative_spectra"}, callers
+            callers = _callers(nodes, "_angle_tables")
+            assert callers == {"trig_rows"}, callers
         if module != "problem":
             raised = {_name(getattr(n.exc, "func", n.exc)) for n in nodes
                       if isinstance(n, ast.Raise) and n.exc is not None}
@@ -131,6 +137,7 @@ def test_layering():
         if module == "verify":
             callers = _callers(nodes, "_chunk_arguments")
             assert callers == {"audit_classes", "class_bound_rhs"}, callers
+            assert "random_trig_polynomial" not in names, module
         if module not in ("problem", "cli"):
             assert not builders & names, module
         if module not in ("iteration", "cli"):

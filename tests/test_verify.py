@@ -19,7 +19,9 @@ from tamelab.gridfield import (
     derivative,
     oscillator,
     random_trig_polynomial,
+    trig_coefficients,
 )
+from tamelab import verify
 from tamelab.iteration import IterationTrace, StepNorms, run
 from tamelab.problem import (
     R1,
@@ -122,22 +124,29 @@ class TestVerifyRemainderClass:
 
     def test_fields_drawn_once_per_sample(self, monkeypatch):
         # one a and one b per sample, reused across the three frequencies
-        import tamelab.verify as verify_module
-        drawn = []
-
-        def counting(*args, **kwargs):
-            drawn.append(1)
-            return random_trig_polynomial(*args, **kwargs)
-
-        monkeypatch.setattr(verify_module, "random_trig_polynomial", counting)
+        drawn = count_draws(monkeypatch)
         verify_remainder_class(RemainderTerm(R2), R2, IterationParams(seed=2),
                                n_samples=10, k_max=1)
-        assert len(drawn) == 2 * 10
+        assert drawn == [1] * (2 * 10)
 
     def test_sample_count_precondition(self):
         with pytest.raises(ValueError, match="n_samples"):
             verify_remainder_class(RemainderTerm(R1), R1, IterationParams(),
                                    n_samples=9)
+
+
+def count_draws(monkeypatch):
+    """The rows of each coefficient draw the audit makes from now on, in
+    order: a list that its trig_coefficients, wrapped, appends to."""
+    drawn = []
+
+    def counting(*args, **kwargs):
+        coefficients = trig_coefficients(*args, **kwargs)
+        drawn.append(len(coefficients))
+        return coefficients
+
+    monkeypatch.setattr(verify, "trig_coefficients", counting)
+    return drawn
 
 
 def audit_cfg_params():
@@ -201,9 +210,13 @@ def reference_constants(term, bound_class, p, seed, n_samples=12, k_max=3,
 
 
 class TestAuditClasses:
-    # At 2048 points a chunk holds 1 sample of the 7 mixed pairs, 2 of the
-    # 5 stock pairs and 3 of the 3 linear ones: with 11 or 13 samples the
-    # last chunk holds one.  Linear classes alone draw no b.
+    # A chunk holds as many samples as keep samples x pairs x 3 frequencies
+    # x 2048 points within TERM_BLOCK_BYTES / 8 = 196,608 samples: 196,608
+    # // (6,144 x 7) = 4 of the 7 mixed pairs, // (6,144 x 5) = 6 of the 5
+    # stock pairs and // (6,144 x 3) = 10 of the 3 linear ones.  So 11
+    # stock samples take chunks of 6 and 5, 13 take 6, 6 and a last chunk
+    # of one, and 13 linear-only samples 10 and 3.  Linear classes alone
+    # draw no b.
     @pytest.mark.parametrize("seed, n_samples, pair_list", [
         *(pytest.param(seed, 12, "mixed", id=str(seed)) for seed in (0, 3, 11, 42)),
         pytest.param(3, 11, "stock", id="11-samples"),
@@ -304,12 +317,16 @@ class TestAuditClasses:
     # The R2 pair fails: its norms overflow at 1e-154, its prefactor at
     # 1e-155.  Each term evaluated up to its batch takes one call over the
     # chunk's samples and the three frequencies.  norms takes one call
-    # for the chunk's a, b and their derivatives, then one per batch of
-    # pairs up to the failing one.  The first chunk holds one sample at
-    # 16384 points and two at 2048.
+    # for the chunk's a, b and their derivatives (4 rows per sample), then
+    # one per batch of pairs up to the failing one (3 rows per pair and
+    # sample).  The first chunk holds 196,608 // (16,384 x 15) = 0, so one,
+    # sample at 16384 points, whose pairs take a call each (65,536 //
+    # (16,384 x 3) = 1 pair per call): rows 4, 3, 3.  At 2048 it holds
+    # 196,608 // (2,048 x 15) = 6 samples, all five pairs in one call: rows
+    # 6 x 4 = 24 and 6 x 5 x 3 = 90.
     @pytest.mark.parametrize("n_points, ell, terms, rows", [
         (16384, 1e-154, 2, [4, 3, 3]), (16384, 1e-155, 2, [4, 3, 3]),
-        (2048, 1e-154, 5, [8, 30]), (2048, 1e-155, 5, [8, 30])])
+        (2048, 1e-154, 5, [24, 90]), (2048, 1e-155, 5, [24, 90])])
     def test_overflowing_audit_computes_nothing_twice(self, monkeypatch, n_points,
                                                       ell, terms, rows):
         lams_per_call, rows_per_call = [], []
@@ -393,47 +410,77 @@ class TestAuditClasses:
     def test_fields_drawn_once_per_command(self, monkeypatch):
         # 12 samples of a and b, shared by all five pairs; a linear class
         # alone draws no b
-        import tamelab.verify as verify_module
-        drawn = []
-
-        def counting(*args, **kwargs):
-            drawn.append(1)
-            return random_trig_polynomial(*args, **kwargs)
-
-        monkeypatch.setattr(verify_module, "random_trig_polynomial", counting)
+        drawn = count_draws(monkeypatch)
         p = audit_cfg_params()
         audit_classes(stock_pairs(), p)
-        assert len(drawn) == 24
+        assert drawn == [1] * 24
         audit_classes([(RemainderTerm(R1), R1)], p, n_samples=10)
-        assert len(drawn) == 24 + 10
+        assert drawn == [1] * (24 + 10)
 
     def test_resolution_rule_before_drawing(self, monkeypatch):
         # lambda = 64 at k_max = 3 needs 8 * 64 * 4 = 2048 points
-        import tamelab.verify as verify_module
-        monkeypatch.setattr(verify_module, "random_trig_polynomial", None)
+        monkeypatch.setattr(verify, "trig_coefficients", None)
         with pytest.raises(ResolutionError, match="n_points >= 2048"):
             audit_classes(stock_pairs(), IterationParams(n_points=1024))
         with pytest.raises(ResolutionError, match="n_points >= 4096"):
             audit_classes(stock_pairs(), IterationParams(), lambda_grid=(128, 16))
 
     def test_transform_count(self, count_fft):
-        # 12 samples at audit.cfg, in 6 chunks of 2 (2 x 5 pairs x 3
-        # frequencies x 2048 points fit BATCH_POINTS).  Per chunk: a and b
-        # drawn by angle addition, with no transform, and their spectra in
-        # one rfft of 4 rows.  d/dx a and d/dx b: one irfft of 2 rows each.
-        # Argument norms: a, b, da and db of both samples in one norms
-        # call at order 4 (R4 reads ||a||_(k+1)), a batch of 65536 // (2048
-        # * 4) = 8 rows: a and b read their spectra, so one rfft of da and db
-        # (4 rows) and one irfft of 8 x 4 rows.  Measured norms: 2 samples x
-        # 15 rows in one norms call at order 3, in batches of 65536 //
-        # (2048 * 3) = 10 rows: one rfft and one irfft of 10 x 3 rows each.
-        # rfft rows: 6 * (4 + 4 + 30) = 228, calls: 6 * (1 + 1 + 3) = 30.
-        # irfft rows: 6 * (4 + 32 + 90) = 756, calls: 6 * (2 + 1 + 3) = 36.
+        # 12 samples at audit.cfg, in 2 chunks of 6 (196,608 // (5 pairs x 3
+        # frequencies x 2048 points) = 6 samples fit TERM_BLOCK_BYTES).  Per
+        # chunk: a and b drawn by angle addition, with no transform, and
+        # their spectra in one rfft of 12 rows.  d/dx a and d/dx b: one
+        # irfft of 6 rows each.  Argument norms: a, b, da and db of the 6
+        # samples, 24 rows, in one norms call at order 4 (R4 reads
+        # ||a||_(k+1)), in batches of 65536 // (2048 * 4) = 8 rows: a and b
+        # read their spectra, so one rfft of da and db (12 rows) and three
+        # irffts of 8 x 4 rows.  Measured norms: 6 samples x 15 rows in one
+        # norms call at order 3, in batches of 65536 // (2048 * 3) = 10
+        # rows: nine rffts of 10 rows and nine irffts of 10 x 3 rows.
+        # rfft rows: 2 * (12 + 12 + 90) = 228, calls: 2 * (1 + 1 + 9) = 22.
+        # irfft rows: 2 * (12 + 96 + 270) = 756, calls: 2 * (2 + 3 + 9) = 28.
+        # The rows are those of chunks of 2 samples, which took 30 and 36
+        # calls: every batch but the argument norms' still fills its call.
         log = count_fft()
         p = audit_cfg_params()
         audit_classes(stock_pairs(), p)
-        assert log.calls == {"rfft": 30, "irfft": 36}
+        assert log.calls == {"rfft": 22, "irfft": 28}
         assert log.rows == {"rfft": 228, "irfft": 756}
+
+    def test_term_block_within_budget(self, monkeypatch):
+        # The terms of a chunk at audit.cfg, 6 samples x 5 pairs x 3
+        # frequencies x 2048 points, take 1,474,560 bytes, within the
+        # 1.5 MiB TERM_BLOCK_BYTES.  A chunk of all 12 samples held a 2.95
+        # MB block, and freeing it moved glibc's mmap threshold for the rest
+        # of the process.  In bench/run.py its raw times stayed flat (0.0183
+        # against 0.0196 s) but the in-process speed probe ran faster, so the
+        # normalized op_p50_s read 0.0423 against 0.0345 s and setup_s rose
+        # by 40%.
+        blocks = []
+        norms = FieldSpectrum.norms
+
+        def spy_norms(self, k_max):
+            blocks.append(self.samples.nbytes)
+            return norms(self, k_max)
+
+        monkeypatch.setattr(FieldSpectrum, "norms", spy_norms)
+        audit_classes(stock_pairs(), audit_cfg_params())
+        assert verify.TERM_BLOCK_BYTES == 3 * 2**19
+        assert max(blocks) == 6 * 5 * 3 * 2048 * 8 <= verify.TERM_BLOCK_BYTES
+
+    @pytest.mark.parametrize("n", [16, 2048, 65536])
+    @pytest.mark.parametrize("chunk", [1, 2, 6])
+    def test_chunk_draw_holds_each_samples_bits(self, n, chunk):
+        # Each row of a chunk's one angle-addition draw is the field its
+        # sample's own generator gives alone; at n = 16 mode 8 sits on the
+        # Nyquist bin.
+        samples = range(3, 3 + chunk)
+        drawn = verify._draw_arguments(11, samples, 2, n)
+        assert drawn.shape == (2, chunk, n)
+        for arg in range(2):
+            for row, idx in zip(drawn[arg], samples):
+                field = random_trig_polynomial(np.random.default_rng([11, idx, arg]), n)
+                assert row.tobytes() == field.samples.tobytes(), (arg, idx)
 
 
 class TestFitDecay:
