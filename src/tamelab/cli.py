@@ -27,15 +27,13 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import gridfield, iteration, ledger, verify
-from .gridfield import MAX_SAMPLES, PERIOD, RESOLUTION_FACTOR, ResolutionError
+from . import gridfield, iteration, ledger, problem, verify
+from .gridfield import MAX_FREQUENCY, MAX_SAMPLES, PERIOD, ResolutionError
 from .problem import (
+    KINDS,
     IterationParams,
     NeighborhoodViolation,
     ProblemInstance,
-    make_scalar_toy,
-    make_two_component_toy,
-    make_varying_toy,
     stock_remainder_terms,
     with_self_interaction,
 )
@@ -83,17 +81,15 @@ _ANY = lambda v: True
 _AT_LEAST_ONE = lambda v: v >= 1
 _POSITIVE = lambda v: 0 < v < math.inf
 _NON_NEGATIVE = lambda v: 0 <= v < math.inf
-# The top frequency that any accepted grid resolves.
-MAX_LAMBDA = MAX_SAMPLES // RESOLUTION_FACTOR
 
 KEYS = {
     "experiment": Key(str, _ANY, "a subcommand", "experiment", EXPERIMENTS),
     "output_dir": Key(str, _ANY, "a path", "output_dir", EXPERIMENTS),
     "seed": Key(int, lambda v: v >= 0, "an integer >= 0", "seed", EXPERIMENTS),
-    "kind": Key(str, lambda v: v in ("scalar", "two_component"),
-                "scalar or two_component", "kind", BUILDS + ("remainder-audit",)),
-    "lambda": Key(int, lambda v: 1 <= v <= MAX_LAMBDA,
-                  f"a positive integer up to {MAX_LAMBDA}", "lam",
+    "kind": Key(str, lambda v: v in KINDS, " or ".join(KINDS), "kind",
+                BUILDS + ("remainder-audit",)),
+    "lambda": Key(int, lambda v: 1 <= v <= MAX_FREQUENCY,
+                  f"a positive integer up to {MAX_FREQUENCY}", "lam",
                   BUILDS + ("ledger",)),
     "ell": Key(float, lambda v: 0 < v < PERIOD, "a number in (0, 2*pi)", "ell",
                ("run", "decay", "r5-demo", "ledger", "remainder-audit")),
@@ -137,8 +133,8 @@ class ExperimentConfig:
     plot: bool = False
     # ell = lambda_ell / lambda stays below 2*pi at the default lambda = 32.
     lambda_ell: tuple[float, ...] = (32.0, 64.0, 128.0)
-    ledger_c: float = 1.0
-    ledger_c_err: float = 1.0
+    ledger_c: float = ledger.FIELD_CONSTANT
+    ledger_c_err: float = ledger.ERROR_CONSTANT
     ledger_c_r: float = ledger.DEFAULT_REMAINDER_CONSTANT
 
 
@@ -158,11 +154,11 @@ def _check_across_keys(cfg: ExperimentConfig, command: str, reads: set) -> None:
     for keys, ok, message in (
         (("lambda", "ell"), p.lam * p.ell > 1,
          f"lambda*ell must exceed 1, got {p.lam * p.ell}"),
-        (("lambda", "n_points"), RESOLUTION_FACTOR * p.lam <= p.n_points,
+        (("lambda", "n_points"), p.k_safe >= 0,
          f"frequency {p.lam} unresolved at n_points={p.n_points}"),
         (("lambda", "k1", "n_points"), p.k_safe >= p.k1,
          f"grid resolves norms only to order {p.k_safe} at frequency {p.lam}; "
-         f"k1={p.k1} needs n_points >= {RESOLUTION_FACTOR * p.lam * (p.k1 + 1)}"),
+         f"k1={p.k1} needs n_points >= {gridfield.points_needed(p.lam, p.k1)}"),
         # The build's target norms would overflow only after the build.
         (("lambda", "k0", "n_points"), p.norm_order(0) <= top,
          f"norm order {p.norm_order(0)} overflows at n_points={p.n_points}: the "
@@ -398,14 +394,8 @@ def _escaped(trace: iteration.IterationTrace) -> bool:
 
 
 def _build(cfg: ExperimentConfig, params: IterationParams) -> ProblemInstance:
-    """The configured kind at params, with its drift and self-interaction."""
-    if cfg.kind == "two_component":
-        instance = make_two_component_toy(params, cfg.amplitude, drift=cfg.drift)
-    elif cfg.drift != 0.0:
-        instance = make_varying_toy(params, cfg.drift, cfg.amplitude)
-    else:
-        instance = make_scalar_toy(params, cfg.amplitude)
-    return with_self_interaction(instance, cfg.r5_strength)
+    """The configured instance at params: the CLI's one problem.build call."""
+    return problem.build(cfg.kind, params, cfg.amplitude, cfg.drift, cfg.r5_strength)
 
 
 def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:

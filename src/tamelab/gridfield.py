@@ -18,13 +18,14 @@ import numpy as np
 
 PERIOD = 2.0 * np.pi
 
-# Samples-per-frequency safety factor behind every resolution check: an
-# experiment at frequency lam reporting norms up to order k needs
-# n_points >= RESOLUTION_FACTOR * lam * (k + 1).
+# Samples-per-frequency safety factor of the resolution rule, points_needed;
+# other modules read the rule through it.
 RESOLUTION_FACTOR = 8
 
-# Largest grid that validation accepts and refine() produces.
+# Largest grid that validation accepts and refine() produces, and the top
+# frequency that it resolves.
 MAX_SAMPLES = 1 << 22
+MAX_FREQUENCY = MAX_SAMPLES // RESOLUTION_FACTOR
 
 # Relative floor below which spectral coefficients are treated as rounding
 # dust.  Differentiation amplifies mode m by m^order, so dust at the grid's
@@ -61,6 +62,20 @@ class IncompatibleGrids(ValueError):
 
 class ResolutionError(ValueError):
     """Requested frequency or derivative order exceeds what the grid resolves."""
+
+
+def points_needed(frequency: int, k: int = 0) -> int:
+    """The resolution rule: the fewest grid points that resolve a field at
+    frequency normed up to order k."""
+    return RESOLUTION_FACTOR * frequency * (k + 1)
+
+
+def check_resolution(subject: str, n_points: int, needed: int) -> None:
+    """The one resolution refusal: ResolutionError naming subject, n_points
+    and the needed size when n_points is below it."""
+    if n_points < needed:
+        raise ResolutionError(f"{subject} unresolved at n_points={n_points}: "
+                              f"need n_points >= {needed}")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -108,7 +123,7 @@ class GridFunction:
         return GridFunction(self.n_points, samples)
 
     def sup(self) -> float:
-        return _sup(self.samples)
+        return float(row_sups(self.samples))
 
     # Convenience arithmetic (strict: equal grids).
     def __add__(self, other: "GridFunction") -> "GridFunction":
@@ -128,27 +143,23 @@ def coordinates(n_points: int) -> np.ndarray:
     return PERIOD * np.arange(n_points) / n_points
 
 
-def _sup(x: np.ndarray) -> float:
-    """max |x| without an |x| temporary.  Adding +0.0 turns a -0.0 maximum
-    into +0.0, so an all-zero field never reports (or prints) -0."""
-    return float(max(x.max(), -x.min())) + 0.0
+def row_sups(x: np.ndarray) -> np.ndarray:
+    """max |x| along the last axis, without an |x| temporary: the one sup,
+    which GridFunction.sup and finite_sup read as float(row_sups(x)).  The
+    +0.0 turns a -0.0 maximum into +0.0, so zeros never print as -0; NaN in
+    a row gives NaN, and +-inf inf.  The ufunc reductions skip ndarray.max's
+    Python wrapper, about 1.5 us per call on the one-field norms path."""
+    return np.maximum(np.maximum.reduce(x, axis=-1), -np.minimum.reduce(x, axis=-1)) + 0.0
 
 
 def finite_sup(x: np.ndarray) -> float:
-    """max |x| of samples no GridFunction holds, with the finiteness check
-    a GridFunction of them would make: NaN or +-inf anywhere in x makes the
-    sup non-finite, and that raises the same ValueError."""
-    s = _sup(x)
+    """float(row_sups(x)) of 1-D samples no GridFunction holds, with the
+    finiteness check a GridFunction of them would make: NaN or +-inf in x
+    makes the sup non-finite, and that raises the same ValueError."""
+    s = float(row_sups(x))
     if not math.isfinite(s):
         raise ValueError(NON_FINITE)
     return s
-
-
-def row_sups(x: np.ndarray) -> np.ndarray:
-    """max |x| along the last axis, without an |x| temporary; zeros come
-    out +0.0, as in _sup.  The ufunc reductions skip ndarray.max's Python
-    wrapper, about 1.5 us per call on the one-field norms path."""
-    return np.maximum(np.maximum.reduce(x, axis=-1), -np.minimum.reduce(x, axis=-1)) + 0.0
 
 
 def clean_spectra(samples: np.ndarray) -> np.ndarray:
@@ -265,17 +276,6 @@ def _order_sups(spectra: np.ndarray, n_points: int, orders: Sequence[int]) -> np
     return sups
 
 
-def _check_orders(n_points: int, k_max: int) -> None:
-    """Refuse norm orders 0..k_max that n_points cannot resolve."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    if RESOLUTION_FACTOR * (k_max + 1) > n_points:
-        raise ResolutionError(
-            f"k_max={k_max} not resolvable at n_points={n_points}: need "
-            f"n_points >= {RESOLUTION_FACTOR * (k_max + 1)} "
-            f"(= {RESOLUTION_FACTOR} * (k_max + 1))")
-
-
 @dataclass(frozen=True)
 class NormVector:
     """Estimated C^k sup norms: values[k] = max_{j <= k} sup |d^j f|."""
@@ -373,13 +373,15 @@ class FieldSpectrum:
         takes more than one batch and holds none, each batch takes its own
         spectra and drops them, so no spectrum of the whole stack is made.
 
-        Refuses when RESOLUTION_FACTOR * (k_max + 1) exceeds n_points;
-        experiments at frequency lam must additionally keep n_points >=
-        RESOLUTION_FACTOR * lam * (k_max + 1) (enforced where lam is known:
-        the CLI's config checks and verify.audit_classes).
+        A negative k_max raises ValueError, and n_points below
+        points_needed(1, k_max) ResolutionError; experiments at frequency
+        lam must keep points_needed(lam, k_max), checked where lam is known:
+        the CLI's config checks and verify.audit_classes.
         """
         n = self.n_points
-        _check_orders(n, k_max)
+        if k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {k_max}")
+        check_resolution(f"norm order {k_max}", n, points_needed(1, k_max))
         rows = self.samples.reshape(-1, n)
         norms = np.empty((len(rows), k_max + 1))
         norms[:, 0] = row_sups(rows)
@@ -438,14 +440,12 @@ def mollify(f: GridFunction, ell: float) -> GridFunction:
 
 def oscillator(amplitude: float, frequency: int, phase: float = 0.0,
                *, n_points: int) -> GridFunction:
-    """amplitude * cos(frequency * x + phase) as a GridFunction."""
+    """amplitude * cos(frequency * x + phase) as a GridFunction; a grid of
+    fewer than points_needed(frequency) points raises ResolutionError."""
     if frequency != int(frequency) or frequency < 1:
         raise ValueError(f"frequency must be a positive integer, got {frequency}")
     frequency = int(frequency)
-    if RESOLUTION_FACTOR * frequency > n_points:
-        raise ResolutionError(
-            f"frequency {frequency} unresolved at n_points={n_points}: need "
-            f"n_points >= {RESOLUTION_FACTOR * frequency}")
+    check_resolution(f"frequency {frequency}", n_points, points_needed(frequency))
     values = amplitude * np.cos(frequency * coordinates(n_points) + phase)
     return GridFunction(n_points, values)
 
@@ -522,10 +522,7 @@ def trig_rows(coefficients: np.ndarray, n_points: int,
     scale(1.0 / s, f), and leaves a zero row as it is, without a warning.
     """
     count, max_mode = coefficients.shape[:2]
-    if max_mode > n_points // 2:
-        raise ResolutionError(
-            f"max_mode {max_mode} unresolved at n_points={n_points}: need "
-            f"n_points >= {2 * max_mode}")
+    check_resolution(f"max_mode {max_mode}", n_points, 2 * max_mode)
     cos_phi, sin_phi, theta = _angle_tables(n_points, max_mode)
     a = coefficients[:, np.newaxis, :, 0]
     b = coefficients[:, np.newaxis, :, 1]

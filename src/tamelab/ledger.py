@@ -21,13 +21,13 @@ from .gridfield import NormVector
 from .iteration import IterationTrace, StepNorms
 from .problem import STOCK_CLASSES, BoundClass, IterationParams
 
-# Declared uniform bound on ||r(a)||_0 * (lam ell) for the stock family; we
-# identify it with the per-order remainder constant at k = 0.
+# The stock set's declared constants, the ledger subcommand's defaults for
+# its C, C_err and C_r keys; calibrate replaces them with measured ones.  C
+# bounds ||a||_0, and C_r ||r(a)||_0 * (lam ell) for the stock family,
+# identified with the per-order remainder constant at k = 0.
+FIELD_CONSTANT = 1.0
+ERROR_CONSTANT = 1.0
 DEFAULT_REMAINDER_CONSTANT = 1.0
-
-# Declared field constant C of the stock set (||a||_0 <= C); calibrate
-# replaces it with the measured one.
-FIELD_CONSTANT = 2.0
 
 # Propagated constants obey a quadratic recurrence and can exceed float range
 # within a handful of steps at small lam*ell; they saturate here instead of
@@ -86,8 +86,8 @@ class ConstantSet:
 
 
 def stock_constants(params: IterationParams) -> ConstantSet:
-    return ConstantSet(c=FIELD_CONSTANT, c_err=1.0, c_r=DEFAULT_REMAINDER_CONSTANT,
-                       c_f=params.c_f,
+    return ConstantSet(c=FIELD_CONSTANT, c_err=ERROR_CONSTANT,
+                       c_r=DEFAULT_REMAINDER_CONSTANT, c_f=params.c_f,
                        c_k=tuple(safe_leibniz(k) for k in range(params.k0 + 1)),
                        step=1)
 

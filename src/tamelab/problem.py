@@ -17,7 +17,6 @@ import numpy as np
 
 from .gridfield import (
     BATCH_POINTS,
-    RESOLUTION_FACTOR,
     FieldSpectrum,
     GridFunction,
     IncompatibleGrids,
@@ -27,6 +26,7 @@ from .gridfield import (
     finite_sup,
     mollify,
     oscillator,
+    points_needed,
     row_sups,
     trig_coefficients,
     trig_rows,
@@ -38,6 +38,9 @@ RIGHT_INVERSE_TOL = 1e-10
 # glibc's default 128 KiB mmap threshold, so the maps' temporaries come from
 # the heap instead of being mapped and page-faulted in on every call.
 MAP_CALL_POINTS = 1 << 13
+
+# The kinds build makes; the CLI's kind key reads them.
+KINDS = ("scalar", "two_component")
 
 class DomainEscape(RuntimeError):
     """The inverse map was asked for a tensor outside its neighborhood."""
@@ -226,8 +229,8 @@ class IterationParams:
 
     @property
     def k_safe(self) -> int:
-        """Largest norm order the grid resolves at this frequency."""
-        return self.n_points // (RESOLUTION_FACTOR * self.lam) - 1
+        """Largest k with points_needed(lam, k) <= n_points, or -1."""
+        return self.n_points // points_needed(self.lam) - 1
 
     def norm_order(self, step: int) -> int:
         """Norm orders reported at a given step: the derivative-loss budget
@@ -423,6 +426,17 @@ def make_two_component_toy(params: IterationParams, t_amplitude: float = 0.2,
     tensor equally between components, held as the common component a1 = a2
     (see _toy_maps)."""
     return _make_toy(params, t_amplitude, drift=drift, copies=2)
+
+
+def build(kind: str, params: IterationParams, amplitude: float = 0.2,
+          drift: float = 0.0, r5_strength: float = 0.0) -> ProblemInstance:
+    """The instance of kind at params: one factory call, then the
+    self-interaction term (make_varying_toy at drift 0 is make_scalar_toy)."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be {' or '.join(KINDS)}, got {kind!r}")
+    factory = make_two_component_toy if kind == "two_component" else make_varying_toy
+    return with_self_interaction(factory(params, t_amplitude=amplitude, drift=drift),
+                                 r5_strength)
 
 
 def with_self_interaction(instance: ProblemInstance, strength: float) -> ProblemInstance:

@@ -19,13 +19,13 @@ from . import iteration
 from .gridfield import (
     BATCH_POINTS,
     NON_FINITE,
-    RESOLUTION_FACTOR,
     FieldSpectrum,
     GridFunction,
-    ResolutionError,
+    check_resolution,
     ck_norm,
     clean_spectra,
     oscillator,
+    points_needed,
     refine,
     trig_coefficients,
     trig_rows,
@@ -212,8 +212,9 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
     BATCH_POINTS.  The estimates and worst ratios are then taken at once.
 
     A term that is not one field on the audit grid at each frequency raises
-    ValueError.  Raises ResolutionError, before drawing, when the grid
-    cannot resolve norms to order k_max at the top frequency.  Terms and
+    ValueError.  Raises ResolutionError, before drawing, when n_points is
+    below gridfield.points_needed(max(lambda_grid), k_max), the grid that
+    resolves norms to order k_max at the top frequency.  Terms and
     their norms are computed with overflow to inf, whatever the caller's
     np.errstate, and judged by their values: of the first term, in sample,
     pair and frequency order, with a non-finite norm, a NaN sup raises
@@ -225,12 +226,8 @@ def audit_classes(pairs: Sequence[tuple[RemainderTerm, BoundClass]],
         raise ValueError(f"need n_samples >= 10, got {n_samples}")
     lambda_grid = tuple(lambda_grid)
     n = params.n_points
-    needed = RESOLUTION_FACTOR * max(lambda_grid) * (k_max + 1)
-    if n < needed:
-        raise ResolutionError(
-            f"audit to order {k_max} at frequency {max(lambda_grid)} needs "
-            f"n_points >= {needed} (= {RESOLUTION_FACTOR} * lambda * "
-            f"(k_max + 1)), got {n}")
+    check_resolution(f"audit to order {k_max} at frequency {max(lambda_grid)}",
+                     n, points_needed(max(lambda_grid), k_max))
     pairs = tuple(pairs)
     if not pairs:
         return []

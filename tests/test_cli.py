@@ -8,9 +8,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamelab import verify
 from tamelab.cli import (
     FIT_FROM,
     KEYS,
@@ -26,10 +28,11 @@ from tamelab.cli import (
     main,
     parse_flat_config,
 )
-from tamelab.gridfield import PERIOD
+from tamelab.gridfield import (PERIOD, FieldSpectrum, ResolutionError, oscillator,
+                               points_needed)
 from tamelab.iteration import IDENTITY_TOL, run
-from tamelab.ledger import CONSTANT_CAP
-from tamelab.problem import IterationParams, make_scalar_toy
+from tamelab.ledger import CONSTANT_CAP, stock_constants
+from tamelab.problem import KINDS, R1, IterationParams, RemainderTerm, make_scalar_toy
 from tamelab.verify import MIN_FIT_STEPS, DecayFit, InsufficientSteps
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -78,7 +81,8 @@ class TestConfigParsing:
         ("r5_strength=nan",),
         # A leading subcommand runs it on its own shipped config.
         ("remainder-audit", "n_points=1024"),   # lambda=64 at k=3 needs 2048
-        ("remainder-audit", "kind=two_component"),  # audit draws scalars only
+        # The audit draws scalars only.
+        *[("remainder-audit", f"kind={kind}") for kind in KINDS if kind != "scalar"],
         ("amplitude=1e308",),          # the mollified target overflows
         # C_F < 1/3 puts nonpositive tensors, where F = sqrt is undefined,
         # inside the target radius 1/(3 C_F).
@@ -202,7 +206,8 @@ class TestKeyTable:
         ("decay", "C_err=2"),
         ("sweep", "ell=1"),
         ("r5-demo", "drift=0.5"),
-        ("r5-demo", "kind=two_component"),  # read, but scalar only
+        # r5-demo reads kind, but takes scalar only.
+        *[("r5-demo", f"kind={kind}") for kind in KINDS if kind != "scalar"],
         ("r5-demo", "--plot"),
         ("ledger", "r5_strength=3"),
         ("ledger", "n_points=4096"),
@@ -338,6 +343,71 @@ def no_build(*args, **kwargs):
     raise AssertionError("built an instance")
 
 
+def _accepts(call):
+    """Whether call returns, False when it raises ResolutionError."""
+    try:
+        call()
+    except ResolutionError:
+        return False
+    return True
+
+
+def _run_refusal(lam, k1, n_points):
+    """The run subcommand's config error at lambda, k1 and n_points, or ''."""
+    try:
+        load_experiment_config("run", None, [
+            f"lambda={lam}", f"k1={k1}", f"k0={k1 + 1}", "n_steps=1",
+            f"n_points={n_points}", f"ell={2.0 / lam}"])
+    except ConfigError as exc:
+        return str(exc)
+    return ""
+
+
+# Each consumer of the resolution rule: the (frequency, order) pairs it
+# judges, and whether it accepts a grid of n points at one of them.
+RULE_READERS = {
+    "oscillator": (lambda f, k: k == 0,
+                   lambda f, k, n: _accepts(lambda: oscillator(1.0, f, n_points=n))),
+    "FieldSpectrum.norms": (lambda f, k: f == 1, lambda f, k, n: _accepts(
+        lambda: FieldSpectrum(np.zeros(n)).norms(k))),
+    "audit_classes": (lambda f, k: True, lambda f, k, n: _accepts(
+        lambda: verify.audit_classes([(RemainderTerm(R1), R1)],
+                                     IterationParams(n_points=n), n_samples=10,
+                                     k_max=k, lambda_grid=(f,)))),
+    "k_safe": (lambda f, k: True,
+               lambda f, k, n: IterationParams(lam=f, n_points=n).k_safe >= k),
+    "cli frequency check": (lambda f, k: k == 0,
+                            lambda f, k, n: "unresolved" not in _run_refusal(f, 1, n)),
+    "cli k1 check": (lambda f, k: k >= 1, lambda f, k, n: _run_refusal(f, k, n) == ""),
+}
+RULE_POINTS = [(1, 1), (1, 3), (2, 0), (4, 0), (2, 1), (4, 1), (16, 3)]
+
+
+@pytest.mark.parametrize("reader, frequency, k", [
+    (reader, f, k) for reader, (judges, _) in RULE_READERS.items()
+    for f, k in RULE_POINTS if judges(f, k)])
+def test_resolution_rule_switches_at_one_point(reader, frequency, k):
+    # Every reader of the rule accepts n = 8 f (k + 1) points and refuses
+    # half as many.
+    n = 8 * frequency * (k + 1)
+    assert points_needed(frequency, k) == n
+    accepts = RULE_READERS[reader][1]
+    assert accepts(frequency, k, n)
+    assert not accepts(frequency, k, n // 2)
+
+
+def test_resolution_refusals_name_the_needed_size():
+    with pytest.raises(ResolutionError, match="frequency 4 unresolved at "
+                       "n_points=16: need n_points >= 32"):
+        oscillator(1.0, 4, n_points=16)
+    with pytest.raises(ResolutionError, match="norm order 3 unresolved at "
+                       "n_points=16: need n_points >= 32"):
+        FieldSpectrum(np.zeros(16)).norms(3)
+    assert _run_refusal(4, 1, 32) == ("grid resolves norms only to order 0 at "
+                                      "frequency 4; k1=1 needs n_points >= 64")
+    assert _run_refusal(4, 1, 16) == "frequency 4 unresolved at n_points=16"
+
+
 class TestOutputDir:
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_file_in_the_path_refused_before_build(self, below, tmp_path, capsys,
@@ -407,6 +477,13 @@ class TestLedgerCommand:
         rows = (tmp_path / "ledger.csv").read_text().splitlines()[1:]
         assert len(rows) == 5
         assert all(float(row.split(",")[5]) == CONSTANT_CAP for row in rows)
+
+    def test_default_constants_are_the_stock_set(self, tmp_path, capsys):
+        # The C, C_err and C_r keys default to the ledger's stock constants.
+        assert main(["ledger", "--output_dir", str(tmp_path), "--csv"]) == 0
+        first = (tmp_path / "ledger.csv").read_text().splitlines()[1].split(",")
+        stock = stock_constants(IterationParams())
+        assert [float(v) for v in first[1:4]] == [stock.c, stock.c_err, stock.c_r]
 
     @pytest.mark.parametrize("item", ["C_r=nan", "C=inf", "C_err=nan"])
     def test_non_finite_constant_exits_one(self, item, tmp_path, capsys):
@@ -731,7 +808,7 @@ def cli_calls(draw):
     n_steps = draw(st.integers(fewest, 6))
     values = {
         "kind": ("scalar" if command in SCALAR_ONLY
-                 else draw(st.sampled_from(("scalar", "two_component")))),
+                 else draw(st.sampled_from(KINDS))),
         "lambda": lam,
         "ell": draw(audit_ell if audit else st.floats(
             1.0 / lam, PERIOD, exclude_min=True, exclude_max=True)),

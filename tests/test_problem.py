@@ -17,9 +17,10 @@ from tamelab.gridfield import (
     random_trig_polynomial,
     scale,
 )
-from tamelab.iteration import initial_step
+from tamelab.iteration import initial_step, run
 from tamelab.ledger import calibrate
 from tamelab.problem import (
+    KINDS,
     RIGHT_INVERSE_TOL,
     R1,
     R2,
@@ -460,6 +461,63 @@ class TestConfig:
         instance = _build(cfg, cfg.problem)
         assert instance.inverse_map(np.array([8.0]), 1).tolist() == [2.0]
         assert instance.bilinear_map(np.array([2.0]), np.array([2.0]), 1).tolist() == [8.0]
+
+
+def factory_build(kind, params, amplitude, drift, r5_strength):
+    """The instance the matching factory makes, with the self-interaction
+    term added to it."""
+    if kind == "two_component":
+        instance = make_two_component_toy(params, amplitude, drift=drift)
+    elif drift != 0.0:
+        instance = make_varying_toy(params, drift, amplitude)
+    else:
+        instance = make_scalar_toy(params, amplitude)
+    return with_self_interaction(instance, r5_strength)
+
+
+class TestBuild:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("drift", [0.0, 0.5])
+    @pytest.mark.parametrize("r5_strength", [0.0, 1.0])
+    def test_build_matches_factory(self, kind, drift, r5_strength):
+        p = IterationParams()
+        got = problem.build(kind, p, 0.2, drift, r5_strength)
+        want = factory_build(kind, p, 0.2, drift, r5_strength)
+        for name in ("target", "center"):
+            assert getattr(got, name).samples.tobytes() == getattr(want, name).samples.tobytes()
+        assert got.target_norms == want.target_norms
+        assert got.remainder.terms == want.remainder.terms
+        assert got.remainder.drift == want.remainder.drift
+        t = np.linspace(0.8, 1.2, 7)
+        for step in (1, 2):
+            assert (got.inverse_map(t, step).tobytes()
+                    == want.inverse_map(t, step).tobytes())
+            assert (got.bilinear_map(t, t, step).tobytes()
+                    == want.bilinear_map(t, t, step).tobytes())
+        traces = run(got), run(want)
+        assert traces[0].states == traces[1].states
+        assert traces[0].diff_norms == traces[1].diff_norms
+        assert traces[0].identity_residuals == traces[1].identity_residuals
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("drift", [0.0, 0.5])
+    def test_one_factory_call_per_instance(self, kind, drift, monkeypatch):
+        calls = []
+
+        def spy(name, factory):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return factory(*args, **kwargs)
+            return counted
+
+        for name in ("make_scalar_toy", "make_varying_toy", "make_two_component_toy"):
+            monkeypatch.setattr(problem, name, spy(name, getattr(problem, name)))
+        problem.build(kind, IterationParams(), 0.2, drift, 1.0)
+        assert len(calls) == 1, calls
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="kind must be scalar or two_component"):
+            problem.build("tensor", IterationParams())
 
 
 # (builder, copies, drift) of the four instance families.

@@ -31,8 +31,8 @@ def test_wrapped_name_resolves(metric, module, path):
 
 
 def test_recorder_counts_builds_and_runs(tmp_path, capsys):
-    # Every build goes through one of the three wrapped factories, so the
-    # CLI's dispatch is counted once per instance: r5-demo builds one
+    # problem.build makes one call of one of the three wrapped factories
+    # per instance, so each build is counted once: r5-demo builds one
     # instance and runs it twice, sweep builds and runs three.
     config = ROOT / "configs"
     calls = [
@@ -82,8 +82,14 @@ def _callers(nodes, name):
 
 
 def test_layering():
-    # Only problem and the CLI build instances, only iteration and the CLI
-    # run them, and the package namespace imports nothing.  No module names
+    # Only problem names the factories: problem.build makes every instance,
+    # and in the CLI only _build calls it, so a test that stubs _build stubs
+    # every build.  Only problem and the CLI add the self-interaction term,
+    # only iteration and the CLI run instances, and the package namespace
+    # imports nothing.  Only gridfield names RESOLUTION_FACTOR or raises
+    # ResolutionError, so the resolution rule (points_needed) and its one
+    # refusal (check_resolution) live there, and no module defines _sup or
+    # _check_orders: row_sups is the one sup.  No module names
     # polyfit, polyval or numpy's linalg: the decay fits are closed-form,
     # and a first LAPACK call leaves about 1 MB resident.  Only gridfield
     # names numpy's fft, so every transform takes the one spectral path and
@@ -106,8 +112,7 @@ def test_layering():
     # trig_coefficients and trig_rows.  Inside gridfield only trig_rows
     # reads the angle tables, so the self-check, the audit and
     # random_trig_polynomial evaluate their rows in one place.
-    builders = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy",
-                "with_self_interaction"}
+    factories = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
         source = path.read_text()
         assert "n_components" not in source, path.stem
@@ -117,17 +122,20 @@ def test_layering():
         defined = {n.name for n in nodes
                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         assert not {"ck_norms", "norm_batch_rows"} & (names | defined), module
+        assert not {"_sup", "_check_orders"} & defined, module
+        raised = {_name(getattr(n.exc, "func", n.exc)) for n in nodes
+                  if isinstance(n, ast.Raise) and n.exc is not None}
         if module != "gridfield":
             assert not {"fft", "_workspace", "_order_block", "_derivative_spectra",
-                        "_order_sups", "bit_length"} & names, module
+                        "_order_sups", "bit_length", "RESOLUTION_FACTOR"} & names, module
+            assert "ResolutionError" not in raised, module
         else:
             callers = _callers(nodes, "_order_block")
             assert callers == {"_derivative_spectra"}, callers
             callers = _callers(nodes, "_angle_tables")
             assert callers == {"trig_rows"}, callers
         if module != "problem":
-            raised = {_name(getattr(n.exc, "func", n.exc)) for n in nodes
-                      if isinstance(n, ast.Raise) and n.exc is not None}
+            assert not factories & names, module
             assert "DomainEscape" not in raised, module
             assert "BoundClass" not in {_name(n.func) for n in nodes
                                         if isinstance(n, ast.Call)}, module
@@ -139,7 +147,9 @@ def test_layering():
             assert callers == {"audit_classes", "class_bound_rhs"}, callers
             assert "random_trig_polynomial" not in names, module
         if module not in ("problem", "cli"):
-            assert not builders & names, module
+            assert "with_self_interaction" not in names, module
+        if module == "cli":
+            assert _callers(nodes, "build") == {"_build"}, module
         if module not in ("iteration", "cli"):
             assert "run" not in {_name(n.func) for n in nodes
                                  if isinstance(n, ast.Call)}, module
