@@ -84,58 +84,44 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """A real function sampled on a uniform periodic grid.
+    """A real function sampled on a uniform periodic grid, made from its
+    samples alone: one finite row whose length, n_points, is a power of two,
+    held as a contiguous read-only float64 array.  Instances are immutable;
+    + and - of fields on one grid are the only arithmetic."""
 
-    samples has shape (n_points,).  Instances are immutable; all operations
-    return new fields.
-    """
-
-    n_points: int
     samples: np.ndarray
 
     def __post_init__(self):
-        if not _is_power_of_two(self.n_points):
-            raise ValueError(f"n_points must be a power of two, got {self.n_points}")
-        expected = (self.n_points,)
         arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.shape != expected:
-            raise ValueError(f"samples shape {arr.shape} != expected {expected}")
+        if arr.ndim != 1:
+            raise ValueError(f"samples shape {arr.shape} != expected (n_points,)")
+        if not _is_power_of_two(len(arr)):
+            raise ValueError(f"n_points must be a power of two, got {len(arr)}")
         if not np.isfinite(arr).all():
             raise ValueError(NON_FINITE)
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "GridFunction":
-        arr = np.asarray(samples, dtype=np.float64)
-        return cls(n_points=len(arr), samples=arr)
+    @property
+    def n_points(self) -> int:
+        return len(self.samples)
 
     @classmethod
     def constant(cls, value: float, n_points: int) -> "GridFunction":
-        return cls(n_points, np.full(n_points, float(value)))
-
-    @classmethod
-    def zeros(cls, n_points: int) -> "GridFunction":
-        return cls.constant(0.0, n_points)
-
-    def with_samples(self, samples: np.ndarray) -> "GridFunction":
-        return GridFunction(self.n_points, samples)
+        return cls(np.full(n_points, float(value)))
 
     def sup(self) -> float:
         return float(row_sups(self.samples))
 
-    # Convenience arithmetic (strict: equal grids).
+    # The only arithmetic (strict: equal grids).
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        return axpy(1.0, other, self)
+        check_grids(other, self)
+        return GridFunction(other.samples + self.samples)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return axpy(-1.0, other, self)
-
-    def __mul__(self, alpha: float) -> "GridFunction":
-        return scale(alpha, self)
-
-    __rmul__ = __mul__
+        check_grids(other, self)
+        return GridFunction(self.samples - other.samples)
 
 
 def coordinates(n_points: int) -> np.ndarray:
@@ -414,7 +400,7 @@ def derivative(f: GridFunction, order: int = 1) -> GridFunction:
     """Spectral derivative d^order/dx^order (see FieldSpectrum.derivative)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return f.with_samples(FieldSpectrum(f).derivative(order))
+    return GridFunction(FieldSpectrum(f).derivative(order))
 
 
 def ck_norm(f: GridFunction, k_max: int) -> NormVector:
@@ -435,7 +421,7 @@ def mollify(f: GridFunction, ell: float) -> GridFunction:
     spec = np.fft.rfft(f.samples)
     m = np.arange(f.n_points // 2 + 1)
     out = np.fft.irfft(spec * np.exp(-0.5 * m ** 2 * ell * ell), f.n_points)
-    return f.with_samples(out)
+    return GridFunction(out)
 
 
 def oscillator(amplitude: float, frequency: int, phase: float = 0.0,
@@ -447,7 +433,7 @@ def oscillator(amplitude: float, frequency: int, phase: float = 0.0,
     frequency = int(frequency)
     check_resolution(f"frequency {frequency}", n_points, points_needed(frequency))
     values = amplitude * np.cos(frequency * coordinates(n_points) + phase)
-    return GridFunction(n_points, values)
+    return GridFunction(values)
 
 
 def check_grids(x, y) -> None:
@@ -455,22 +441,6 @@ def check_grids(x, y) -> None:
     holders, share a grid, as sums and pointwise products need."""
     if x.n_points != y.n_points:
         raise IncompatibleGrids(f"grids differ: n_points {x.n_points}/{y.n_points}")
-
-
-def axpy(alpha: float, x: GridFunction, y: GridFunction) -> GridFunction:
-    """alpha * x + y, requiring identical grids.
-
-    alpha = +-1 skips the multiply: y + (-x) is y - x exactly."""
-    check_grids(x, y)
-    if alpha == 1.0:
-        return x.with_samples(x.samples + y.samples)
-    if alpha == -1.0:
-        return x.with_samples(y.samples - x.samples)
-    return x.with_samples(alpha * x.samples + y.samples)
-
-
-def scale(alpha: float, f: GridFunction) -> GridFunction:
-    return f.with_samples(alpha * f.samples)
 
 
 @functools.lru_cache(maxsize=16)
@@ -519,7 +489,7 @@ def trig_rows(coefficients: np.ndarray, n_points: int,
     max_mode flops per point and no transform.  A row's bits do not depend
     on the rows stacked with it.  With normalize, one row_sups pass scales
     every row of nonzero sup s by 1/s, the float operations of one field's
-    scale(1.0 / s, f), and leaves a zero row as it is, without a warning.
+    samples * (1.0 / s), and leaves a zero row as it is, without a warning.
     """
     count, max_mode = coefficients.shape[:2]
     check_resolution(f"max_mode {max_mode}", n_points, 2 * max_mode)
@@ -551,8 +521,8 @@ def random_trig_polynomial(rng: np.random.Generator, n_points: int,
     class audit and the right-inverse self-check draw the same rows in
     stacks, through the same two functions.
     """
-    return GridFunction(n_points, trig_rows(trig_coefficients(rng, 1, max_mode),
-                                            n_points, normalize)[0])
+    return GridFunction(trig_rows(trig_coefficients(rng, 1, max_mode),
+                                  n_points, normalize)[0])
 
 
 def refine(f: GridFunction, factor: int) -> GridFunction:
@@ -577,4 +547,4 @@ def refine(f: GridFunction, factor: int) -> GridFunction:
     # supplies, so the samples are interpolated exactly.
     padded[n // 2] *= 0.5
     out = np.fft.irfft(padded, n_new) * factor
-    return GridFunction(n_new, out)
+    return GridFunction(out)

@@ -109,7 +109,7 @@ def _state(instance: ProblemInstance, step_index: int, a: GridFunction,
     e = instance.target.samples - instance.bilinear_map(a.samples, a.samples,
                                                         step_index)
     e -= r_of_a.samples
-    error = r_of_a.with_samples(e)
+    error = GridFunction(e)
     norms_r = norms_diff = None
     if full:
         norms_r = ck_norm(r_of_a, order)
@@ -136,8 +136,8 @@ def start_state(instance: ProblemInstance, full: bool) -> IterationState:
     zero_norms = NormVector((0.0,) * (p.norm_order(0) + 1))
     return IterationState(
         step=0,
-        a=GridFunction.zeros(p.n_points),
-        r_of_a=GridFunction.zeros(p.n_points),
+        a=GridFunction.constant(0.0, p.n_points),
+        r_of_a=GridFunction.constant(0.0, p.n_points),
         error=instance.target,
         norms_a=zero_norms if full else None,
         norms_error=instance.target_norms,

@@ -37,8 +37,9 @@ CONSTANT_CAP = 1e300
 # calibrate's factor on the measured constants: step-1 margins sit below 1.
 HEADROOM = 1.01
 
-# Lower clamp keeping ConstantSet valid when a family has no remainder terms
-# (the propagated error and remainder constants would be exactly zero).
+# Lower clamp of the propagated and the calibrated constants, keeping
+# ConstantSet valid when a component is zero, as for a family with no
+# remainder terms (its error and remainder constants would be exactly zero).
 CONSTANT_FLOOR = 1e-300
 
 
@@ -174,10 +175,9 @@ def calibrate(norms_a: NormVector, norms_error: NormVector, norms_r: NormVector,
             + _scaled(target_norms, params, 1)[1:])
     c_err = max(_scaled(norms_error, params, 1))
     c_r = max(_scaled(norms_r, params, 1))
-    floor = 1e-30  # keep the set valid when a component is identically zero
-    return replace(stock_constants(params), c=max(c, floor) * HEADROOM,
-                   c_err=max(c_err, floor) * HEADROOM,
-                   c_r=max(c_r, floor) * HEADROOM)
+    return replace(stock_constants(params), c=max(c, CONSTANT_FLOOR) * HEADROOM,
+                   c_err=max(c_err, CONSTANT_FLOOR) * HEADROOM,
+                   c_r=max(c_r, CONSTANT_FLOOR) * HEADROOM)
 
 
 @dataclass(frozen=True)

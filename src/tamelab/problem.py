@@ -119,7 +119,7 @@ class RemainderTerm:
         evaluating several terms at the same fields differentiate each field
         once per order.
         """
-        return GridFunction.from_samples(
+        return GridFunction(
             self._samples(a, b, (lam,), ell, modulation.samples[np.newaxis])[0])
 
     def _samples(self, a: FieldSpectrum, b: Optional[FieldSpectrum],
@@ -164,7 +164,7 @@ def drift_factor(drift: float, lambda_ell: float, step):
 class RemainderSpec:
     """A remainder r = sum of tagged terms, optionally drifting with the step.
 
-    The step-i evaluation is scale(i) * sum_terms with scale(i) = 1 +
+    The step-i evaluation is s(i) * sum_terms with s(i) = 1 +
     drift / (lam*ell)^i, so consecutive steps differ at the same order the
     error itself decays.  r(0, i) = 0 for every i by construction.
     """
@@ -190,14 +190,13 @@ class RemainderSpec:
         so no sum array is allocated per term.  It is wrapped once, after
         the step scale, so the one GridFunction check covers every term: a
         non-finite term leaves the total non-finite."""
-        n = a.n_points
-        total = np.zeros(n)
+        total = np.zeros(a.n_points)
         for term in self.terms:
             out = term._samples(a, None, (self.lam,), self.ell,
                                 self.modulation.samples[np.newaxis])[0]
             out += total
             total = out
-        return GridFunction(n, self.step_scale(step) * total)
+        return GridFunction(self.step_scale(step) * total)
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,7 @@ class ProblemInstance:
             raise DomainEscape(
                 f"tensor loses positivity (min {low:.6g}) at step {step}",
                 step=step, measured=distance, radius=radius)
-        return GridFunction(center.n_points, self.inverse_map(tensor, step))
+        return GridFunction(self.inverse_map(tensor, step))
 
 
 def _toy_maps(copies: int, drift: float,

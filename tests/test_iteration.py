@@ -16,7 +16,6 @@ from tamelab.gridfield import (
     NormVector,
     ck_norm,
     oscillator,
-    scale,
 )
 from tamelab.iteration import (
     DerivativeBudgetExhausted,
@@ -390,7 +389,7 @@ class TestAssembledStart:
         p = instance.params
         assembled = start_state(instance, True)
         generic = _state(instance, 0,
-                         GridFunction.zeros(p.n_points),
+                         GridFunction.constant(0.0, p.n_points),
                          True, None)
         assert assembled.step == generic.step == 0
         for name in ("a", "r_of_a", "error"):
@@ -404,7 +403,7 @@ class TestAssembledStart:
         p = instance.params
         trace = run(instance)
         states = walk(instance)
-        zeros = GridFunction.zeros(p.n_points)
+        zeros = GridFunction.constant(0.0, p.n_points)
         assert trace.diff_norms[0].values == ck_norm(
             states[1].a - zeros, p.norm_order(1)).values
         for prev, new, diff in zip(states[1:-1], states[2:], trace.diff_norms[1:],
@@ -417,15 +416,15 @@ def chained_remainder(spec, a, step):
     """r_step(a) as a chain of GridFunctions: a zero field, one field per
     term and per partial sum, then the scaled sum."""
     spectral = FieldSpectrum(a)
-    total = GridFunction.zeros(a.n_points)
+    total = GridFunction.constant(0.0, a.n_points)
     for term in spec.terms:
         orders = term.bound_class.arg_derivatives
         core = spectral.derivative(orders[0])
         if term.bound_class.arity == 2:
             core = core * spectral.derivative(orders[1])
         pref = term.weight * term.bound_class.prefactor(spec.lam, spec.ell)
-        total = total + GridFunction.from_samples(pref * (spec.modulation.samples * core))
-    return scale(spec.step_scale(step), total)
+        total = total + GridFunction(pref * (spec.modulation.samples * core))
+    return GridFunction(spec.step_scale(step) * total.samples)
 
 
 class TestArrayPath:
@@ -436,12 +435,12 @@ class TestArrayPath:
         # sup of that chain's E - (r_prev - r).
         instance = FAMILIES[family]()
         states = walk(instance)
-        r_prev = GridFunction.zeros(instance.params.n_points)
+        r_prev = GridFunction.constant(0.0, instance.params.n_points)
         for prev, new in zip(states, states[1:]):
             tensor = instance.target if new.step == 1 else instance.target - r_prev
             a = instance.inverse(tensor.samples, new.step)
             r = chained_remainder(instance.remainder, a, new.step)
-            b = GridFunction.from_samples(
+            b = GridFunction(
                 instance.bilinear_map(a.samples, a.samples, new.step))
             error = instance.target - b - r
             for name, want in (("a", a), ("r_of_a", r), ("error", error)):
@@ -461,13 +460,13 @@ def two_column_run(instance):
     norm rows, the identity residuals, the flag and the escape step."""
     p, spec = instance.params, instance.remainder
     flat = lambda f: f.samples.reshape(-1)
-    norms = lambda x, order: ck_norm(GridFunction.from_samples(x), order).values
+    norms = lambda x, order: ck_norm(GridFunction(x), order).values
     pair_norms = lambda pair, order: tuple(map(max, *(norms(u, order) for u in pair)))
     factor = lambda i: 1.0 + spec.drift * p.lambda_ell ** (-i)
     target, modulation = flat(instance.target), flat(spec.modulation)
 
     def remainder(pair, i):
-        spectra = [FieldSpectrum(GridFunction.from_samples(u)) for u in pair]
+        spectra = [FieldSpectrum(GridFunction(u)) for u in pair]
         total = np.zeros(p.n_points)
         for term in spec.terms:
             orders = term.bound_class.arg_derivatives

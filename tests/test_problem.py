@@ -15,7 +15,6 @@ from tamelab.gridfield import (
     ck_norm,
     finite_sup,
     random_trig_polynomial,
-    scale,
 )
 from tamelab.iteration import initial_step, run
 from tamelab.ledger import calibrate
@@ -48,14 +47,14 @@ HYP = dict(max_examples=60, deadline=None, derandomize=True)
 
 def product(f, g):
     """Pointwise product of two fields on one grid."""
-    return GridFunction.from_samples(f.samples * g.samples)
+    return GridFunction(f.samples * g.samples)
 
 
 def component_mean(cores):
     """The mean of copies of a term core, taken as the sum over the copies'
     axis, as a field whose copies are stacked columns would reduce it."""
     stacked = np.stack([core.samples for core in cores], axis=-1)
-    return GridFunction.from_samples((1.0 / len(cores)) * stacked.sum(axis=-1))
+    return GridFunction((1.0 / len(cores)) * stacked.sum(axis=-1))
 
 
 def residual(instance, a, t, step):
@@ -109,7 +108,7 @@ class TestScalarToy:
         # degenerate unmollified case: T = 1 + 0.1 sin(x), a = sqrt(T)
         instance = make_scalar_toy(IterationParams(), 0.0)
         x = 2 * np.pi * np.arange(2048) / 2048
-        t_prime = GridFunction.from_samples(1.0 + 0.1 * np.sin(x))
+        t_prime = GridFunction(1.0 + 0.1 * np.sin(x))
         a = instance.inverse(t_prime.samples, 1)
         assert residual(instance, a, t_prime, 1) < 1e-12
 
@@ -118,13 +117,13 @@ class TestScalarToy:
         rng = np.random.default_rng(99)
         for _ in range(20):
             bump = random_trig_polynomial(rng, 2048)
-            t_prime = instance.center + scale(0.3 * rng.uniform(0.1, 1.0), bump)
+            t_prime = instance.center + GridFunction(0.3 * rng.uniform(0.1, 1.0) * bump.samples)
             a = instance.inverse(t_prime.samples, 1)
             assert residual(instance, a, t_prime, 1) < 1e-10
 
     def test_remainder_vanishes_at_zero(self):
         instance = make_scalar_toy(IterationParams(), 0.2)
-        zero = FieldSpectrum(GridFunction.zeros(2048))
+        zero = FieldSpectrum(GridFunction.constant(0.0, 2048))
         for step in (1, 2, 5):
             assert instance.remainder(zero, step).sup() == 0.0
 
@@ -178,8 +177,8 @@ class TestScalarToy:
             for _ in range(10):
                 b1 = random_trig_polynomial(rng, params.n_points)
                 b2 = random_trig_polynomial(rng, params.n_points)
-                t1 = instance.center + scale(0.3 * rng.uniform(0.1, 1.0), b1)
-                t2 = instance.center + scale(0.3 * rng.uniform(0.1, 1.0), b2)
+                t1 = instance.center + GridFunction(0.3 * rng.uniform(0.1, 1.0) * b1.samples)
+                t2 = instance.center + GridFunction(0.3 * rng.uniform(0.1, 1.0) * b2.samples)
                 f1 = instance.inverse(t1.samples, 1)
                 f2 = instance.inverse(t2.samples, 1)
                 k_max = 2
@@ -214,8 +213,8 @@ class TestVaryingToy:
         params = IterationParams()
         a = make_scalar_toy(params, 0.2)
         b = make_varying_toy(params, drift=0.0)
-        t_prime = a.center + scale(0.1, random_trig_polynomial(
-            np.random.default_rng(4), params.n_points))
+        t_prime = a.center + GridFunction(0.1 * random_trig_polynomial(
+            np.random.default_rng(4), params.n_points).samples)
         assert np.array_equal(a.inverse(t_prime.samples, 2).samples,
                               b.inverse(t_prime.samples, 2).samples)
         probe = FieldSpectrum(random_trig_polynomial(np.random.default_rng(8),
@@ -226,8 +225,8 @@ class TestVaryingToy:
     def test_step_matched_right_inverse(self):
         params = IterationParams()
         instance = make_varying_toy(params, drift=1.0)
-        t_prime = instance.center + scale(0.2, random_trig_polynomial(
-            np.random.default_rng(11), params.n_points))
+        t_prime = instance.center + GridFunction(0.2 * random_trig_polynomial(
+            np.random.default_rng(11), params.n_points).samples)
         for step in (1, 2, 4):
             a = instance.inverse(t_prime.samples, step)
             assert residual(instance, a, t_prime, step) < 1e-10
@@ -264,8 +263,8 @@ class TestSelfInteraction:
         a = random_trig_polynomial(np.random.default_rng(17), params.n_points)
         out = term.apply(FieldSpectrum(a), lam=params.lam, ell=params.ell,
                          modulation=modulation)
-        expected = scale(2.0 / params.lambda_ell,
-                         product(modulation, product(derivative(a), a)))
+        expected = GridFunction(2.0 / params.lambda_ell
+                                * product(modulation, product(derivative(a), a)).samples)
         assert (out - expected).sup() < 1e-14
 
     def test_derivative_caches_shared(self):
@@ -309,8 +308,8 @@ class TestSelfInteraction:
             if term.bound_class.arity == 2:
                 core = product(core, d(b, j[1]))
             pref = term.weight * term.bound_class.prefactor(params.lam, params.ell)
-            expected = scale(pref, product(modulation,
-                                           component_mean([core] * copies)))
+            expected = GridFunction(pref * product(
+                modulation, component_mean([core] * copies)).samples)
             out = term.apply(FieldSpectrum(a), FieldSpectrum(b), lam=params.lam,
                              ell=params.ell, modulation=modulation)
             assert out.samples.tobytes() == expected.samples.tobytes()
@@ -355,8 +354,8 @@ class TestTwoComponent:
         # The instance holds the common component sqrt(t/2) of F's pair,
         # and b(a, a) = 2 a^2 sums the pair's squares.
         instance = make_two_component_toy(IterationParams(), 0.2)
-        t_prime = instance.center + scale(0.25, random_trig_polynomial(
-            np.random.default_rng(21), 2048))
+        t_prime = instance.center + GridFunction(0.25 * random_trig_polynomial(
+            np.random.default_rng(21), 2048).samples)
         a = instance.inverse(t_prime.samples, 1)
         assert a.samples.tobytes() == np.sqrt(t_prime.samples / 2).tobytes()
         assert residual(instance, a, t_prime, 1) < 1e-10
@@ -370,7 +369,7 @@ class TestTwoComponent:
         assert r.samples.shape == (2048,)
         scalar = make_scalar_toy(IterationParams(), 0.2).remainder(FieldSpectrum(a), 1)
         assert r.samples.tobytes() == scalar.samples.tobytes()
-        zero = FieldSpectrum(GridFunction.zeros(2048))
+        zero = FieldSpectrum(GridFunction.constant(0.0, 2048))
         assert instance.remainder(zero, 1).sup() == 0.0
 
 
@@ -556,8 +555,8 @@ class TestArrayMaps:
         p = IterationParams()
         instance = build(p)
         inverse_map, bilinear_map = _toy_maps(copies, drift, p.lambda_ell)
-        t_prime = instance.center + scale(0.2, random_trig_polynomial(
-            np.random.default_rng(5), p.n_points))
+        t_prime = instance.center + GridFunction(0.2 * random_trig_polynomial(
+            np.random.default_rng(5), p.n_points).samples)
         for step in (1, 2, 3):
             a = instance.inverse(t_prime.samples, step)
             expected = inverse_map(t_prime.samples, step)

@@ -111,7 +111,11 @@ def test_layering():
     # random_trig_polynomial: the audit draws each chunk through
     # trig_coefficients and trig_rows.  Inside gridfield only trig_rows
     # reads the angle tables, so the self-check, the audit and
-    # random_trig_polynomial evaluate their rows in one place.
+    # random_trig_polynomial evaluate their rows in one place.  A field is
+    # made one way, GridFunction(samples): no module defines axpy, scale,
+    # from_samples, with_samples or zeros, and every GridFunction call takes
+    # one argument.  The ledger's one floor is CONSTANT_FLOOR: it holds no
+    # other float literal below 1.
     factories = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
         source = path.read_text()
@@ -122,7 +126,16 @@ def test_layering():
         defined = {n.name for n in nodes
                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         assert not {"ck_norms", "norm_batch_rows"} & (names | defined), module
-        assert not {"_sup", "_check_orders"} & defined, module
+        assert not {"_sup", "_check_orders", "axpy", "scale", "from_samples",
+                    "with_samples", "zeros"} & defined, module
+        assert all(len(n.args) + len(n.keywords) == 1 for n in nodes
+                   if isinstance(n, ast.Call) and _name(n.func) == "GridFunction"), module
+        if module == "ledger":
+            small = [n.value for n in nodes if isinstance(n, ast.Constant)
+                     and isinstance(n.value, float) and 0.0 < n.value < 1.0]
+            floor = [n.value.value for n in nodes if isinstance(n, ast.Assign)
+                     and _name(n.targets[0]) == "CONSTANT_FLOOR"]
+            assert small == floor, small
         raised = {_name(getattr(n.exc, "func", n.exc)) for n in nodes
                   if isinstance(n, ast.Raise) and n.exc is not None}
         if module != "gridfield":

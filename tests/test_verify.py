@@ -363,8 +363,8 @@ class TestAuditClasses:
     @pytest.mark.parametrize("bound_class", [R1, R2, R3, R4, R5, r6(2, 1)])
     def test_class_bound_rhs_equals_reference(self, bound_class, amplitude):
         p = IterationParams(seed=4)
-        a, b = (amplitude * random_trig_polynomial(np.random.default_rng([4, i]),
-                                                   p.n_points)
+        a, b = (GridFunction(amplitude * random_trig_polynomial(
+                    np.random.default_rng([4, i]), p.n_points).samples)
                 for i in range(2))
         for lam in (16, 64):
             with np.errstate(over="raise", invalid="raise"):
@@ -605,7 +605,7 @@ class TestOracleNorm:
     def test_dominates_coarse_value(self):
         # beating pair of modes: extrema fall between coarse grid points
         x = 2 * np.pi * np.arange(64) / 64
-        f = GridFunction.from_samples(np.sin(7 * x) + np.sin(8 * x))
+        f = GridFunction(np.sin(7 * x) + np.sin(8 * x))
         for k in (0, 1, 2):
             assert oracle_norm(f, k, 16) >= ck_norm(f, k)[k] - 1e-12
 
