@@ -737,6 +737,14 @@ class TestOscillator:
 
 
 class TestPointwiseOps:
+    def test_zero_field_is_neutral(self):
+        rng = np.random.default_rng(0)
+        f = random_trig_polynomial(rng, 128)
+        zero = GridFunction.constant(0.0, 128)
+        for got in (f + zero, zero + f, f - zero):
+            assert np.array_equal(got.samples, f.samples)
+        assert np.array_equal((f - f).samples, zero.samples)
+
     def test_sum_and_difference_bitwise(self):
         rng = np.random.default_rng(1)
         x = random_trig_polynomial(rng, 128)
