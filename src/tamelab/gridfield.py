@@ -295,7 +295,7 @@ class FieldSpectrum:
     the one norm method, for one field or a stack, and ck_norm its
     validated view of one field.
 
-    samples is a GridFunction, read as its samples, or a sample array.  The
+    samples is a sample array, a field's samples or a stack of rows.  The
     spectra are given (clean_spectra of samples; the holder makes the given
     array read-only) or taken on first use.
     Each derivative order is computed once and kept, so callers that
@@ -304,10 +304,7 @@ class FieldSpectrum:
     fields' use.
     """
 
-    def __init__(self, samples: GridFunction | np.ndarray,
-                 spectrum: Optional[np.ndarray] = None):
-        if isinstance(samples, GridFunction):
-            samples = samples.samples
+    def __init__(self, samples: np.ndarray, spectrum: Optional[np.ndarray] = None):
         self.samples, self.n_points = samples, samples.shape[-1]
         if spectrum is not None:
             spectrum.flags.writeable = False
@@ -400,12 +397,12 @@ def derivative(f: GridFunction, order: int = 1) -> GridFunction:
     """Spectral derivative d^order/dx^order (see FieldSpectrum.derivative)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return GridFunction(FieldSpectrum(f).derivative(order))
+    return GridFunction(FieldSpectrum(f.samples).derivative(order))
 
 
 def ck_norm(f: GridFunction, k_max: int) -> NormVector:
     """Norms ||f||_0 .. ||f||_k_max (see FieldSpectrum.ck_norm)."""
-    return FieldSpectrum(f).ck_norm(k_max)
+    return FieldSpectrum(f.samples).ck_norm(k_max)
 
 
 def mollify(f: GridFunction, ell: float) -> GridFunction:

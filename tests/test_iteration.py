@@ -19,8 +19,6 @@ from tamelab.gridfield import (
 )
 from tamelab.iteration import (
     DerivativeBudgetExhausted,
-    _state,
-    identity_residual,
     initial_step,
     run,
     start_state,
@@ -50,10 +48,19 @@ def stock_trace():
 def walk(instance):
     """States 0..n_steps of a run made by hand: unlike run, which keeps
     norm rows only, these hold their fields."""
-    states = [start_state(instance, True), initial_step(instance)]
+    states = [start_state(instance, True)]
     while states[-1].step < instance.params.n_steps:
         states.append(step(states[-1], instance))
     return states
+
+
+def error_of(instance, state):
+    """E = (T - b(a, a)) - r(a) at a state, recomputed in the driver's float
+    operations: the field the step normed and checked, and did not keep."""
+    e = instance.target.samples - instance.bilinear_map(
+        state.a.samples, state.a.samples, state.step)
+    e -= state.r_of_a.samples
+    return GridFunction(e)
 
 
 class TestInitialStep:
@@ -66,7 +73,7 @@ class TestInitialStep:
         assert (state.a - GridFunction.constant(1.0, p.n_points)).sup() < 1e-14
         mu = 1.0 / p.lambda_ell
         expected = oscillator(-(mu + mu ** 2), p.lam, n_points=p.n_points)
-        assert (state.error - expected).sup() < 1e-14
+        assert (error_of(instance, state) - expected).sup() < 1e-14
 
     def test_error_norms_equal_remainder_norms(self):
         # T = b(a1, a1) exactly, so E1 = -r1(a1): same norms, opposite sign
@@ -74,7 +81,7 @@ class TestInitialStep:
         state = initial_step(instance)
         assert state.norms_error.values == pytest.approx(
             state.norms_r.values, rel=1e-12)
-        assert (state.error + state.r_of_a).sup() < 1e-13
+        assert (error_of(instance, state) + state.r_of_a).sup() < 1e-13
 
     def test_zero_remainder_zero_error(self):
         instance = no_remainder(make_scalar_toy(IterationParams(), 0.2))
@@ -119,7 +126,7 @@ class TestStep:
         instance = make_scalar_toy(IterationParams(n_steps=2), 0.2)
         s1 = initial_step(instance)
         s2 = step(s1, instance)
-        assert identity_residual(s1, s2) <= iteration.IDENTITY_TOL * (1 + instance.target.sup())
+        assert s2.identity_residual <= iteration.IDENTITY_TOL * (1 + instance.target.sup())
 
 
 class TestRun:
@@ -194,7 +201,8 @@ class TestRun:
         walked = [walk(make_scalar_toy(IterationParams(), 0.2)) for _ in range(2)]
         for s, t in zip(*walked):
             assert np.array_equal(s.a.samples, t.a.samples)
-            assert np.array_equal(s.error.samples, t.error.samples)
+            assert np.array_equal(s.r_of_a.samples, t.r_of_a.samples)
+            assert s.identity_residual == t.identity_residual
 
     def test_varying_family_identity(self):
         trace = run(make_varying_toy(IterationParams(), drift=1.0))
@@ -262,14 +270,15 @@ class TestTelescoping:
         # reconstruction r_1(a_1) - sum_{j=2..i+1} E_j matches the direct
         # remainder; including E_1 in the sum (the other index reading)
         # misses by ~||E_1||, so the convention is unambiguous
-        states = walk(make_scalar_toy(IterationParams(), 0.2))
+        instance = make_scalar_toy(IterationParams(), 0.2)
+        states = walk(instance)
         for upto in (2, 3):
             recon = states[1].r_of_a
             for j in range(2, upto + 1):
-                recon = recon - states[j].error
+                recon = recon - error_of(instance, states[j])
             direct = states[upto].r_of_a
             assert (recon - direct).sup() <= 1e-9
-            wrong = recon - states[1].error
+            wrong = recon - error_of(instance, states[1])
             gap = (wrong - direct).sup()
             assert gap > 1e-4  # the wrong reading is off by ||E_1|| ~ 8e-3
 
@@ -343,26 +352,26 @@ def count_fields(monkeypatch):
 
 
 class TestFieldCount:
-    """GridFunctions made per default run (5 steps).  State 0 holds two
-    zero fields.  Each step then wraps a = F(tensor), r(a) and E.  From
-    step 2 on a full run adds a - a_prev for its norms.  The derivatives
-    a's spectrum keeps, the remainder's terms and partial sums, b(a, a),
-    the inverse's tensor T - r and distance, and E's and the residual's
-    differences stay sample arrays."""
+    """GridFunctions made per default run (5 steps).  State 0 holds one
+    zero field, as a and as r(a).  Each step then wraps a = F(tensor), r(a)
+    and E.  From step 2 on a full run adds a - a_prev for its norms.  The
+    derivatives a's spectrum keeps, the remainder's terms and partial sums,
+    b(a, a), the inverse's tensor T - r and distance, and E's and the
+    residual's differences stay sample arrays."""
 
     def test_default_run_field_count(self, count_fields):
-        # 2 + 3 * 5 + 4
+        # 1 + 3 * 5 + 4
         instance = make_scalar_toy(IterationParams(), 0.2)
         made = count_fields()
         assert run(instance).n_steps == 5
-        assert len(made) == 21
+        assert len(made) == 20
 
     def test_error_only_run_field_count(self, count_fields):
-        # 2 + 3 * 5
+        # 1 + 3 * 5
         instance = make_scalar_toy(IterationParams(), 0.2)
         made = count_fields()
         assert run(instance, full=False).n_steps == 5
-        assert len(made) == 17
+        assert len(made) == 16
 
 
 # The instance families whose step 0 and step-1 difference are assembled
@@ -385,17 +394,26 @@ def same_bits(f, g):
 class TestAssembledStart:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_step0_equals_generic_state(self, family):
+        # State 0 computed as a step computes a state, at a = 0: the same
+        # fields, one zero field for a and r(a), and E = T with its norms.
         instance = FAMILIES[family]()
         p = instance.params
         assembled = start_state(instance, True)
-        generic = _state(instance, 0,
-                         GridFunction.constant(0.0, p.n_points),
-                         True, None)
-        assert assembled.step == generic.step == 0
-        for name in ("a", "r_of_a", "error"):
+        order = p.norm_order(0)
+        a = GridFunction.constant(0.0, p.n_points)
+        spectral = FieldSpectrum(a.samples)
+        generic = SimpleNamespace(
+            step=0, a=a, r_of_a=instance.remainder(spectral, 0),
+            norms_a=spectral.ck_norm(order))
+        error = error_of(instance, generic)
+        assert assembled.step == 0 and assembled.identity_residual is None
+        assert assembled.a is assembled.r_of_a
+        for name in ("a", "r_of_a"):
             assert same_bits(getattr(assembled, name), getattr(generic, name)), name
-        for name in ("norms_a", "norms_error", "norms_r"):
-            assert getattr(assembled, name).values == getattr(generic, name).values
+        assert same_bits(error, instance.target)
+        assert assembled.norms_a.values == generic.norms_a.values
+        assert assembled.norms_r.values == ck_norm(generic.r_of_a, order).values
+        assert assembled.norms_error.values == ck_norm(error, order).values
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_difference_norms_equal_generic(self, family):
@@ -415,7 +433,7 @@ class TestAssembledStart:
 def chained_remainder(spec, a, step):
     """r_step(a) as a chain of GridFunctions: a zero field, one field per
     term and per partial sum, then the scaled sum."""
-    spectral = FieldSpectrum(a)
+    spectral = FieldSpectrum(a.samples)
     total = GridFunction.constant(0.0, a.n_points)
     for term in spec.terms:
         orders = term.bound_class.arg_derivatives
@@ -430,24 +448,26 @@ def chained_remainder(spec, a, step):
 class TestArrayPath:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_fields_equal_grid_function_chain(self, family):
-        # Steps 1..5 of a walked run hold, bit for bit, the a, r(a) and E a
-        # chain of GridFunctions gives, and the identity residual is the
-        # sup of that chain's E - (r_prev - r).
+        # Steps 1..5 of a walked run hold, bit for bit, the a and r(a) a
+        # chain of GridFunctions gives; ||E|| is the norm of that chain's E
+        # and the identity residual the sup of its E - (r_prev - r).
         instance = FAMILIES[family]()
         states = walk(instance)
         r_prev = GridFunction.constant(0.0, instance.params.n_points)
-        for prev, new in zip(states, states[1:]):
+        for new in states[1:]:
             tensor = instance.target if new.step == 1 else instance.target - r_prev
             a = instance.inverse(tensor.samples, new.step)
             r = chained_remainder(instance.remainder, a, new.step)
             b = GridFunction(
                 instance.bilinear_map(a.samples, a.samples, new.step))
             error = instance.target - b - r
-            for name, want in (("a", a), ("r_of_a", r), ("error", error)):
+            for name, want in (("a", a), ("r_of_a", r)):
                 got = getattr(new, name)
                 assert np.array_equal(got.samples, want.samples), (new.step, name)
                 assert same_bits(got, want), (new.step, name)
-            assert identity_residual(prev, new) == (error - (r_prev - r)).sup()
+            order = instance.params.norm_order(new.step)
+            assert new.norms_error.values == ck_norm(error, order).values
+            assert new.identity_residual == (error - (r_prev - r)).sup()
             r_prev = r
         assert new.step == 5
 
@@ -466,7 +486,7 @@ def two_column_run(instance):
     target, modulation = flat(instance.target), flat(spec.modulation)
 
     def remainder(pair, i):
-        spectra = [FieldSpectrum(GridFunction(u)) for u in pair]
+        spectra = [FieldSpectrum(u) for u in pair]
         total = np.zeros(p.n_points)
         for term in spec.terms:
             orders = term.bound_class.arg_derivatives
@@ -555,7 +575,8 @@ class TestLazyColumns:
                 (0.0,) * (order + 1))
             eager.append(SimpleNamespace(
                 step=state.step, norms_a=norms(state.a),
-                norms_error=ck_norm(state.error, order), norms_r=norms(state.r_of_a)))
+                norms_error=ck_norm(error_of(instance, state), order),
+                norms_r=norms(state.r_of_a)))
         assert ledger.margins(trace) == ledger.margins(SimpleNamespace(
             instance=instance, states=eager))
         for row, want in zip(trace.states, eager, strict=True):
@@ -622,17 +643,15 @@ class TestMemory:
         def tracking(make):
             def wrapper(*args, **kwargs):
                 state = make(*args, **kwargs)
-                refs.append([weakref.ref(f) for f in (state.a, state.r_of_a,
-                                                      state.error)])
+                refs.append([weakref.ref(f) for f in (state.a, state.r_of_a)])
                 return state
             return wrapper
 
-        for name in ("initial_step", "step"):
-            monkeypatch.setattr(iteration, name, tracking(getattr(iteration, name)))
+        monkeypatch.setattr(iteration, "step", tracking(iteration.step))
         trace = run(make_scalar_toy(IterationParams(n_steps=16, **LONG_RUN), 0.2))
         assert trace.flag == "completed" and len(refs) == 16
         alive = [(i, name) for i, step_refs in enumerate(refs[:-1], start=1)
-                 for name, ref in zip(("a", "r_of_a", "error"), step_refs)
+                 for name, ref in zip(("a", "r_of_a"), step_refs)
                  if ref() is not None]
         assert alive == []
 
@@ -652,3 +671,18 @@ class TestMemory:
                 tracemalloc.stop()
         field_bytes = 8 * LONG_RUN["n_points"]
         assert peaks[16] - peaks[4] <= 2 * field_bytes, peaks
+
+    def test_step_live_set(self):
+        # A step forms E after the other norms and no state keeps it: a full
+        # run's traced peak reads 8.1 fields.  E held through ||r|| and
+        # ||a - a_prev||, and on the state, read 9.1.
+        instance = make_scalar_toy(IterationParams(n_steps=4, **LONG_RUN), 0.2)
+        run(instance)  # fills the multiplier caches outside the trace
+        tracemalloc.start()
+        try:
+            assert run(instance).n_steps == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = peak / (8 * LONG_RUN["n_points"])
+        assert fields <= 8.5, fields

@@ -52,6 +52,9 @@ def test_recorder_counts_builds_and_runs(tmp_path, capsys):
     assert codes == [0] * len(calls)
     assert recorder.calls["problem.build"] == 7
     assert recorder.calls["iteration.run"] == 8
+    # One span per step, 5 steps per run: run calls step for every step,
+    # so no step is counted twice through initial_step.
+    assert recorder.calls["iteration.step"] == 40
     # The recorder reads a second positional argument of run as n_steps, so
     # the CLI passes full by keyword: the counts are the configs'
     # 5 steps per run, 8 runs.
@@ -115,7 +118,9 @@ def test_layering():
     # made one way, GridFunction(samples): no module defines axpy, scale,
     # from_samples, with_samples or zeros, and every GridFunction call takes
     # one argument.  The ledger's one floor is CONSTANT_FLOOR: it holds no
-    # other float literal below 1.
+    # other float literal below 1.  The iteration has one step path: it
+    # defines no _state or identity_residual, run makes one call, of step,
+    # and none of initial_step, and IterationState keeps no error field.
     factories = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
         source = path.read_text()
@@ -163,6 +168,16 @@ def test_layering():
             assert "with_self_interaction" not in names, module
         if module == "cli":
             assert _callers(nodes, "build") == {"_build"}, module
+        if module == "iteration":
+            assert not {"_state", "identity_residual"} & defined, module
+            body = {n.name: n for n in nodes
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            calls = [_name(n.func) for n in ast.walk(body["run"])
+                     if isinstance(n, ast.Call)]
+            assert calls.count("step") == 1 and "initial_step" not in calls, calls
+            fields = {_name(n.target) for n in body["IterationState"].body
+                      if isinstance(n, ast.AnnAssign)}
+            assert "error" not in fields, fields
         if module not in ("iteration", "cli"):
             assert "run" not in {_name(n.func) for n in nodes
                                  if isinstance(n, ast.Call)}, module

@@ -197,7 +197,8 @@ def reference_constants(term, bound_class, p, seed, n_samples=12, k_max=3,
             b = (random_trig_polynomial(np.random.default_rng([seed, idx, 1]),
                                         p.n_points)
                  if bound_class.arity == 2 else None)
-            r = term.apply(FieldSpectrum(a), None if b is None else FieldSpectrum(b),
+            r = term.apply(FieldSpectrum(a.samples),
+                           None if b is None else FieldSpectrum(b.samples),
                            lam=lam, ell=p.ell, modulation=modulation)
             measured = ck_norm(r, k_max)
             rhs = reference_rhs(bound_class, a, a if b is None else b, lam,
