@@ -288,13 +288,13 @@ def _trace_rows(trace: iteration.IterationTrace):
                                   first.norms_r.values, strict=True)):
         yield (first.step, k, *norms) + (None,) * 6
     margins, _ = ledger.margins(trace)
-    for s, diff, residual, m in zip(later, trace.diff_norms,
-                                    trace.identity_residuals, margins):
+    for s, m in zip(later, margins):
         for k, (a, e, r, d, field, error, remainder) in enumerate(zip(
                 s.norms_a.values, s.norms_error.values, s.norms_r.values,
-                diff.values, (None,) + m.field, m.error, m.remainder, strict=True)):
-            yield (s.step, k, a, e, r, d, residual, m.field_sup, field, error,
-                   remainder)
+                s.norms_diff.values, (None,) + m.field, m.error, m.remainder,
+                strict=True)):
+            yield (s.step, k, a, e, r, d, s.identity_residual, m.field_sup, field,
+                   error, remainder)
 
 
 def _write_fits(path: Path, fits: Sequence[verify.DecayFit]) -> None:
@@ -401,8 +401,9 @@ def _build(cfg: ExperimentConfig, params: IterationParams) -> ProblemInstance:
 def _cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     trace = iteration.run(_build(cfg, cfg.problem))
     _write_trace(trace, out, "trace", cfg.plot)
+    residual = max(s.identity_residual for s in trace.states[1:])
     print(f"run: {trace.n_steps} steps, flag={trace.flag}, "
-          f"max identity residual {max(trace.identity_residuals):.3e}")
+          f"max identity residual {residual:.3e}")
     print(f"wrote {out / 'trace.csv'}")
     if _escaped(trace):
         return 2

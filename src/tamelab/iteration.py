@@ -6,7 +6,7 @@ remainder at the new iterate, so the new error satisfies the substitution
 identity E_(i+1) = r_i(a_i) - r_(i+1)(a_(i+1)) up to rounding.  The step
 computes E definitionally, norms it, records its residual against the
 identity and drops it: a state keeps only a and r(a), which the next step
-reads, and a run keeps the norm rows and no field.
+reads, beside its row, and a run keeps the rows and no field.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ from typing import Optional
 
 from .gridfield import FieldSpectrum, GridFunction, NormVector, ck_norm, finite_sup
 from .problem import DomainEscape, ProblemInstance
-
-__all__ = [
-    "DomainEscape", "DerivativeBudgetExhausted", "StepNorms",
-    "IterationState", "IterationTrace", "start_state", "initial_step", "step",
-    "run",
-]
 
 IDENTITY_TOL = 1e-9
 FLOOR_STOP = 1e-14   # stop stepping once ||E||_0 < FLOOR_STOP * ||T||_0
@@ -35,59 +29,53 @@ class DerivativeBudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class StepNorms:
-    """The norm row of step i, taken when the step completed, up to the
-    step's norm order: ||E_i||, and on a full run ||a_i||, ||r_i(a_i)|| and
-    ||a_i - a_(i-1)||, else None.  Step 0 has no difference."""
+    """The row of step i, all that the step measured, taken when it
+    completed, up to the step's norm order: ||E_i||, on a full run ||a_i||,
+    ||r_i(a_i)|| and ||a_i - a_(i-1)|| (else None), and the identity
+    residual |E_i - (r_(i-1) - r_i)|_sup.  Step 0 has no difference and no
+    residual; its ||E_0||_0 is ||T||_0."""
 
     step: int
     norms_error: NormVector
     norms_a: Optional[NormVector] = None
     norms_r: Optional[NormVector] = None
     norms_diff: Optional[NormVector] = None
+    identity_residual: Optional[float] = None
 
 
 @dataclass(frozen=True, kw_only=True)
 class IterationState(StepNorms):
-    """Step i with its norm row, its identity residual (None at step 0)
-    and the fields the next step reads: the iterate and its remainder.
-    start_state and step return these; run keeps their rows."""
+    """Step i's row and the fields the next step reads: the iterate and its
+    remainder.  start_state and step return these; run keeps their rows."""
 
     a: GridFunction
     r_of_a: GridFunction
-    identity_residual: Optional[float] = None
 
     def row(self) -> StepNorms:
         return StepNorms(self.step, self.norms_error, self.norms_a, self.norms_r,
-                         self.norms_diff)
+                         self.norms_diff, self.identity_residual)
 
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Record of a run: the norm rows of states 0..n, taken as each step
-    completed, and the identity residual of each transition.  It holds no
-    field."""
+    """Record of a run: the rows of states 0..n, taken as each step
+    completed.  It holds no field."""
 
     instance: ProblemInstance
     states: tuple[StepNorms, ...]
-    identity_residuals: tuple[float, ...]
     flag: str
     escape_step: Optional[int]
-    target_sup: float
 
     @property
     def n_steps(self) -> int:
         return self.states[-1].step
 
-    @property
-    def diff_norms(self) -> tuple[Optional[NormVector], ...]:
-        """||a_(i+1) - a_i|| per transition at the norm order of i+1."""
-        return tuple(s.norms_diff for s in self.states[1:])
-
     def log_errors(self, k: int, min_step: int = 1) -> list[tuple[int, float]]:
         """(i, ln ||E_i||_k) for the steps i >= max(min_step, 1) whose error
-        sits above the noise floor FLOOR_FIT * ||T||_0 and whose order-k
-        norm is positive: the points that decay fits and plots read."""
-        floor = FLOOR_FIT * self.target_sup
+        sits above the noise floor FLOOR_FIT * ||E_0||_0 (||T||_0 on a run)
+        and whose order-k norm is positive: the points that decay fits and
+        plots read."""
+        floor = FLOOR_FIT * self.states[0].norms_error[0]
         return [(s.step, math.log(s.norms_error[k])) for s in self.states[1:]
                 if s.step >= min_step and s.norms_error[0] >= floor
                 and k < len(s.norms_error) and s.norms_error[k] > 0.0]
@@ -97,7 +85,9 @@ def start_state(instance: ProblemInstance, full: bool) -> IterationState:
     """Step 0: a = r(a) = 0, one zero field, so the error is the target.
 
     Assembled, not computed: T - b(0, 0) - r(0) is exactly T, and its norms
-    are the ones the instance build took, so this makes no transform."""
+    are the ones the instance build took, so this makes no transform.  full
+    sets the run's mode once: the steps from here take ||a||, ||r(a)|| and
+    ||a - a_prev|| only if this state's norms_a is set."""
     p = instance.params
     zero = GridFunction.constant(0.0, p.n_points)
     zero_norms = NormVector((0.0,) * (p.norm_order(0) + 1))
@@ -113,14 +103,14 @@ def start_state(instance: ProblemInstance, full: bool) -> IterationState:
 
 def initial_step(instance: ProblemInstance, *, full: bool = True) -> IterationState:
     """Step 1, a = F(T): the step from the assembled start."""
-    return step(start_state(instance, full), instance, full=full)
+    return step(start_state(instance, full), instance)
 
 
-def step(state: IterationState, instance: ProblemInstance, *,
-         full: bool = True) -> IterationState:
+def step(state: IterationState, instance: ProblemInstance) -> IterationState:
     """The corrector step from state i to i+1, from start_state too (T - r_0
-    is T bit for bit), with ||E|| and, if full, ||a||, ||r(a)|| and
-    ||a - a_prev||, and the identity residual |E - (r_i - r_(i+1))|_sup.
+    is T bit for bit), with ||E||, the identity residual
+    |E - (r_i - r_(i+1))|_sup and, on a full run (state.norms_a set),
+    ||a||, ||r(a)|| and ||a - a_prev||.
 
     Raises DomainEscape, from instance.inverse, when T - r_i(a_i) leaves the
     inverse's neighborhood (the signal that lam*ell is too small) and
@@ -128,6 +118,7 @@ def step(state: IterationState, instance: ProblemInstance, *,
     """
     p = instance.params
     i = state.step + 1
+    full = state.norms_a is not None
     if p.k0 - i < 1:
         raise DerivativeBudgetExhausted(
             f"stepping to {i} leaves no controlled orders "
@@ -158,9 +149,9 @@ def step(state: IterationState, instance: ProblemInstance, *,
 
 
 def run(instance: ProblemInstance, *, full: bool = True) -> IterationTrace:
-    """Run the iteration, every step by step from start_state, and record,
-    as each step completes, ||E_i||, the identity residual and, if full,
-    ||a_i||, ||r_i(a_i)|| and ||a_i - a_(i-1)||.  A state is alive only
+    """Run the iteration, every step by step from start_state, and record
+    each step's row as it completes: ||E_i||, the identity residual and, if
+    full, ||a_i||, ||r_i(a_i)|| and ||a_i - a_(i-1)||.  A state is alive only
     until the next is made, so memory does not grow with the steps.  Runs
     whose only use is a decay fit read ||E_i|| alone and pass full=False.
 
@@ -180,16 +171,14 @@ def run(instance: ProblemInstance, *, full: bool = True) -> IterationTrace:
 
     state = start_state(instance, full)
     rows = [state.row()]
-    residuals: list[float] = []
     flag, escape_step = "completed", None
     for i in range(1, n + 1):
         try:
-            state = step(state, instance, full=full)
+            state = step(state, instance)
         except DomainEscape as esc:
             flag, escape_step = "diverged", esc.step
             break
         rows.append(state.row())
-        residuals.append(state.identity_residual)
         if state.norms_error[0] < FLOOR_STOP * target_sup:
             if i < n:
                 flag = "floor"
@@ -198,8 +187,6 @@ def run(instance: ProblemInstance, *, full: bool = True) -> IterationTrace:
     return IterationTrace(
         instance=instance,
         states=tuple(rows),
-        identity_residuals=tuple(residuals),
         flag=flag,
         escape_step=escape_step,
-        target_sup=target_sup,
     )

@@ -75,8 +75,8 @@ def test_criterion_1_substitution_identity():
         trace = iteration.run(instance)
         elapsed = time.perf_counter() - start
         assert trace.flag == "completed" and trace.n_steps == 5
-        limit = 1e-9 * (1.0 + trace.target_sup)
-        assert max(trace.identity_residuals) <= limit
+        limit = 1e-9 * (1.0 + trace.states[0].norms_error[0])  # ||T||_0
+        assert max(s.identity_residual for s in trace.states[1:]) <= limit
         assert elapsed < 5.0
 
 
@@ -112,7 +112,7 @@ def test_criterion_4_difference_estimate(lambda_grid_runs):
             ll = instance.params.lambda_ell
             c = 0.0
             for i in range(1, min(5, len(trace.states) - 1)):
-                diff = trace.diff_norms[i]  # a_(i+1) - a_i
+                diff = trace.states[i + 1].norms_diff  # a_(i+1) - a_i
                 for k in range(min(2, diff.k_max) + 1):
                     c = max(c, diff[k] * ll ** i / lam ** k)
             assert math.isfinite(c) and c > 0
@@ -123,7 +123,7 @@ def test_criterion_4_difference_estimate(lambda_grid_runs):
         for lam, (instance, trace) in lambda_grid_runs.items():
             ll = instance.params.lambda_ell
             for i in range(1, min(5, len(trace.states) - 1)):
-                diff = trace.diff_norms[i]
+                diff = trace.states[i + 1].norms_diff
                 for k in range(min(2, diff.k_max) + 1):
                     assert diff[k] <= shared * lam ** k / ll ** i * (1 + 1e-12)
 

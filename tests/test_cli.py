@@ -28,8 +28,8 @@ from tamelab.cli import (
     main,
     parse_flat_config,
 )
-from tamelab.gridfield import (PERIOD, FieldSpectrum, ResolutionError, oscillator,
-                               points_needed)
+from tamelab.gridfield import (PERIOD, FieldSpectrum, NormVector, ResolutionError,
+                               oscillator, points_needed)
 from tamelab.iteration import IDENTITY_TOL, run
 from tamelab.ledger import CONSTANT_CAP, stock_constants
 from tamelab.problem import KINDS, R1, IterationParams, RemainderTerm, make_scalar_toy
@@ -634,7 +634,10 @@ class TestEmitPlot:
         from dataclasses import replace
         p = IterationParams()
         trace = run(make_scalar_toy(p, 0.2))
-        empty = replace(trace, target_sup=1e300)  # floor excludes every step
+        # row 0's ||E_0||_0 sets the floor, which now excludes every step
+        empty = replace(trace, states=(
+            replace(trace.states[0], norms_error=NormVector((1e300,))),
+            *trace.states[1:]))
         with pytest.raises(InsufficientSteps):
             emit_plot(empty, tmp_path / "none.svg")
 

@@ -47,11 +47,21 @@ def stock_trace():
 
 def walk(instance):
     """States 0..n_steps of a run made by hand: unlike run, which keeps
-    norm rows only, these hold their fields."""
+    rows only, these hold their fields."""
     states = [start_state(instance, True)]
     while states[-1].step < instance.params.n_steps:
         states.append(step(states[-1], instance))
     return states
+
+
+def residuals(trace):
+    """The identity residuals of steps 1..n, read off the trace's rows."""
+    return [s.identity_residual for s in trace.states[1:]]
+
+
+def identity_limit(trace):
+    """IDENTITY_TOL * (1 + ||T||_0), with ||T||_0 read off row 0."""
+    return iteration.IDENTITY_TOL * (1 + trace.states[0].norms_error[0])
 
 
 def error_of(instance, state):
@@ -128,6 +138,16 @@ class TestStep:
         s2 = step(s1, instance)
         assert s2.identity_residual <= iteration.IDENTITY_TOL * (1 + instance.target.sup())
 
+    def test_error_only_mode_read_from_state(self):
+        # An error-only start makes error-only steps: step takes no mode of
+        # its own, so a trace cannot mix full and error-only rows.
+        instance = make_scalar_toy(IterationParams(n_steps=2), 0.2)
+        s1 = step(start_state(instance, False), instance)
+        s2 = step(s1, instance)
+        for s in (s1, s2):
+            assert s.norms_a is None and s.norms_r is None and s.norms_diff is None
+            assert s.identity_residual is not None
+
 
 class TestRun:
     def test_single_step_trace(self):
@@ -143,8 +163,7 @@ class TestRun:
         p = IterationParams(k0=8, n_steps=6)
         trace = run(make_scalar_toy(p, 0.2))
         assert trace.flag == "completed"
-        limit = iteration.IDENTITY_TOL * (1 + trace.target_sup)
-        assert max(trace.identity_residuals) <= limit
+        assert max(residuals(trace)) <= identity_limit(trace)
 
     def test_norm_budget_shrinks_per_step(self):
         trace = run(make_scalar_toy(IterationParams(), 0.2))
@@ -167,7 +186,7 @@ class TestRun:
         trace = run(make_scalar_toy(p, 0.2))
         ll = p.lambda_ell
         for i in range(1, len(trace.states) - 1):
-            diff = trace.diff_norms[i]
+            diff = trace.states[i + 1].norms_diff
             for k in range(len(diff)):
                 assert diff[k] <= 10.0 * p.lam ** k / ll ** i
 
@@ -178,7 +197,7 @@ class TestRun:
         trace = run(instance)
         assert trace.flag == "floor"
         assert trace.n_steps == 1
-        assert trace.states[-1].norms_error[0] < 1e-14 * trace.target_sup
+        assert trace.states[-1].norms_error[0] < 1e-14 * trace.states[0].norms_error[0]
 
     def test_domain_escape_flags_partial_trace(self):
         p = IterationParams(lam=16, ell=1.5 / 16, k1=1, n_steps=3)
@@ -196,8 +215,7 @@ class TestRun:
         a = run(make_scalar_toy(IterationParams(), 0.2))
         b = run(make_scalar_toy(IterationParams(), 0.2))
         assert len(a.states) == len(b.states)
-        assert a.states == b.states  # every recorded norm row
-        assert a.identity_residuals == b.identity_residuals
+        assert a.states == b.states  # every recorded row, residuals too
         walked = [walk(make_scalar_toy(IterationParams(), 0.2)) for _ in range(2)]
         for s, t in zip(*walked):
             assert np.array_equal(s.a.samples, t.a.samples)
@@ -207,12 +225,12 @@ class TestRun:
     def test_varying_family_identity(self):
         trace = run(make_varying_toy(IterationParams(), drift=1.0))
         assert trace.flag == "completed"
-        assert max(trace.identity_residuals) <= iteration.IDENTITY_TOL * (1 + trace.target_sup)
+        assert max(residuals(trace)) <= identity_limit(trace)
 
     def test_two_component_identity(self):
         trace = run(make_two_component_toy(IterationParams(), 0.2))
         assert trace.flag == "completed"
-        assert max(trace.identity_residuals) <= iteration.IDENTITY_TOL * (1 + trace.target_sup)
+        assert max(residuals(trace)) <= identity_limit(trace)
 
     def test_drift_zero_trace_matches_stock(self, stock_trace):
         varying = make_varying_toy(IterationParams(), drift=0.0)
@@ -224,7 +242,7 @@ class TestRun:
     def test_r5_run_still_satisfies_identity(self):
         instance = with_self_interaction(make_scalar_toy(IterationParams(), 0.2), 1.0)
         trace = run(instance)
-        assert max(trace.identity_residuals) <= iteration.IDENTITY_TOL * (1 + trace.target_sup)
+        assert max(residuals(trace)) <= identity_limit(trace)
 
     @pytest.mark.parametrize("lam,ell,amplitude,drift,r5", [
         (16, 0.5, 0.5, 0.0, 0.0),    # lam*ell = 8: the target keeps a bump
@@ -241,8 +259,8 @@ class TestRun:
             instance = make_scalar_toy(p, amplitude)
         instance = with_self_interaction(instance, r5)
         trace = run(instance)
-        assert trace.identity_residuals  # at least one completed step
-        assert max(trace.identity_residuals) <= iteration.IDENTITY_TOL * (1 + trace.target_sup)
+        assert len(trace.states) > 1  # at least one completed step
+        assert max(residuals(trace)) <= identity_limit(trace)
 
 
 class TestCheckHypotheses:
@@ -422,12 +440,26 @@ class TestAssembledStart:
         trace = run(instance)
         states = walk(instance)
         zeros = GridFunction.constant(0.0, p.n_points)
-        assert trace.diff_norms[0].values == ck_norm(
+        assert trace.states[1].norms_diff.values == ck_norm(
             states[1].a - zeros, p.norm_order(1)).values
-        for prev, new, diff in zip(states[1:-1], states[2:], trace.diff_norms[1:],
-                                   strict=True):
-            assert diff.values == ck_norm(new.a - prev.a,
-                                          p.norm_order(new.step)).values
+        for prev, new, row in zip(states[1:-1], states[2:], trace.states[2:],
+                                  strict=True):
+            assert row.norms_diff.values == ck_norm(new.a - prev.a,
+                                                    p.norm_order(new.step)).values
+
+
+class TestRows:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_hold_walked_residuals(self, family):
+        # Each row of a run holds its step's identity residual: the one a
+        # run walked by hand gives at that step, bit for bit.
+        instance = FAMILIES[family]()
+        trace = run(instance)
+        walked = walk(instance)
+        assert len(trace.states) == len(walked)
+        assert trace.states[0].identity_residual is None
+        for row, state in zip(trace.states[1:], walked[1:]):
+            assert row.identity_residual == state.identity_residual, row.step
 
 
 def chained_remainder(spec, a, step):
@@ -477,7 +509,7 @@ def two_column_run(instance):
     equal 1-D fields sqrt(t/2) with the step factor, b(a, a) = u1 u1 + u2 u2
     over the factor squared, each term's core the mean 0.5 (c1 + c2) of the
     two fields' cores, and a's norms the max over the pair.  Returns the
-    norm rows, the identity residuals, the flag and the escape step."""
+    rows, identity residuals included, the flag and the escape step."""
     p, spec = instance.params, instance.remainder
     flat = lambda f: f.samples.reshape(-1)
     norms = lambda x, order: ck_norm(GridFunction(x), order).values
@@ -502,8 +534,8 @@ def two_column_run(instance):
         return spec.step_scale(i) * total
 
     zeros = (0.0,) * (p.norm_order(0) + 1)
-    rows = [(0, instance.target_norms.values, zeros, zeros, None)]
-    residuals, flag, escape = [], "completed", None
+    rows = [(0, instance.target_norms.values, zeros, zeros, None, None)]
+    flag, escape = "completed", None
     r_prev, a_prev = np.zeros(p.n_points), None
     for i in range(1, p.n_steps + 1):
         tensor = target if i == 1 else target - r_prev
@@ -522,14 +554,14 @@ def two_column_run(instance):
         norms_a = pair_norms(pair, order)
         diff = norms_a if a_prev is None else pair_norms(
             [x - y for x, y in zip(pair, a_prev)], order)
-        rows.append((i, norms(e, order), norms_a, norms(r, order), diff))
-        residuals.append(float(np.max(np.abs(e - (r_prev - r)))))
+        rows.append((i, norms(e, order), norms_a, norms(r, order), diff,
+                     float(np.max(np.abs(e - (r_prev - r))))))
         r_prev, a_prev = r, pair
         if rows[-1][1][0] < iteration.FLOOR_STOP * instance.target_norms[0]:
             if i < p.n_steps:
                 flag = "floor"
             break
-    return rows, tuple(residuals), flag, escape
+    return rows, flag, escape
 
 
 class TestTwoColumnReference:
@@ -542,17 +574,17 @@ class TestTwoColumnReference:
     ])
     def test_toy_steps_the_pair(self, params, drift, r5):
         # The two-component toy's trace equals, bit for bit, the trace of
-        # its pair stepped column by column: the norm rows, the identity
-        # residuals, the flag and the escape step.
+        # its pair stepped column by column: the rows, identity residuals
+        # included, the flag and the escape step.
         instance = with_self_interaction(
             make_two_component_toy(params, 0.2, drift=drift), r5)
         trace = run(instance)
-        rows, residuals, flag, escape = two_column_run(instance)
+        rows, flag, escape = two_column_run(instance)
         got = [(s.step, s.norms_error.values, s.norms_a.values, s.norms_r.values,
-                None if s.norms_diff is None else s.norms_diff.values)
+                None if s.norms_diff is None else s.norms_diff.values,
+                s.identity_residual)
                for s in trace.states]
         assert got == rows
-        assert trace.identity_residuals == residuals
         assert (trace.flag, trace.escape_step) == (flag, escape)
         assert (flag == "diverged") == (params.lam == 64)
 
@@ -582,14 +614,15 @@ class TestLazyColumns:
         for row, want in zip(trace.states, eager, strict=True):
             for name in ("norms_a", "norms_error", "norms_r"):
                 assert getattr(row, name).values == getattr(want, name).values
-        assert len(trace.diff_norms) == len(trace.states) - 1
+        assert [s.norms_diff is None for s in trace.states] == [True] + [False] * (
+            len(trace.states) - 1)
 
     def test_columns_computed_once(self, count_fft):
         # Reading the trace after the run makes no transform: every column
         # was taken as its step completed.
         trace = run(make_scalar_toy(IterationParams(), 0.2))
         log = count_fft()
-        assert None not in trace.diff_norms
+        assert None not in [s.norms_diff for s in trace.states[1:]]
         assert None not in [s.norms_r for s in trace.states]
         assert ledger.margins(trace)[0]
         assert log.entries == []
@@ -602,7 +635,7 @@ class TestLazyColumns:
         errors = run(instance, full=False)
         assert [s.norms_error for s in errors.states] == [
             s.norms_error for s in full.states]
-        assert errors.identity_residuals == full.identity_residuals
+        assert residuals(errors) == residuals(full)
         assert all(s.norms_a is s.norms_r is s.norms_diff is None
                    for s in errors.states)
         with pytest.raises(ValueError, match="only a full run records"):
@@ -635,7 +668,7 @@ LONG_RUN = dict(lam=128, ell=12 / 128, k0=18, k1=1, n_points=8192)
 
 
 class TestMemory:
-    """A run keeps norm rows, not fields: memory does not grow with steps."""
+    """A run keeps rows, not fields: memory does not grow with steps."""
 
     def test_fields_of_earlier_states_released(self, monkeypatch):
         refs = []

@@ -120,7 +120,10 @@ def test_layering():
     # one argument.  The ledger's one floor is CONSTANT_FLOOR: it holds no
     # other float literal below 1.  The iteration has one step path: it
     # defines no _state or identity_residual, run makes one call, of step,
-    # and none of initial_step, and IterationState keeps no error field.
+    # and none of initial_step, and IterationState keeps no error field.  A
+    # run's record is its rows: IterationTrace declares no
+    # identity_residuals, target_sup or diff_norms beside them, and step
+    # takes no full parameter, so a run's mode is set once, by its state 0.
     factories = {"make_scalar_toy", "make_varying_toy", "make_two_component_toy"}
     for path in sorted((ROOT / "src" / "tamelab").glob("*.py")):
         source = path.read_text()
@@ -178,6 +181,13 @@ def test_layering():
             fields = {_name(n.target) for n in body["IterationState"].body
                       if isinstance(n, ast.AnnAssign)}
             assert "error" not in fields, fields
+            members = {n.name if isinstance(n, ast.FunctionDef) else _name(n.target)
+                       for n in body["IterationTrace"].body
+                       if isinstance(n, (ast.FunctionDef, ast.AnnAssign))}
+            assert not {"identity_residuals", "target_sup", "diff_norms"} & members, \
+                members
+            signature = body["step"].args
+            assert "full" not in {a.arg for a in signature.args + signature.kwonlyargs}
         if module not in ("iteration", "cli"):
             assert "run" not in {_name(n.func) for n in nodes
                                  if isinstance(n, ast.Call)}, module

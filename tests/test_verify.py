@@ -53,15 +53,15 @@ from tamelab.verify import (
 AUDIT_CFG = Path(__file__).resolve().parent.parent / "configs" / "audit.cfg"
 
 
-def synthetic_trace(errors, target_sup=1.0):
-    """Minimal trace whose norm rows carry prescribed ||E_i||_0 values and
-    no other norm.  It has no instance: the fits read neither its margins
-    nor its difference norms."""
+def synthetic_trace(errors):
+    """Minimal trace whose rows carry prescribed ||E_i||_0 values and no
+    other norm; row 0's error sets the noise floor, as ||T||_0 does on a
+    run.  It has no instance: the fits read neither its margins nor its
+    difference norms."""
     states = [StepNorms(step=i, norms_error=NormVector((float(e),)))
               for i, e in enumerate(errors)]
-    return IterationTrace(instance=None, states=tuple(states),
-                          identity_residuals=(), flag="completed",
-                          escape_step=None, target_sup=target_sup)
+    return IterationTrace(instance=None, states=tuple(states), flag="completed",
+                          escape_step=None)
 
 
 class TestVerifyRemainderClass:
@@ -534,9 +534,10 @@ def polyfit_reference(points):
 
 def log_error_run(min_step, log_errors):
     """A trace whose steps min_step, min_step + 1, ... carry ln ||E_i||_0 =
-    log_errors, with no noise floor; the steps before min_step read 1.0."""
-    return synthetic_trace([1.0] * min_step + [math.exp(y) for y in log_errors],
-                           target_sup=0.0)
+    log_errors, with no noise floor (row 0 reads 0.0); the steps between
+    read 1.0."""
+    return synthetic_trace([0.0] + [1.0] * (min_step - 1)
+                           + [math.exp(y) for y in log_errors])
 
 
 class TestClosedFormFit:
